@@ -1,9 +1,11 @@
 """Blocked vs per-die Monte-Carlo campaign throughput.
 
-Times the same yield campaign through both planning shapes — legacy
-one-``mc-die``-job-per-die and vectorized ``mc-block`` jobs — on a
-serial, cache-less runner, checks the reduced ``yield_curve`` rows are
-identical, and writes a ``BENCH_mc.json`` record::
+Times the same yield campaign through both planning shapes — one
+``mc-die`` job per die (a block of one die) and ``mc-block`` jobs of
+many dies — on a serial, cache-less runner, checks that both shapes
+reduce to identical ``yield_curve`` rows (one sampler and one
+evaluation path, so the block partition must not show in the rows),
+and writes a ``BENCH_mc.json`` record::
 
     python benchmarks/mc_scaling.py --dies 10000 --block 4096 \
         --out benchmarks/results/BENCH_mc.json
@@ -14,8 +16,8 @@ dies/second before the speedup is computed, which is fair: every die
 costs the same).  ``--budget`` fails the run if the *blocked* leg
 exceeds a wall-clock budget — the CI guard for throughput regressions.
 
-Exit status: 0 on success, 1 if the two paths disagree or the budget
-is blown.
+Exit status: 0 on success, 1 if the two plan shapes disagree or the
+budget is blown.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.api import (
     ParallelRunner,
 )
 
-#: Dies of the bit-equality cross-check (both paths, always run).
+#: Dies of the partition cross-check (both plan shapes, always run).
 EQUALITY_DIES = 256
 
 
@@ -81,8 +83,9 @@ def main(argv=None) -> int:
 
     compare_dies = args.compare_dies or args.dies
 
-    # Bit-equality cross-check on a small common slice first: the
-    # speedup number is meaningless if the paths disagree.
+    # Partition cross-check on a small common slice first: blocks of
+    # one and blocks of many must reduce to the same rows, or the
+    # speedup number is meaningless.
     check = min(EQUALITY_DIES, args.dies)
     _, die_rows = run_campaign(check, None, args.vcc, args.schemes,
                                args.seed)

@@ -62,11 +62,11 @@ _MEMO_LOCK = threading.Lock()
 
 #: Per-process memo of sampled Monte-Carlo die blocks (effective-sigma
 #: + IS log-weight arrays), keyed by the hashable ``DieBlock`` recipe.
-#: A campaign
-#: evaluates every block at every (Vcc, scheme) grid point; memoizing
-#: the sampled block makes the (scalar, sha256-seeded) sampling run
-#: once per block instead of once per job.  The bound holds every block
-#: of a 1M-die campaign at the default block size.
+#: A campaign evaluates every block at every (Vcc, scheme) grid point
+#: and the draws do not depend on the point, so the memo samples each
+#: block once per process instead of once per job (re-sampling would
+#: cost a 100k-die, six-point campaign about 0.2 s).  The bound holds
+#: every block of a 1M-die campaign at the default block size.
 _BLOCK_SAMPLES: OrderedDict = OrderedDict()
 _BLOCK_SAMPLES_MAX = 256
 
@@ -248,23 +248,30 @@ def _run_dvfs_schedule(job: Job):
     return scenario.run(job.trace.build(), list(phases))
 
 
+def _evaluate_die_block(job: Job, config, die_start: int, dies: int):
+    """Evaluate a (memoized) sampled die block at the job's point."""
+    # Lazy import: repro.montecarlo sits beside the engine in layering.
+    from repro.montecarlo.sampling import DieBlock, evaluate_block
+
+    block = DieBlock(config, die_start, dies)
+    sample = _memoized_build(_BLOCK_SAMPLES, _BLOCK_SAMPLES_MAX, block)
+    return evaluate_block(config, die_start, dies, job.vcc_mv,
+                          ClockScheme(job.scheme), solver=_solver_for(job),
+                          sample=sample)
+
+
 def _run_mc_die(job: Job):
-    """One Monte-Carlo die sample at one (Vcc, scheme) point.
+    """One Monte-Carlo die at one (Vcc, scheme) point: a block of one.
 
     The die index and the campaign's physics config ride in the job
     options (and therefore in the canonical key), so every sampled die
     is an independently cacheable unit across all backends.
     """
-    # Lazy import: repro.montecarlo sits beside the engine in layering.
-    from repro.montecarlo.sampling import evaluate_die_point
-
     config = job.option("mc")
     die = job.option("die")
     if config is None or die is None:
         raise ConfigError("mc-die job needs 'mc' config and 'die' options")
-    return evaluate_die_point(config, int(die), job.vcc_mv,
-                              ClockScheme(job.scheme),
-                              solver=_solver_for(job))
+    return _evaluate_die_block(job, config, int(die), 1)
 
 
 def _run_mc_block(job: Job):
@@ -273,24 +280,15 @@ def _run_mc_block(job: Job):
     The block's die range (``die_start``/``dies``) and the campaign's
     physics config ride in the job options — and therefore in the
     canonical key — so a block is an independently cacheable, dedupable
-    unit exactly like a single die.  The sampled block itself (die
-    draws are Vcc-independent) is memoized per process and shared
-    across the whole grid.
+    unit exactly like a single die.
     """
-    # Lazy import: repro.montecarlo sits beside the engine in layering.
-    from repro.montecarlo.sampling import DieBlock, evaluate_block
-
     config = job.option("mc")
     die_start = job.option("die_start")
     dies = job.option("dies")
     if config is None or die_start is None or dies is None:
         raise ConfigError("mc-block job needs 'mc' config and "
                           "'die_start'/'dies' options")
-    block = DieBlock(config, int(die_start), int(dies))
-    sample = _memoized_build(_BLOCK_SAMPLES, _BLOCK_SAMPLES_MAX, block)
-    return evaluate_block(config, block.die_start, block.dies,
-                          job.vcc_mv, ClockScheme(job.scheme),
-                          solver=_solver_for(job), sample=sample)
+    return _evaluate_die_block(job, config, int(die_start), int(dies))
 
 
 def _crash(job: Job):

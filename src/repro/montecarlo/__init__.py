@@ -11,14 +11,16 @@ within-die worst-case cell of every array, derived from the calibrated
 evaluated against the *design* clock schedule at every (Vcc, scheme)
 point of a campaign grid.
 
-Each sampled (die, Vcc, scheme) point is an ordinary engine job (kind
-``mc-die``): the die seed is folded into the canonical job key, so
+Dies are drawn from a counter-based Philox stream, so a die's sample is
+a pure function of (campaign seed, die index), and evaluated as NumPy
+arrays.  Each sampled (die block, Vcc, scheme) point is an ordinary
+engine job (``mc-block``, or ``mc-die`` for a block of one die): the
+campaign config and die range fold into the canonical job key, so
 deduplication, on-disk caching and all three execution backends work
-unchanged, and a 256-die campaign turns every grid point into hundreds
-of independently cacheable units.  Reduction is streaming
+unchanged.  Reduction folds arrays in die-aligned chunks
 (:mod:`repro.montecarlo.stats`): yields with Wilson confidence
 intervals, per-die Vccmin distributions, and frequency-bin statistics,
-never materialising per-die populations beyond O(dies) aggregates.
+never materialising per-die populations beyond O(dies) arrays.
 
 Layering: :mod:`repro.montecarlo.sampling` sits beside ``circuits``
 (imported lazily by the engine executor); :mod:`repro.montecarlo.spec`
@@ -38,11 +40,10 @@ from repro.montecarlo.importance import (
     deep_tail_rows,
 )
 from repro.montecarlo.sampling import (
-    DiePointResult,
-    DieSample,
+    DieBlock,
+    DieBlockResult,
     MonteCarloConfig,
-    evaluate_die_point,
-    sample_die,
+    evaluate_block,
     shifted_offset,
 )
 from repro.montecarlo.spec import MonteCarloSpec
@@ -56,8 +57,8 @@ from repro.montecarlo.stats import (
 )
 
 __all__ = [
-    "DiePointResult",
-    "DieSample",
+    "DieBlock",
+    "DieBlockResult",
     "DiscreteDistribution",
     "EffectiveSampleSizeWarning",
     "ImportanceSpec",
@@ -67,10 +68,9 @@ __all__ = [
     "WeightedIndicator",
     "WeightedStats",
     "deep_tail_rows",
-    "evaluate_die_point",
+    "evaluate_block",
     "montecarlo_jobs",
     "per_die_rows",
-    "sample_die",
     "shifted_offset",
     "vccmin_rows",
     "weighted_wilson_interval",

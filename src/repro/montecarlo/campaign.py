@@ -1,14 +1,17 @@
-"""Campaign planning and streaming reduction for die sampling.
+"""Campaign planning and chunked array reduction for die sampling.
 
 :func:`montecarlo_jobs` compiles a :class:`MonteCarloSpec` against a
-Vcc grid and scheme list into one flat batch of ``mc-die`` engine jobs
-— one per (Vcc, scheme, die), in that nesting order.  Each job's
-canonical key derives from the campaign's physics config plus the die
-index, so every die at every grid point is an independently cacheable,
+Vcc grid and scheme list into one flat batch of engine jobs — one per
+(Vcc, scheme, die block), in that nesting order.  Each job's canonical
+key derives from the campaign's physics config plus the die range, so
+every block at every grid point is an independently cacheable,
 dedupable, backend-agnostic unit.
 
-The reducers consume the result sequence *in plan order* and fold it
-with streaming accumulators (O(grid x schemes + dies) state):
+Every job returns a :class:`~repro.montecarlo.sampling.DieBlockResult`
+(an ``mc-die`` job is a block of one die).  The reducers consume the
+results *in plan order* and fold each (Vcc, scheme) group as arrays,
+re-cut into die-aligned chunks of :data:`FOLD_CHUNK` dies, so the rows
+are identical for any block partition:
 
 * :func:`yield_curve_rows` — functional and frequency (top-bin) yield
   per (Vcc, scheme) with Wilson confidence intervals, plus
@@ -23,11 +26,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.circuits.frequency import FrequencySolver
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
 from repro.montecarlo.importance import warn_low_ess
-from repro.montecarlo.sampling import DieBlockResult
 from repro.montecarlo.spec import MonteCarloSpec
 from repro.montecarlo.stats import (
     DiscreteDistribution,
@@ -38,13 +42,19 @@ from repro.montecarlo.stats import (
     wilson_interval,
 )
 
+#: Dies per reduction chunk.  Each (Vcc, scheme) group is folded in
+#: chunks covering dies ``[k * FOLD_CHUNK, (k + 1) * FOLD_CHUNK)``
+#: whatever blocks delivered them: the NumPy sums see the same arrays
+#: for any block partition, so the reduced rows do not depend on it.
+FOLD_CHUNK = 4096
+
 
 def montecarlo_jobs(mc: MonteCarloSpec, grid, schemes,
                     solver: FrequencySolver | None = None) -> list[Job]:
     """The campaign's engine jobs, in plan order.
 
-    Without a block size, one ``mc-die`` job per (Vcc, scheme, die);
-    with ``mc.block`` set, one vectorized ``mc-block`` job per
+    Without a block size, one ``mc-die`` job (a block of one die) per
+    (Vcc, scheme, die); with ``mc.block`` set, one ``mc-block`` job per
     (Vcc, scheme, contiguous die span) — spans tile ``range(dies)`` in
     order, so plan order is die order either way and the reducers
     consume both shapes identically.
@@ -85,16 +95,10 @@ def montecarlo_jobs(mc: MonteCarloSpec, grid, schemes,
     ]
 
 
-def _result_dies(result) -> int:
-    """How many dies one result item carries (block vs single die)."""
-    return result.dies if isinstance(result, DieBlockResult) else 1
-
-
 def _grouped(results, grid, schemes, dies: int):
     """Yield ``(vcc, scheme, one_group_list)`` in plan order.
 
-    Items are either per-die results or whole :class:`DieBlockResult`
-    batches; a group is complete once its items cover ``dies`` dies.
+    A group is complete once its block results cover ``dies`` dies.
     Groups are materialized one at a time (tiny), so a partially
     consumed group can never shift later (vcc, scheme) labels, and a
     results sequence that does not match the campaign shape fails with
@@ -110,7 +114,7 @@ def _grouped(results, grid, schemes, dies: int):
                 if item is None:
                     break
                 group.append(item)
-                covered += _result_dies(item)
+                covered += item.dies
             if covered != dies:
                 raise ConfigError(
                     f"montecarlo reduction expected {dies} die results "
@@ -124,10 +128,38 @@ def _grouped(results, grid, schemes, dies: int):
             "dies count does not match the campaign that produced them")
 
 
+def _chunks(group, fields):
+    """One group's block results re-cut into die-aligned chunks.
+
+    Yields ``{field: array}`` for every :data:`FOLD_CHUNK` dies (the
+    last chunk may be shorter), whatever block sizes delivered them.
+    """
+    parts = []
+    filled = 0
+
+    def joined():
+        return {name: np.concatenate([getattr(result, name)[start:stop]
+                                      for result, start, stop in parts])
+                for name in fields}
+
+    for result in group:
+        start = 0
+        while start < result.dies:
+            stop = min(result.dies, start + FOLD_CHUNK - filled)
+            parts.append((result, start, stop))
+            filled += stop - start
+            start = stop
+            if filled == FOLD_CHUNK:
+                yield joined()
+                parts, filled = [], 0
+    if parts:
+        yield joined()
+
+
 def yield_curve_rows(results, grid, schemes, dies: int,
                      confidence: float = 0.95,
                      importance=None) -> list[dict]:
-    """Functional and frequency yield per (Vcc, scheme), streaming.
+    """Functional and frequency yield per (Vcc, scheme), chunk by chunk.
 
     ``results`` must be the :func:`montecarlo_jobs` results in plan
     order (the runner returns them that way).  With ``importance`` set
@@ -140,6 +172,8 @@ def yield_curve_rows(results, grid, schemes, dies: int,
     bit-identical to their unweighted counterparts.
     """
     weighted = importance is not None
+    fields = ("functional", "meets_design", "die_frequency_mhz",
+              "slowdown") + (("log_weight",) if weighted else ())
     rows = []
     for vcc, scheme, group in _grouped(results, grid, schemes, dies):
         functional = meets = 0
@@ -150,38 +184,17 @@ def yield_curve_rows(results, grid, schemes, dies: int,
             w_meets = WeightedIndicator()
             w_frequency = WeightedStats()
             w_slowdown = WeightedStats()
-        for result in group:
-            if isinstance(result, DieBlockResult):
-                # Counts are order-free exact sums; the Welford streams
-                # consume the arrays in die order, bit-identical to
-                # per-die add() calls.
-                functional += int(result.functional.sum())
-                meets += int(result.meets_design.sum())
-                frequency.extend(result.die_frequency_mhz.tolist())
-                slowdown.extend(result.slowdown.tolist())
-                if weighted:
-                    values = zip(result.functional.tolist(),
-                                 result.meets_design.tolist(),
-                                 result.die_frequency_mhz.tolist(),
-                                 result.slowdown.tolist(),
-                                 result.log_weight.tolist())
-                    for is_f, is_m, freq, slow, log_weight in values:
-                        weight = math.exp(log_weight)
-                        w_functional.add(is_f, weight)
-                        w_meets.add(is_m, weight)
-                        w_frequency.add(freq, weight)
-                        w_slowdown.add(slow, weight)
-            else:
-                functional += bool(result.functional)
-                meets += bool(result.meets_design)
-                frequency.add(result.die_frequency_mhz)
-                slowdown.add(result.slowdown)
-                if weighted:
-                    weight = math.exp(result.log_weight)
-                    w_functional.add(bool(result.functional), weight)
-                    w_meets.add(bool(result.meets_design), weight)
-                    w_frequency.add(result.die_frequency_mhz, weight)
-                    w_slowdown.add(result.slowdown, weight)
+        for chunk in _chunks(group, fields):
+            functional += int(np.count_nonzero(chunk["functional"]))
+            meets += int(np.count_nonzero(chunk["meets_design"]))
+            frequency.extend(chunk["die_frequency_mhz"])
+            slowdown.extend(chunk["slowdown"])
+            if weighted:
+                weight = np.exp(chunk["log_weight"])
+                w_functional.extend(chunk["functional"], weight)
+                w_meets.extend(chunk["meets_design"], weight)
+                w_frequency.extend(chunk["die_frequency_mhz"], weight)
+                w_slowdown.extend(chunk["slowdown"], weight)
         f_low, f_high = wilson_interval(functional, dies, confidence)
         d_low, d_high = wilson_interval(meets, dies, confidence)
         row = {
@@ -222,59 +235,42 @@ def yield_curve_rows(results, grid, schemes, dies: int,
 
 
 def _fold_vccmin(results, grid, schemes, dies: int):
-    """Per-scheme ``(vccmin per die, worst sigma per die)`` maps.
+    """Per-scheme Vccmin arrays and the worst-sigma array, per die.
 
     A die's Vccmin is the lowest grid Vcc where it is functional; a die
-    functional nowhere on the grid is *censored* (``None``) and is
-    reported as a count, not a fake number.  State is O(dies) per
-    scheme — the per-point results are consumed as a stream.
+    functional nowhere on the grid is *censored* (NaN here) and is
+    reported as a count, not a fake number.  State is one float array
+    of ``dies`` per scheme plus one for the sigmas — the per-point
+    results are consumed as a stream.
     """
-    vccmin: dict[str, dict[int, float | None]] = {
-        str(s): {die: None for die in range(dies)} for s in schemes}
-    sigma: dict[int, float] = {}
+    vccmin = {str(s): np.full(dies, np.nan) for s in schemes}
+    sigma = np.empty(dies)
     for vcc, scheme, group in _grouped(results, grid, schemes, dies):
         per_die = vccmin[str(scheme)]
-        die = 0  # plan order = die order, blocks included
         for result in group:
-            if isinstance(result, DieBlockResult):
-                values = zip(result.worst_sigma.tolist(),
-                             result.functional.tolist())
-                for worst, functional in values:
-                    sigma[die] = worst
-                    if functional:
-                        best = per_die[die]
-                        if best is None or vcc < best:
-                            per_die[die] = float(vcc)
-                    die += 1
-                continue
-            sigma[die] = result.worst_sigma
-            if result.functional:
-                best = per_die[die]
-                if best is None or vcc < best:
-                    per_die[die] = float(vcc)
-            die += 1
+            span = slice(result.die_start, result.die_start + result.dies)
+            sigma[span] = result.worst_sigma
+            best = per_die[span]
+            best[result.functional & (np.isnan(best) | (vcc < best))] = vcc
     return vccmin, sigma
 
 
 def vccmin_rows(results, grid, schemes, dies: int) -> list[dict]:
     """Per-scheme Vccmin distribution rows (mean/std/percentiles)."""
     vccmin, _ = _fold_vccmin(results, grid, schemes, dies)
-    floor = min(float(v) for v in grid)
+    levels = sorted({float(v) for v in grid})
     rows = []
     for scheme in schemes:
+        values = vccmin[str(scheme)]
         distribution = DiscreteDistribution()
-        censored = 0
-        at_floor = 0
-        for value in vccmin[str(scheme)].values():
-            if value is None:
-                censored += 1
-                continue
-            distribution.add(value)
-            at_floor += value <= floor
+        for level in levels:
+            count = int(np.count_nonzero(values == level))
+            if count:
+                distribution.add(level, count)
         rows.append({
             "scheme": str(scheme),
             "dies": dies,
-            "censored": censored,
+            "censored": int(np.count_nonzero(np.isnan(values))),
             "vccmin_mean_mv": distribution.mean,
             "vccmin_std_mv": distribution.std,
             "vccmin_p10_mv": distribution.percentile(10.0),
@@ -282,7 +278,8 @@ def vccmin_rows(results, grid, schemes, dies: int) -> list[dict]:
             "vccmin_p90_mv": distribution.percentile(90.0),
             "vccmin_min_mv": distribution.minimum,
             "vccmin_max_mv": distribution.maximum,
-            "yield_at_floor": at_floor / dies,
+            "yield_at_floor":
+                int(np.count_nonzero(values == levels[0])) / dies,
         })
     return rows
 
@@ -295,14 +292,16 @@ def per_die_rows(results, grid, schemes, dies: int) -> list[dict]:
     a NaN token that would make the JSON export unparseable.
     """
     vccmin, sigma = _fold_vccmin(results, grid, schemes, dies)
-    return [
-        {
-            "scheme": str(scheme),
-            "die": die,
-            "vccmin_mv": value,
-            "censored": value is None,
-            "worst_sigma": sigma[die],
-        }
-        for scheme in schemes
-        for die, value in sorted(vccmin[str(scheme)].items())
-    ]
+    sigma = sigma.tolist()
+    rows = []
+    for scheme in schemes:
+        for die, value in enumerate(vccmin[str(scheme)].tolist()):
+            censored = math.isnan(value)
+            rows.append({
+                "scheme": str(scheme),
+                "die": die,
+                "vccmin_mv": None if censored else value,
+                "censored": censored,
+                "worst_sigma": sigma[die],
+            })
+    return rows

@@ -30,7 +30,7 @@ design point.
 
 Trust comes from three locked properties (``tests/test_importance.py``):
 ``shift_sigma = 0`` degenerates bit-identically to the brute-force
-estimator on both the per-die and the vectorized ``mc-block`` paths;
+estimator for any block partition, a block of one die included;
 the weights are the exact Gaussian density ratio for arbitrary shifts;
 and in the 3-4 sigma region where both estimators converge their
 confidence intervals must overlap (z-test cross-validation).  ESS
@@ -41,7 +41,7 @@ collapsed is noise, not data.
 
 Layering: this module sits beside ``campaign`` (which imports it for
 the ESS warning); :func:`deep_tail_rows` borrows campaign's plan-order
-grouping lazily to avoid an import cycle through ``spec``.
+grouping and chunking lazily to avoid an import cycle through ``spec``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.montecarlo.stats import WeightedIndicator
@@ -200,13 +202,12 @@ def deep_tail_rows(results, grid, schemes, dies: int, importance,
     top-bin failure probabilities with delta-method intervals, their
     log10 magnitudes (``None`` where no failure mass was observed),
     and the ESS diagnostics that qualify them.  ``results`` must be
-    the campaign results in plan order; per-die and ``mc-block``
-    shapes reduce identically (weights are ``exp`` of the bit-equal
-    per-die log weights, folded in die order).
+    the campaign results in plan order; any block partition reduces
+    identically (weights are ``exp`` of the per-die log weights, folded
+    in die-aligned chunks).
     """
     # Lazy import: campaign imports this module for the ESS warning.
-    from repro.montecarlo.campaign import _grouped
-    from repro.montecarlo.sampling import DieBlockResult
+    from repro.montecarlo.campaign import _chunks, _grouped
 
     if importance is None:
         raise ConfigError("deep_tail needs a [montecarlo.importance] "
@@ -215,19 +216,11 @@ def deep_tail_rows(results, grid, schemes, dies: int, importance,
     for vcc, scheme, group in _grouped(results, grid, schemes, dies):
         functional = WeightedIndicator()
         meets = WeightedIndicator()
-        for result in group:
-            if isinstance(result, DieBlockResult):
-                values = zip(result.functional.tolist(),
-                             result.meets_design.tolist(),
-                             result.log_weight.tolist())
-                for is_functional, meets_design, log_weight in values:
-                    weight = math.exp(log_weight)
-                    functional.add(not is_functional, weight)
-                    meets.add(not meets_design, weight)
-            else:
-                weight = math.exp(result.log_weight)
-                functional.add(not result.functional, weight)
-                meets.add(not result.meets_design, weight)
+        for chunk in _chunks(group, ("functional", "meets_design",
+                                     "log_weight")):
+            weight = np.exp(chunk["log_weight"])
+            functional.extend(~chunk["functional"], weight)
+            meets.extend(~chunk["meets_design"], weight)
         ess = functional.ess
         warn_low_ess(ess, dies, importance.ess_warn, vcc, scheme)
         f_low, f_high = functional.interval(confidence)

@@ -1,4 +1,4 @@
-"""Per-die SRAM variation sampling and die-level evaluation.
+"""Per-die SRAM variation sampling and vectorized die-block evaluation.
 
 A *die sample* is the statistical identity of one manufactured chip:
 
@@ -10,11 +10,16 @@ A *die sample* is the statistical identity of one manufactured chip:
   but statistically identical to sampling every cell and taking the
   max).
 
-Both are derived from a single per-die RNG stream seeded by
-``sha256("repro-mc:<seed>:<die>")``, so a die's sample depends only on
-the campaign seed and the die index — never on worker count, execution
-backend, or evaluation order.  That invariant is what lets each
-(die, Vcc, scheme) point run as an independent, cacheable engine job.
+Draws come from NumPy's Philox4x64 counter-based generator (Salmon et
+al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed once
+per campaign by ``sha256("repro-mc:<seed>")``.  Die ``d`` reads its
+words at a counter offset that depends only on ``d``, so a die's sample
+is a pure function of the campaign seed and the die index — never of
+the block that holds it, worker count, execution backend or evaluation
+order.  That invariant is what lets each (die block, Vcc, scheme) point
+run as an independent, cacheable engine job, and what makes a block of
+one die (the ``mc-die`` job kind) evaluate exactly like the same die
+inside a 4096-die block: there is one sampler and one evaluation path.
 
 Evaluation compares the die against the *design* schedule: the shipped
 part clocks every die at the frequency the design margin
@@ -32,15 +37,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterator
 
 import numpy as np
 
 from repro.circuits import constants
-from repro.circuits.ekv import THERMAL_VOLTAGE_MV, Device, check_voltage, softplus
+from repro.circuits.ekv import THERMAL_VOLTAGE_MV, Device, check_voltage
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.circuits.sram import silverthorne_arrays
 from repro.circuits.variation import VTH_MV_PER_SIGMA, VariationModel
@@ -66,6 +69,13 @@ _STANDARD_NORMAL = NormalDist()
 #: whose worst cell is *stronger* than the design margin must never be
 #: classed below the design bin because of last-bit noise.
 _PHASE_EPS = 1e-12
+
+#: Philox4x64 emits four 64-bit words per counter step.
+_WORDS_PER_COUNTER = 4
+
+#: Total bits of every Silverthorne SRAM array, by name.
+_ARRAY_BITS = {array.name: array.total_bits
+               for array in silverthorne_arrays()}
 
 
 @dataclass(frozen=True)
@@ -126,99 +136,20 @@ class MonteCarloConfig:
                 "montecarlo shift_sigma > 0 needs die_sigma_mv > 0: the "
                 "importance-sampling proposal mean-shifts the die-to-die "
                 "Vth offset, which a zero-sigma campaign never draws")
-        known = {array.name for array in silverthorne_arrays()}
         for name in self.arrays:
-            if name not in known:
+            if name not in _ARRAY_BITS:
                 raise ConfigError(
                     f"montecarlo: unknown SRAM array {name!r} (known: "
-                    f"{', '.join(sorted(known))})")
+                    f"{', '.join(sorted(_ARRAY_BITS))})")
 
     def array_bits(self) -> tuple[tuple[str, int], ...]:
         """(name, total_bits) of the sampled arrays, sorted by name."""
-        arrays = {a.name: a.total_bits for a in silverthorne_arrays()}
-        names = self.arrays or tuple(arrays)
-        return tuple((name, arrays[name]) for name in sorted(names))
+        names = self.arrays or tuple(_ARRAY_BITS)
+        return tuple((name, _ARRAY_BITS[name]) for name in sorted(names))
 
 
-@dataclass(frozen=True)
-class DieSample:
-    """The sampled statistical identity of one die."""
-
-    die: int
-    #: Die-to-die mean Vth shift, in millivolts (positive = slow die;
-    #: the importance-sampling proposal shift, if any, is folded in).
-    offset_mv: float
-    #: Within-die worst-cell deviation per array, in cell sigmas,
-    #: sorted by array name.
-    worst_sigma: tuple[tuple[str, float], ...]
-    #: Exact Gaussian log likelihood ratio of the nominal offset
-    #: distribution against the mean-shifted proposal — exactly 0.0
-    #: for an unshifted campaign.
-    log_weight: float = 0.0
-
-    def effective_sigma(self, sigma_mv: float) -> float:
-        """Worst cell across all arrays, die offset folded in, in
-        units of the cell sigma (comparable to the design margin)."""
-        worst = max(sigma for _, sigma in self.worst_sigma)
-        return worst + self.offset_mv / sigma_mv
-
-
-@dataclass(frozen=True)
-class DiePointResult:
-    """One die evaluated at one (Vcc, scheme) point of the grid."""
-
-    die: int
-    vcc_mv: float
-    scheme: str
-    #: The die's effective worst-cell sigma (offset folded in).
-    worst_sigma: float
-    #: Frequency the die achieves clocked for its own worst cell.
-    die_frequency_mhz: float
-    #: Frequency the design schedule dictates at this point.
-    design_frequency_mhz: float
-    #: Die phase delay / design phase delay — below 1.0 for the many
-    #: dies whose worst cell beats the design margin, above it for the
-    #: slow tail that drives the yield curves.
-    slowdown: float
-    #: Die is sellable at *some* bin here (slowdown <= max_slowdown).
-    functional: bool
-    #: Die makes the top bin: runs at the design clock (and, for IRAW,
-    #: stabilises within the design's N).
-    meets_design: bool
-    #: Stabilization cycles the design schedule provisions here.
-    design_stabilization: int
-    #: Cycles this die's worst cell needs at the design clock.
-    required_stabilization: int
-    #: The die's importance-sampling log weight (see
-    #: :attr:`DieSample.log_weight`); 0.0 without a proposal shift.
-    log_weight: float = 0.0
-
-
-def die_rng(seed: int, die: int) -> random.Random:
-    """The die's private RNG stream, independent of everything else."""
-    digest = hashlib.sha256(f"repro-mc:{seed}:{die}".encode("ascii"))
-    return random.Random(int.from_bytes(digest.digest()[:16], "big"))
-
-
-def worst_cell_sigma(u: float, total_bits: int) -> float:
-    """Quantile of the max of ``total_bits`` standard Gaussians.
-
-    Inverse-CDF sampling: if the array's cells are i.i.d. N(0, 1), the
-    CDF of their maximum is ``Phi(x) ** n``, so the ``u``-quantile is
-    ``Phi^-1(u ** (1/n))`` — one uniform draw replaces ``n`` Gaussians
-    exactly.  Computed in log space (``u ** (1/n)`` underflows its
-    distance from 1.0 for large arrays).
-    """
-    if total_bits < 1:
-        raise ConfigError("worst_cell_sigma needs at least one cell")
-    u = min(max(u, 1e-300), 1.0 - 1e-16)
-    p = math.exp(math.log(u) / total_bits)
-    return _STANDARD_NORMAL.inv_cdf(min(p, 1.0 - 1e-16))
-
-
-def shifted_offset(offset_mv: float,
-                   config: MonteCarloConfig) -> tuple[float, float]:
-    """Apply the IS proposal shift to one die's offset draw.
+def shifted_offset(offset_mv, config: MonteCarloConfig):
+    """Apply the IS proposal shift to die offset draws.
 
     The proposal draws the die offset from the nominal
     ``N(0, die_sigma_mv)`` and reports ``offset_mv + shift_sigma *
@@ -231,14 +162,10 @@ def shifted_offset(offset_mv: float,
     die_sigma_mv``, so the weights are exactly lognormal and the
     expected ESS fraction is ``exp(-lambda**2)``.
 
+    ``offset_mv`` may be a float or an array of per-die draws.
     ``shift_sigma == 0`` returns the draw untouched with a bit-exact
     0.0 log weight, so an unshifted campaign is bit-identical to plain
-    Monte-Carlo.
-
-    Returns ``(reported offset_mv, log weight)``; the single shift
-    implementation shared by :func:`sample_die` and
-    :meth:`DieBlock.build`, so the scalar and vectorized paths agree
-    bit for bit on both the samples and the weights.
+    Monte-Carlo.  Returns ``(reported offset_mv, log weight)``.
     """
     shift = config.shift_sigma
     if shift == 0.0:
@@ -248,92 +175,42 @@ def shifted_offset(offset_mv: float,
     return offset_mv + shift * config.sigma_mv, -lam * (z + lam / 2.0)
 
 
-def sample_die(config: MonteCarloConfig, die: int) -> DieSample:
-    """Draw one die's Vth map (deterministic in ``(seed, die)``).
-
-    Draw order is part of the on-disk identity: the die offset first,
-    then one uniform per array in sorted-name order.
-    """
-    if die < 0:
-        raise ConfigError(f"die index must be >= 0 (got {die})")
-    bits = config.array_bits()
-    rng = die_rng(config.seed, die)
-    offset_mv = rng.gauss(0.0, config.die_sigma_mv) \
-        if config.die_sigma_mv > 0 else 0.0
-    offset_mv, log_weight = shifted_offset(offset_mv, config)
-    worst = tuple((name, worst_cell_sigma(rng.random(), total_bits))
-                  for name, total_bits in bits)
-    return DieSample(die=die, offset_mv=offset_mv, worst_sigma=worst,
-                     log_weight=log_weight)
-
-
-def evaluate_die_point(config: MonteCarloConfig, die: int, vcc_mv: float,
-                       scheme: ClockScheme,
-                       solver: FrequencySolver | None = None,
-                       ) -> DiePointResult:
-    """Evaluate one sampled die against the design schedule at one point.
-
-    ``solver`` carries the calibrated (typical-margin) delay model and
-    the nominal frequency; the design schedule re-margins it at
-    ``config.design_sigma`` and the die at its own sampled worst cell.
-    """
-    solver = solver or FrequencySolver()
-    variation = VariationModel(solver.delay_model,
-                               vth_mv_per_sigma=config.sigma_mv)
-    sample = sample_die(config, die)
-    effective = sample.effective_sigma(config.sigma_mv)
-
-    design_model = variation.model_at_sigma(config.design_sigma)
-    die_model = variation.model_at_sigma(effective)
-    nominal = solver.nominal_frequency_mhz
-    design_point = FrequencySolver(
-        design_model, nominal_frequency_mhz=nominal,
-    ).operating_point(vcc_mv, scheme)
-    die_solver = FrequencySolver(die_model, nominal_frequency_mhz=nominal)
-    die_point = die_solver.operating_point(vcc_mv, scheme)
-
-    slowdown = die_point.phase_delay / design_point.phase_delay
-    # What this die's worst cell needs when run at the *design* clock:
-    # for IRAW that is its stabilization count, for write-complete
-    # schemes any nonzero value means the write no longer fits.
-    required = die_solver.stabilization_cycles_at(
-        vcc_mv, design_point.phase_delay)
-    meets_design = slowdown <= 1.0 + _PHASE_EPS
-    if scheme is ClockScheme.IRAW:
-        meets_design = meets_design \
-            and required <= design_point.stabilization_cycles
-    functional = slowdown <= config.max_slowdown + _PHASE_EPS
-    return DiePointResult(
-        die=die,
-        vcc_mv=vcc_mv,
-        scheme=scheme.value,
-        worst_sigma=effective,
-        die_frequency_mhz=die_point.frequency_mhz,
-        design_frequency_mhz=design_point.frequency_mhz,
-        slowdown=slowdown,
-        functional=functional,
-        meets_design=meets_design,
-        design_stabilization=design_point.stabilization_cycles,
-        required_stabilization=required,
-        log_weight=sample.log_weight,
-    )
-
-
 # ----------------------------------------------------------------------
-# Vectorized block evaluation (the million-die hot tier)
+# The counter-based block sampler
 # ----------------------------------------------------------------------
 #
-# ``evaluate_block`` is a second, independent implementation of the
-# per-die physics above, folded over a whole contiguous die range as
-# NumPy vectors.  Bit-equality with ``evaluate_die_point`` is a hard
-# contract (the golden suite locks reduced artifacts across both
-# paths), so the kernel only uses float operations that IEEE 754
-# requires to be correctly rounded (+, -, *, /, max, ceil,
-# comparisons) — those are bit-identical elementwise to their scalar
-# counterparts — and keeps the exact evaluation order of the scalar
-# path.  The one transcendental (``softplus``: exp/log1p) goes through
-# the *scalar* libm implementation per element, because ``np.exp`` /
-# ``np.log1p`` may differ from libm in the last ulp.
+# The sampling contract rests on the Philox bit stream alone.  Each die
+# owns ``ceil((1 + arrays) / 4)`` consecutive counter steps: its first
+# word drives the die offset, the next one per sampled array in
+# sorted-name order.  Words become doubles in this module (never through
+# a library's float conversion), and the worst cell of the die needs a
+# single inverse-CDF call: Phi^-1 is monotone, so the max over arrays of
+# ``Phi^-1(u_a ** (1/N_a))`` is ``Phi^-1`` of the max over arrays,
+# evaluated through its upper tail to keep full precision that close
+# to 1.  Every step is elementwise, so a die's sample does not depend on
+# the block it is drawn in.
+
+
+def _philox_key(seed: int) -> int:
+    """The campaign's 128-bit Philox key (any int seed, even negative)."""
+    digest = hashlib.sha256(f"repro-mc:{seed}".encode("ascii")).digest()
+    return int.from_bytes(digest[:16], "big")
+
+
+def _unit_interval(words: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words as doubles in the open interval (0, 1).
+
+    The top 52 bits plus one half, scaled by 2**-52: every step is
+    exact, so a word maps to the same double everywhere.
+    """
+    return ((words >> np.uint64(12)).astype(np.float64) + 0.5) \
+        * 2.0 ** -52
+
+
+def _inv_cdf(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile per element."""
+    return np.fromiter(map(_STANDARD_NORMAL.inv_cdf, p.tolist()),
+                       dtype=np.float64, count=p.size)
 
 
 @dataclass(frozen=True)
@@ -358,36 +235,29 @@ class DieBlock:
                               f"(got {self.dies})")
 
     def build(self) -> "BlockSample":
-        """The block's sampled identity, in die order (read-only).
+        """The block's sampled identity, in die order (read-only)."""
+        # Imported here, not at module scope: numpy.random costs every
+        # process that never samples a die ~2.4 MiB of RSS.
+        from numpy.random import Philox
 
-        Each die goes through the exact scalar :func:`sample_die` draw
-        sequence — die RNG, offset gauss (proposal-shifted through the
-        shared :func:`shifted_offset`), one uniform per array in
-        sorted-name order — the block is purely an evaluation batch,
-        never a different sampling contract.  The invariant per-die
-        setup (the array name/bits table) is hoisted out of the loop;
-        every float operation, including the IS log weight, matches
-        the scalar path bit for bit.
-        """
         config = self.config
         bits = config.array_bits()
-        sigma_mv = config.sigma_mv
-        die_sigma_mv = config.die_sigma_mv
-        seed = config.seed
-        effective = np.empty(self.dies, dtype=np.float64)
-        log_weight = np.empty(self.dies, dtype=np.float64)
-        for index in range(self.dies):
-            rng = die_rng(seed, self.die_start + index)
-            offset_mv = rng.gauss(0.0, die_sigma_mv) \
-                if die_sigma_mv > 0 else 0.0
-            offset_mv, die_log_weight = shifted_offset(offset_mv, config)
-            worst = max(worst_cell_sigma(rng.random(), total_bits)
-                        for _, total_bits in bits)
-            effective[index] = worst + offset_mv / sigma_mv
-            log_weight[index] = die_log_weight
-        effective.flags.writeable = False
-        log_weight.flags.writeable = False
-        return BlockSample(effective=effective, log_weight=log_weight)
+        words = 1 + len(bits)
+        counters = -(-words // _WORDS_PER_COUNTER)
+        stream = Philox(key=_philox_key(config.seed),
+                        counter=self.die_start * counters)
+        raw = stream.random_raw(self.dies * counters * _WORDS_PER_COUNTER)
+        u = _unit_interval(raw.reshape(self.dies, -1)[:, :words])
+
+        offset_mv = config.die_sigma_mv * _inv_cdf(u[:, 0])
+        offset_mv, log_weight = shifted_offset(offset_mv, config)
+        sizes = np.array([total for _, total in bits], dtype=np.float64)
+        # 1 - max_a u_a ** (1/N_a), computed without cancellation.
+        tail = -np.expm1((np.log(u[:, 1:]) / sizes).max(axis=1))
+        worst = -_inv_cdf(tail)
+        return BlockSample(
+            effective=_frozen(worst + offset_mv / config.sigma_mv),
+            log_weight=_frozen(np.zeros(self.dies) + log_weight))
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,8 +269,17 @@ class BlockSample:
     and aligned by position with the block's die range.
     """
 
+    #: Worst cell across all sampled arrays with the die offset folded
+    #: in, in cell sigmas (comparable to the design margin).
     effective: np.ndarray
+    #: Exact Gaussian log likelihood ratio of the nominal offset
+    #: distribution against the proposal; exactly 0.0 unshifted.
     log_weight: np.ndarray
+
+
+# ----------------------------------------------------------------------
+# Vectorized block evaluation
+# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,34 +296,27 @@ class DieBlockResult:
     dies: int
     vcc_mv: float
     scheme: str
+    #: Frequency the design schedule dictates at this point.
     design_frequency_mhz: float
+    #: Stabilization cycles the design schedule provisions here.
     design_stabilization: int
+    #: The die's effective worst-cell sigma (offset folded in).
     worst_sigma: np.ndarray
+    #: Frequency the die achieves clocked for its own worst cell.
     die_frequency_mhz: np.ndarray
+    #: Die phase delay / design phase delay — below 1.0 for the many
+    #: dies whose worst cell beats the design margin, above it for the
+    #: slow tail that drives the yield curves.
     slowdown: np.ndarray
+    #: Die is sellable at *some* bin here (slowdown <= max_slowdown).
     functional: np.ndarray
+    #: Die makes the top bin: runs at the design clock (and, for IRAW,
+    #: stabilises within the design's N).
     meets_design: np.ndarray
+    #: Cycles this die's worst cell needs at the design clock.
     required_stabilization: np.ndarray
+    #: The die's importance-sampling log weight.
     log_weight: np.ndarray
-
-    def die_results(self) -> Iterator[DiePointResult]:
-        """The block unpacked as scalar per-die results (test hook)."""
-        for index in range(self.dies):
-            yield DiePointResult(
-                die=self.die_start + index,
-                vcc_mv=self.vcc_mv,
-                scheme=self.scheme,
-                worst_sigma=float(self.worst_sigma[index]),
-                die_frequency_mhz=float(self.die_frequency_mhz[index]),
-                design_frequency_mhz=self.design_frequency_mhz,
-                slowdown=float(self.slowdown[index]),
-                functional=bool(self.functional[index]),
-                meets_design=bool(self.meets_design[index]),
-                design_stabilization=self.design_stabilization,
-                required_stabilization=int(
-                    self.required_stabilization[index]),
-                log_weight=float(self.log_weight[index]),
-            )
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -455,16 +327,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def _device_delay_array(device: Device, shift: np.ndarray,
                         vcc_mv: float) -> np.ndarray:
-    """Vectorized :meth:`Device.delay` for per-die Vth-shifted devices.
-
-    Mirrors ``Device.current``/``Device.delay`` operation by operation;
-    ``softplus`` runs through the scalar libm path per element (see the
-    section comment above).
-    """
+    """Vectorized :meth:`Device.delay` for per-die Vth-shifted devices,
+    with :func:`~repro.circuits.ekv.softplus` and its +/-35 guards as a
+    NumPy expression."""
     vth = device.vth_mv + shift
     x = (vcc_mv - vth) / (2.0 * device.n * THERMAL_VOLTAGE_MV)
-    s = np.fromiter((softplus(value) for value in x.tolist()),
-                    dtype=np.float64, count=x.size)
+    e = np.exp(np.minimum(x, 35.0))
+    s = np.where(x > 35.0, x, np.where(x < -35.0, e, np.log1p(e)))
     current = s * s
     return (device.kd * vcc_mv) / current
 
@@ -491,8 +360,10 @@ def evaluate_block(config: MonteCarloConfig, die_start: int, dies: int,
                    ) -> DieBlockResult:
     """Evaluate a contiguous die block at one grid point, vectorized.
 
-    Bit-equal per die to :func:`evaluate_die_point` (see the section
-    comment).  ``sample`` short-circuits sampling with a pre-built
+    ``solver`` carries the calibrated (typical-margin) delay model and
+    the nominal frequency; the design schedule re-margins it at
+    ``config.design_sigma`` and each die at its own sampled worst cell.
+    ``sample`` short-circuits sampling with a pre-built
     :meth:`DieBlock.build` value so executors can share one sampled
     block across the whole (Vcc, scheme) grid.
     """
@@ -546,6 +417,9 @@ def evaluate_block(config: MonteCarloConfig, die_start: int, dies: int,
     phase_time_ns = 1e3 / nominal / 2.0
     frequency = 1e3 / (2.0 * phase * phase_time_ns)
     slowdown = phase / design_point.phase_delay
+    # What each die's worst cell needs when run at the *design* clock:
+    # for IRAW that is its stabilization count, for write-complete
+    # schemes any nonzero value means the write no longer fits.
     required = _stabilization_cycles_array(write, wordline, gamma,
                                            design_point.phase_delay)
     meets_design = slowdown <= 1.0 + _PHASE_EPS

@@ -1,22 +1,26 @@
-"""Streaming statistics for die-sample reductions.
+"""Array statistics for die-sample reductions.
 
-Campaign reducers fold thousands of per-die results into aggregates
-without materialising the raw values: :class:`StreamingStats` is a
-Welford accumulator (mean/std/min/max in O(1) memory),
+Campaign reducers fold per-die result arrays into aggregates chunk by
+chunk, never holding a whole (Vcc, scheme) group:
+:class:`WeightedStats` sums each chunk with NumPy and merges it into
+running weighted moments (mean/std/min/max) with Chan et al.'s pairwise
+update, and :class:`StreamingStats` is the same fold at unit weights;
+:class:`WeightedIndicator` accumulates a self-normalized probability
+estimate with its delta-method variance and Kish effective sample size;
 :class:`DiscreteDistribution` counts values drawn from a small known
-set (per-die Vccmin lives on the campaign's Vcc grid) and answers
-exact nearest-rank percentiles from the counts, and
-:func:`wilson_interval` puts a confidence interval on yield fractions
-— the Wilson score interval, which stays inside [0, 1] and behaves at
-the 0%/100% yields small campaigns actually produce.
+set (per-die Vccmin lives on the campaign's Vcc grid) and answers exact
+nearest-rank percentiles from the counts; and :func:`wilson_interval`
+puts a confidence interval on yield fractions — the Wilson score
+interval, which stays inside [0, 1] and behaves at the 0%/100% yields
+small campaigns actually produce (:func:`weighted_wilson_interval` is
+its analogue at an effective sample size).
 
-The weighted variants serve the importance-sampled deep-tail
-estimator: :class:`WeightedStats` (weighted Welford moments that
-degenerate bit-identically to :class:`StreamingStats` at unit
-weights), :class:`WeightedIndicator` (self-normalized probability
-estimate with delta-method variance and Kish effective sample size)
-and :func:`weighted_wilson_interval` (the Wilson score at an effective
-sample size).
+A fold's last bits depend on where the values were cut into chunks,
+so the reducers always cut at fixed die-aligned boundaries
+(:data:`repro.montecarlo.campaign.FOLD_CHUNK`).  Unit weights take
+exactly the arithmetic real weights take, so an unshifted
+importance-sampled campaign reports weighted columns bit-identical to
+the unweighted ones.
 """
 
 from __future__ import annotations
@@ -24,66 +28,71 @@ from __future__ import annotations
 import math
 from statistics import NormalDist
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 _STANDARD_NORMAL = NormalDist()
 
 
-class StreamingStats:
-    """Welford one-pass accumulator: count, mean, std, min, max."""
+def _checked_weights(weights) -> np.ndarray:
+    """``weights`` as a float array, every element finite and >= 0."""
+    weights = np.asarray(weights, dtype=np.float64)
+    invalid = ~(np.isfinite(weights) & (weights >= 0.0))
+    if invalid.any():
+        raise ConfigError(f"weights must be finite and >= 0 "
+                          f"(got {weights[invalid][0]})")
+    return weights
 
-    __slots__ = ("count", "mean", "_m2", "minimum", "maximum")
+
+class WeightedStats:
+    """Weighted moments (count, mean, std, min, max), folded by arrays.
+
+    :meth:`extend` reduces one array of values and weights with NumPy
+    sums, then merges it into the running moments with Chan et al.'s
+    pairwise update.  Zero-weight observations are skipped entirely
+    (they carry no information).
+    """
+
+    __slots__ = ("count", "wsum", "mean", "_m2", "minimum", "maximum")
 
     def __init__(self) -> None:
         self.count = 0
+        self.wsum = 0.0
         self.mean = 0.0
         self._m2 = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
 
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def extend(self, values) -> None:
-        """Fold an iterable of values — bit-identical to repeated
-        :meth:`add` in iteration order (the block reducers feed whole
-        per-die arrays through here), just without the per-call
-        attribute traffic."""
-        count = self.count
-        mean = self.mean
-        m2 = self._m2
-        minimum = self.minimum
-        maximum = self.maximum
-        for value in values:
-            value = float(value)
-            count += 1
-            delta = value - mean
-            mean += delta / count
-            m2 += delta * (value - mean)
-            if value < minimum:
-                minimum = value
-            if value > maximum:
-                maximum = value
-        self.count = count
-        self.mean = mean
-        self._m2 = m2
-        self.minimum = minimum
-        self.maximum = maximum
+    def extend(self, values, weights) -> None:
+        """Fold one array of values with their weights."""
+        values = np.asarray(values, dtype=np.float64)
+        weights = _checked_weights(weights)
+        if not weights.all():
+            kept = weights > 0.0
+            values, weights = values[kept], weights[kept]
+        if not values.size:
+            return
+        wsum = float(weights.sum())
+        mean = float((weights * values).sum()) / wsum
+        delta = values - mean
+        m2 = float((weights * delta * delta).sum())
+        total = self.wsum + wsum
+        shift = mean - self.mean
+        self.mean += shift * (wsum / total)
+        self._m2 += m2 + shift * shift * (self.wsum * wsum / total)
+        self.wsum = total
+        self.count += values.size
+        self.minimum = min(self.minimum, float(values.min()))
+        self.maximum = max(self.maximum, float(values.max()))
 
     @property
     def std(self) -> float:
-        """Population standard deviation (0.0 below two samples)."""
+        """Weight-normalised population standard deviation (0.0 below
+        two counted samples)."""
         if self.count < 2:
             return 0.0
-        return math.sqrt(self._m2 / self.count)
+        return math.sqrt(self._m2 / self.wsum)
 
     def as_dict(self, prefix: str = "") -> dict[str, float]:
         """The accumulated moments as flat row columns."""
@@ -96,6 +105,16 @@ class StreamingStats:
             f"{prefix}min": self.minimum,
             f"{prefix}max": self.maximum,
         }
+
+
+class StreamingStats(WeightedStats):
+    """Unweighted moments: :class:`WeightedStats` at unit weights."""
+
+    __slots__ = ()
+
+    def extend(self, values) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        super().extend(values, np.ones(values.size))
 
 
 class DiscreteDistribution:
@@ -111,9 +130,9 @@ class DiscreteDistribution:
     def __init__(self) -> None:
         self._counts: dict[float, int] = {}
 
-    def add(self, value: float) -> None:
+    def add(self, value: float, count: int = 1) -> None:
         value = float(value)
-        self._counts[value] = self._counts.get(value, 0) + 1
+        self._counts[value] = self._counts.get(value, 0) + count
 
     @property
     def count(self) -> int:
@@ -159,68 +178,6 @@ class DiscreteDistribution:
         return max(self._counts) if self._counts else math.nan
 
 
-class WeightedStats:
-    """Weighted Welford accumulator (West's algorithm).
-
-    With every weight exactly 1.0 the update degenerates bit for bit to
-    :class:`StreamingStats` — the operation order is chosen so
-    ``delta * 1.0 / wsum`` and ``delta * 1.0 * (value - mean)`` reduce
-    to the unweighted expressions exactly — which is what lets the
-    importance-sampled reducers reuse one code path and still match the
-    brute-force goldens at shift 0.  Zero-weight observations are
-    skipped entirely (they carry no information and would only risk a
-    0/0 on the first add).
-    """
-
-    __slots__ = ("count", "wsum", "mean", "_m2", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.wsum = 0.0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float, weight: float) -> None:
-        value = float(value)
-        weight = float(weight)
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ConfigError(f"weights must be finite and >= 0 "
-                              f"(got {weight})")
-        if weight == 0.0:
-            return
-        self.count += 1
-        self.wsum += weight
-        delta = value - self.mean
-        self.mean += delta * weight / self.wsum
-        self._m2 += delta * weight * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def std(self) -> float:
-        """Weight-normalised population standard deviation (0.0 below
-        two counted samples, matching :class:`StreamingStats`)."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self._m2 / self.wsum)
-
-    def as_dict(self, prefix: str = "") -> dict[str, float]:
-        """The accumulated moments as flat row columns."""
-        if not self.count:
-            return {f"{prefix}mean": math.nan, f"{prefix}std": math.nan,
-                    f"{prefix}min": math.nan, f"{prefix}max": math.nan}
-        return {
-            f"{prefix}mean": self.mean,
-            f"{prefix}std": self.std,
-            f"{prefix}min": self.minimum,
-            f"{prefix}max": self.maximum,
-        }
-
-
 class WeightedIndicator:
     """Self-normalized importance-sampling estimator of an event
     probability.
@@ -244,17 +201,15 @@ class WeightedIndicator:
         self.hit_wsum = 0.0
         self.hit_w2sum = 0.0
 
-    def add(self, hit: bool, weight: float) -> None:
-        weight = float(weight)
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ConfigError(f"weights must be finite and >= 0 "
-                              f"(got {weight})")
-        self.count += 1
-        self.wsum += weight
-        self.w2sum += weight * weight
-        if hit:
-            self.hit_wsum += weight
-            self.hit_w2sum += weight * weight
+    def extend(self, hits, weights) -> None:
+        """Fold one array of ``(hit, weight)`` observations."""
+        weights = _checked_weights(weights)
+        hit_weights = np.where(hits, weights, 0.0)
+        self.count += weights.size
+        self.wsum += float(weights.sum())
+        self.w2sum += float((weights * weights).sum())
+        self.hit_wsum += float(hit_weights.sum())
+        self.hit_w2sum += float((hit_weights * hit_weights).sum())
 
     @property
     def estimate(self) -> float:

@@ -1,5 +1,10 @@
 """Tests for the top-level API surface and remaining loose ends."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -12,7 +17,7 @@ from repro.isa.opcodes import Opcode
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:
@@ -82,6 +87,21 @@ class TestStableApiFacade:
         path = tmp_path / "spec.toml"
         api.save_spec(spec, path)
         assert api.load_spec(path) == spec
+
+
+class TestImportWeight:
+    def test_api_import_leaves_numpy_random_unloaded(self):
+        """Only die sampling imports numpy.random: it costs ~2.4 MiB of
+        RSS in every process that never samples a die."""
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        probe = ("import sys, repro.api; "
+                 "print('numpy.random' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestDeprecatedWrappers:

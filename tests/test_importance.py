@@ -7,8 +7,8 @@ locked independently:
   likelihood ratio of the nominal die-offset density against the
   mean-shifted proposal, for arbitrary shifts (hypothesis property);
 * **shift-zero degeneracy** — ``shift_sigma = 0`` is bit-identical to
-  plain Monte-Carlo on both the scalar per-die and the vectorized
-  ``mc-block`` paths, down to the weighted reducer columns;
+  plain Monte-Carlo for blocks of one die and for whole blocks alike,
+  down to the weighted reducer columns;
 * **cross-validation** — in the 3-4 sigma region where brute force
   still converges, the shifted estimator must agree with it (overlapping
   confidence intervals and a two-estimator z-test);
@@ -22,6 +22,8 @@ locked independently:
 import math
 from statistics import NormalDist
 
+import mc_oracle
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,8 +45,6 @@ from repro.montecarlo.sampling import (
     DieBlock,
     MonteCarloConfig,
     evaluate_block,
-    evaluate_die_point,
-    sample_die,
 )
 from repro.montecarlo.stats import (
     StreamingStats,
@@ -77,12 +77,10 @@ def block_results(config, dies, vcc, scheme, block=None):
 
 
 def failure_indicator(results) -> WeightedIndicator:
-    """Fold functional-failure mass exactly as the reducers do."""
+    """Fold functional-failure mass block by block."""
     indicator = WeightedIndicator()
     for result in results:
-        for is_functional, log_weight in zip(result.functional.tolist(),
-                                             result.log_weight.tolist()):
-            indicator.add(not is_functional, math.exp(log_weight))
+        indicator.extend(~result.functional, np.exp(result.log_weight))
     return indicator
 
 
@@ -127,21 +125,26 @@ class TestShiftZeroDegeneracy:
     """``shift_sigma = 0`` degenerates bit-identically to brute force."""
 
     def test_scalar_and_block_paths_match_bitwise(self):
+        """Single dies (blocks of one) and a 32-die block draw the same
+        samples and weights, shifted or not; the weights are the
+        oracle's exact tilt."""
         for shift in (0.0, 1.5):
             config = MonteCarloConfig(seed=3, shift_sigma=shift)
             sample = DieBlock(config, 0, 32).build()
             for die in range(32):
-                scalar = sample_die(config, die)
-                assert scalar.effective_sigma(config.sigma_mv) \
-                    == sample.effective[die]
-                assert scalar.log_weight == sample.log_weight[die]
+                single = DieBlock(config, die, 1).build()
+                assert single.effective[0] == sample.effective[die]
+                assert single.log_weight[0] == sample.log_weight[die]
+                assert sample.log_weight[die] == pytest.approx(
+                    mc_oracle.draw_die(config, die).log_weight,
+                    rel=1e-12, abs=1e-12)
 
     def test_zero_shift_weights_are_exactly_zero(self):
         config = MonteCarloConfig(seed=1)
         sample = DieBlock(config, 0, 64).build()
         assert sample.log_weight.tolist() == [0.0] * 64
-        result = evaluate_die_point(config, 5, XVAL_VCC, ClockScheme.IRAW)
-        assert result.log_weight == 0.0
+        result = evaluate_block(config, 5, 1, XVAL_VCC, ClockScheme.IRAW)
+        assert result.log_weight.tolist() == [0.0]
 
     @pytest.mark.parametrize("block", [None, 16])
     def test_weighted_columns_degenerate_bitwise(self, block):
@@ -153,8 +156,8 @@ class TestShiftZeroDegeneracy:
         config = mc.config()
         grid, schemes = (XVAL_VCC,), ("iraw",)
         if block is None:
-            results = [evaluate_die_point(config, die, XVAL_VCC,
-                                          ClockScheme.IRAW)
+            results = [evaluate_block(config, die, 1, XVAL_VCC,
+                                      ClockScheme.IRAW)
                        for die in range(mc.dies)]
         else:
             results = block_results(config, mc.dies, XVAL_VCC,
@@ -182,6 +185,41 @@ class TestShiftZeroDegeneracy:
                        for f in r.functional.tolist() if not f)
         assert row["functional_fail"] == failures / mc.dies
         assert row["ess"] == float(mc.dies)
+
+
+class TestChunkedReduction:
+    def test_rows_match_the_scalar_welford(self):
+        """A shifted 9000-die campaign (three fold chunks, odd blocks)
+        reduces to the rows a scalar per-die fold computes, to 1e-12."""
+        mc = MonteCarloSpec(dies=9000, seed=4, block=1000,
+                            importance=ImportanceSpec(shift_sigma=1.0,
+                                                      ess_warn=0.0))
+        grid, schemes = (XVAL_VCC,), ("iraw",)
+        results = block_results(mc.config(), mc.dies, XVAL_VCC,
+                                ClockScheme.IRAW, block=mc.block)
+        [row] = yield_curve_rows(results, grid, schemes, mc.dies,
+                                 mc.confidence, importance=mc.importance)
+        frequency, w_frequency = mc_oracle.Welford(), mc_oracle.Welford()
+        w_slowdown = mc_oracle.Welford()
+        wsum = w2sum = hit_wsum = 0.0
+        for die in mc_oracle.block_points(results):
+            weight = math.exp(die.log_weight)
+            frequency.add(die.die_frequency_mhz)
+            w_frequency.add(die.die_frequency_mhz, weight)
+            w_slowdown.add(die.slowdown, weight)
+            wsum += weight
+            w2sum += weight * weight
+            hit_wsum += weight if die.functional else 0.0
+        expected = {
+            "frequency_mhz_mean": frequency.mean,
+            "frequency_mhz_std": frequency.std,
+            "weighted_frequency_mhz_mean": w_frequency.mean,
+            "weighted_slowdown_mean": w_slowdown.mean,
+            "weighted_functional_yield": hit_wsum / wsum,
+            "ess": wsum * wsum / w2sum,
+        }
+        for name, value in expected.items():
+            assert row[name] == pytest.approx(value, rel=1e-12), name
 
 
 class TestCrossValidation:
@@ -220,19 +258,21 @@ class TestCrossValidation:
 
 class TestEssDiagnostics:
     def test_ess_is_invariant_under_block_partitioning(self):
-        """The Kish ESS folds per-die weights in die order, so how the
-        campaign was cut into jobs must not change it at all."""
+        """The reducers fold weights in die-aligned chunks, so how the
+        campaign was cut into jobs must not change the ESS, the
+        estimate or its interval at all — across chunk boundaries
+        too (9000 dies span three chunks)."""
         config = MonteCarloConfig(seed=0, shift_sigma=1.0)
+        importance = ImportanceSpec(shift_sigma=1.0, ess_warn=0.0)
         references = None
-        for block in (256, 64, 7):
-            results = block_results(config, 256, XVAL_VCC,
+        for block in (9000, 4096, 1000, 7):
+            results = block_results(config, 9000, XVAL_VCC,
                                     ClockScheme.IRAW, block=block)
-            indicator = failure_indicator(results)
-            values = (indicator.ess, indicator.estimate,
-                      indicator.interval(0.95))
+            [row] = deep_tail_rows(results, (XVAL_VCC,), ("iraw",), 9000,
+                                   importance)
             if references is None:
-                references = values
-            assert values == references
+                references = row
+            assert row == references
 
     def test_collapsed_weights_warn(self):
         """An over-aggressive shift spreads the weights so far that a
@@ -324,9 +364,9 @@ class TestWeightedAccumulatorUnits:
         values = [3.25, -1.5, 0.0, 7.125, 2.0, -8.75]
         plain = StreamingStats()
         weighted = WeightedStats()
-        for value in values:
-            plain.add(value)
-            weighted.add(value, 1.0)
+        for chunk in (values[:2], values[2:5], values[5:]):
+            plain.extend(chunk)
+            weighted.extend(chunk, [1.0] * len(chunk))
         assert weighted.mean == plain.mean
         assert weighted.std == plain.std
         assert weighted.minimum == plain.minimum
@@ -334,10 +374,12 @@ class TestWeightedAccumulatorUnits:
 
     def test_zero_weights_carry_no_mass(self):
         stats = WeightedStats()
-        stats.add(100.0, 0.0)
-        assert stats.count == 0  # never enters the Welford stream
+        stats.extend([100.0], [0.0])
+        assert stats.count == 0  # never enters the moments
+        stats.extend([1.0, 100.0], [2.0, 0.0])
+        assert (stats.count, stats.mean, stats.maximum) == (1, 1.0, 1.0)
         indicator = WeightedIndicator()
-        indicator.add(True, 0.0)
+        indicator.extend([True], [0.0])
         assert indicator.count == 1  # observed, but weightless:
         assert math.isnan(indicator.estimate)
         assert indicator.ess == 0.0
@@ -345,9 +387,41 @@ class TestWeightedAccumulatorUnits:
     def test_invalid_weights_are_rejected(self):
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
-                WeightedStats().add(1.0, bad)
+                WeightedStats().extend([1.0], [bad])
             with pytest.raises(ConfigError):
-                WeightedIndicator().add(True, bad)
+                WeightedIndicator().extend([True], [bad])
+
+    @given(data=st.lists(st.tuples(st.floats(-1e3, 1e3),
+                                   st.just(0.0) | st.floats(1e-3, 10.0),
+                                   st.booleans()),
+                         min_size=1, max_size=60),
+           cuts=st.lists(st.integers(0, 60), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_fold_matches_scalar_welford(self, data, cuts):
+        """Folding arrays chunk by chunk (Chan's merge) agrees with the
+        scalar weighted Welford oracle to 1e-12, for any chunking."""
+        values, weights, hits = (list(column) for column in zip(*data))
+        stats = WeightedStats()
+        indicator = WeightedIndicator()
+        edges = sorted({0, len(data), *(c for c in cuts if c < len(data))})
+        for start, stop in zip(edges, edges[1:]):
+            stats.extend(values[start:stop], weights[start:stop])
+            indicator.extend(hits[start:stop], weights[start:stop])
+        oracle = mc_oracle.Welford()
+        for value, weight in zip(values, weights):
+            oracle.add(value, weight)
+        scale = max(1.0, max(abs(v) for v in values))
+        assert stats.count == oracle.count
+        assert stats.mean == pytest.approx(oracle.mean, rel=1e-12,
+                                           abs=1e-12 * scale)
+        # Variances: sqrt would amplify rounding of a zero spread.
+        assert stats.std ** 2 == pytest.approx(
+            oracle.std ** 2, rel=1e-12, abs=1e-12 * scale * scale)
+        wsum = sum(weights)
+        hit_wsum = sum(w for w, hit in zip(weights, hits) if hit)
+        assert indicator.wsum == pytest.approx(wsum, rel=1e-12)
+        assert indicator.hit_wsum == pytest.approx(hit_wsum, rel=1e-12,
+                                                   abs=1e-12)
 
     def test_empty_indicator_reports_nan_and_full_interval(self):
         indicator = WeightedIndicator()

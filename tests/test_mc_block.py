@@ -1,7 +1,9 @@
 """Tests for the vectorized ``mc-block`` Monte-Carlo tier.
 
-Locks the tentpole contracts of the blocked path: the NumPy block
-kernel is **bit-equal** per die to the scalar ``mc-die`` path, block
+Locks the contracts of the one array path: a die's sample and its
+evaluation are bit-identical whatever block holds it (a block of one —
+the ``mc-die`` job — included), every die agrees with the scalar
+per-die oracle in ``tests/mc_oracle.py`` (hypothesis property), block
 partitioning is invariant (any block size reduces to the same rows —
 the hypothesis property), blocks ride the engine as ordinary cacheable
 jobs through every backend, and the dispatch tier underneath (pool
@@ -12,6 +14,7 @@ supervisor) preserves results while amortizing per-job overhead.
 import os
 import threading
 
+import mc_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,13 +33,12 @@ from repro.engine.broker import SpoolBroker, WorkerSupervisor, \
     run_worker_loop
 from repro.engine.executors import execute_chunk, execute_job
 from repro.errors import ConfigError
+from repro.circuits.sram import silverthorne_arrays
 from repro.montecarlo import (
     MonteCarloConfig,
     MonteCarloSpec,
     StreamingStats,
-    evaluate_die_point,
     montecarlo_jobs,
-    sample_die,
     vccmin_rows,
     yield_curve_rows,
 )
@@ -62,37 +64,51 @@ def campaign_rows(dies, block, grid=GRID, schemes=SCHEMES, seed=2,
 
 
 # ----------------------------------------------------------------------
-# The vectorized kernel vs the scalar path
+# One path: any block, a block of one, and the scalar oracle
 # ----------------------------------------------------------------------
+
+ARRAY_NAMES = sorted(array.name for array in silverthorne_arrays())
+
 
 class TestBlockKernel:
     def test_block_build_matches_scalar_sampling_bit_for_bit(self):
-        config = MonteCarloConfig(seed=3)
+        """A die's sample is a pure function of (seed, die): drawn inside
+        a 32-die block or as a block of one, it is the same double."""
+        config = MonteCarloConfig(seed=3, shift_sigma=1.5)
         block = DieBlock(config, die_start=5, dies=32).build()
-        scalar = [sample_die(config, die).effective_sigma(config.sigma_mv)
-                  for die in range(5, 37)]
-        assert block.effective.tolist() == scalar  # exact, not approx
-        assert block.log_weight.tolist() == [0.0] * 32
+        alone = [DieBlock(config, die, 1).build() for die in range(5, 37)]
+        assert block.effective.tolist() \
+            == [sample.effective[0] for sample in alone]  # exact
+        assert block.log_weight.tolist() \
+            == [sample.log_weight[0] for sample in alone]
+        for index, die in enumerate(range(5, 37)):
+            draw = mc_oracle.draw_die(config, die)
+            assert block.effective[index] == pytest.approx(
+                draw.effective_sigma(config.sigma_mv), rel=1e-12)
 
     def test_block_build_honours_array_subset_and_zero_offset(self):
         config = MonteCarloConfig(seed=1, arrays=("RF", "DL0"),
                                   die_sigma_mv=0.0)
         block = DieBlock(config, die_start=0, dies=16).build()
-        scalar = [sample_die(config, die).effective_sigma(config.sigma_mv)
-                  for die in range(16)]
-        assert block.effective.tolist() == scalar
+        oracle = [mc_oracle.draw_die(config, die) for die in range(16)]
+        assert all(draw.offset_mv == 0.0 for draw in oracle)
+        assert block.effective.tolist() == pytest.approx(
+            [draw.effective_sigma(config.sigma_mv) for draw in oracle],
+            rel=1e-12)
+        assert block.log_weight.tolist() == [0.0] * 16
 
     @pytest.mark.parametrize("scheme", list(ClockScheme))
     def test_block_evaluation_is_bit_equal_per_die(self, scheme):
-        """The hard contract: every DiePointResult field identical
-        between the NumPy kernel and the scalar path — including at
-        600 mV, the IRAW deactivation boundary."""
+        """Every die's result is identical in a 12-die block and in its
+        own block of one — including at 600 mV, the IRAW deactivation
+        boundary."""
         config = MonteCarloConfig(seed=0)
         for vcc in (600.0, 500.0, 420.0):
             result = evaluate_block(config, 0, 12, vcc, scheme)
-            scalar = [evaluate_die_point(config, die, vcc, scheme)
-                      for die in range(12)]
-            assert list(result.die_results()) == scalar
+            alone = [evaluate_block(config, die, 1, vcc, scheme)
+                     for die in range(12)]
+            assert mc_oracle.block_points([result]) \
+                == mc_oracle.block_points(alone)
 
     def test_block_arrays_are_read_only(self):
         config = MonteCarloConfig(seed=0)
@@ -115,6 +131,35 @@ class TestBlockKernel:
         with pytest.raises(ConfigError, match="shape"):
             evaluate_block(config, 0, 8, 500.0, ClockScheme.BASELINE,
                            sample=bad_shape)
+
+
+class TestScalarOracle:
+    @given(seed=st.integers(-2**63, 2**63), die_start=st.integers(0, 10**6),
+           dies=st.integers(1, 4),
+           vcc=st.sampled_from([600.0, 420.0]) | st.floats(400.0, 700.0),
+           scheme=st.sampled_from(list(ClockScheme)),
+           arrays=st.lists(st.sampled_from(ARRAY_NAMES), unique=True,
+                           max_size=4),
+           die_sigma=st.sampled_from([0.0, 10.0]) | st.floats(0.5, 20.0),
+           shift=st.sampled_from([0.0, 2.0]) | st.floats(0.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_the_per_die_oracle(self, seed, die_start, dies,
+                                              vcc, scheme, arrays,
+                                              die_sigma, shift):
+        """Property: every die of an evaluated block agrees with the
+        scalar oracle — its own Philox words, ``math``/``NormalDist``
+        draws and the scalar frequency solver — ints and booleans
+        exactly, floats to 1e-12."""
+        config = MonteCarloConfig(seed=seed, arrays=tuple(arrays),
+                                  die_sigma_mv=die_sigma,
+                                  shift_sigma=shift if die_sigma else 0.0)
+        result = evaluate_block(config, die_start, dies, vcc, scheme)
+        for index in range(dies):
+            die = die_start + index
+            mc_oracle.assert_points_close(
+                mc_oracle.block_point(result, index),
+                mc_oracle.evaluate_die(config, die, vcc, scheme),
+                context=f"die {die} @ {vcc} mV {scheme.value}")
 
 
 # ----------------------------------------------------------------------
@@ -170,19 +215,19 @@ class TestBlockPartitionInvariance:
 
     def test_named_block_sizes_match_per_die(self):
         """The spec-level anchors: 1, 7, 64 (= dies) on a 64-die
-        campaign, plus per-die sample equality block by block."""
+        campaign, plus per-die result equality block by block."""
         reference = campaign_rows(64, None)
         for block in (1, 7, 64):
             assert campaign_rows(64, block) == reference
         mc = MonteCarloSpec(dies=64, seed=2, block=7)
         blocked = [execute_job(job)
                    for job in montecarlo_jobs(mc, (500.0,), ("iraw",))]
-        unpacked = [die for result in blocked
-                    for die in result.die_results()]
-        scalar = [execute_job(job)
-                  for job in montecarlo_jobs(MonteCarloSpec(dies=64, seed=2),
-                                             (500.0,), ("iraw",))]
-        assert unpacked == scalar
+        per_die = [execute_job(job)
+                   for job in montecarlo_jobs(MonteCarloSpec(dies=64, seed=2),
+                                              (500.0,), ("iraw",))]
+        assert all(result.dies == 1 for result in per_die)
+        assert mc_oracle.block_points(blocked) \
+            == mc_oracle.block_points(per_die)
 
 
 # ----------------------------------------------------------------------
@@ -218,16 +263,24 @@ class TestBlockBackends:
         assert warm.stats.simulated == 0
 
     def test_streaming_extend_matches_repeated_add(self):
+        """Chunked folds agree with one value at a time and with the
+        scalar Welford oracle; min/max and the count exactly."""
         values = [0.5, -1.25, 3.0, 3.0, 0.0, 7.5, -2.0]
         one_by_one = StreamingStats()
+        oracle = mc_oracle.Welford()
         for value in values:
-            one_by_one.add(value)
+            one_by_one.extend([value])
+            oracle.add(value)
         batched = StreamingStats()
         batched.extend(values[:3])
         batched.extend([])
         batched.extend(values[3:])
-        assert batched.as_dict() == one_by_one.as_dict()
-        assert batched.count == one_by_one.count
+        for stats in (batched, one_by_one):
+            assert stats.count == oracle.count
+            assert stats.mean == pytest.approx(oracle.mean, rel=1e-12)
+            assert stats.std == pytest.approx(oracle.std, rel=1e-12)
+            assert (stats.minimum, stats.maximum) == (min(values),
+                                                      max(values))
 
 
 # ----------------------------------------------------------------------

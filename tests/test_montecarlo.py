@@ -1,17 +1,19 @@
 """Tests for the Monte-Carlo die-sampling subsystem.
 
-Covers the sampling primitives (seeded, order-independent die RNG
-streams; exact max-of-N inverse-CDF sampling), the streaming statistics,
-the spec/TOML surface, the engine integration (an ``mc-die`` job is an
-ordinary cacheable unit), and the headline acceptance property: a
-64-die ``yield_curve`` campaign reproduces **bit-identically** through
-the serial, pool and queue backends, and a warm-cache rerun simulates
-nothing.
+Covers the sampling primitives (counter-based, order-independent die
+draws; exact max-of-N inverse-CDF sampling; Kolmogorov-Smirnov checks
+of the stream), the array statistics, the spec/TOML surface, the engine
+integration (an ``mc-die`` job is an ordinary cacheable unit), and the
+headline acceptance property: a 64-die ``yield_curve`` campaign
+reproduces **bit-identically** through the serial, pool and queue
+backends, and a warm-cache rerun simulates nothing.
 """
 
 import math
 import statistics
 
+import mc_oracle
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,20 +29,19 @@ from repro.engine import (
 from repro.errors import ConfigError
 from repro.experiments import Experiment, ExperimentSpec
 from repro.montecarlo import (
+    DieBlock,
     DiscreteDistribution,
     MonteCarloConfig,
     MonteCarloSpec,
     StreamingStats,
-    evaluate_die_point,
+    evaluate_block,
     montecarlo_jobs,
     per_die_rows,
-    sample_die,
     vccmin_rows,
     weighted_wilson_interval,
     wilson_interval,
     yield_curve_rows,
 )
-from repro.montecarlo.sampling import worst_cell_sigma
 
 pytestmark = pytest.mark.engine
 
@@ -49,68 +50,130 @@ pytestmark = pytest.mark.engine
 # Sampling primitives
 # ----------------------------------------------------------------------
 
+def sample(config, die):
+    """One die's (effective sigma, log weight), drawn as a block of one."""
+    block = DieBlock(config, die, 1).build()
+    return block.effective[0], block.log_weight[0]
+
+
+def die_point(config, die, vcc, scheme):
+    """One die evaluated at one point (the ``mc-die`` path)."""
+    return mc_oracle.block_point(
+        evaluate_block(config, die, 1, vcc, scheme), 0)
+
+
 class TestSampling:
     def test_sample_is_deterministic_and_per_die_independent(self):
         config = MonteCarloConfig(seed=7)
-        first = sample_die(config, 3)
-        again = sample_die(config, 3)
+        first = sample(config, 3)
+        again = sample(config, 3)
         assert first == again
-        other = sample_die(config, 4)
+        other = sample(config, 4)
         assert other != first
-        reseeded = sample_die(MonteCarloConfig(seed=8), 3)
+        reseeded = sample(MonteCarloConfig(seed=8), 3)
         assert reseeded != first
 
     def test_samples_do_not_depend_on_evaluation_order(self):
         config = MonteCarloConfig(seed=1)
-        forward = [sample_die(config, die) for die in range(16)]
-        backward = [sample_die(config, die) for die in reversed(range(16))]
+        forward = [sample(config, die) for die in range(16)]
+        backward = [sample(config, die) for die in reversed(range(16))]
         assert forward == list(reversed(backward))
 
     def test_worst_cell_sigma_grows_with_array_size(self):
-        # Median worst cell of a big array beats a small array's.
-        assert worst_cell_sigma(0.5, 4_000_000) \
-            > worst_cell_sigma(0.5, 4_096) > worst_cell_sigma(0.5, 1)
+        # Single-array campaigns read the same word per die, so the
+        # bigger array's worst cell is further out die by die.
+        def worst(name):
+            config = MonteCarloConfig(seed=0, arrays=(name,),
+                                      die_sigma_mv=0.0)
+            return DieBlock(config, 0, 64).build().effective
+
+        assert (worst("UL1") > worst("BP")).all()
+        assert (worst("BP") > worst("RSB")).all()
         # The max of one cell is just that cell's quantile.
-        assert worst_cell_sigma(0.5, 1) == pytest.approx(0.0, abs=1e-12)
+        assert mc_oracle.worst_cell_sigma(0.5, 1) \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_worst_cell_sigma_is_in_a_physical_range(self):
         # E[max of ~5M Gaussians] sits near 5.1 sigma; the sampled
         # worst cells must live in that neighbourhood, not at 0 or 20.
         config = MonteCarloConfig(seed=0, die_sigma_mv=0.0)
-        worst = [max(s for _, s in sample_die(config, die).worst_sigma)
-                 for die in range(64)]
-        assert 4.0 < statistics.mean(worst) < 6.5
-        assert max(worst) < 9.0
+        worst = DieBlock(config, 0, 64).build().effective
+        assert 4.0 < worst.mean() < 6.5
+        assert worst.max() < 9.0
 
     def test_effective_sigma_folds_die_offset(self):
         config = MonteCarloConfig(seed=0)
-        sample = sample_die(config, 0)
-        base = max(s for _, s in sample.worst_sigma)
-        assert sample.effective_sigma(config.sigma_mv) == pytest.approx(
-            base + sample.offset_mv / config.sigma_mv)
+        draw = mc_oracle.draw_die(config, 0)
+        base = max(s for _, s in draw.worst_sigma)
+        assert sample(config, 0)[0] == pytest.approx(
+            base + draw.offset_mv / config.sigma_mv, rel=1e-12)
+        assert draw.offset_mv != 0.0
 
     def test_arrays_subset_restricts_sampling(self):
         config = MonteCarloConfig(seed=0, arrays=("RF", "IQ"))
-        names = [name for name, _ in sample_die(config, 0).worst_sigma]
+        names = [name for name, _ in config.array_bits()]
         assert names == ["IQ", "RF"]  # sorted by name
+        assert sample(config, 0) != sample(MonteCarloConfig(seed=0), 0)
 
     def test_unknown_array_rejected(self):
         with pytest.raises(ConfigError, match="unknown SRAM array"):
             MonteCarloConfig(arrays=("L3",))
 
-    @given(seed=st.integers(0, 2**32), die=st.integers(0, 10_000))
+    @given(seed=st.integers(-2**63, 2**63), die=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_rng_streams_are_pure_functions_of_seed_and_die(self, seed,
                                                            die):
-        """The per-die stream depends on (seed, die) and nothing else —
-        the invariant that makes worker count, backend and evaluation
-        order irrelevant to the sampled physics."""
+        """A die's draw depends on (seed, die) and nothing else — not
+        on the block around it nor on what was drawn before: the
+        invariant that makes worker count, backend and evaluation order
+        irrelevant to the sampled physics.  Negative seeds are legal."""
         config = MonteCarloConfig(seed=seed)
-        assert sample_die(config, die) == sample_die(config, die)
-        # Interleaving other dies must not perturb the stream.
-        sample_die(config, die + 1)
-        sample_die(config, 0)
-        assert sample_die(config, die) == sample_die(config, die)
+        alone = sample(config, die)
+        sample(config, die + 1)
+        sample(config, 0)
+        assert sample(config, die) == alone
+        start = max(0, die - 3)
+        block = DieBlock(config, start, 5).build()
+        assert (block.effective[die - start],
+                block.log_weight[die - start]) == alone
+
+
+def ks_distance(samples, cdf) -> float:
+    """Kolmogorov-Smirnov distance of ``samples`` from ``cdf``."""
+    x = np.sort(np.asarray(samples))
+    n = x.size
+    f = np.array([cdf(value) for value in x.tolist()])
+    return max(float((np.arange(1, n + 1) / n - f).max()),
+               float((f - np.arange(n) / n).max()))
+
+
+class TestStreamStatistics:
+    """The Philox stream has the intended distributions (4096 dies)."""
+
+    DIES = 4096
+    #: The 0.1% critical value of the one-sample KS statistic.
+    CRITICAL = 1.95 / math.sqrt(DIES)
+
+    def test_die_offsets_are_normal(self):
+        """Recover each offset draw from its exact log weight
+        (``-lambda * (z + lambda / 2)``) and test ``z ~ N(0, 1)``."""
+        config = MonteCarloConfig(seed=0, shift_sigma=1.0)
+        lam = config.shift_sigma * config.sigma_mv / config.die_sigma_mv
+        log_weight = DieBlock(config, 0, self.DIES).build().log_weight
+        z = -log_weight / lam - lam / 2.0
+        assert ks_distance(z, statistics.NormalDist().cdf) < self.CRITICAL
+
+    @pytest.mark.parametrize("name", ["RF", "UL1"])
+    def test_worst_cell_quantile_is_uniform(self, name):
+        """With one array and no die offset, ``Phi(worst) ** N`` is the
+        array's uniform draw (computed via the upper tail)."""
+        config = MonteCarloConfig(seed=0, arrays=(name,), die_sigma_mv=0.0)
+        [(_, bits)] = config.array_bits()
+        worst = DieBlock(config, 0, self.DIES).build().effective
+        tail = statistics.NormalDist().cdf
+        u = [math.exp(bits * math.log1p(-tail(-value)))
+             for value in worst.tolist()]
+        assert ks_distance(u, lambda value: value) < self.CRITICAL
 
 
 class TestDieEvaluation:
@@ -118,7 +181,7 @@ class TestDieEvaluation:
         config = MonteCarloConfig(seed=0, die_sigma_mv=0.0)
         # All-array within-die max sits near ~5 sigma < 6 design sigma,
         # so with no die-to-die offset every die makes the top bin.
-        result = evaluate_die_point(config, 0, 450.0, ClockScheme.BASELINE)
+        result = die_point(config, 0, 450.0, ClockScheme.BASELINE)
         assert result.meets_design and result.functional
         assert result.slowdown <= 1.0 + 1e-9
         assert result.die_frequency_mhz >= result.design_frequency_mhz
@@ -126,11 +189,9 @@ class TestDieEvaluation:
     def test_slowdown_grows_as_vcc_drops(self):
         config = MonteCarloConfig(seed=0)
         weak = next(die for die in range(64)
-                    if sample_die(config, die).effective_sigma(
-                        config.sigma_mv) > config.design_sigma + 0.5)
+                    if sample(config, die)[0] > config.design_sigma + 0.5)
         slowdowns = [
-            evaluate_die_point(config, weak, vcc,
-                               ClockScheme.BASELINE).slowdown
+            die_point(config, weak, vcc, ClockScheme.BASELINE).slowdown
             for vcc in (650.0, 550.0, 450.0, 400.0)]
         assert slowdowns == sorted(slowdowns)
         assert slowdowns[-1] > slowdowns[0]
@@ -138,18 +199,19 @@ class TestDieEvaluation:
     def test_iraw_weak_die_needs_more_stabilization(self):
         config = MonteCarloConfig(seed=0)
         weak = next(die for die in range(256)
-                    if sample_die(config, die).effective_sigma(
-                        config.sigma_mv) > config.design_sigma + 1.0)
-        result = evaluate_die_point(config, weak, 450.0, ClockScheme.IRAW)
+                    if sample(config, die)[0] > config.design_sigma + 1.0)
+        result = die_point(config, weak, 450.0, ClockScheme.IRAW)
         assert result.required_stabilization \
             >= result.design_stabilization >= 1
 
     def test_result_is_plain_picklable_data(self):
         import pickle
 
-        result = evaluate_die_point(MonteCarloConfig(), 1, 500.0,
-                                    ClockScheme.IRAW)
-        assert pickle.loads(pickle.dumps(result)) == result
+        result = evaluate_block(MonteCarloConfig(), 1, 1, 500.0,
+                                ClockScheme.IRAW)
+        again = pickle.loads(pickle.dumps(result))
+        assert mc_oracle.block_points([again]) \
+            == mc_oracle.block_points([result])
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +222,8 @@ class TestStreamingStats:
     def test_matches_batch_statistics(self):
         values = [3.0, 1.5, -2.0, 8.25, 0.125, 7.0]
         stats = StreamingStats()
-        for value in values:
-            stats.add(value)
+        stats.extend(values[:2])
+        stats.extend(values[2:])
         assert stats.count == len(values)
         assert stats.mean == pytest.approx(statistics.fmean(values))
         assert stats.std == pytest.approx(statistics.pstdev(values))
@@ -264,10 +326,10 @@ class TestStatsEdgeCases:
         assert stats.count == 0
         assert all(math.isnan(value)
                    for value in stats.as_dict("x_").values())
-        stats.add(2.5)
+        stats.extend([2.5])
         before = (stats.count, stats.mean, stats.std,
                   stats.minimum, stats.maximum)
-        stats.extend(iter(()))  # and mid-stream: a pure no-op
+        stats.extend(np.empty(0))  # and mid-stream: a pure no-op
         assert (stats.count, stats.mean, stats.std,
                 stats.minimum, stats.maximum) == before
 
@@ -358,7 +420,8 @@ class TestEngineIntegration:
         warm = ParallelRunner(cache=ResultCache(root=tmp_path))
         again = warm.run(jobs)
         assert warm.stats.simulated == 0
-        assert again == first[:len(jobs)]
+        assert mc_oracle.block_points(again) \
+            == mc_oracle.block_points(first[:len(jobs)])
 
     def test_executor_validates_options(self):
         job = Job(kind="mc-die", vcc_mv=500.0, scheme="iraw")
@@ -415,7 +478,8 @@ class TestBackendEquivalence:
         jobs = montecarlo_jobs(mc, (500.0,), ("iraw",))
         serial = ParallelRunner(workers=1).run(jobs)
         parallel = ParallelRunner(workers=workers).run(jobs)
-        assert serial == parallel
+        assert mc_oracle.block_points(serial) \
+            == mc_oracle.block_points(parallel)
 
 
 # ----------------------------------------------------------------------
