@@ -34,6 +34,7 @@ from repro.core.policy import IrawPolicy
 from repro.engine.jobs import Job, TraceSpec
 from repro.engine.runner import ParallelRunner
 from repro.errors import ConfigError
+from repro.isa.instructions import MicroOp
 from repro.memory.hierarchy import MemoryConfig
 from repro.analysis.sweep import warm_caches
 from repro.pipeline.core import CoreSetup, InOrderCore
@@ -178,14 +179,30 @@ class DvfsScenario:
         return total
 
 
-def _reindex(op, new_index: int):
-    """Copy a micro-op with a new dynamic index (trace slicing)."""
-    from repro.isa.instructions import MicroOp
+def _reindex(op: MicroOp, new_index: int) -> MicroOp:
+    """Copy a micro-op with a new dynamic index (trace slicing).
 
+    Every slot is copied by name: a loop over ``__slots__`` through
+    ``getattr``/``setattr`` costs several times more per op.
+    """
     clone = MicroOp.__new__(MicroOp)
-    for slot in MicroOp.__slots__:
-        setattr(clone, slot, getattr(op, slot))
     clone.index = new_index
+    clone.opcode = op.opcode
+    clone.opclass = op.opclass
+    clone.dest = op.dest
+    clone.srcs = op.srcs
+    clone.imm = op.imm
+    clone.pc = op.pc
+    clone.mem_addr = op.mem_addr
+    clone.taken = op.taken
+    clone.target = op.target
+    clone.golden_result = op.golden_result
+    clone.store_value = op.store_value
+    clone.is_load = op.is_load
+    clone.is_store = op.is_store
+    clone.is_control = op.is_control
+    clone.is_call = op.is_call
+    clone.is_return = op.is_return
     return clone
 
 

@@ -1,12 +1,11 @@
-"""Scoreboard with IRAW-extended shift registers (paper Figures 6-8).
+"""Scoreboard with IRAW-extended readiness windows (paper Figures 6-8).
 
-Each logical register owns a shift register whose most significant bit
-answers "may a consumer issue *this cycle* and legally obtain the value?".
-Every cycle all shift registers shift left by one, keeping the least
-significant bit sticky.
-
-When a producer with execute latency L issues, its destination's shift
-register is initialized, from MSB to LSB (paper Section 4.1.2):
+In the paper each logical register owns a shift register whose most
+significant bit answers "may a consumer issue *this cycle* and legally
+obtain the value?".  Every cycle all shift registers shift left by one,
+keeping the least significant bit sticky.  When a producer with execute
+latency L issues, its destination's shift register is initialized, from
+MSB to LSB (paper Section 4.1.2), to
 
    (I)  L zeros            — value not yet produced,
    (II) ``bypass_levels`` ones — value available on the bypass network,
@@ -23,17 +22,36 @@ Long-latency producers (divides, load misses) cannot encode their latency
 at issue; their register is zeroed and a completion event later installs
 the (II)/(III)/(IV) tail (Section 4.1.1).
 
-Shift registers are stored as Python ints (bit ``width-1`` = MSB) and only
-registers with in-flight state are ticked, keeping the per-cycle cost low.
+This model stores, per register, the cycles at which that MSB changes
+instead of the bits.  With B bypass levels, a producer issued at cycle
+``i`` with latency ``L`` sets
+
+* ``ready = i + L`` — the first cycle the value is on the bypass;
+* the bubble ``[ready + B, ready + B + N)``.
+
+The MSB after ``c - i`` sticky-LSB shifts is then
+``c >= ready and not bubble_lo <= c < bubble_hi``.  A zeroed register is
+``ready = NEVER``; its completion at cycle ``c`` sets ``ready = c`` and
+the bubble ``[c + max(1, B), c + max(1, B) + N)``.  Nothing ticks.  The
+pattern always fits the ``baseline_bits + B + max N`` register the
+hardware builds, because an encodable latency is at most
+``baseline_bits - 1``.  The bit-level model is kept as the test oracle.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigError, PipelineError
 
+#: ``ready`` of a register waiting on a long-latency completion event.
+NEVER = 1 << 62
+
 
 class Scoreboard:
-    """Readiness control for the in-order issue stage."""
+    """Readiness control for the in-order issue stage.
+
+    ``ready``, ``bubble_lo`` and ``bubble_hi`` are per-register cycle
+    lists; the issue stage reads them directly.
+    """
 
     def __init__(self, num_registers: int = 32, baseline_bits: int = 6,
                  bypass_levels: int = 1, max_stabilization_cycles: int = 2):
@@ -47,16 +65,11 @@ class Scoreboard:
         self.baseline_bits = baseline_bits
         self.bypass_levels = bypass_levels
         self.max_stabilization_cycles = max_stabilization_cycles
-        #: Physical width: sized at design time for the deepest N.
-        self.width = baseline_bits + bypass_levels + max_stabilization_cycles
-        self._msb_mask = 1 << (self.width - 1)
-        self._full_mask = (1 << self.width) - 1
         #: Current stabilization depth (reconfigured per Vcc level).
         self._stabilization_cycles = 0
-        #: Shift registers; all-ones means "idle, value stable".
-        self._regs = [self._full_mask] * num_registers
-        #: Registers currently not all-ones (the only ones ticked).
-        self._busy: set[int] = set()
+        self.ready = [0] * num_registers
+        self.bubble_lo = [0] * num_registers
+        self.bubble_hi = [0] * num_registers
 
     # ------------------------------------------------------------------
     # Configuration
@@ -69,7 +82,7 @@ class Scoreboard:
     def configure(self, stabilization_cycles: int) -> None:
         """Set N for subsequent producers (multi-Vcc, Section 4.1.3).
 
-        The pipeline drains before a Vcc switch, so in-flight patterns
+        The pipeline drains before a Vcc switch, so in-flight windows
         built with the old N are not a concern.
         """
         if not 0 <= stabilization_cycles <= self.max_stabilization_cycles:
@@ -85,96 +98,43 @@ class Scoreboard:
         return self.baseline_bits - 1
 
     # ------------------------------------------------------------------
-    # Pattern construction
-    # ------------------------------------------------------------------
-
-    def _build_pattern(self, latency: int) -> int:
-        """Bit pattern for a producer of ``latency`` cycles, MSB first."""
-        n = self._stabilization_cycles
-        ones_tail = self.width - latency - self.bypass_levels - n
-        if ones_tail < 1:
-            raise PipelineError(
-                f"latency {latency} does not fit a {self.width}-bit pattern "
-                f"(bypass={self.bypass_levels}, N={n})"
-            )
-        bits = 0
-        position = self.width
-        position -= latency  # (I) zeros
-        for _ in range(self.bypass_levels):  # (II) ones
-            position -= 1
-            bits |= 1 << position
-        position -= n  # (III) zeros
-        bits |= (1 << position) - 1  # (IV) ones
-        return bits
-
-    def pattern_string(self, reg: int) -> str:
-        """The register's bits as a string, MSB first (for tests/docs)."""
-        return format(self._regs[reg], f"0{self.width}b")
-
-    # ------------------------------------------------------------------
     # Pipeline interface
     # ------------------------------------------------------------------
 
-    def is_ready(self, reg: int) -> bool:
-        """May a consumer of ``reg`` issue this cycle? (MSB test)."""
-        return bool(self._regs[reg] & self._msb_mask)
+    def is_ready(self, reg: int, cycle: int) -> bool:
+        """May a consumer of ``reg`` issue at ``cycle``? (the MSB)."""
+        return (cycle >= self.ready[reg]
+                and not self.bubble_lo[reg] <= cycle < self.bubble_hi[reg])
 
-    def is_idle(self, reg: int) -> bool:
-        """No in-flight write to ``reg`` (all-ones)."""
-        return self._regs[reg] == self._full_mask
-
-    def producer_issued(self, reg: int, latency: int) -> None:
-        """A producer writing ``reg`` issued this cycle.
+    def producer_issued(self, reg: int, cycle: int, latency: int) -> None:
+        """A producer writing ``reg`` issued at ``cycle``.
 
         ``latency`` beyond ``max_encodable_latency`` selects the
-        long-latency path: the register is zeroed until
+        long-latency path: the register stays unready until
         :meth:`long_latency_completed` fires.
         """
         if latency <= 0:
             raise PipelineError(f"producer latency must be positive: {latency}")
-        if latency > self.max_encodable_latency:
-            self._regs[reg] = 0
-        else:
-            self._regs[reg] = self._build_pattern(latency)
-        self._busy.add(reg)
+        if latency >= self.baseline_bits:  # beyond max_encodable_latency
+            self.ready[reg] = NEVER
+            return
+        ready = self.ready[reg] = cycle + latency
+        bubble = self.bubble_lo[reg] = ready + self.bypass_levels
+        self.bubble_hi[reg] = bubble + self._stabilization_cycles
 
-    def long_latency_completed(self, reg: int) -> None:
-        """The value of a long-latency producer is being written now.
+    def long_latency_completed(self, reg: int, cycle: int) -> None:
+        """The value of a long-latency producer is being written at ``cycle``.
 
         Installs the tail of the pattern as if the producer were a
-        single-cycle instruction completing this cycle: bypass ones,
-        N stabilization zeros, then ones (paper Section 4.1.1, adapted
-        to IRAW in 4.1.2).
+        single-cycle instruction completing now: bypass, N stabilization
+        cycles, then readable (paper Section 4.1.1, adapted to IRAW in
+        4.1.2).
         """
-        n = self._stabilization_cycles
-        bits = 0
-        position = self.width
-        levels = max(1, self.bypass_levels)
-        for _ in range(levels):  # value on the result bus / bypass now
-            position -= 1
-            bits |= 1 << position
-        position -= n
-        bits |= (1 << position) - 1
-        self._regs[reg] = bits
-        if bits != self._full_mask:
-            self._busy.add(reg)
-
-    def tick(self) -> None:
-        """Shift every busy register left one position (sticky LSB)."""
-        if not self._busy:
-            return
-        full = self._full_mask
-        done = []
-        regs = self._regs
-        for reg in self._busy:
-            value = ((regs[reg] << 1) | (regs[reg] & 1)) & full
-            regs[reg] = value
-            if value == full:
-                done.append(reg)
-        self._busy.difference_update(done)
+        self.ready[reg] = cycle
+        bubble = self.bubble_lo[reg] = cycle + max(1, self.bypass_levels)
+        self.bubble_hi[reg] = bubble + self._stabilization_cycles
 
     def flush(self) -> None:
         """Drop all in-flight state (pipeline flush/drain)."""
-        for reg in self._busy:
-            self._regs[reg] = self._full_mask
-        self._busy.clear()
+        for reg in range(self.num_registers):
+            self.ready[reg] = self.bubble_lo[reg] = self.bubble_hi[reg] = 0

@@ -44,19 +44,25 @@ class MatchKind(str, Enum):
     SET_ONLY = "set_only"
 
 
-@dataclass(frozen=True)
 class StableLookup:
-    """Outcome of a load's parallel STable probe."""
+    """Outcome of a load's parallel STable probe (slotted; read-only).
 
-    kind: MatchKind
-    #: Forwarded data on a full match (golden-value pipelines only).
-    data: int | None = None
-    #: Number of stores replayed (cycles of repair stalls, Figure 10).
-    replayed_stores: int = 0
+    Every probe without a match returns the same shared instance.
+    """
 
-    @property
-    def needs_repair(self) -> bool:
-        return self.kind is not MatchKind.NONE
+    __slots__ = ("kind", "data", "replayed_stores", "needs_repair")
+
+    def __init__(self, kind: MatchKind, data: int | None = None,
+                 replayed_stores: int = 0):
+        self.kind = kind
+        #: Forwarded data on a full match (golden-value pipelines only).
+        self.data = data
+        #: Number of stores replayed (cycles of repair stalls, Figure 10).
+        self.replayed_stores = replayed_stores
+        self.needs_repair = kind is not MatchKind.NONE
+
+
+_NO_MATCH = StableLookup(MatchKind.NONE)
 
 
 @dataclass
@@ -150,8 +156,8 @@ class StoreTable:
 
     def lookup(self, address: int, cycle: int) -> StableLookup:
         """Probe on behalf of a load issued at ``cycle`` (Figure 10)."""
-        if not self.enabled:
-            return StableLookup(MatchKind.NONE)
+        if not self._stabilization_cycles:
+            return _NO_MATCH
         self.lookups += 1
         word = self._word_address(address)
         set_index = self.set_index_of(address)
@@ -175,7 +181,7 @@ class StoreTable:
                         or entry.written_cycle < oldest_match_cycle):
                     oldest_match_cycle = entry.written_cycle
         if not matches:
-            return StableLookup(MatchKind.NONE)
+            return _NO_MATCH
         # Repair: replay every tracked store from the oldest matching one
         # onwards (they rewrite DL0 and refresh the STable, Figure 10).
         replayed = sum(

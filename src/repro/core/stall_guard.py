@@ -26,7 +26,6 @@ class FillStallGuard:
         #: but few (fills are rare on guarded blocks).
         self._windows: list[tuple[int, int]] = []
         self.fills = 0
-        self.blocked_accesses = 0
 
     def configure(self, stabilization_cycles: int) -> None:
         if stabilization_cycles < 0:
@@ -60,8 +59,6 @@ class FillStallGuard:
             if start <= cycle and (release is None or end + 1 > release):
                 release = end + 1
         self._windows = live
-        if release is not None:
-            self.blocked_accesses += 1
         return release
 
     def is_blocked(self, cycle: int) -> bool:

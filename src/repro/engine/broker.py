@@ -374,10 +374,13 @@ class SpoolBroker:
         """
         events = []
         now = time.monotonic()
+        # List in lifecycle order (a worker publishes done/failed before
+        # dropping its claim): a shard that moves on between two listings
+        # shows up in a later one, so a live shard is never reported lost.
+        pending_names = self._names(self.pending_dir)
+        claimed_stats = self._stats(self.claimed_dir)
         done_names = self._names(self.done_dir)
         failed_names = self._names(self.failed_dir)
-        claimed_stats = self._stats(self.claimed_dir)
-        pending_names = self._names(self.pending_dir)
         for key in sorted(keys):
             if f"{key}.pkl" in done_names:
                 done_path = self.done_dir / f"{key}.pkl"

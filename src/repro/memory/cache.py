@@ -35,15 +35,27 @@ class CacheLine:
     ready_at: int = 0
 
 
-@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of a tag lookup."""
+    """Outcome of a tag lookup.
 
-    hit: bool
-    #: On a miss with a dirty victim, its full line address (for writeback).
-    writeback_address: int | None = None
-    #: On a hit, the cycle the line's data is available (0 = long ago).
-    data_ready: int = 0
+    A plain slotted class: the hierarchy builds one per access, and a
+    frozen dataclass costs several times more to construct.  Treat
+    instances as read-only: misses without a dirty victim share one.
+    """
+
+    __slots__ = ("hit", "writeback_address", "data_ready")
+
+    def __init__(self, hit: bool, writeback_address: int | None = None,
+                 data_ready: int = 0):
+        self.hit = hit
+        #: On a miss with a dirty victim, its full line address.
+        self.writeback_address = writeback_address
+        #: On a hit, the cycle the line's data is available (0 = long ago).
+        self.data_ready = data_ready
+
+
+#: The result of every miss without a dirty victim.
+_MISS = AccessResult(hit=False)
 
 
 class Cache:
@@ -127,17 +139,16 @@ class Cache:
         refill arrives and calls :meth:`fill`.
         """
         self._use_counter += 1
-        index = self.set_index(address)
-        tag = self.tag_of(address)
-        line = self._sets[index].get(tag)
+        block = address // self.line_size
+        line = self._sets[block % self.num_sets].get(block // self.num_sets)
         if line is not None:
             line.stamp = self._use_counter
             if is_write:
                 line.dirty = True
             self.hits += 1
-            return AccessResult(hit=True, data_ready=line.ready_at)
+            return AccessResult(True, None, line.ready_at)
         self.misses += 1
-        return AccessResult(hit=False)
+        return _MISS
 
     def fill(self, address: int, dirty: bool = False,
              ready_at: int = 0) -> AccessResult:
@@ -164,7 +175,7 @@ class Cache:
         if capacity <= 0:
             # Every way of this set is disabled: the line cannot be kept.
             self.evictions += 1
-            return AccessResult(hit=False)
+            return _MISS
         if len(lines) >= capacity:
             tags = list(lines.keys())
             stamps = [lines[t].stamp for t in tags]
@@ -176,7 +187,7 @@ class Cache:
                 writeback = (victim_tag * self.num_sets + index) * self.line_size
         lines[tag] = CacheLine(tag=tag, dirty=dirty,
                                stamp=self._use_counter, ready_at=ready_at)
-        return AccessResult(hit=False, writeback_address=writeback)
+        return _MISS if writeback is None else AccessResult(False, writeback)
 
     def invalidate(self, address: int) -> bool:
         """Drop the line containing ``address``; True if it was present."""

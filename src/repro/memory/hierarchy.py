@@ -45,9 +45,8 @@ class MemoryConfig:
     dram_latency_cycles: int = 100
 
 
-@dataclass(frozen=True)
 class MemoryResponse:
-    """Outcome of one memory operation.
+    """Outcome of one memory operation (a slotted class; read-only).
 
     Attributes
     ----------
@@ -59,9 +58,13 @@ class MemoryResponse:
         First-level hit (IL0 for fetch, DL0 for load/store).
     """
 
-    ready_cycle: int
-    fills: tuple[tuple[str, int], ...] = ()
-    hit: bool = True
+    __slots__ = ("ready_cycle", "fills", "hit")
+
+    def __init__(self, ready_cycle: int,
+                 fills: tuple[tuple[str, int], ...] = (), hit: bool = True):
+        self.ready_cycle = ready_cycle
+        self.fills = fills
+        self.hit = hit
 
 
 class MemorySystem:
@@ -143,17 +146,17 @@ class MemorySystem:
         if il0_result.hit:
             ready = max(start + self.config.il0_hit_latency,
                         il0_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), hit=not fills)
+            return MemoryResponse(ready, tuple(fills), not fills)
         line = self.il0.line_address(pc)
         merged = self.fetch_fill_buffers.outstanding(line, start)
         if merged is not None:
-            return MemoryResponse(merged, tuple(fills), hit=False)
+            return MemoryResponse(merged, tuple(fills), False)
         data_cycle = self._ul1_read(line, start, fills)
         data_cycle = self.fetch_fill_buffers.allocate(
             line, start, data_cycle - start)
         self.il0.fill(pc, ready_at=data_cycle)
         fills.append(("IL0", data_cycle))
-        return MemoryResponse(data_cycle, tuple(fills), hit=False)
+        return MemoryResponse(data_cycle, tuple(fills), False)
 
     def load(self, address: int, cycle: int) -> MemoryResponse:
         """Data load; ``ready_cycle`` is when the value can be consumed."""
@@ -168,10 +171,10 @@ class MemorySystem:
         if dl0_result.hit:
             ready = max(start + self.config.dl0_hit_latency,
                         dl0_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), hit=not fills)
+            return MemoryResponse(ready, tuple(fills), not fills)
         data_cycle = self._dl0_refill(address, start, dirty=False,
                                       fills=fills)
-        return MemoryResponse(data_cycle, tuple(fills), hit=False)
+        return MemoryResponse(data_cycle, tuple(fills), False)
 
     def store(self, address: int, cycle: int) -> MemoryResponse:
         """Data store at commit time (write-allocate, write-back DL0)."""
@@ -185,10 +188,10 @@ class MemorySystem:
         store_result = self.dl0.access(address, is_write=True)
         if store_result.hit:
             ready = max(start + 1, store_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), hit=not fills)
+            return MemoryResponse(ready, tuple(fills), not fills)
         data_cycle = self._dl0_refill(address, start, dirty=True,
                                       fills=fills)
-        return MemoryResponse(data_cycle, tuple(fills), hit=False)
+        return MemoryResponse(data_cycle, tuple(fills), False)
 
     # ------------------------------------------------------------------
     # Warmup support

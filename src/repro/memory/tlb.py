@@ -34,7 +34,7 @@ class Tlb:
     def access(self, address: int) -> bool:
         """Probe the TLB; on a miss the caller schedules the walk + refill."""
         self._use_counter += 1
-        page = self.page_of(address)
+        page = address // self.page_size
         if page in self._pages:
             self._pages[page] = self._use_counter
             self.hits += 1

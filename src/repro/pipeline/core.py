@@ -13,8 +13,11 @@ producer-consumer interactions resolve like hardware:
 3. **allocate** — up to AI ops move from the fetch buffer into the IQ;
    when fetch is frozen (mispredict/end of trace) and the occupancy gate
    blocks issue, NOOPs are injected to drain the queue (Section 4.2);
-4. **fetch** — the front end pulls from the trace through IL0/ITLB/BP/RSB;
-5. **tick** — shift registers advance.
+4. **fetch** — the front end pulls from the trace through IL0/ITLB/BP/RSB.
+
+The scoreboard keeps per-register ready-window timestamps equal to the
+Figures 6-8 shift registers' MSB, so nothing ticks between cycles, and
+the front end is called only on cycles where it can deliver or fetch.
 
 Micro-timing convention (matching the paper's Figure 7/8 example): a
 producer issued at cycle ``i`` with latency ``L`` forwards its result to
@@ -34,7 +37,6 @@ from repro.branch.predictor import BimodalPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.core.config import IrawConfig
 from repro.core.policy import IrawPolicy
-from repro.core.scoreboard import Scoreboard
 from repro.errors import PipelineError
 from repro.isa.instructions import MicroOp
 from repro.isa.opcodes import OpClass, Opcode
@@ -50,6 +52,17 @@ from repro.workloads.trace import Trace
 
 #: Shared sentinel op for IQ-drain NOOP injection (Section 4.2).
 _INJECTED_NOOP = MicroOp(0, Opcode.NOP)
+
+# Stall reasons as module constants: an Enum member lookup costs more
+# than the rest of a stalled cycle's issue stage.
+_FRONTEND_EMPTY = StallReason.FRONTEND_EMPTY
+_IQ_GATE = StallReason.IQ_GATE
+_RF_DEPENDENCY = StallReason.RF_DEPENDENCY
+_RF_IRAW_BUBBLE = StallReason.RF_IRAW_BUBBLE
+_WAW_ORDER = StallReason.WAW_ORDER
+_FU_BUSY = StallReason.FU_BUSY
+_WRITE_PORT = StallReason.WRITE_PORT
+_MEMORY_PENDING = StallReason.MEMORY_PENDING
 
 
 @dataclass
@@ -82,16 +95,6 @@ class InOrderCore:
         self.rsb = ReturnStackBuffer()
         self.units = FunctionalUnits(params)
         self.stalls = StallStats()
-        #: Shadow scoreboard with N=0 — identifies stalls that exist only
-        #: because of the IRAW bubble (the paper's 13.2% / 8.52% numbers).
-        self._shadow: Scoreboard | None = None
-        if iraw.active and iraw.rf_enabled:
-            self._shadow = Scoreboard(
-                num_registers=NUM_REGISTERS,
-                bypass_levels=iraw.bypass_levels,
-                max_stabilization_cycles=iraw.max_stabilization_cycles,
-            )
-            self._shadow.configure(0)
         self.iq_violations = 0
         self.value_mismatches = 0
 
@@ -105,7 +108,6 @@ class InOrderCore:
         params = self.setup.params
         policy = self.policy
         scoreboard = policy.scoreboard
-        shadow = self._shadow
         gate = policy.iq_gate
         units = self.units
         stalls = self.stalls
@@ -130,6 +132,21 @@ class InOrderCore:
 
         n_active = policy.stabilization_cycles
         max_encodable = scoreboard.max_encodable_latency
+        # Read once per run: the scoreboard's windows (updated in place),
+        # the per-class issue table and the Eq. 1 gate.  A disabled gate
+        # has threshold 0, which every occupancy meets.
+        sb_ready = scoreboard.ready
+        sb_bubble_lo = scoreboard.bubble_lo
+        sb_bubble_hi = scoreboard.bubble_hi
+        classes = units.classes
+        gate_threshold = gate.threshold if gate.enabled else 0
+        #: IQ entries are read unguarded only when the gate is disabled.
+        unguarded_n = 0 if gate.enabled else n_active
+        issue_window = params.issue_window
+        alloc_width = params.alloc_width
+        iq_size = params.iq_size
+        fetch_buffer = frontend.buffer
+        fetch_buffer_size = params.fetch_buffer_size
         iq: deque[tuple[MicroOp, int]] = deque()
         completions: dict[int, list] = {}
         pending_write = [-1] * NUM_REGISTERS
@@ -155,21 +172,17 @@ class InOrderCore:
             records = completions.pop(cycle, None)
             if records:
                 for op, dest, value, long_latency in records:
-                    if dest is not None:
-                        if latest_writer[dest] == op.index:
-                            bypass.publish(dest,
-                                           value if value is not None else 0,
-                                           cycle)
-                            regfile.write(dest,
-                                          value if value is not None else 0,
-                                          cycle + 1)
-                            if long_latency:
-                                scoreboard.long_latency_completed(dest)
-                                if shadow is not None:
-                                    shadow.long_latency_completed(dest)
-                        # else: superseded by a younger writer (WAW); the
-                        # architectural value is dead and the younger
-                        # producer owns the scoreboard entry.
+                    if dest is not None and latest_writer[dest] == op.index:
+                        # Only value-checked runs read the datapath models.
+                        if check_values:
+                            written = value if value is not None else 0
+                            bypass.publish(dest, written, cycle)
+                            regfile.write(dest, written, cycle + 1)
+                        if long_latency:
+                            scoreboard.long_latency_completed(dest, cycle)
+                    # else: superseded by a younger writer (WAW); the
+                    # architectural value is dead and the younger
+                    # producer owns the scoreboard entry.
                     if op.is_store:
                         lsu.commit_store(op, value, cycle)
                     if op.is_control:
@@ -180,56 +193,56 @@ class InOrderCore:
                     completed += 1
 
             # ---------------- 2. issue ----------------
-            units.begin_cycle(cycle)
             issued = 0
             reason: StallReason | None = None
             store_words: set[int] | None = None
-            for _ in range(params.issue_window):
+            # Every pass of this loop issues or stops the stage.
+            while issued < issue_window:
                 if not iq:
                     if issued == 0 and completed < total_ops:
-                        reason = StallReason.FRONTEND_EMPTY
+                        reason = _FRONTEND_EMPTY
                     break
-                if not gate.allows_issue(len(iq)):
-                    reason = StallReason.IQ_GATE
+                if len(iq) < gate_threshold:
+                    reason = _IQ_GATE
                     break
                 op, alloc_cycle = iq[0]
-                injected = op is _INJECTED_NOOP
-                if n_active and not injected \
-                        and cycle - alloc_cycle <= n_active \
-                        and not gate.enabled:
-                    # Reading a still-stabilizing IQ entry (only possible
-                    # when the gate is disabled in an ablation).
-                    self.iq_violations += 1
-                if injected:
+                if op is _INJECTED_NOOP:
                     iq.popleft()
                     issued += 1
                     continue
-                # Source readiness (scoreboard MSB, Figures 6-8).
+                if unguarded_n and cycle - alloc_cycle <= unguarded_n:
+                    # Reading a still-stabilizing IQ entry (only possible
+                    # when the gate is disabled in an ablation).
+                    self.iq_violations += 1
+                # Source readiness: the scoreboard MSB (Figures 6-8).  A
+                # value not yet produced would stall the baseline too; a
+                # produced one inside the bubble is an IRAW-only stall.
                 blocked_src = False
                 for src in op.srcs:
-                    if not scoreboard.is_ready(src):
+                    if cycle < sb_ready[src]:
                         blocked_src = True
-                        if shadow is not None and shadow.is_ready(src):
-                            reason = StallReason.RF_IRAW_BUBBLE
-                            if op.index not in iraw_delayed:
-                                iraw_delayed.add(op.index)
-                                stalls.iraw_delayed_instructions += 1
-                        else:
-                            reason = StallReason.RF_DEPENDENCY
+                        reason = _RF_DEPENDENCY
+                        break
+                    if sb_bubble_lo[src] <= cycle < sb_bubble_hi[src]:
+                        blocked_src = True
+                        reason = _RF_IRAW_BUBBLE
+                        if op.index not in iraw_delayed:
+                            iraw_delayed.add(op.index)
+                            stalls.iraw_delayed_instructions += 1
                         break
                 if blocked_src:
                     break
                 opclass = op.opclass
-                latency = params.latency_of(opclass)
+                latency = classes[opclass][0]
                 # WAW write ordering (writes to a register must stay in
                 # program order; rare with mixed latencies).
                 dest = op.dest
                 if dest is not None and \
                         pending_write[dest] >= cycle + latency + 1:
-                    reason = StallReason.WAW_ORDER
+                    reason = _WAW_ORDER
                     break
-                if not units.can_accept(opclass):
-                    reason = StallReason.FU_BUSY
+                if not units.can_accept(opclass, cycle):
+                    reason = _FU_BUSY
                     break
                 write_port_index = -1
                 if dest is not None and write_cost > 1:
@@ -241,7 +254,7 @@ class InOrderCore:
                             write_port_index = port
                             break
                     if write_port_index < 0:
-                        reason = StallReason.WRITE_PORT
+                        reason = _WRITE_PORT
                         break
                 is_load = op.is_load
                 is_store = op.is_store
@@ -257,7 +270,7 @@ class InOrderCore:
                     if is_load and store_words and word in store_words:
                         # Same-cycle older-store conflict: one-cycle
                         # memory-ordering stall.
-                        reason = StallReason.MEMORY_PENDING
+                        reason = _MEMORY_PENDING
                         break
                 # ---- commit the issue ----
                 operands: list[int] | None = None
@@ -286,14 +299,12 @@ class InOrderCore:
                     value = self._compute(op, operands)
                     if value != op.golden_result:
                         self.value_mismatches += 1
-                units.accept(opclass)
+                units.accept(opclass, cycle)
                 iq.popleft()
                 if dest is not None:
                     encode = (bypass_cycle - cycle) if not long_latency \
                         else max_encodable + 1
-                    scoreboard.producer_issued(dest, encode)
-                    if shadow is not None:
-                        shadow.producer_issued(dest, encode)
+                    scoreboard.producer_issued(dest, cycle, encode)
                     pending_write[dest] = bypass_cycle + 1
                     latest_writer[dest] = op.index
                     if write_port_index >= 0:
@@ -306,31 +317,28 @@ class InOrderCore:
                 stalls.charge(reason)
 
             # ---------------- 3. allocate ----------------
-            free = params.iq_size - len(iq)
+            free = iq_size - len(iq)
             if free > 0:
-                incoming = frontend.pop_ready(cycle,
-                                              min(params.alloc_width, free))
+                incoming = frontend.pop_ready(cycle, min(alloc_width, free)) \
+                    if fetch_buffer and fetch_buffer[0][1] <= cycle else ()
                 for op in incoming:
                     iq.append((op, cycle))
-                if gate.enabled and iq and len(iq) < gate.threshold:
+                if iq and len(iq) < gate_threshold:
                     # Section 4.2 generalized: whenever allocation cannot
                     # keep occupancy at the Eq. 1 threshold (drains,
                     # redirects, fetch gaps), the allocator pads the queue
                     # with NOOP/invalid entries so older, already
                     # stabilized instructions are not gate-blocked.
-                    needed = min(params.alloc_width - len(incoming), free,
-                                 gate.threshold - len(iq))
+                    needed = min(alloc_width - len(incoming), free,
+                                 gate_threshold - len(iq))
                     for _ in range(max(0, needed)):
                         iq.append((_INJECTED_NOOP, cycle))
                         stalls.injected_noops += 1
 
             # ---------------- 4. fetch ----------------
-            frontend.tick(cycle)
-
-            # ---------------- 5. tick ----------------
-            scoreboard.tick()
-            if shadow is not None:
-                shadow.tick()
+            if cycle >= frontend.fetch_from \
+                    and len(fetch_buffer) < fetch_buffer_size:
+                frontend.tick(cycle)
             cycle += 1
 
         return self._result(trace, completed, cycle, frontend, lsu, regfile)

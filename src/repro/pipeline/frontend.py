@@ -21,6 +21,7 @@ from collections import deque
 from repro.branch.iraw_effects import DeterminismMode, PredictionHazardTracker
 from repro.branch.rsb import ReturnStackBuffer
 from repro.core.policy import IrawPolicy
+from repro.core.scoreboard import NEVER
 from repro.isa.instructions import MicroOp
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemorySystem
@@ -41,50 +42,33 @@ class FrontEnd:
         self._tracker = tracker
         self._rsb = rsb
         self._il0_hit_latency = memory.config.il0_hit_latency
+        #: Fetch-side post-fill guards, in check order; a disabled guard
+        #: never blocks, so it is left out.
+        self._guards = tuple(policy.guards[name]
+                             for name in ("IL0", "ITLB", "IFB")
+                             if policy.guards[name].enabled)
         self._next = 0
-        self._buffer: deque[tuple[MicroOp, int, bool]] = deque()
+        #: Fetched ops as (op, cycle it may allocate), oldest first.
+        self.buffer: deque[tuple[MicroOp, int]] = deque()
         self._stalled_until = 0
         #: Index of a mispredicted branch fetch is frozen behind, if any.
         self._blocked_on: int | None = None
+        #: First cycle :meth:`tick` can fetch anything: ``NEVER`` while
+        #: frozen behind a mispredicted branch or once the trace is
+        #: exhausted.  (A full buffer also stops it.)
+        self.fetch_from = 0
         self._current_line = -1
         # Statistics.
         self.mispredicts = 0
         self.branches = 0
-        self.icache_stall_starts = 0
-        self.guard_stall_cycles = 0
-        self.rsb_determinism_stalls = 0
-
-    # ------------------------------------------------------------------
-    # State queries
-    # ------------------------------------------------------------------
-
-    @property
-    def exhausted(self) -> bool:
-        """No more ops will ever be delivered."""
-        return self._next >= len(self._ops) and not self._buffer
-
-    @property
-    def delivering(self) -> bool:
-        """Fetch is live (not frozen behind a mispredicted branch)."""
-        return self._blocked_on is None and self._next < len(self._ops)
-
-    @property
-    def blocked_on_branch(self) -> bool:
-        return self._blocked_on is not None
 
     def pop_ready(self, cycle: int, count: int) -> list[MicroOp]:
         """Up to ``count`` ops whose front-end latency has elapsed."""
         ready: list[MicroOp] = []
-        while self._buffer and len(ready) < count:
-            op, ready_cycle, _ = self._buffer[0]
-            if ready_cycle > cycle:
-                break
-            ready.append(op)
-            self._buffer.popleft()
+        buffer = self.buffer
+        while len(ready) < count and buffer and buffer[0][1] <= cycle:
+            ready.append(buffer.popleft()[0])
         return ready
-
-    def was_mispredicted(self, op_index: int) -> bool:
-        return self._blocked_on == op_index
 
     # ------------------------------------------------------------------
     # Branch resolution callback (from the execute/writeback stage)
@@ -96,6 +80,7 @@ class FrontEnd:
             self._blocked_on = None
             self._stalled_until = max(self._stalled_until,
                                       cycle + self._params.mispredict_penalty)
+            self.fetch_from = self._stalled_until
 
     # ------------------------------------------------------------------
     # Per-cycle fetch
@@ -103,45 +88,43 @@ class FrontEnd:
 
     def tick(self, cycle: int) -> None:
         """Fetch up to ``fetch_width`` ops into the buffer."""
-        if self._blocked_on is not None or cycle < self._stalled_until:
+        params = self._params
+        buffer = self.buffer
+        room = params.fetch_buffer_size - len(buffer)
+        if cycle < self.fetch_from or room <= 0:
             return
-        if len(self._buffer) >= self._params.fetch_buffer_size:
-            return
-        guards = self._policy.guards
-        fetched = 0
-        while (fetched < self._params.fetch_width
-               and self._next < len(self._ops)
-               and len(self._buffer) < self._params.fetch_buffer_size):
-            op = self._ops[self._next]
+        ops = self._ops
+        # Every op fetched without stopping advances ``_next`` by one.
+        stop = min(self._next + min(params.fetch_width, room), len(ops))
+        ready_at = cycle + params.front_latency
+        while self._next < stop:
+            op = ops[self._next]
             line = op.pc >> 6
             if line != self._current_line:
-                release = guards["IL0"].blocked_until(cycle)
-                if release is None:
-                    release = guards["ITLB"].blocked_until(cycle)
-                if release is None:
-                    release = guards["IFB"].blocked_until(cycle)
-                if release is not None:
-                    self.guard_stall_cycles += 1
-                    self._stalled_until = release
-                    return
+                for guard in self._guards:
+                    release = guard.blocked_until(cycle)
+                    if release is not None:
+                        self._stall(release)
+                        return
                 response = self._memory.fetch(op.pc, cycle)
-                self._policy.arm_fill_guards(response.fills)
+                if response.fills:
+                    self._policy.arm_fill_guards(response.fills)
                 self._current_line = line
                 if response.ready_cycle > cycle + self._il0_hit_latency:
                     # Miss (or TLB walk): freeze fetch until the line is in.
-                    self.icache_stall_starts += 1
-                    self._stalled_until = response.ready_cycle
+                    self._stall(response.ready_cycle)
                     return
-            ready_at = cycle + self._params.front_latency
             if op.is_control:
-                stop = self._handle_control(op, cycle, ready_at)
-                fetched += 1
-                if stop:
+                if self._handle_control(op, cycle, ready_at):
                     return
                 continue
-            self._buffer.append((op, ready_at, False))
+            buffer.append((op, ready_at))
             self._next += 1
-            fetched += 1
+        if self._next >= len(ops):
+            self.fetch_from = NEVER
+
+    def _stall(self, until: int) -> None:
+        self._stalled_until = self.fetch_from = until
 
     def _handle_control(self, op: MicroOp, cycle: int, ready_at: int) -> bool:
         """Predict a control op; True if fetch must stop this cycle."""
@@ -159,16 +142,17 @@ class FrontEnd:
             mispredicted = self._predict_return(op, cycle)
             if mispredicted is None:  # determinism stall, retry next cycle
                 return True
-        self._buffer.append((op, ready_at, mispredicted))
+        self.buffer.append((op, ready_at))
         self._next += 1
         if mispredicted:
             self.mispredicts += 1
             self._blocked_on = op.index
+            self.fetch_from = NEVER
             return True
         if op.taken and self._params.taken_branch_bubble > 0:
             # Resume fetching after the bubble (cycle+1 would be the very
             # next cycle, i.e. no bubble at all).
-            self._stalled_until = cycle + 1 + self._params.taken_branch_bubble
+            self._stall(cycle + 1 + self._params.taken_branch_bubble)
             self._current_line = -1  # redirected: next line refetch
             return True
         return False
@@ -182,15 +166,10 @@ class FrontEnd:
             if top_written is not None and cycle - top_written <= n:
                 # Paper Section 4.5: "the RSB should be stalled after a
                 # call instruction" — wait out the window.
-                self.rsb_determinism_stalls += 1
-                self._stalled_until = top_written + n + 1
+                self._stall(top_written + n + 1)
                 self._tracker.note_rsb_pop(hazardous=False, stalled_cycles=1)
                 return None
         hazard_window = n if not deterministic else 0
         predicted, hazardous = self._rsb.pop(cycle, hazard_window)
         self._tracker.note_rsb_pop(hazardous=hazardous)
         return predicted != op.target
-
-    @property
-    def buffer_occupancy(self) -> int:
-        return len(self._buffer)

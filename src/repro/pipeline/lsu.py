@@ -37,6 +37,13 @@ class LoadStoreUnit:
         self._memory = memory
         self._policy = policy
         self._track_values = track_values
+        #: Data-side post-fill guards, in check order; a disabled guard
+        #: never blocks, so it is left out.
+        self._guards = tuple(
+            (policy.guards[name], reason)
+            for name, reason in (("DL0", StallReason.DL0_FILL_GUARD),
+                                 ("DTLB", StallReason.DTLB_GUARD))
+            if policy.guards[name].enabled)
         self._golden: dict[int, int] = {}
         if initial_memory:
             for address, value in initial_memory.items():
@@ -48,7 +55,6 @@ class LoadStoreUnit:
         self._repair_until = -1
         self.iraw_violations = 0
         self.stable_forwards = 0
-        self.repair_stall_cycles = 0
 
     # ------------------------------------------------------------------
     # Guard checks (issue stage calls these before letting a memory op go)
@@ -57,15 +63,11 @@ class LoadStoreUnit:
     def access_blocked(self, cycle: int) -> tuple[int, StallReason] | None:
         """Is the data-side blocked at ``cycle``?  (release, reason) if so."""
         if cycle <= self._repair_until:
-            self.repair_stall_cycles += 1
             return self._repair_until + 1, StallReason.STABLE_REPAIR
-        guards = self._policy.guards
-        release = guards["DL0"].blocked_until(cycle)
-        if release is not None:
-            return release, StallReason.DL0_FILL_GUARD
-        release = guards["DTLB"].blocked_until(cycle)
-        if release is not None:
-            return release, StallReason.DTLB_GUARD
+        for guard, reason in self._guards:
+            release = guard.blocked_until(cycle)
+            if release is not None:
+                return release, reason
         return None
 
     # ------------------------------------------------------------------
@@ -95,7 +97,8 @@ class LoadStoreUnit:
                                      access_cycle + repair_cycles)
 
         response = self._memory.load(address, access_cycle)
-        self._policy.arm_fill_guards(response.fills)
+        if response.fills:
+            self._policy.arm_fill_guards(response.fills)
 
         value: int | None = None
         if self._track_values:
@@ -137,7 +140,8 @@ class LoadStoreUnit:
         stored = value if value is not None else 0
         self._policy.stable.store_committed(address, stored, write_cycle)
         response = self._memory.store(address, write_cycle)
-        self._policy.arm_fill_guards(response.fills)
+        if response.fills:
+            self._policy.arm_fill_guards(response.fills)
         if self._track_values:
             self._golden[word] = stored
         if self._policy.stabilization_cycles > 0:
@@ -149,12 +153,3 @@ class LoadStoreUnit:
         horizon = cycle - 8 * max(1, self._policy.stabilization_cycles)
         self._recent_stores = {w: c for w, c in self._recent_stores.items()
                                if c >= horizon}
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def golden_memory(self) -> dict[int, int]:
-        """The architectural memory image (for end-state comparisons)."""
-        return self._golden

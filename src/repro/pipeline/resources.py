@@ -87,36 +87,47 @@ _DUAL_UNITS = {"alu"}
 
 
 class FunctionalUnits:
-    """Per-cycle issue-port and unpipelined-unit tracking."""
+    """Issue-port and unpipelined-unit tracking.
+
+    Per-class data comes from one table built at construction:
+    ``classes[opclass] = (latency, unit, per-cycle limit, unpipelined)``,
+    with ``unit`` an index into the per-unit state (-1: no unit).  Each
+    unit keeps its last issue cycle, the issues counted in that cycle and
+    the cycle an unpipelined operation keeps it busy until, so nothing
+    is reset between cycles.
+    """
 
     def __init__(self, params: PipelineParams):
-        self._params = params
-        self._busy_until: dict[str, int] = {}
-        self._issued_this_cycle: dict[str, int] = {}
-        self._cycle = -1
+        names = sorted({unit for unit in _UNIT_OF.values() if unit})
+        index = {name: slot for slot, name in enumerate(names)}
+        self.classes = {
+            opclass: (params.latencies[opclass], index.get(unit, -1),
+                      2 if unit in _DUAL_UNITS else 1,
+                      opclass in UNPIPELINED_CLASSES)
+            for opclass, unit in _UNIT_OF.items()
+        }
+        self._last_cycle = [-1] * len(names)
+        self._issued = [0] * len(names)
+        self._busy_until = [-1] * len(names)
 
-    def begin_cycle(self, cycle: int) -> None:
-        self._cycle = cycle
-        self._issued_this_cycle.clear()
-
-    def can_accept(self, opclass: OpClass) -> bool:
-        """Is the unit for ``opclass`` free this cycle?"""
-        unit = _UNIT_OF[opclass]
-        if unit is None:
+    def can_accept(self, opclass: OpClass, cycle: int) -> bool:
+        """Is the unit for ``opclass`` free at ``cycle``?"""
+        _, unit, limit, unpipelined = self.classes[opclass]
+        if unit < 0:
             return True
-        limit = 2 if unit in _DUAL_UNITS else 1
-        if self._issued_this_cycle.get(unit, 0) >= limit:
+        if self._last_cycle[unit] == cycle and self._issued[unit] >= limit:
             return False
-        if opclass in UNPIPELINED_CLASSES:
-            return self._busy_until.get(unit, -1) < self._cycle
-        return True
+        return not unpipelined or self._busy_until[unit] < cycle
 
-    def accept(self, opclass: OpClass) -> None:
-        """Commit an issue to the unit for ``opclass``."""
-        unit = _UNIT_OF[opclass]
-        if unit is None:
+    def accept(self, opclass: OpClass, cycle: int) -> None:
+        """Commit an issue at ``cycle`` to the unit for ``opclass``."""
+        latency, unit, _, unpipelined = self.classes[opclass]
+        if unit < 0:
             return
-        self._issued_this_cycle[unit] = self._issued_this_cycle.get(unit, 0) + 1
-        if opclass in UNPIPELINED_CLASSES:
-            latency = self._params.latency_of(opclass)
-            self._busy_until[unit] = self._cycle + latency
+        if self._last_cycle[unit] == cycle:
+            self._issued[unit] += 1
+        else:
+            self._last_cycle[unit] = cycle
+            self._issued[unit] = 1
+        if unpipelined:
+            self._busy_until[unit] = cycle + latency

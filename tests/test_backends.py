@@ -384,6 +384,32 @@ class TestFaultInjection:
         assert state.lost_polls == {}                       # candidate cleared
         assert stats.requeued == 0
 
+    def test_shard_finishing_during_a_poll_is_not_reported_lost(
+            self, tmp_path, monkeypatch):
+        # A worker claims and completes the shard right after the poll's
+        # first directory listing: a live shard, never a lost one.
+        broker = SpoolBroker(tmp_path)
+        job = sleep_job("racing")
+        key = job_key(job)
+        broker.submit(key, job)
+        listings = []
+
+        def racing(listing):
+            def wrapped(directory):
+                entries = listing(directory)
+                listings.append(directory)
+                if len(listings) == 1:
+                    broker.complete(broker.claim_next("w1"),
+                                    {"note": "racing"})
+                return entries
+            return wrapped
+
+        monkeypatch.setattr(broker, "_names", racing(broker._names))
+        monkeypatch.setattr(broker, "_stats", racing(broker._stats))
+        (event,) = broker.poll({key})
+        assert isinstance(event, CompletedEvent)
+        assert event.result == {"note": "racing"}
+
     def test_workerless_spool_warns_instead_of_hanging_silently(
             self, tmp_path):
         import threading

@@ -89,10 +89,12 @@ class TestIrawPolicy:
 
     def test_flush_clears_transients(self):
         policy = IrawPolicy(config=IrawConfig(stabilization_cycles=1))
-        policy.scoreboard.producer_issued(1, 3)
+        policy.scoreboard.producer_issued(1, 0, 3)
         policy.stable.store_committed(0x40, 1, 0)
+        assert not policy.scoreboard.is_ready(1, 2)
         policy.flush()
-        assert policy.scoreboard.is_idle(1)
+        assert all(policy.scoreboard.is_ready(1, cycle) for cycle in range(8))
+        assert not policy.stable.lookup(0x40, 0).needs_repair
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,26 +1,36 @@
 """Tests for the IRAW-extended scoreboard (paper Figures 6-8).
 
-The key test reproduces the paper's running example bit-for-bit: a 3-cycle
-producer with one bypass level and N=1 initializes its destination's shift
-register to ``0001011`` and blocks consumers exactly at cycle i+4.
+The key test reproduces the paper's running example bit-for-bit on the
+shift-register oracle: a 3-cycle producer with one bypass level and N=1
+initializes its destination's shift register to ``0001011`` and blocks
+consumers exactly at cycle i+4.  The program's timestamp scoreboard must
+answer the same on every cycle, for any sequence of producers,
+completions, reconfigurations and flushes.
 """
 
 import pytest
+from core_oracle import Scoreboard as BitScoreboard
 from hypothesis import given, settings, strategies as st
 
 from repro.core.scoreboard import Scoreboard
 from repro.errors import ConfigError, PipelineError
 
 
-def make_scoreboard(n=1, baseline_bits=5, bypass=1, max_n=2):
-    sb = Scoreboard(num_registers=8, baseline_bits=baseline_bits,
-                    bypass_levels=bypass, max_stabilization_cycles=max_n)
+def make_scoreboard(n=1, baseline_bits=5, bypass=1, max_n=2, cls=Scoreboard):
+    sb = cls(num_registers=8, baseline_bits=baseline_bits,
+             bypass_levels=bypass, max_stabilization_cycles=max_n)
     sb.configure(n)
     return sb
 
 
-def ready_timeline(sb: Scoreboard, reg: int, horizon: int) -> list[bool]:
-    """is_ready(reg) at issue cycles i, i+1, ..., i+horizon-1."""
+def ready_timeline(sb: Scoreboard, reg: int, start: int,
+                   horizon: int) -> list[bool]:
+    """is_ready(reg) at issue cycles start, ..., start+horizon-1."""
+    return [sb.is_ready(reg, cycle) for cycle in range(start, start + horizon)]
+
+
+def bit_timeline(sb: BitScoreboard, reg: int, horizon: int) -> list[bool]:
+    """The oracle's MSB over the next ``horizon`` cycles (ticking it)."""
     timeline = []
     for _ in range(horizon):
         timeline.append(sb.is_ready(reg))
@@ -28,10 +38,21 @@ def ready_timeline(sb: Scoreboard, reg: int, horizon: int) -> list[bool]:
     return timeline
 
 
+def both_timelines(latency, horizon, **sizing):
+    """(oracle, timestamps) timelines of one producer issued at cycle 0."""
+    bits = make_scoreboard(cls=BitScoreboard, **sizing)
+    bits.producer_issued(3, latency)
+    stamps = make_scoreboard(**sizing)
+    stamps.producer_issued(3, 0, latency)
+    return bit_timeline(bits, 3, horizon), ready_timeline(stamps, 3, 0,
+                                                          horizon)
+
+
 class TestPaperFigure8:
     def test_pattern_0001011(self):
         """The literal example of Section 4.1.2 / Figure 8."""
-        sb = make_scoreboard(n=1, baseline_bits=5, bypass=1, max_n=2)
+        sb = make_scoreboard(n=1, baseline_bits=5, bypass=1, max_n=2,
+                             cls=BitScoreboard)
         sb.producer_issued(reg=3, latency=3)
         # Physical width is 5+1+2=8; the paper's 7-bit example maps to the
         # first 7 positions with an extra trailing '1'.
@@ -39,67 +60,57 @@ class TestPaperFigure8:
 
     def test_readiness_windows_match_paper(self):
         """Ready at i+3 (bypass), blocked at i+4 (bubble), ready i+5+."""
-        sb = make_scoreboard(n=1)
-        sb.producer_issued(reg=3, latency=3)
-        timeline = ready_timeline(sb, 3, 7)
-        assert timeline == [False, False, False, True, False, True, True]
+        expected = [False, False, False, True, False, True, True]
+        assert both_timelines(3, 7, n=1) == (expected, expected)
 
     def test_baseline_has_no_bubble(self):
         """N=0 reduces to the classic 00011 delayed-wakeup pattern."""
-        sb = make_scoreboard(n=0)
+        sb = make_scoreboard(n=0, cls=BitScoreboard)
         sb.producer_issued(reg=3, latency=3)
         assert sb.pattern_string(3).startswith("00011")
-        timeline = ready_timeline(sb, 3, 6)
-        assert timeline == [False, False, False, True, True, True]
+        expected = [False, False, False, True, True, True]
+        assert both_timelines(3, 6, n=0) == (expected, expected)
 
     def test_single_cycle_producer(self):
-        sb = make_scoreboard(n=1)
-        sb.producer_issued(reg=1, latency=1)
-        timeline = ready_timeline(sb, 1, 5)
         # i: not ready, i+1: bypass, i+2: bubble, i+3+: stable.
-        assert timeline == [False, True, False, True, True]
+        expected = [False, True, False, True, True]
+        assert both_timelines(1, 5, n=1) == (expected, expected)
 
     def test_n2_has_two_bubble_cycles(self):
-        sb = make_scoreboard(n=2)
-        sb.producer_issued(reg=1, latency=1)
-        timeline = ready_timeline(sb, 1, 6)
-        assert timeline == [False, True, False, False, True, True]
+        expected = [False, True, False, False, True, True]
+        assert both_timelines(1, 6, n=2) == (expected, expected)
 
 
 class TestLongLatencyPath:
     def test_long_producer_zeroes_register(self):
         sb = make_scoreboard(n=1)
-        sb.producer_issued(reg=2, latency=20)  # beyond B-1
-        timeline = ready_timeline(sb, 2, 10)
-        assert not any(timeline)
+        sb.producer_issued(reg=2, cycle=0, latency=20)  # beyond B-1
+        assert not any(ready_timeline(sb, 2, 0, 1000))
 
     def test_completion_event_installs_tail(self):
         sb = make_scoreboard(n=1)
-        sb.producer_issued(reg=2, latency=20)
-        for _ in range(5):
-            sb.tick()
-        sb.long_latency_completed(2)
-        timeline = ready_timeline(sb, 2, 4)
+        sb.producer_issued(reg=2, cycle=0, latency=20)
+        sb.long_latency_completed(2, cycle=5)
         # Ready now (result bus), bubble next cycle, then stable.
-        assert timeline == [True, False, True, True]
+        assert ready_timeline(sb, 2, 5, 4) == [True, False, True, True]
 
     def test_completion_event_baseline(self):
         sb = make_scoreboard(n=0)
-        sb.producer_issued(reg=2, latency=20)
-        sb.long_latency_completed(2)
-        assert all(ready_timeline(sb, 2, 4))
+        sb.producer_issued(reg=2, cycle=0, latency=20)
+        sb.long_latency_completed(2, cycle=0)
+        assert all(ready_timeline(sb, 2, 0, 4))
 
 
 class TestBookkeeping:
     def test_idle_registers_always_ready(self):
         sb = make_scoreboard()
-        assert sb.is_ready(0) and sb.is_idle(0)
+        assert all(ready_timeline(sb, 0, 0, 10))
 
     def test_flush_clears_inflight(self):
         sb = make_scoreboard()
-        sb.producer_issued(reg=1, latency=3)
+        sb.producer_issued(reg=1, cycle=4, latency=3)
         sb.flush()
-        assert sb.is_ready(1) and sb.is_idle(1)
+        assert all(ready_timeline(sb, 1, 4, 10))
 
     def test_reconfigure_bounds(self):
         sb = make_scoreboard(max_n=2)
@@ -111,7 +122,7 @@ class TestBookkeeping:
     def test_latency_must_be_positive(self):
         sb = make_scoreboard()
         with pytest.raises(PipelineError):
-            sb.producer_issued(reg=1, latency=0)
+            sb.producer_issued(reg=1, cycle=0, latency=0)
 
     def test_max_encodable_latency(self):
         sb = make_scoreboard(baseline_bits=6)
@@ -127,18 +138,61 @@ class TestBookkeeping:
 @settings(max_examples=60, deadline=None)
 @given(latency=st.integers(min_value=1, max_value=4),
        n=st.integers(min_value=0, max_value=3),
-       bypass=st.integers(min_value=1, max_value=2))
-def test_readiness_window_property(latency, n, bypass):
+       bypass=st.integers(min_value=1, max_value=2),
+       issue=st.integers(min_value=0, max_value=50))
+def test_readiness_window_property(latency, n, bypass, issue):
     """Property (paper Section 4.1.2): a consumer may issue at cycle c iff
     c is in the bypass window [i+L, i+L+bypass-1] or past the bubble
     (c >= i+L+bypass+N)."""
     sb = Scoreboard(num_registers=4, baseline_bits=6, bypass_levels=bypass,
                     max_stabilization_cycles=3)
     sb.configure(n)
-    sb.producer_issued(reg=1, latency=latency)
+    sb.producer_issued(reg=1, cycle=issue, latency=latency)
     horizon = latency + bypass + n + 3
-    timeline = ready_timeline(sb, 1, horizon)
+    timeline = ready_timeline(sb, 1, issue, horizon)
     for offset, ready in enumerate(timeline):
         in_bypass = latency <= offset < latency + bypass
         past_bubble = offset >= latency + bypass + n
         assert ready == (in_bypass or past_bubble), (offset, timeline)
+
+
+#: One scoreboard event per cycle: (kind, register, argument).
+_EVENTS = st.one_of(
+    st.tuples(st.just("idle"), st.just(0), st.just(0)),
+    st.tuples(st.just("issue"), st.integers(0, 3), st.integers(1, 9)),
+    st.tuples(st.just("complete"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("configure"), st.just(0), st.integers(0, 2)),
+    st.tuples(st.just("flush"), st.just(0), st.just(0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline_bits=st.integers(2, 6),
+       bypass=st.integers(0, 2),
+       events=st.lists(_EVENTS, min_size=1, max_size=60))
+def test_timestamps_match_shift_registers(baseline_bits, bypass, events):
+    """Random producer (short and long latency), long-latency completion,
+    reconfigure and flush sequences: ``is_ready`` of the timestamp
+    scoreboard equals the shift registers' MSB on every register and
+    every cycle, including the quiet cycles after the last event."""
+    sizing = dict(num_registers=4, baseline_bits=baseline_bits,
+                  bypass_levels=bypass, max_stabilization_cycles=2)
+    bits, stamps = BitScoreboard(**sizing), Scoreboard(**sizing)
+    tail = [("idle", 0, 0)] * (baseline_bits + bypass + 4)
+    for cycle, (kind, reg, arg) in enumerate(events + tail):
+        if kind == "issue":
+            bits.producer_issued(reg, arg)
+            stamps.producer_issued(reg, cycle, arg)
+        elif kind == "complete":
+            bits.long_latency_completed(reg)
+            stamps.long_latency_completed(reg, cycle)
+        elif kind == "configure":
+            bits.configure(arg)
+            stamps.configure(arg)
+        elif kind == "flush":
+            bits.flush()
+            stamps.flush()
+        for probe in range(4):
+            assert stamps.is_ready(probe, cycle) == bits.is_ready(probe), \
+                (cycle, probe, kind)
+        bits.tick()

@@ -57,7 +57,10 @@ class ServerHarness:
             "127.0.0.1", 0, runner=runner or ParallelRunner(),
             state_dir=state_dir or tmp_path / "serve-state",
             resume=resume)
+        # A short poll keeps shutdown() (every teardown) from waiting
+        # out serve_forever's default 0.5 s poll.
         self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.05},
                                        daemon=True)
         self.thread.start()
         host, port = self.server.server_address[:2]
@@ -179,6 +182,7 @@ class TestAdmissionControl:
                                   **collector_kwargs)
             server = CampaignServer(("127.0.0.1", 0), collector)
             threading.Thread(target=server.serve_forever,
+                             kwargs={"poll_interval": 0.05},
                              daemon=True).start()
             servers.append(server)
             host, port = server.server_address[:2]
