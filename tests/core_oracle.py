@@ -124,10 +124,6 @@ class Scoreboard:
         """May a consumer of ``reg`` issue this cycle? (MSB test)."""
         return bool(self._regs[reg] & self._msb_mask)
 
-    def is_idle(self, reg: int) -> bool:
-        """No in-flight write to ``reg`` (all-ones)."""
-        return self._regs[reg] == self._full_mask
-
     def producer_issued(self, reg: int, latency: int) -> None:
         if latency <= 0:
             raise PipelineError(f"producer latency must be positive: {latency}")
