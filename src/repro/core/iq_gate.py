@@ -80,8 +80,11 @@ class IqOccupancyGate:
         difference = extended_tail - (head & mask)
         return difference & mask  # discard the uppermost bit
 
-    def allows_issue(self, occupancy: int) -> bool:
-        """Eq. 1: may the ICI oldest entries be read this cycle?"""
-        if not self._stall_issue:
-            return True
-        return occupancy >= self.threshold
+    @property
+    def issue_threshold(self) -> int:
+        """Eq. 1: the ICI oldest entries may issue iff occupancy >= this.
+
+        The ``threshold`` when the gate is on; 0, which every occupancy
+        meets, when ``stall_issue?`` is off.
+        """
+        return self.threshold if self._stall_issue else 0

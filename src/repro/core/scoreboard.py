@@ -30,7 +30,9 @@ instead of the bits.  With B bypass levels, a producer issued at cycle
 * the bubble ``[ready + B, ready + B + N)``.
 
 The MSB after ``c - i`` sticky-LSB shifts is then
-``c >= ready and not bubble_lo <= c < bubble_hi``.  A zeroed register is
+``c >= ready and not bubble_lo <= c < bubble_hi``; the issue stage
+(:meth:`repro.pipeline.core.InOrderCore.run`) applies that rule to the
+lists directly, and this class only writes them.  A zeroed register is
 ``ready = NEVER``; its completion at cycle ``c`` sets ``ready = c`` and
 the bubble ``[c + max(1, B), c + max(1, B) + N)``.  Nothing ticks.  The
 pattern always fits the ``baseline_bits + B + max N`` register the
@@ -47,10 +49,11 @@ NEVER = 1 << 62
 
 
 class Scoreboard:
-    """Readiness control for the in-order issue stage.
+    """Readiness windows for the in-order issue stage.
 
     ``ready``, ``bubble_lo`` and ``bubble_hi`` are per-register cycle
-    lists; the issue stage reads them directly.
+    lists, written by producers and completions and read by the issue
+    stage.
     """
 
     def __init__(self, num_registers: int = 32, baseline_bits: int = 6,
@@ -100,11 +103,6 @@ class Scoreboard:
     # ------------------------------------------------------------------
     # Pipeline interface
     # ------------------------------------------------------------------
-
-    def is_ready(self, reg: int, cycle: int) -> bool:
-        """May a consumer of ``reg`` issue at ``cycle``? (the MSB)."""
-        return (cycle >= self.ready[reg]
-                and not self.bubble_lo[reg] <= cycle < self.bubble_hi[reg])
 
     def producer_issued(self, reg: int, cycle: int, latency: int) -> None:
         """A producer writing ``reg`` issued at ``cycle``.

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import ConfigError
 
@@ -44,22 +45,21 @@ class MatchKind(str, Enum):
     SET_ONLY = "set_only"
 
 
-class StableLookup:
-    """Outcome of a load's parallel STable probe (slotted; read-only).
+class StableLookup(NamedTuple):
+    """Outcome of a load's parallel STable probe (a named tuple).
 
     Every probe without a match returns the same shared instance.
     """
 
-    __slots__ = ("kind", "data", "replayed_stores", "needs_repair")
+    kind: MatchKind
+    #: Forwarded data on a full match (golden-value pipelines only).
+    data: int | None = None
+    #: Number of stores replayed (cycles of repair stalls, Figure 10).
+    replayed_stores: int = 0
 
-    def __init__(self, kind: MatchKind, data: int | None = None,
-                 replayed_stores: int = 0):
-        self.kind = kind
-        #: Forwarded data on a full match (golden-value pipelines only).
-        self.data = data
-        #: Number of stores replayed (cycles of repair stalls, Figure 10).
-        self.replayed_stores = replayed_stores
-        self.needs_repair = kind is not MatchKind.NONE
+    @property
+    def needs_repair(self) -> bool:
+        return self.kind is not MatchKind.NONE
 
 
 _NO_MATCH = StableLookup(MatchKind.NONE)

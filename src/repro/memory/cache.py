@@ -16,6 +16,7 @@ case of a fill we stall any access to cache").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import MemoryModelError
 from repro.memory.replacement import LruPolicy, ReplacementPolicy
@@ -35,23 +36,19 @@ class CacheLine:
     ready_at: int = 0
 
 
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of a tag lookup.
 
-    A plain slotted class: the hierarchy builds one per access, and a
-    frozen dataclass costs several times more to construct.  Treat
-    instances as read-only: misses without a dirty victim share one.
+    A named tuple: the hierarchy builds one per access, and a frozen
+    dataclass costs several times more to construct.  Immutable, so
+    every miss without a dirty victim can share one.
     """
 
-    __slots__ = ("hit", "writeback_address", "data_ready")
-
-    def __init__(self, hit: bool, writeback_address: int | None = None,
-                 data_ready: int = 0):
-        self.hit = hit
-        #: On a miss with a dirty victim, its full line address.
-        self.writeback_address = writeback_address
-        #: On a hit, the cycle the line's data is available (0 = long ago).
-        self.data_ready = data_ready
+    hit: bool
+    #: On a miss with a dirty victim, its full line address.
+    writeback_address: int | None = None
+    #: On a hit, the cycle the line's data is available (0 = long ago).
+    data_ready: int = 0
 
 
 #: The result of every miss without a dirty victim.

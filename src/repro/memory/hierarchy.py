@@ -16,6 +16,7 @@ delays.  This keeps the hot path free of event queues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.memory.buffers import FillBufferFile, WriteCombiningBuffer
 from repro.memory.cache import Cache
@@ -45,8 +46,8 @@ class MemoryConfig:
     dram_latency_cycles: int = 100
 
 
-class MemoryResponse:
-    """Outcome of one memory operation (a slotted class; read-only).
+class MemoryResponse(NamedTuple):
+    """Outcome of one memory operation (a named tuple).
 
     Attributes
     ----------
@@ -58,13 +59,9 @@ class MemoryResponse:
         First-level hit (IL0 for fetch, DL0 for load/store).
     """
 
-    __slots__ = ("ready_cycle", "fills", "hit")
-
-    def __init__(self, ready_cycle: int,
-                 fills: tuple[tuple[str, int], ...] = (), hit: bool = True):
-        self.ready_cycle = ready_cycle
-        self.fills = fills
-        self.hit = hit
+    ready_cycle: int
+    fills: tuple[tuple[str, int], ...] = ()
+    hit: bool = True
 
 
 class MemorySystem:

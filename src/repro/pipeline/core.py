@@ -133,13 +133,12 @@ class InOrderCore:
         n_active = policy.stabilization_cycles
         max_encodable = scoreboard.max_encodable_latency
         # Read once per run: the scoreboard's windows (updated in place),
-        # the per-class issue table and the Eq. 1 gate.  A disabled gate
-        # has threshold 0, which every occupancy meets.
+        # the per-class issue table and the Eq. 1 gate.
         sb_ready = scoreboard.ready
         sb_bubble_lo = scoreboard.bubble_lo
         sb_bubble_hi = scoreboard.bubble_hi
         classes = units.classes
-        gate_threshold = gate.threshold if gate.enabled else 0
+        gate_threshold = gate.issue_threshold
         #: IQ entries are read unguarded only when the gate is disabled.
         unguarded_n = 0 if gate.enabled else n_active
         issue_window = params.issue_window

@@ -60,9 +60,6 @@ class PipelineParams:
             if latency <= 0:
                 raise ConfigError(f"latency of {opclass} must be positive")
 
-    def latency_of(self, opclass: OpClass) -> int:
-        return self.latencies[opclass]
-
 
 #: Functional unit assignment per class.  ALU-class ops (including
 #: branches) can use either of two ALUs; memory classes use their port;

@@ -15,8 +15,8 @@ keeps the literal model that fast loop is tested against:
   dependency stalls, and calls the front end on every cycle.
 
 The oracle shares the front end, the LSU, the memory hierarchy and the
-IRAW policy with the program; only the scoreboard and the issue
-resources are its own.  Its scoreboard starts empty on every run, as a
+IRAW policy with the program; only the scoreboard, the issue resources
+and the Eq. 1 issue check are its own.  Its scoreboard starts empty on every run, as a
 fresh or flushed policy's does.
 """
 
@@ -217,7 +217,7 @@ class FunctionalUnits:
             return
         self._issued_this_cycle[unit] = self._issued_this_cycle.get(unit, 0) + 1
         if opclass in UNPIPELINED_CLASSES:
-            latency = self._params.latency_of(opclass)
+            latency = self._params.latencies[opclass]
             self._busy_until[unit] = self._cycle + latency
 
 
@@ -354,7 +354,7 @@ class OracleCore:
                     if issued == 0 and completed < total_ops:
                         reason = StallReason.FRONTEND_EMPTY
                     break
-                if not gate.allows_issue(len(iq)):
+                if gate.enabled and len(iq) < gate.threshold:  # Eq. 1
                     reason = StallReason.IQ_GATE
                     break
                 op, alloc_cycle = iq[0]
@@ -385,7 +385,7 @@ class OracleCore:
                 if blocked_src:
                     break
                 opclass = op.opclass
-                latency = params.latency_of(opclass)
+                latency = params.latencies[opclass]
                 # WAW write ordering (writes to a register must stay in
                 # program order; rare with mixed latencies).
                 dest = op.dest

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryModelError
-from repro.memory.cache import Cache
+from repro.memory.cache import AccessResult, Cache
 from repro.memory.replacement import LruPolicy, RandomPolicy
 
 
@@ -44,6 +44,14 @@ class TestBasicBehaviour:
         cache.fill(0x100)
         assert cache.access(0x100).hit
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_shared_miss_result_is_immutable(self):
+        cache = make_cache()
+        miss = cache.access(0x100)
+        assert cache.access(0x200) is miss  # every plain miss shares it
+        with pytest.raises(AttributeError):
+            miss.hit = True
+        assert miss == AccessResult(hit=False)
 
     def test_same_line_different_word_hits(self):
         cache = make_cache()

@@ -91,9 +91,13 @@ class TestIrawPolicy:
         policy = IrawPolicy(config=IrawConfig(stabilization_cycles=1))
         policy.scoreboard.producer_issued(1, 0, 3)
         policy.stable.store_committed(0x40, 1, 0)
-        assert not policy.scoreboard.is_ready(1, 2)
+        scoreboard = policy.scoreboard
+        assert scoreboard.ready[1] == 3
         policy.flush()
-        assert all(policy.scoreboard.is_ready(1, cycle) for cycle in range(8))
+        # Every window back at cycle 0: ready, with an empty bubble.
+        for window in (scoreboard.ready, scoreboard.bubble_lo,
+                       scoreboard.bubble_hi):
+            assert window == [0] * scoreboard.num_registers
         assert not policy.stable.lookup(0x40, 0).needs_repair
 
     def test_config_validation(self):

@@ -101,7 +101,7 @@ class TestFunctionalUnits:
 
     def test_divider_unpipelined(self):
         units, params = self.make()
-        latency = params.latency_of(OpClass.INT_DIV)
+        latency = params.latencies[OpClass.INT_DIV]
         units.accept(OpClass.INT_DIV, 0)
         assert not units.can_accept(OpClass.INT_DIV, 5)
         assert not units.can_accept(OpClass.FP_DIV, 5)  # shared unit
@@ -143,4 +143,4 @@ class TestPipelineParams:
         latencies = dict(DEFAULT_LATENCY)
         latencies[OpClass.INT_MUL] = 7
         params = PipelineParams(latencies=latencies)
-        assert params.latency_of(OpClass.INT_MUL) == 7
+        assert params.latencies[OpClass.INT_MUL] == 7

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.stable import MatchKind, StoreTable
+from repro.core.stable import MatchKind, StableLookup, StoreTable
 from repro.errors import ConfigError
 
 #: DL0 geometry used by the table: 64 sets x 64-byte lines.
@@ -25,6 +25,14 @@ class TestLookupOutcomes:
         result = table.lookup(0x1040, cycle=11)
         assert result.kind is MatchKind.NONE
         assert not result.needs_repair
+
+    def test_shared_no_match_result_is_immutable(self):
+        table = make_table()
+        result = table.lookup(0x1040, cycle=11)
+        assert table.lookup(0x2040, cycle=12) is result
+        with pytest.raises(AttributeError):
+            result.replayed_stores = 3
+        assert result == StableLookup(MatchKind.NONE)
 
     def test_full_match_forwards_data(self):
         table = make_table()
