@@ -8,13 +8,14 @@ the Section 5.3 joule-accounting example at 450 mV (5 J unconstrained /
 
 from conftest import record_table
 
-from repro.analysis.figures import energy_example_450, figure12_series
 from repro.analysis.reporting import format_table
+from repro.circuits.ekv import voltage_grid
+from repro.experiments.artifacts import energy450_cases, fig12_rows
 
 
 def test_figure12(benchmark, session_sweep):
     rows = benchmark.pedantic(
-        figure12_series, args=(session_sweep,), kwargs={"step_mv": 50.0},
+        fig12_rows, args=(session_sweep, voltage_grid(50.0)),
         rounds=1, iterations=1)
     by_vcc = {row["vcc_mv"]: row for row in rows}
 
@@ -34,9 +35,9 @@ def test_figure12(benchmark, session_sweep):
                     "(paper EDP: 0.61 @500mV, 0.41 @450mV, 0.33 @400mV)"))
 
 
-def test_energy_example_450mv(benchmark, session_sweep):
+def test_energy450_cases(benchmark, session_sweep):
     cases = benchmark.pedantic(
-        energy_example_450, args=(session_sweep,), rounds=1, iterations=1)
+        energy450_cases, args=(session_sweep,), rounds=1, iterations=1)
 
     assert abs(cases["unconstrained"]["total_j"] - 5.0) < 1e-6
     assert (cases["baseline"]["total_j"] > cases["iraw"]["total_j"]
@@ -45,7 +46,7 @@ def test_energy_example_450mv(benchmark, session_sweep):
             > cases["unconstrained"]["leakage_j"])
 
     rows = [{"case": name, **values} for name, values in cases.items()]
-    record_table("fig12_energy_example_450mv", format_table(
+    record_table("fig12_energy450_cases", format_table(
         rows, title="Section 5.3 example at 450 mV "
                     "(paper: 5 J / 8.50 J / 6.40 J, leakage "
                     "1.24 J / 4.74 J / 2.64 J)"))

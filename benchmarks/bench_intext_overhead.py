@@ -6,13 +6,13 @@ Paper: below 0.03% extra area (latch-size bits) and below 1% extra power
 
 from conftest import record_table
 
-from repro.analysis.figures import overhead_report
 from repro.analysis.reporting import format_table
 from repro.circuits.area import AreaModel, IrawHardwareBudget
+from repro.experiments.artifacts import overhead_rows
 
 
 def test_overheads(benchmark):
-    report = benchmark.pedantic(overhead_report, rounds=5, iterations=1)
+    (report,) = benchmark.pedantic(overhead_rows, rounds=5, iterations=1)
 
     assert report["area_overhead"] < 0.0003   # paper: ~0.03%
     assert report["power_overhead"] < 0.01    # paper: < 1%

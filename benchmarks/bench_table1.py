@@ -9,12 +9,12 @@ covers), hypothetical ceiling, measured IPC impact, and area overhead.
 from conftest import record_table
 
 from repro.analysis.reporting import format_table
-from repro.analysis.table1 import build_table1
+from repro.experiments.artifacts import table1_rows
 
 
 def test_table1(benchmark, session_sweep):
     rows = benchmark.pedantic(
-        build_table1, args=(session_sweep,), kwargs={"vcc_mv": 500.0},
+        table1_rows, args=(session_sweep,), kwargs={"vcc_mv": 500.0},
         rounds=1, iterations=1)
 
     iraw = next(r for r in rows if "IRAW" in r["technique"])

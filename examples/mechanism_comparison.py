@@ -12,9 +12,9 @@ import argparse
 
 from repro.analysis.reporting import format_table, percent
 from repro.analysis.sweep import SweepSettings, VccSweep
-from repro.analysis.table1 import build_table1
 from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.circuits.frequency import ClockScheme
+from repro.experiments.artifacts import table1_rows
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     sweep = VccSweep(SweepSettings(trace_length=5000))
     print(f"Evaluating all techniques at {args.vcc:.0f} mV "
           f"(simulating, ~1 minute)...\n")
-    rows = build_table1(sweep, vcc_mv=args.vcc)
+    rows = table1_rows(sweep, vcc_mv=args.vcc)
     print(format_table(
         rows,
         columns=["technique", "works_all_blocks", "adapts_multiple_vcc",

@@ -9,19 +9,13 @@ from repro.analysis.dvfs import (
     evaluate_schedules,
 )
 from repro.analysis.figures import (
-    calibrated_energy_model,
-    energy_example_450,
     figure1_series,
     figure11a_series,
-    figure11b_series,
-    figure12_series,
-    overhead_report,
     prediction_hazard_report,
 )
 from repro.analysis.metrics import PointResult, geometric_mean, speedup
 from repro.analysis.reporting import format_table, percent
 from repro.analysis.sweep import SweepSettings, VccSweep, warm_caches
-from repro.analysis.table1 import build_table1
 
 __all__ = [
     "DvfsOutcome",
@@ -31,18 +25,12 @@ __all__ = [
     "ScheduleSpec",
     "compare_schemes",
     "evaluate_schedules",
-    "calibrated_energy_model",
     "SweepSettings",
     "VccSweep",
-    "build_table1",
-    "energy_example_450",
     "figure1_series",
     "figure11a_series",
-    "figure11b_series",
-    "figure12_series",
     "format_table",
     "geometric_mean",
-    "overhead_report",
     "percent",
     "prediction_hazard_report",
     "speedup",

@@ -1,44 +1,24 @@
-"""Regeneration of every figure and in-text number of the evaluation.
+"""Circuit-only figures and the Section 4.5 prediction-hazard report.
 
 Each function returns the data rows of one paper artifact; the benchmarks
 print them and assert the qualitative shape (who wins, where crossovers
-fall).  See DESIGN.md's experiment index for the mapping.
+fall).  Figure 1 and Figure 11(a) involve no simulation.
 
-Since the :mod:`repro.experiments` redesign the simulated artifacts
-(11b, 12, the 450 mV energy example, the overhead report) are rendered
-by the named-artifact registry in
-:mod:`repro.experiments.artifacts`; the functions here are kept as thin
-**deprecated** wrappers so existing callers (benchmarks, notebooks,
-tests) keep working unchanged — they emit a :class:`DeprecationWarning`
-but stay bit-identical to the registry builders they delegate to.  New
-code should author an
-:class:`~repro.experiments.spec.ExperimentSpec` and render through
-:class:`~repro.experiments.experiment.Experiment` instead — same rows,
-one driver, and the whole campaign executes as a single engine batch.
-
-The circuit-only artifacts (Figure 1, Figure 11a) involve no simulation
-and stay first-class here.
+The simulated artifacts (Table 1, Figures 11b and 12, the 450 mV energy
+example, the overhead report) render through the named-artifact registry
+in :mod:`repro.experiments.artifacts` — its ``*_rows``/``*_cases``
+builders take a :class:`~repro.analysis.sweep.VccSweep` directly, and an
+:class:`~repro.experiments.spec.ExperimentSpec` renders the same rows
+through :class:`~repro.experiments.experiment.Experiment`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.circuits.constants import default_delay_model
 from repro.circuits.delay import DelayModel
 from repro.circuits.ekv import voltage_grid
-from repro.circuits.energy import EnergyModel
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.analysis.sweep import VccSweep
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    """One deprecation message shape for every legacy wrapper."""
-    warnings.warn(
-        f"repro.analysis.{name} is deprecated; render {replacement} "
-        f"through the artifact registry (repro.experiments.artifacts) "
-        f"or an ExperimentSpec instead",
-        DeprecationWarning, stacklevel=3)
 
 
 def figure1_series(model: DelayModel | None = None,
@@ -53,70 +33,6 @@ def figure11a_series(solver: FrequencySolver | None = None,
     """Figure 11(a): cycle time vs Vcc for 24 FO4 / baseline / IRAW."""
     solver = solver or FrequencySolver()
     return solver.figure11a_series(step_mv)
-
-
-def figure11b_series(sweep: VccSweep,
-                     step_mv: float = 25.0) -> list[dict[str, float]]:
-    """Figure 11(b): frequency increase and performance gain vs Vcc.
-
-    .. deprecated:: 1.2
-       Use the ``fig11b`` artifact of the registry instead.
-    """
-    from repro.experiments.artifacts import fig11b_rows
-
-    _warn_legacy("figures.figure11b_series", "the 'fig11b' artifact")
-    return fig11b_rows(sweep, voltage_grid(step_mv))
-
-
-def calibrated_energy_model(sweep: VccSweep) -> EnergyModel:
-    """An :class:`EnergyModel` calibrated on the sweep's own population.
-
-    .. deprecated:: 1.2
-       Import it from :mod:`repro.experiments.artifacts` instead.
-    """
-    from repro.experiments.artifacts import calibrated_energy_model
-
-    _warn_legacy("figures.calibrated_energy_model",
-                 "repro.experiments.artifacts.calibrated_energy_model")
-    return calibrated_energy_model(sweep)
-
-
-def figure12_series(sweep: VccSweep, energy: EnergyModel | None = None,
-                    step_mv: float = 25.0) -> list[dict[str, float]]:
-    """Figure 12: IRAW energy/delay/EDP relative to the baseline vs Vcc.
-
-    .. deprecated:: 1.2
-       Use the ``fig12`` artifact of the registry instead.
-    """
-    from repro.experiments.artifacts import fig12_rows
-
-    _warn_legacy("figures.figure12_series", "the 'fig12' artifact")
-    return fig12_rows(sweep, voltage_grid(step_mv), energy=energy)
-
-
-def energy_example_450(sweep: VccSweep,
-                       energy: EnergyModel | None = None) -> dict[str, dict]:
-    """The paper's Section 5.3 joule-accounting example at 450 mV.
-
-    .. deprecated:: 1.2
-       Use the ``energy450`` artifact of the registry instead.
-    """
-    from repro.experiments.artifacts import energy450_cases
-
-    _warn_legacy("figures.energy_example_450", "the 'energy450' artifact")
-    return energy450_cases(sweep, energy=energy)
-
-
-def overhead_report() -> dict[str, float]:
-    """Section 5.3: area and power overhead of the IRAW hardware.
-
-    .. deprecated:: 1.2
-       Use the ``overheads`` artifact of the registry instead.
-    """
-    from repro.experiments.artifacts import overhead_rows
-
-    _warn_legacy("figures.overhead_report", "the 'overheads' artifact")
-    return overhead_rows()[0]
 
 
 def prediction_hazard_report(sweep: VccSweep,

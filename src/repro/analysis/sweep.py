@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 
 from repro.circuits import constants
 from repro.circuits.frequency import ClockScheme, FrequencySolver
-from repro.engine.executors import population_for, warm_caches
+from repro.engine.executors import warm_caches
 from repro.engine.jobs import Job, TracePopulationSpec
 from repro.engine.runner import ParallelRunner
 from repro.analysis.metrics import PointResult, speedup
 from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.profiles import STANDARD_PROFILES
-from repro.workloads.trace import Trace
 
 __all__ = ["SweepSettings", "VccSweep", "warm_caches"]
 
@@ -91,11 +90,6 @@ class VccSweep:
     @property
     def population(self) -> TracePopulationSpec:
         return self._population
-
-    @property
-    def traces(self) -> list[Trace]:
-        """The generated population (shared, per-process memoized)."""
-        return population_for(self._population)
 
     @property
     def stats(self):

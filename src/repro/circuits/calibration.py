@@ -2,7 +2,7 @@
 
 The paper's delay data comes from Intel electrical simulations we cannot
 run.  It does, however, publish enough numeric anchor points to pin down an
-analytical model (see DESIGN.md, "Calibration notes"):
+analytical model:
 
 * (A1) bitcell write delay alone crosses the 12 FO4 phase at **525 mV**;
 * (A2) write + wordline activation crosses at **600 mV**, where IRAW would

@@ -34,8 +34,6 @@ them into vectorized ``mc-block`` jobs of B dies each,
 ``deep_tail`` artifact), and ``run`` accepts the same
 ``--dies``/``--confidence``/``--block``/``--importance-shift``
 overrides for spec files with a ``[montecarlo]`` section.
-``--samples`` is a deprecated alias for ``--dies`` on both
-subcommands.
 
 The simulation-backed subcommands run their evaluation points through
 the experiment engine: every point is sharded per trace, ``--workers N``
@@ -72,7 +70,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 
 import repro
 from repro.analysis.figures import figure1_series, figure11a_series
@@ -148,8 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "POST /v1/campaigns?dry_run=1")
     run.add_argument("--dies", type=int, default=None, metavar="N",
                      help="override the spec's montecarlo die count")
-    run.add_argument("--samples", type=int, default=None, metavar="N",
-                     help="deprecated alias for --dies")
     run.add_argument("--confidence", type=float, default=None,
                      metavar="C",
                      help="override the spec's montecarlo confidence "
@@ -187,10 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(die, Vcc, scheme) point is an ordinary engine "
                     "job, so workers, backends and the result cache "
                     "apply as usual.")
-    mc.add_argument("--dies", type=int, default=None, metavar="N",
+    mc.add_argument("--dies", type=int, default=64, metavar="N",
                     help="number of sampled dies (default 64)")
-    mc.add_argument("--samples", type=int, default=None, metavar="N",
-                    help="deprecated alias for --dies")
     mc.add_argument("--block", type=int, default=None, metavar="B",
                     help="dies per vectorized mc-block job (default: "
                          "one mc-die job per die)")
@@ -336,19 +329,6 @@ def _print_stats(runner: ParallelRunner) -> None:
           f"{stats.memory_hits} memo hits, {stats.disk_hits} cache hits")
 
 
-def _resolve_dies(dies, samples):
-    """Collapse the canonical ``--dies`` flag and its deprecated
-    ``--samples`` alias to one value (``None`` if neither was given)."""
-    if dies is not None and samples is not None:
-        raise ConfigError("give --dies, not both --dies and its "
-                          "deprecated alias --samples")
-    if samples is not None:
-        warnings.warn("--samples is deprecated; use --dies",
-                      DeprecationWarning, stacklevel=2)
-        return samples
-    return dies
-
-
 def _parse_importance_shift(value):
     """``--importance-shift`` text to an :class:`ImportanceSpec` shift:
     ``'auto'`` or a float sigma count (``None`` passes through)."""
@@ -373,7 +353,7 @@ def _montecarlo_overrides(spec: ExperimentSpec, dies, confidence, block,
         return spec
     if spec.montecarlo is None:
         raise ConfigError(
-            "--dies/--samples/--confidence/--block/--importance-shift "
+            "--dies/--confidence/--block/--importance-shift "
             f"override a [montecarlo] section, but spec {spec.name!r} "
             f"has none")
     overrides: dict = {}
@@ -413,10 +393,8 @@ def _cmd_run(args) -> int:
             if name not in seen:
                 seen.append(name)
         spec = dataclasses.replace(spec, artifacts=tuple(seen))
-    spec = _montecarlo_overrides(spec,
-                                 _resolve_dies(args.dies, args.samples),
-                                 args.confidence, args.block,
-                                 args.importance_shift)
+    spec = _montecarlo_overrides(spec, args.dies, args.confidence,
+                                 args.block, args.importance_shift)
     experiment = Experiment(spec, runner=_build_runner(args))
     if args.dry_run and args.json:
         print(json.dumps(experiment.plan_summary(), indent=2,
@@ -525,12 +503,8 @@ def _cmd_mc(args) -> int:
 
     from repro.circuits.ekv import VCC_MAX_MV, VCC_MIN_MV
 
-    flag = "--samples" if args.samples is not None else "--dies"
-    dies = _resolve_dies(args.dies, args.samples)
-    if dies is None:
-        dies = 64
-    if dies < 1:
-        raise ConfigError(f"{flag} must be >= 1 (got {dies})")
+    if args.dies < 1:
+        raise ConfigError(f"--dies must be >= 1 (got {args.dies})")
     if not 0 < args.confidence < 1:
         raise ConfigError(f"--confidence must be in (0, 1), got "
                           f"{args.confidence:g}")
@@ -555,7 +529,7 @@ def _cmd_mc(args) -> int:
         vcc_mv=tuple(args.vcc) if args.vcc else (),  # spec dedups
         step_mv=None if args.vcc else args.step,
         schemes=tuple(dict.fromkeys(args.schemes)),
-        montecarlo=MonteCarloSpec(dies=dies, seed=args.seed,
+        montecarlo=MonteCarloSpec(dies=args.dies, seed=args.seed,
                                   confidence=args.confidence,
                                   block=args.block,
                                   importance=importance),
@@ -880,10 +854,6 @@ def _dispatch(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Deprecation warnings for CLI spellings must reach the operator:
-    # Python's default filter hides DeprecationWarning outside
-    # __main__, which would make a deprecated flag silently final.
-    warnings.filterwarnings("default", message=r"--samples is deprecated")
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

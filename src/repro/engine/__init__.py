@@ -14,7 +14,7 @@ and executes batches of them through a
   split into one shard per trace before execution, so the unit of work
   and of caching is a single (trace, Vcc, scheme, config) point;
   :func:`~repro.engine.jobs.aggregate_shard_results` reduces shards back
-  to the population result bit-identically to the legacy serial loop.
+  to the population result in population order.
 * **Execution** (:mod:`repro.engine.executors`) maps a job kind to the
   function that simulates it.  The same function runs in-process
   (``workers=1``, the bit-identical serial fallback) or inside a

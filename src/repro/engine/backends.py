@@ -7,27 +7,23 @@ backend**.  A backend is anything with::
 
     name: str              # "serial" | "pool" | "queue" | ...
     wrap_errors: bool      # False only for the bit-identical serial path
-    def execute(self, pending, stats):
+    def execute(self, pending, stats, trace):
         # yield (key, result) pairs as units complete, in any order;
         # raise ShardFailure when a unit permanently fails
 
-Backends that additionally accept ``execute(pending, stats, trace=...)``
-advertise it with a ``supports_tracing = True`` attribute; the runner
-falls back to the two-argument call otherwise, so third-party or test
-backends keep working unchanged.  The ``trace`` is a
-:class:`repro.obs.trace.BatchTrace`: backends report worker-measured
-execute time per key through ``trace.executed`` and the runner emits
-the span when it collects the result.
+The ``trace`` is the batch's :class:`repro.obs.trace.BatchTrace`:
+backends report worker-measured execute time per key through
+``trace.executed`` and the runner emits the span when it collects the
+result.
 
 Three implementations ship here:
 
 * :class:`SerialBackend` — inline, deterministic, no subprocesses;
   exceptions propagate unwrapped, exactly like the legacy inline loops.
 * :class:`PoolBackend` — a ``ProcessPoolExecutor`` fan-out on one
-  machine (the former ``ParallelRunner._execute_parallel``); a single
-  pending unit skips pool setup and runs inline, and large batches of
-  cheap jobs ship as multi-job chunks per worker round trip (the
-  batch-submission surface — see the class docstring).
+  machine; a single pending unit skips pool setup and runs inline, and
+  every other batch ships as job chunks, one chunk per worker round
+  trip (the batch-submission surface — see the class docstring).
 * :class:`QueueBackend` — a fault-tolerant distributed backend on the
   filesystem spool broker (:mod:`repro.engine.broker`): shards are
   pickled into ``pending/``, detached ``python -m repro worker``
@@ -55,8 +51,7 @@ from dataclasses import dataclass, field
 from repro.engine.broker import SpoolBroker, CompletedEvent, CorruptEvent, \
     ExpiredEvent, FailedEvent, LostEvent, WireResult, default_queue_root, \
     run_worker_loop
-from repro.engine.executors import execute_chunk, execute_chunk_timed, \
-    execute_job, execute_job_timed
+from repro.engine.executors import execute_chunk, execute_job
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
 
@@ -102,20 +97,16 @@ class SerialBackend:
     #: Legacy contract: serial failures propagate as the original
     #: exception, not wrapped in EngineError.
     wrap_errors = False
-    supports_tracing = True
 
-    def execute(self, pending, stats, trace=None):
+    def execute(self, pending, stats, trace):
         for key, job in pending.items():
+            started = time.perf_counter()
             try:
-                if trace is None:
-                    result = execute_job(job)
-                else:
-                    started = time.perf_counter()
-                    result = execute_job(job)
-                    trace.executed(key, time.perf_counter() - started,
-                                   worker="inline")
+                result = execute_job(job)
             except Exception as exc:
                 raise ShardFailure(key, job, exc) from exc
+            trace.executed(key, time.perf_counter() - started,
+                           worker="inline")
             yield key, result
 
 
@@ -128,12 +119,12 @@ class PoolBackend:
     ones), amortizing pickle/submit overhead for cheap vectorized jobs
     like ``mc-block`` without changing results: chunk members execute
     independently (:func:`~repro.engine.executors.execute_chunk`) and
-    stream back as individual ``(key, result)`` completions.
+    stream back as individual ``(key, result)`` completions, each with
+    the execute time its worker measured.
     """
 
     name = "pool"
     wrap_errors = True
-    supports_tracing = True
 
     def __init__(self, workers: int = 0, batch: int | None = None):
         if workers == 0 or workers is None:
@@ -152,14 +143,21 @@ class PoolBackend:
 
         Auto mode keeps ~8 chunks in flight per worker for load balance
         and caps the chunk at 32 so one slow member cannot starve the
-        completion stream; batches too small to matter stay chunk-free
-        (the legacy one-submit-per-job path).
+        completion stream; batches too small to matter ship one job per
+        chunk.
         """
         if self.batch is not None:
             return self.batch
         return min(32, max(1, pending_count // (self.workers * 8)))
 
-    def execute(self, pending, stats, trace=None):
+    def execute(self, pending, stats, trace):
+        """Ship ``pending`` as chunks and stream back their members.
+
+        A chunk's completed members are always delivered before any
+        member failure is raised — per-job isolation inside
+        :func:`execute_chunk` means one bad job never discards its
+        siblings' finished simulations.
+        """
         if len(pending) == 1:
             # One pending unit skips pool setup entirely and runs the
             # serial path; the failure is still wrapped (EngineError)
@@ -169,61 +167,19 @@ class PoolBackend:
             yield from SerialBackend().execute(pending, stats, trace)
             return
         chunk = self._chunk_size(len(pending))
-        if chunk > 1:
-            yield from self._execute_chunked(pending, chunk, trace)
-            return
-        # Traced batches ship the timed wrapper so the worker's own
-        # monotonic clock measures execute time (durations only — no
-        # cross-process timestamp agreement needed).
-        submit = execute_job if trace is None else execute_job_timed
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(pending)))
-        try:
-            futures = {pool.submit(submit, job): (key, job)
-                       for key, job in pending.items()}
-            for future in concurrent.futures.as_completed(futures):
-                key, job = futures[future]
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    raise ShardFailure(key, job, exc,
-                                       where="in a worker process") from exc
-                if trace is not None:
-                    result, meta = result
-                    trace.executed(key, meta.get("execute_s", 0.0),
-                                   meta.get("worker", ""))
-                yield key, result
-        except BaseException:
-            # Surface the failure immediately: drop queued work and do
-            # not block on simulations already in flight (they finish in
-            # the background and are reaped at interpreter exit).
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-
-    def _execute_chunked(self, pending, chunk: int, trace=None):
-        """Submit ``chunk``-sized job lists per future.
-
-        A chunk's completed members are always delivered before any
-        member failure is raised — per-job isolation inside
-        :func:`execute_chunk` means one bad job never discards its
-        siblings' finished simulations.
-        """
         items = list(pending.items())
         chunks = [items[index:index + chunk]
                   for index in range(0, len(items), chunk)]
-        run_chunk = execute_chunk if trace is None else execute_chunk_timed
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(chunks)))
         try:
             futures = {
-                pool.submit(run_chunk, [job for _, job in part]): part
+                pool.submit(execute_chunk, [job for _, job in part]): part
                 for part in chunks}
             for future in concurrent.futures.as_completed(futures):
                 part = futures[future]
                 try:
-                    outcomes = future.result()
+                    worker, outcomes = future.result()
                 except Exception as exc:
                     # The whole chunk died (worker crash / unpicklable
                     # payload): attribute it to the first member.
@@ -231,13 +187,9 @@ class PoolBackend:
                     raise ShardFailure(key, job, exc,
                                        where="in a worker process") from exc
                 failure = None
-                for (key, job), (tag, value) in zip(part, outcomes):
+                for (key, job), (tag, value, seconds) in zip(part, outcomes):
                     if tag == "ok":
-                        if trace is not None:
-                            value, meta = value
-                            trace.executed(key,
-                                           meta.get("execute_s", 0.0),
-                                           meta.get("worker", ""))
+                        trace.executed(key, seconds, worker)
                         yield key, value
                     elif failure is None:
                         failure = ShardFailure(key, job, value,
@@ -245,6 +197,9 @@ class PoolBackend:
                 if failure is not None:
                     raise failure from failure.cause
         except BaseException:
+            # Surface the failure immediately: drop queued work and do
+            # not block on simulations already in flight (they finish in
+            # the background and are reaped at interpreter exit).
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         else:
@@ -298,7 +253,6 @@ class QueueBackend:
 
     name = "queue"
     wrap_errors = True
-    supports_tracing = True
 
     def __init__(self, queue_dir=None, *, lease_timeout: float | None = None,
                  max_retries: int = 3, local_workers: int = 0,
@@ -449,7 +403,7 @@ class QueueBackend:
         if counter is not None:
             counter.inc()
 
-    def execute(self, pending, stats, trace=None):
+    def execute(self, pending, stats, trace):
         state = self._new_state(pending)
         for key, job in pending.items():
             self.broker.submit(key, job)
@@ -479,11 +433,10 @@ class QueueBackend:
                     if isinstance(result, WireResult):
                         # Unwrap the worker's timing envelope before the
                         # result reaches the memo/cache: stored results
-                        # stay byte-identical to untraced runs.  Raw
+                        # are the bare executor results.  Raw
                         # (pre-envelope) results pass through unchanged.
-                        if trace is not None:
-                            trace.executed(key, result.execute_s,
-                                           result.worker)
+                        trace.executed(key, result.execute_s,
+                                       result.worker)
                         result = result.result
                     yield key, result
                 if failure is not None:
@@ -506,7 +459,6 @@ class QueueBackend:
             # batch would otherwise keep detached workers busy forever.
             for key in state.outstanding:
                 self.broker.forget(key)
-
 
     def _looks_stalled(self, start: float, collected_any: bool) -> bool:
         """Warn (once) when nothing has touched the spool for a while.

@@ -3,13 +3,10 @@
 Each :class:`~repro.engine.jobs.Job` kind maps to one module-level
 function so jobs execute identically in-process (the serial fallback) and
 inside ``ProcessPoolExecutor`` workers (module-level functions pickle by
-qualified name).  Population kinds arrive here as per-trace *shards*
-(``job.trace`` set) — the runner splits populations before submission —
-but the legacy whole-population path is kept for direct
-:func:`execute_job` calls.  Traces and populations are regenerated from
-their deterministic specs and memoized per process, so parallel workers
-never ship trace objects across the pipe and serial runs share one
-population exactly like the legacy harness did.
+qualified name).  Population kinds execute only as per-trace *shards*
+(``job.trace`` set): the runner splits populations before submission.
+Traces are regenerated from their deterministic specs and memoized per
+process, so parallel workers never ship trace objects across the pipe.
 
 This module deliberately imports only the simulator layers (circuits,
 pipeline, workloads, baselines) at module scope — :mod:`repro.analysis`
@@ -36,21 +33,17 @@ from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.trace import Trace
-from repro.engine.jobs import Job, TracePopulationSpec, TraceSpec
+from repro.engine.jobs import Job, TraceSpec
 
 if TYPE_CHECKING:  # layering: analysis imports resolve lazily at runtime
     from repro.analysis.metrics import PointResult
 
-#: Per-process memo of generated populations; fork workers inherit the
-#: parent's entries, spawn workers rebuild them deterministically.
-#: Bounded LRU: long-lived processes exploring many distinct settings
-#: must not accumulate every population they ever touched.
-_POPULATIONS: "OrderedDict[TracePopulationSpec, list[Trace]]" = OrderedDict()
-_POPULATIONS_MAX = 4
-
-#: Per-process memo of single traces (the shard execution path): a worker
-#: receiving several shards of the same trace at different (Vcc, scheme)
-#: points regenerates it once.  Bounded LRU like the population memo.
+#: Per-process memo of single traces: a worker receiving several shards
+#: of the same trace at different (Vcc, scheme) points regenerates it
+#: once.  Fork workers inherit the parent's entries, spawn workers
+#: rebuild them deterministically.  Bounded LRU: long-lived processes
+#: exploring many distinct settings must not accumulate every trace they
+#: ever touched.
 _TRACES: "OrderedDict[TraceSpec, Trace]" = OrderedDict()
 _TRACES_MAX = 16
 
@@ -84,11 +77,6 @@ def _memoized_build(store: OrderedDict, limit: int, spec):
         while len(store) > limit:
             store.popitem(last=False)
     return value
-
-
-def population_for(spec: TracePopulationSpec) -> list[Trace]:
-    """The (per-process memoized) trace population of ``spec``."""
-    return _memoized_build(_POPULATIONS, _POPULATIONS_MAX, spec)
 
 
 def trace_for(spec: TraceSpec) -> Trace:
@@ -144,26 +132,20 @@ def _solver_for(job: Job) -> FrequencySolver:
     return FrequencySolver(**kwargs)
 
 
-def _run_population(job: Job, point, setup: CoreSetup, scheme_name: str,
-                    memory_mutator=None):
-    """Run the job's trace(s) under ``setup`` at ``point``.
+def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
+               memory_mutator=None):
+    """Run the shard's one trace on a fresh core under ``setup``.
 
-    A shard job (``trace`` set, ``population`` empty) runs exactly one
-    trace and returns a one-trace result; the runner concatenates shard
-    results back into the population result (see
-    :func:`repro.engine.jobs.aggregate_shard_results`).  A legacy
-    whole-population job loops over every trace inline.  Each trace gets
-    a fresh core either way, so the two paths are bit-identical.
+    The result is a one-trace population result; the runner concatenates
+    shard results back into the population result (see
+    :func:`repro.engine.jobs.aggregate_shard_results`).
     """
     from repro.analysis.metrics import PointResult
 
-    if job.trace is not None:
-        traces = [trace_for(job.trace)]
-    elif job.population is not None:
-        traces = population_for(job.population)
-    else:
-        raise ConfigError(f"{job.kind} job needs a trace population "
-                          f"or a trace spec")
+    if job.trace is None:
+        raise ConfigError(f"{job.kind} job needs a trace spec (population "
+                          f"jobs execute as per-trace shards)")
+    trace = trace_for(job.trace)
     dram_latency_ns = job.option("dram_latency_ns",
                                  constants.DRAM_LATENCY_NS)
     base_memory = job.option("memory") or MemoryConfig()
@@ -171,17 +153,14 @@ def _run_population(job: Job, point, setup: CoreSetup, scheme_name: str,
     memory = replace(base_memory,
                      dram_latency_cycles=point.memory_latency_cycles(
                          dram_latency_ns))
-    results = []
+    core = InOrderCore(replace(setup, memory=memory))
     extras: dict[str, float] = {}
-    for trace in traces:
-        core = InOrderCore(replace(setup, memory=memory))
-        if memory_mutator is not None:
-            extras = dict(memory_mutator(core.memory) or {})
-        if warm:
-            warm_caches(core.memory, trace)
-        results.append(core.run(trace))
+    if memory_mutator is not None:
+        extras = dict(memory_mutator(core.memory) or {})
+    if warm:
+        warm_caches(core.memory, trace)
     return PointResult(vcc_mv=job.vcc_mv, scheme=scheme_name, point=point,
-                       results=tuple(results),
+                       results=(core.run(trace),),
                        extras=tuple(sorted(extras.items())))
 
 
@@ -202,7 +181,7 @@ def _run_sweep_point(job: Job) -> PointResult:
     setup = CoreSetup(iraw=iraw, params=params,
                       name=f"{scheme.value}@{job.vcc_mv:g}mV",
                       check_values=False)
-    return _run_population(job, point, setup, scheme.value)
+    return _run_shard(job, point, setup, scheme.value)
 
 
 def _run_faulty_bits(job: Job) -> PointResult:
@@ -210,8 +189,8 @@ def _run_faulty_bits(job: Job) -> PointResult:
     baseline = FaultyBitsBaseline(_solver_for(job))
     point = baseline.operating_point(job.vcc_mv)
     setup = baseline.core_setup(job.vcc_mv)
-    return _run_population(job, point, setup, "faulty-bits",
-                           memory_mutator=baseline.apply_to_memory)
+    return _run_shard(job, point, setup, "faulty-bits",
+                      memory_mutator=baseline.apply_to_memory)
 
 
 def _run_extra_bypass(job: Job) -> PointResult:
@@ -222,7 +201,7 @@ def _run_extra_bypass(job: Job) -> PointResult:
                                      hypothetical_rf_only=hypothetical)
     setup = baseline.core_setup(job.vcc_mv,
                                 hypothetical_rf_only=hypothetical)
-    return _run_population(job, point, setup, "extra-bypass")
+    return _run_shard(job, point, setup, "extra-bypass")
 
 
 def _run_dvfs_schedule(job: Job):
@@ -340,45 +319,20 @@ def execute_job(job: Job):
 def execute_chunk(jobs):
     """Run a list of jobs in-process, isolating per-job failures.
 
-    The pool backend's batch surface submits whole chunks per worker
-    round-trip; a chunk must not lose its completed results to one bad
-    member, so each outcome is tagged: ``("ok", result)`` or
-    ``("err", exception)``, in submission order.
+    The pool backend submits whole chunks per worker round trip; a chunk
+    must not lose its completed results to one bad member, so each
+    outcome is tagged: ``("ok", result, seconds)`` or
+    ``("err", exception, seconds)``, in submission order.  ``seconds`` is
+    the member's execute time on this worker's monotonic clock (a
+    duration, so no cross-process clock agreement is needed).  Returns
+    ``(worker_tag(), outcomes)``.
     """
     outcomes = []
     for job in jobs:
+        started = time.perf_counter()
         try:
-            outcomes.append(("ok", execute_job(job)))
+            tag, value = "ok", execute_job(job)
         except Exception as exc:
-            outcomes.append(("err", exc))
-    return outcomes
-
-
-# ----------------------------------------------------------------------
-# Timed variants (the tracing envelope)
-# ----------------------------------------------------------------------
-
-def execute_job_timed(job):
-    """``execute_job`` plus its timing envelope.
-
-    Returns ``(result, meta)`` where ``meta`` carries the measured
-    execute seconds and this process's worker tag.  The pool backend
-    submits this wrapper when a trace sink is active, so remote
-    execution time is attributed from the worker's own monotonic clock
-    (durations only — no cross-process timestamp agreement needed).
-    """
-    started = time.perf_counter()
-    result = execute_job(job)
-    return result, {"execute_s": time.perf_counter() - started,
-                    "worker": worker_tag()}
-
-
-def execute_chunk_timed(jobs):
-    """``execute_chunk`` where each ok outcome is ``(result, meta)``."""
-    outcomes = []
-    for job in jobs:
-        try:
-            outcomes.append(("ok", execute_job_timed(job)))
-        except Exception as exc:
-            outcomes.append(("err", exc))
-    return outcomes
+            tag, value = "err", exc
+        outcomes.append((tag, value, time.perf_counter() - started))
+    return worker_tag(), outcomes

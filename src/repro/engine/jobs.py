@@ -28,8 +28,8 @@ trace, and a few-point/many-trace grid keeps every worker busy.
 Aggregation contract: shards are listed in population order
 (:meth:`TracePopulationSpec.trace_specs`), each shard result carries a
 one-trace ``results`` tuple, and the reduction concatenates those tuples
-in shard order — bit-identical to the legacy loop that ran the whole
-population inside one job, regardless of shard *completion* order.
+in shard order, so the population result never depends on shard
+*completion* order.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ SHARDABLE_KINDS = (
 class TracePopulationSpec:
     """Deterministic recipe for a trace population.
 
-    Workers regenerate the population from this spec instead of shipping
-    trace objects across process boundaries: synthetic generation is
-    seeded and riscv programs embed their image bytes, so the rebuilt
-    traces are identical to the parent's.
+    Workers rebuild each trace from its :meth:`trace_specs` recipe
+    instead of shipping trace objects across process boundaries:
+    synthetic generation is seeded and riscv programs embed their image
+    bytes, so the rebuilt traces are identical to the parent's.
     """
 
     profiles: tuple[TraceProfile, ...] = ()
@@ -88,26 +88,11 @@ class TracePopulationSpec:
         if self.seeds_per_profile < 1 or self.trace_length < 1:
             raise ConfigError("population sizing must be positive")
 
-    def build(self):
-        """Generate the trace population (deterministic)."""
-        from repro.workloads.riscv import run_riscv_program
-        from repro.workloads.synthetic import generate_population
-
-        traces = []
-        if self.profiles:
-            traces.extend(generate_population(
-                self.profiles, self.seeds_per_profile, self.trace_length))
-        for program in self.riscv:
-            traces.append(run_riscv_program(program)[0])
-        return traces
-
     def trace_specs(self) -> "tuple[TraceSpec, ...]":
         """Per-trace recipes, in population order.
 
         Synthetic traces come first (profiles x seeds), then the riscv
-        programs in declaration order.  ``[spec.build() for spec in
-        population.trace_specs()]`` produces exactly the traces of
-        :meth:`build`, in the same order — each synthetic generator is
+        programs in declaration order.  Each synthetic generator is
         seeded independently and each riscv program is self-contained,
         so a single trace can be rebuilt without generating the rest of
         the population.  This ordering is the aggregation contract of
@@ -296,10 +281,10 @@ def aggregate_shard_results(job: Job, shard_results):
     Every shard of a population job returns the population result type
     with a one-trace ``results`` tuple; the reduction concatenates those
     tuples in shard (= population) order and keeps the last shard's
-    ``extras`` — exactly what the legacy whole-population loop produced,
-    where the per-core extras variable was overwritten on every trace.
-    The operating ``point`` is recomputed identically by every shard, so
-    the first shard's copy is authoritative.
+    ``extras`` (Faulty Bits' disabled-line fractions are the same for
+    every trace of a point).  The operating ``point`` is recomputed
+    identically by every shard, so the first shard's copy is
+    authoritative.
     """
     shard_results = list(shard_results)
     if not shard_results:

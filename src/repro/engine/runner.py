@@ -50,7 +50,7 @@ from repro.engine.jobs import Job, aggregate_shard_results, job_key, \
     shard_jobs
 from repro.engine.progress import NullProgress
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import BatchTrace
+from repro.obs.trace import BatchTrace, NullTraceSink
 
 
 class EngineError(RuntimeError):
@@ -192,8 +192,9 @@ class ParallelRunner:
     trace_sink:
         A span sink (:class:`~repro.obs.trace.JsonlTraceSink`) to which
         every batch emits one span per resolved shard plus a batch
-        span.  ``None`` (default) or a disabled sink keeps the untraced
-        fast path: no span machinery is built at all.
+        span.  ``None`` (default) traces into a
+        :class:`~repro.obs.trace.NullTraceSink`: the batch is timed the
+        same way and the spans are dropped.
     metrics:
         A shared :class:`~repro.obs.metrics.MetricsRegistry` for this
         runner's instruments (``stats`` counters, cache gauges, queue
@@ -216,10 +217,8 @@ class ParallelRunner:
         self.backend = resolve_backend(backend, workers=self.workers)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = EngineStats(registry=self.metrics)
-        if trace_sink is not None \
-                and getattr(trace_sink, "enabled", True) is False:
-            trace_sink = None
-        self.trace_sink = trace_sink
+        self.trace_sink = trace_sink if trace_sink is not None \
+            else NullTraceSink()
         for layer in (self.backend, self.cache):
             attach = getattr(layer, "attach_metrics", None)
             if attach is not None:
@@ -233,10 +232,8 @@ class ParallelRunner:
         jobs = list(jobs)
         keys = [job_key(job) for job in jobs]
         self.stats.submitted += len(jobs)
-        trace = None
-        if self.trace_sink is not None:
-            trace = BatchTrace(self.trace_sink, backend=self.backend.name,
-                               batch_label=label)
+        trace = BatchTrace(self.trace_sink, backend=self.backend.name,
+                           batch_label=label)
         #: Executable units still unknown: atomic jobs and shards.
         pending: dict[str, Job] = {}
         #: Sharded population jobs awaiting reduction, in plan order.
@@ -265,26 +262,22 @@ class ParallelRunner:
                     if not self._from_disk(shard_key, shard, trace):
                         pending[shard_key] = shard
                 plans[key] = (job, tuple(shard_keys))
-            if trace is not None:
-                trace.plan_done()
+            trace.plan_done()
             if pending:
                 self._execute(pending, label, trace)
             for key, (job, shard_keys) in plans.items():
                 # Reduction order is the plan's population order, fixed
                 # at submission — shard completion order cannot
                 # influence it.
-                if trace is not None:
-                    reduce_start = time.perf_counter()
+                reduce_start = time.perf_counter()
                 self._memo[key] = aggregate_shard_results(
                     job, [self._memo[shard_key] for shard_key in shard_keys])
-                if trace is not None:
-                    trace.aggregated(time.perf_counter() - reduce_start)
+                trace.aggregated(time.perf_counter() - reduce_start)
             results = [self._memo[key] for key in keys]
             status = "ok"
             return results
         finally:
-            if trace is not None:
-                trace.finish(status)
+            trace.finish(status)
             if self.cache is not None:
                 # Hit recency is write-behind; one index write per batch.
                 self.cache.flush()
@@ -317,22 +310,16 @@ class ParallelRunner:
 
     # -- resolution helpers --------------------------------------------
 
-    def _from_disk(self, key: str, job: Job | None = None,
-                   trace=None) -> bool:
+    def _from_disk(self, key: str, job: Job, trace: BatchTrace) -> bool:
         """Memoize ``key`` from the on-disk cache; False on a miss."""
         if self.cache is None:
             return False
-        if trace is None:
-            value = self.cache.get(key)
-            if value is MISS:
-                return False
-        else:
-            read_start = time.perf_counter()
-            value = self.cache.get(key)
-            read_s = time.perf_counter() - read_start
-            if value is MISS:
-                return False  # miss read time stays in the plan stage
-            trace.record_hit(key, job, read_s)
+        read_start = time.perf_counter()
+        value = self.cache.get(key)
+        read_s = time.perf_counter() - read_start
+        if value is MISS:
+            return False  # miss read time stays in the plan stage
+        trace.record_hit(key, job, read_s)
         self._memo[key] = value
         self.stats.disk_hits += 1
         return True
@@ -340,22 +327,13 @@ class ParallelRunner:
     # -- execution -----------------------------------------------------
 
     def _execute(self, pending: dict[str, Job], label: str,
-                 trace=None) -> None:
+                 trace: BatchTrace) -> None:
         total = len(pending)
         backend = self.backend
         requeued_before = self.stats.requeued
         self.progress.start(total, label)
-        if trace is not None:
-            trace.submitted(pending.items())
-        # Capability check, not a hard protocol change: test doubles
-        # and third-party backends with the legacy two-argument
-        # signature keep working (their spans just lack the
-        # worker-measured execute envelope).
-        if trace is not None and getattr(backend, "supports_tracing",
-                                         False):
-            completions = backend.execute(pending, self.stats, trace=trace)
-        else:
-            completions = backend.execute(pending, self.stats)
+        trace.submitted(pending.items())
+        completions = backend.execute(pending, self.stats, trace)
         failure = None
         try:
             done = 0
@@ -367,8 +345,7 @@ class ParallelRunner:
                                                            requeued_before))
         except ShardFailure as exc:
             self.stats.errors += 1
-            if trace is not None:
-                trace.failed(exc.key)
+            trace.failed(exc.key)
             failure = exc
         finally:
             self.progress.finish(total, label)
@@ -390,13 +367,9 @@ class ParallelRunner:
             return label
         return f"{label} [requeued {requeued}]".strip()
 
-    def _record(self, key: str, result, trace=None) -> None:
+    def _record(self, key: str, result, trace: BatchTrace) -> None:
         self.stats.simulated += 1
         self._memo[key] = result
-        if trace is None:
-            if self.cache is not None:
-                self.cache.put(key, result)
-            return
         write_s = 0.0
         if self.cache is not None:
             write_start = time.perf_counter()

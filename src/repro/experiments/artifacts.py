@@ -4,17 +4,14 @@ Every artifact of the evaluation — Table 1, the simulated figures, the
 Section 5.3 energy example, the overhead report, the DVFS scenarios —
 is registered here under a stable name, so a spec file lists artifacts
 by name and ``repro run`` renders whatever the spec asks for.  The row
-builders in this module are the *single* implementation: the legacy
-entry points (:func:`repro.analysis.table1.build_table1`,
-:func:`repro.analysis.figures.figure11b_series`, ...) are thin wrappers
-over them, which is what keeps spec-driven and legacy regenerations
-bit-identical.
+builders in this module are the *single* implementation of each
+artifact.
 
 Builders come in two layers:
 
 * ``*_rows``/``*_cases`` functions take a :class:`VccSweep` (plus
-  explicit grids) and contain the actual computation — callable from
-  the wrappers without an :class:`Experiment`;
+  explicit grids) and contain the actual computation — callable
+  without an :class:`Experiment`;
 * the registry's ``build`` hooks adapt those functions to an
   :class:`~repro.experiments.experiment.Experiment`, pulling grids and
   knobs from its spec.
@@ -49,7 +46,7 @@ ENERGY_CALIBRATION_VCC = 600.0
 
 
 # ----------------------------------------------------------------------
-# Row builders (the single implementation behind the legacy wrappers)
+# Row builders
 # ----------------------------------------------------------------------
 
 def _table1_selection(techniques) -> tuple[str, ...]:

@@ -1,12 +1,8 @@
 """TOML reading/writing for experiment spec files.
 
 Spec files are plain data — tables, arrays of tables, scalars and scalar
-arrays — so the reader needs only that TOML subset.  On Python >= 3.11
-the stdlib :mod:`tomllib` parses spec files; on 3.10 (where ``tomllib``
-does not exist and the repo vendors nothing) :func:`loads_toml` falls
-back to a small parser for the same subset.  The fallback is exercised
-directly by the test suite on every interpreter, and its output is
-asserted equal to ``tomllib``'s wherever the stdlib parser exists.
+arrays.  :func:`loads_toml` reads them with the stdlib :mod:`tomllib`
+and reports malformed text as a :class:`~repro.errors.ConfigError`.
 
 :func:`dumps_toml` is the matching emitter:
 ``loads_toml(dumps_toml(d)) == d`` for every dict an
@@ -18,204 +14,17 @@ makes ``spec -> TOML -> spec`` round-trips preserve job keys exactly
 from __future__ import annotations
 
 import json
+import tomllib
 
 from repro.errors import ConfigError
 
-try:  # Python >= 3.11
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - exercised only on Python 3.10
-    _tomllib = None
-
 
 def loads_toml(text: str) -> dict:
-    """Parse TOML text into a dict (stdlib parser when available)."""
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise ConfigError(f"invalid TOML spec: {exc}") from None
-    return parse_toml_subset(text)
-
-
-# ----------------------------------------------------------------------
-# Fallback parser (Python 3.10)
-# ----------------------------------------------------------------------
-
-def parse_toml_subset(text: str) -> dict:
-    """Parse the spec-file TOML subset without :mod:`tomllib`.
-
-    Supported: ``[table]`` / ``[[array-of-tables]]`` headers with dotted
-    paths, ``key = value`` pairs, comments, and values that are basic
-    strings, booleans, integers, floats, or (possibly multi-line) arrays
-    of those.  Anything outside the subset raises
-    :class:`~repro.errors.ConfigError` naming the offending line.
-    """
-    root: dict = {}
-    current = root
-    lines = text.splitlines()
-    index = 0
-    while index < len(lines):
-        line = _strip_comment(lines[index])
-        index += 1
-        if not line:
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ConfigError(f"TOML line {index}: malformed table "
-                                  f"array header {line!r}")
-            current = _enter(root, line[2:-2], array=True, line=index)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"TOML line {index}: malformed table "
-                                  f"header {line!r}")
-            current = _enter(root, line[1:-1], array=False, line=index)
-        else:
-            key, sep, rest = line.partition("=")
-            if not sep:
-                raise ConfigError(f"TOML line {index}: expected "
-                                  f"'key = value', got {line!r}")
-            key = key.strip()
-            if not key or any(c in key for c in " .[]\"'"):
-                raise ConfigError(f"TOML line {index}: unsupported key "
-                                  f"{key!r} (bare keys only)")
-            value_text = rest.strip()
-            # A multi-line array keeps consuming lines until brackets
-            # balance outside of string literals.
-            while _open_brackets(value_text) > 0 and index < len(lines):
-                value_text += " " + _strip_comment(lines[index])
-                index += 1
-            if key in current:
-                raise ConfigError(f"TOML line {index}: duplicate key "
-                                  f"{key!r}")
-            current[key] = _parse_value(value_text.strip(), index)
-    return root
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a ``#`` comment that is not inside a string literal."""
-    in_string = False
-    for position, char in enumerate(line):
-        if char == '"' and (position == 0 or line[position - 1] != "\\"):
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:position].strip()
-    return line.strip()
-
-
-def _enter(root: dict, path: str, array: bool, line: int) -> dict:
-    """Resolve a table header path, descending into last array elements."""
-    keys = [part.strip() for part in path.split(".")]
-    if any(not key or '"' in key or "'" in key for key in keys):
-        raise ConfigError(f"TOML line {line}: unsupported table path "
-                          f"{path!r}")
-    node = root
-    for key in keys[:-1]:
-        value = node.setdefault(key, {})
-        if isinstance(value, list):
-            if not value:
-                raise ConfigError(f"TOML line {line}: table array "
-                                  f"{key!r} has no elements yet")
-            value = value[-1]
-        if not isinstance(value, dict):
-            raise ConfigError(f"TOML line {line}: {key!r} is not a table")
-        node = value
-    leaf = keys[-1]
-    if array:
-        existing = node.setdefault(leaf, [])
-        if not isinstance(existing, list):
-            raise ConfigError(f"TOML line {line}: {leaf!r} is not a "
-                              f"table array")
-        element: dict = {}
-        existing.append(element)
-        return element
-    existing = node.setdefault(leaf, {})
-    if not isinstance(existing, dict):
-        raise ConfigError(f"TOML line {line}: {leaf!r} redefined as a "
-                          f"table")
-    return existing
-
-
-def _open_brackets(text: str) -> int:
-    """Net count of unclosed ``[`` outside string literals."""
-    depth = 0
-    in_string = False
-    for position, char in enumerate(text):
-        if char == '"' and (position == 0 or text[position - 1] != "\\"):
-            in_string = not in_string
-        elif not in_string:
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-    return depth
-
-
-def _parse_value(text: str, line: int):
-    if not text:
-        raise ConfigError(f"TOML line {line}: missing value")
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"') \
-                or text.endswith('\\"') and not text.endswith('\\\\"'):
-            raise ConfigError(f"TOML line {line}: unterminated string "
-                              f"{text!r}")
-        try:
-            # TOML basic-string escapes are a superset of JSON's; spec
-            # files only ever contain the JSON-compatible ones.
-            return json.loads(text)
-        except ValueError:
-            raise ConfigError(f"TOML line {line}: bad string {text!r}")
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"TOML line {line}: unterminated array "
-                              f"{text!r}")
-        return [_parse_value(item, line)
-                for item in _split_array(text[1:-1], line)]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    cleaned = text.replace("_", "")
+    """Parse TOML text into a dict."""
     try:
-        return int(cleaned, 0) if not _looks_float(cleaned) \
-            else float(cleaned)
-    except ValueError:
-        raise ConfigError(f"TOML line {line}: unsupported value {text!r}")
-
-
-def _looks_float(text: str) -> bool:
-    lowered = text.lower()
-    if lowered.lstrip("+-") in ("inf", "nan"):
-        return True
-    if lowered.startswith(("0x", "0o", "0b", "+0x", "-0x")):
-        return False
-    return "." in text or "e" in lowered
-
-
-def _split_array(body: str, line: int) -> list[str]:
-    """Split array items on top-level commas (strings/nesting respected)."""
-    items: list[str] = []
-    depth = 0
-    in_string = False
-    current: list[str] = []
-    for position, char in enumerate(body):
-        if char == '"' and (position == 0 or body[position - 1] != "\\"):
-            in_string = not in_string
-        if not in_string:
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-            elif char == "," and depth == 0:
-                items.append("".join(current).strip())
-                current = []
-                continue
-        current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    if in_string or depth:
-        raise ConfigError(f"TOML line {line}: malformed array [{body}]")
-    return [item for item in items if item]
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"invalid TOML spec: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,7 @@ need the same post-write stall guard as cache fills (Section 4.3).
 The models are occupancy-limited with lazy timestamp-based freeing: an
 entry is considered free once the current cycle passes its ``busy_until``.
 When the structure is full the caller's request is delayed until the
-earliest entry frees — the structural-hazard approximation documented in
-DESIGN.md.
+earliest entry frees (a structural-hazard approximation).
 """
 
 from __future__ import annotations

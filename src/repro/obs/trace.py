@@ -1,13 +1,14 @@
 """Per-shard span tracing: records, sinks, and batch-scoped attribution.
 
-Every shard the engine resolves — whether served from the in-memory
-memo, read back from the disk cache, or executed on a backend — can emit
-one :class:`Span`: the job key, trace label, backend and worker
-identity, and a monotonic per-stage timing breakdown (plan, cache read,
-queue wait, execute, cache write, aggregate).  Spans are appended as
-JSON lines to a :class:`JsonlTraceSink` selected with ``--trace-out
+Every shard the engine reads back from the disk cache or executes on a
+backend emits one :class:`Span`: the job key, trace label, backend and
+worker identity, and a monotonic per-stage timing breakdown (plan, cache
+read, queue wait, execute, cache write, aggregate).  Spans are appended
+as JSON lines to a :class:`JsonlTraceSink` selected with ``--trace-out
 PATH`` or the ``$REPRO_TRACE_DIR`` environment variable; with neither
-set the engine keeps its no-sink fast path and tracing adds zero work.
+set they go to a :class:`NullTraceSink`, which drops them.  Every run
+takes the same timed path either way — the sink only decides whether
+the spans are kept.
 
 The interesting accounting lives in :class:`BatchTrace`, one instance
 per ``ParallelRunner.run`` batch.  It splits each executed shard's
@@ -17,7 +18,8 @@ wall-clock residency (submit → collect, measured runner-side on
 ``execute``
     the worker-reported simulation time, shipped back through the
     result envelope (:class:`~repro.engine.broker.WireResult` for queue
-    workers, the timed executor wrappers for pool workers);
+    workers, :func:`~repro.engine.executors.execute_chunk`'s per-member
+    timings for pool workers);
 ``cache_write``
     the runner-side put into the result cache;
 ``queue_wait``
@@ -97,11 +99,9 @@ class Span:
 class NullTraceSink:
     """The disabled sink: every operation is a no-op.
 
-    ``enabled`` is False so the runner can skip building
-    :class:`BatchTrace` machinery entirely — the zero-overhead path.
+    A runner built without a sink traces into this one, so untraced runs
+    assemble the same spans as traced ones and simply drop them.
     """
-
-    enabled = False
 
     def emit(self, span: Span) -> None:
         pass
@@ -121,8 +121,6 @@ class JsonlTraceSink:
     entirely from memo leaves no empty file behind unless a batch
     actually emits.
     """
-
-    enabled = True
 
     def __init__(self, path):
         self.path = str(path)

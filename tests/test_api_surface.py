@@ -17,7 +17,7 @@ from repro.isa.opcodes import Opcode
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:
@@ -102,26 +102,6 @@ class TestImportWeight:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
-
-
-class TestDeprecatedWrappers:
-    """Legacy analysis entry points warn but keep working."""
-
-    def test_overhead_report_warns_and_matches_registry(self):
-        from repro.analysis.figures import overhead_report
-        from repro.experiments.artifacts import overhead_rows
-        with pytest.warns(DeprecationWarning, match="overheads"):
-            report = overhead_report()
-        assert report == overhead_rows()[0]
-
-    def test_table1_jobs_warn_and_match_registry(self):
-        from repro.analysis.sweep import SweepSettings, VccSweep
-        from repro.analysis.table1 import table1_jobs as legacy_jobs
-        from repro.experiments.artifacts import table1_jobs
-        sweep = VccSweep(SweepSettings(trace_length=600))
-        with pytest.warns(DeprecationWarning, match="table1"):
-            jobs = legacy_jobs(sweep, 500.0)
-        assert jobs == table1_jobs(sweep, 500.0)
 
 
 class TestFrequencyScalingBaseline:

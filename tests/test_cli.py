@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
 
 class TestRunSpec:
@@ -146,7 +146,7 @@ class TestMonteCarloCli:
         return path
 
     def test_mc_renders_yield_and_vccmin(self, capsys):
-        assert main(["mc", "--samples", "4", "--vcc", "500",
+        assert main(["mc", "--dies", "4", "--vcc", "500",
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Yield vs Vcc" in out
@@ -155,18 +155,18 @@ class TestMonteCarloCli:
 
     def test_mc_export_and_validation(self, tmp_path, capsys):
         csv_path = tmp_path / "mc.csv"
-        assert main(["mc", "--samples", "3", "--vcc", "500", "450",
+        assert main(["mc", "--dies", "3", "--vcc", "500", "450",
                      "--no-cache", "--export-csv", str(csv_path)]) == 0
         assert csv_path.read_text().startswith("kind,scheme,vcc_mv")
         capsys.readouterr()
-        assert main(["mc", "--samples", "0"]) == 2
-        assert "--samples" in capsys.readouterr().err
+        assert main(["mc", "--dies", "0"]) == 2
+        assert "--dies" in capsys.readouterr().err
         assert main(["mc", "--confidence", "2.0"]) == 2
         assert "--confidence" in capsys.readouterr().err
 
     def test_run_samples_override(self, tmp_path, capsys):
         path = self.write_mc_spec(tmp_path, dies=16)
-        assert main(["run", str(path), "--dry-run", "--samples", "2",
+        assert main(["run", str(path), "--dry-run", "--dies", "2",
                      "--confidence", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "montecarlo:  2 dies (seed 1, 0.5 confidence)" in out
@@ -179,7 +179,7 @@ class TestMonteCarloCli:
         ExperimentSpec(name="plain", profiles=("kernel-like",),
                        trace_length=400, vcc_mv=(500.0,),
                        artifacts=()).save(path)
-        assert main(["run", str(path), "--samples", "4"]) == 2
+        assert main(["run", str(path), "--dies", "4"]) == 2
         assert "[montecarlo]" in capsys.readouterr().err
 
 
@@ -458,7 +458,7 @@ class TestMcArgumentValidation:
     def test_duplicate_vcc_levels_deduped(self, capsys):
         from repro.cli import main
 
-        assert main(["mc", "--samples", "2", "--vcc", "500", "500",
+        assert main(["mc", "--dies", "2", "--vcc", "500", "500",
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert out.count("500    | baseline") == 1

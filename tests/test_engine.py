@@ -73,19 +73,23 @@ class TestJobKeys:
 
     def test_population_spec_is_deterministic(self):
         spec = TracePopulationSpec(profiles=(KERNEL_LIKE,), trace_length=300)
-        first, second = spec.build(), spec.build()
+        first = [trace.build() for trace in spec.trace_specs()]
+        second = [trace.build() for trace in spec.trace_specs()]
         assert [t.name for t in first] == [t.name for t in second]
         assert [op.pc for op in first[0].ops] \
             == [op.pc for op in second[0].ops]
 
-    def test_population_memo_is_bounded(self):
+    def test_trace_memo_is_bounded(self):
         from repro.engine import executors
 
-        for length in range(100, 100 + 3 * (executors._POPULATIONS_MAX + 2),
-                            3):
-            executors.population_for(TracePopulationSpec(
-                profiles=(KERNEL_LIKE,), trace_length=length))
-        assert len(executors._POPULATIONS) <= executors._POPULATIONS_MAX
+        specs = [TraceSpec.synthetic(KERNEL_LIKE, length=length)
+                 for length in range(100, 100 + executors._TRACES_MAX + 4)]
+        for spec in specs:
+            executors.trace_for(spec)
+        assert len(executors._TRACES) == executors._TRACES_MAX
+        # Least recently used first out; the newest trace is memoized.
+        assert specs[0] not in executors._TRACES
+        assert executors.trace_for(specs[-1]) is executors._TRACES[specs[-1]]
 
 
 class TestResultCache:

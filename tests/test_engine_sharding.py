@@ -13,12 +13,15 @@ Three properties guard the sharding refactor:
 """
 
 import concurrent.futures
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.metrics import PointResult
 from repro.analysis.sweep import SweepSettings, VccSweep
-from repro.circuits.frequency import ClockScheme
+from repro.circuits.frequency import ClockScheme, FrequencySolver
+from repro.core.config import IrawConfig
 from repro.engine import (
     EngineError,
     Job,
@@ -30,8 +33,9 @@ from repro.engine import (
     job_key,
     shard_jobs,
 )
-from repro.engine.executors import execute_job
+from repro.engine.executors import execute_job, warm_caches
 from repro.obs.trace import JsonlTraceSink, read_spans
+from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.workloads.profiles import (
     KERNEL_LIKE,
     OFFICE_LIKE,
@@ -53,6 +57,35 @@ def population_job(vcc_mv: float = 500.0,
                                    seeds_per_profile=population.seeds_per_profile,
                                    trace_length=population.trace_length))
     return sweep.job_for(vcc_mv, scheme)
+
+
+def unsharded_result(job: Job) -> PointResult:
+    """A sweep-point population job evaluated without shards.
+
+    A fresh core per ``trace_specs()`` trace, caches warmed, results
+    concatenated in population order: the reference the sharded
+    aggregate must reproduce.
+    """
+    scheme = ClockScheme(job.scheme)
+    solver = FrequencySolver(
+        delay_model=job.option("delay_model"),
+        nominal_frequency_mhz=job.option("nominal_frequency_mhz"))
+    point = solver.operating_point(job.vcc_mv, scheme)
+    memory = replace(job.option("memory"),
+                     dram_latency_cycles=point.memory_latency_cycles(
+                         job.option("dram_latency_ns")))
+    setup = CoreSetup(
+        iraw=IrawConfig.for_operating_point(point, **job.overrides_dict()),
+        params=job.option("params"), memory=memory,
+        name=f"{scheme.value}@{job.vcc_mv:g}mV", check_values=False)
+    results = []
+    for spec in job.population.trace_specs():
+        trace = spec.build()
+        core = InOrderCore(setup)
+        warm_caches(core.memory, trace)
+        results.append(core.run(trace))
+    return PointResult(vcc_mv=job.vcc_mv, scheme=scheme.value, point=point,
+                       results=tuple(results))
 
 
 def _shard_keys(job: Job) -> list[str]:
@@ -124,8 +157,7 @@ class TestAggregation:
         keys = [job_key(s) for s in shards]
         results = {key: execute_job(shard)
                    for key, shard in zip(keys, shards)}
-        reference = execute_job(job)  # legacy whole-population path
-        return job, keys, results, reference
+        return job, keys, results, unsharded_result(job)
 
     @settings(max_examples=30, deadline=None)
     @given(order=st.permutations(range(4)))
@@ -152,6 +184,12 @@ class TestAggregation:
         assert aggregated.extras == reference.extras
         assert aggregated.ipc == reference.ipc
         assert aggregated.cycles == reference.cycles
+
+    def test_population_job_executes_only_as_shards(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="per-trace shards"):
+            execute_job(population_job())
 
     def test_empty_shard_results_rejected(self):
         from repro.errors import ConfigError

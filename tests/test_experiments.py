@@ -19,8 +19,7 @@ from repro.experiments import (
     ResultSet,
     run_spec,
 )
-from repro.experiments.specio import dumps_toml, loads_toml, \
-    parse_toml_subset
+from repro.experiments.specio import dumps_toml, loads_toml
 
 pytestmark = pytest.mark.engine
 
@@ -176,81 +175,24 @@ class TestSpecSerialization:
 
 
 class TestTomlSubsetParser:
-    """The 3.10 fallback parser, exercised on every interpreter."""
-
-    def test_matches_stdlib_on_spec_files(self):
-        tomllib = pytest.importorskip("tomllib")
-        for spec in (SMALL_SPEC,
-                     small_dvfs_spec(
-                         ablations=(AblationSpec(
-                             name="no-rf",
-                             overrides={"rf_enabled": False}),))):
-            text = spec.to_toml()
-            assert parse_toml_subset(text) == tomllib.loads(text)
-
-    def test_fallback_engages_without_tomllib(self, monkeypatch):
-        """The 3.10 path: no stdlib tomllib, full spec still loads."""
-        from repro.experiments import specio
-
-        monkeypatch.setattr(specio, "_tomllib", None)
-        spec = small_dvfs_spec()
-        assert ExperimentSpec.from_toml(spec.to_toml()) == spec
+    """The spec-file TOML subset: read by ``loads_toml`` (the stdlib
+    ``tomllib``), written by ``dumps_toml``."""
 
     def test_stdlib_parse_error_becomes_config_error(self):
-        pytest.importorskip("tomllib")
         with pytest.raises(ConfigError, match="invalid TOML"):
             ExperimentSpec.from_toml("= broken")
 
-    def test_scalars_arrays_and_comments(self):
-        data = parse_toml_subset(
-            '# header comment\n'
-            'name = "x # not a comment"  # trailing\n'
-            'count = 3\n'
-            'big = 1_000\n'
-            'ratio = 0.5\n'
-            'exp = 1e3\n'
-            'neg = -2.5\n'
-            'on = true\n'
-            'off = false\n'
-            'grid = [700.0, 650.0,\n'
-            '        600.0]\n'
-            'empty = []\n')
-        assert data["name"] == "x # not a comment"
-        assert data["count"] == 3 and data["big"] == 1000
-        assert data["ratio"] == 0.5 and data["exp"] == 1000.0
-        assert data["neg"] == -2.5
-        assert data["on"] is True and data["off"] is False
-        assert data["grid"] == [700.0, 650.0, 600.0]
-        assert data["empty"] == []
-
-    def test_nested_tables_and_table_arrays(self):
-        data = parse_toml_subset(
-            '[a]\nx = 1\n'
-            '[a.b]\ny = 2\n'
-            '[[items]]\nname = "first"\n'
-            '[items.sub]\nz = 3\n'
-            '[[items.points]]\nv = 1\n'
-            '[[items.points]]\nv = 2\n'
-            '[[items]]\nname = "second"\n')
-        assert data["a"] == {"x": 1, "b": {"y": 2}}
-        assert data["items"][0]["name"] == "first"
-        assert data["items"][0]["sub"] == {"z": 3}
-        assert [p["v"] for p in data["items"][0]["points"]] == [1, 2]
-        assert data["items"][1] == {"name": "second"}
-
     @pytest.mark.parametrize("text", [
         "key",                       # no '='
-        "a.b = 1",                   # dotted keys unsupported
         "x = ",                      # missing value
         'x = "unterminated',
         "x = [1, 2",
-        "x = 2026-07-31",            # dates outside the subset
         "[table",                    # malformed header
         "x = 1\nx = 2",              # duplicate key
     ])
     def test_rejects_out_of_subset(self, text):
-        with pytest.raises(ConfigError):
-            parse_toml_subset(text)
+        with pytest.raises(ConfigError, match="invalid TOML"):
+            loads_toml(text)
 
     def test_emitter_round_trips_plain_data(self):
         data = {"name": 'quote " and \\ slash', "n": 3, "f": 0.25,
@@ -258,7 +200,6 @@ class TestTomlSubsetParser:
                 "table": {"x": 1, "nested": {"y": 2.0}},
                 "rows": [{"a": 1}, {"a": 2, "sub": {"b": 3}}]}
         assert loads_toml(dumps_toml(data)) == data
-        assert parse_toml_subset(dumps_toml(data)) == data
 
     def test_emitter_rejects_unrepresentable(self):
         with pytest.raises(ConfigError, match="cannot emit"):
@@ -475,22 +416,6 @@ class TestExperimentDriver:
         assert len(rows) == 4
         assert experiment.stats.simulated > 0
 
-    def test_legacy_wrappers_share_implementation(self):
-        """build_table1/figure11b_series delegate to the registry code."""
-        from repro.analysis.figures import figure11b_series
-        from repro.analysis.table1 import build_table1
-        from repro.analysis.sweep import SweepSettings, VccSweep
-
-        experiment = Experiment(SMALL_SPEC)
-        experiment.run()
-        sweep = VccSweep(SMALL_SPEC.sweep_settings(),
-                         runner=experiment.runner)
-        assert build_table1(sweep, 500.0) == experiment.artifact("table1")
-        rows = figure11b_series(sweep, step_mv=200.0)  # 700, 500 mV
-        assert rows[1] == experiment.artifact("fig11b")[0]
-        assert SweepSettings(trace_length=400).params \
-            == SMALL_SPEC.sweep_settings().params
-
 
 class TestInlineProfiles:
     """Custom (non-named) trace profiles authored directly in specs."""
@@ -622,9 +547,8 @@ class TestStallsArtifact:
                            montecarlo=MonteCarloSpec(dies=1))
 
     def test_subset_parser_handles_new_sections(self):
-        """The 3.10 fallback TOML parser agrees with tomllib on specs
-        using [population.custom.*], [montecarlo] and [stalls]."""
-        from repro.experiments.specio import loads_toml, parse_toml_subset
+        """Specs using [population.custom.*], [montecarlo] and [stalls]
+        round-trip through the TOML emitter and ``loads_toml``."""
         from repro.montecarlo import MonteCarloSpec
         from repro.workloads.profiles import TraceProfile
 
@@ -637,8 +561,8 @@ class TestStallsArtifact:
             montecarlo=MonteCarloSpec(dies=4, arrays=("RF", "DL0")),
             artifacts=("yield_curve",))
         text = spec.to_toml()
-        assert parse_toml_subset(text) == loads_toml(text)
-        assert ExperimentSpec.from_dict(parse_toml_subset(text)) == spec
+        assert loads_toml(text) == spec.to_dict()
+        assert ExperimentSpec.from_dict(loads_toml(text)) == spec
 
     def test_unsafe_custom_profile_names_rejected(self):
         """Names become TOML table headers; a space or dot must fail

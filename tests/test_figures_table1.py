@@ -3,16 +3,19 @@
 import pytest
 
 from repro.analysis.figures import (
-    energy_example_450,
     figure1_series,
     figure11a_series,
-    figure11b_series,
-    figure12_series,
-    overhead_report,
     prediction_hazard_report,
 )
 from repro.analysis.sweep import SweepSettings, VccSweep
-from repro.analysis.table1 import build_table1
+from repro.circuits.ekv import voltage_grid
+from repro.experiments.artifacts import (
+    energy450_cases,
+    fig11b_rows,
+    fig12_rows,
+    overhead_rows,
+    table1_rows,
+)
 from repro.workloads.profiles import KERNEL_LIKE, SPECINT_LIKE
 
 #: Full-population sweep simulations; CI matrix legs skip via -m "not slow".
@@ -52,7 +55,7 @@ class TestFigure11a:
 
 class TestFigure11b:
     def test_gains_shape(self, sweep):
-        rows = figure11b_series(sweep, step_mv=100.0)  # 700,600,500,400
+        rows = fig11b_rows(sweep, voltage_grid(100.0))  # 700,600,500,400
         by_vcc = {r["vcc_mv"]: r for r in rows}
         assert by_vcc[700.0]["frequency_gain"] == pytest.approx(0.0)
         assert by_vcc[500.0]["frequency_gain"] == pytest.approx(0.57, abs=0.03)
@@ -65,14 +68,14 @@ class TestFigure11b:
 
 class TestFigure12:
     def test_edp_improves_at_low_vcc(self, sweep):
-        rows = figure12_series(sweep, step_mv=100.0)
+        rows = fig12_rows(sweep, voltage_grid(100.0))
         by_vcc = {r["vcc_mv"]: r for r in rows}
         assert by_vcc[700.0]["edp_ratio"] == pytest.approx(1.01, abs=0.02)
         assert by_vcc[500.0]["edp_ratio"] < 0.8
         assert by_vcc[400.0]["edp_ratio"] < by_vcc[500.0]["edp_ratio"]
 
     def test_energy_example(self, sweep):
-        cases = energy_example_450(sweep)
+        cases = energy450_cases(sweep)
         assert cases["unconstrained"]["total_j"] == pytest.approx(5.0)
         assert (cases["baseline"]["total_j"] > cases["iraw"]["total_j"]
                 > cases["unconstrained"]["total_j"])
@@ -80,7 +83,7 @@ class TestFigure12:
 
 class TestInTextReports:
     def test_overheads(self):
-        report = overhead_report()
+        (report,) = overhead_rows()
         assert report["area_overhead"] < 0.001
         assert report["power_overhead"] < 0.01
 
@@ -95,7 +98,7 @@ class TestInTextReports:
 class TestTable1:
     @pytest.fixture(scope="class")
     def rows(self, sweep):
-        return build_table1(sweep, vcc_mv=500.0)
+        return table1_rows(sweep, vcc_mv=500.0)
 
     def test_four_techniques(self, rows):
         assert len(rows) == 4

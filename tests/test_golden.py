@@ -28,9 +28,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import rv32i_programs  # noqa: E402  (sibling fixture-builder module)
 
 from repro.analysis.sweep import SweepSettings, VccSweep
-from repro.analysis.table1 import build_table1
 from repro.engine import ParallelRunner, QueueBackend, ResultCache
 from repro.experiments import Experiment, ExperimentSpec, RiscvProgramRef
+from repro.experiments.artifacts import table1_rows
 from repro.montecarlo import ImportanceSpec, MonteCarloSpec, \
     deep_tail_rows, montecarlo_jobs, yield_curve_rows
 from repro.workloads.profiles import KERNEL_LIKE, SPECINT_LIKE
@@ -101,7 +101,7 @@ def compute_artifacts(runner: ParallelRunner | None = None) -> dict:
     """Regenerate both golden artifacts through one sweep/runner."""
     sweep = VccSweep(GOLDEN_SETTINGS, runner=runner)
     return {
-        "table1": build_table1(sweep, GOLDEN_VCC),
+        "table1": table1_rows(sweep, GOLDEN_VCC),
         "fig11b_500mv": sweep.compare(GOLDEN_VCC),
     }
 

@@ -304,10 +304,12 @@ class TestPoolChunking:
                    scheme="iraw", options=(("note", "ok"),))
         bad = Job(kind="engine-selftest-crash", vcc_mv=500.0,
                   scheme="iraw", options=(("note", "boom"),))
-        outcomes = execute_chunk([good, bad, good])
-        assert [tag for tag, _ in outcomes] == ["ok", "err", "ok"]
+        worker, outcomes = execute_chunk([good, bad, good])
+        assert worker == f"pid:{os.getpid()}"
+        assert [tag for tag, _, _ in outcomes] == ["ok", "err", "ok"]
         assert outcomes[0][1] == {"note": "ok"}
         assert isinstance(outcomes[1][1], RuntimeError)
+        assert all(seconds >= 0.0 for _, _, seconds in outcomes)
 
 
 def spool_jobs(broker, count):

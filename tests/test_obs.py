@@ -36,7 +36,6 @@ from repro.engine import (
 )
 from repro.engine.broker import ExpiredEvent, WorkerSupervisor
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -58,7 +57,7 @@ pytestmark = pytest.mark.engine
 
 def sleep_jobs(count: int, tag: str = "t") -> list:
     return [Job(kind="engine-selftest-sleep",
-                options=(("note", f"{tag}{index}"), ("seconds", 0.0)))
+                options=(("note", f"{tag}{index}"),))
             for index in range(count)]
 
 
@@ -233,7 +232,14 @@ class TestSpans:
         assert [span.key for span in read_spans(path)] == ["good"]
 
     def test_null_sink_is_disabled(self):
-        assert NullTraceSink().enabled is False
+        """Without a sink the runner traces into the null sink, which
+        accepts every span and keeps none."""
+        assert isinstance(ParallelRunner(workers=1).trace_sink,
+                          NullTraceSink)
+        sink = NullTraceSink()
+        sink.emit(Span(key="k"))
+        sink.flush()
+        sink.close()
 
     def test_batch_trace_attributes_stages_exactly(self, tmp_path):
         sink = JsonlTraceSink(tmp_path / "t.jsonl")
@@ -433,10 +439,17 @@ class TestRunnerTracing:
         traced, _, _ = self.run_traced(tmp_path, jobs=jobs)
         assert pickle.dumps(plain) == pickle.dumps(traced)
 
-    def test_disabled_sink_builds_no_trace(self, tmp_path):
+    def test_disabled_sink_builds_no_trace(self, tmp_path, monkeypatch):
+        """A NullTraceSink run writes no span anywhere, and its results
+        are pickle-identical to a traced run's."""
+        jobs = sleep_jobs(2, tag="null")
+        monkeypatch.chdir(tmp_path)
         runner = ParallelRunner(workers=1, trace_sink=NullTraceSink())
-        assert runner.trace_sink is None
-        runner.run(sleep_jobs(2))
+        untraced = runner.run(jobs)
+        assert list(tmp_path.iterdir()) == []
+        traced, spans, _ = self.run_traced(tmp_path / "traced", jobs=jobs)
+        assert len(spans) == 3  # two shards plus the batch span
+        assert pickle.dumps(untraced) == pickle.dumps(traced)
 
     def test_failed_shard_emits_error_span(self, tmp_path):
         path = tmp_path / "err.jsonl"
