@@ -146,13 +146,6 @@ class VccSweep:
         jobs = [self.job_for(vcc_mv, scheme) for vcc_mv, scheme in points]
         return self.runner.run(jobs, label=label)
 
-    def prefetch_grid(self, vcc_levels,
-                      schemes=(ClockScheme.BASELINE, ClockScheme.IRAW),
-                      label: str = "grid") -> None:
-        """Warm the runner's memo for a whole (Vcc x scheme) grid."""
-        self.run_points([(vcc, scheme) for vcc in vcc_levels
-                         for scheme in schemes], label=label)
-
     # ------------------------------------------------------------------
     # Headline comparisons
     # ------------------------------------------------------------------

@@ -54,12 +54,6 @@ class HazardCounts:
             return 0.0
         return self.bp_potential_flips / self.bp_predictions
 
-    @property
-    def rsb_hazard_rate(self) -> float:
-        if not self.rsb_pops:
-            return 0.0
-        return self.rsb_hazard_pops / self.rsb_pops
-
 
 @dataclass
 class PredictionHazardTracker:

@@ -92,8 +92,3 @@ class GsharePredictor(_CounterTable):
             self.mispredictions += 1
         self._update_index(index, taken, cycle)
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
-
-    @property
-    def misprediction_rate(self) -> float:
-        return (self.mispredictions / self.predictions
-                if self.predictions else 0.0)

@@ -75,10 +75,6 @@ class OperatingPoint:
     def cycle_time_ns(self) -> float:
         return 1e3 / self.frequency_mhz
 
-    @property
-    def iraw_active(self) -> bool:
-        return self.scheme is ClockScheme.IRAW and self.stabilization_cycles > 0
-
     def memory_latency_cycles(self, latency_ns: float) -> int:
         """Fixed-time off-chip latency expressed in (frequency-dependent) cycles."""
         return max(1, math.ceil(latency_ns / self.cycle_time_ns))

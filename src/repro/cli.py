@@ -762,7 +762,7 @@ def _cmd_cache(args) -> int:
     if args.prune and args.dry_run:
         # Strictly read-only: report the same decisions --prune would
         # take (stale versions first, then the LRU walk) without
-        # deleting anything or rewriting the index.
+        # deleting or stamping anything.
         stale = cache.stale_versions()
         for name, entries in stale:
             print(f"would prune stale version {name} "

@@ -76,7 +76,3 @@ class IrawConfig:
         """Derive the configuration the Vcc controller would program."""
         base = cls(stabilization_cycles=point.stabilization_cycles)
         return replace(base, **overrides) if overrides else base
-
-    def with_stabilization(self, cycles: int) -> "IrawConfig":
-        """Reconfigured copy for a new Vcc level (N changes, sizing fixed)."""
-        return replace(self, stabilization_cycles=cycles)

@@ -31,8 +31,9 @@ and executes batches of them through a
   content-addressed on-disk store (``$REPRO_CACHE_DIR`` or
   ``~/.cache/repro``) keyed by the job's canonical key under a fingerprint
   of the package source, so any code change invalidates stale results.
-  ``$REPRO_CACHE_MAX_BYTES`` bounds the store: an index file tracks entry
-  sizes and recency, and least-recently-used shards are evicted first.
+  ``$REPRO_CACHE_MAX_BYTES`` bounds the store: the directory is its own
+  index (an entry's size is its file size, its recency its mtime), and
+  least-recently-used shards are evicted first.
 * **Progress** (:mod:`repro.engine.progress`) reports batch progress
   without coupling the runner to a UI.
 * **Telemetry** (:mod:`repro.obs`) threads through all of the above:

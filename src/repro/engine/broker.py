@@ -62,13 +62,13 @@ import os
 import pathlib
 import pickle
 import socket
-import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.engine.cache import is_version_dir_name, version_tag
+from repro.engine.cache import atomic_write, remove_tree, version_dirs, \
+    version_tag
 from repro.errors import ConfigError
 
 #: Environment variable naming the spool root for runners and workers.
@@ -313,19 +313,6 @@ class SpoolBroker:
     def quarantine_dir(self) -> pathlib.Path:
         return self.spool / self.QUARANTINE
 
-    def _atomic_write(self, path: pathlib.Path, payload: bytes) -> None:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
     # -- runner side ---------------------------------------------------
 
     def submit(self, key: str, job) -> bool:
@@ -358,7 +345,7 @@ class SpoolBroker:
         except OSError:
             pass
         payload = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
-        self._atomic_write(self.pending_dir / f"{key}.job", payload)
+        atomic_write(self.pending_dir / f"{key}.job", payload)
         return True
 
     def poll(self, keys) -> list:
@@ -611,7 +598,7 @@ class SpoolBroker:
             result = WireResult(result=result, worker=worker,
                                 execute_s=float(execute_s))
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        self._atomic_write(self.done_dir / f"{claim.key}.pkl", payload)
+        atomic_write(self.done_dir / f"{claim.key}.pkl", payload)
         if claim.owns():
             claim.discard()
 
@@ -626,9 +613,27 @@ class SpoolBroker:
             return
         text = "".join(traceback.format_exception(type(exc), exc,
                                                   exc.__traceback__))
-        self._atomic_write(self.failed_dir / f"{claim.key}.err",
-                           text.encode("utf-8"))
+        atomic_write(self.failed_dir / f"{claim.key}.err",
+                     text.encode("utf-8"))
         claim.discard()
+
+
+def _existing_spool_root(root) -> pathlib.Path:
+    """The spool root for read-only walks; never creates anything.
+
+    A missing root is a :class:`~repro.errors.ConfigError`: inspecting
+    or collecting a typo'd path must not leave a real-looking empty
+    spool behind.
+    """
+    if not root:
+        raise ConfigError(
+            "spool introspection needs a spool directory: pass --queue DIR "
+            f"or set ${QUEUE_DIR_ENV}")
+    path = pathlib.Path(root).expanduser()
+    if not path.is_dir():
+        raise ConfigError(f"queue directory {path} does not exist "
+                          f"(check ${QUEUE_DIR_ENV})")
+    return path
 
 
 def spool_status(root, *, now: float | None = None) -> dict:
@@ -643,27 +648,13 @@ def spool_status(root, *, now: float | None = None) -> dict:
     surfaces agree by construction.
 
     Strictly read-only: no :class:`SpoolBroker` is built (its
-    constructor creates the spool tree) and nothing is created — probing
-    a typo'd path must not leave a real-looking empty spool behind.
+    constructor creates the spool tree) and nothing is created.
     """
-    if not root:
-        raise ConfigError(
-            "spool introspection needs a spool directory: pass --queue DIR "
-            f"or set ${QUEUE_DIR_ENV}")
-    path = pathlib.Path(root).expanduser()
-    if not path.is_dir():
-        raise ConfigError(f"queue directory {path} does not exist "
-                          f"(check ${QUEUE_DIR_ENV})")
+    path = _existing_spool_root(root)
     if now is None:
         now = time.time()
     versions = []
-    try:
-        children = sorted(path.iterdir())
-    except OSError:
-        children = []
-    for child in children:
-        if not child.is_dir() or not is_version_dir_name(child.name):
-            continue
+    for child in version_dirs(path):
         counts = {
             SpoolBroker.PENDING: 0,
             SpoolBroker.CLAIMED: 0,
@@ -718,67 +709,21 @@ def prune_stale_versions(root) -> list[tuple[str, int]]:
     Best-effort like the cache's pruner — a file another process holds
     open just survives until the next collection.  Only directories
     whose names have the exact version-tag shape are touched
-    (:func:`~repro.engine.cache.is_version_dir_name`): anything else an
+    (:func:`~repro.engine.cache.version_dirs`): anything else an
     operator keeps beside the spool — a ``venv``, notes, other tools'
-    state — is not ours to delete.
+    state — is not ours to delete.  Like :func:`spool_status` it never
+    creates the root: a missing one raises
+    :class:`~repro.errors.ConfigError`.
     """
-    path = validated_queue_root(root)
     current = version_tag()
-    removed: list[tuple[str, int]] = []
-    try:
-        children = sorted(path.iterdir())
-    except OSError:
-        return removed
-    for child in children:
-        if not child.is_dir() or not is_version_dir_name(child.name) \
-                or child.name == current:
-            continue
-        count = 0
-        for entry in sorted(child.rglob("*"), reverse=True):
-            try:
-                if entry.is_dir():
-                    entry.rmdir()
-                else:
-                    entry.unlink()
-                    count += 1
-            except OSError:
-                pass
-        try:
-            child.rmdir()
-        except OSError:
-            pass
-        removed.append((child.name, count))
-    return removed
+    return [(child.name, remove_tree(child))
+            for child in version_dirs(_existing_spool_root(root))
+            if child.name != current]
 
 
 def worker_identity() -> str:
     """Best-effort unique id for heartbeat files (debugging aid only)."""
     return f"{socket.gethostname()}:{os.getpid()}:{threading.get_ident()}"
-
-
-@dataclass
-class _HeartbeatPump:
-    """Background thread refreshing one claim's lease while it executes."""
-
-    claim: Claim
-    interval: float
-    _stop: threading.Event = field(default_factory=threading.Event)
-    _thread: threading.Thread | None = None
-
-    def __enter__(self) -> "_HeartbeatPump":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"hb-{self.claim.key[:12]}")
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.claim.heartbeat()
 
 
 class _BatchHeartbeatPump:

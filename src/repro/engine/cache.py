@@ -18,19 +18,19 @@ Size bound (LRU)
 ----------------
 Per-trace sharding multiplies the entry count, so the store is bounded:
 ``$REPRO_CACHE_MAX_BYTES`` (or the ``max_bytes`` constructor argument)
-caps the total payload bytes of the current version directory.  An
-``index.json`` beside the entries records each entry's size and a logical
-recency clock — bumped on every hit and write, persisted with the same
-atomic-rename discipline as the entries themselves — and when a write
-pushes the total over the bound, least-recently-used entries are evicted
-until it fits.  Hit recency is write-behind (memory only) and lands on
-disk with the next write, :meth:`ResultCache.enforce_limit`, or an
-explicit :meth:`ResultCache.flush` — the runner flushes after every
-batch, so pure-hit regenerations never rewrite the index per read.  A
-corrupted or missing index is rebuilt from a directory scan (recency
-approximated by file mtime), never trusted blindly.
-``python -m repro cache --prune`` applies the same policy offline via
+caps the total payload bytes of the current version directory.  The
+directory is its own LRU index: an entry's size is its file size and its
+recency is its mtime.  Every write and every hit stamps the entry's
+mtime.  Stamps come from one process-wide, strictly increasing
+nanosecond value, so entries touched within one clock tick still order
+exactly.  After each write to a bounded cache, entries are evicted in
+(mtime, key) order until the total fits.
+``python -m repro cache --prune`` applies the same walk offline via
 :meth:`ResultCache.enforce_limit` and reports exactly what it deleted.
+
+The disk helpers beside :func:`version_tag` — :func:`atomic_write`,
+:func:`version_dirs` and :func:`remove_tree` — are shared with the queue
+broker's spool and the serve tier's campaign registry.
 """
 
 from __future__ import annotations
@@ -42,15 +42,13 @@ import pathlib
 import pickle
 import re
 import tempfile
+import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 #: Bump to invalidate every existing cache entry (layout/pickle changes).
 CACHE_SCHEMA_VERSION = 1
-
-#: Name of the per-version LRU bookkeeping file (not a result entry).
-INDEX_NAME = "index.json"
 
 #: Name of the root-level persistent hit/miss tally (survives version
 #: rotation; reset by ``repro cache --prune``).
@@ -60,6 +58,9 @@ STATS_NAME = "stats.json"
 MISS = object()
 
 _FINGERPRINT: str | None = None
+
+_STAMP_LOCK = threading.Lock()
+_LAST_STAMP = 0
 
 
 def cache_max_bytes() -> int | None:
@@ -109,15 +110,66 @@ def version_tag() -> str:
     return f"v{CACHE_SCHEMA_VERSION}-{code_fingerprint()}"
 
 
-def is_version_dir_name(name: str) -> bool:
-    """Whether ``name`` has the exact shape :func:`version_tag` emits.
+def version_dirs(root) -> list[pathlib.Path]:
+    """The version directories under ``root``, sorted by name; read-only.
 
-    Garbage collectors (``cache --prune``, ``queue --gc``) must only
-    ever touch directories *we* created: a loose ``startswith("v")``
-    test would happily delete an operator's ``venv``/``vendor`` sitting
-    next to the spool or cache.
+    Only names of the exact shape :func:`version_tag` emits count:
+    garbage collectors (``cache --prune``, ``queue --gc``) must never
+    touch an operator's ``venv``/``vendor`` sitting next to the spool or
+    cache.  A missing or unreadable root lists nothing.
     """
-    return re.fullmatch(r"v\d+-[0-9a-f]{16}", name) is not None
+    try:
+        children = sorted(pathlib.Path(root).iterdir())
+    except OSError:
+        return []
+    return [child for child in children
+            if re.fullmatch(r"v\d+-[0-9a-f]{16}", child.name)
+            and child.is_dir()]
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and ``os.replace``.
+
+    Readers see the old file or the new one, never a torn write; the temp
+    file is removed when anything fails, and the ``OSError`` propagates.
+    """
+    path = pathlib.Path(path)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def remove_tree(directory, suffix: str = "") -> int:
+    """Best-effort recursive delete of ``directory``.
+
+    Returns how many removed files end in ``suffix`` (every file when
+    empty).  A file another process holds or recreates just survives
+    until the next collection.
+    """
+    removed = 0
+    for path in sorted(pathlib.Path(directory).rglob("*"), reverse=True):
+        try:
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink()
+                if path.name.endswith(suffix):
+                    removed += 1
+        except OSError:
+            pass
+    try:
+        pathlib.Path(directory).rmdir()
+    except OSError:
+        pass
+    return removed
 
 
 def default_cache_root() -> pathlib.Path:
@@ -129,6 +181,38 @@ def default_cache_root() -> pathlib.Path:
     base = pathlib.Path(xdg).expanduser() if xdg \
         else pathlib.Path.home() / ".cache"
     return base / "repro"
+
+
+def _next_stamp() -> int:
+    """Process-wide, strictly increasing nanosecond mtime stamp.
+
+    Plain ``os.utime(path)`` takes the file-system clock, which gives
+    every file touched within one tick the same mtime and so loses their
+    order.
+    """
+    global _LAST_STAMP
+    with _STAMP_LOCK:
+        _LAST_STAMP = max(time.time_ns(), _LAST_STAMP + 1)
+        return _LAST_STAMP
+
+
+def _scan(directory: pathlib.Path) -> list[tuple[int, str, int]]:
+    """``(mtime_ns, key, size)`` of every entry in ``directory``."""
+    found = []
+    try:
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if not entry.name.endswith(".pkl"):
+                    continue
+                try:
+                    stat = entry.stat()
+                except OSError:
+                    continue
+                found.append((stat.st_mtime_ns, entry.name[:-4],
+                              stat.st_size))
+    except OSError:
+        pass
+    return found
 
 
 @dataclass
@@ -144,20 +228,16 @@ class ResultCache:
     """Pickle-per-key result store under a versioned directory.
 
     ``max_bytes`` bounds the total payload of the current version
-    directory; ``None`` means unbounded (the recency index is still
-    maintained, so a bound can be applied later with
-    :meth:`enforce_limit` or ``python -m repro cache --prune``).
+    directory; ``None`` means unbounded (entries are still stamped, so a
+    bound can be applied later with :meth:`enforce_limit` or
+    ``python -m repro cache --prune``).
     """
 
     root: pathlib.Path
-    enabled: bool = True
+    _: KW_ONLY
     max_bytes: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     _writable: bool | None = field(default=None, repr=False)
-    #: In-memory working copy of the LRU index (lazy-loaded) and its
-    #: deferred-write flag: hits only touch memory, writes persist.
-    _index: dict | None = field(default=None, repr=False)
-    _dirty: bool = field(default=False, repr=False)
     #: How much of ``stats`` has already been merged into the persistent
     #: root-level tally (see :meth:`persist_stats`).
     _flushed_hits: int = field(default=0, repr=False)
@@ -167,11 +247,10 @@ class ResultCache:
         self.root = pathlib.Path(self.root).expanduser()
 
     @classmethod
-    def default(cls, enabled: bool = True) -> "ResultCache":
+    def default(cls) -> "ResultCache":
         """Cache at ``$REPRO_CACHE_DIR`` / XDG / ``~/.cache/repro``,
         bounded by ``$REPRO_CACHE_MAX_BYTES`` when set."""
-        return cls(root=default_cache_root(), enabled=enabled,
-                   max_bytes=cache_max_bytes())
+        return cls(root=default_cache_root(), max_bytes=cache_max_bytes())
 
     @property
     def version_dir(self) -> pathlib.Path:
@@ -184,8 +263,6 @@ class ResultCache:
 
     def get(self, key: str):
         """Cached value for ``key``, or the :data:`MISS` sentinel."""
-        if not self.enabled:
-            return MISS
         path = self._path(key)
         try:
             with path.open("rb") as handle:
@@ -203,174 +280,83 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
-            self._forget(key)
             return MISS
         self.stats.hits += 1
-        self._touch(key, path)
+        stamp = _next_stamp()
+        try:
+            os.utime(path, ns=(stamp, stamp))
+        except OSError:
+            pass  # a read-only store still serves hits
         return value
 
     # -- write ---------------------------------------------------------
 
     def put(self, key: str, value) -> bool:
         """Persist ``value`` under ``key`` (atomic rename); True on success."""
-        if not self.enabled or self._writable is False:
+        if self._writable is False:
             return False
-        directory = self.version_dir
+        path = self._path(key)
+        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_name, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(path, data)
+            stamp = _next_stamp()
+            os.utime(path, ns=(stamp, stamp))
         except OSError as exc:
             if self._writable is not False:
                 self._writable = False
                 warnings.warn(
-                    f"result cache at {directory} is not writable "
+                    f"result cache at {path.parent} is not writable "
                     f"({exc}); continuing without persistence",
                     RuntimeWarning, stacklevel=2)
             self.stats.errors += 1
             return False
         self._writable = True
         self.stats.writes += 1
-        self._account(key)
+        if self.max_bytes is not None:
+            self.enforce_limit()
         return True
 
-    # -- LRU index -----------------------------------------------------
-    #
-    # ``index.json`` maps entry key -> {"size": bytes, "used": clock}
-    # plus a monotonically increasing logical "clock".  All updates are
-    # written to a temp file and atomically renamed into place, so a
-    # reader never sees a half-written index; any parse or shape problem
-    # falls back to a rebuild from the directory itself.
-    #
-    # Hit bookkeeping is write-behind: the instance mutates an in-memory
-    # working copy and persists it on the next write, on
-    # :meth:`enforce_limit`, or on an explicit :meth:`flush` (the runner
-    # flushes at the end of every batch) — a pure-read path never pays a
-    # per-hit index rewrite.
-
-    def _index_path(self) -> pathlib.Path:
-        return self.version_dir / INDEX_NAME
-
-    def _index_data(self, persist_rebuild: bool = True) -> dict:
-        """The in-memory working index (loaded from disk on first use).
-
-        ``persist_rebuild=False`` keeps a corrupted-index rebuild in
-        memory only — the read-only inspection paths (dry-run planning)
-        must never write, even to replace garbage.
-        """
-        if self._index is None:
-            self._index = self._load_index(persist_rebuild)
-        return self._index
-
-    def _load_index(self, persist_rebuild: bool = True) -> dict:
-        try:
-            data = json.loads(self._index_path().read_text("utf-8"))
-            clock = int(data["clock"])
-            entries = data["entries"]
-            if not isinstance(entries, dict):
-                raise ValueError("index entries must be a mapping")
-            for meta in entries.values():
-                int(meta["size"]), int(meta["used"])
-        except FileNotFoundError:
-            return self._rebuild_index(persist=False)
-        except Exception:
-            # Corrupted/garbled index: never trust it, rebuild from disk.
-            return self._rebuild_index(persist=persist_rebuild)
-        return {"clock": clock, "entries": entries}
-
-    def _rebuild_index(self, persist: bool = True) -> dict:
-        """Reconstruct bookkeeping from the entries themselves.
-
-        Recency is approximated by file mtime — good enough to resume a
-        sane LRU order after an index loss or corruption.  ``persist``
-        replaces a corrupt on-disk index immediately; a merely missing
-        one is recreated lazily by the next write.
-        """
-        records = []
-        try:
-            for path in self.version_dir.glob("*.pkl"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                records.append((stat.st_mtime, path.stem, stat.st_size))
-        except OSError:
-            records = []
-        records.sort()
-        entries = {key: {"size": size, "used": order}
-                   for order, (_, key, size) in enumerate(records, start=1)}
-        index = {"clock": len(records), "entries": entries}
-        if persist and records:
-            self._save_index(index)
-        return index
-
-    def _save_index(self, index: dict) -> None:
-        directory = self.version_dir
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(index, handle, separators=(",", ":"))
-                os.replace(tmp_name, self._index_path())
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            pass  # bookkeeping is best-effort; entries stay valid
-
-    def _touch(self, key: str, path: pathlib.Path) -> None:
-        """Mark ``key`` most-recently-used (in memory; persisted later)."""
-        index = self._index_data()
-        index["clock"] += 1
-        entry = index["entries"].get(key)
-        if entry is None:
-            try:
-                size = path.stat().st_size
-            except OSError:
-                return
-            entry = index["entries"][key] = {"size": size}
-        entry["used"] = index["clock"]
-        self._dirty = True
-
-    def _account(self, key: str) -> None:
-        """Record a fresh write, then evict down to ``max_bytes``."""
-        index = self._index_data()
-        index["clock"] += 1
-        try:
-            size = self._path(key).stat().st_size
-        except OSError:
-            return
-        index["entries"][key] = {"size": size, "used": index["clock"]}
-        self._evict_over_limit(index)
-        self._save_index(index)
-        self._dirty = False
-
-    def _forget(self, key: str) -> None:
-        """Drop ``key`` from the index (its entry file is already gone)."""
-        index = self._index_data()
-        if index["entries"].pop(key, None) is not None:
-            self._dirty = True
-
     def flush(self) -> None:
-        """Persist deferred hit-recency updates (no-op when clean)."""
-        if self._dirty and self._index is not None:
-            self._save_index(self._index)
-            self._dirty = False
+        """Merge this instance's hit/miss counts into the persistent
+        tally (the runner calls this once per batch)."""
         self.persist_stats()
+
+    # -- LRU bound -----------------------------------------------------
+
+    def plan_evictions(self) -> list[tuple[str, int]]:
+        """What :meth:`enforce_limit` *would* evict, without deleting.
+
+        The LRU victims ``(key, size)``, oldest first: one directory scan
+        ordered by (mtime, key).  Reads only, so ``cache --prune
+        --dry-run`` reports from here.
+        """
+        if self.max_bytes is None:
+            return []
+        scanned = sorted(_scan(self.version_dir))
+        total = sum(size for _, _, size in scanned)
+        victims = []
+        for _, key, size in scanned:
+            if total <= self.max_bytes:
+                break
+            victims.append((key, size))
+            total -= size
+        return victims
+
+    def enforce_limit(self) -> list[tuple[str, int]]:
+        """Apply the LRU byte bound now; returns evicted ``(key, size)``.
+
+        This is the offline arm of the same policy :meth:`put` applies
+        inline — ``python -m repro cache --prune`` calls it so a freshly
+        lowered ``$REPRO_CACHE_MAX_BYTES`` takes effect immediately.
+        """
+        victims = self.plan_evictions()
+        for key, _ in victims:
+            try:
+                self._path(key).unlink()
+            except OSError:
+                pass  # already gone
+        return victims
 
     # -- persistent hit/miss tally -------------------------------------
     #
@@ -398,19 +384,11 @@ class ResultCache:
     def _save_stats(self, data: dict) -> bool:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(data, handle, separators=(",", ":"))
-                os.replace(tmp_name, self._stats_path())
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self._stats_path(),
+                         json.dumps(data, separators=(",", ":"))
+                         .encode("utf-8"))
         except OSError:
-            return False  # best-effort, like the LRU index
+            return False  # best-effort: the tally is advisory
         return True
 
     def persist_stats(self) -> None:
@@ -443,36 +421,22 @@ class ResultCache:
         """
         current = self.version_dir.name
         versions = []
-        try:
-            children = sorted(self.root.iterdir())
-        except OSError:
-            children = []
-        for child in children:
-            if not child.is_dir() or not is_version_dir_name(child.name):
-                continue
-            entries = 0
-            total = 0
-            try:
-                for path in child.glob("*.pkl"):
-                    entries += 1
-                    try:
-                        total += path.stat().st_size
-                    except OSError:
-                        pass
-            except OSError:
-                pass
-            versions.append({"version": child.name,
-                             "current": child.name == current,
-                             "entries": entries, "bytes": total})
+        for directory in version_dirs(self.root):
+            scanned = _scan(directory)
+            versions.append({"version": directory.name,
+                             "current": directory.name == current,
+                             "entries": len(scanned),
+                             "bytes": sum(size for _, _, size in scanned)})
+        mine = next((entry for entry in versions if entry["current"]),
+                    {"entries": 0, "bytes": 0})
         tally = self._load_persisted_stats()
         hits = tally["hits"] + (self.stats.hits - self._flushed_hits)
         misses = tally["misses"] + (self.stats.misses
                                     - self._flushed_misses)
         lookups = hits + misses
         return {"root": str(self.root), "version": current,
-                "enabled": self.enabled, "max_bytes": self.max_bytes,
-                "entries": self.entry_count(),
-                "bytes": self.total_bytes(),
+                "max_bytes": self.max_bytes,
+                "entries": mine["entries"], "bytes": mine["bytes"],
                 "versions": versions,
                 "hits": hits, "misses": misses,
                 "hit_rate": (hits / lookups) if lookups else None,
@@ -500,82 +464,14 @@ class ResultCache:
                        "Cache read/write errors this process",
                        fn=lambda: self.stats.errors)
 
-    def _evict_over_limit(self, index: dict,
-                          delete: bool = True) -> list[tuple[str, int]]:
-        """Evict least-recently-used entries until the bound is met.
-
-        Mutates ``index`` in place (caller persists it) and returns the
-        evicted ``(key, size)`` pairs, oldest first.  The newest entry is
-        evicted last — only when it alone exceeds the bound.  With
-        ``delete=False`` the walk is identical but no file is unlinked
-        (dry-run planning over an index copy).
-        """
-        evicted: list[tuple[str, int]] = []
-        if self.max_bytes is None:
-            return evicted
-        entries = index["entries"]
-        total = sum(int(meta["size"]) for meta in entries.values())
-        while total > self.max_bytes and entries:
-            key = min(entries, key=lambda k: int(entries[k]["used"]))
-            size = int(entries.pop(key)["size"])
-            total -= size
-            if delete:
-                try:
-                    self._path(key).unlink()
-                except OSError:
-                    pass  # already gone: the byte accounting still shrinks
-            evicted.append((key, size))
-        return evicted
-
     # -- maintenance ---------------------------------------------------
 
     def entry_count(self) -> int:
-        try:
-            return sum(1 for _ in self.version_dir.glob("*.pkl"))
-        except OSError:
-            return 0
+        return len(_scan(self.version_dir))
 
     def total_bytes(self) -> int:
-        """Total payload bytes of the current version (excludes index)."""
-        total = 0
-        try:
-            for path in self.version_dir.glob("*.pkl"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
-        except OSError:
-            pass
-        return total
-
-    def enforce_limit(self) -> list[tuple[str, int]]:
-        """Apply the LRU byte bound now; returns evicted ``(key, size)``.
-
-        This is the offline arm of the same policy :meth:`put` applies
-        inline — ``python -m repro cache --prune`` calls it so a freshly
-        lowered ``$REPRO_CACHE_MAX_BYTES`` takes effect immediately.
-        """
-        index = self._index_data()
-        evicted = self._evict_over_limit(index)
-        if evicted or self._dirty:
-            self._save_index(index)
-            self._dirty = False
-        return evicted
-
-    def plan_evictions(self) -> list[tuple[str, int]]:
-        """What :meth:`enforce_limit` *would* evict, without deleting.
-
-        Runs the identical LRU walk over a copy of the index: nothing
-        is unlinked, no bookkeeping is persisted (a corrupted index is
-        rebuilt in memory only), and the deferred-hit state of the live
-        index is untouched — ``cache --prune --dry-run`` reports from
-        here.
-        """
-        index = self._index_data(persist_rebuild=False)
-        copy = {"clock": index["clock"],
-                "entries": {key: dict(meta)
-                            for key, meta in index["entries"].items()}}
-        return self._evict_over_limit(copy, delete=False)
+        """Total payload bytes of the current version."""
+        return sum(size for _, _, size in _scan(self.version_dir))
 
     def stale_versions(self) -> list[tuple[str, int]]:
         """Version directories :meth:`prune_stale` would delete.
@@ -584,34 +480,17 @@ class ResultCache:
         sorted by name, touching nothing.
         """
         current = self.version_dir.name
-        report = []
-        try:
-            children = sorted(self.root.iterdir())
-        except OSError:
-            return []
-        for child in children:
-            if child.is_dir() and is_version_dir_name(child.name) \
-                    and child.name != current:
-                try:
-                    entries = sum(1 for _ in child.glob("*.pkl"))
-                except OSError:
-                    entries = 0
-                report.append((child.name, entries))
-        return report
+        return [(directory.name, len(_scan(directory)))
+                for directory in version_dirs(self.root)
+                if directory.name != current]
 
     def prune_stale(self) -> int:
-        """Delete version directories other than the current one."""
-        removed = 0
+        """Delete version directories other than the current one;
+        returns the number of entries removed."""
         current = self.version_dir.name
-        try:
-            children = list(self.root.iterdir())
-        except OSError:
-            return 0
-        for child in children:
-            if child.is_dir() and is_version_dir_name(child.name) \
-                    and child.name != current:
-                removed += _rmtree(child)
-        return removed
+        return sum(remove_tree(directory, ".pkl")
+                   for directory in version_dirs(self.root)
+                   if directory.name != current)
 
     def clear(self) -> int:
         """Delete every entry of the current version (returns count)."""
@@ -622,31 +501,4 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
-        try:
-            self._index_path().unlink()
-        except OSError:
-            pass
-        self._index = {"clock": 0, "entries": {}}
-        self._dirty = False
         return removed
-
-
-def _rmtree(directory: pathlib.Path) -> int:
-    """Best-effort recursive delete; returns number of *entries* removed
-    (``.pkl`` payloads — bookkeeping files are deleted but not counted)."""
-    removed = 0
-    for path in sorted(directory.rglob("*"), reverse=True):
-        try:
-            if path.is_dir():
-                path.rmdir()
-            else:
-                path.unlink()
-                if path.suffix == ".pkl":
-                    removed += 1
-        except OSError:
-            pass
-    try:
-        directory.rmdir()
-    except OSError:
-        pass
-    return removed

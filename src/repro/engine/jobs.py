@@ -145,10 +145,6 @@ class TraceSpec:
     def for_kernel(cls, kernel: str, size: int = 32) -> "TraceSpec":
         return cls(source="kernel", kernel=kernel, size=size)
 
-    @classmethod
-    def for_riscv(cls, program: RiscvProgram) -> "TraceSpec":
-        return cls(source="riscv", program=program)
-
     def build(self):
         """Generate the trace (deterministic)."""
         if self.source == "kernel":

@@ -279,7 +279,6 @@ class ParallelRunner:
         finally:
             trace.finish(status)
             if self.cache is not None:
-                # Hit recency is write-behind; one index write per batch.
                 self.cache.flush()
 
     def run_one(self, job: Job):

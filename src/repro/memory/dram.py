@@ -9,8 +9,6 @@ operating point with the cycle-equivalent of the fixed latency.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import MemoryModelError
 
 
@@ -22,14 +20,6 @@ class Dram:
             raise MemoryModelError("DRAM latency must be positive")
         self.latency_cycles = latency_cycles
         self.requests = 0
-
-    @classmethod
-    def from_frequency(cls, latency_ns: float, frequency_mhz: float) -> "Dram":
-        """Build from a wall-clock latency and an operating frequency."""
-        if latency_ns <= 0 or frequency_mhz <= 0:
-            raise MemoryModelError("latency and frequency must be positive")
-        cycles = max(1, math.ceil(latency_ns * frequency_mhz / 1e3))
-        return cls(cycles)
 
     def access(self) -> int:
         """Latency of one request, in cycles."""

@@ -115,9 +115,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.value})"
 

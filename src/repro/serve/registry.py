@@ -3,12 +3,12 @@
 The registry is the serve tier's source of truth.  Every state change a
 campaign goes through — admitted, chunk finished, rows streamed, done,
 failed, cancelled — is persisted as a whole-file atomic rewrite
-(`tempfile` + ``os.replace``) of ``<state_dir>/campaigns/<id>.json``, so
-a crashed or restarted server finds a consistent snapshot: finished
-campaigns keep answering status/results/artifact requests, and
-campaigns that were still planned or running are re-admitted and
-re-planned from their persisted spec (the shared result cache makes the
-replay disk-hits, not re-simulation).
+(:func:`~repro.engine.cache.atomic_write`) of
+``<state_dir>/campaigns/<id>.json``, so a crashed or restarted server
+finds a consistent snapshot: finished campaigns keep answering
+status/results/artifact requests, and campaigns that were still planned
+or running are re-admitted and re-planned from their persisted spec (the
+shared result cache makes the replay disk-hits, not re-simulation).
 
 Result rows are stored as flat JSON mappings mirroring
 :meth:`repro.experiments.resultset.Record.as_dict` identity plus a
@@ -20,13 +20,12 @@ bit-identical to a local ``repro run --export-csv``.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
 
+from repro.engine.cache import atomic_write
 from repro.errors import ConfigError
 
 #: Campaign lifecycle states, in rough order of progression.
@@ -179,19 +178,9 @@ class CampaignRegistry:
     def save(self, record: CampaignRecord) -> None:
         """Atomic whole-file rewrite — readers never see a torn state."""
         record.updated_s = time.time()
-        payload = json.dumps(record.as_dict(), sort_keys=True)
-        path = self._path(record.id)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(record.id),
+                     json.dumps(record.as_dict(), sort_keys=True)
+                     .encode("utf-8"))
 
     def load(self, campaign_id: str) -> CampaignRecord | None:
         path = self._path(campaign_id)

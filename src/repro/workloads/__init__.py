@@ -27,7 +27,7 @@ from repro.workloads.riscv import (
     run_riscv_program,
     state_trace,
 )
-from repro.workloads.synthetic import SyntheticTraceGenerator, generate_population
+from repro.workloads.synthetic import SyntheticTraceGenerator
 from repro.workloads.traceio import load_trace, save_trace
 from repro.workloads.trace import Trace
 
@@ -54,7 +54,6 @@ __all__ = [
     "assemble",
     "build_kernel",
     "diff_state_traces",
-    "generate_population",
     "kernel_trace",
     "load_trace",
     "run_program",

@@ -372,13 +372,3 @@ def _sample_dep(rng: random.Random, recent_dests: list[int],
            and rng.random() > profile.dep_distance_geom_p):
         distance += 1
     return recent_dests[-distance]
-
-
-def generate_population(profiles, seeds: int, length: int) -> list[Trace]:
-    """Build the evaluation trace population (profiles x seeds)."""
-    traces = []
-    for profile in profiles:
-        for seed in range(seeds):
-            generator = SyntheticTraceGenerator(profile, seed=seed)
-            traces.append(generator.generate(length))
-    return traces

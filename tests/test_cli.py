@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
 
 class TestRunSpec:
@@ -299,6 +299,15 @@ class TestQueueCommand:
         out = capsys.readouterr().out
         assert "garbage-collected 1 stale spool version(s)" in out
         assert not stale.exists()
+
+    def test_gc_of_a_missing_root_exits_2_and_creates_nothing(self,
+                                                              tmp_path,
+                                                              capsys):
+        missing = tmp_path / "typo"
+        for command in ("queue", "worker"):
+            assert main([command, "--queue", str(missing), "--gc"]) == 2
+            assert "does not exist" in capsys.readouterr().err
+            assert not missing.exists()
 
     def test_queue_without_root_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_QUEUE_DIR", raising=False)

@@ -1,11 +1,12 @@
 """Tests of the experiment engine: jobs, cache, runner, integrations."""
 
 import importlib.util
-import json
 import pathlib
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.engine.cache as cache_module
 from repro.analysis.dvfs import DvfsPhase, ScheduleSpec, evaluate_schedules
@@ -131,6 +132,11 @@ class TestResultCache:
         monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 999)
         assert ResultCache(root=tmp_path).get("k") is MISS
 
+    def test_arguments_after_root_are_keyword_only(self, tmp_path):
+        # An old positional ``enabled`` must not become a byte bound.
+        with pytest.raises(TypeError):
+            ResultCache(tmp_path, False)
+
     def test_unwritable_location_degrades_gracefully(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("a plain file, not a directory")
@@ -140,11 +146,66 @@ class TestResultCache:
         assert not cache.put("k2", 2)  # silent after the first warning
         assert cache.get("k") is MISS
 
-    def test_disabled_cache_is_pass_through(self, tmp_path):
-        cache = ResultCache(root=tmp_path, enabled=False)
-        assert not cache.put("k", 1)
-        assert cache.get("k") is MISS
-        assert cache.entry_count() == 0
+
+LRU_KEYS = ("a", "b", "c", "d", "e")
+LRU_BOUNDS = (None, 100, 200, 300, 450)
+#: Half the operations are puts and gets, so most runs evict entries
+#: whose recency comes from a hit.
+LRU_OPS = st.one_of(
+    st.tuples(st.just("put"),
+              st.tuples(st.sampled_from(LRU_KEYS),
+                        st.sampled_from(("x" * 40, "x" * 80, "x" * 160)))),
+    st.tuples(st.just("get"), st.sampled_from(LRU_KEYS)),
+    st.tuples(st.sampled_from(("flush", "plan", "enforce")), st.none()),
+    st.tuples(st.sampled_from(("reopen", "bound")),
+              st.sampled_from(LRU_BOUNDS)))
+
+
+class ReferenceLru:
+    """The cache's LRU policy as plain dictionaries.
+
+    ``stamps`` is each entry's recency on disk, taken from one counter
+    as the cache's stamps come from one clock.
+    """
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.clock = 0
+        self.sizes: dict[str, int] = {}
+        self.stamps: dict[str, int] = {}
+
+    def tick(self) -> int:
+        self.clock += 1
+        return self.clock
+
+    def plan(self) -> list[tuple[str, int]]:
+        if self.bound is None:
+            return []
+        total = sum(self.sizes.values())
+        victims = []
+        for key in sorted(self.sizes, key=self.stamps.__getitem__):
+            if total <= self.bound:
+                break
+            victims.append((key, self.sizes[key]))
+            total -= self.sizes[key]
+        return victims
+
+    def enforce(self) -> list[tuple[str, int]]:
+        victims = self.plan()
+        for key, _ in victims:
+            del self.sizes[key], self.stamps[key]
+        return victims
+
+    def put(self, key: str, size: int) -> None:
+        self.sizes[key] = size
+        self.stamps[key] = self.tick()
+        self.enforce()
+
+    def get(self, key: str) -> bool:
+        if key not in self.sizes:
+            return False
+        self.stamps[key] = self.tick()
+        return True
 
 
 class TestLruBound:
@@ -188,21 +249,6 @@ class TestLruBound:
             cache.put(f"k{i}", "x" * 256)
         assert cache.entry_count() == 20
 
-    def test_survives_corrupted_index(self, tmp_path):
-        unit = self.entry_size(ResultCache(root=tmp_path), "x" * 64)
-        cache = ResultCache(root=tmp_path, max_bytes=4 * unit)
-        for i in range(3):
-            cache.put(f"k{i}", "x" * 64)
-        index = cache.version_dir / cache_module.INDEX_NAME
-        index.write_text("{not json at all", encoding="utf-8")
-        # A fresh instance (new process) reads the garbage, rebuilds,
-        # and keeps serving reads and bounded writes.
-        fresh = ResultCache(root=tmp_path, max_bytes=4 * unit)
-        assert fresh.get("k1") == "x" * 64
-        fresh.put("k3", "x" * 64)
-        assert fresh.entry_count() <= 4
-        assert fresh.total_bytes() <= 4 * unit
-
     def test_corrupt_index_rebuild_preserves_mtime_recency(self, tmp_path):
         import os as os_module
 
@@ -212,9 +258,8 @@ class TestLruBound:
         cache.put("new", "x" * 64)
         past = 1_000_000_000
         os_module.utime(cache.version_dir / "old.pkl", (past, past))
-        (cache.version_dir / cache_module.INDEX_NAME).write_text("garbage")
         fresh = ResultCache(root=tmp_path, max_bytes=2 * unit)
-        fresh.put("k2", "x" * 64)   # rebuild, then evict the oldest mtime
+        fresh.put("k2", "x" * 64)   # a fresh instance evicts the oldest mtime
         assert fresh.get("old") is MISS
         assert fresh.get("new") == "x" * 64
 
@@ -223,8 +268,8 @@ class TestLruBound:
         cache = ResultCache(root=tmp_path, max_bytes=3 * unit)
         for i in range(3):
             cache.put(f"k{i}", "x" * 64)
-        assert cache.get("k0") == "x" * 64   # touch: memory only
-        cache.flush()                        # ...now persisted
+        assert cache.get("k0") == "x" * 64   # stamped at hit time
+        cache.flush()                        # persists the hit/miss tally
         fresh = ResultCache(root=tmp_path, max_bytes=3 * unit)
         fresh.put("k3", "x" * 64)
         assert fresh.get("k1") is MISS       # true LRU after the flush
@@ -236,13 +281,78 @@ class TestLruBound:
         sweep = tiny_sweep(ParallelRunner(cache=ResultCache(root=tmp_path)))
         sweep.run_point(650.0, ClockScheme.BASELINE)
         reader = ResultCache(root=tmp_path)
+        before = {path.name: path.stat().st_mtime_ns
+                  for path in reader.version_dir.glob("*.pkl")}
         runner = ParallelRunner(cache=reader)
         tiny_sweep(runner).run_point(650.0, ClockScheme.BASELINE)
         assert runner.stats.simulated == 0   # pure disk-hit batch
-        index = json.loads(
-            (reader.version_dir / cache_module.INDEX_NAME).read_text())
-        clocks = [meta["used"] for meta in index["entries"].values()]
-        assert max(clocks) == index["clock"] > 1  # hit recency persisted
+        assert runner.stats.disk_hits == len(before) > 0
+        after = {path.name: path.stat().st_mtime_ns
+                 for path in reader.version_dir.glob("*.pkl")}
+        assert after.keys() == before.keys()
+        assert all(after[name] > before[name] for name in before)
+
+    def test_same_tick_hits_keep_their_order(self, tmp_path):
+        """Hits within one clock tick still rank in hit order.
+
+        The three puts and three hits take well under a file-system
+        clock tick; with plain ``os.utime(path)`` stamps they would tie
+        and the (mtime, key) walk would evict ``k0``, the newest hit.
+        """
+        unit = self.entry_size(ResultCache(root=tmp_path), "x" * 64)
+        cache = ResultCache(root=tmp_path)
+        for key in ("k0", "k1", "k2"):
+            cache.put(key, "x" * 64)
+        for key in ("k2", "k1", "k0"):
+            assert cache.get(key) == "x" * 64
+        cache.flush()
+        fresh = ResultCache(root=tmp_path, max_bytes=2 * unit)
+        assert fresh.enforce_limit() == [("k2", unit)]
+        assert {path.stem for path in fresh.version_dir.glob("*.pkl")} \
+            == {"k0", "k1"}
+
+    @given(bound=st.sampled_from(LRU_BOUNDS),
+           ops=st.lists(LRU_OPS, min_size=10, max_size=40))
+    @example(bound=450, ops=[   # puts while unbounded, then a bounded put
+        ("put", ("a", "x" * 160)), ("bound", None),
+        ("put", ("b", "x" * 160)), ("put", ("c", "x" * 160)),
+        ("bound", 450), ("put", ("d", "x" * 40))])
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_lru(self, bound, ops, tmp_path_factory):
+        root = tmp_path_factory.mktemp("lru")
+        cache = ResultCache(root=root, max_bytes=bound)
+        model = ReferenceLru(bound)
+
+        def on_disk():
+            found = {}
+            for path in cache.version_dir.glob("*.pkl"):
+                stat = path.stat()
+                found[path.stem] = (stat.st_size, stat.st_mtime_ns)
+            return found
+
+        for op, arg in ops:
+            if op == "put":
+                key, payload = arg
+                assert cache.put(key, payload)
+                model.put(key, len(pickle.dumps(
+                    payload, protocol=pickle.HIGHEST_PROTOCOL)))
+            elif op == "get":
+                assert (cache.get(arg) is not MISS) == model.get(arg)
+            elif op == "flush":
+                cache.flush()
+            elif op == "reopen":    # a new process reads recency from disk
+                cache = ResultCache(root=root, max_bytes=arg)
+                model.bound = arg
+            elif op == "bound":
+                cache.max_bytes = model.bound = arg
+            elif op == "plan":
+                before = on_disk()
+                assert cache.plan_evictions() == model.plan()
+                assert on_disk() == before  # deletes and stamps nothing
+            else:
+                assert cache.enforce_limit() == model.enforce()
+            assert {key: size for key, (size, _) in on_disk().items()} \
+                == model.sizes
 
     def test_enforce_limit_reports_what_it_deleted(self, tmp_path):
         unit = self.entry_size(ResultCache(root=tmp_path), "x" * 64)

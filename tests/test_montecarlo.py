@@ -611,14 +611,22 @@ class TestRoundFourRegressions:
     def test_plan_evictions_never_writes_even_on_corrupt_index(self,
                                                                tmp_path):
         cache = ResultCache(root=tmp_path)      # unbounded writer
-        cache.put("key", b"x" * 64)
-        index = cache.version_dir / "index.json"
-        index.write_text("{garbage")
-        mtime_before = index.stat().st_mtime_ns
+        for key in ("a", "b", "c"):
+            cache.put(key, b"x" * 64)
+
+        def listing():
+            found = {}
+            for path in cache.version_dir.iterdir():
+                stat = path.stat()
+                found[path.name] = (stat.st_size, stat.st_mtime_ns)
+            return found
+
         fresh = ResultCache(root=tmp_path, max_bytes=1)
-        assert fresh.plan_evictions()          # plan from the rebuild
-        assert index.read_text() == "{garbage"  # still untouched
-        assert index.stat().st_mtime_ns == mtime_before
+        assert fresh.get("a") == b"x" * 64      # a hit: "a" is now newest
+        before = listing()
+        planned = fresh.plan_evictions()
+        assert [key for key, _ in planned] == ["b", "c", "a"]
+        assert listing() == before  # nothing deleted, stamped or created
 
     def test_censored_metric_membership(self):
         from repro.experiments import Record

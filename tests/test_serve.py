@@ -35,6 +35,7 @@ from repro.serve import (
     ServeError,
     create_server,
 )
+from repro.serve.client import record_from_row
 from repro.workloads.profiles import KERNEL_LIKE
 
 pytestmark = pytest.mark.engine
@@ -118,6 +119,16 @@ class TestGoldenRoundTrip:
         direct = Experiment(spec).run()
         assert served.to_csv() == direct.to_csv()
         assert served.to_json() == direct.to_json()
+
+    def test_streamed_rows_are_the_result_set(self, harness):
+        spec = small_spec("serve-stream", vcc=(500.0, 480.0))
+        service = harness()
+        campaign_id = service.client.submit(spec)["id"]
+        streamed = [record_from_row(row) for row in service.client.iter_rows(
+            campaign_id, poll_s=0.01, timeout_s=120.0)]
+        served = service.client.result_set(campaign_id, timeout_s=120.0)
+        assert streamed == list(served)
+        assert len(streamed) > 0
 
     def test_row_stream_cursor_only_appends(self, harness):
         spec = small_spec("serve-cursor", vcc=(500.0, 480.0))

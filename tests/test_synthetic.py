@@ -8,10 +8,9 @@ from repro.workloads.profiles import (
     KERNEL_LIKE,
     OFFICE_LIKE,
     SPECINT_LIKE,
-    STANDARD_PROFILES,
     TraceProfile,
 )
-from repro.workloads.synthetic import SyntheticTraceGenerator, generate_population
+from repro.workloads.synthetic import SyntheticTraceGenerator
 from repro.workloads.trace import Trace
 
 
@@ -127,13 +126,6 @@ class TestDependencyDistances:
 
 
 class TestPopulation:
-    def test_population_size(self):
-        traces = generate_population(STANDARD_PROFILES[:2], seeds=2,
-                                     length=500)
-        assert len(traces) == 4
-        names = {t.name for t in traces}
-        assert len(names) == 4
-
     def test_trace_validation(self):
         from repro.isa.instructions import MicroOp
         from repro.isa.opcodes import Opcode
