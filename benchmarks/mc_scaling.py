@@ -1,11 +1,11 @@
 """Blocked vs per-die Monte-Carlo campaign throughput.
 
 Times the same yield campaign through both planning shapes — one
-``mc-die`` job per die (a block of one die) and ``mc-block`` jobs of
-many dies — on a serial, cache-less runner, checks that both shapes
-reduce to identical ``yield_curve`` rows (one sampler and one
-evaluation path, so the block partition must not show in the rows),
-and writes a ``BENCH_mc.json`` record::
+``mc-block`` job per die (the plan without a block size) and
+``mc-block`` jobs of many dies — on a serial, cache-less runner, checks
+that both shapes reduce to identical ``yield_curve`` rows (one sampler
+and one evaluation path, so the block partition must not show in the
+rows), and writes a ``BENCH_mc.json`` record::
 
     python benchmarks/mc_scaling.py --dies 10000 --block 4096 \
         --out benchmarks/results/BENCH_mc.json

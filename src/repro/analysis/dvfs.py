@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.circuits.constants import DRAM_LATENCY_NS
 from repro.circuits.energy import EnergyModel
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.controller import VccController
@@ -92,7 +93,7 @@ class DvfsScenario:
                  solver: FrequencySolver | None = None,
                  params: PipelineParams | None = None,
                  memory: MemoryConfig | None = None,
-                 dram_latency_ns: float = 80.0,
+                 dram_latency_ns: float = DRAM_LATENCY_NS,
                  transition_ns: float = DEFAULT_TRANSITION_NS,
                  warm: bool = True):
         self.scheme = scheme
@@ -227,7 +228,7 @@ def schedule_job(spec: ScheduleSpec,
                  solver: FrequencySolver | None = None,
                  params: PipelineParams | None = None,
                  memory: MemoryConfig | None = None,
-                 dram_latency_ns: float = 80.0,
+                 dram_latency_ns: float = DRAM_LATENCY_NS,
                  transition_ns: float = DEFAULT_TRANSITION_NS,
                  warm: bool = True) -> Job:
     """Fold one :class:`ScheduleSpec` into a declarative engine job."""

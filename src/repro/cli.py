@@ -70,11 +70,13 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import repro
 from repro.analysis.figures import figure1_series, figure11a_series
 from repro.analysis.reporting import format_table
 from repro.analysis.sweep import warm_caches
+from repro.circuits.constants import DRAM_LATENCY_NS
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
 from repro.engine import (
@@ -185,8 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--dies", type=int, default=64, metavar="N",
                     help="number of sampled dies (default 64)")
     mc.add_argument("--block", type=int, default=None, metavar="B",
-                    help="dies per vectorized mc-block job (default: "
-                         "one mc-die job per die)")
+                    help="dies per vectorized mc-block job (default 1)")
     mc.add_argument("--confidence", type=float, default=0.95, metavar="C",
                     help="confidence level for Wilson yield intervals "
                          "(default 0.95)")
@@ -307,9 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: serve forever)")
     worker.add_argument("--max-shards", type=int, default=None, metavar="M",
                         help="exit after executing M shards")
-    worker.add_argument("--claim-batch", type=int, default=1, metavar="B",
-                        help="shards claimed per broker round trip "
-                             "(amortizes spool scans; default 1)")
+    worker.add_argument("--claim-batch", type=int, default=None,
+                        metavar="B",
+                        help="deprecated and ignored: a worker claims one "
+                             "shard at a time")
     worker.add_argument("--supervise", action="store_true",
                         help="run a supervisor instead of a fixed fleet: "
                              "size worker processes to the queue depth "
@@ -556,7 +558,7 @@ def _cmd_simulate(args) -> int:
     iraw = (IrawConfig.for_operating_point(point)
             if scheme is ClockScheme.IRAW else IrawConfig.disabled())
     memory = MemoryConfig(
-        dram_latency_cycles=point.memory_latency_cycles(80.0))
+        dram_latency_cycles=point.memory_latency_cycles(DRAM_LATENCY_NS))
     core = InOrderCore(CoreSetup(iraw=iraw, memory=memory,
                                  name=f"{scheme.value}@{args.vcc:g}mV"))
     if not args.cold:
@@ -686,14 +688,14 @@ def _cmd_worker(args) -> int:
     if args.max_shards is not None and args.max_shards < 0:
         raise ConfigError(f"--max-shards must be >= 0 "
                           f"(got {args.max_shards})")
-    if args.claim_batch < 1:
-        raise ConfigError(f"--claim-batch must be >= 1 "
-                          f"(got {args.claim_batch})")
+    if args.claim_batch is not None:
+        warnings.warn("--claim-batch is deprecated and ignored: a worker "
+                      "claims one shard at a time", DeprecationWarning,
+                      stacklevel=2)
     broker = SpoolBroker(root)  # validates the spool root eagerly
     if args.supervise:
         supervisor = WorkerSupervisor(root,
                                       max_workers=args.concurrency,
-                                      claim_batch=args.claim_batch,
                                       worker_poll=args.poll)
         print(f"worker: supervising spool {broker.spool} "
               f"(up to {args.concurrency} workers)", file=sys.stderr)
@@ -705,8 +707,7 @@ def _cmd_worker(args) -> int:
     if args.concurrency == 1:
         completed, failed = worker_main(root, poll_interval=args.poll,
                                         idle_exit=args.idle_exit,
-                                        max_shards=args.max_shards,
-                                        claim_batch=args.claim_batch)
+                                        max_shards=args.max_shards)
         executed = (completed, failed)
     else:
         import multiprocessing
@@ -716,8 +717,7 @@ def _cmd_worker(args) -> int:
             context.Process(target=worker_main, args=(root,),
                             kwargs=dict(poll_interval=args.poll,
                                         idle_exit=args.idle_exit,
-                                        max_shards=args.max_shards,
-                                        claim_batch=args.claim_batch),
+                                        max_shards=args.max_shards),
                             daemon=False)
             for _ in range(args.concurrency)]
         for child in children:
@@ -854,6 +854,11 @@ def _dispatch(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Deprecation warnings for CLI spellings must reach the operator:
+    # Python's default filter hides DeprecationWarning outside
+    # __main__, which would make a deprecated flag silently final.
+    warnings.filterwarnings("default",
+                            message=r"--claim-batch is deprecated")
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

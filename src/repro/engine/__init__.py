@@ -72,17 +72,14 @@ from repro.engine.jobs import (
     job_key,
     shard_jobs,
 )
-from repro.engine.progress import CompositeProgress, MetricsProgress, \
-    NullProgress, TextProgress
+from repro.engine.progress import NullProgress, TextProgress
 from repro.engine.runner import EngineError, EngineStats, ParallelRunner
 
 __all__ = [
     "BACKEND_NAMES",
-    "CompositeProgress",
     "EngineError",
     "EngineStats",
     "Job",
-    "MetricsProgress",
     "NullProgress",
     "ParallelRunner",
     "PoolBackend",

@@ -19,7 +19,7 @@ directory contains::
     pending/<key>.job     pickled shard waiting to be claimed
     claimed/<key>.job     shard leased by a worker (renamed from pending/)
     claimed/<key>.hb      the lease's heartbeat file (mtime = last beat)
-    done/<key>.pkl        pickled result, written atomically
+    done/<key>.pkl        pickled WireResult envelope, written atomically
     failed/<key>.err      worker-side exception (text: repr + traceback)
     quarantine/           corrupt payloads, moved aside for post-mortem
 
@@ -44,12 +44,11 @@ machines sharing the spool cannot expire a healthy lease.  A dead
 shard is renamed back to ``pending/`` for another worker, bounded by
 the backend's retry budget.  A straggler that was presumed dead but
 finishes anyway just rewrites ``done/<key>.pkl`` — results are
-deterministic per key (only the optional :class:`WireResult` timing
-envelope can differ between attempts), so late double-writes are
+deterministic per key (only the :class:`WireResult` envelope's worker
+tag and timing can differ between attempts), so late double-writes are
 harmless and each key is still collected exactly once — and the
-ownership token
-keeps it from publishing failures for, or deleting, a lease that has
-since been re-claimed by another worker.
+ownership token keeps it from publishing failures for, or deleting, a
+lease that has since been re-claimed by another worker.
 
 Everything here is runner/worker-symmetric: the
 :class:`~repro.engine.backends.QueueBackend` drives the submit/poll
@@ -58,6 +57,7 @@ side, ``python -m repro worker`` drives :func:`run_worker_loop`.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import pickle
@@ -137,17 +137,17 @@ def validated_queue_root(root) -> pathlib.Path:
 
 @dataclass(frozen=True)
 class WireResult:
-    """A shard result plus its execution envelope, as spooled.
+    """A shard result plus its execution envelope: the one ``done/``
+    payload format.
 
-    When tracing is active workers publish this wrapper instead of the
-    bare result: the worker's identity and its own monotonic measure of
-    execute time ride along, so the runner can attribute remote
-    execution without any cross-machine clock agreement (durations
-    only, never timestamps).  The queue backend unwraps it before the
-    result reaches the engine memo, so cached/golden results stay
-    byte-identical to untraced runs.  The spool is version-fingerprinted
-    (workers built from different code see an empty spool), so adding
-    this wrapper is not a wire-compatibility hazard.
+    Every published result is wrapped: the worker's identity and its
+    own monotonic measure of execute time ride along, so the runner can
+    attribute remote execution without any cross-machine clock
+    agreement (durations only, never timestamps).  The queue backend
+    unwraps it before the result reaches the engine memo, so cached and
+    golden results are the bare executor results.  The spool is
+    version-fingerprinted (workers built from different code see an
+    empty spool), so a payload from older code is never read.
     """
 
     result: object
@@ -157,10 +157,11 @@ class WireResult:
 
 @dataclass(frozen=True)
 class CompletedEvent:
-    """A shard's result landed in ``done/`` and was collected."""
+    """A shard's result landed in ``done/`` and was collected;
+    ``result`` is its :class:`WireResult` envelope."""
 
     key: str
-    result: object
+    result: WireResult
 
 
 @dataclass(frozen=True)
@@ -509,61 +510,18 @@ class SpoolBroker:
                 candidates = sorted(self.pending_dir.glob("*.job"))
             except OSError:
                 return None
-        claims = self._claim_candidates(candidates, worker_id, limit=1)
-        return claims[0] if claims else None
-
-    def claim_batch(self, worker_id: str = "", limit: int = 1) -> list:
-        """Claim up to ``limit`` pending shards with **one** directory
-        scan, returning a list of :class:`Claim` (possibly empty).
-
-        The batch shares one lease inode: the first member's heartbeat
-        file is written normally and every later member's heartbeat path
-        is a hard link to it, so the worker refreshes the whole batch
-        with one ``utime`` per interval and the claim itself amortizes
-        the ``pending/`` scandir over ``limit`` shards — the two
-        per-shard costs that dominate small-shard campaigns on network
-        filesystems.  Collector-side nothing changes: each member still
-        has its own heartbeat *path* whose mtime moves on every beat,
-        and expiring one member unlinks only that member's path.
-        """
-        if limit <= 1:
-            claim = self.claim_next(worker_id)
-            return [claim] if claim is not None else []
-        try:
-            candidates = sorted(self.pending_dir.glob("*.job"))
-        except OSError:
-            return []
-        return self._claim_candidates(candidates, worker_id, limit=limit)
-
-    def _claim_candidates(self, candidates, worker_id: str,
-                          limit: int) -> list:
-        """Rename-claim up to ``limit`` of ``candidates`` (shared by
-        :meth:`claim_next` and :meth:`claim_batch`)."""
-        claims: list[Claim] = []
         owner = worker_id or worker_identity()
-        anchor = None  # first member's heartbeat: the batch's lease inode
         for path in candidates:
-            if len(claims) >= limit:
-                break
             target = self.claimed_dir / path.name
             try:
                 os.rename(path, target)
             except OSError:
                 continue  # claimed by someone else (or vanished)
-            claim_key = path.stem
-            heartbeat = self.claimed_dir / f"{claim_key}.hb"
-            linked = False
-            if anchor is not None:
-                try:
-                    os.link(anchor, heartbeat)
-                    linked = True
-                except OSError:
-                    linked = False  # stale file / no hardlinks: fall back
-            if not linked:
-                try:
-                    heartbeat.write_text(owner, encoding="utf-8")
-                except OSError:
-                    pass
+            heartbeat = self.claimed_dir / f"{path.stem}.hb"
+            try:
+                heartbeat.write_text(owner, encoding="utf-8")
+            except OSError:
+                pass
             try:
                 with target.open("rb") as handle:
                     job = pickle.load(handle)
@@ -574,30 +532,26 @@ class SpoolBroker:
                 except OSError:
                     pass
                 continue
-            claims.append(Claim(key=claim_key, job=job, path=target,
-                                heartbeat_path=heartbeat, owner=owner))
-            if anchor is None:
-                anchor = heartbeat
-        return claims
+            return Claim(key=path.stem, job=job, path=target,
+                         heartbeat_path=heartbeat, owner=owner)
+        return None
 
-    def complete(self, claim: Claim, result, *, worker: str = "",
-                 execute_s: float | None = None) -> None:
+    def complete(self, claim: Claim, result, *,
+                 execute_s: float = 0.0) -> None:
         """Publish a claimed shard's result and drop the lease.
 
-        The result is always published — deterministic per key, so a
-        straggler finishing after its lease was re-claimed only speeds
-        the batch up (its double-write is a valid answer even if the
-        envelope's timing differs) — but the lease files are deleted
+        The payload is always a :class:`WireResult`: the result plus the
+        claim's owner as the worker tag and the execute seconds the
+        worker measured.  It is always published — deterministic per
+        key, so a straggler finishing after its lease was re-claimed
+        only speeds the batch up (its double-write is a valid answer
+        even if the envelope differs) — but the lease files are deleted
         only by their current owner, never out from under a re-claiming
-        worker.  With ``execute_s`` set the payload is wrapped in a
-        :class:`WireResult` envelope carrying the worker identity and
-        its measured execute seconds; without it the bare result is
-        pickled exactly as before.
+        worker.
         """
-        if execute_s is not None:
-            result = WireResult(result=result, worker=worker,
-                                execute_s=float(execute_s))
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        wire = WireResult(result=result, worker=claim.owner,
+                          execute_s=float(execute_s))
+        payload = pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
         atomic_write(self.done_dir / f"{claim.key}.pkl", payload)
         if claim.owns():
             claim.discard()
@@ -726,56 +680,30 @@ def worker_identity() -> str:
     return f"{socket.gethostname()}:{os.getpid()}:{threading.get_ident()}"
 
 
-class _BatchHeartbeatPump:
-    """Background thread refreshing a whole claim batch's leases.
+@contextlib.contextmanager
+def _heartbeat_pump(claim: Claim, interval: float):
+    """Refresh ``claim``'s lease from a background thread while the
+    ``with`` body executes its shard."""
+    stop = threading.Event()
 
-    Members are dropped (:meth:`done`) as the worker publishes them, so
-    a long batch never keeps beating for shards that already completed.
-    With hardlinked batch leases every beat is one shared-inode
-    ``utime`` anyway; the per-member loop also covers the fallback path
-    where members got individual heartbeat files.
-    """
+    def beat() -> None:
+        while not stop.wait(interval):
+            claim.heartbeat()
 
-    def __init__(self, claims, interval: float):
-        self._claims = list(claims)
-        self._interval = interval
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def done(self, claim: Claim) -> None:
-        """Stop beating for one published member."""
-        with self._lock:
-            self._claims = [c for c in self._claims if c is not claim]
-
-    def __enter__(self) -> "_BatchHeartbeatPump":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="hb-batch")
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            with self._lock:
-                claims = list(self._claims)
-            for claim in claims:
-                claim.heartbeat()
+    thread = threading.Thread(target=beat, daemon=True, name="hb")
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
 
 
 def run_worker_loop(broker: SpoolBroker, *,
                     stop: threading.Event | None = None,
                     poll_interval: float = 0.2,
                     idle_exit: float | None = None,
-                    max_shards: int | None = None,
-                    worker_id: str = "",
-                    execute=None,
-                    on_shard=None,
-                    claim_batch: int = 1) -> tuple[int, int]:
+                    max_shards: int | None = None) -> tuple[int, int]:
     """Claim-execute-publish loop shared by ``repro worker`` and the
     queue backend's in-process workers.
 
@@ -783,29 +711,20 @@ def run_worker_loop(broker: SpoolBroker, *,
     attempted, or nothing has been claimable for ``idle_exit`` seconds
     (``None`` = wait forever).  Returns ``(completed, failed)`` counts —
     failed attempts are published to ``failed/`` (the loop keeps
-    serving) and are *not* reported as completed work.
-    ``claim_batch > 1`` claims up to that many shards per broker round
-    trip (:meth:`SpoolBroker.claim_batch`), publishing each member as
-    it finishes.  ``KeyboardInterrupt``/``SystemExit`` release the
-    in-flight claims back to ``pending/`` and re-raise.
+    serving) and are *not* reported as completed work.  Each claim
+    leases one shard.  ``KeyboardInterrupt``/``SystemExit`` release the
+    in-flight claim back to ``pending/`` and re-raise.
     """
-    if execute is None:
-        from repro.engine.executors import execute_job
-        execute = execute_job
-    if claim_batch < 1:
-        raise ConfigError(f"claim_batch must be >= 1 (got {claim_batch})")
+    from repro.engine.executors import execute_job
+
     completed = failed = 0
-    identity = worker_id or worker_identity()
     idle_since = time.monotonic()
     while stop is None or not stop.is_set():
         # Bound checked *before* claiming: --max-shards 0 means zero.
         if max_shards is not None and completed + failed >= max_shards:
             break
-        limit = claim_batch
-        if max_shards is not None:
-            limit = min(limit, max_shards - (completed + failed))
-        claims = broker.claim_batch(identity, limit=limit)
-        if not claims:
+        claim = broker.claim_next()
+        if claim is None:
             if idle_exit is not None \
                     and time.monotonic() - idle_since >= idle_exit:
                 break
@@ -815,41 +734,34 @@ def run_worker_loop(broker: SpoolBroker, *,
             else:
                 time.sleep(poll_interval)
             continue
-        with _BatchHeartbeatPump(claims, broker.heartbeat_interval) as pump:
-            for index, claim in enumerate(claims):
-                try:
-                    started = time.perf_counter()
-                    result = execute(claim.job)
-                    elapsed = time.perf_counter() - started
-                except Exception as exc:
-                    broker.fail(claim, exc)
-                    failed += 1
-                except BaseException:
-                    for unfinished in claims[index:]:
-                        unfinished.release()
-                    raise
-                else:
-                    # Worker-measured execute time rides back in the
-                    # WireResult envelope so the runner can attribute
-                    # remote execution without clock agreement.
-                    broker.complete(claim, result, worker=identity,
-                                    execute_s=elapsed)
-                    completed += 1
-                pump.done(claim)
-                # Reset *after* each shard: execution time is work, not
-                # idleness, so a long simulation cannot trip --idle-exit
-                # on its own.
-                idle_since = time.monotonic()
-                if on_shard is not None:
-                    on_shard(claim.key)
+        with _heartbeat_pump(claim, broker.heartbeat_interval):
+            try:
+                started = time.perf_counter()
+                result = execute_job(claim.job)
+                elapsed = time.perf_counter() - started
+            except Exception as exc:
+                broker.fail(claim, exc)
+                failed += 1
+            except BaseException:
+                claim.release()
+                raise
+            else:
+                # Worker-measured execute time rides back in the
+                # WireResult envelope so the runner can attribute
+                # remote execution without clock agreement.
+                broker.complete(claim, result, execute_s=elapsed)
+                completed += 1
+        # Reset *after* each shard: execution time is work, not
+        # idleness, so a long simulation cannot trip --idle-exit on its
+        # own.
+        idle_since = time.monotonic()
     return completed, failed
 
 
 def worker_main(root, *, lease_timeout: float | None = None,
                 poll_interval: float = 0.2,
                 idle_exit: float | None = None,
-                max_shards: int | None = None,
-                claim_batch: int = 1) -> tuple[int, int]:
+                max_shards: int | None = None) -> tuple[int, int]:
     """Entry point for one worker process (used by ``repro worker``).
 
     Module-level so ``multiprocessing`` can spawn it for
@@ -864,8 +776,7 @@ def worker_main(root, *, lease_timeout: float | None = None,
     broker = SpoolBroker(root, lease_timeout=lease_timeout)
     try:
         return run_worker_loop(broker, poll_interval=poll_interval,
-                               idle_exit=idle_exit, max_shards=max_shards,
-                               claim_batch=claim_batch)
+                               idle_exit=idle_exit, max_shards=max_shards)
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         return 0, 0
 
@@ -893,7 +804,6 @@ class WorkerSupervisor:
                  poll_interval: float = 0.5,
                  idle_exit: float = 2.0,
                  max_respawns: int = 8,
-                 claim_batch: int = 1,
                  worker_poll: float = 0.2,
                  lease_timeout: float | None = None,
                  spawn=None):
@@ -907,9 +817,6 @@ class WorkerSupervisor:
         if shards_per_worker < 1:
             raise ConfigError(f"supervisor needs shards_per_worker >= 1 "
                               f"(got {shards_per_worker})")
-        if claim_batch < 1:
-            raise ConfigError(f"claim_batch must be >= 1 "
-                              f"(got {claim_batch})")
         self.broker = SpoolBroker(root, lease_timeout=lease_timeout)
         self.max_workers = int(max_workers)
         self.min_workers = int(min_workers)
@@ -917,7 +824,6 @@ class WorkerSupervisor:
         self.poll_interval = float(poll_interval)
         self.idle_exit = float(idle_exit)
         self.max_respawns = int(max_respawns)
-        self.claim_batch = int(claim_batch)
         self.worker_poll = float(worker_poll)
         self.lease_timeout = lease_timeout
         self.spawn = spawn or self._spawn_process
@@ -960,8 +866,7 @@ class WorkerSupervisor:
             args=(str(self.broker.root),),
             kwargs=dict(lease_timeout=self.lease_timeout,
                         poll_interval=self.worker_poll,
-                        idle_exit=self.idle_exit,
-                        claim_batch=self.claim_batch),
+                        idle_exit=self.idle_exit),
         )
         process.start()
         return process

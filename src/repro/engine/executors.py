@@ -132,6 +132,11 @@ def _solver_for(job: Job) -> FrequencySolver:
     return FrequencySolver(**kwargs)
 
 
+def _params(job: Job) -> PipelineParams:
+    """The pipeline a job was keyed against (the spec's ``[params]``)."""
+    return job.option("params") or PipelineParams()
+
+
 def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
                memory_mutator=None):
     """Run the shard's one trace on a fresh core under ``setup``.
@@ -177,8 +182,7 @@ def _run_sweep_point(job: Job) -> PointResult:
         iraw = IrawConfig.for_operating_point(point, **job.overrides_dict())
     else:
         iraw = IrawConfig.disabled()
-    params = job.option("params") or PipelineParams()
-    setup = CoreSetup(iraw=iraw, params=params,
+    setup = CoreSetup(iraw=iraw, params=_params(job),
                       name=f"{scheme.value}@{job.vcc_mv:g}mV",
                       check_values=False)
     return _run_shard(job, point, setup, scheme.value)
@@ -188,7 +192,7 @@ def _run_faulty_bits(job: Job) -> PointResult:
     """Table 1's Faulty Bits alternative: honest clock, degraded caches."""
     baseline = FaultyBitsBaseline(_solver_for(job))
     point = baseline.operating_point(job.vcc_mv)
-    setup = baseline.core_setup(job.vcc_mv)
+    setup = replace(baseline.core_setup(job.vcc_mv), params=_params(job))
     return _run_shard(job, point, setup, "faulty-bits",
                       memory_mutator=baseline.apply_to_memory)
 
@@ -201,7 +205,12 @@ def _run_extra_bypass(job: Job) -> PointResult:
                                      hypothetical_rf_only=hypothetical)
     setup = baseline.core_setup(job.vcc_mv,
                                 hypothetical_rf_only=hypothetical)
-    return _run_shard(job, point, setup, "extra-bypass")
+    # The spec's pipeline, with only the multi-cycle write path swapped in.
+    params = replace(_params(job),
+                     rf_write_cycles=setup.params.rf_write_cycles,
+                     rf_write_ports=setup.params.rf_write_ports)
+    return _run_shard(job, point, replace(setup, params=params),
+                      "extra-bypass")
 
 
 def _run_dvfs_schedule(job: Job):
@@ -227,47 +236,30 @@ def _run_dvfs_schedule(job: Job):
     return scenario.run(job.trace.build(), list(phases))
 
 
-def _evaluate_die_block(job: Job, config, die_start: int, dies: int):
-    """Evaluate a (memoized) sampled die block at the job's point."""
-    # Lazy import: repro.montecarlo sits beside the engine in layering.
-    from repro.montecarlo.sampling import DieBlock, evaluate_block
-
-    block = DieBlock(config, die_start, dies)
-    sample = _memoized_build(_BLOCK_SAMPLES, _BLOCK_SAMPLES_MAX, block)
-    return evaluate_block(config, die_start, dies, job.vcc_mv,
-                          ClockScheme(job.scheme), solver=_solver_for(job),
-                          sample=sample)
-
-
-def _run_mc_die(job: Job):
-    """One Monte-Carlo die at one (Vcc, scheme) point: a block of one.
-
-    The die index and the campaign's physics config ride in the job
-    options (and therefore in the canonical key), so every sampled die
-    is an independently cacheable unit across all backends.
-    """
-    config = job.option("mc")
-    die = job.option("die")
-    if config is None or die is None:
-        raise ConfigError("mc-die job needs 'mc' config and 'die' options")
-    return _evaluate_die_block(job, config, int(die), 1)
-
-
 def _run_mc_block(job: Job):
     """A contiguous Monte-Carlo die block at one (Vcc, scheme) point.
 
     The block's die range (``die_start``/``dies``) and the campaign's
     physics config ride in the job options — and therefore in the
-    canonical key — so a block is an independently cacheable, dedupable
-    unit exactly like a single die.
+    canonical key — so every block, one die included, is an
+    independently cacheable, dedupable unit across all backends.  The
+    sampled block is memoized per process and shared by every grid
+    point that evaluates it.
     """
+    # Lazy import: repro.montecarlo sits beside the engine in layering.
+    from repro.montecarlo.sampling import DieBlock, evaluate_block
+
     config = job.option("mc")
     die_start = job.option("die_start")
     dies = job.option("dies")
     if config is None or die_start is None or dies is None:
         raise ConfigError("mc-block job needs 'mc' config and "
                           "'die_start'/'dies' options")
-    return _evaluate_die_block(job, config, int(die_start), int(dies))
+    block = DieBlock(config, int(die_start), int(dies))
+    sample = _memoized_build(_BLOCK_SAMPLES, _BLOCK_SAMPLES_MAX, block)
+    return evaluate_block(config, block.die_start, block.dies, job.vcc_mv,
+                          ClockScheme(job.scheme), solver=_solver_for(job),
+                          sample=sample)
 
 
 def _crash(job: Job):
@@ -300,7 +292,6 @@ _EXECUTORS = {
     "faulty-bits": _run_faulty_bits,
     "extra-bypass": _run_extra_bypass,
     "dvfs-schedule": _run_dvfs_schedule,
-    "mc-die": _run_mc_die,
     "mc-block": _run_mc_block,
     "engine-selftest-crash": _crash,
     "engine-selftest-sleep": _sleep,

@@ -50,7 +50,6 @@ KNOWN_KINDS = (
     "faulty-bits",
     "extra-bypass",
     "dvfs-schedule",
-    "mc-die",
     "mc-block",
     "engine-selftest-crash",
     "engine-selftest-sleep",
@@ -230,8 +229,6 @@ class Job:
             bits.append(f"{self.scheme}@{self.vcc_mv:g}mV")
         if self.trace is not None:
             bits.append(f"trace={self.trace.label}")
-        if self.kind == "mc-die":
-            bits.append(f"die={self.option('die')}")
         if self.kind == "mc-block":
             start = self.option("die_start")
             dies = self.option("dies")

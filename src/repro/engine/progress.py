@@ -3,12 +3,8 @@
 The runner only calls the three-method listener protocol below, so any
 front end (CLI spinner, pytest plugin, log file) can observe a batch
 without the engine knowing about it.  Implementations provided here:
-:class:`NullProgress` (silent, the default), :class:`TextProgress`
-(one updating line on a stream, suitable for interactive terminals),
-:class:`CompositeProgress` (fan-out to several listeners), and
-:class:`MetricsProgress` (mirrors batch state into a
-:class:`~repro.obs.metrics.MetricsRegistry` so a metrics scrape can see
-how far the current batch is).
+:class:`NullProgress` (silent, the default) and :class:`TextProgress`
+(one updating line on a stream, suitable for interactive terminals).
 """
 
 from __future__ import annotations
@@ -58,52 +54,3 @@ class TextProgress:
         if self._active:
             self._emit("", end="")
             self._active = False
-
-
-class CompositeProgress:
-    """Fan one batch's progress out to several listeners, in order."""
-
-    def __init__(self, *listeners):
-        self.listeners = list(listeners)
-
-    def start(self, total: int, label: str = "") -> None:
-        for listener in self.listeners:
-            listener.start(total, label)
-
-    def advance(self, done: int, total: int, label: str = "") -> None:
-        for listener in self.listeners:
-            listener.advance(done, total, label)
-
-    def finish(self, total: int, label: str = "") -> None:
-        for listener in self.listeners:
-            listener.finish(total, label)
-
-
-class MetricsProgress:
-    """Mirror batch progress into metrics registry gauges.
-
-    A metrics scrape (``GET /v1/metrics``) then shows how far the
-    engine's current batch is — ``engine_batch_total`` /
-    ``engine_batch_done`` snap to zero when no batch is executing, and
-    ``engine_batches`` counts batches started since process start.
-    """
-
-    def __init__(self, registry):
-        self._total = registry.gauge(
-            "engine_batch_total", "Units in the executing batch (0: idle)")
-        self._done = registry.gauge(
-            "engine_batch_done", "Units completed in the executing batch")
-        self._batches = registry.counter(
-            "engine_batches", "Engine batches started")
-
-    def start(self, total: int, label: str = "") -> None:
-        self._batches.inc()
-        self._total.set(total)
-        self._done.set(0)
-
-    def advance(self, done: int, total: int, label: str = "") -> None:
-        self._done.set(done)
-
-    def finish(self, total: int, label: str = "") -> None:
-        self._total.set(0)
-        self._done.set(0)

@@ -115,9 +115,9 @@ class Experiment:
         return jobs
 
     def mc_jobs(self) -> list[Job]:
-        """The die-sampling batch, in plan order: one ``mc-die`` job per
-        (Vcc, scheme, die), or one vectorized ``mc-block`` job per
-        (Vcc, scheme, die span) when the spec sets a block size.
+        """The die-sampling batch, in plan order: one vectorized
+        ``mc-block`` job per (Vcc, scheme, span of ``block`` dies), one
+        die per job when the spec sets no block size.
 
         Empty when the spec has no ``[montecarlo]`` section.  The jobs
         key against the default calibrated solver, matching how sweep
@@ -226,7 +226,7 @@ class Experiment:
         return ResultSet(records)
 
     def mc_results(self) -> list:
-        """The resolved ``mc-die`` results, in plan order (memoized).
+        """The resolved ``mc-block`` results, in plan order (memoized).
 
         After :meth:`run` the batch is answered entirely from the
         runner's memo; the list is resolved once per runner binding and

@@ -14,10 +14,10 @@ point of a campaign grid.
 Dies are drawn from a counter-based Philox stream, so a die's sample is
 a pure function of (campaign seed, die index), and evaluated as NumPy
 arrays.  Each sampled (die block, Vcc, scheme) point is an ordinary
-engine job (``mc-block``, or ``mc-die`` for a block of one die): the
-campaign config and die range fold into the canonical job key, so
-deduplication, on-disk caching and all three execution backends work
-unchanged.  Reduction folds arrays in die-aligned chunks
+``mc-block`` engine job (a block of one die when the spec sets no
+block size): the campaign config and die range fold into the canonical
+job key, so deduplication, on-disk caching and all three execution
+backends work unchanged.  Reduction folds arrays in die-aligned chunks
 (:mod:`repro.montecarlo.stats`): yields with Wilson confidence
 intervals, per-die Vccmin distributions, and frequency-bin statistics,
 never materialising per-die populations beyond O(dies) arrays.

@@ -8,10 +8,11 @@ every block at every grid point is an independently cacheable,
 dedupable, backend-agnostic unit.
 
 Every job returns a :class:`~repro.montecarlo.sampling.DieBlockResult`
-(an ``mc-die`` job is a block of one die).  The reducers consume the
-results *in plan order* and fold each (Vcc, scheme) group as arrays,
-re-cut into die-aligned chunks of :data:`FOLD_CHUNK` dies, so the rows
-are identical for any block partition:
+(a campaign without a block size plans blocks of one die).  The
+reducers consume the results *in plan order* and fold each (Vcc,
+scheme) group as arrays, re-cut into die-aligned chunks of
+:data:`FOLD_CHUNK` dies, so the rows are identical for any block
+partition:
 
 * :func:`yield_curve_rows` — functional and frequency (top-bin) yield
   per (Vcc, scheme) with Wilson confidence intervals, plus
@@ -53,11 +54,12 @@ def montecarlo_jobs(mc: MonteCarloSpec, grid, schemes,
                     solver: FrequencySolver | None = None) -> list[Job]:
     """The campaign's engine jobs, in plan order.
 
-    Without a block size, one ``mc-die`` job (a block of one die) per
-    (Vcc, scheme, die); with ``mc.block`` set, one ``mc-block`` job per
-    (Vcc, scheme, contiguous die span) — spans tile ``range(dies)`` in
-    order, so plan order is die order either way and the reducers
-    consume both shapes identically.
+    One ``mc-block`` job per (Vcc, scheme, contiguous span of
+    ``mc.block`` dies), one die per job when the spec sets no block.
+    Spans tile ``range(dies)`` in order, so plan order is die order, and
+    a span's key depends only on its die range: growing a campaign
+    reuses every cached full span (every cached die without a block
+    size).
 
     The solver's delay model and nominal frequency ride in the job
     options exactly as sweep points key them, so a recalibration
@@ -75,23 +77,15 @@ def montecarlo_jobs(mc: MonteCarloSpec, grid, schemes,
         ("delay_model", solver.delay_model),
         ("nominal_frequency_mhz", solver.nominal_frequency_mhz),
     )
-    if mc.block is not None:
-        spans = [(start, min(mc.block, mc.dies - start))
-                 for start in range(0, mc.dies, mc.block)]
-        return [
-            Job(kind="mc-block", vcc_mv=vcc, scheme=scheme,
-                options=base_options + (("die_start", start),
-                                        ("dies", count)))
-            for vcc in grid
-            for scheme in schemes
-            for start, count in spans
-        ]
+    block = mc.block or 1
+    spans = [(start, min(block, mc.dies - start))
+             for start in range(0, mc.dies, block)]
     return [
-        Job(kind="mc-die", vcc_mv=vcc, scheme=scheme,
-            options=base_options + (("die", die),))
+        Job(kind="mc-block", vcc_mv=vcc, scheme=scheme,
+            options=base_options + (("die_start", start), ("dies", count)))
         for vcc in grid
         for scheme in schemes
-        for die in range(mc.dies)
+        for start, count in spans
     ]
 
 

@@ -17,9 +17,10 @@ words at a counter offset that depends only on ``d``, so a die's sample
 is a pure function of the campaign seed and the die index — never of
 the block that holds it, worker count, execution backend or evaluation
 order.  That invariant is what lets each (die block, Vcc, scheme) point
-run as an independent, cacheable engine job, and what makes a block of
-one die (the ``mc-die`` job kind) evaluate exactly like the same die
-inside a 4096-die block: there is one sampler and one evaluation path.
+run as an independent, cacheable ``mc-block`` engine job, and what
+makes a block of one die (the plan of a campaign without a block size)
+evaluate exactly like the same die inside a 4096-die block: there is one
+sampler and one evaluation path.
 
 Evaluation compares the die against the *design* schedule: the shipped
 part clocks every die at the frequency the design margin

@@ -5,7 +5,7 @@ sampling campaign: how many dies, which seed, and the variation-model
 knobs.  It splits into two identities:
 
 * :meth:`MonteCarloSpec.config` — the :class:`~repro.montecarlo.sampling.MonteCarloConfig`
-  folded into every per-die job key (seed and physics knobs only);
+  folded into every ``mc-block`` job key (seed and physics knobs only);
 * presentation knobs (``dies``, ``confidence``) that deliberately stay
   *out* of the job key, so growing a campaign from 64 to 256 dies
   reuses all 64 cached dies, and re-rendering at a different confidence
@@ -33,9 +33,9 @@ class MonteCarloSpec:
     dies: int = 64
     seed: int = 0
     confidence: float = 0.95
-    #: Dies per vectorized ``mc-block`` job; ``None`` keeps the legacy
-    #: one-``mc-die``-job-per-die plan.  The block size partitions the
-    #: die range into job keys, so changing it re-simulates (sampling is
+    #: Dies per vectorized ``mc-block`` job; ``None`` plans one die per
+    #: job, the same as ``1``.  The block size partitions the die range
+    #: into job keys, so changing it re-simulates (sampling is
     #: unaffected: per-die draws depend only on seed and die index, and
     #: the reduced artifacts are invariant under partitioning).
     block: int | None = None

@@ -1,9 +1,9 @@
-"""Typed, mergeable metrics instruments and their registry.
+"""Typed metrics instruments and their registry.
 
 The engine's observability counters used to be ad-hoc dataclass fields
 and hand-built dicts.  This module replaces them with three typed
 instruments — :class:`Counter`, :class:`Gauge` and :class:`Histogram`
-(fixed-bucket, mergeable) — registered in a thread-safe
+(fixed-bucket) — registered in a thread-safe
 :class:`MetricsRegistry` that every execution layer shares: the runner's
 :class:`~repro.engine.runner.EngineStats` is a view over registry
 counters, the queue backend and broker register fault/lease instruments,
@@ -120,14 +120,12 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket distribution: mergeable across processes/batches.
+    """Fixed-bucket distribution.
 
     Buckets are Prometheus-style upper bounds (``le``); an implicit
     ``+Inf`` bucket catches everything beyond the last bound.  Counts
     are stored per-bucket (non-cumulative) and cumulated at render
-    time, so :meth:`merge` is plain element-wise addition — two
-    histograms observed independently merge into exactly the histogram
-    of the union of their observations, provided their bounds match.
+    time.
     """
 
     kind = "histogram"
@@ -179,23 +177,6 @@ class Histogram:
             total += count
             out.append(total)
         return out
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s observations into this histogram."""
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets "
-                f"({self.name}: {self.buckets} vs {other.name}: "
-                f"{other.buckets})")
-        counts = other.bucket_counts()
-        with other._lock:
-            other_sum, other_count = other._sum, other._count
-        with self._lock:
-            for index, count in enumerate(counts):
-                self._counts[index] += count
-            self._sum += other_sum
-            self._count += other_count
-        return self
 
     def as_dict(self) -> dict:
         with self._lock:

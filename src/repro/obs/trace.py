@@ -16,10 +16,11 @@ wall-clock residency (submit → collect, measured runner-side on
 ``time.perf_counter``) into:
 
 ``execute``
-    the worker-reported simulation time, shipped back through the
-    result envelope (:class:`~repro.engine.broker.WireResult` for queue
-    workers, :func:`~repro.engine.executors.execute_chunk`'s per-member
-    timings for pool workers);
+    the worker-reported simulation time: timed inline by the serial
+    backend, per chunk member by pool workers
+    (:func:`~repro.engine.executors.execute_chunk`), and shipped back in
+    the :class:`~repro.engine.broker.WireResult` envelope every queue
+    worker publishes;
 ``cache_write``
     the runner-side put into the result cache;
 ``queue_wait``
@@ -261,7 +262,8 @@ class BatchTrace:
         cache_write_s = min(max(0.0, cache_write_s), duration)
         budget = duration - cache_write_s
         if execute_s is None:
-            execute_s = budget  # no envelope: attribute all to execute
+            # A backend that reports no timing: attribute all to execute.
+            execute_s = budget
         else:
             execute_s = min(execute_s, budget)
         queue_wait = max(0.0, budget - execute_s)

@@ -43,8 +43,10 @@ from repro.engine.broker import (
     CompletedEvent,
     LEASE_ENV,
     QUEUE_DIR_ENV,
+    WireResult,
     default_lease_timeout,
     validated_queue_root,
+    worker_identity,
 )
 from repro.errors import ConfigError
 from repro.workloads.profiles import KERNEL_LIKE
@@ -85,10 +87,11 @@ class TestBrokerPrimitives:
         assert claim.job == job            # survived the pickle round trip
         assert not (broker.pending_dir / f"{key}.job").exists()
         assert claim.heartbeat_path.read_text("utf-8") == "w1"
-        broker.complete(claim, {"note": "round-trip"})
+        broker.complete(claim, {"note": "round-trip"}, execute_s=0.25)
         (event,) = broker.poll({key})
         assert isinstance(event, CompletedEvent)
-        assert event.result == {"note": "round-trip"}
+        assert event.result == WireResult({"note": "round-trip"},
+                                          worker="w1", execute_s=0.25)
         # collection consumes every spool file of the key
         for directory in (broker.pending_dir, broker.claimed_dir,
                           broker.done_dir, broker.failed_dir):
@@ -147,6 +150,29 @@ class TestBrokerPrimitives:
         assert (completed, failed) == (3, 0)
         assert len(list(broker.done_dir.iterdir())) == 3
 
+    def test_every_done_payload_is_a_tagged_wire_result(self, tmp_path):
+        """One result format: whatever a worker publishes to ``done/``
+        is a :class:`WireResult` carrying the worker tag (the claim's
+        owner) and the execute seconds the worker measured."""
+        import pickle
+
+        broker = SpoolBroker(tmp_path)
+        notes = {}
+        for i in range(3):
+            job = sleep_job(f"n{i}")
+            broker.submit(job_key(job), job)
+            notes[job_key(job)] = f"n{i}"
+        assert run_worker_loop(broker, idle_exit=0.0,
+                               poll_interval=0.01) == (3, 0)
+        payloads = {path.stem: pickle.loads(path.read_bytes())
+                    for path in broker.done_dir.glob("*.pkl")}
+        assert set(payloads) == set(notes)
+        for key, wire in payloads.items():
+            assert isinstance(wire, WireResult)
+            assert wire.result == {"note": notes[key]}
+            assert wire.worker == worker_identity()  # this thread's tag
+            assert wire.execute_s >= 0.0
+
     def test_worker_loop_reports_failures_separately(self, tmp_path):
         broker = SpoolBroker(tmp_path)
         crash = Job(kind="engine-selftest-crash")
@@ -182,7 +208,7 @@ class TestBrokerPrimitives:
         broker.complete(w2, {"note": "contested"})
         (event,) = broker.poll({key})
         assert isinstance(event, CompletedEvent)
-        assert event.result == {"note": "contested"}
+        assert event.result == WireResult({"note": "contested"}, worker="w2")
 
     def test_idle_exit_measures_idleness_not_execution_time(self, tmp_path):
         # A shard that runs longer than --idle-exit must not count as
@@ -365,7 +391,7 @@ class TestFaultInjection:
         claim = broker.claim_next("w1")
         broker.complete(claim, {"note": "shared"})
         assert backend._step(pending, state, stats) \
-            == ([(key, {"note": "shared"})], None)
+            == ([(key, WireResult({"note": "shared"}, worker="w1"))], None)
 
     def test_mid_transition_race_does_not_burn_retry_budget(self, tmp_path):
         # One lost poll followed by the shard reappearing must clear the
@@ -408,7 +434,7 @@ class TestFaultInjection:
         monkeypatch.setattr(broker, "_stats", racing(broker._stats))
         (event,) = broker.poll({key})
         assert isinstance(event, CompletedEvent)
-        assert event.result == {"note": "racing"}
+        assert event.result == WireResult({"note": "racing"}, worker="w1")
 
     def test_workerless_spool_warns_instead_of_hanging_silently(
             self, tmp_path):
@@ -481,7 +507,8 @@ class TestFaultInjection:
         c2 = broker.claim_next("w", key=k_bad)
         broker.fail(c2, RuntimeError("permanent failure"))
         completions, failure = backend._step(pending, state, stats)
-        assert completions == [(k_ok, {"note": "kept"})]
+        assert completions == [(k_ok, WireResult({"note": "kept"},
+                                                 worker="w"))]
         assert failure is not None
         assert "permanent failure" in str(failure.cause)
 
@@ -575,7 +602,7 @@ class TestInterleavingProperty:
 
         assert sorted(collected) == sorted(jobs)
         for key, job in jobs.items():
-            assert collected[key] == {"note": job.option("note")}
+            assert collected[key].result == {"note": job.option("note")}
         assert stats.requeued == faults
         assert stats.retried == sum(
             1 for count in fault_counts.values() if count > 0)

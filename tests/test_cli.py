@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
 
 
 class TestRunSpec:
@@ -181,6 +181,27 @@ class TestMonteCarloCli:
                        artifacts=()).save(path)
         assert main(["run", str(path), "--dies", "4"]) == 2
         assert "[montecarlo]" in capsys.readouterr().err
+
+    def test_block_size_never_shows_in_the_export(self, tmp_path, capsys):
+        """No ``--block``, one die per block, a ragged partition and one
+        block of every die all export byte-identical CSVs."""
+        exports = {}
+        for block in (None, 1, 3, 8):
+            path = tmp_path / f"block-{block}.csv"
+            argv = ["mc", "--dies", "8", "--vcc", "500", "--no-cache",
+                    "--export-csv", str(path)]
+            if block is not None:
+                argv += ["--block", str(block)]
+            assert main(argv) == 0
+            exports[block] = path.read_bytes()
+        capsys.readouterr()
+        assert exports[None].startswith(b"kind,scheme,vcc_mv")
+        assert len(set(exports.values())) == 1
+
+    def test_run_rejects_block_zero(self, capsys):
+        assert main(["run", "examples/yield_campaign.toml",
+                     "--block", "0"]) == 2
+        assert "block must be >= 1" in capsys.readouterr().err
 
 
 class TestCachePruneDryRun:

@@ -409,6 +409,25 @@ class TestExperimentDriver:
         on_grid = Experiment(SMALL_SPEC).run()
         assert len(on_grid.filter(kind="sweep-point", vcc_mv=500.0)) == 2
 
+    def test_table1_alternatives_simulate_the_spec_params(self):
+        """Faulty Bits and Extra Bypass run the spec's ``[params]``
+        pipeline, like the baseline they are compared against: a longer
+        mispredict penalty costs every Table 1 row cycles."""
+        def cycles(penalty):
+            spec = ExperimentSpec(
+                name="params", profiles=("kernel-like",),
+                trace_length=400, vcc_mv=(500.0,),
+                params={"mispredict_penalty": penalty},
+                artifacts=("table1",))
+            results = Experiment(spec).run()
+            return {kind: results.filter(kind=kind)[0]["cycles"]
+                    for kind in ("sweep-point", "faulty-bits",
+                                 "extra-bypass")}
+
+        short, long = cycles(11), cycles(40)
+        for kind in short:
+            assert long[kind] > short[kind], kind
+
     def test_artifact_without_run_resolves_lazily(self):
         """Rendering before run() simulates exactly what it needs."""
         experiment = Experiment(SMALL_SPEC)

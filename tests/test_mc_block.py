@@ -2,16 +2,19 @@
 
 Locks the contracts of the one array path: a die's sample and its
 evaluation are bit-identical whatever block holds it (a block of one —
-the ``mc-die`` job — included), every die agrees with the scalar
-per-die oracle in ``tests/mc_oracle.py`` (hypothesis property), block
-partitioning is invariant (any block size reduces to the same rows —
-the hypothesis property), blocks ride the engine as ordinary cacheable
-jobs through every backend, and the dispatch tier underneath (pool
-chunks, broker batch claims with hardlinked heartbeats, the worker
-supervisor) preserves results while amortizing per-job overhead.
+the plan of a campaign without a block size — included), every die
+agrees with the scalar per-die oracle in ``tests/mc_oracle.py``
+(hypothesis property), block partitioning is invariant (any block size
+reduces to the same rows — the hypothesis property), blocks ride the
+engine as ordinary cacheable jobs through every backend, and the
+dispatch tier underneath (auto-sized pool chunks, one-shard spool
+claims, the worker supervisor) preserves results.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import mc_oracle
@@ -45,6 +48,8 @@ from repro.montecarlo import (
 from repro.montecarlo.sampling import DieBlock, evaluate_block
 
 pytestmark = pytest.mark.engine
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GRID = (550.0, 450.0)
 SCHEMES = ("baseline", "iraw")
@@ -242,11 +247,10 @@ class TestBlockBackends:
         serial = campaign_rows(self.DIES, self.BLOCK,
                                runner=ParallelRunner(workers=1))
         pool = campaign_rows(self.DIES, self.BLOCK, runner=ParallelRunner(
-            backend=PoolBackend(workers=2, batch=3)))
+            backend=PoolBackend(workers=2)))
         queue = campaign_rows(self.DIES, self.BLOCK, runner=ParallelRunner(
             backend=QueueBackend(tmp_path / "spool", local_workers=2,
-                                 claim_batch=4, lease_timeout=60.0,
-                                 poll_interval=0.01)))
+                                 lease_timeout=60.0, poll_interval=0.01)))
         assert serial == pool == queue
         assert serial == campaign_rows(self.DIES, None)  # per-die path
 
@@ -293,11 +297,6 @@ class TestPoolChunking:
         assert backend._chunk_size(4) == 1       # tiny batch: legacy path
         assert backend._chunk_size(160) == 10    # ~8 chunks per worker
         assert backend._chunk_size(100_000) == 32  # capped
-        assert PoolBackend(workers=2, batch=5)._chunk_size(100_000) == 5
-
-    def test_batch_validation(self):
-        with pytest.raises(ConfigError, match="batch"):
-            PoolBackend(workers=2, batch=0)
 
     def test_execute_chunk_isolates_member_failures(self):
         good = Job(kind="engine-selftest-sleep", vcc_mv=500.0,
@@ -324,41 +323,41 @@ def spool_jobs(broker, count):
     return keys
 
 
-class TestClaimBatch:
-    def test_claims_share_one_hardlinked_lease_inode(self, tmp_path):
+class TestSingleClaim:
+    def test_a_claim_leases_exactly_one_shard(self, tmp_path):
         broker = SpoolBroker(tmp_path / "spool", lease_timeout=60.0)
-        keys = spool_jobs(broker, 5)
-        claims = broker.claim_batch("w1", limit=3)
-        assert len(claims) == 3
-        assert {claim.key for claim in claims} <= set(keys)
-        inodes = {os.stat(claim.heartbeat_path).st_ino
-                  for claim in claims}
-        assert len(inodes) == 1  # one utime refreshes the whole batch
+        keys = spool_jobs(broker, 3)
+        claims = []
+        for left in (2, 1, 0):
+            claims.append(broker.claim_next("w"))
+            assert len(list(broker.pending_dir.glob("*.job"))) == left
+        assert broker.claim_next("w") is None  # spool empty
+        assert sorted(claim.key for claim in claims) == sorted(keys)
+        # Each lease has its own heartbeat file: no shared inode.
+        inodes = {os.stat(claim.heartbeat_path).st_ino for claim in claims}
+        assert len(inodes) == 3
+        assert all(os.stat(claim.heartbeat_path).st_nlink == 1
+                   for claim in claims)
         assert all(claim.owns() for claim in claims)
-        # The rest stayed pending; a second batch picks them up.
-        rest = broker.claim_batch("w2", limit=10)
-        assert len(rest) == 2
 
-    def test_limit_one_degrades_to_claim_next(self, tmp_path):
-        broker = SpoolBroker(tmp_path / "spool", lease_timeout=60.0)
-        spool_jobs(broker, 2)
-        assert len(broker.claim_batch("w", limit=1)) == 1
-        assert len(broker.claim_batch("w", limit=0)) == 1  # <= 1: next
-        assert broker.claim_batch("w", limit=5) == []  # spool empty
-
-    def test_worker_loop_drains_in_batches(self, tmp_path):
+    def test_worker_loop_holds_one_claim_at_a_time(self, tmp_path,
+                                                   monkeypatch):
         broker = SpoolBroker(tmp_path / "spool", lease_timeout=60.0)
         keys = spool_jobs(broker, 7)
+        held = []
+        claim_next = broker.claim_next
+
+        def counting_claim(*args, **kwargs):
+            held.append(len(list(broker.claimed_dir.glob("*.job"))))
+            return claim_next(*args, **kwargs)
+
+        monkeypatch.setattr(broker, "claim_next", counting_claim)
         completed, failed = run_worker_loop(
-            broker, poll_interval=0.01, idle_exit=0.05, claim_batch=3)
+            broker, poll_interval=0.01, idle_exit=0.05)
         assert (completed, failed) == (7, 0)
+        assert set(held) == {0}  # every earlier lease was already dropped
         done = {path.stem for path in broker.done_dir.glob("*.pkl")}
         assert done == set(keys)
-
-    def test_worker_loop_rejects_bad_claim_batch(self, tmp_path):
-        broker = SpoolBroker(tmp_path / "spool", lease_timeout=60.0)
-        with pytest.raises(ConfigError, match="claim_batch"):
-            run_worker_loop(broker, claim_batch=0, idle_exit=0.01)
 
 
 class _ThreadWorker:
@@ -372,8 +371,7 @@ class _ThreadWorker:
 
     def _serve(self, broker):
         try:
-            run_worker_loop(broker, poll_interval=0.01, idle_exit=0.05,
-                            claim_batch=2)
+            run_worker_loop(broker, poll_interval=0.01, idle_exit=0.05)
         finally:
             self._done.set()
 
@@ -448,12 +446,10 @@ class TestWorkerSupervisor:
             WorkerSupervisor(root, max_workers=2, min_workers=3)
         with pytest.raises(ConfigError, match="shards_per_worker"):
             WorkerSupervisor(root, max_workers=1, shards_per_worker=0)
-        with pytest.raises(ConfigError, match="claim_batch"):
-            WorkerSupervisor(root, max_workers=1, claim_batch=0)
 
 
 # ----------------------------------------------------------------------
-# CLI: the supervisor and batch flags end to end (empty spool)
+# CLI: the supervisor end to end and the deprecated --claim-batch
 # ----------------------------------------------------------------------
 
 class TestWorkerCli:
@@ -467,10 +463,24 @@ class TestWorkerCli:
         assert "supervising" in captured.err
         assert "spawned 0 worker(s)" in captured.out
 
-    def test_claim_batch_flag_is_validated(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["worker", "--queue", str(tmp_path / "spool"),
-                     "--claim-batch", "0", "--max-shards", "0"])
-        assert code == 2
-        assert "--claim-batch" in capsys.readouterr().err
+    def test_claim_batch_flag_is_deprecated(self, tmp_path):
+        """``--claim-batch`` still parses for one release: a fresh
+        ``repro worker`` process shows the DeprecationWarning on stderr
+        (Python hides it outside ``__main__`` by default), ignores the
+        value and drains the spool one claim at a time."""
+        broker = SpoolBroker(tmp_path / "spool", lease_timeout=60.0)
+        keys = spool_jobs(broker, 3)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "worker", "--queue",
+             str(tmp_path / "spool"), "--claim-batch", "2",
+             "--idle-exit", "0", "--poll", "0.01"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "DeprecationWarning: --claim-batch is deprecated" \
+            in proc.stderr
+        assert "executed 3 shard(s)" in proc.stdout
+        done = {path.stem for path in broker.done_dir.glob("*.pkl")}
+        assert done == set(keys)

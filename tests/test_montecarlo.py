@@ -3,7 +3,7 @@
 Covers the sampling primitives (counter-based, order-independent die
 draws; exact max-of-N inverse-CDF sampling; Kolmogorov-Smirnov checks
 of the stream), the array statistics, the spec/TOML surface, the engine
-integration (an ``mc-die`` job is an ordinary cacheable unit), and the
+integration (an ``mc-block`` job is an ordinary cacheable unit), and the
 headline acceptance property: a 64-die ``yield_curve`` campaign
 reproduces **bit-identically** through the serial, pool and queue
 backends, and a warm-cache rerun simulates nothing.
@@ -57,7 +57,7 @@ def sample(config, die):
 
 
 def die_point(config, die, vcc, scheme):
-    """One die evaluated at one point (the ``mc-die`` path)."""
+    """One die evaluated at one point (a block of one die)."""
     return mc_oracle.block_point(
         evaluate_block(config, die, 1, vcc, scheme), 0)
 
@@ -424,10 +424,10 @@ class TestEngineIntegration:
             == mc_oracle.block_points(first[:len(jobs)])
 
     def test_executor_validates_options(self):
-        job = Job(kind="mc-die", vcc_mv=500.0, scheme="iraw")
+        job = Job(kind="mc-block", vcc_mv=500.0, scheme="iraw")
         from repro.engine.executors import execute_job
 
-        with pytest.raises(ConfigError, match="mc-die job needs"):
+        with pytest.raises(ConfigError, match="mc-block job needs"):
             execute_job(job)
 
 
@@ -525,7 +525,7 @@ class TestExperimentIntegration:
             artifacts=("overheads",))
         experiment = Experiment(spec)
         kinds = {job.kind for job in experiment.plan()}
-        assert "mc-die" in kinds
+        assert "mc-block" in kinds
         results = experiment.run()
         assert len(results.filter(kind="mc-yield")) == 2
 

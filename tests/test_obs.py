@@ -21,10 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
-    CompositeProgress,
     EngineStats,
     Job,
-    MetricsProgress,
     NullProgress,
     ParallelRunner,
     PoolBackend,
@@ -97,31 +95,6 @@ class TestInstruments:
         assert hist.cumulative() == [1, 3, 4]
         assert hist.count == 4
         assert hist.sum == pytest.approx(6.05)
-
-    def test_histogram_merge_rejects_different_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("a", buckets=(1.0,)).merge(
-                Histogram("b", buckets=(2.0,)))
-
-    @settings(max_examples=50, deadline=None)
-    @given(left=st.lists(st.floats(0.0, 100.0), max_size=30),
-           right=st.lists(st.floats(0.0, 100.0), max_size=30))
-    def test_histogram_merge_equals_union_of_observations(self, left,
-                                                          right):
-        """merge(A, B) must equal the histogram of A's and B's inputs."""
-        merged = Histogram("left")
-        other = Histogram("right")
-        union = Histogram("union")
-        for value in left:
-            merged.observe(value)
-            union.observe(value)
-        for value in right:
-            other.observe(value)
-            union.observe(value)
-        merged.merge(other)
-        assert merged.bucket_counts() == union.bucket_counts()
-        assert merged.count == union.count
-        assert merged.sum == pytest.approx(union.sum)
 
 
 class TestRegistry:
@@ -337,44 +310,6 @@ class TestProgress:
         stream.close()
         listener.advance(1, 5)  # must go silent, not raise
         listener.finish(5)
-
-    def test_composite_fans_out_in_order(self):
-        calls = []
-
-        class Probe:
-            def __init__(self, tag):
-                self.tag = tag
-
-            def start(self, total, label=""):
-                calls.append((self.tag, "start", total))
-
-            def advance(self, done, total, label=""):
-                calls.append((self.tag, "advance", done))
-
-            def finish(self, total, label=""):
-                calls.append((self.tag, "finish", total))
-
-        listener = CompositeProgress(Probe("a"), Probe("b"))
-        listener.start(2)
-        listener.advance(1, 2)
-        listener.finish(2)
-        assert calls == [("a", "start", 2), ("b", "start", 2),
-                         ("a", "advance", 1), ("b", "advance", 1),
-                         ("a", "finish", 2), ("b", "finish", 2)]
-
-    def test_metrics_progress_mirrors_batch_state(self):
-        registry = MetricsRegistry()
-        listener = MetricsProgress(registry)
-        listener.start(4)
-        listener.advance(3, 4)
-        snap = registry.snapshot()
-        assert snap["engine_batch_total"] == 4
-        assert snap["engine_batch_done"] == 3
-        assert snap["engine_batches"] == 1
-        listener.finish(4)
-        snap = registry.snapshot()
-        assert snap["engine_batch_total"] == 0
-        assert snap["engine_batch_done"] == 0
 
 
 # ---------------------------------------------------------------------------
