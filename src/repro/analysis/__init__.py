@@ -1,13 +1,6 @@
 """Evaluation harness: sweeps, metrics, figure/table regeneration."""
 
-from repro.analysis.dvfs import (
-    DvfsOutcome,
-    DvfsPhase,
-    DvfsScenario,
-    ScheduleSpec,
-    compare_schemes,
-    evaluate_schedules,
-)
+from repro.analysis.dvfs import DvfsOutcome, DvfsPhase, DvfsScenario
 from repro.analysis.figures import (
     figure1_series,
     figure11a_series,
@@ -22,9 +15,6 @@ __all__ = [
     "DvfsPhase",
     "DvfsScenario",
     "PointResult",
-    "ScheduleSpec",
-    "compare_schemes",
-    "evaluate_schedules",
     "SweepSettings",
     "VccSweep",
     "figure1_series",

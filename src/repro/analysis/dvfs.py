@@ -14,13 +14,13 @@ transition overheads are accumulated.
 
 One scenario is inherently serial — the reprogrammed policy state carries
 across phases — but *grids* of scenarios (schemes x schedules x traces)
-are independent, so :func:`evaluate_schedules` and
-:func:`compare_schemes` express them as declarative ``dvfs-schedule``
-jobs and submit the whole batch through the experiment engine, where
-they parallelize and persist in the result cache.  A ``dvfs-schedule``
-job already targets a single trace, so it is the engine's atomic unit:
-the runner's per-trace sharding applies to population kinds and leaves
-these jobs whole.
+are independent, so :func:`schedule_job` folds each one into a
+declarative ``dvfs-schedule`` job; a spec's ``[[dvfs]]`` schedules reach
+the engine that way through :class:`~repro.experiments.Experiment`,
+where they parallelize and persist in the result cache.  A
+``dvfs-schedule`` job already targets a single trace, so it is the
+engine's atomic unit: the runner's per-trace sharding applies to
+population kinds and leaves these jobs whole.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.circuits.constants import DRAM_LATENCY_NS
+from repro.circuits.ekv import check_voltage
 from repro.circuits.energy import EnergyModel
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.controller import VccController
 from repro.core.policy import IrawPolicy
 from repro.engine.jobs import Job, TraceSpec
-from repro.engine.runner import ParallelRunner
 from repro.errors import ConfigError
 from repro.isa.instructions import MicroOp
 from repro.memory.hierarchy import MemoryConfig
@@ -54,6 +54,7 @@ class DvfsPhase:
     instructions: int
 
     def __post_init__(self) -> None:
+        check_voltage(self.vcc_mv)
         if self.instructions <= 0:
             raise ConfigError("phase must cover at least one instruction")
 
@@ -208,33 +209,21 @@ def _reindex(op: MicroOp, new_index: int) -> MicroOp:
 
 
 # ----------------------------------------------------------------------
-# Engine-backed schedule batches
+# Engine jobs
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """One engine-submittable DVFS evaluation: a trace through phases."""
-
-    trace: TraceSpec
-    phases: tuple[DvfsPhase, ...]
-    scheme: ClockScheme = ClockScheme.IRAW
-
-    def __post_init__(self) -> None:
-        if not self.phases:
-            raise ConfigError("schedule needs at least one phase")
-
-
-def schedule_job(spec: ScheduleSpec,
+def schedule_job(trace: TraceSpec, phases, scheme: ClockScheme,
                  solver: FrequencySolver | None = None,
                  params: PipelineParams | None = None,
                  memory: MemoryConfig | None = None,
                  dram_latency_ns: float = DRAM_LATENCY_NS,
                  transition_ns: float = DEFAULT_TRANSITION_NS,
                  warm: bool = True) -> Job:
-    """Fold one :class:`ScheduleSpec` into a declarative engine job."""
+    """Fold one DVFS scenario — ``trace`` through ``phases`` under
+    ``scheme`` — into a declarative engine job."""
     solver = solver or FrequencySolver()
     options = [
-        ("phases", tuple(spec.phases)),
+        ("phases", tuple(phases)),
         ("params", params or PipelineParams()),
         ("memory", memory or MemoryConfig()),
         ("dram_latency_ns", dram_latency_ns),
@@ -243,31 +232,5 @@ def schedule_job(spec: ScheduleSpec,
         ("delay_model", solver.delay_model),
         ("nominal_frequency_mhz", solver.nominal_frequency_mhz),
     ]
-    return Job(kind="dvfs-schedule", scheme=spec.scheme.value,
-               trace=spec.trace, options=tuple(options))
-
-
-def evaluate_schedules(specs, runner: ParallelRunner | None = None,
-                       **scenario_knobs) -> list[DvfsOutcome]:
-    """Run a batch of DVFS scenarios through the engine.
-
-    ``scenario_knobs`` are forwarded to :func:`schedule_job` (solver,
-    params, memory, latencies, warmup).  Results come back in spec
-    order; with a parallel runner the scenarios run concurrently.
-    """
-    runner = runner or ParallelRunner()
-    jobs = [schedule_job(spec, **scenario_knobs) for spec in specs]
-    return runner.run(jobs, label="dvfs-schedules")
-
-
-def compare_schemes(trace: TraceSpec, phases,
-                    runner: ParallelRunner | None = None,
-                    schemes=(ClockScheme.BASELINE, ClockScheme.IRAW),
-                    **scenario_knobs) -> dict[str, DvfsOutcome]:
-    """The same schedule under several clock schemes, as one batch."""
-    phases = tuple(phases)
-    specs = [ScheduleSpec(trace=trace, phases=phases, scheme=scheme)
-             for scheme in schemes]
-    outcomes = evaluate_schedules(specs, runner=runner, **scenario_knobs)
-    return {scheme.value: outcome
-            for scheme, outcome in zip(schemes, outcomes)}
+    return Job(kind="dvfs-schedule", scheme=scheme.value,
+               trace=trace, options=tuple(options))

@@ -70,7 +70,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 
 import repro
 from repro.analysis.figures import figure1_series, figure11a_series
@@ -305,13 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seconds between claim attempts when idle")
     worker.add_argument("--idle-exit", type=float, default=None, metavar="S",
                         help="exit after S seconds with nothing to claim "
-                             "(default: serve forever)")
+                             "(default: serve forever; 2 for supervised "
+                             "workers)")
     worker.add_argument("--max-shards", type=int, default=None, metavar="M",
-                        help="exit after executing M shards")
-    worker.add_argument("--claim-batch", type=int, default=None,
-                        metavar="B",
-                        help="deprecated and ignored: a worker claims one "
-                             "shard at a time")
+                        help="exit after executing M shards (not with "
+                             "--supervise)")
     worker.add_argument("--supervise", action="store_true",
                         help="run a supervisor instead of a fixed fleet: "
                              "size worker processes to the queue depth "
@@ -503,22 +500,6 @@ def _cmd_mc(args) -> int:
     # montecarlo artifacts — built in memory, run through the one driver.
     from repro.montecarlo import MonteCarloSpec
 
-    from repro.circuits.ekv import VCC_MAX_MV, VCC_MIN_MV
-
-    if args.dies < 1:
-        raise ConfigError(f"--dies must be >= 1 (got {args.dies})")
-    if not 0 < args.confidence < 1:
-        raise ConfigError(f"--confidence must be in (0, 1), got "
-                          f"{args.confidence:g}")
-    if args.vcc:
-        for vcc in args.vcc:
-            if not VCC_MIN_MV <= vcc <= VCC_MAX_MV:
-                raise ConfigError(
-                    f"--vcc {vcc:g} is outside the modeled "
-                    f"[{VCC_MIN_MV:g}, {VCC_MAX_MV:g}] mV range")
-    elif args.step <= 0:
-        raise ConfigError(f"--step must be positive millivolts "
-                          f"(got {args.step:g})")
     shift = _parse_importance_shift(args.importance_shift)
     importance = None if shift is None \
         else ImportanceSpec(shift_sigma=shift)
@@ -688,15 +669,15 @@ def _cmd_worker(args) -> int:
     if args.max_shards is not None and args.max_shards < 0:
         raise ConfigError(f"--max-shards must be >= 0 "
                           f"(got {args.max_shards})")
-    if args.claim_batch is not None:
-        warnings.warn("--claim-batch is deprecated and ignored: a worker "
-                      "claims one shard at a time", DeprecationWarning,
-                      stacklevel=2)
+    if args.supervise and args.max_shards is not None:
+        raise ConfigError("--max-shards does not apply with --supervise: "
+                          "the supervisor respawns workers to queue depth")
     broker = SpoolBroker(root)  # validates the spool root eagerly
     if args.supervise:
-        supervisor = WorkerSupervisor(root,
-                                      max_workers=args.concurrency,
-                                      worker_poll=args.poll)
+        knobs = {"max_workers": args.concurrency, "worker_poll": args.poll}
+        if args.idle_exit is not None:
+            knobs["idle_exit"] = args.idle_exit
+        supervisor = WorkerSupervisor(root, **knobs)
         print(f"worker: supervising spool {broker.spool} "
               f"(up to {args.concurrency} workers)", file=sys.stderr)
         supervisor.run()
@@ -854,11 +835,6 @@ def _dispatch(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Deprecation warnings for CLI spellings must reach the operator:
-    # Python's default filter hides DeprecationWarning outside
-    # __main__, which would make a deprecated flag silently final.
-    warnings.filterwarnings("default",
-                            message=r"--claim-batch is deprecated")
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

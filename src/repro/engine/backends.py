@@ -6,7 +6,6 @@ per-trace shards, as a ``key -> Job`` mapping — to an **execution
 backend**.  A backend is anything with::
 
     name: str              # "serial" | "pool" | "queue" | ...
-    wrap_errors: bool      # False only for the bit-identical serial path
     def execute(self, pending, stats, trace):
         # yield (key, result) pairs as units complete, in any order;
         # raise ShardFailure when a unit permanently fails
@@ -14,12 +13,13 @@ backend**.  A backend is anything with::
 The ``trace`` is the batch's :class:`repro.obs.trace.BatchTrace`:
 backends report worker-measured execute time per key through
 ``trace.executed`` and the runner emits the span when it collects the
-result.
+result.  The runner turns every ``ShardFailure`` into an
+:class:`~repro.errors.EngineError` naming the unit's label and
+canonical key, whichever backend raised it.
 
 Three implementations ship here:
 
-* :class:`SerialBackend` — inline, deterministic, no subprocesses;
-  exceptions propagate unwrapped, exactly like the legacy inline loops.
+* :class:`SerialBackend` — inline, deterministic, no subprocesses.
 * :class:`PoolBackend` — a ``ProcessPoolExecutor`` fan-out on one
   machine; a single pending unit skips pool setup and runs inline, and
   every other batch ships as automatically sized job chunks, one chunk
@@ -31,10 +31,8 @@ Three implementations ship here:
   heartbeats, and the backend collects and unwraps the ``done/``
   result envelopes (:class:`~repro.engine.broker.WireResult`),
   re-dispatching shards whose lease expires (crashed or wedged worker)
-  or whose result is corrupt (quarantined), bounded by
-  ``max_retries``; permanent failures surface as
-  :class:`~repro.engine.runner.EngineError` naming the shard's trace
-  and canonical key.
+  or whose result is corrupt (quarantined), up to ``max_retries`` times
+  per shard.
 
 All three produce bit-identical results for the same batch — the
 backend-equivalence suite (``tests/test_golden.py``) locks that down
@@ -72,11 +70,10 @@ _WORKERLESS_WARNED_LOCK = threading.Lock()
 class ShardFailure(RuntimeError):
     """Internal: one executable unit failed inside a backend.
 
-    Backends raise this instead of :class:`EngineError` so the runner
-    owns the error contract: the serial backend's failures are re-raised
-    unwrapped (legacy inline semantics), every other backend's are
-    wrapped into an ``EngineError`` naming the unit's label (which
-    carries the trace for shard jobs) and canonical key.
+    Backends raise this instead of :class:`~repro.errors.EngineError`
+    so the runner owns the error contract: it wraps every failure into
+    an ``EngineError`` naming the unit's label (which carries the trace
+    for shard jobs) and canonical key.
     """
 
     def __init__(self, key: str, job: Job, cause: BaseException,
@@ -96,9 +93,6 @@ class SerialBackend:
     """Inline execution in submission order — the deterministic default."""
 
     name = "serial"
-    #: Legacy contract: serial failures propagate as the original
-    #: exception, not wrapped in EngineError.
-    wrap_errors = False
 
     def execute(self, pending, stats, trace):
         for key, job in pending.items():
@@ -125,7 +119,6 @@ class PoolBackend:
     """
 
     name = "pool"
-    wrap_errors = True
 
     def __init__(self, workers: int = 0):
         if workers == 0 or workers is None:
@@ -153,11 +146,6 @@ class PoolBackend:
         siblings' finished simulations.
         """
         if len(pending) == 1:
-            # One pending unit skips pool setup entirely and runs the
-            # serial path; the failure is still wrapped (EngineError)
-            # per the multi-worker contract, because ShardFailure is
-            # raised either way and the runner checks *this* backend's
-            # wrap_errors.
             yield from SerialBackend().execute(pending, stats, trace)
             return
         chunk = self._chunk_size(len(pending))
@@ -190,14 +178,13 @@ class PoolBackend:
                                                where="in a worker process")
                 if failure is not None:
                     raise failure from failure.cause
-        except BaseException:
-            # Surface the failure immediately: drop queued work and do
-            # not block on simulations already in flight (they finish in
-            # the background and are reaped at interpreter exit).
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
+        finally:
+            # On a failure, drop queued chunks but wait out the ones in
+            # flight (the interpreter's exit would wait for them anyway):
+            # an executor still winding down at exit races CPython's
+            # exit hook, which can print a spurious traceback after the
+            # EngineError.
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -230,7 +217,7 @@ class QueueBackend:
     max_retries:
         Re-dispatches allowed per shard (lease expiries, quarantined
         results and failed attempts all count) before the batch fails
-        with an :class:`~repro.engine.runner.EngineError`.
+        with an :class:`~repro.errors.EngineError`.
     local_workers:
         Worker threads the backend itself runs for the duration of each
         batch.  ``0`` (the default) relies entirely on detached
@@ -242,7 +229,6 @@ class QueueBackend:
     """
 
     name = "queue"
-    wrap_errors = True
 
     def __init__(self, queue_dir=None, *, lease_timeout: float | None = None,
                  max_retries: int = 3, local_workers: int = 0,

@@ -29,10 +29,9 @@ Duplicate jobs inside one batch are simulated once.  Results come back
 in submission order regardless of which worker finished first, so
 figure generators can ``zip`` them against their grid.
 
-Error model: on the serial backend exceptions propagate unchanged
-(exactly like the legacy inline code); from every other backend they are
-re-raised as :class:`EngineError` chained to the original exception, and
-the rest of the batch is cancelled.  A crashed shard names its trace
+Error model: on every backend a failed job is re-raised as
+:class:`~repro.errors.EngineError` chained to the original exception,
+and the rest of the batch is cancelled.  A crashed shard names its trace
 (via the job label) and its canonical job key, so the offending
 evaluation point can be rerun or purged from the cache directly.  The
 queue backend retries transient failures first (bounded, counted in
@@ -49,12 +48,9 @@ from repro.engine.cache import MISS, ResultCache
 from repro.engine.jobs import Job, aggregate_shard_results, job_key, \
     shard_jobs
 from repro.engine.progress import NullProgress
+from repro.errors import EngineError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import BatchTrace, NullTraceSink
-
-
-class EngineError(RuntimeError):
-    """A job failed while executing inside a worker process."""
 
 
 class EngineStats:
@@ -328,12 +324,10 @@ class ParallelRunner:
     def _execute(self, pending: dict[str, Job], label: str,
                  trace: BatchTrace) -> None:
         total = len(pending)
-        backend = self.backend
         requeued_before = self.stats.requeued
         self.progress.start(total, label)
         trace.submitted(pending.items())
-        completions = backend.execute(pending, self.stats, trace)
-        failure = None
+        completions = self.backend.execute(pending, self.stats, trace)
         try:
             done = 0
             for key, result in completions:
@@ -342,22 +336,14 @@ class ParallelRunner:
                 self.progress.advance(done, total,
                                       self._progress_label(label,
                                                            requeued_before))
-        except ShardFailure as exc:
+        except ShardFailure as failure:
             self.stats.errors += 1
-            trace.failed(exc.key)
-            failure = exc
-        finally:
-            self.progress.finish(total, label)
-        if failure is None:
-            return
-        if backend.wrap_errors:
+            trace.failed(failure.key)
             raise EngineError(
                 _failure_message(failure.job, failure.key, failure.cause,
                                  where=failure.where)) from failure.cause
-        # Serial contract: the original exception propagates unchanged —
-        # re-raised outside the except block so no ShardFailure plumbing
-        # pollutes the traceback chain.
-        raise failure.cause
+        finally:
+            self.progress.finish(total, label)
 
     def _progress_label(self, label: str, requeued_before: int) -> str:
         """Surface this batch's fault recovery in the progress line."""

@@ -20,7 +20,7 @@ class CalibrationError(ReproError):
     """The circuit model could not be calibrated to the paper's anchors."""
 
 
-class VoltageRangeError(ReproError):
+class VoltageRangeError(ConfigError):
     """A voltage is outside the modeled [400 mV, 700 mV] operating range."""
 
 
@@ -38,3 +38,11 @@ class PipelineError(ReproError):
 
 class MemoryModelError(ReproError):
     """The memory-hierarchy model reached an inconsistent state."""
+
+
+class EngineError(ReproError, RuntimeError):
+    """A job failed while the engine executed it, on any backend.
+
+    The message names the job's label and canonical key; the original
+    exception is chained as ``__cause__``.
+    """

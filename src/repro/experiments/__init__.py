@@ -14,9 +14,10 @@ This package is the consumer-facing seam over :mod:`repro.engine`:
   CSV/JSON export.
 * :data:`~repro.experiments.artifacts.ARTIFACTS` — the named-artifact
   registry (``table1``, ``fig11b``, ``fig12``, ``energy450``,
-  ``overheads``, ``dvfs``).  The row builders here are the single
-  implementation; the legacy ``repro.analysis`` entry points are thin
-  wrappers over them.
+  ``overheads``, ``dvfs``, ``stalls`` and the Monte-Carlo artifacts).
+  Its row builders are the single implementation of each artifact;
+  ``repro.analysis`` keeps only the point-level pieces they build on
+  (sweeps, DVFS scenarios, circuit-only figures).
 
 Typical use::
 

@@ -36,7 +36,7 @@ from repro.circuits.energy import EnergyModel, paper_450mv_example
 from repro.circuits.frequency import ClockScheme
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
-from repro.experiments.spec import TABLE1_TECHNIQUES
+from repro.experiments.spec import table1_selection
 
 #: Vcc of the Section 5.3 joule-accounting example.
 ENERGY_EXAMPLE_VCC = 450.0
@@ -49,21 +49,6 @@ ENERGY_CALIBRATION_VCC = 600.0
 # Row builders
 # ----------------------------------------------------------------------
 
-def _table1_selection(techniques) -> tuple[str, ...]:
-    """Normalize a technique subset to the canonical row order."""
-    if techniques is None:
-        return TABLE1_TECHNIQUES
-    chosen = {str(t) for t in techniques}
-    unknown = sorted(chosen - set(TABLE1_TECHNIQUES))
-    if unknown:
-        raise ConfigError(f"unknown table1 technique(s) {unknown}; "
-                          f"known: {', '.join(TABLE1_TECHNIQUES)}")
-    if not chosen:
-        raise ConfigError("table1 techniques must name at least one "
-                          f"of: {', '.join(TABLE1_TECHNIQUES)}")
-    return tuple(t for t in TABLE1_TECHNIQUES if t in chosen)
-
-
 def table1_jobs(sweep: VccSweep, vcc_mv: float,
                 techniques=None) -> list[Job]:
     """The population evaluations behind Table 1, as engine jobs.
@@ -73,7 +58,7 @@ def table1_jobs(sweep: VccSweep, vcc_mv: float,
     its own evaluation, in canonical order.  ``freq-scaling`` needs no
     job beyond the baseline itself.
     """
-    techniques = _table1_selection(techniques)
+    techniques = table1_selection(techniques)
     options = sweep.point_options()
     jobs = [sweep.job_for(vcc_mv, ClockScheme.BASELINE)]
     if "iraw" in techniques:
@@ -98,7 +83,7 @@ def table1_rows(sweep: VccSweep, vcc_mv: float = 500.0,
     come back in the canonical order whatever the author order, and the
     full default set is bit-identical to the historical four-row table.
     """
-    techniques = _table1_selection(techniques)
+    techniques = table1_selection(techniques)
     solver = sweep.solver
     results = iter(sweep.runner.run(
         table1_jobs(sweep, vcc_mv, techniques),

@@ -14,7 +14,7 @@ exactly once no matter how many artifacts share points.
 
 from __future__ import annotations
 
-from repro.analysis.dvfs import ScheduleSpec, schedule_job
+from repro.analysis.dvfs import schedule_job
 from repro.analysis.sweep import VccSweep
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.engine.jobs import Job, job_key
@@ -100,11 +100,8 @@ class Experiment:
         jobs = []
         for schedule in self.spec.dvfs:
             for scheme in schedule.schemes:
-                spec = ScheduleSpec(trace=schedule.trace,
-                                    phases=schedule.phases,
-                                    scheme=ClockScheme(scheme))
                 jobs.append(schedule_job(
-                    spec,
+                    schedule.trace, schedule.phases, ClockScheme(scheme),
                     solver=self.sweep.solver
                     if self.spec.has_population() else None,
                     params=self.spec.pipeline_params(),

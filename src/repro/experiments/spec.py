@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.analysis.dvfs import DvfsPhase
 from repro.analysis.sweep import SweepSettings
 from repro.circuits import constants
-from repro.circuits.ekv import voltage_grid
+from repro.circuits.ekv import check_voltage, voltage_grid
 from repro.circuits.frequency import ClockScheme
 from repro.engine.jobs import TraceSpec
 from repro.errors import ConfigError, TraceError
@@ -59,7 +59,7 @@ MONTECARLO_ARTIFACTS = ("yield_curve", "vccmin_dist", "deep_tail")
 
 #: The techniques Table 1 can quantify, in the table's row order (kept
 #: here for the same reason as KNOWN_ARTIFACTS; the registry's row
-#: builders import this canonical order).
+#: builders select from it through :func:`table1_selection`).
 TABLE1_TECHNIQUES = ("iraw", "faulty-bits", "extra-bypass",
                      "freq-scaling")
 
@@ -297,20 +297,8 @@ class ExperimentSpec:
                                                for s in self.schemes)))
         object.__setattr__(self, "artifacts",
                            tuple(str(a) for a in self.artifacts))
-        # Author order of the technique subset is presentation only:
-        # Table 1 renders rows in the canonical order regardless.
-        chosen = {str(t) for t in self.table1_techniques}
-        unknown_techniques = sorted(chosen - set(TABLE1_TECHNIQUES))
-        if unknown_techniques:
-            raise ConfigError(
-                f"unknown table1 technique(s) {unknown_techniques}; "
-                f"known: {', '.join(TABLE1_TECHNIQUES)}")
-        if not chosen:
-            raise ConfigError("table1 techniques must name at least one "
-                              f"of: {', '.join(TABLE1_TECHNIQUES)}")
-        object.__setattr__(
-            self, "table1_techniques",
-            tuple(t for t in TABLE1_TECHNIQUES if t in chosen))
+        object.__setattr__(self, "table1_techniques",
+                           table1_selection(self.table1_techniques))
         object.__setattr__(self, "ablations", tuple(self.ablations))
         object.__setattr__(self, "dvfs", tuple(self.dvfs))
         object.__setattr__(self, "params", _sorted_overrides(
@@ -379,6 +367,9 @@ class ExperimentSpec:
         if self.vcc_mv and self.step_mv is not None:
             raise ConfigError(f"experiment {self.name!r}: give either "
                               f"vcc_mv or step_mv, not both")
+        for vcc_mv in (*self.grid(), self.table1_vcc_mv,
+                       self.stalls_vcc_mv):
+            check_voltage(vcc_mv)
         for scheme in self.schemes:
             _check_scheme(scheme, f"experiment {self.name!r}")
         if not self.schemes:
@@ -680,6 +671,25 @@ class ExperimentSpec:
 # ----------------------------------------------------------------------
 # Shared validation helpers
 # ----------------------------------------------------------------------
+
+def table1_selection(techniques) -> tuple[str, ...]:
+    """Normalize a Table 1 technique subset to the canonical row order.
+
+    ``None`` selects every technique.  Author order is presentation
+    only: Table 1 renders rows in :data:`TABLE1_TECHNIQUES` order.
+    """
+    if techniques is None:
+        return TABLE1_TECHNIQUES
+    chosen = {str(t) for t in techniques}
+    unknown = sorted(chosen - set(TABLE1_TECHNIQUES))
+    if unknown:
+        raise ConfigError(f"unknown table1 technique(s) {unknown}; "
+                          f"known: {', '.join(TABLE1_TECHNIQUES)}")
+    if not chosen:
+        raise ConfigError("table1 techniques must name at least one "
+                          f"of: {', '.join(TABLE1_TECHNIQUES)}")
+    return tuple(t for t in TABLE1_TECHNIQUES if t in chosen)
+
 
 def _check_scheme(scheme: str, owner: str) -> None:
     if scheme not in _SCHEME_NAMES:

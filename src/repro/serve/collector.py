@@ -278,19 +278,25 @@ class Collector:
                     for record in sorted(self._records.values(),
                                          key=lambda r: (r.created_s, r.id))]
 
+    def _tally(self) -> tuple[dict, dict]:
+        """Campaign counts by state and active usage by tenant (the
+        caller holds the lock)."""
+        states: dict[str, int] = {}
+        for record in self._records.values():
+            states[record.state] = states.get(record.state, 0) + 1
+        tenants: dict[str, dict] = {}
+        for active in self._active:
+            usage = tenants.setdefault(
+                active.record.tenant,
+                {"active_campaigns": 0, "in_flight_jobs": 0})
+            usage["active_campaigns"] += 1
+            usage["in_flight_jobs"] += active.remaining
+        return states, tenants
+
     def metrics(self) -> dict:
         """The ``GET /v1/metrics`` body: engine, queue, cache, tenants."""
         with self.lock:
-            states: dict[str, int] = {}
-            tenants: dict[str, dict] = {}
-            for record in self._records.values():
-                states[record.state] = states.get(record.state, 0) + 1
-            for active in self._active:
-                usage = tenants.setdefault(
-                    active.record.tenant,
-                    {"active_campaigns": 0, "in_flight_jobs": 0})
-                usage["active_campaigns"] += 1
-                usage["in_flight_jobs"] += active.remaining
+            states, tenants = self._tally()
             payload = {
                 "engine": dict(self.runner.stats.as_dict(),
                                memo_entries=self.runner.memo_size),
@@ -322,20 +328,11 @@ class Collector:
         """Per-state / per-tenant gauges whose label sets are dynamic."""
         samples = []
         with self.lock:
-            states: dict[str, int] = {}
-            for record in self._records.values():
-                states[record.state] = states.get(record.state, 0) + 1
+            states, tenants = self._tally()
             for state, count in sorted(states.items()):
                 samples.append(Sample(
                     "serve_campaigns", count, (("state", state),),
                     help="Campaigns known to this process, by state"))
-            tenants: dict[str, dict] = {}
-            for active in self._active:
-                usage = tenants.setdefault(
-                    active.record.tenant,
-                    {"active_campaigns": 0, "in_flight_jobs": 0})
-                usage["active_campaigns"] += 1
-                usage["in_flight_jobs"] += active.remaining
             for tenant, usage in sorted(tenants.items()):
                 labels = (("tenant", tenant),)
                 samples.append(Sample(
@@ -420,13 +417,7 @@ class Collector:
         try:
             caught = self._run_chunk(active, chunk)
         except Exception as exc:  # noqa: BLE001 - one campaign, not the loop
-            with self.lock:
-                record.state = "failed"
-                record.error = str(exc) or type(exc).__name__
-                self._merge_stats(record, before)
-                self._active = [entry for entry in self._active
-                                if entry is not active]
-                self.registry.save(record)
+            self._fail(active, exc, before)
             return True
         with self.lock:
             if record.state == "cancelled":
@@ -470,14 +461,8 @@ class Collector:
                            for row in rows]
                     for name, rows
                     in active.experiment.artifacts().items()}
-        except Exception as exc:  # noqa: BLE001
-            with self.lock:
-                record.state = "failed"
-                record.error = str(exc) or type(exc).__name__
-                self._merge_stats(record, before)
-                self._active = [entry for entry in self._active
-                                if entry is not active]
-                self.registry.save(record)
+        except Exception as exc:  # noqa: BLE001 - one campaign, not the loop
+            self._fail(active, exc, before)
             return
         with self.lock:
             if record.state == "cancelled":
@@ -509,11 +494,20 @@ class Collector:
                 active.experiment._point_record(*point)))
             active.emitted_grid += 1
 
+    def _fail(self, active: _Active, exc: Exception, before: dict) -> None:
+        """Retire a campaign whose chunk or finalization raised."""
+        record = active.record
+        with self.lock:
+            record.state = "failed"
+            record.error = str(exc) or type(exc).__name__
+            self._merge_stats(record, before)
+            self._active = [entry for entry in self._active
+                            if entry is not active]
+            self.registry.save(record)
+
     def _merge_stats(self, record: CampaignRecord, before: dict) -> None:
         """Attribute the runner counters moved since ``before``."""
-        now = self.runner.stats.as_dict()
-        for name, value in now.items():
-            delta = value - before.get(name, 0)
+        for name, delta in self.runner.stats.delta(before).items():
             if delta:
                 record.stats[name] = record.stats.get(name, 0) + delta
 

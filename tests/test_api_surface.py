@@ -17,7 +17,7 @@ from repro.isa.opcodes import Opcode
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.11.0"
+        assert repro.__version__ == "1.12.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:
@@ -144,6 +144,14 @@ class TestErrorHierarchy:
         ]
         for error_type in leaf_errors:
             assert issubclass(error_type, errors.ReproError)
+
+    def test_engine_and_voltage_errors_share_the_contract(self):
+        from repro import errors
+        from repro.engine import EngineError
+        assert EngineError is errors.EngineError
+        assert issubclass(EngineError, errors.ReproError)
+        assert issubclass(EngineError, RuntimeError)
+        assert issubclass(errors.VoltageRangeError, errors.ConfigError)
 
     def test_library_raises_catchable_base(self):
         from repro.errors import ReproError

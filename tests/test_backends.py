@@ -703,6 +703,46 @@ class TestValidation:
             resolve_backend(42)
 
 
+class TestOneFailureContract:
+    """Every backend fails the same way: an ``EngineError`` naming the
+    job's label and canonical key, chained to the job's exception."""
+
+    @pytest.mark.parametrize("name", ["serial", "pool", "queue"])
+    def test_failing_job_raises_keyed_engine_error(self, tmp_path, name):
+        crash = Job(kind="engine-selftest-crash",
+                    trace=TraceSpec.synthetic(KERNEL_LIKE, seed=0,
+                                              length=300),
+                    options=(("note", "contract"),))
+        backend = {
+            "serial": SerialBackend,
+            "pool": lambda: PoolBackend(workers=2),
+            "queue": lambda: queue_backend(tmp_path, local_workers=1,
+                                           max_retries=0),
+        }[name]()
+        runner = ParallelRunner(backend=backend)
+        # The sibling makes the pool fan out to worker processes rather
+        # than run a lone pending job inline.
+        with pytest.raises(EngineError) as excinfo:
+            runner.run([crash, sleep_job("sibling")])
+        assert f"job '{crash.label}' (key {job_key(crash)}) failed" \
+            in str(excinfo.value)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "injected engine crash (contract)" in str(cause)
+        assert runner.stats.errors == 1
+
+    def test_failed_pool_batch_leaves_no_worker_processes(self):
+        import multiprocessing
+
+        crash = Job(kind="engine-selftest-crash", options=(("note", "x"),))
+        siblings = [sleep_job(f"in-flight-{i}", sleep_s=0.3)
+                    for i in range(3)]
+        runner = ParallelRunner(backend=PoolBackend(workers=2))
+        with pytest.raises(EngineError):
+            runner.run([crash, *siblings])
+        assert multiprocessing.active_children() == []
+
+
 class TestBackendResolution:
     def test_auto_resolution_follows_workers(self):
         assert isinstance(resolve_backend(None, workers=1), SerialBackend)
@@ -726,7 +766,6 @@ class TestBackendResolution:
         assert ParallelRunner(workers=4).backend.name == "pool"
         runner = ParallelRunner(backend=queue_backend(tmp_path))
         assert runner.backend.name == "queue"
-        assert runner.backend.wrap_errors
 
 
 class TestWorkerCli:

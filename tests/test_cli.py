@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.11.0"
+        assert repro.__version__ == "1.12.0"
 
 
 class TestRunSpec:
@@ -160,9 +160,11 @@ class TestMonteCarloCli:
         assert csv_path.read_text().startswith("kind,scheme,vcc_mv")
         capsys.readouterr()
         assert main(["mc", "--dies", "0"]) == 2
-        assert "--dies" in capsys.readouterr().err
+        assert "montecarlo needs at least one die (got 0)" \
+            in capsys.readouterr().err
         assert main(["mc", "--confidence", "2.0"]) == 2
-        assert "--confidence" in capsys.readouterr().err
+        assert "montecarlo confidence must be in (0, 1), got 2.0" \
+            in capsys.readouterr().err
 
     def test_run_samples_override(self, tmp_path, capsys):
         path = self.write_mc_spec(tmp_path, dies=16)
@@ -478,7 +480,7 @@ class TestMcArgumentValidation:
         from repro.cli import main
 
         assert main(["mc", "--step", "0"]) == 2
-        assert "--step" in capsys.readouterr().err
+        assert "step_mv must be positive, got 0.0" in capsys.readouterr().err
         assert main(["mc", "--step", "-5"]) == 2
         capsys.readouterr()
         assert main(["mc", "--vcc", "300"]) == 2
@@ -492,3 +494,26 @@ class TestMcArgumentValidation:
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert out.count("500    | baseline") == 1
+
+
+class TestOutOfRangeInput:
+    """Every front end rejects a Vcc outside 400-700 mV, or a
+    non-positive sweep step, with one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--vcc", "900"],
+        ["figures", "--step", "0"],
+        ["simulate", "--kernel", "fib", "--vcc", "900"],
+    ])
+    def test_front_end_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_run_rejects_an_out_of_range_spec(self, tmp_path, capsys):
+        path = tmp_path / "hot.toml"
+        path.write_text('name = "hot"\n[grid]\nvcc_mv = [900.0]\n')
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Vcc=900.0 mV outside modeled range")
+        assert err.count("\n") == 1

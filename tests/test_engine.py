@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.engine.cache as cache_module
-from repro.analysis.dvfs import DvfsPhase, ScheduleSpec, evaluate_schedules
+from repro.analysis.dvfs import DvfsPhase, schedule_job
 from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.circuits.frequency import ClockScheme
 from repro.engine import (
@@ -445,16 +445,17 @@ class TestRunnerSerial:
         assert [(r.vcc_mv, r.scheme) for r in results] \
             == [(v, s.value) for v, s in points]
 
-    def test_serial_errors_propagate_unwrapped(self):
+    def test_serial_errors_raise_keyed_engine_error(self):
         runner = ParallelRunner(workers=1)
-        with pytest.raises(RuntimeError,
-                           match="injected engine crash") as excinfo:
-            runner.run([Job(kind="engine-selftest-crash")])
+        crash = Job(kind="engine-selftest-crash")
+        with pytest.raises(EngineError) as excinfo:
+            runner.run([crash])
         assert runner.stats.errors == 1
-        # Legacy traceback hygiene: the user sees the original exception
-        # alone, with no internal ShardFailure plumbing chained onto it.
-        assert excinfo.value.__context__ is None
-        assert excinfo.value.__cause__ is None
+        message = str(excinfo.value)
+        assert f"job '{crash.label}' (key {job_key(crash)}) failed" \
+            in message
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert "injected engine crash" in str(excinfo.value.__cause__)
 
     def test_single_job_on_parallel_runner_wraps_errors(self):
         # One pending job runs inline even with workers > 1, but the
@@ -535,10 +536,8 @@ class TestParallelExecution:
 
         spec = TraceSpec.synthetic(KERNEL_LIKE, seed=3, length=600)
         phases = (DvfsPhase(650.0, 300), DvfsPhase(500.0, 300))
-        batched, = evaluate_schedules(
-            [ScheduleSpec(trace=spec, phases=phases,
-                          scheme=ClockScheme.IRAW)],
-            runner=ParallelRunner(workers=2))
+        batched, = ParallelRunner(workers=2).run(
+            [schedule_job(spec, phases, ClockScheme.IRAW)])
         direct = DvfsScenario(scheme=ClockScheme.IRAW).run(
             spec.build(), list(phases))
         assert [p.cycles for p in batched.phases] \

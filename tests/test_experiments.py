@@ -101,6 +101,30 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="unknown grid"):
             ExperimentSpec.from_dict({"grid": {"vcc": [500]}})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"vcc_mv": (900.0,)}, "Vcc=900.0 mV outside modeled range"),
+        ({"step_mv": 0.0}, "step_mv must be positive"),
+        ({"table1_vcc_mv": 900.0}, "Vcc=900.0 mV outside modeled range"),
+        ({"stalls_vcc_mv": 100.0}, "Vcc=100.0 mV outside modeled range"),
+    ])
+    def test_every_vcc_the_spec_names_is_checked(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentSpec(**fields)
+
+    def test_dvfs_phase_vcc_is_checked(self):
+        with pytest.raises(ConfigError, match="Vcc=900.0 mV outside"):
+            DvfsPhase(900.0, 100)
+        data = small_dvfs_spec().to_dict()
+        data["dvfs"][0]["phases"][0]["vcc_mv"] = 900.0
+        with pytest.raises(ConfigError, match="Vcc=900.0 mV outside"):
+            ExperimentSpec.from_dict(data)
+
+    def test_load_rejects_an_out_of_range_grid(self, tmp_path):
+        path = tmp_path / "hot.toml"
+        path.write_text('name = "hot"\n[grid]\nvcc_mv = [900.0]\n')
+        with pytest.raises(ConfigError, match="outside modeled range"):
+            ExperimentSpec.load(path)
+
     def test_grid_defaults_to_paper_sweep(self):
         spec = ExperimentSpec()
         grid = spec.grid()

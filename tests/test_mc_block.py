@@ -12,9 +12,6 @@ claims, the worker supervisor) preserves results.
 """
 
 import os
-import pathlib
-import subprocess
-import sys
 import threading
 
 import mc_oracle
@@ -48,8 +45,6 @@ from repro.montecarlo import (
 from repro.montecarlo.sampling import DieBlock, evaluate_block
 
 pytestmark = pytest.mark.engine
-
-SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GRID = (550.0, 450.0)
 SCHEMES = ("baseline", "iraw")
@@ -449,7 +444,7 @@ class TestWorkerSupervisor:
 
 
 # ----------------------------------------------------------------------
-# CLI: the supervisor end to end and the deprecated --claim-batch
+# CLI: the supervisor end to end
 # ----------------------------------------------------------------------
 
 class TestWorkerCli:
@@ -463,24 +458,34 @@ class TestWorkerCli:
         assert "supervising" in captured.err
         assert "spawned 0 worker(s)" in captured.out
 
-    def test_claim_batch_flag_is_deprecated(self, tmp_path):
-        """``--claim-batch`` still parses for one release: a fresh
-        ``repro worker`` process shows the DeprecationWarning on stderr
-        (Python hides it outside ``__main__`` by default), ignores the
-        value and drains the spool one claim at a time."""
-        broker = SpoolBroker(tmp_path / "spool", lease_timeout=60.0)
-        keys = spool_jobs(broker, 3)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "worker", "--queue",
-             str(tmp_path / "spool"), "--claim-batch", "2",
-             "--idle-exit", "0", "--poll", "0.01"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "DeprecationWarning: --claim-batch is deprecated" \
-            in proc.stderr
-        assert "executed 3 shard(s)" in proc.stdout
-        done = {path.stem for path in broker.done_dir.glob("*.pkl")}
-        assert done == set(keys)
+    def test_supervise_passes_idle_exit_to_its_workers(self, tmp_path,
+                                                       monkeypatch,
+                                                       capsys):
+        import repro.cli
+
+        built = []
+
+        class RecordingSupervisor(WorkerSupervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.cli, "WorkerSupervisor",
+                            RecordingSupervisor)
+        root = str(tmp_path / "spool")
+        assert repro.cli.main(["worker", "--queue", root, "--supervise",
+                               "--idle-exit", "7.5"]) == 0
+        assert repro.cli.main(["worker", "--queue", root,
+                               "--supervise"]) == 0
+        capsys.readouterr()
+        assert [supervisor.idle_exit for supervisor in built] == [7.5, 2.0]
+
+    def test_supervise_rejects_max_shards(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["worker", "--queue", str(tmp_path / "spool"),
+                     "--supervise", "--max-shards", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --max-shards does not apply with "
+                              "--supervise")
+        assert err.count("\n") == 1

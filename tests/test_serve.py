@@ -268,6 +268,17 @@ class TestErrorContract:
         assert rejected.value.status == 400
         assert "table9000" in str(rejected.value)
 
+    @pytest.mark.parametrize("grid, message", [
+        (b'"step_mv": 0.0', "step_mv must be positive"),
+        (b'"vcc_mv": [900.0]', "outside modeled range"),
+    ])
+    def test_out_of_range_grid_returns_400(self, harness, grid, message):
+        service = harness()
+        with pytest.raises(ServeError) as rejected:
+            service.client.submit(b'{"grid": {' + grid + b'}}')
+        assert rejected.value.status == 400
+        assert message in str(rejected.value)
+
     def test_unknown_campaign_returns_404(self, harness):
         service = harness()
         with pytest.raises(ServeError) as missing:
