@@ -65,6 +65,23 @@ class IrawConfig:
         """True when any IRAW avoidance is needed."""
         return self.stabilization_cycles > 0
 
+    def effective(self) -> "IrawConfig":
+        """The configuration as the core it builds sees it.
+
+        At N = 0 the four mechanism switches do nothing:
+        :meth:`IrawPolicy.apply <repro.core.policy.IrawPolicy.apply>`
+        gates each of them by N, and the IQ gate and the prediction
+        hazard tracker need N > 0 as well.  So at N = 0 every switch
+        counts as on, and an ablation at an N = 0 point builds the
+        baseline machine.  The engine simulates a trace once per
+        distinct effective configuration, so a change to what a switch
+        does at N = 0 must change this rule too.
+        """
+        if self.active:
+            return self
+        return replace(self, rf_enabled=True, iq_enabled=True,
+                       cache_guards_enabled=True, stable_enabled=True)
+
     @classmethod
     def disabled(cls) -> "IrawConfig":
         """Baseline configuration: writes complete within their cycle."""

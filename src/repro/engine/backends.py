@@ -21,9 +21,9 @@ Three implementations ship here:
 
 * :class:`SerialBackend` — inline, deterministic, no subprocesses.
 * :class:`PoolBackend` — a ``ProcessPoolExecutor`` fan-out on one
-  machine; a single pending unit skips pool setup and runs inline, and
-  every other batch ships as automatically sized job chunks, one chunk
-  per worker round trip.
+  machine: one chunk per trace unit, plus automatically sized chunks of
+  trace-less jobs, one chunk per worker round trip.  A batch of one
+  trace unit skips pool setup and runs inline.
 * :class:`QueueBackend` — a fault-tolerant distributed backend on the
   filesystem spool broker (:mod:`repro.engine.broker`): shards are
   pickled into ``pending/``, detached ``python -m repro worker``
@@ -33,6 +33,12 @@ Three implementations ship here:
   re-dispatching shards whose lease expires (crashed or wedged worker)
   or whose result is corrupt (quarantined), up to ``max_retries`` times
   per shard.
+
+Serial and pool execute **trace units** (:func:`trace_units`): every
+pending job of one trace spec goes through one
+:func:`~repro.engine.executors.execute_chunk` call, which simulates
+each distinct machine of the unit once.  The queue leases one shard per
+claim, so its workers simulate every shard.
 
 All three produce bit-identical results for the same batch — the
 backend-equivalence suite (``tests/test_golden.py``) locks that down
@@ -51,7 +57,7 @@ from dataclasses import dataclass, field
 from repro.engine.broker import SpoolBroker, CompletedEvent, CorruptEvent, \
     ExpiredEvent, FailedEvent, LostEvent, default_queue_root, \
     run_worker_loop
-from repro.engine.executors import execute_chunk, execute_job
+from repro.engine.executors import execute_chunk
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
 
@@ -89,30 +95,59 @@ class RemoteShardError(RuntimeError):
     """A shard raised on a queue worker; carries the remote traceback."""
 
 
+def trace_units(pending) -> list[list[tuple[str, Job]]]:
+    """Group the pending ``(key, job)`` pairs into trace units.
+
+    A unit is every pending job of one trace spec, in first-appearance
+    order, members in pending order.  A job without a trace
+    (``mc-block``, the self-test kinds) is a unit of one.
+    """
+    units: dict = {}
+    for key, job in pending.items():
+        # Keys are strings and specs are dataclasses: they never collide.
+        group = key if job.trace is None else job.trace
+        units.setdefault(group, []).append((key, job))
+    return list(units.values())
+
+
+def _deliver(part, worker: str, outcomes, trace, where: str = ""):
+    """Yield a chunk's completed members, then raise its first failure.
+
+    Completed members always reach the runner before a member failure
+    is raised, so one bad job never discards its siblings' finished
+    simulations.
+    """
+    failure = None
+    for (key, job), (tag, value, seconds) in zip(part, outcomes):
+        if tag == "ok":
+            trace.executed(key, seconds, worker)
+            yield key, value
+        elif failure is None:
+            failure = ShardFailure(key, job, value, where=where)
+    if failure is not None:
+        raise failure from failure.cause
+
+
 class SerialBackend:
-    """Inline execution in submission order — the deterministic default."""
+    """Inline execution, one trace unit at a time — deterministic."""
 
     name = "serial"
 
     def execute(self, pending, stats, trace):
-        for key, job in pending.items():
-            started = time.perf_counter()
-            try:
-                result = execute_job(job)
-            except Exception as exc:
-                raise ShardFailure(key, job, exc) from exc
-            trace.executed(key, time.perf_counter() - started,
-                           worker="inline")
-            yield key, result
+        for unit in trace_units(pending):
+            _, outcomes = execute_chunk([job for _, job in unit])
+            yield from _deliver(unit, "inline", outcomes, trace)
 
 
 class PoolBackend:
     """``ProcessPoolExecutor`` fan-out across one machine's cores.
 
-    Pending jobs ship in chunks, one chunk per worker round trip, sized
-    from the batch shape (:meth:`_chunk_size`) so cheap vectorized jobs
-    like ``mc-block`` amortize pickle/submit overhead without changing
-    results: chunk members execute independently
+    Pending jobs ship in chunks, one chunk per worker round trip: one
+    chunk per trace unit, so a worker builds each trace once and
+    simulates each of its machines once, and trace-less jobs in chunks
+    sized from their count (:meth:`_chunk_size`) so cheap vectorized
+    jobs like ``mc-block`` amortize pickle/submit overhead.  Chunk
+    members execute independently
     (:func:`~repro.engine.executors.execute_chunk`) and stream back as
     individual ``(key, result)`` completions, each with the execute
     time its worker measured.
@@ -129,7 +164,8 @@ class PoolBackend:
         self.workers = int(workers)
 
     def _chunk_size(self, pending_count: int) -> int:
-        """Jobs per worker round trip for a batch of ``pending_count``.
+        """Trace-less jobs per worker round trip, for ``pending_count``
+        of them.
 
         Keeps ~8 chunks in flight per worker for load balance and caps
         the chunk at 32 so one slow member cannot starve the completion
@@ -141,17 +177,19 @@ class PoolBackend:
         """Ship ``pending`` as chunks and stream back their members.
 
         A chunk's completed members are always delivered before any
-        member failure is raised — per-job isolation inside
-        :func:`execute_chunk` means one bad job never discards its
-        siblings' finished simulations.
+        member failure is raised.
         """
-        if len(pending) == 1:
+        units = trace_units(pending)
+        if len(units) == 1:
             yield from SerialBackend().execute(pending, stats, trace)
             return
-        chunk = self._chunk_size(len(pending))
-        items = list(pending.items())
-        chunks = [items[index:index + chunk]
-                  for index in range(0, len(items), chunk)]
+        # One chunk per trace unit; trace-less jobs, units of one each,
+        # ship in chunks sized from their count.
+        chunks = [unit for unit in units if unit[0][1].trace is not None]
+        loose = [unit[0] for unit in units if unit[0][1].trace is None]
+        size = self._chunk_size(len(loose))
+        chunks += [loose[index:index + size]
+                   for index in range(0, len(loose), size)]
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(chunks)))
         try:
@@ -168,16 +206,8 @@ class PoolBackend:
                     key, job = part[0]
                     raise ShardFailure(key, job, exc,
                                        where="in a worker process") from exc
-                failure = None
-                for (key, job), (tag, value, seconds) in zip(part, outcomes):
-                    if tag == "ok":
-                        trace.executed(key, seconds, worker)
-                        yield key, value
-                    elif failure is None:
-                        failure = ShardFailure(key, job, value,
-                                               where="in a worker process")
-                if failure is not None:
-                    raise failure from failure.cause
+                yield from _deliver(part, worker, outcomes, trace,
+                                    where="in a worker process")
         finally:
             # On a failure, drop queued chunks but wait out the ones in
             # flight (the interpreter's exit would wait for them anyway):
@@ -462,10 +492,10 @@ class QueueBackend:
 def resolve_backend(spec, workers: int = 1, queue_dir=None):
     """Resolve a backend request into a backend instance.
 
-    ``None`` keeps the legacy behavior: serial for ``workers=1``, the
-    process pool otherwise.  A string picks a backend by name
-    (:data:`BACKEND_NAMES`); anything with an ``execute`` attribute is
-    used as-is.
+    ``None`` derives the backend from ``workers``: serial for
+    ``workers=1``, the process pool otherwise.  A string picks a backend
+    by name (:data:`BACKEND_NAMES`); anything with an ``execute``
+    attribute is used as-is.
     """
     if spec is None:
         return SerialBackend() if workers == 1 else PoolBackend(workers)

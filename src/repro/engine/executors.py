@@ -1,12 +1,18 @@
 """Job execution: the functions that actually simulate an evaluation point.
 
 Each :class:`~repro.engine.jobs.Job` kind maps to one module-level
-function so jobs execute identically in-process (the serial fallback) and
+function so jobs execute identically in-process (the serial backend) and
 inside ``ProcessPoolExecutor`` workers (module-level functions pickle by
 qualified name).  Population kinds execute only as per-trace *shards*
 (``job.trace`` set): the runner splits populations before submission.
 Traces are regenerated from their deterministic specs and memoized per
 process, so parallel workers never ship trace objects across the pipe.
+
+The serial and pool backends hand :func:`execute_chunk` one *trace
+unit* at a time: every pending job of one trace spec.  Its members share
+one :class:`UnitTables`, so the unit simulates each distinct machine
+once and builds each DVFS trace once; every job still gets its own
+result.
 
 This module deliberately imports only the simulator layers (circuits,
 pipeline, workloads, baselines) at module scope — :mod:`repro.analysis`
@@ -16,6 +22,7 @@ which keeps ``import repro.engine`` acyclic.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 import time
@@ -137,9 +144,67 @@ def _params(job: Job) -> PipelineParams:
     return job.option("params") or PipelineParams()
 
 
+class UnitTables:
+    """What the members of one trace unit share while it executes.
+
+    :func:`execute_chunk` makes one per call, and it is dropped when the
+    call returns: nothing here outlives its unit.  It holds each DVFS
+    trace the unit builds and each machine run of its shards (see
+    :func:`_run_shard`).
+    """
+
+    def __init__(self):
+        self._traces: dict[TraceSpec, Trace] = {}
+        #: ``(machine, runs)`` pairs; ``runs`` maps a DRAM latency (or
+        #: ``None``, for a run that never reached DRAM) to a run.  A
+        #: list, not a dict: ``PipelineParams`` holds a dict, so
+        #: machines compare equal but do not hash.
+        self._machines: list = []
+
+    def trace(self, spec: TraceSpec) -> Trace:
+        """``spec``'s trace, built once per unit.
+
+        Not routed through the process memo: DVFS traces are long, and
+        keeping them there would raise a campaign's peak memory.
+        """
+        trace = self._traces.get(spec)
+        if trace is None:
+            trace = self._traces[spec] = spec.build()
+        return trace
+
+    def run(self, machine, dram_latency: int, simulate):
+        """The run of ``machine`` at ``dram_latency`` cycles.
+
+        ``simulate()`` runs the core and returns ``(run,
+        reached_dram)``; it is called only when no earlier run of the
+        unit can serve.  ``Dram.access`` is the one read of the latency
+        and warm-up never calls it, so a run that never reached DRAM
+        serves every latency, and one that did serves only its own.
+        """
+        for known, runs in self._machines:
+            if known == machine:
+                break
+        else:
+            runs = {}
+            self._machines.append((machine, runs))
+        run = runs.get(None, runs.get(dram_latency))
+        if run is None:
+            run, reached_dram = simulate()
+            runs[dram_latency if reached_dram else None] = run
+        return run
+
+
 def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
-               memory_mutator=None):
+               tables: UnitTables, memory_mutator=None, mutation=None):
     """Run the shard's one trace on a fresh core under ``setup``.
+
+    The core runs once per *machine* in ``tables``: the trace, the
+    effective IRAW configuration (:meth:`IrawConfig.effective`), the
+    pipeline params, value checking, warm-up, the memory config and
+    ``mutation``, the recipe of ``memory_mutator``.  The point's DRAM
+    latency is not part of the machine (see :meth:`UnitTables.run`),
+    and neither is ``setup.name``: each job gets its own copy of the
+    run's result under its own name.
 
     The result is a one-trace population result; the runner concatenates
     shard results back into the population result (see
@@ -150,30 +215,40 @@ def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
     if job.trace is None:
         raise ConfigError(f"{job.kind} job needs a trace spec (population "
                           f"jobs execute as per-trace shards)")
-    trace = trace_for(job.trace)
-    dram_latency_ns = job.option("dram_latency_ns",
-                                 constants.DRAM_LATENCY_NS)
+    dram_latency = point.memory_latency_cycles(
+        job.option("dram_latency_ns", constants.DRAM_LATENCY_NS))
+    # The spec's memory config: its own DRAM latency is always replaced
+    # by the point's, so it only carries the geometry into the machine.
     base_memory = job.option("memory") or MemoryConfig()
     warm = job.option("warm", True)
-    memory = replace(base_memory,
-                     dram_latency_cycles=point.memory_latency_cycles(
-                         dram_latency_ns))
-    core = InOrderCore(replace(setup, memory=memory))
-    extras: dict[str, float] = {}
-    if memory_mutator is not None:
-        extras = dict(memory_mutator(core.memory) or {})
-    if warm:
-        warm_caches(core.memory, trace)
+    machine = (job.trace, setup.iraw.effective(), setup.params,
+               setup.check_values, warm, base_memory, mutation)
+
+    def simulate():
+        trace = trace_for(job.trace)
+        memory = replace(base_memory, dram_latency_cycles=dram_latency)
+        core = InOrderCore(replace(setup, memory=memory))
+        extras: dict[str, float] = {}
+        if memory_mutator is not None:
+            extras = dict(memory_mutator(core.memory) or {})
+        if warm:
+            warm_caches(core.memory, trace)
+        run = (core.run(trace), tuple(sorted(extras.items())))
+        return run, core.memory.dram.requests > 0
+
+    result, extras = tables.run(machine, dram_latency, simulate)
+    # A deep copy per job: no two results share stats an API user may
+    # edit, and the unit's own run is never handed out.
+    result = replace(copy.deepcopy(result), config_name=setup.name)
     return PointResult(vcc_mv=job.vcc_mv, scheme=scheme_name, point=point,
-                       results=(core.run(trace),),
-                       extras=tuple(sorted(extras.items())))
+                       results=(result,), extras=extras)
 
 
 # ----------------------------------------------------------------------
 # Executors by kind
 # ----------------------------------------------------------------------
 
-def _run_sweep_point(job: Job) -> PointResult:
+def _run_sweep_point(job: Job, tables: UnitTables) -> PointResult:
     """The classic (Vcc, scheme) evaluation point of ``VccSweep``."""
     solver = _solver_for(job)
     scheme = ClockScheme(job.scheme)
@@ -185,19 +260,24 @@ def _run_sweep_point(job: Job) -> PointResult:
     setup = CoreSetup(iraw=iraw, params=_params(job),
                       name=f"{scheme.value}@{job.vcc_mv:g}mV",
                       check_values=False)
-    return _run_shard(job, point, setup, scheme.value)
+    return _run_shard(job, point, setup, scheme.value, tables)
 
 
-def _run_faulty_bits(job: Job) -> PointResult:
+def _run_faulty_bits(job: Job, tables: UnitTables) -> PointResult:
     """Table 1's Faulty Bits alternative: honest clock, degraded caches."""
     baseline = FaultyBitsBaseline(_solver_for(job))
     point = baseline.operating_point(job.vcc_mv)
     setup = replace(baseline.core_setup(job.vcc_mv), params=_params(job))
-    return _run_shard(job, point, setup, "faulty-bits",
-                      memory_mutator=baseline.apply_to_memory)
+    # The disabled lines depend on the margin, the seed and the
+    # variation model only, never on the Vcc.
+    recipe = ("faulty-bits", baseline.design_sigma, baseline.seed,
+              baseline.variation)
+    return _run_shard(job, point, setup, "faulty-bits", tables,
+                      memory_mutator=baseline.apply_to_memory,
+                      mutation=recipe)
 
 
-def _run_extra_bypass(job: Job) -> PointResult:
+def _run_extra_bypass(job: Job, tables: UnitTables) -> PointResult:
     """Table 1's Extra Bypass alternative (optionally RF-only)."""
     baseline = ExtraBypassBaseline(_solver_for(job))
     hypothetical = bool(job.option("hypothetical_rf_only", False))
@@ -210,10 +290,10 @@ def _run_extra_bypass(job: Job) -> PointResult:
                      rf_write_cycles=setup.params.rf_write_cycles,
                      rf_write_ports=setup.params.rf_write_ports)
     return _run_shard(job, point, replace(setup, params=params),
-                      "extra-bypass")
+                      "extra-bypass", tables)
 
 
-def _run_dvfs_schedule(job: Job):
+def _run_dvfs_schedule(job: Job, tables: UnitTables):
     """One DVFS scenario: a trace through a Vcc schedule."""
     # Lazy import: analysis.dvfs sits above the engine in the layering.
     from repro.analysis.dvfs import DEFAULT_TRANSITION_NS, DvfsScenario
@@ -233,10 +313,10 @@ def _run_dvfs_schedule(job: Job):
         transition_ns=job.option("transition_ns", DEFAULT_TRANSITION_NS),
         warm=bool(job.option("warm", True)),
     )
-    return scenario.run(job.trace.build(), list(phases))
+    return scenario.run(tables.trace(job.trace), list(phases))
 
 
-def _run_mc_block(job: Job):
+def _run_mc_block(job: Job, tables: UnitTables):
     """A contiguous Monte-Carlo die block at one (Vcc, scheme) point.
 
     The block's die range (``die_start``/``dies``) and the campaign's
@@ -262,12 +342,12 @@ def _run_mc_block(job: Job):
                           sample=sample)
 
 
-def _crash(job: Job):
+def _crash(job: Job, tables: UnitTables):
     """Test-only executor: deterministic failure for error-path tests."""
     raise RuntimeError(f"injected engine crash ({job.option('note', '')})")
 
 
-def _sleep(job: Job):
+def _sleep(job: Job, tables: UnitTables):
     """Test-only executor: controllable stall for queue fault drills.
 
     The duration comes from ``$REPRO_SELFTEST_SLEEP_S`` when set (so a
@@ -298,31 +378,39 @@ _EXECUTORS = {
 }
 
 
-def execute_job(job: Job):
-    """Run one job to completion (in this process) and return its result."""
+def execute_job(job: Job, tables: UnitTables | None = None):
+    """Run one job to completion (in this process) and return its result.
+
+    ``tables`` are those of the trace unit the job executes in (see
+    :func:`execute_chunk`).  Without them the job runs alone, as a queue
+    worker runs every shard it claims.
+    """
     try:
         executor = _EXECUTORS[job.kind]
     except KeyError:
         raise ConfigError(f"no executor for job kind {job.kind!r}") from None
-    return executor(job)
+    return executor(job, tables if tables is not None else UnitTables())
 
 
 def execute_chunk(jobs):
-    """Run a list of jobs in-process, isolating per-job failures.
+    """Run a list of jobs in-process as one unit, isolating failures.
 
-    The pool backend submits whole chunks per worker round trip; a chunk
-    must not lose its completed results to one bad member, so each
-    outcome is tagged: ``("ok", result, seconds)`` or
-    ``("err", exception, seconds)``, in submission order.  ``seconds`` is
-    the member's execute time on this worker's monotonic clock (a
-    duration, so no cross-process clock agreement is needed).  Returns
-    ``(worker_tag(), outcomes)``.
+    The serial and pool backends submit one trace unit per call (or a
+    chunk of trace-less jobs); the members share one
+    :class:`UnitTables`, so a member whose machine an earlier member
+    already ran reports about 0 s.  A chunk must not lose its completed
+    results to one bad member, so each outcome is tagged: ``("ok",
+    result, seconds)`` or ``("err", exception, seconds)``, in submission
+    order.  ``seconds`` is the member's execute time on this worker's
+    monotonic clock (a duration, so no cross-process clock agreement is
+    needed).  Returns ``(worker_tag(), outcomes)``.
     """
+    tables = UnitTables()
     outcomes = []
     for job in jobs:
         started = time.perf_counter()
         try:
-            tag, value = "ok", execute_job(job)
+            tag, value = "ok", execute_job(job, tables)
         except Exception as exc:
             tag, value = "err", exc
         outcomes.append((tag, value, time.perf_counter() - started))

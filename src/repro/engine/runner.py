@@ -7,12 +7,14 @@
    code (see :mod:`repro.engine.cache`);
 3. **execution** — everything still pending, handed to the runner's
    :mod:`execution backend <repro.engine.backends>`: inline
-   (:class:`~repro.engine.backends.SerialBackend`, the deterministic
-   fallback whose results are bit-identical to the legacy inline
-   loops), a ``ProcessPoolExecutor``
+   (:class:`~repro.engine.backends.SerialBackend`, deterministic), a
+   ``ProcessPoolExecutor``
    (:class:`~repro.engine.backends.PoolBackend`), or the distributed
    work-queue broker (:class:`~repro.engine.backends.QueueBackend`,
    shards executed by detached ``python -m repro worker`` processes).
+   Serial and pool run every pending job of one trace as one *trace
+   unit*, which simulates each distinct machine once; every job still
+   gets its own result.
 
 Population jobs are split into **per-trace shards** before execution
 (:func:`~repro.engine.jobs.shard_jobs`): the unit of work and of on-disk
@@ -59,12 +61,14 @@ class EngineStats:
     ``submitted``/``memory_hits``/``deduplicated`` count the jobs handed
     to :meth:`ParallelRunner.run`; ``disk_hits`` and ``simulated`` count
     executable units — per-trace shards for population jobs — since those
-    are what the disk cache stores and the workers run.  ``requeued`` and
-    ``retried`` count the queue backend's fault recovery: every
-    re-dispatch of a shard (expired lease, quarantined result, failed
-    attempt with retry budget left) bumps ``requeued``, and each
-    *distinct* shard that needed more than one dispatch bumps ``retried``
-    once.
+    are what the disk cache stores and the backends resolve.  A shard
+    counts as simulated when execution resolved it, even when its trace
+    unit served it from an earlier run of the same machine.
+    ``requeued`` and ``retried`` count the queue backend's fault
+    recovery: every re-dispatch of a shard (expired lease, quarantined
+    result, failed attempt with retry budget left) bumps ``requeued``,
+    and each *distinct* shard that needed more than one dispatch bumps
+    ``retried`` once.
 
     Since the telemetry layer landed this is a *view* over typed
     :class:`~repro.obs.metrics.Counter` instruments in a
@@ -82,7 +86,7 @@ class EngineStats:
         "disk_hits": "Jobs answered from the on-disk cache (shards)",
         "deduplicated": "Duplicate jobs collapsed within one batch",
         "sharded": "Population jobs split into per-trace shards",
-        "simulated": "Core simulations actually performed",
+        "simulated": "Shards and atomic jobs resolved by execution",
         "requeued": "Shard re-dispatch events (queue fault recovery)",
         "retried": "Distinct shards that needed more than one dispatch",
         "errors": "Batches that surfaced a shard failure",
@@ -170,8 +174,8 @@ class ParallelRunner:
     ----------
     workers:
         Process count for the pool backend.  ``1`` (default) selects the
-        serial backend — deterministic, no subprocesses, identical to
-        the legacy serial loops.  ``0`` means "one per CPU".
+        serial backend — deterministic, no subprocesses, the same
+        results as every other backend.  ``0`` means "one per CPU".
     cache:
         A :class:`~repro.engine.cache.ResultCache`, or ``None`` to keep
         results only in memory (hermetic: nothing read from or written

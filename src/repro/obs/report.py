@@ -42,7 +42,11 @@ def summarize(spans, top: int = 10) -> dict:
 
     executed = [s for s in shard_spans
                 if not s.cache_hit and s.status == "ok"]
-    slowest = sorted(executed, key=lambda s: s.duration_s,
+    # Ranked by work, not residency: on the serial backend a shard's
+    # duration is mostly queue wait, and a shard its trace unit served
+    # from an earlier run executes in about 0 s.
+    slowest = sorted(executed,
+                     key=lambda s: float(s.stages.get("execute", 0.0)),
                      reverse=True)[:max(0, top)]
     slowest = [{"key": s.key[:16], "label": s.label, "kind": s.kind,
                 "backend": s.backend, "worker": s.worker,

@@ -10,9 +10,17 @@ Three properties guard the sharding refactor:
 * shard **completion order is irrelevant** — the aggregation step reads
   shard results by key in population order, so any permutation of
   finishing workers yields the identical population result.
+
+Trace units add one more: a unit simulates each distinct machine once,
+yet every job's result equals a core built for that job alone.
 """
 
 import concurrent.futures
+import copy
+import dataclasses
+import importlib.util
+import itertools
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -20,6 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import PointResult
 from repro.analysis.sweep import SweepSettings, VccSweep
+from repro.baselines.extra_bypass import ExtraBypassBaseline
+from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
 from repro.engine import (
@@ -34,8 +44,10 @@ from repro.engine import (
     shard_jobs,
 )
 from repro.engine.executors import execute_job, warm_caches
+from repro.experiments import Experiment, ExperimentSpec
 from repro.obs.trace import JsonlTraceSink, read_spans
 from repro.pipeline.core import CoreSetup, InOrderCore
+from repro.pipeline.stats import StallReason
 from repro.workloads.profiles import (
     KERNEL_LIKE,
     OFFICE_LIKE,
@@ -60,32 +72,58 @@ def population_job(vcc_mv: float = 500.0,
 
 
 def unsharded_result(job: Job) -> PointResult:
-    """A sweep-point population job evaluated without shards.
+    """A population job evaluated without shards or trace units.
 
-    A fresh core per ``trace_specs()`` trace, caches warmed, results
-    concatenated in population order: the reference the sharded
-    aggregate must reproduce.
+    A fresh core per ``trace_specs()`` trace, set up the way the job's
+    kind sets it up (``sweep-point``, ``faulty-bits`` with its disabled
+    lines, ``extra-bypass``), caches warmed unless ``warm`` is off,
+    results concatenated in population order: the reference the engine
+    must reproduce.
     """
-    scheme = ClockScheme(job.scheme)
     solver = FrequencySolver(
         delay_model=job.option("delay_model"),
         nominal_frequency_mhz=job.option("nominal_frequency_mhz"))
-    point = solver.operating_point(job.vcc_mv, scheme)
-    memory = replace(job.option("memory"),
-                     dram_latency_cycles=point.memory_latency_cycles(
-                         job.option("dram_latency_ns")))
-    setup = CoreSetup(
-        iraw=IrawConfig.for_operating_point(point, **job.overrides_dict()),
-        params=job.option("params"), memory=memory,
-        name=f"{scheme.value}@{job.vcc_mv:g}mV", check_values=False)
-    results = []
+    params = job.option("params")
+    mutate = None
+    if job.kind == "faulty-bits":
+        baseline = FaultyBitsBaseline(solver)
+        point = baseline.operating_point(job.vcc_mv)
+        setup = replace(baseline.core_setup(job.vcc_mv), params=params)
+        mutate = baseline.apply_to_memory
+    elif job.kind == "extra-bypass":
+        baseline = ExtraBypassBaseline(solver)
+        hypothetical = job.option("hypothetical_rf_only", False)
+        point = baseline.operating_point(job.vcc_mv,
+                                         hypothetical_rf_only=hypothetical)
+        setup = baseline.core_setup(job.vcc_mv,
+                                    hypothetical_rf_only=hypothetical)
+        setup = replace(setup, params=replace(
+            params, rf_write_cycles=setup.params.rf_write_cycles,
+            rf_write_ports=setup.params.rf_write_ports))
+    else:
+        scheme = ClockScheme(job.scheme)
+        point = solver.operating_point(job.vcc_mv, scheme)
+        iraw = (IrawConfig.for_operating_point(point, **job.overrides_dict())
+                if scheme is ClockScheme.IRAW else IrawConfig.disabled())
+        setup = CoreSetup(iraw=iraw, params=params,
+                          name=f"{scheme.value}@{job.vcc_mv:g}mV",
+                          check_values=False)
+    setup = replace(setup, memory=replace(
+        job.option("memory"),
+        dram_latency_cycles=point.memory_latency_cycles(
+            job.option("dram_latency_ns"))))
+    results, extras = [], {}
     for spec in job.population.trace_specs():
         trace = spec.build()
         core = InOrderCore(setup)
-        warm_caches(core.memory, trace)
+        if mutate is not None:
+            extras = mutate(core.memory)
+        if job.option("warm", True):
+            warm_caches(core.memory, trace)
         results.append(core.run(trace))
-    return PointResult(vcc_mv=job.vcc_mv, scheme=scheme.value, point=point,
-                       results=tuple(results))
+    return PointResult(vcc_mv=job.vcc_mv, scheme=job.scheme, point=point,
+                       results=tuple(results),
+                       extras=tuple(sorted(extras.items())))
 
 
 def _shard_keys(job: Job) -> list[str]:
@@ -308,3 +346,222 @@ class TestShardFailureReporting:
         shard = shard_jobs(population_job())[0]
         assert "trace=kernel-like/seed0" in shard.label
         assert "iraw@500mV" in shard.label
+
+
+# ----------------------------------------------------------------------
+# Trace units: each distinct machine is simulated once per unit
+# ----------------------------------------------------------------------
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+#: The paper's 700 -> 400 mV sweep.
+GRID_MV = (700.0, 650.0, 600.0, 550.0, 500.0, 450.0, 400.0)
+
+#: The four IRAW mechanism switches.
+SWITCHES = ("rf_enabled", "iq_enabled", "cache_guards_enabled",
+            "stable_enabled")
+
+
+@pytest.fixture
+def core_runs(monkeypatch):
+    """The trace names of every ``InOrderCore.run`` call in this process."""
+    calls = []
+    original = InOrderCore.run
+
+    def counted(self, trace, *args, **kwargs):
+        calls.append(trace.name)
+        return original(self, trace, *args, **kwargs)
+
+    monkeypatch.setattr(InOrderCore, "run", counted)
+    return calls
+
+
+def baseline_jobs(sweep: VccSweep, vcc_mv: float,
+                  hypothetical_rf_only: bool) -> list[Job]:
+    """Table 1's Faulty Bits and Extra Bypass jobs at one point."""
+    options = sweep.point_options()
+    return [
+        Job(kind="faulty-bits", vcc_mv=vcc_mv, scheme="faulty-bits",
+            population=sweep.population, options=options),
+        Job(kind="extra-bypass", vcc_mv=vcc_mv, scheme="extra-bypass",
+            population=sweep.population,
+            options=options + (("hypothetical_rf_only",
+                                hypothetical_rf_only),)),
+    ]
+
+
+def assert_fresh(results, jobs) -> None:
+    """Each job's result equals fresh cores built for that job alone,
+    field by field, ``config_name`` included."""
+    for result, job in zip(results, jobs, strict=True):
+        reference = unsharded_result(job)
+        for field in dataclasses.fields(PointResult):
+            if field.name != "results":
+                assert getattr(result, field.name) \
+                    == getattr(reference, field.name), (job.label, field)
+        for got, want in zip(result.results, reference.results,
+                             strict=True):
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) \
+                    == getattr(want, field.name), (job.label, field.name)
+
+
+@st.composite
+def unit_batches(draw):
+    """2-3 short traces, part of the 700 -> 400 mV grid, three clock
+    schemes with random switch overrides, warm or cold, plus the two
+    Table 1 baselines at every drawn point."""
+    profiles = tuple(draw(st.lists(st.sampled_from(STANDARD_PROFILES),
+                                   min_size=2, max_size=3,
+                                   unique_by=lambda profile: profile.name)))
+    length = draw(st.integers(min_value=200, max_value=400))
+    sweeps = {warm: VccSweep(SweepSettings(profiles=profiles,
+                                           trace_length=length, warm=warm))
+              for warm in (True, False)}
+    grid = draw(st.lists(st.sampled_from(GRID_MV), min_size=1, max_size=4,
+                         unique=True))
+    jobs = []
+    for vcc_mv in grid:
+        schemes = draw(st.lists(st.sampled_from([ClockScheme.BASELINE,
+                                                 ClockScheme.IRAW,
+                                                 ClockScheme.LOGIC]),
+                                min_size=1, max_size=3, unique=True))
+        for scheme in schemes:
+            overrides = draw(st.dictionaries(st.sampled_from(SWITCHES),
+                                             st.booleans()))
+            sweep = sweeps[draw(st.booleans())]
+            jobs.append(sweep.job_for(vcc_mv, scheme, **overrides))
+        jobs += baseline_jobs(sweeps[draw(st.booleans())], vcc_mv,
+                              draw(st.booleans()))
+    return jobs
+
+
+class TestTraceUnits:
+    @settings(max_examples=12, deadline=None)
+    @given(jobs=unit_batches())
+    def test_every_job_matches_a_fresh_core(self, jobs):
+        assert_fresh(ParallelRunner(workers=1).run(jobs), jobs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fixed_batch_matches_fresh_cores(self, tmp_path, workers):
+        # N = 0 ablations, an N > 0 ablation, cold runs at two DRAM
+        # latencies and both baselines, over two traces.
+        warm = VccSweep(SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
+                                      trace_length=300))
+        cold = VccSweep(SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
+                                      trace_length=300, warm=False))
+        jobs = [warm.job_for(650.0, ClockScheme.BASELINE),
+                warm.job_for(650.0, ClockScheme.IRAW, rf_enabled=False),
+                warm.job_for(500.0, ClockScheme.IRAW),
+                warm.job_for(500.0, ClockScheme.IRAW, rf_enabled=False),
+                cold.job_for(700.0, ClockScheme.BASELINE),
+                cold.job_for(450.0, ClockScheme.LOGIC),
+                *baseline_jobs(warm, 500.0, True),
+                *baseline_jobs(cold, 600.0, False)]
+        spans_path = tmp_path / "spans.jsonl"
+        results = ParallelRunner(
+            workers=workers,
+            trace_sink=JsonlTraceSink(spans_path)).run(jobs)
+        assert_fresh(results, jobs)
+        # One chunk per trace unit: every shard of a trace ran in one
+        # process.
+        workers_by_trace: dict = {}
+        for span in read_spans(spans_path):
+            if span.kind != "engine-batch":
+                trace = span.label.split("trace=")[1].split()[0]
+                workers_by_trace.setdefault(trace, set()).add(span.worker)
+        assert len(workers_by_trace) == 2
+        assert all(len(tags) == 1 for tags in workers_by_trace.values())
+
+    def test_dram_latency_is_shared_only_by_runs_that_never_read_it(
+            self, core_runs):
+        def settings_(warm):
+            return SweepSettings(profiles=(SPECINT_LIKE,), trace_length=400,
+                                 warm=warm)
+
+        # Cold, the trace misses to DRAM, so 700 and 650 mV (different
+        # DRAM latencies in cycles) run the same machine twice.
+        cold = VccSweep(settings_(False))
+        jobs = [cold.job_for(700.0, ClockScheme.BASELINE),
+                cold.job_for(650.0, ClockScheme.BASELINE)]
+        high, low = ParallelRunner().run(jobs)
+        assert len(core_runs) == 2
+        assert high.results[0].cycles != low.results[0].cycles
+        assert_fresh([high, low], jobs)
+        # Warmed, it never reaches DRAM: one run serves both latencies.
+        warm = VccSweep(settings_(True))
+        del core_runs[:]
+        ParallelRunner().run([warm.job_for(700.0, ClockScheme.BASELINE),
+                              warm.job_for(650.0, ClockScheme.BASELINE)])
+        assert len(core_runs) == 1
+
+    @pytest.mark.parametrize("profile", [SPECINT_LIKE, KERNEL_LIKE,
+                                         OFFICE_LIKE],
+                             ids=lambda profile: profile.name)
+    def test_switches_do_nothing_at_n0(self, profile):
+        trace = TraceSpec.synthetic(profile, length=400).build()
+
+        def run(**switches):
+            setup = CoreSetup(iraw=IrawConfig(**switches),
+                              check_values=False)
+            return InOrderCore(setup).run(trace)
+
+        all_on = run()
+        for values in itertools.product((True, False), repeat=4):
+            switches = dict(zip(SWITCHES, values))
+            assert run(**switches) == all_on, switches
+            assert IrawConfig(**switches).effective() == IrawConfig()
+            at_n1 = IrawConfig(stabilization_cycles=1, **switches)
+            assert at_n1.effective() == at_n1
+
+    def test_shipped_campaign_runs_each_machine_once(self, core_runs):
+        spec = ExperimentSpec.load(REPO / "examples" / "lowvcc_campaign.toml")
+        runner = ParallelRunner()
+        Experiment(spec, runner=runner).run()
+        # 9 population runs (3 traces x 3 machines) plus 12 DVFS phases
+        # (two schedules of three phases, under two schemes); 78 before
+        # trace units.
+        assert len(core_runs) == 21
+        assert runner.stats.simulated == 70
+
+    def test_pool_speedup_grid_repeats_no_machine(self, core_runs):
+        path = REPO / "benchmarks" / "pool_speedup.py"
+        spec = importlib.util.spec_from_file_location("pool_speedup", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        runner = ParallelRunner()
+        module.timed_grid(runner)
+        assert len(core_runs) == runner.stats.simulated == 16
+
+    def test_jobs_never_share_result_objects(self, core_runs):
+        sweep = VccSweep(SweepSettings(profiles=(KERNEL_LIKE,),
+                                       trace_length=300))
+        # All three are the baseline machine (N = 0 at 650 and 700 mV).
+        results = ParallelRunner().run([
+            sweep.job_for(650.0, ClockScheme.BASELINE),
+            sweep.job_for(650.0, ClockScheme.IRAW),
+            sweep.job_for(700.0, ClockScheme.IRAW, rf_enabled=False)])
+        assert len(core_runs) == 1
+        before = copy.deepcopy(results)
+        edited = results[0].results[0]
+        edited.stalls.cycles[StallReason.RF_DEPENDENCY] += 1
+        edited.memory_stats["IL0"]["misses"] += 1
+        edited.prediction_hazards["bp_predictions"] += 1
+        assert results[0] != before[0]
+        assert results[1:] == before[1:]
+
+    def test_units_group_pending_jobs_by_trace(self):
+        from repro.engine.backends import trace_units
+
+        first = TraceSpec.synthetic(KERNEL_LIKE, length=300)
+        second = TraceSpec.synthetic(SPECINT_LIKE, length=300)
+        pending = {
+            "a": Job(kind="engine-selftest-sleep", trace=first),
+            "b": Job(kind="engine-selftest-sleep"),
+            "c": Job(kind="engine-selftest-sleep", trace=second),
+            "d": Job(kind="engine-selftest-sleep", trace=first,
+                     options=(("note", "d"),)),
+            "e": Job(kind="engine-selftest-sleep", options=(("note", "e"),)),
+        }
+        units = [[key for key, _ in unit] for unit in trace_units(pending)]
+        assert units == [["a", "d"], ["b"], ["c"], ["e"]]

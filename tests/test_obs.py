@@ -424,6 +424,17 @@ class TestReporting:
         assert kind_row["executed"] == 1
         assert kind_row["hit_rate"] == pytest.approx(0.5)
 
+    def test_slowest_shards_rank_by_execute_not_residency(self):
+        # The longer-resident shard mostly waited; the other one worked.
+        spans = [
+            Span(key="waited", kind="k", duration_s=5.0,
+                 stages={"queue_wait": 4.9, "execute": 0.1}),
+            Span(key="worked", kind="k", duration_s=2.0,
+                 stages={"queue_wait": 0.5, "execute": 1.5}),
+        ]
+        slowest = summarize(spans)["slowest"]
+        assert [row["key"] for row in slowest] == ["worked", "waited"]
+
     def test_render_report_mentions_every_stage_observed(self):
         spans = [Span(key="a", kind="k", duration_s=1.0,
                       stages={"execute": 0.7, "queue_wait": 0.3})]
