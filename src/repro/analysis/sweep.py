@@ -5,7 +5,7 @@ scheme) evaluation point: the circuit model supplies frequency and N, the
 pipeline supplies IPC, and both combine into speedups, execution times and
 energy.
 
-Since the engine refactor every evaluation point is a declarative
+Every evaluation point is a declarative
 :class:`~repro.engine.jobs.Job` resolved through a
 :class:`~repro.engine.runner.ParallelRunner`.  The runner splits each
 population point into **per-trace shards** — the unit of execution and
@@ -13,8 +13,7 @@ of on-disk caching is one (trace, Vcc, scheme, config) combination — so
 a batch of few points over many traces still saturates every worker,
 growing the population re-simulates only the new traces, and points
 already produced by this sweep (or whose shards sit in the runner's
-on-disk cache) are never re-simulated.  The default serial runner is
-bit-identical to the legacy inline loop.
+on-disk cache) are never re-simulated.
 
 Cache warmup: the paper's 10 M-instruction traces amortize cold misses;
 our traces are shorter, so the harness replays each trace's code and data
@@ -73,8 +72,8 @@ class VccSweep:
         Frequency solver; its delay model becomes part of every job key.
     runner:
         The execution engine.  Defaults to a serial in-memory runner
-        (``workers=1``, no disk cache) — hermetic and bit-identical to
-        the pre-engine harness.  Pass
+        (``workers=1``, no disk cache), so nothing is read from or
+        written to disk.  Pass
         ``ParallelRunner(workers=N, cache=ResultCache.default())`` for
         parallel, persistent sweeps.
     """

@@ -6,16 +6,16 @@ per-trace shards, as a ``key -> Job`` mapping — to an **execution
 backend**.  A backend is anything with::
 
     name: str              # "serial" | "pool" | "queue" | ...
-    def execute(self, pending, stats, trace):
-        # yield (key, result) pairs as units complete, in any order;
+    def execute(self, pending, stats):
+        # yield (key, WireResult) pairs as units complete, in any order;
         # raise ShardFailure when a unit permanently fails
 
-The ``trace`` is the batch's :class:`repro.obs.trace.BatchTrace`:
-backends report worker-measured execute time per key through
-``trace.executed`` and the runner emits the span when it collects the
-result.  The runner turns every ``ShardFailure`` into an
-:class:`~repro.errors.EngineError` naming the unit's label and
-canonical key, whichever backend raised it.
+Every completion is one :class:`~repro.engine.broker.WireResult`: the
+result plus the worker that produced it and the execute seconds that
+worker measured.  The runner alone unwraps it, stores the result and
+hands the timing to the batch's span.  The runner turns every
+``ShardFailure`` into an :class:`~repro.errors.EngineError` naming the
+unit's label and canonical key, whichever backend raised it.
 
 Three implementations ship here:
 
@@ -28,8 +28,7 @@ Three implementations ship here:
   filesystem spool broker (:mod:`repro.engine.broker`): shards are
   pickled into ``pending/``, detached ``python -m repro worker``
   processes claim them one at a time via rename-based leases with
-  heartbeats, and the backend collects and unwraps the ``done/``
-  result envelopes (:class:`~repro.engine.broker.WireResult`),
+  heartbeats, and the backend collects the ``done/`` result envelopes,
   re-dispatching shards whose lease expires (crashed or wedged worker)
   or whose result is corrupt (quarantined), up to ``max_retries`` times
   per shard.
@@ -55,7 +54,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.engine.broker import SpoolBroker, CompletedEvent, CorruptEvent, \
-    ExpiredEvent, FailedEvent, LostEvent, default_queue_root, \
+    ExpiredEvent, FailedEvent, LostEvent, WireResult, default_queue_root, \
     run_worker_loop
 from repro.engine.executors import execute_chunk
 from repro.engine.jobs import Job
@@ -110,7 +109,7 @@ def trace_units(pending) -> list[list[tuple[str, Job]]]:
     return list(units.values())
 
 
-def _deliver(part, worker: str, outcomes, trace, where: str = ""):
+def _deliver(part, outcomes, where: str = ""):
     """Yield a chunk's completed members, then raise its first failure.
 
     Completed members always reach the runner before a member failure
@@ -118,12 +117,11 @@ def _deliver(part, worker: str, outcomes, trace, where: str = ""):
     simulations.
     """
     failure = None
-    for (key, job), (tag, value, seconds) in zip(part, outcomes):
-        if tag == "ok":
-            trace.executed(key, seconds, worker)
-            yield key, value
+    for (key, job), outcome in zip(part, outcomes):
+        if isinstance(outcome, WireResult):
+            yield key, outcome
         elif failure is None:
-            failure = ShardFailure(key, job, value, where=where)
+            failure = ShardFailure(key, job, outcome, where=where)
     if failure is not None:
         raise failure from failure.cause
 
@@ -133,10 +131,9 @@ class SerialBackend:
 
     name = "serial"
 
-    def execute(self, pending, stats, trace):
+    def execute(self, pending, stats):
         for unit in trace_units(pending):
-            _, outcomes = execute_chunk([job for _, job in unit])
-            yield from _deliver(unit, "inline", outcomes, trace)
+            yield from _deliver(unit, execute_chunk([job for _, job in unit]))
 
 
 class PoolBackend:
@@ -149,8 +146,7 @@ class PoolBackend:
     jobs like ``mc-block`` amortize pickle/submit overhead.  Chunk
     members execute independently
     (:func:`~repro.engine.executors.execute_chunk`) and stream back as
-    individual ``(key, result)`` completions, each with the execute
-    time its worker measured.
+    individual ``(key, WireResult)`` completions.
     """
 
     name = "pool"
@@ -173,7 +169,7 @@ class PoolBackend:
         """
         return min(32, max(1, pending_count // (self.workers * 8)))
 
-    def execute(self, pending, stats, trace):
+    def execute(self, pending, stats):
         """Ship ``pending`` as chunks and stream back their members.
 
         A chunk's completed members are always delivered before any
@@ -181,7 +177,7 @@ class PoolBackend:
         """
         units = trace_units(pending)
         if len(units) == 1:
-            yield from SerialBackend().execute(pending, stats, trace)
+            yield from SerialBackend().execute(pending, stats)
             return
         # One chunk per trace unit; trace-less jobs, units of one each,
         # ship in chunks sized from their count.
@@ -199,14 +195,14 @@ class PoolBackend:
             for future in concurrent.futures.as_completed(futures):
                 part = futures[future]
                 try:
-                    worker, outcomes = future.result()
+                    outcomes = future.result()
                 except Exception as exc:
                     # The whole chunk died (worker crash / unpicklable
                     # payload): attribute it to the first member.
                     key, job = part[0]
                     raise ShardFailure(key, job, exc,
                                        where="in a worker process") from exc
-                yield from _deliver(part, worker, outcomes, trace,
+                yield from _deliver(part, outcomes,
                                     where="in a worker process")
         finally:
             # On a failure, drop queued chunks but wait out the ones in
@@ -271,33 +267,26 @@ class QueueBackend:
         self.max_retries = int(max_retries)
         self.local_workers = int(local_workers)
         self.poll_interval = float(poll_interval)
-        #: Optional instruments, wired by :meth:`attach_metrics`.
-        self._requeued_counter = None
-        self._fault_counters: dict = {}
+        #: Fault events by class, across every batch of this backend.
+        self.faults = dict.fromkeys(("lost", "expired", "corrupt",
+                                     "failed"), 0)
 
     def attach_metrics(self, registry) -> None:
         """Register queue fault-recovery instruments on ``registry``.
 
-        The broker's lease-watch hooks feed a heartbeat-lag histogram
-        (how stale each live lease's beat looks at poll time) and an
-        expiry counter; requeue traffic is counted overall and broken
-        down by fault class.
+        One callback counter per fault class reads :attr:`faults`
+        (re-dispatches overall are the runner's ``engine_requeued``),
+        and the broker's lease-watch hook feeds a heartbeat-lag
+        histogram: how stale each live lease's beat looks at poll time.
         """
-        self._requeued_counter = registry.counter(
-            "queue_requeued", "Shard re-dispatch events (fault recovery)")
-        self._fault_counters = {
-            name: registry.counter(
-                "queue_faults",
-                "Queue fault events by class",
-                labels={"outcome": name})
-            for name in ("lost", "expired", "corrupt", "failed")}
+        for name in self.faults:
+            registry.counter("queue_faults", "Queue fault events by class",
+                             labels={"outcome": name},
+                             fn=lambda name=name: self.faults[name])
         lag = registry.histogram(
             "queue_heartbeat_lag_s",
             "Seconds since each live lease's last heartbeat, per poll")
         self.broker.on_lease_lag = lag.observe
-        self.broker.on_lease_expired = registry.counter(
-            "queue_lease_expired",
-            "Leases expired after a full heartbeat-free timeout").inc
 
     # -- collection ----------------------------------------------------
 
@@ -315,8 +304,6 @@ class QueueBackend:
                       f"attempts") from cause
         state.attempts[key] += 1
         stats.requeued += 1
-        if self._requeued_counter is not None:
-            self._requeued_counter.inc()
         if key not in state.retried:
             state.retried.add(key)
             stats.retried += 1
@@ -370,7 +357,7 @@ class QueueBackend:
                 lost_this_pass.add(key)
                 return
             state.lost_polls.pop(key, None)
-            self._count_fault("lost")
+            self.faults["lost"] += 1
             self._requeue(key, job, state, stats,
                           RemoteShardError(
                               "shard vanished from the spool (corrupt "
@@ -379,7 +366,7 @@ class QueueBackend:
                           resubmit=True)
         elif isinstance(event, ExpiredEvent):
             # The broker already renamed the shard back to pending/.
-            self._count_fault("expired")
+            self.faults["expired"] += 1
             self._requeue(key, job, state, stats,
                           RemoteShardError(
                               f"worker lease expired after "
@@ -387,26 +374,21 @@ class QueueBackend:
                               f"a heartbeat (crashed or wedged worker)"),
                           resubmit=False)
         elif isinstance(event, CorruptEvent):
-            self._count_fault("corrupt")
+            self.faults["corrupt"] += 1
             self._requeue(key, job, state, stats,
                           RemoteShardError(
                               f"corrupt result quarantined at "
                               f"{event.quarantined}"),
                           resubmit=True)
         elif isinstance(event, FailedEvent):
-            self._count_fault("failed")
+            self.faults["failed"] += 1
             self._requeue(key, job, state, stats,
                           RemoteShardError(
                               f"shard raised on a queue worker:\n"
                               f"{event.error}"),
                           resubmit=True)
 
-    def _count_fault(self, name: str) -> None:
-        counter = self._fault_counters.get(name)
-        if counter is not None:
-            counter.inc()
-
-    def execute(self, pending, stats, trace):
+    def execute(self, pending, stats):
         state = self._new_state(pending)
         for key, job in pending.items():
             self.broker.submit(key, job)
@@ -431,12 +413,7 @@ class QueueBackend:
                 # failure: their done/ files are already consumed, so
                 # they must reach the runner's memo/cache now or the
                 # successful simulations would be lost with the batch.
-                for key, wire in completions:
-                    # Unwrap the worker's envelope before the result
-                    # reaches the memo/cache: stored results are the
-                    # bare executor results.
-                    trace.executed(key, wire.execute_s, wire.worker)
-                    yield key, wire.result
+                yield from completions
                 if failure is not None:
                     raise failure
                 if not completions and state.outstanding:

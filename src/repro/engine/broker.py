@@ -137,15 +137,17 @@ def validated_queue_root(root) -> pathlib.Path:
 
 @dataclass(frozen=True)
 class WireResult:
-    """A shard result plus its execution envelope: the one ``done/``
-    payload format.
+    """A shard result plus its execution envelope: the one completion
+    record every backend delivers to the runner.
 
-    Every published result is wrapped: the worker's identity and its
-    own monotonic measure of execute time ride along, so the runner can
-    attribute remote execution without any cross-machine clock
-    agreement (durations only, never timestamps).  The queue backend
-    unwraps it before the result reaches the engine memo, so cached and
-    golden results are the bare executor results.  The spool is
+    The worker's identity and its own monotonic measure of execute time
+    ride along, so the runner can attribute execution without any
+    cross-machine clock agreement (durations only, never timestamps).
+    Serial and pool members get theirs from
+    :func:`~repro.engine.executors.execute_chunk`; queue workers publish
+    theirs as the one ``done/`` payload format.  The runner unwraps it
+    before the result reaches the engine memo, so cached and golden
+    results are the bare executor results.  The spool is
     version-fingerprinted (workers built from different code see an
     empty spool), so a payload from older code is never read.
     """
@@ -277,12 +279,11 @@ class SpoolBroker:
         #: as opaque tokens, so clock skew between machines sharing the
         #: spool can never expire a healthy lease.
         self._lease_watch: dict[str, tuple[float, float]] = {}
-        #: Observability hooks (optional callables, set by the queue
+        #: Observability hook (an optional callable, set by the queue
         #: backend's metrics wiring): ``on_lease_lag(seconds)`` reports
         #: how long each watched lease has gone without a heartbeat at
-        #: poll time; ``on_lease_expired()`` fires per expired lease.
+        #: poll time.
         self.on_lease_lag = None
-        self.on_lease_expired = None
         for name in (self.PENDING, self.CLAIMED, self.DONE, self.FAILED,
                      self.QUARANTINE):
             try:
@@ -413,8 +414,6 @@ class SpoolBroker:
                 elif now - watched[1] > self.lease_timeout:
                     if self._expire(key, self.claimed_dir / f"{key}.job"):
                         events.append(ExpiredEvent(key))
-                        if self.on_lease_expired is not None:
-                            self.on_lease_expired()
                     self._lease_watch.pop(key, None)
                 elif self.on_lease_lag is not None:
                     # Healthy-but-lagging lease: how stale is the beat?
@@ -787,43 +786,36 @@ class WorkerSupervisor:
     The supervisor owns a set of worker child processes serving one
     spool.  Each :meth:`poll_once` pass (a) reaps exited children,
     charging crashed ones (non-zero exit with work still pending)
-    against a bounded respawn budget, (b) measures the backlog with one
-    ``pending/`` scandir, and (c) spawns workers up to
-    ``ceil(backlog / shards_per_worker)``, clamped to
-    ``[min_workers, max_workers]``.  Children run
-    :func:`worker_main` with ``idle_exit`` set, so an over-provisioned
-    fleet shrinks itself — the supervisor only ever has to grow it.
+    against a respawn budget of :attr:`MAX_RESPAWNS`, (b) measures the
+    backlog with one ``pending/`` scandir, and (c) spawns workers up to
+    ``ceil(backlog / SHARDS_PER_WORKER)``, at most ``max_workers``.
+    Children run :func:`worker_main` with ``idle_exit`` set, so an
+    over-provisioned fleet shrinks itself to zero — the supervisor only
+    ever has to grow it.
 
     ``spawn`` is injectable for tests: any callable returning an object
     with ``is_alive()``, ``exitcode`` and ``join(timeout)``.
     """
 
+    #: Pending shards one worker is expected to serve.
+    SHARDS_PER_WORKER = 4
+    #: Crash respawns allowed (with work still pending) before
+    #: :meth:`poll_once` gives up on a crash-looping fleet.
+    MAX_RESPAWNS = 8
+
     def __init__(self, root, *, max_workers: int,
-                 min_workers: int = 0,
-                 shards_per_worker: int = 4,
                  poll_interval: float = 0.5,
                  idle_exit: float = 2.0,
-                 max_respawns: int = 8,
                  worker_poll: float = 0.2,
                  lease_timeout: float | None = None,
                  spawn=None):
         if max_workers < 1:
             raise ConfigError(f"supervisor needs max_workers >= 1 "
                               f"(got {max_workers})")
-        if not 0 <= min_workers <= max_workers:
-            raise ConfigError(
-                f"supervisor needs 0 <= min_workers <= max_workers "
-                f"(got {min_workers}/{max_workers})")
-        if shards_per_worker < 1:
-            raise ConfigError(f"supervisor needs shards_per_worker >= 1 "
-                              f"(got {shards_per_worker})")
         self.broker = SpoolBroker(root, lease_timeout=lease_timeout)
         self.max_workers = int(max_workers)
-        self.min_workers = int(min_workers)
-        self.shards_per_worker = int(shards_per_worker)
         self.poll_interval = float(poll_interval)
         self.idle_exit = float(idle_exit)
-        self.max_respawns = int(max_respawns)
         self.worker_poll = float(worker_poll)
         self.lease_timeout = lease_timeout
         self.spawn = spawn or self._spawn_process
@@ -882,10 +874,8 @@ class WorkerSupervisor:
 
     def desired(self, backlog: int) -> int:
         """Fleet size for ``backlog`` pending shards."""
-        if backlog <= 0:
-            return self.min_workers
-        need = -(-backlog // self.shards_per_worker)  # ceil
-        return max(self.min_workers, min(self.max_workers, need))
+        need = -(-backlog // self.SHARDS_PER_WORKER)  # ceil
+        return min(self.max_workers, need)
 
     def poll_once(self) -> dict:
         """One supervision pass; returns fleet counters (for status)."""
@@ -905,13 +895,13 @@ class WorkerSupervisor:
                 # a crash-looping fleet (bad install, poisoned shard
                 # kind) must not burn CPU forever.
                 self.respawns += crashed_now
-                if self.respawns > self.max_respawns:
+                if self.respawns > self.MAX_RESPAWNS:
                     raise RuntimeError(
                         f"worker supervisor: {self.crashed} worker "
                         f"crash(es) with work still pending exceeded "
-                        f"the respawn budget ({self.max_respawns}); "
-                        f"check 'repro queue --status' and the worker "
-                        f"logs")
+                        f"the respawn budget ({self.MAX_RESPAWNS}); "
+                        f"check 'repro queue --queue {self.broker.root}' "
+                        f"and the worker logs")
         target = self.desired(backlog)
         while len(self.children) < target:
             self.children.append(self.spawn())

@@ -13,7 +13,7 @@ counts, so bounded deployments evict least-recently-used shards instead
 of growing without limit.
 
 Backend selection: ``--backend`` picks ``serial``, ``pool`` or ``queue``
-explicitly; without it the legacy rule applies (serial for
+explicitly; without it ``--workers`` decides (serial for
 ``--workers 1``, the process pool otherwise).  ``--backend queue``
 spools shards for detached ``python -m repro worker`` processes through
 the directory named by ``--queue`` or ``$REPRO_QUEUE_DIR``.

@@ -40,6 +40,7 @@ from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.trace import Trace
+from repro.engine.broker import WireResult
 from repro.engine.jobs import Job, TraceSpec
 
 if TYPE_CHECKING:  # layering: analysis imports resolve lazily at runtime
@@ -392,26 +393,29 @@ def execute_job(job: Job, tables: UnitTables | None = None):
     return executor(job, tables if tables is not None else UnitTables())
 
 
-def execute_chunk(jobs):
+def execute_chunk(jobs) -> list:
     """Run a list of jobs in-process as one unit, isolating failures.
 
     The serial and pool backends submit one trace unit per call (or a
     chunk of trace-less jobs); the members share one
     :class:`UnitTables`, so a member whose machine an earlier member
     already ran reports about 0 s.  A chunk must not lose its completed
-    results to one bad member, so each outcome is tagged: ``("ok",
-    result, seconds)`` or ``("err", exception, seconds)``, in submission
-    order.  ``seconds`` is the member's execute time on this worker's
-    monotonic clock (a duration, so no cross-process clock agreement is
-    needed).  Returns ``(worker_tag(), outcomes)``.
+    results to one bad member, so each member gets its own outcome, in
+    submission order: a :class:`~repro.engine.broker.WireResult` (the
+    result, :func:`worker_tag`, and the member's execute time on this
+    worker's monotonic clock — a duration, so no cross-process clock
+    agreement is needed), or the exception the member raised.
     """
     tables = UnitTables()
+    worker = worker_tag()
     outcomes = []
     for job in jobs:
         started = time.perf_counter()
         try:
-            tag, value = "ok", execute_job(job, tables)
+            result = execute_job(job, tables)
         except Exception as exc:
-            tag, value = "err", exc
-        outcomes.append((tag, value, time.perf_counter() - started))
-    return worker_tag(), outcomes
+            outcomes.append(exc)
+        else:
+            outcomes.append(WireResult(result, worker,
+                                       time.perf_counter() - started))
+    return outcomes

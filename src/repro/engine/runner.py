@@ -46,6 +46,7 @@ import os
 import time
 
 from repro.engine.backends import ShardFailure, resolve_backend
+from repro.engine.broker import WireResult
 from repro.engine.cache import MISS, ResultCache
 from repro.engine.jobs import Job, aggregate_shard_results, job_key, \
     shard_jobs
@@ -70,16 +71,14 @@ class EngineStats:
     and each *distinct* shard that needed more than one dispatch bumps
     ``retried`` once.
 
-    Since the telemetry layer landed this is a *view* over typed
-    :class:`~repro.obs.metrics.Counter` instruments in a
-    :class:`~repro.obs.metrics.MetricsRegistry` (``engine_<name>`` each)
-    — the same instruments a Prometheus scrape renders — while keeping
-    the legacy surface intact: plain attribute reads and writes
-    (``stats.simulated += 1``), keyword construction, ``as_dict`` and
-    ``delta``.
+    Each counter is a plain integer attribute (``stats.simulated +=
+    1``).  Given a :class:`~repro.obs.metrics.MetricsRegistry`, the
+    stats register one callback counter per attribute
+    (``engine_<name>``), the instruments a Prometheus scrape renders.
+    Copies built from keywords or by unpickling register nothing.
     """
 
-    #: Counter name -> help text, in the legacy field order.
+    #: Counter name -> help text, in ``as_dict`` order.
     COUNTERS = {
         "submitted": "Jobs handed to the runner",
         "memory_hits": "Jobs answered from the runner's own memo",
@@ -94,34 +93,17 @@ class EngineStats:
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  **initial):
-        if registry is None:
-            registry = MetricsRegistry()
-        counters = {name: registry.counter(f"engine_{name}", help)
-                    for name, help in self.COUNTERS.items()}
-        # object.__setattr__: our __setattr__ routes counter names.
-        object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "_counters", counters)
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         for name, value in initial.items():
-            if name not in counters:
+            if name not in self.COUNTERS:
                 raise TypeError(
                     f"EngineStats got an unexpected counter {name!r}")
-            counters[name].set(int(value))
-
-    def __getattr__(self, name: str):
-        # Only reached when normal lookup fails — i.e. for counter
-        # names, which live in the registry rather than the instance.
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counters[name].set(int(value))
-        else:
-            object.__setattr__(self, name, value)
+            setattr(self, name, int(value))
+        if registry is not None:
+            for name, help in self.COUNTERS.items():
+                registry.counter(f"engine_{name}", help,
+                                 fn=lambda name=name: getattr(self, name))
 
     @property
     def hits(self) -> int:
@@ -129,8 +111,7 @@ class EngineStats:
 
     def as_dict(self) -> dict:
         """The counters as a plain mapping (metrics/JSON surface)."""
-        return {name: counter.value
-                for name, counter in self._counters.items()}
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def delta(self, before) -> dict:
         """Counter increments since the ``before`` snapshot.
@@ -144,8 +125,8 @@ class EngineStats:
         """
         if hasattr(before, "as_dict"):
             before = before.as_dict()
-        return {name: counter.value - int(before.get(name, 0) or 0)
-                for name, counter in self._counters.items()}
+        return {name: value - int(before.get(name, 0) or 0)
+                for name, value in self.as_dict().items()}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EngineStats):
@@ -156,15 +137,6 @@ class EngineStats:
         inner = ", ".join(f"{name}={value}"
                           for name, value in self.as_dict().items())
         return f"EngineStats({inner})"
-
-    # Counter instruments hold locks; pickle the values, not the
-    # machinery (a restored snapshot gets its own private registry).
-
-    def __getstate__(self) -> dict:
-        return self.as_dict()
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
 
 class ParallelRunner:
@@ -331,11 +303,11 @@ class ParallelRunner:
         requeued_before = self.stats.requeued
         self.progress.start(total, label)
         trace.submitted(pending.items())
-        completions = self.backend.execute(pending, self.stats, trace)
+        completions = self.backend.execute(pending, self.stats)
         try:
             done = 0
-            for key, result in completions:
-                self._record(key, result, trace)
+            for key, wire in completions:
+                self._record(key, wire, trace)
                 done += 1
                 self.progress.advance(done, total,
                                       self._progress_label(label,
@@ -356,15 +328,17 @@ class ParallelRunner:
             return label
         return f"{label} [requeued {requeued}]".strip()
 
-    def _record(self, key: str, result, trace: BatchTrace) -> None:
+    def _record(self, key: str, wire: WireResult,
+                trace: BatchTrace) -> None:
+        """Store a completion's bare result and emit its span."""
         self.stats.simulated += 1
-        self._memo[key] = result
+        self._memo[key] = wire.result
         write_s = 0.0
         if self.cache is not None:
             write_start = time.perf_counter()
-            self.cache.put(key, result)
+            self.cache.put(key, wire.result)
             write_s = time.perf_counter() - write_start
-        trace.collected(key, write_s)
+        trace.collected(key, wire.execute_s, wire.worker, write_s)
 
 
 def _failure_message(job: Job, key: str, exc: BaseException,

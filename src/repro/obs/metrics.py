@@ -1,14 +1,16 @@
 """Typed metrics instruments and their registry.
 
-The engine's observability counters used to be ad-hoc dataclass fields
-and hand-built dicts.  This module replaces them with three typed
-instruments — :class:`Counter`, :class:`Gauge` and :class:`Histogram`
-(fixed-bucket) — registered in a thread-safe
-:class:`MetricsRegistry` that every execution layer shares: the runner's
-:class:`~repro.engine.runner.EngineStats` is a view over registry
-counters, the queue backend and broker register fault/lease instruments,
-the supervisor registers fleet gauges, and the serve collector registers
-backlog and per-tenant gauges.
+Three instruments — :class:`Counter`, :class:`Gauge` and
+:class:`Histogram` (fixed-bucket) — are registered in a thread-safe
+:class:`MetricsRegistry` that every execution layer shares.  Each count
+has one home: the layer that keeps it as a plain number registers a
+counter or gauge whose callback reads that number at scrape time.  The
+runner's :class:`~repro.engine.runner.EngineStats` registers its
+counters, the cache its hit/miss/write tallies, the queue backend its
+fault counts by outcome, the supervisor its fleet counts, and the serve
+collector its backlog.  The histogram is the one instrument that keeps
+its own state: the queue backend's heartbeat-lag distribution is
+observed as each poll measures it.
 
 One registry, two surfaces: :meth:`MetricsRegistry.snapshot` feeds JSON
 consumers and :meth:`MetricsRegistry.to_prometheus` renders the
@@ -49,74 +51,45 @@ class Sample:
     help: str = ""
 
 
-class Counter:
-    """A monotonically non-decreasing count (thread-safe)."""
+class _Reading:
+    """An instrument whose value is its owner's count, read at scrape
+    time through ``fn``.
 
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "", labels: dict | None = None):
-        self.name = name
-        self.help = help
-        self.labels = dict(labels or {})
-        self._value = 0
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def set(self, value: int) -> None:
-        """Overwrite the count (the EngineStats attribute-view surface)."""
-        with self._lock:
-            self._value = int(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self._value})"
-
-
-class Gauge:
-    """A value that can go up and down, or a live callback.
-
-    With ``fn`` set the gauge is *callback-backed*: its value is
-    computed at read time (fleet size, backlog depth), so it can never
-    go stale and needs no update plumbing.  A callback that raises
-    reports 0 rather than poisoning a metrics scrape.
+    Nothing is copied into the registry, so the value can never go
+    stale and needs no update plumbing.  A callback that raises reports
+    0 rather than poisoning a metrics scrape.
     """
 
-    kind = "gauge"
-
     def __init__(self, name: str, help: str = "",
-                 labels: dict | None = None, fn=None):
+                 labels: dict | None = None, *, fn):
         self.name = name
         self.help = help
         self.labels = dict(labels or {})
         self.fn = fn
-        self._value = 0.0
-        self._lock = threading.Lock()
 
     @property
-    def value(self) -> float:
-        if self.fn is not None:
-            try:
-                return float(self.fn())
-            except Exception:
-                return 0.0
-        return self._value
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
+    def value(self):
+        try:
+            return self._cast(self.fn())
+        except Exception:
+            return self._cast(0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value})"
+        return f"{type(self).__name__}({self.name}={self.value})"
+
+
+class Counter(_Reading):
+    """A monotonically non-decreasing integer count."""
+
+    kind = "counter"
+    _cast = int
+
+
+class Gauge(_Reading):
+    """A value that can go up and down (fleet size, backlog depth)."""
+
+    kind = "gauge"
+    _cast = float
 
 
 class Histogram:
@@ -192,9 +165,9 @@ class MetricsRegistry:
     """Thread-safe instrument registry with Prometheus rendering.
 
     Registration is idempotent: asking for an already-registered
-    ``(name, labels)`` returns the existing instrument (so two layers
-    naming the same counter share it), and asking with a conflicting
-    instrument type raises.
+    ``(name, labels)`` returns the existing instrument, which keeps its
+    first callback, and asking with a conflicting instrument type
+    raises.
     """
 
     def __init__(self):
@@ -223,11 +196,11 @@ class MetricsRegistry:
             return instrument
 
     def counter(self, name: str, help: str = "",
-                labels: dict | None = None) -> Counter:
-        return self._register(Counter, name, help, labels)
+                labels: dict | None = None, *, fn) -> Counter:
+        return self._register(Counter, name, help, labels, fn=fn)
 
     def gauge(self, name: str, help: str = "",
-              labels: dict | None = None, fn=None) -> Gauge:
+              labels: dict | None = None, *, fn) -> Gauge:
         return self._register(Gauge, name, help, labels, fn=fn)
 
     def histogram(self, name: str, help: str = "",

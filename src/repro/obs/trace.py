@@ -16,11 +16,11 @@ wall-clock residency (submit → collect, measured runner-side on
 ``time.perf_counter``) into:
 
 ``execute``
-    the worker-reported simulation time: timed inline by the serial
-    backend, per chunk member by pool workers
-    (:func:`~repro.engine.executors.execute_chunk`), and shipped back in
-    the :class:`~repro.engine.broker.WireResult` envelope every queue
-    worker publishes;
+    the worker-reported simulation time, which every backend delivers
+    in the shard's :class:`~repro.engine.broker.WireResult` envelope:
+    timed per trace-unit member by the serial backend and pool workers
+    (:func:`~repro.engine.executors.execute_chunk`), and per shard by
+    queue workers;
 ``cache_write``
     the runner-side put into the result cache;
 ``queue_wait``
@@ -191,11 +191,11 @@ class BatchTrace:
     """Span assembly for one runner batch.
 
     The runner drives it through a small verb set — ``record_hit`` for
-    cache hits, ``submitted``/``executed``/``collected`` for backend
-    work, ``failed`` for shard errors, ``aggregated`` for reduction
-    time, and a final ``finish`` that emits the batch-level span
-    carrying plan and aggregate time.  All timestamps come from
-    ``time.perf_counter`` relative to a single batch origin.
+    cache hits, ``submitted``/``collected`` for backend work, ``failed``
+    for shard errors, ``aggregated`` for reduction time, and a final
+    ``finish`` that emits the batch-level span carrying plan and
+    aggregate time.  All timestamps come from ``time.perf_counter``
+    relative to a single batch origin.
     """
 
     def __init__(self, sink, backend: str = "", batch_label: str = ""):
@@ -208,8 +208,6 @@ class BatchTrace:
         self._hit_read_s = 0.0
         #: key -> submit offset (seconds from origin).
         self._submitted: dict = {}
-        #: key -> (execute_s, worker) reported by the backend envelope.
-        self._executed: dict = {}
         self._lock = threading.Lock()
 
     def now(self) -> float:
@@ -246,26 +244,21 @@ class BatchTrace:
             for key, job in pending:
                 self._submitted[key] = (now, job)
 
-    def executed(self, key: str, execute_s: float,
-                 worker: str = "") -> None:
-        """Record the worker-reported execution envelope for ``key``."""
-        with self._lock:
-            self._executed[key] = (max(0.0, float(execute_s)), worker)
+    def collected(self, key: str, execute_s: float, worker: str,
+                  cache_write_s: float = 0.0) -> None:
+        """Emit the span for an executed shard now fully resolved.
 
-    def collected(self, key: str, cache_write_s: float = 0.0) -> None:
-        """Emit the span for an executed shard now fully resolved."""
+        ``execute_s`` and ``worker`` come from the shard's completion
+        envelope; the execute time is clamped into the runner-side
+        residency left after the cache write.
+        """
         end = self.now()
         with self._lock:
             submit_t, job = self._submitted.pop(key, (end, None))
-            execute_s, worker = self._executed.pop(key, (None, ""))
         duration = max(0.0, end - submit_t)
         cache_write_s = min(max(0.0, cache_write_s), duration)
         budget = duration - cache_write_s
-        if execute_s is None:
-            # A backend that reports no timing: attribute all to execute.
-            execute_s = budget
-        else:
-            execute_s = min(execute_s, budget)
+        execute_s = min(max(0.0, float(execute_s)), budget)
         queue_wait = max(0.0, budget - execute_s)
         stages = {"queue_wait": queue_wait, "execute": execute_s}
         if cache_write_s > 0.0:
@@ -281,7 +274,6 @@ class BatchTrace:
         end = self.now()
         with self._lock:
             submit_t, job = self._submitted.pop(key, (end, None))
-            self._executed.pop(key, None)
         self.sink.emit(Span(
             key=key, label=str(getattr(job, "label", "") or ""),
             kind=str(getattr(job, "kind", "") or ""),

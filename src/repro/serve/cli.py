@@ -234,6 +234,8 @@ def _cmd_submit(args) -> int:
     print(f"jobs:      {response['total_jobs']}")
     if not args.watch:
         return 0
+    deadline = None if args.timeout is None \
+        else time.monotonic() + args.timeout
     last = -1
     while True:
         status = client.status(campaign_id)
@@ -243,6 +245,11 @@ def _cmd_submit(args) -> int:
                   f"({status['state']})")
         if status["state"] in ("done", "failed", "cancelled"):
             break
+        if deadline is not None and time.monotonic() > deadline:
+            raise ConfigError(
+                f"timed out after {args.timeout:g}s watching campaign "
+                f"{campaign_id} (last state {status['state']}, "
+                f"{last}/{status['total_jobs']} jobs)")
         time.sleep(0.2)
     _print_terminal(status)
     return 0 if status["state"] == "done" else 1

@@ -12,6 +12,7 @@ claims, the worker supervisor) preserves results.
 """
 
 import os
+import shlex
 import threading
 
 import mc_oracle
@@ -29,8 +30,8 @@ from repro.engine import (
     job_key,
     shard_jobs,
 )
-from repro.engine.broker import SpoolBroker, WorkerSupervisor, \
-    run_worker_loop
+from repro.engine.broker import SpoolBroker, WireResult, \
+    WorkerSupervisor, run_worker_loop
 from repro.engine.executors import execute_chunk, execute_job
 from repro.errors import ConfigError
 from repro.circuits.sram import silverthorne_arrays
@@ -298,12 +299,13 @@ class TestPoolChunking:
                    scheme="iraw", options=(("note", "ok"),))
         bad = Job(kind="engine-selftest-crash", vcc_mv=500.0,
                   scheme="iraw", options=(("note", "boom"),))
-        worker, outcomes = execute_chunk([good, bad, good])
-        assert worker == f"pid:{os.getpid()}"
-        assert [tag for tag, _, _ in outcomes] == ["ok", "err", "ok"]
-        assert outcomes[0][1] == {"note": "ok"}
-        assert isinstance(outcomes[1][1], RuntimeError)
-        assert all(seconds >= 0.0 for _, _, seconds in outcomes)
+        first, failed, last = execute_chunk([good, bad, good])
+        assert isinstance(failed, RuntimeError)
+        for wire in (first, last):
+            assert isinstance(wire, WireResult)
+            assert wire.result == {"note": "ok"}
+            assert wire.worker == f"pid:{os.getpid()}"
+            assert wire.execute_s >= 0.0
 
 
 def spool_jobs(broker, count):
@@ -396,22 +398,16 @@ class _CrashedWorker:
 class TestWorkerSupervisor:
     def test_fleet_sizes_to_queue_depth(self, tmp_path):
         supervisor = WorkerSupervisor(tmp_path / "spool", max_workers=3,
-                                      shards_per_worker=4,
                                       spawn=lambda: _ThreadWorker(None))
         assert supervisor.desired(0) == 0
         assert supervisor.desired(1) == 1
-        assert supervisor.desired(4) == 1
+        assert supervisor.desired(4) == 1  # four shards per worker
         assert supervisor.desired(5) == 2
         assert supervisor.desired(1000) == 3  # clamped to max_workers
-        floor = WorkerSupervisor(tmp_path / "spool2", max_workers=3,
-                                 min_workers=2, shards_per_worker=4,
-                                 spawn=lambda: _ThreadWorker(None))
-        assert floor.desired(0) == 2
 
     def test_supervises_the_spool_to_drained(self, tmp_path):
         supervisor = WorkerSupervisor(
-            tmp_path / "spool", max_workers=2, shards_per_worker=4,
-            poll_interval=0.02,
+            tmp_path / "spool", max_workers=2, poll_interval=0.02,
             spawn=lambda: _ThreadWorker(supervisor.broker))
         keys = spool_jobs(supervisor.broker, 7)
         status = supervisor.run()
@@ -422,25 +418,29 @@ class TestWorkerSupervisor:
         assert done == set(keys)
 
     def test_crash_loop_exhausts_the_respawn_budget(self, tmp_path):
+        from repro.cli import _build_parser
+
         supervisor = WorkerSupervisor(tmp_path / "spool", max_workers=1,
-                                      max_respawns=2,
                                       spawn=lambda: _CrashedWorker())
         spool_jobs(supervisor.broker, 4)
         supervisor.poll_once()  # spawns the first (already dead) worker
-        supervisor.poll_once()  # crash 1 charged, respawn
-        supervisor.poll_once()  # crash 2 charged, respawn
-        with pytest.raises(RuntimeError, match="respawn budget"):
+        for crash in range(1, WorkerSupervisor.MAX_RESPAWNS + 1):
+            supervisor.poll_once()  # crash charged, respawn
+            assert supervisor.respawns == crash
+        with pytest.raises(RuntimeError, match="respawn budget") as exc:
             supervisor.poll_once()
-        assert supervisor.crashed == 3
+        assert supervisor.crashed == WorkerSupervisor.MAX_RESPAWNS + 1
+        # The hint names a command repro's own parser accepts.
+        command = shlex.split(str(exc.value).split("'")[1])
+        assert command[0] == "repro"
+        args = _build_parser().parse_args(command[1:])
+        assert (args.command, args.queue) == \
+            ("queue", str(supervisor.broker.root))
 
     def test_validation(self, tmp_path):
         root = tmp_path / "spool"
         with pytest.raises(ConfigError, match="max_workers"):
             WorkerSupervisor(root, max_workers=0)
-        with pytest.raises(ConfigError, match="min_workers"):
-            WorkerSupervisor(root, max_workers=2, min_workers=3)
-        with pytest.raises(ConfigError, match="shards_per_worker"):
-            WorkerSupervisor(root, max_workers=1, shards_per_worker=0)
 
 
 # ----------------------------------------------------------------------

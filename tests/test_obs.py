@@ -1,11 +1,12 @@
 """Telemetry layer: metrics instruments, span tracing, reporting.
 
 Covers the :mod:`repro.obs` package plus its integration points — the
-runner's trace sink and stats-as-registry-view, the ``repro trace
-report`` and ``repro cache --stats`` CLI arms, and the progress
-listeners.  The two load-bearing invariants are property-tested with
-hypothesis: histogram merge equals the histogram of the concatenated
-observations, and span serialization round-trips through JSON.
+runner's trace sink and the registry counters that read its stats, the
+``repro trace report`` and ``repro cache --stats`` CLI arms, and the
+progress listeners.  The two load-bearing invariants are property-tested
+with hypothesis: histogram merge equals the histogram of the
+concatenated observations, and span serialization round-trips through
+JSON.
 
 The golden-identity guard matters most: running the same batch with
 tracing on and off must produce bit-identical results, because
@@ -14,6 +15,7 @@ reproduction claim downstream.
 """
 
 import json
+import os
 import pickle
 import time
 
@@ -32,7 +34,7 @@ from repro.engine import (
     TextProgress,
     job_key,
 )
-from repro.engine.broker import ExpiredEvent, WorkerSupervisor
+from repro.engine.broker import WorkerSupervisor
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -64,17 +66,17 @@ def sleep_jobs(count: int, tag: str = "t") -> list:
 
 
 class TestInstruments:
-    def test_counter_inc_and_set(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
+    def test_counter_reads_its_owners_count(self):
+        counts = {"done": 5}
+        counter = Counter("c", fn=lambda: counts["done"])
         assert counter.value == 5
-        counter.set(2)
-        assert counter.value == 2
+        counts["done"] += 1
+        assert counter.value == 6
+        assert isinstance(counter.value, int)
+        assert Counter("sick", fn=lambda: 1 / 0).value == 0
 
     def test_gauge_callback_wins_and_swallows_errors(self):
         gauge = Gauge("g", fn=lambda: 7)
-        gauge.set(99)  # the stored value is shadowed by the callback
         assert gauge.value == 7.0
         sick = Gauge("sick", fn=lambda: 1 / 0)
         assert sick.value == 0.0
@@ -100,22 +102,25 @@ class TestInstruments:
 class TestRegistry:
     def test_registration_is_idempotent(self):
         registry = MetricsRegistry()
-        first = registry.counter("jobs", "help")
-        second = registry.counter("jobs")
+        first = registry.counter("jobs", "help", fn=lambda: 1)
+        second = registry.counter("jobs", fn=lambda: 2)
         assert first is second
+        assert second.value == 1  # the first callback is kept
 
     def test_type_conflict_raises(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.counter("x", fn=lambda: 0)
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.gauge("x", fn=lambda: 0)
 
     def test_labels_distinguish_instruments(self):
         registry = MetricsRegistry()
-        lost = registry.counter("faults", labels={"outcome": "lost"})
-        failed = registry.counter("faults", labels={"outcome": "failed"})
+        faults = {"lost": 1, "failed": 0}
+        lost = registry.counter("faults", labels={"outcome": "lost"},
+                                fn=lambda: faults["lost"])
+        failed = registry.counter("faults", labels={"outcome": "failed"},
+                                  fn=lambda: faults["failed"])
         assert lost is not failed
-        lost.inc()
         snap = registry.snapshot()
         assert snap["faults{outcome=lost}"] == 1
         assert snap["faults{outcome=failed}"] == 0
@@ -132,8 +137,8 @@ class TestRegistry:
     def test_prometheus_text_is_well_formed(self):
         import re
         registry = MetricsRegistry()
-        registry.counter("done", "jobs done").inc(2)
-        registry.gauge("depth", "queue depth").set(1.5)
+        registry.counter("done", "jobs done", fn=lambda: 2)
+        registry.gauge("depth", "queue depth", fn=lambda: 1.5)
         hist = registry.histogram("lat", "latency", buckets=(0.1, 1.0))
         hist.observe(0.05)
         hist.observe(10.0)
@@ -150,7 +155,7 @@ class TestRegistry:
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
-        registry.gauge("g", labels={"path": 'a"b\\c\nd'}).set(1)
+        registry.gauge("g", labels={"path": 'a"b\\c\nd'}, fn=lambda: 1)
         text = registry.to_prometheus()
         assert r'path="a\"b\\c\nd"' in text
 
@@ -221,8 +226,7 @@ class TestSpans:
         key = job_key(job)
         trace.plan_done()
         trace.submitted({key: job}.items())
-        trace.executed(key, 0.002, worker="w1")
-        trace.collected(key, cache_write_s=0.0005)
+        trace.collected(key, 0.002, "w1", cache_write_s=0.0005)
         trace.finish("ok")
         sink.close()
         shard = [s for s in read_spans(tmp_path / "t.jsonl")
@@ -234,16 +238,20 @@ class TestSpans:
 
 
 # ---------------------------------------------------------------------------
-# EngineStats as a registry view
+# EngineStats: plain counts, read by the registry's counters
 
 
 class TestEngineStatsView:
     def test_counters_live_in_the_registry(self):
         registry = MetricsRegistry()
         stats = EngineStats(registry=registry)
-        stats.simulated += 3
-        assert registry.snapshot()["engine_simulated"] == 3
+        stats.simulated += 1
+        stats.simulated += 2
         assert stats.simulated == 3
+        assert registry.snapshot()["engine_simulated"] == 3
+        assert "repro_engine_simulated_total 3" in registry.to_prometheus()
+        assert set(registry.snapshot()) == {
+            f"engine_{name}" for name in EngineStats.COUNTERS}
 
     def test_keyword_construction_and_equality(self):
         assert EngineStats(memory_hits=2, disk_hits=1).hits == 3
@@ -255,8 +263,12 @@ class TestEngineStatsView:
             EngineStats(bogus=1)
 
     def test_pickle_round_trip(self):
-        stats = EngineStats(simulated=4, errors=1)
-        assert pickle.loads(pickle.dumps(stats)) == stats
+        registry = MetricsRegistry()
+        stats = EngineStats(registry=registry, simulated=4, errors=1)
+        copy = pickle.loads(pickle.dumps(stats))
+        assert copy == stats
+        copy.simulated += 1  # a copy: the registry still reads the original
+        assert registry.snapshot()["engine_simulated"] == 4
 
     def test_delta_tolerates_missing_counters(self):
         """Counters added after a snapshot was persisted must read as 0
@@ -334,6 +346,9 @@ class TestRunnerTracing:
         assert len(shards) == 4
         assert len(batches) == 1
         assert all(span.backend == "serial" for span in shards)
+        # Serial members carry the same envelope as pool members.
+        assert all(span.worker == f"pid:{os.getpid()}" for span in shards)
+        assert all("execute" in span.stages for span in shards)
 
     def test_stage_timings_sum_to_span_duration(self, tmp_path):
         _, spans, _ = self.run_traced(tmp_path)
@@ -537,11 +552,14 @@ class TestQueueTelemetry:
         snapshot = runner.metrics.snapshot()
         # A clean run touches none of the fault paths, but every
         # instrument must exist (the scrape surface is stable).
-        assert snapshot["queue_requeued"] == 0
         for outcome in ("lost", "expired", "corrupt", "failed"):
             assert snapshot[f"queue_faults{{outcome={outcome}}}"] == 0
-        assert snapshot["queue_lease_expired"] == 0
         assert snapshot["queue_heartbeat_lag_s"]["count"] == 0
+        # Re-dispatches are engine_requeued and expiries are
+        # queue_faults{outcome=expired}: neither is counted twice.
+        assert snapshot["engine_requeued"] == 0
+        assert "queue_requeued" not in snapshot
+        assert "queue_lease_expired" not in snapshot
 
     def test_lease_lag_hook_reports_stale_heartbeat(self, tmp_path):
         broker = SpoolBroker(tmp_path / "spool", lease_timeout=30.0)
@@ -558,24 +576,28 @@ class TestQueueTelemetry:
         assert len(lags) == 1
         assert lags[0] > 0.0
 
-    def test_lease_expiry_hook_counts_expired_leases(self, tmp_path):
-        broker = SpoolBroker(tmp_path / "spool", lease_timeout=0.01)
+    def test_expired_lease_counts_one_expired_fault(self, tmp_path):
+        backend = QueueBackend(tmp_path / "spool", lease_timeout=0.01,
+                               poll_interval=0.01)
+        registry = MetricsRegistry()
+        backend.attach_metrics(registry)
         job = sleep_jobs(1, tag="expire")[0]
-        key = job_key(job)
-        assert broker.submit(key, job)
-        assert broker.claim_next("w1") is not None
-        expiries: list = []
-        broker.on_lease_expired = lambda: expiries.append(1)
-        assert broker.poll([key]) == []  # arms the staleness clock
+        pending = {job_key(job): job}
+        stats = EngineStats(registry=registry)
+        state = backend._new_state(pending)
+        assert backend.broker.submit(job_key(job), job)
+        assert backend.broker.claim_next("w1") is not None
+        assert backend._step(pending, state, stats) == ([], None)  # arms
         time.sleep(0.05)
-        events = broker.poll([key])
-        assert [type(event) for event in events] == [ExpiredEvent]
-        assert expiries == [1]
+        assert backend._step(pending, state, stats) == ([], None)
+        snapshot = registry.snapshot()
+        assert snapshot["queue_faults{outcome=expired}"] == 1
+        assert snapshot["engine_requeued"] == 1
         # The shard went back to pending/ and is claimable again.
-        assert broker.claim_next("w2") is not None
+        assert backend.broker.claim_next("w2") is not None
 
     def test_attach_metrics_wires_broker_hooks(self, tmp_path):
-        backend = QueueBackend(tmp_path / "spool", lease_timeout=0.01,
+        backend = QueueBackend(tmp_path / "spool", lease_timeout=30.0,
                                poll_interval=0.01)
         registry = MetricsRegistry()
         backend.attach_metrics(registry)
@@ -584,11 +606,10 @@ class TestQueueTelemetry:
         key = job_key(job)
         assert broker.submit(key, job)
         assert broker.claim_next("w1") is not None
-        broker.poll([key])
-        time.sleep(0.05)
-        broker.poll([key])
-        snapshot = registry.snapshot()
-        assert snapshot["queue_lease_expired"] == 1
+        broker.poll([key])  # arms the lease watch
+        time.sleep(0.02)
+        broker.poll([key])  # healthy lease, beat unmoved
+        assert registry.snapshot()["queue_heartbeat_lag_s"]["count"] == 1
 
     def test_supervisor_attach_metrics_exports_fleet_gauges(
             self, tmp_path):

@@ -241,6 +241,22 @@ class TestAdmissionControl:
         assert refused.value.status == 409
         assert "artifacts render once it is done" in str(refused.value)
 
+    def test_submit_watch_times_out_on_a_wedged_service(self, frozen,
+                                                         tmp_path, capsys):
+        from repro.cli import main
+
+        _, client = frozen()
+        spec = tmp_path / "wedged.toml"
+        small_spec("wedged").save(spec)
+        assert main(["submit", str(spec), "--url", client.url, "--watch",
+                     "--timeout", "0.3"]) == 2
+        captured = capsys.readouterr()
+        campaign = captured.out.split("campaign:")[1].split()[0]
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error: timed out after 0.3s")
+        assert campaign in error
+        assert "last state planned" in error
+
     def test_cancel_removes_campaign_from_backlog(self, frozen):
         server, client = frozen(backlog_jobs=1)
         doomed = client.submit(small_spec("doomed"))
