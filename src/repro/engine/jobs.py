@@ -9,10 +9,11 @@ so the runner deduplicates them and the on-disk cache can serve either.
 
 Keys are built by :func:`job_key`: every field — including nested
 dataclasses such as :class:`~repro.pipeline.resources.PipelineParams` or
-:class:`~repro.memory.hierarchy.MemoryConfig` — is folded into a stable
-JSON token tree and hashed.  Floats are keyed by ``repr`` (exact bits),
-enums by their value, dataclasses field-by-field, so the key is stable
-across processes and Python runs.
+:class:`~repro.memory.hierarchy.MemoryConfig` — is written as canonical
+JSON text and hashed.  Floats are keyed by ``repr`` (exact bits), enums
+by their value, dataclasses field-by-field, so the key is stable across
+processes and Python runs.  The frozen values every job of a campaign
+shares are written once per process (see :data:`_TEXTS_MAX`).
 
 Sharding
 --------
@@ -36,9 +37,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 
 from repro.errors import ConfigError
 from repro.workloads.profiles import PROFILES_BY_NAME, TraceProfile
@@ -292,47 +295,165 @@ def aggregate_shard_results(job: Job, shard_results):
 # Canonical keys
 # ----------------------------------------------------------------------
 
-def stable_token(value):
-    """Fold ``value`` into a JSON-serializable token with stable identity.
+#: Bound of the per-process memo of written frozen values.  The jobs a
+#: campaign plans share one ``PipelineParams``, ``MemoryConfig``,
+#: ``DelayModel`` and profile or program object per trace, most of each
+#: key's text, so a small memo serves most lookups.
+_TEXTS_MAX = 64
 
-    Dataclasses are expanded field-by-field (tagged with their qualified
-    name so two different types never collide), enums by value, floats by
-    exact ``repr``, bytes by sha256 digest (so a riscv-backed trace spec
-    is keyed by its program contents without inflating the token tree).
-    Unsupported types raise ``TypeError`` — jobs must be plain data.
+#: ``id(value) -> (value, text)``, least recently used first.  An entry
+#: holds its value, so the id cannot be reused while the entry lives.
+#: The text is only right while the value is unchanged: job values are
+#: never mutated once a job is built (README, "The experiment engine").
+_TEXTS: OrderedDict = OrderedDict()
+
+#: The service keys jobs on handler and collector threads at once.
+#: Values are written outside the lock (a nested value takes it again).
+_TEXTS_LOCK = threading.Lock()
+
+
+class _CanonicalWriter:
+    """Writes the canonical JSON text of job values.
+
+    Each value has one spelling: a dataclass is an object of its fields
+    plus ``"__type__"`` (module and qualified name); an enum is
+    ``{"__enum__": "Type.NAME", "value": ...}``; a float is
+    ``{"__float__": repr}`` (exact bits); bytes are
+    ``{"__bytes_sha256__": hexdigest}``, so a riscv-backed trace spec is
+    keyed by its program contents; lists and tuples are arrays; a dict
+    is ``{"__dict__": [[str(key), value], ...]}`` and a set is
+    ``{"__set__": [...]}`` of its members' texts, both sorted.  Objects
+    have sorted keys and strings are ASCII-escaped by json's C escaper.
+    The text equals ``json.dumps(token, sort_keys=True,
+    separators=...)`` of the token tree ``tests/key_oracle.py`` builds.
+
+    ``writers`` maps every type met so far to the function that writes
+    it, so dispatch is one dict lookup and each dataclass type's tag and
+    sorted field names are worked out once.  With ``memo`` set, frozen
+    dataclass values are written once while they stay in the memo.
+    Jobs are not memoized: each is keyed about once, and whole-job
+    texts would only crowd the shared values out.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        token = {"__type__": f"{type(value).__module__}."
-                             f"{type(value).__qualname__}"}
-        for field in dataclasses.fields(value):
-            token[field.name] = stable_token(getattr(value, field.name))
-        return token
-    if isinstance(value, Enum):
-        return {"__enum__": f"{type(value).__qualname__}.{value.name}",
-                "value": stable_token(value.value)}
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return {"__float__": repr(value)}
-    if isinstance(value, (bytes, bytearray)):
-        return {"__bytes_sha256__": hashlib.sha256(bytes(value)).hexdigest()}
-    if isinstance(value, (list, tuple)):
-        return [stable_token(item) for item in value]
-    if isinstance(value, dict):
-        return {"__dict__": sorted(
-            (str(k), stable_token(v)) for k, v in value.items())}
-    if isinstance(value, (set, frozenset)):
-        return {"__set__": sorted(json.dumps(stable_token(v), sort_keys=True)
-                                  for v in value)}
+
+    def __init__(self, item_sep: str, key_sep: str, memo: bool):
+        self.item_sep = item_sep
+        self.key_sep = key_sep
+        self.memo = memo
+        self.writers = {
+            type(None): lambda value: "null",
+            bool: lambda value: "true" if value else "false",
+            int: int.__repr__,
+            str: _quote,
+            float: self.write_float,
+            tuple: self.write_sequence,
+            list: self.write_sequence,
+        }
+
+    def write(self, value) -> str:
+        writer = self.writers.get(type(value))
+        if writer is None:
+            writer = self.writers[type(value)] = self._writer_for(type(value))
+        return writer(value)
+
+    def write_float(self, value) -> str:
+        return f'{{"__float__"{self.key_sep}{_quote(repr(value))}}}'
+
+    def write_sequence(self, value) -> str:
+        write = self.write
+        return f"[{self.item_sep.join([write(item) for item in value])}]"
+
+    def write_enum(self, value) -> str:
+        name = _quote(f"{type(value).__qualname__}.{value.name}")
+        return (f'{{"__enum__"{self.key_sep}{name}{self.item_sep}'
+                f'"value"{self.key_sep}{self.write(value.value)}}}')
+
+    def write_bytes(self, value) -> str:
+        digest = hashlib.sha256(bytes(value)).hexdigest()
+        return f'{{"__bytes_sha256__"{self.key_sep}"{digest}"}}'
+
+    def write_dict(self, value) -> str:
+        items = sorted(((str(key), item) for key, item in value.items()),
+                       key=lambda pair: pair[0])
+        for (key, _), (after, _) in zip(items, items[1:]):
+            if key == after:
+                raise TypeError(
+                    f"cannot build a stable job key from a dict with two "
+                    f"keys that both read {key!r}")
+        sep, write = self.item_sep, self.write
+        pairs = sep.join([f"[{_quote(key)}{sep}{write(item)}]"
+                          for key, item in items])
+        return f'{{"__dict__"{self.key_sep}[{pairs}]}}'
+
+    def write_set(self, value) -> str:
+        members = sorted([_SPACED.write(member) for member in value])
+        listed = self.item_sep.join([_quote(text) for text in members])
+        return f'{{"__set__"{self.key_sep}[{listed}]}}'
+
+    def _writer_for(self, cls):
+        """The writer of ``cls``, by the first rule that matches."""
+        if hasattr(cls, "__dataclass_fields__"):
+            return self._dataclass_writer(cls)
+        for base, writer in ((Enum, self.write_enum), (str, _quote),
+                             (int, int.__repr__), (float, self.write_float),
+                             ((bytes, bytearray), self.write_bytes),
+                             ((list, tuple), self.write_sequence),
+                             (dict, self.write_dict),
+                             ((set, frozenset), self.write_set)):
+            if issubclass(cls, base):
+                return writer
+        return _unsupported
+
+    def _dataclass_writer(self, cls):
+        tag = _quote(f"{cls.__module__}.{cls.__qualname__}")
+        entries = {"__type__": None}
+        for field in dataclasses.fields(cls):
+            entries[field.name] = field.name
+        layout = [(_quote(name) + self.key_sep, attr)
+                  for name, attr in sorted(entries.items())]
+        sep, write = self.item_sep, self.write
+
+        def write_fields(value) -> str:
+            return "{" + sep.join([
+                head + (tag if attr is None else write(getattr(value, attr)))
+                for head, attr in layout]) + "}"
+
+        params = getattr(cls, "__dataclass_params__", None)
+        if not self.memo or cls is Job or not getattr(params, "frozen", False):
+            return write_fields
+
+        def write_shared(value) -> str:
+            key = id(value)
+            with _TEXTS_LOCK:
+                entry = _TEXTS.get(key)
+                if entry is not None:
+                    _TEXTS.move_to_end(key)
+                    return entry[1]
+            text = write_fields(value)
+            with _TEXTS_LOCK:
+                _TEXTS[key] = (value, text)
+                while len(_TEXTS) > _TEXTS_MAX:
+                    _TEXTS.popitem(last=False)
+            return text
+
+        return write_shared
+
+
+def _unsupported(value):
     raise TypeError(
         f"cannot build a stable job key from {type(value).__name__!r}; "
         f"jobs must be plain data (dataclasses, enums, scalars, tuples)")
 
 
+#: Key text, and the text of each set member (json's default separators).
+_COMPACT = _CanonicalWriter(",", ":", memo=True)
+_SPACED = _CanonicalWriter(", ", ": ", memo=False)
+
+
 def job_key(job: Job) -> str:
-    """Canonical content hash of a job (hex, stable across processes)."""
-    payload = json.dumps(stable_token(job), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Canonical content hash of a job (hex, stable across processes).
+
+    The sha256 of the job's canonical JSON text.  Unsupported types
+    raise ``TypeError`` naming the type: jobs must be plain data.
+    """
+    text = _COMPACT.write(job)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()

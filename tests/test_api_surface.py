@@ -17,7 +17,7 @@ from repro.isa.opcodes import Opcode
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.14.0"
+        assert repro.__version__ == "1.15.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:

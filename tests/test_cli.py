@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.14.0"
+        assert repro.__version__ == "1.15.0"
 
 
 class TestRunSpec:
@@ -436,10 +436,13 @@ class TestInfoCommands:
         assert "Calibration anchors" in out
         assert "crossover" in out
 
-    def test_compare_small(self, capsys):
+    def test_compare_small(self, capsys, tmp_path, monkeypatch):
+        # The cached path, against a private cache directory.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["compare", "--vcc", "500", "--length", "1200"]) == 0
         out = capsys.readouterr().out
         assert "frequency_gain" in out
+        assert list(tmp_path.glob("v*/*.pkl"))
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

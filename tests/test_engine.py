@@ -1,5 +1,6 @@
 """Tests of the experiment engine: jobs, cache, runner, integrations."""
 
+import dataclasses
 import importlib.util
 import pathlib
 import pickle
@@ -22,9 +23,13 @@ from repro.engine import (
     job_key,
 )
 from repro.engine.cache import MISS
-from repro.engine.jobs import stable_token
+from repro.engine.jobs import shard_jobs
 from repro.errors import ConfigError
+from repro.experiments.artifacts import table1_jobs
+from repro.montecarlo.campaign import montecarlo_jobs
+from repro.montecarlo.spec import MonteCarloSpec
 from repro.workloads.profiles import KERNEL_LIKE, SPECINT_LIKE
+from repro.workloads.riscv import RiscvProgram
 
 pytestmark = pytest.mark.engine
 
@@ -69,8 +74,9 @@ class TestJobKeys:
             Job(kind="unheard-of")
 
     def test_non_plain_data_rejected(self):
-        with pytest.raises(TypeError):
-            stable_token(object())
+        job = Job(kind="sweep-point", options=(("knob", object()),))
+        with pytest.raises(TypeError, match="'object'"):
+            job_key(job)
 
     def test_population_spec_is_deterministic(self):
         spec = TracePopulationSpec(profiles=(KERNEL_LIKE,), trace_length=300)
@@ -91,6 +97,64 @@ class TestJobKeys:
         # Least recently used first out; the newest trace is memoized.
         assert specs[0] not in executors._TRACES
         assert executors.trace_for(specs[-1]) is executors._TRACES[specs[-1]]
+
+
+def one_job_per_kind() -> dict:
+    """A small job of every kind, planned the way the program plans it."""
+    sweep = tiny_sweep()
+    population = sweep.job_for(500.0, ClockScheme.IRAW, rf_enabled=False)
+    shard = shard_jobs(population)[0]
+    _, _, faulty, bypass = table1_jobs(sweep, 500.0)
+    return {
+        "population": population,
+        "synthetic-shard": shard,
+        "kernel-shard": dataclasses.replace(
+            shard, trace=TraceSpec.for_kernel("dot", 16)),
+        "riscv-shard": dataclasses.replace(shard, trace=TraceSpec(
+            source="riscv", program=RiscvProgram("pin", bytes(range(16))))),
+        "faulty-bits": shard_jobs(faulty)[0],
+        "extra-bypass": shard_jobs(bypass)[0],
+        "dvfs-schedule": schedule_job(
+            TraceSpec.synthetic(KERNEL_LIKE, seed=2, length=400),
+            (DvfsPhase(650.0, 200), DvfsPhase(450.0, 200)),
+            ClockScheme.IRAW),
+        "mc-block": montecarlo_jobs(MonteCarloSpec(dies=8, seed=3, block=4),
+                                    (500.0,), ("iraw",))[1],
+    }
+
+
+class TestPinnedKeys:
+    """Literal job keys, unchanged since 1.14.0.
+
+    Cache entries, spool files and served campaigns are named by these
+    bytes, so a change to them orphans every stored result.  Change a
+    pin only with a release note saying so.
+    """
+
+    PINS = {
+        "population":
+            "b4678ff7d7d66174d5f44f9cea7c924eaa8e5aa2ee6a291e235909ae96fb829f",
+        "synthetic-shard":
+            "9979cec4953f69a6be27eaa9e776f82510b3f968623e6ae751bc44171d287374",
+        "kernel-shard":
+            "7f8ef908629856fa00922f6dbad4c19be72f1c5d9d9c798b36951e837aad1d67",
+        "riscv-shard":
+            "71e7912e0d848c0367badadd30e2a58451b03d3480580590509263254d984324",
+        "faulty-bits":
+            "7e090a5c860860cfa31f4fd92932fd3490c4bdad37ef067466129cb9a24f1852",
+        "extra-bypass":
+            "a650cc81edc4f6b304b6645580fcd396d64a4d4a83b80fdd59e537310334f188",
+        "dvfs-schedule":
+            "37bc170c482d6fe273860607d3e9d41249e7ce115a4c7008e7fe25dd814ae8b0",
+        "mc-block":
+            "cd7a7128502d08a4584091c6a069a2a70887892ee6a8f5ead3c7431304c1b021",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_key_bytes_are_pinned(self, name):
+        job = one_job_per_kind()[name]
+        assert job_key(job) == self.PINS[name]
+        assert job_key(job) == self.PINS[name]  # memoized values
 
 
 class TestResultCache:
@@ -758,9 +822,11 @@ class TestTextProgress:
 
 class TestStableTokenContainers:
     def test_dicts_and_sets_tokenize_deterministically(self):
-        a = stable_token({"b": 2, "a": frozenset({3, 1})})
-        b = stable_token({"a": frozenset({1, 3}), "b": 2})
-        assert a == b
+        a = Job(kind="sweep-point",
+                options=(("knob", {"b": 2, "a": frozenset({3, 1})}),))
+        b = Job(kind="sweep-point",
+                options=(("knob", {"a": frozenset({1, 3}), "b": 2}),))
+        assert job_key(a) == job_key(b)
 
 
 class TestBenchConftest:
