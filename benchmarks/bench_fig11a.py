@@ -6,12 +6,12 @@ much closer to the pure-logic 24 FO4 cycle.
 
 from conftest import record_table
 
-from repro.analysis.figures import figure11a_series
 from repro.analysis.reporting import format_table
+from repro.circuits.frequency import FrequencySolver
 
 
 def _generate():
-    return figure11a_series(step_mv=25.0)
+    return FrequencySolver().figure11a_series(25.0)
 
 
 def test_figure11a(benchmark):

@@ -26,6 +26,7 @@ Run:  python examples/energy_explorer.py [--workers 4] [--no-cache]
 import argparse
 
 from repro.analysis.reporting import format_table
+from repro.circuits.energy import IRAW_DYNAMIC_OVERHEAD
 from repro.engine import add_engine_arguments, runner_from_args
 from repro.experiments import Experiment, ExperimentSpec
 from repro.experiments.artifacts import calibrated_energy_model
@@ -54,7 +55,8 @@ def main() -> None:
 
     rows = []
     for record in results:
-        overhead = 0.01 if record.scheme == "iraw" else 0.0
+        overhead = IRAW_DYNAMIC_OVERHEAD if record.scheme == "iraw" \
+            else 0.0
         breakdown = energy_model.task_energy(
             record.vcc_mv, record["execution_time_s"],
             dynamic_overhead=overhead)

@@ -25,8 +25,9 @@ Run:  python examples/vcc_sweep.py [--step 50] [--length 6000]
 
 import argparse
 
-from repro.analysis.figures import figure1_series, figure11a_series
+from repro.analysis.figures import figure1_series
 from repro.analysis.reporting import format_table
+from repro.circuits.frequency import FrequencySolver
 from repro.engine import add_engine_arguments, runner_from_args
 from repro.experiments import Experiment, ExperimentSpec
 
@@ -48,7 +49,7 @@ def main() -> None:
         title="Figure 1: clock-phase delays (normalized to 12 FO4 @700mV)"))
     print()
     print(format_table(
-        figure11a_series(step_mv=args.step),
+        FrequencySolver().figure11a_series(args.step),
         title="Figure 11(a): cycle time (normalized to 24 FO4 @700mV)"))
     print()
 

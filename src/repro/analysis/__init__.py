@@ -3,7 +3,6 @@
 from repro.analysis.dvfs import DvfsOutcome, DvfsPhase, DvfsScenario
 from repro.analysis.figures import (
     figure1_series,
-    figure11a_series,
     prediction_hazard_report,
 )
 from repro.analysis.metrics import PointResult, geometric_mean, speedup
@@ -18,7 +17,6 @@ __all__ = [
     "SweepSettings",
     "VccSweep",
     "figure1_series",
-    "figure11a_series",
     "format_table",
     "geometric_mean",
     "percent",

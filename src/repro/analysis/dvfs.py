@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 from repro.circuits.constants import DRAM_LATENCY_NS
 from repro.circuits.ekv import check_voltage
-from repro.circuits.energy import EnergyModel
+from repro.circuits.energy import IRAW_DYNAMIC_OVERHEAD, EnergyModel
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.controller import VccController
 from repro.core.policy import IrawPolicy
@@ -174,8 +174,8 @@ class DvfsScenario:
                 phase_outcome.phase.vcc_mv,
                 execution_time_s=max(1e-12, phase_outcome.time_s),
                 work_fraction=work,
-                dynamic_overhead=0.01 if self.scheme is ClockScheme.IRAW
-                else 0.0,
+                dynamic_overhead=IRAW_DYNAMIC_OVERHEAD
+                if self.scheme is ClockScheme.IRAW else 0.0,
             )
             total += breakdown.total_j
         return total

@@ -2,7 +2,9 @@
 
 Each function returns the data rows of one paper artifact; the benchmarks
 print them and assert the qualitative shape (who wins, where crossovers
-fall).  Figure 1 and Figure 11(a) involve no simulation.
+fall).  Figure 1 involves no simulation, nor does Figure 11(a), whose rows
+:meth:`~repro.circuits.frequency.FrequencySolver.figure11a_series`
+builds.
 
 The simulated artifacts (Table 1, Figures 11b and 12, the 450 mV energy
 example, the overhead report) render through the named-artifact registry
@@ -17,7 +19,7 @@ from __future__ import annotations
 from repro.circuits.constants import default_delay_model
 from repro.circuits.delay import DelayModel
 from repro.circuits.ekv import voltage_grid
-from repro.circuits.frequency import ClockScheme, FrequencySolver
+from repro.circuits.frequency import ClockScheme
 from repro.analysis.sweep import VccSweep
 
 
@@ -26,13 +28,6 @@ def figure1_series(model: DelayModel | None = None,
     """Figure 1: phase delays vs Vcc, normalized to 12 FO4 at 700 mV."""
     model = model or default_delay_model()
     return [model.figure1_row(vcc) for vcc in voltage_grid(step_mv)]
-
-
-def figure11a_series(solver: FrequencySolver | None = None,
-                     step_mv: float = 25.0) -> list[dict[str, float]]:
-    """Figure 11(a): cycle time vs Vcc for 24 FO4 / baseline / IRAW."""
-    solver = solver or FrequencySolver()
-    return solver.figure11a_series(step_mv)
 
 
 def prediction_hazard_report(sweep: VccSweep,

@@ -35,7 +35,26 @@ from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.profiles import STANDARD_PROFILES
 
-__all__ = ["SweepSettings", "VccSweep", "warm_caches"]
+__all__ = ["STALL_ABLATIONS", "SweepSettings", "VccSweep", "comparison_row",
+           "warm_caches"]
+
+#: The Section 5.2 stall decomposition (8.86% = 8.52 + 0.30 + 0.04 at
+#: 575 mV): its five IRAW evaluation points, in submission order, as
+#: (record variant, decomposition column, IRAW switches).  The full
+#: point leads; it has no column, and no variant because it may
+#: coincide with a grid record.  Every other point withholds some
+#: mechanisms' stalls, and its column is the IPC the full point loses
+#: to them.
+STALL_ABLATIONS = (
+    ("", None, ()),
+    ("stalls:all-off", "total_drop",
+     (("cache_guards_enabled", False), ("iq_enabled", False),
+      ("rf_enabled", False), ("stable_enabled", False))),
+    ("stalls:no-rf", "rf_drop", (("rf_enabled", False),)),
+    ("stalls:no-stable", "dl0_drop", (("stable_enabled", False),)),
+    ("stalls:no-iq-guards", "other_drop",
+     (("cache_guards_enabled", False), ("iq_enabled", False))),
+)
 
 
 @dataclass(frozen=True)
@@ -154,17 +173,7 @@ class VccSweep:
         base, iraw = self.run_points(
             [(vcc_mv, ClockScheme.BASELINE), (vcc_mv, ClockScheme.IRAW)],
             label=f"compare@{vcc_mv:g}mV")
-        frequency_gain = (iraw.point.frequency_mhz
-                          / base.point.frequency_mhz - 1.0)
-        performance_gain = speedup(base, iraw) - 1.0
-        return {
-            "vcc_mv": vcc_mv,
-            "frequency_gain": frequency_gain,
-            "performance_gain": performance_gain,
-            "ipc_ratio": iraw.ipc / base.ipc if base.ipc else 0.0,
-            "stabilization_cycles": iraw.point.stabilization_cycles,
-            "iraw_delay_fraction": iraw.mean_iraw_delay_fraction,
-        }
+        return comparison_row(vcc_mv, base, iraw)
 
     def execution_times(self, vcc_mv: float) -> tuple[float, float]:
         """(baseline, IRAW) execution times in seconds (Figure 12 input)."""
@@ -178,22 +187,14 @@ class VccSweep:
     # ------------------------------------------------------------------
 
     def stall_jobs(self, vcc_mv: float = 575.0) -> list[Job]:
-        """The five ablation jobs behind :meth:`stall_decomposition`.
+        """The five ablation jobs behind :meth:`stall_decomposition`, in
+        :data:`STALL_ABLATIONS` order.
 
         Exposed separately so the ``stalls`` artifact planner can batch
-        them with the rest of a campaign; order is part of the contract
-        (full, no-stalls, no-RF, no-STable, no-IQ/guards).
+        them with the rest of a campaign.
         """
-        return [
-            self.job_for(vcc_mv, ClockScheme.IRAW),
-            self.job_for(vcc_mv, ClockScheme.IRAW,
-                         rf_enabled=False, iq_enabled=False,
-                         cache_guards_enabled=False, stable_enabled=False),
-            self.job_for(vcc_mv, ClockScheme.IRAW, rf_enabled=False),
-            self.job_for(vcc_mv, ClockScheme.IRAW, stable_enabled=False),
-            self.job_for(vcc_mv, ClockScheme.IRAW,
-                         iq_enabled=False, cache_guards_enabled=False),
-        ]
+        return [self.job_for(vcc_mv, ClockScheme.IRAW, **dict(switches))
+                for _, _, switches in STALL_ABLATIONS]
 
     def stall_decomposition(self, vcc_mv: float = 575.0) -> dict[str, float]:
         """Marginal performance cost of each avoidance mechanism.
@@ -204,18 +205,25 @@ class VccSweep:
         attributes its 8.86% drop at 575 mV.  The five ablation points are
         submitted as one engine batch, so they parallelize.
         """
-        full, no_stalls, no_rf, no_dl0, no_rest = self.runner.run(
+        full, *withheld = self.runner.run(
             self.stall_jobs(vcc_mv),
             label=f"stall-decomposition@{vcc_mv:g}mV")
+        row: dict[str, float] = {"vcc_mv": vcc_mv}
+        for (_, column, _), result in zip(STALL_ABLATIONS[1:], withheld):
+            row[column] = 1.0 - full.ipc / result.ipc
+        row["iraw_delay_fraction"] = full.mean_iraw_delay_fraction
+        return row
 
-        def drop(reference: PointResult, withheld: PointResult) -> float:
-            return 1.0 - withheld.ipc / reference.ipc
 
-        return {
-            "vcc_mv": vcc_mv,
-            "total_drop": drop(no_stalls, full),
-            "rf_drop": 1.0 - full.ipc / no_rf.ipc,
-            "dl0_drop": 1.0 - full.ipc / no_dl0.ipc,
-            "other_drop": 1.0 - full.ipc / no_rest.ipc,
-            "iraw_delay_fraction": full.mean_iraw_delay_fraction,
-        }
+def comparison_row(vcc_mv: float, base: PointResult,
+                   iraw: PointResult) -> dict[str, float]:
+    """One Figure 11(b) row from one Vcc's baseline and IRAW results."""
+    return {
+        "vcc_mv": vcc_mv,
+        "frequency_gain": (iraw.point.frequency_mhz
+                           / base.point.frequency_mhz - 1.0),
+        "performance_gain": speedup(base, iraw) - 1.0,
+        "ipc_ratio": iraw.ipc / base.ipc if base.ipc else 0.0,
+        "stabilization_cycles": iraw.point.stabilization_cycles,
+        "iraw_delay_fraction": iraw.mean_iraw_delay_fraction,
+    }

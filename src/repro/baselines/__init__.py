@@ -2,10 +2,8 @@
 
 from repro.baselines.extra_bypass import ExtraBypassBaseline
 from repro.baselines.faulty_bits import FaultyBitsBaseline
-from repro.baselines.freq_scaling import FrequencyScalingBaseline
 
 __all__ = [
     "ExtraBypassBaseline",
     "FaultyBitsBaseline",
-    "FrequencyScalingBaseline",
 ]

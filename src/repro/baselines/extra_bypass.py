@@ -69,7 +69,7 @@ class ExtraBypassBaseline:
                          name=self.name)
 
     # ------------------------------------------------------------------
-    # Costs and characteristics
+    # Costs
     # ------------------------------------------------------------------
 
     def extra_latch_bits(self, vcc_mv: float | None = None) -> int:
@@ -86,12 +86,3 @@ class ExtraBypassBaseline:
                       core_transistors: int = 47_000_000) -> float:
         return (self.extra_latch_bits(vcc_mv) * TRANSISTORS_PER_LATCH_BIT
                 / core_transistors)
-
-    def characteristics(self) -> dict[str, object]:
-        return {
-            "works_for_all_sram_blocks": False,
-            "adapts_to_multiple_vcc": False,
-            "hardware_overhead": "high (wide latches, bypass muxes)",
-            "large_ipc_impact": True,
-            "hard_to_test": False,
-        }

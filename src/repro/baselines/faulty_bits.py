@@ -115,7 +115,7 @@ class FaultyBitsBaseline:
         return report
 
     # ------------------------------------------------------------------
-    # Costs and characteristics
+    # Costs
     # ------------------------------------------------------------------
 
     def core_setup(self, vcc_mv: float) -> CoreSetup:
@@ -129,12 +129,3 @@ class FaultyBitsBaseline:
     def area_overhead(self, core_transistors: int = 47_000_000) -> float:
         """Fault maps as SRAM bits over the core (paper-style accounting)."""
         return self.fault_map_bits() * 8 / core_transistors
-
-    def characteristics(self) -> dict[str, object]:
-        return {
-            "works_for_all_sram_blocks": False,
-            "adapts_to_multiple_vcc": "costly (re-test or one map per level)",
-            "hardware_overhead": "fault maps",
-            "large_ipc_impact": True,
-            "hard_to_test": True,
-        }

@@ -13,7 +13,7 @@ The paper's energy accounting (Section 5.3) rests on three rules:
 3. At 600 mV the whole-processor leakage is calibrated to **10% of total
    energy** for the baseline.
 
-IRAW adds a constant ``dynamic_overhead`` (default 1%, the paper's
+IRAW adds a constant 1% (:data:`IRAW_DYNAMIC_OVERHEAD`, the paper's
 pessimistic 20x-activity-factor estimate) to dynamic energy.
 """
 
@@ -30,6 +30,12 @@ LEAKAGE_SHARE_AT_CALIBRATION = 0.10
 #: Leakage current growth factor per 25 mV of Vcc decrease.
 LEAKAGE_GROWTH_PER_STEP = 1.10
 LEAKAGE_STEP_MV = 25.0
+#: IRAW's relative dynamic-energy adder (the shift-register bits).
+IRAW_DYNAMIC_OVERHEAD = 0.01
+#: Vcc of the Section 5.3 joule-accounting example.
+ENERGY_EXAMPLE_MV = 450.0
+#: Energy the example assumes for the unconstrained execution.
+ENERGY_EXAMPLE_UNCONSTRAINED_J = 5.0
 
 
 @dataclass(frozen=True)
@@ -129,13 +135,11 @@ class EnergyModel:
         return EnergyBreakdown(vcc_mv, dynamic, leakage, execution_time_s)
 
     def relative_metrics(self, vcc_mv: float, baseline_time_s: float,
-                         iraw_time_s: float,
-                         iraw_dynamic_overhead: float = 0.01
-                         ) -> dict[str, float]:
+                         iraw_time_s: float) -> dict[str, float]:
         """Figure 12 row: IRAW energy / delay / EDP relative to baseline."""
         base = self.task_energy(vcc_mv, baseline_time_s)
         iraw = self.task_energy(vcc_mv, iraw_time_s,
-                                dynamic_overhead=iraw_dynamic_overhead)
+                                dynamic_overhead=IRAW_DYNAMIC_OVERHEAD)
         return {
             "vcc_mv": vcc_mv,
             "energy_ratio": iraw.total_j / base.total_j,
@@ -145,25 +149,26 @@ class EnergyModel:
 
 
 def paper_450mv_example(model: EnergyModel, unconstrained_time_s: float,
-                        baseline_time_s: float, iraw_time_s: float,
-                        total_unconstrained_j: float = 5.0
+                        baseline_time_s: float, iraw_time_s: float
                         ) -> dict[str, EnergyBreakdown]:
     """Reproduce the paper's 450 mV joule-accounting example.
 
     The paper assumes the unconstrained (no write-delay limit) execution
-    consumes ``total_unconstrained_j`` = 5 J at 450 mV, then reports the
-    baseline at 8.50 J (4.74 J leakage) and IRAW at 6.40 J (2.64 J leakage).
-    We scale our reference task so the unconstrained case matches 5 J and
-    report all three breakdowns.
+    consumes 5 J at 450 mV, then reports the baseline at 8.50 J (4.74 J
+    leakage) and IRAW at 6.40 J (2.64 J leakage).  We scale our
+    reference task so the unconstrained case matches 5 J and report all
+    three breakdowns.
     """
-    probe = model.task_energy(450.0, unconstrained_time_s)
-    scale = total_unconstrained_j / probe.total_j
+    vcc = ENERGY_EXAMPLE_MV
+    probe = model.task_energy(vcc, unconstrained_time_s)
+    scale = ENERGY_EXAMPLE_UNCONSTRAINED_J / probe.total_j
     scaled = EnergyModel(
         reference_dynamic_j=model._ref_dynamic_j * scale,
         reference_time_s=model._ref_time_s,
     )
     return {
-        "unconstrained": scaled.task_energy(450.0, unconstrained_time_s),
-        "baseline": scaled.task_energy(450.0, baseline_time_s),
-        "iraw": scaled.task_energy(450.0, iraw_time_s, dynamic_overhead=0.01),
+        "unconstrained": scaled.task_energy(vcc, unconstrained_time_s),
+        "baseline": scaled.task_energy(vcc, baseline_time_s),
+        "iraw": scaled.task_energy(vcc, iraw_time_s,
+                                   dynamic_overhead=IRAW_DYNAMIC_OVERHEAD),
     }

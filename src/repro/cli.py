@@ -39,10 +39,11 @@ The simulation-backed subcommands run their evaluation points through
 the experiment engine: every point is sharded per trace, ``--workers N``
 spreads the shards across N processes (``0`` = one per CPU) and
 completed shards persist in the on-disk result cache
-(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) unless ``--no-cache`` is
-given.  ``$REPRO_CACHE_MAX_BYTES`` bounds the cache; ``cache --prune``
-evicts least-recently-used entries beyond the bound and reclaims stale
-code versions.
+(``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else
+``~/.cache/repro``) unless ``--no-cache`` is given.
+``$REPRO_CACHE_MAX_BYTES`` bounds the cache; ``cache --prune`` evicts
+least-recently-used entries beyond the bound and reclaims stale code
+versions.
 
 ``--backend queue`` spools the shards through a filesystem broker
 (``--queue DIR`` or ``$REPRO_QUEUE_DIR``) instead of executing them
@@ -72,7 +73,7 @@ import os
 import sys
 
 import repro
-from repro.analysis.figures import figure1_series, figure11a_series
+from repro.analysis.figures import figure1_series
 from repro.analysis.reporting import format_table
 from repro.analysis.sweep import warm_caches
 from repro.circuits.constants import DRAM_LATENCY_NS
@@ -455,7 +456,7 @@ def _cmd_figures(args) -> int:
                            title="Figure 1"))
         print()
     if wanted in ("fig11a", "circuit", "all"):
-        print(format_table(figure11a_series(step_mv=args.step),
+        print(format_table(FrequencySolver().figure11a_series(args.step),
                            title="Figure 11(a)"))
         print()
     if wanted in ("fig11b", "fig12", "all"):

@@ -28,9 +28,10 @@ and executes batches of them through a
   lost to crashed workers.  All three are bit-identical on the same
   batch.
 * **Caching** (:mod:`repro.engine.cache`) memoizes completed results in a
-  content-addressed on-disk store (``$REPRO_CACHE_DIR`` or
-  ``~/.cache/repro``) keyed by the job's canonical key under a fingerprint
-  of the package source, so any code change invalidates stale results.
+  content-addressed on-disk store (``$REPRO_CACHE_DIR``, else
+  ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``) keyed by the job's
+  canonical key under a fingerprint of the package source, so any code
+  change invalidates stale results.
   ``$REPRO_CACHE_MAX_BYTES`` bounds the store: the directory is its own
   index (an entry's size is its file size, its recency its mtime), and
   least-recently-used shards are evicted first.

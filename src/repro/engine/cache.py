@@ -172,15 +172,22 @@ def remove_tree(directory, suffix: str = "") -> int:
     return removed
 
 
-def default_cache_root() -> pathlib.Path:
-    """Resolve the cache root from the environment."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return pathlib.Path(env).expanduser()
+def user_cache_dir() -> pathlib.Path:
+    """``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``: the base of
+    every default on-disk location (result cache, serve state)."""
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = pathlib.Path(xdg).expanduser() if xdg \
         else pathlib.Path.home() / ".cache"
     return base / "repro"
+
+
+def default_cache_root() -> pathlib.Path:
+    """Resolve the cache root: ``$REPRO_CACHE_DIR``, else
+    :func:`user_cache_dir`."""
+    env = os.environ.get("REPRO_CACHE_DIR")
+    if env:
+        return pathlib.Path(env).expanduser()
+    return user_cache_dir()
 
 
 def _next_stamp() -> int:

@@ -18,8 +18,10 @@ Builders come in two layers:
 
 Every simulation an artifact needs is declared by the matching
 ``*_jobs`` planner, so :meth:`Experiment.run` submits the whole
-campaign as one engine batch and rendering afterwards is pure
-memo-lookup.
+campaign as one engine batch.  Each ``*_rows``/``*_cases`` function
+resolves exactly its planner's jobs in one runner batch and computes
+its rows from the returned list, so rendering afterwards is one memo
+lookup per artifact.
 """
 
 from __future__ import annotations
@@ -27,22 +29,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.metrics import PointResult
-from repro.analysis.sweep import VccSweep
+from repro.analysis.sweep import VccSweep, comparison_row
 from repro.baselines.extra_bypass import ExtraBypassBaseline
 from repro.baselines.faulty_bits import FaultyBitsBaseline
-from repro.baselines.freq_scaling import FrequencyScalingBaseline
 from repro.circuits.area import AreaModel
-from repro.circuits.energy import EnergyModel, paper_450mv_example
+from repro.circuits.energy import (
+    ENERGY_EXAMPLE_MV,
+    LEAKAGE_CALIBRATION_MV,
+    EnergyModel,
+    paper_450mv_example,
+)
 from repro.circuits.frequency import ClockScheme
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
-from repro.experiments.spec import table1_selection
 
-#: Vcc of the Section 5.3 joule-accounting example.
-ENERGY_EXAMPLE_VCC = 450.0
+#: The techniques Table 1 can quantify, in the table's row order;
+#: :func:`table1_jobs` and :func:`table1_rows` select from it through
+#: :func:`table1_selection`.
+TABLE1_TECHNIQUES = ("iraw", "faulty-bits", "extra-bypass",
+                     "freq-scaling")
 
-#: Vcc of the energy model's leakage calibration point (Section 5.1).
-ENERGY_CALIBRATION_VCC = 600.0
+
+def table1_selection(techniques) -> tuple[str, ...]:
+    """Normalize a Table 1 technique subset to the canonical row order.
+
+    ``None`` selects every technique.  Author order is presentation
+    only: Table 1 renders rows in :data:`TABLE1_TECHNIQUES` order.
+    """
+    if techniques is None:
+        return TABLE1_TECHNIQUES
+    chosen = {str(t) for t in techniques}
+    unknown = sorted(chosen - set(TABLE1_TECHNIQUES))
+    if unknown:
+        raise ConfigError(f"unknown table1 technique(s) {unknown}; "
+                          f"known: {', '.join(TABLE1_TECHNIQUES)}")
+    if not chosen:
+        raise ConfigError("table1 techniques must name at least one "
+                          f"of: {', '.join(TABLE1_TECHNIQUES)}")
+    return tuple(t for t in TABLE1_TECHNIQUES if t in chosen)
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +168,7 @@ def table1_rows(sweep: VccSweep, vcc_mv: float = 500.0,
             "hard_to_test": False,
         })
     if "freq-scaling" in techniques:
+        # The paper's baseline itself: the reference clock, no hardware.
         rows.append({
             "technique": "frequency scaling (baseline)",
             "works_all_blocks": True,
@@ -151,8 +176,7 @@ def table1_rows(sweep: VccSweep, vcc_mv: float = 500.0,
             "honest_freq_gain": 0.0,
             "hypothetical_freq_gain": 0.0,
             "ipc_impact": 0.0,
-            "area_overhead":
-                FrequencyScalingBaseline(solver).area_overhead(),
+            "area_overhead": 0.0,
             "hard_to_test": False,
         })
     for row in rows:
@@ -170,66 +194,61 @@ def fig11b_jobs(sweep: VccSweep, grid) -> list[Job]:
 def fig11b_rows(sweep: VccSweep, grid) -> list[dict]:
     """Figure 11(b): frequency increase and performance gain per Vcc."""
     grid = list(grid)
-    sweep.run_points([(vcc, scheme) for vcc in grid
-                      for scheme in (ClockScheme.BASELINE,
-                                     ClockScheme.IRAW)],
-                     label="figure11b")
-    return [sweep.compare(vcc) for vcc in grid]
+    results = iter(sweep.runner.run(fig11b_jobs(sweep, grid),
+                                    label="figure11b"))
+    # Each Vcc's (baseline, IRAW) pair, in fig11b_jobs order.
+    return [comparison_row(vcc, base, iraw)
+            for vcc, base, iraw in zip(grid, results, results)]
+
+
+def _energy_model(calibration: PointResult) -> EnergyModel:
+    """:func:`calibrated_energy_model` from its 600 mV baseline result."""
+    return EnergyModel(reference_time_s=calibration.execution_time_s)
 
 
 def calibrated_energy_model(sweep: VccSweep) -> EnergyModel:
     """An :class:`EnergyModel` whose reference task is the sweep's own
     population: the baseline run at 600 mV defines the execution time at
     which leakage is 10% of total energy (paper Section 5.1)."""
-    reference = sweep.run_point(ENERGY_CALIBRATION_VCC,
-                                ClockScheme.BASELINE)
-    return EnergyModel(reference_dynamic_j=0.9,
-                       reference_time_s=reference.execution_time_s)
+    return _energy_model(sweep.run_point(LEAKAGE_CALIBRATION_MV,
+                                         ClockScheme.BASELINE))
 
 
 def fig12_jobs(sweep: VccSweep, grid) -> list[Job]:
     """Figure 12's grid plus the 600 mV energy-calibration point."""
     return fig11b_jobs(sweep, grid) + [
-        sweep.job_for(ENERGY_CALIBRATION_VCC, ClockScheme.BASELINE)]
+        sweep.job_for(LEAKAGE_CALIBRATION_MV, ClockScheme.BASELINE)]
 
 
-def fig12_rows(sweep: VccSweep, grid,
-               energy: EnergyModel | None = None) -> list[dict]:
+def fig12_rows(sweep: VccSweep, grid) -> list[dict]:
     """Figure 12: IRAW energy/delay/EDP relative to the baseline per Vcc."""
     grid = list(grid)
-    sweep.run_points([(vcc, scheme) for vcc in grid
-                      for scheme in (ClockScheme.BASELINE,
-                                     ClockScheme.IRAW)],
-                     label="figure12")
-    energy = energy or calibrated_energy_model(sweep)
-    rows = []
-    for vcc in grid:
-        baseline_time, iraw_time = sweep.execution_times(vcc)
-        rows.append(energy.relative_metrics(vcc, baseline_time, iraw_time))
-    return rows
+    *results, calibration = sweep.runner.run(fig12_jobs(sweep, grid),
+                                             label="figure12")
+    energy = _energy_model(calibration)
+    results = iter(results)
+    return [energy.relative_metrics(vcc, base.execution_time_s,
+                                    iraw.execution_time_s)
+            for vcc, base, iraw in zip(grid, results, results)]
 
 
 def energy450_jobs(sweep: VccSweep) -> list[Job]:
     """The three 450 mV points plus the calibration point."""
     return [
-        sweep.job_for(ENERGY_EXAMPLE_VCC, ClockScheme.LOGIC),
-        sweep.job_for(ENERGY_EXAMPLE_VCC, ClockScheme.BASELINE),
-        sweep.job_for(ENERGY_EXAMPLE_VCC, ClockScheme.IRAW),
-        sweep.job_for(ENERGY_CALIBRATION_VCC, ClockScheme.BASELINE),
+        sweep.job_for(ENERGY_EXAMPLE_MV, ClockScheme.LOGIC),
+        sweep.job_for(ENERGY_EXAMPLE_MV, ClockScheme.BASELINE),
+        sweep.job_for(ENERGY_EXAMPLE_MV, ClockScheme.IRAW),
+        sweep.job_for(LEAKAGE_CALIBRATION_MV, ClockScheme.BASELINE),
     ]
 
 
-def energy450_cases(sweep: VccSweep,
-                    energy: EnergyModel | None = None) -> dict[str, dict]:
+def energy450_cases(sweep: VccSweep) -> dict[str, dict]:
     """The paper's Section 5.3 joule-accounting example at 450 mV."""
-    energy = energy or calibrated_energy_model(sweep)
-    unconstrained, baseline, iraw = sweep.run_points(
-        [(ENERGY_EXAMPLE_VCC, ClockScheme.LOGIC),
-         (ENERGY_EXAMPLE_VCC, ClockScheme.BASELINE),
-         (ENERGY_EXAMPLE_VCC, ClockScheme.IRAW)],
-        label="energy-example@450mV")
+    unconstrained, baseline, iraw, calibration = sweep.runner.run(
+        energy450_jobs(sweep),
+        label=f"energy-example@{ENERGY_EXAMPLE_MV:g}mV")
     breakdowns = paper_450mv_example(
-        energy,
+        _energy_model(calibration),
         unconstrained_time_s=unconstrained.execution_time_s,
         baseline_time_s=baseline.execution_time_s,
         iraw_time_s=iraw.execution_time_s,

@@ -15,12 +15,12 @@ exactly once no matter how many artifacts share points.
 from __future__ import annotations
 
 from repro.analysis.dvfs import schedule_job
-from repro.analysis.sweep import VccSweep
+from repro.analysis.sweep import STALL_ABLATIONS, VccSweep
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.engine.jobs import Job, job_key
 from repro.engine.runner import ParallelRunner
 from repro.errors import ConfigError
-from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.artifacts import ARTIFACTS, artifact, table1_jobs
 from repro.experiments.resultset import Record, ResultSet
 from repro.experiments.spec import MONTECARLO_ARTIFACTS, ExperimentSpec
 from repro.montecarlo.campaign import (
@@ -204,9 +204,13 @@ class Experiment:
         records = [self._point_record(vcc, scheme, variant)
                    for vcc, scheme, variant in self.grid_points()]
         if "table1" in self.spec.artifacts:
-            records.extend(self._table1_records())
+            records.extend(self._beyond_grid(table1_jobs(
+                self.sweep, self.spec.table1_vcc_mv,
+                self.spec.table1_techniques)))
         if "stalls" in self.spec.artifacts:
-            records.extend(self._stalls_records())
+            records.extend(self._beyond_grid(
+                self.sweep.stall_jobs(self.spec.stalls_vcc_mv),
+                [variant for variant, _, _ in STALL_ABLATIONS]))
         records.extend(
             Record(kind="dvfs-schedule", scheme=scheme,
                    vcc_mv=0.0, variant=schedule.name,
@@ -276,44 +280,18 @@ class Experiment:
         return Record(kind="sweep-point", scheme=scheme, vcc_mv=vcc_mv,
                       variant=variant, metrics=_point_metrics(result))
 
-    def _table1_records(self) -> list[Record]:
-        from repro.experiments.artifacts import table1_jobs
+    def _beyond_grid(self, jobs, variants=None) -> list[Record]:
+        """One record per point an artifact simulated beyond the grid.
 
-        # Table 1's baseline/IRAW points usually coincide with grid
-        # records, but an off-grid table1_vcc_mv is legal — those points
-        # were simulated and must not silently vanish from the export.
-        covered = {(vcc, scheme) for vcc, scheme, variant
-                   in self.grid_points() if not variant}
-        records = []
-        for job in table1_jobs(self.sweep, self.spec.table1_vcc_mv,
-                               self.spec.table1_techniques):
-            if job.kind == "sweep-point" \
-                    and (job.vcc_mv, job.scheme) in covered:
-                continue  # already present as a grid record
-            result = self._result_of(job)
-            records.append(Record(kind=job.kind, scheme=job.scheme,
-                                  vcc_mv=job.vcc_mv,
-                                  metrics=_point_metrics(result)))
-        return records
-
-    #: Variant labels of the five stall-decomposition points, in the
-    #: :meth:`VccSweep.stall_jobs` order contract (the full IRAW point
-    #: carries no variant — it may coincide with a grid record).
-    _STALL_VARIANTS = ("", "stalls:all-off", "stalls:no-rf",
-                       "stalls:no-stable", "stalls:no-iq-guards")
-
-    def _stalls_records(self) -> list[Record]:
-        """One record per stall-decomposition evaluation point.
-
-        These five points were simulated for the ``stalls`` artifact and
-        must not silently vanish from the export — same contract as the
-        off-grid Table 1 points.
+        Table 1 and the stall decomposition plan their own points, which
+        export under ``variants`` (none by default).  A point without a
+        variant that the grid already records is skipped; any other was
+        simulated and must not silently vanish from the export.
         """
         covered = {(vcc, scheme) for vcc, scheme, variant
                    in self.grid_points() if not variant}
         records = []
-        jobs = self.sweep.stall_jobs(self.spec.stalls_vcc_mv)
-        for job, variant in zip(jobs, self._STALL_VARIANTS):
+        for job, variant in zip(jobs, variants or [""] * len(jobs)):
             if not variant and (job.vcc_mv, job.scheme) in covered:
                 continue  # already present as a grid record
             result = self._result_of(job)
@@ -344,10 +322,7 @@ class Experiment:
 
     def artifact(self, name: str):
         """Render one named artifact (rows) from the registry."""
-        if name not in ARTIFACTS:
-            raise ConfigError(f"unknown artifact {name!r}; known: "
-                              f"{', '.join(sorted(ARTIFACTS))}")
-        return ARTIFACTS[name].build(self)
+        return artifact(name).build(self)
 
     def artifacts(self) -> dict[str, list]:
         """Render every artifact the spec lists, in spec order."""

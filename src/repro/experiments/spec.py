@@ -31,6 +31,11 @@ from repro.circuits.ekv import check_voltage, voltage_grid
 from repro.circuits.frequency import ClockScheme
 from repro.engine.jobs import TraceSpec
 from repro.errors import ConfigError, TraceError
+from repro.experiments.artifacts import (
+    ARTIFACTS,
+    TABLE1_TECHNIQUES,
+    table1_selection,
+)
 from repro.memory.hierarchy import MemoryConfig
 from repro.montecarlo.spec import MonteCarloSpec
 from repro.pipeline.resources import PipelineParams
@@ -44,11 +49,8 @@ from repro.workloads.riscv import (
     RiscvProgram,
 )
 
-#: Names the artifact registry must serve (kept here so spec validation
-#: needs no import of the registry; the registry test asserts parity).
-KNOWN_ARTIFACTS = ("table1", "fig11b", "fig12", "energy450", "overheads",
-                   "dvfs", "stalls", "yield_curve", "vccmin_dist",
-                   "deep_tail")
+#: The artifact names a spec may list: the registry's, in its order.
+KNOWN_ARTIFACTS = tuple(ARTIFACTS)
 
 #: Artifacts that simulate the trace population (need a non-empty
 #: ``profiles`` list) and artifacts that sample dies (need a
@@ -56,12 +58,6 @@ KNOWN_ARTIFACTS = ("table1", "fig11b", "fig12", "energy450", "overheads",
 #: ``[montecarlo.importance]`` subsection).
 POPULATION_ARTIFACTS = ("table1", "fig11b", "fig12", "energy450", "stalls")
 MONTECARLO_ARTIFACTS = ("yield_curve", "vccmin_dist", "deep_tail")
-
-#: The techniques Table 1 can quantify, in the table's row order (kept
-#: here for the same reason as KNOWN_ARTIFACTS; the registry's row
-#: builders select from it through :func:`table1_selection`).
-TABLE1_TECHNIQUES = ("iraw", "faulty-bits", "extra-bypass",
-                     "freq-scaling")
 
 #: Default Vcc of the paper's Section 5.2 stall decomposition; shared by
 #: the field default and the to_dict omit-if-default rule.
@@ -671,25 +667,6 @@ class ExperimentSpec:
 # ----------------------------------------------------------------------
 # Shared validation helpers
 # ----------------------------------------------------------------------
-
-def table1_selection(techniques) -> tuple[str, ...]:
-    """Normalize a Table 1 technique subset to the canonical row order.
-
-    ``None`` selects every technique.  Author order is presentation
-    only: Table 1 renders rows in :data:`TABLE1_TECHNIQUES` order.
-    """
-    if techniques is None:
-        return TABLE1_TECHNIQUES
-    chosen = {str(t) for t in techniques}
-    unknown = sorted(chosen - set(TABLE1_TECHNIQUES))
-    if unknown:
-        raise ConfigError(f"unknown table1 technique(s) {unknown}; "
-                          f"known: {', '.join(TABLE1_TECHNIQUES)}")
-    if not chosen:
-        raise ConfigError("table1 techniques must name at least one "
-                          f"of: {', '.join(TABLE1_TECHNIQUES)}")
-    return tuple(t for t in TABLE1_TECHNIQUES if t in chosen)
-
 
 def _check_scheme(scheme: str, owner: str) -> None:
     if scheme not in _SCHEME_NAMES:

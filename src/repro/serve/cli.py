@@ -8,7 +8,9 @@ touches the engine directly.
 
 State directory resolution for ``repro serve``: ``--state-dir`` wins,
 then ``$REPRO_SERVE_STATE``, then ``<queue root>/serve`` when the
-engine runs on the queue backend, then ``~/.cache/repro/serve``.
+engine runs on the queue backend, then ``$XDG_CACHE_HOME/repro/serve``
+(``~/.cache/repro/serve`` without ``$XDG_CACHE_HOME``), beside the
+default result cache.
 
 ``--supervise-workers N`` (queue backend only) runs an in-process
 :class:`~repro.engine.broker.WorkerSupervisor` loop alongside the
@@ -28,6 +30,7 @@ import time
 
 from repro.engine import add_engine_arguments, runner_from_args
 from repro.engine.broker import QUEUE_DIR_ENV, WorkerSupervisor
+from repro.engine.cache import user_cache_dir
 from repro.errors import ConfigError
 from repro.serve.client import DEFAULT_URL, ServeClient, ServeError
 from repro.serve.server import DEFAULT_PORT, create_server
@@ -54,7 +57,8 @@ def add_serve_subcommands(sub) -> None:
     serve.add_argument("--state-dir", default=None, metavar="DIR",
                        help=f"campaign registry root (default "
                             f"${STATE_DIR_ENV}, then <queue>/serve, "
-                            f"then ~/.cache/repro/serve)")
+                            f"then $XDG_CACHE_HOME/repro/serve, then "
+                            f"~/.cache/repro/serve)")
     serve.add_argument("--chunk-jobs", type=int, default=32, metavar="N",
                        help="plan jobs per scheduling slice; smaller "
                             "chunks interleave campaigns more fairly "
@@ -156,7 +160,7 @@ def resolve_state_dir(args) -> pathlib.Path:
         or os.environ.get(QUEUE_DIR_ENV)
     if queue_root:
         return pathlib.Path(queue_root).expanduser() / "serve"
-    return pathlib.Path("~/.cache/repro/serve").expanduser()
+    return user_cache_dir() / "serve"
 
 
 def _cmd_serve(args) -> int:

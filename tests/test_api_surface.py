@@ -9,15 +9,13 @@ import pytest
 
 import repro
 from repro.analysis.dvfs import _reindex
-from repro.baselines.freq_scaling import FrequencyScalingBaseline
-from repro.circuits.frequency import FrequencySolver
 from repro.isa.instructions import MicroOp
 from repro.isa.opcodes import Opcode
 
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.15.0"
+        assert repro.__version__ == "1.16.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:
@@ -102,22 +100,6 @@ class TestImportWeight:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
-
-
-class TestFrequencyScalingBaseline:
-    def test_is_the_honest_reference(self):
-        baseline = FrequencyScalingBaseline(FrequencySolver())
-        point = baseline.operating_point(500.0)
-        assert point.stabilization_cycles == 0
-        assert baseline.area_overhead() == 0.0
-        traits = baseline.characteristics()
-        assert traits["works_for_all_sram_blocks"]
-        assert not traits["large_ipc_impact"]
-
-    def test_core_setup_disables_mechanisms(self):
-        baseline = FrequencyScalingBaseline(FrequencySolver())
-        setup = baseline.core_setup(500.0)
-        assert not setup.iraw.active
 
 
 class TestDvfsReindex:

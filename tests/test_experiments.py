@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.dvfs import DvfsPhase
 from repro.engine import ParallelRunner, ResultCache
-from repro.engine.jobs import TraceSpec
+from repro.engine.jobs import TraceSpec, job_key
 from repro.errors import ConfigError
 from repro.experiments import (
     ARTIFACTS,
@@ -14,7 +14,6 @@ from repro.experiments import (
     DvfsScheduleSpec,
     Experiment,
     ExperimentSpec,
-    KNOWN_ARTIFACTS,
     Record,
     ResultSet,
     run_spec,
@@ -324,7 +323,6 @@ class TestResultSet:
 
 class TestArtifactRegistry:
     def test_registry_serves_every_known_artifact(self):
-        assert tuple(sorted(ARTIFACTS)) == tuple(sorted(KNOWN_ARTIFACTS))
         for artifact in ARTIFACTS.values():
             assert artifact.title and artifact.description
             assert callable(artifact.jobs) and callable(artifact.build)
@@ -418,6 +416,41 @@ class TestExperimentDriver:
     def test_unknown_artifact_render_rejected(self):
         with pytest.raises(ConfigError, match="unknown artifact"):
             Experiment(SMALL_SPEC).artifact("table2")
+
+    def test_rendering_stays_inside_the_plan(self, monkeypatch):
+        """After run(), each artifact resolves its planner's points in
+        at most one runner batch, asks for no key outside the plan and
+        simulates nothing."""
+        spec = small_dvfs_spec(
+            name="render", vcc_mv=(550.0, 500.0),
+            artifacts=("table1", "fig11b", "fig12", "energy450", "stalls",
+                       "dvfs"))
+        experiment = Experiment(spec)
+        experiment.run()
+        planned = set(experiment.plan_keys())
+        simulated = experiment.stats.simulated
+        runner = experiment.runner
+        batches, asked = [], []
+        run, cached_result = runner.run, runner.cached_result
+
+        def spy_run(jobs, label=""):
+            jobs = list(jobs)
+            batches.append(label)
+            asked.extend(job_key(job) for job in jobs)
+            return run(jobs, label=label)
+
+        def spy_cached_result(job):
+            asked.append(job_key(job))
+            return cached_result(job)
+
+        monkeypatch.setattr(runner, "run", spy_run)
+        monkeypatch.setattr(runner, "cached_result", spy_cached_result)
+        for name in spec.artifacts:
+            before = len(batches)
+            assert experiment.artifact(name), name
+            assert len(batches) - before <= 1, (name, batches[before:])
+        assert asked and set(asked) <= planned
+        assert experiment.stats.simulated == simulated
 
     def test_off_grid_table1_points_are_recorded(self):
         """table1_vcc_mv outside the grid: its baseline/IRAW points are

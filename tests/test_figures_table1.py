@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.analysis.figures import (
-    figure1_series,
-    figure11a_series,
-    prediction_hazard_report,
-)
+from repro.analysis.figures import figure1_series, prediction_hazard_report
 from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.circuits.ekv import voltage_grid
+from repro.circuits.frequency import FrequencySolver
 from repro.experiments.artifacts import (
     energy450_cases,
     fig11b_rows,
@@ -48,7 +45,7 @@ class TestFigure1:
 
 class TestFigure11a:
     def test_iraw_between_logic_and_baseline(self):
-        for row in figure11a_series(step_mv=50.0):
+        for row in FrequencySolver().figure11a_series(50.0):
             assert (row["logic_24fo4"] - 1e-9 <= row["iraw_cycle_time"]
                     <= row["baseline_write_limited"] + 1e-9)
 
@@ -130,7 +127,6 @@ class TestTable1:
 
     def test_extra_bypass_write_pipeline_deepens_at_low_vcc(self):
         from repro.baselines import ExtraBypassBaseline
-        from repro.circuits.frequency import FrequencySolver
         bypass = ExtraBypassBaseline(FrequencySolver())
         assert (bypass.write_cycles(400.0) > bypass.write_cycles(500.0)
                 > bypass.write_cycles(650.0))

@@ -71,6 +71,13 @@ class TestStabilizationCycles:
                                        ClockScheme.IRAW)
         assert below.stabilization_cycles == 1
 
+    def test_baseline_scheme_needs_no_stabilization(self, solver):
+        """The frequency-scaling baseline (Table 1's reference row) runs
+        with IRAW off: N = 0 at every Vcc."""
+        for vcc in voltage_grid(50.0):
+            point = solver.operating_point(vcc, ClockScheme.BASELINE)
+            assert point.stabilization_cycles == 0, vcc
+
 
 class TestMemoryLatency:
     def test_fixed_ns_latency_grows_with_frequency(self, solver):

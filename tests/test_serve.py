@@ -387,6 +387,40 @@ class TestCollectorValidation:
             Collector(ParallelRunner(), registry, backlog_jobs=0)
 
 
+class TestStateDirResolution:
+    """``repro serve``'s registry root: ``--state-dir``, then
+    ``$REPRO_SERVE_STATE``, then ``<queue root>/serve``, then the user
+    cache base the result cache uses."""
+
+    @staticmethod
+    def resolve(monkeypatch, tmp_path, state_dir=None, queue=None,
+                env=None):
+        from types import SimpleNamespace
+
+        from repro.engine.broker import QUEUE_DIR_ENV
+        from repro.serve.cli import STATE_DIR_ENV, resolve_state_dir
+
+        monkeypatch.delenv(QUEUE_DIR_ENV, raising=False)
+        monkeypatch.delenv(STATE_DIR_ENV, raising=False)
+        if env is not None:
+            monkeypatch.setenv(STATE_DIR_ENV, env)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        return resolve_state_dir(
+            SimpleNamespace(state_dir=state_dir, queue=queue))
+
+    def test_fallback_honours_xdg_cache_home(self, monkeypatch, tmp_path):
+        assert self.resolve(monkeypatch, tmp_path) \
+            == tmp_path / "repro" / "serve"
+
+    def test_explicit_roots_keep_precedence(self, monkeypatch, tmp_path):
+        assert self.resolve(monkeypatch, tmp_path, queue="/q") \
+            == pathlib.Path("/q/serve")
+        assert self.resolve(monkeypatch, tmp_path, queue="/q",
+                            env="/e") == pathlib.Path("/e")
+        assert self.resolve(monkeypatch, tmp_path, state_dir="/s",
+                            queue="/q", env="/e") == pathlib.Path("/s")
+
+
 class TestPrometheusExposition:
     """``GET /v1/metrics`` content negotiation: JSON stays the default,
     an explicit ``Accept: text/plain`` gets the Prometheus text format."""
