@@ -35,7 +35,7 @@ from repro.core import IrawConfig, VccController
 from repro.pipeline import simulate
 from repro.workloads import SyntheticTraceGenerator, kernel_trace
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "ClockScheme",

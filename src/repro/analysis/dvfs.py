@@ -31,14 +31,14 @@ from repro.circuits.constants import DRAM_LATENCY_NS
 from repro.circuits.ekv import check_voltage
 from repro.circuits.energy import IRAW_DYNAMIC_OVERHEAD, EnergyModel
 from repro.circuits.frequency import ClockScheme, FrequencySolver
+from repro.core.config import IrawConfig
 from repro.core.controller import VccController
-from repro.core.policy import IrawPolicy
 from repro.engine.jobs import Job, TraceSpec
 from repro.errors import ConfigError
 from repro.isa.instructions import MicroOp
 from repro.memory.hierarchy import MemoryConfig
 from repro.analysis.sweep import warm_caches
-from repro.pipeline.core import CoreSetup, InOrderCore
+from repro.pipeline.core import CoreSetup, InOrderCore, iraw_policy
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.trace import Trace
 
@@ -119,7 +119,7 @@ class DvfsScenario:
             )
         # A live policy instance survives across phases: the controller
         # reprograms it at every transition, as the hardware would.
-        policy = IrawPolicy()
+        policy = iraw_policy(IrawConfig.disabled(), self.params)
         outcomes: list[PhaseOutcome] = []
         cursor = 0
         for phase in schedule:

@@ -175,13 +175,6 @@ class VccSweep:
             label=f"compare@{vcc_mv:g}mV")
         return comparison_row(vcc_mv, base, iraw)
 
-    def execution_times(self, vcc_mv: float) -> tuple[float, float]:
-        """(baseline, IRAW) execution times in seconds (Figure 12 input)."""
-        base, iraw = self.run_points(
-            [(vcc_mv, ClockScheme.BASELINE), (vcc_mv, ClockScheme.IRAW)],
-            label=f"times@{vcc_mv:g}mV")
-        return base.execution_time_s, iraw.execution_time_s
-
     # ------------------------------------------------------------------
     # In-text stall decomposition (Section 5.2: 8.86% = 8.52 + 0.30 + 0.04)
     # ------------------------------------------------------------------

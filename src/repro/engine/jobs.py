@@ -42,8 +42,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Annotated
 
 from repro.errors import ConfigError
+from repro.specfields import ByName
 from repro.workloads.profiles import PROFILES_BY_NAME, TraceProfile
 from repro.workloads.riscv import RiscvProgram
 
@@ -115,7 +117,9 @@ class TraceSpec:
     """Recipe for one trace: a synthetic walk, a kernel, or a riscv binary."""
 
     source: str = "synthetic"           # "synthetic" | "kernel" | "riscv"
-    profile: TraceProfile | None = None
+    #: Named by the profile's name in a spec file's ``[dvfs.trace]``.
+    profile: Annotated[TraceProfile | None,
+                       ByName(PROFILES_BY_NAME)] = None
     seed: int = 0
     length: int = 6_000
     kernel: str | None = None

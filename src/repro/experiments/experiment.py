@@ -20,7 +20,7 @@ from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.engine.jobs import Job, job_key
 from repro.engine.runner import ParallelRunner
 from repro.errors import ConfigError
-from repro.experiments.artifacts import ARTIFACTS, artifact, table1_jobs
+from repro.experiments.artifacts import ARTIFACTS, artifact
 from repro.experiments.resultset import Record, ResultSet
 from repro.experiments.spec import MONTECARLO_ARTIFACTS, ExperimentSpec
 from repro.montecarlo.campaign import (
@@ -28,6 +28,10 @@ from repro.montecarlo.campaign import (
     per_die_rows,
     yield_curve_rows,
 )
+
+#: Artifacts that simulate population points off the grid, in the order
+#: their records follow the grid's.
+_BEYOND_GRID_ARTIFACTS = ("table1", "stalls", "fig12", "energy450")
 
 
 class Experiment:
@@ -203,14 +207,7 @@ class Experiment:
     def _collect(self) -> ResultSet:
         records = [self._point_record(vcc, scheme, variant)
                    for vcc, scheme, variant in self.grid_points()]
-        if "table1" in self.spec.artifacts:
-            records.extend(self._beyond_grid(table1_jobs(
-                self.sweep, self.spec.table1_vcc_mv,
-                self.spec.table1_techniques)))
-        if "stalls" in self.spec.artifacts:
-            records.extend(self._beyond_grid(
-                self.sweep.stall_jobs(self.spec.stalls_vcc_mv),
-                [variant for variant, _, _ in STALL_ABLATIONS]))
+        records.extend(self._beyond_grid())
         records.extend(
             Record(kind="dvfs-schedule", scheme=scheme,
                    vcc_mv=0.0, variant=schedule.name,
@@ -280,24 +277,33 @@ class Experiment:
         return Record(kind="sweep-point", scheme=scheme, vcc_mv=vcc_mv,
                       variant=variant, metrics=_point_metrics(result))
 
-    def _beyond_grid(self, jobs, variants=None) -> list[Record]:
+    def _beyond_grid(self) -> list[Record]:
         """One record per point an artifact simulated beyond the grid.
 
-        Table 1 and the stall decomposition plan their own points, which
-        export under ``variants`` (none by default).  A point without a
-        variant that the grid already records is skipped; any other was
+        Table 1, the stall decomposition, Figure 12 and the 450 mV
+        energy example plan their own points, in that order; the stall
+        points export under their variant names.  A point without a
+        variant that is already recorded is skipped; any other was
         simulated and must not silently vanish from the export.
         """
         covered = {(vcc, scheme) for vcc, scheme, variant
                    in self.grid_points() if not variant}
         records = []
-        for job, variant in zip(jobs, variants or [""] * len(jobs)):
-            if not variant and (job.vcc_mv, job.scheme) in covered:
-                continue  # already present as a grid record
-            result = self._result_of(job)
-            records.append(Record(kind=job.kind, scheme=job.scheme,
-                                  vcc_mv=job.vcc_mv, variant=variant,
-                                  metrics=_point_metrics(result)))
+        for name in _BEYOND_GRID_ARTIFACTS:
+            if name not in self.spec.artifacts:
+                continue
+            jobs = ARTIFACTS[name].jobs(self)
+            variants = [variant for variant, _, _ in STALL_ABLATIONS] \
+                if name == "stalls" else [""] * len(jobs)
+            for job, variant in zip(jobs, variants):
+                if not variant:
+                    if (job.vcc_mv, job.scheme) in covered:
+                        continue  # already recorded
+                    covered.add((job.vcc_mv, job.scheme))
+                records.append(Record(
+                    kind=job.kind, scheme=job.scheme, vcc_mv=job.vcc_mv,
+                    variant=variant,
+                    metrics=_point_metrics(self._result_of(job))))
         return records
 
     def dvfs_outcomes(self):

@@ -9,7 +9,8 @@ results.  Specs are frozen plain data — every field round-trips through
 (:meth:`ExperimentSpec.load` / :meth:`ExperimentSpec.save`), and two
 specs that describe the same campaign compile to engine jobs with
 identical canonical keys, so a spec file is as cacheable an identity as
-a hand-written harness.
+a hand-written harness.  Every table is read and written by
+:mod:`repro.specfields` from the fields of the class it builds.
 
 The spec layer deliberately knows nothing about execution: compiling a
 spec into engine job batches and running them is
@@ -23,12 +24,14 @@ import json
 import pathlib
 import re
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from repro.analysis.dvfs import DvfsPhase
 from repro.analysis.sweep import SweepSettings
 from repro.circuits import constants
 from repro.circuits.ekv import check_voltage, voltage_grid
 from repro.circuits.frequency import ClockScheme
+from repro.core.config import IrawConfig
 from repro.engine.jobs import TraceSpec
 from repro.errors import ConfigError, TraceError
 from repro.experiments.artifacts import (
@@ -39,6 +42,13 @@ from repro.experiments.artifacts import (
 from repro.memory.hierarchy import MemoryConfig
 from repro.montecarlo.spec import MonteCarloSpec
 from repro.pipeline.resources import PipelineParams
+from repro.specfields import (
+    FreeForm,
+    Keyed,
+    Overrides,
+    read_fields,
+    write_fields,
+)
 from repro.workloads.profiles import (
     PROFILES_BY_NAME,
     STANDARD_PROFILES,
@@ -59,11 +69,26 @@ KNOWN_ARTIFACTS = tuple(ARTIFACTS)
 POPULATION_ARTIFACTS = ("table1", "fig11b", "fig12", "energy450", "stalls")
 MONTECARLO_ARTIFACTS = ("yield_curve", "vccmin_dist", "deep_tail")
 
-#: Default Vcc of the paper's Section 5.2 stall decomposition; shared by
-#: the field default and the to_dict omit-if-default rule.
-_STALLS_DEFAULT_VCC_MV = 575.0
-
 _SCHEME_NAMES = tuple(scheme.value for scheme in ClockScheme)
+
+#: Where the fields of an :class:`ExperimentSpec` that sit in a section
+#: of the spec file live: field -> (section, key).  Every other field is
+#: the top-level key of its own name.
+_LAYOUT = {
+    "profiles": ("population", "profiles"),
+    "custom_profiles": ("population", "custom"),
+    "riscv": ("population", "riscv"),
+    "seeds_per_profile": ("population", "seeds_per_profile"),
+    "trace_length": ("population", "trace_length"),
+    "vcc_mv": ("grid", "vcc_mv"),
+    "step_mv": ("grid", "step_mv"),
+    "schemes": ("grid", "schemes"),
+    "table1_vcc_mv": ("table1", "vcc_mv"),
+    "table1_techniques": ("table1", "techniques"),
+    "stalls_vcc_mv": ("stalls", "vcc_mv"),
+    "warm": ("sweep", "warm"),
+    "dram_latency_ns": ("sweep", "dram_latency_ns"),
+}
 
 
 @dataclass(frozen=True)
@@ -77,28 +102,15 @@ class AblationSpec:
     """
 
     name: str
-    overrides: tuple = ()
+    overrides: Annotated[tuple, Overrides(IrawConfig)] = ()
     scheme: str = ClockScheme.IRAW.value
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("ablation needs a name")
         _check_scheme(self.scheme, f"ablation {self.name!r}")
-        object.__setattr__(self, "overrides",
-                           tuple(sorted((str(k), v) for k, v
-                                        in dict(self.overrides).items())))
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "scheme": self.scheme,
-                "overrides": dict(self.overrides)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AblationSpec":
-        data = _checked_keys(data, {"name", "scheme", "overrides"},
-                             "ablation")
-        return cls(name=str(data.get("name", "")),
-                   scheme=str(data.get("scheme", ClockScheme.IRAW.value)),
-                   overrides=tuple(dict(data.get("overrides", {})).items()))
+        object.__setattr__(self, "overrides", _sorted_overrides(
+            self.overrides, IrawConfig, f"ablation {self.name!r}"))
 
 
 @dataclass(frozen=True)
@@ -132,51 +144,6 @@ class DvfsScheduleSpec:
             raise ConfigError(
                 f"dvfs schedule {self.name!r} covers {covered} "
                 f"instructions but its trace has {length}")
-
-    def to_dict(self) -> dict:
-        trace: dict = {"source": self.trace.source}
-        if self.trace.source == "synthetic":
-            trace.update(profile=self.trace.profile.name,
-                         seed=self.trace.seed, length=self.trace.length)
-        else:
-            trace.update(kernel=self.trace.kernel, size=self.trace.size)
-        return {
-            "name": self.name,
-            "schemes": list(self.schemes),
-            "trace": trace,
-            "phases": [{"vcc_mv": p.vcc_mv, "instructions": p.instructions}
-                       for p in self.phases],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DvfsScheduleSpec":
-        data = _checked_keys(data, {"name", "schemes", "trace", "phases"},
-                             "dvfs schedule")
-        trace_data = dict(data.get("trace", {}))
-        source = str(trace_data.pop("source", "synthetic"))
-        if source == "synthetic":
-            trace = TraceSpec.synthetic(
-                _profile(trace_data.pop("profile", None), "dvfs trace"),
-                seed=int(trace_data.pop("seed", 0)),
-                length=int(trace_data.pop("length", 6_000)))
-        elif source == "kernel":
-            trace = TraceSpec.for_kernel(
-                str(trace_data.pop("kernel", "")),
-                size=int(trace_data.pop("size", 32)))
-        else:
-            raise ConfigError(f"unknown dvfs trace source {source!r}")
-        if trace_data:
-            raise ConfigError(f"unknown dvfs trace keys: "
-                              f"{sorted(trace_data)}")
-        phases = tuple(
-            DvfsPhase(vcc_mv=float(p["vcc_mv"]),
-                      instructions=int(p["instructions"]))
-            for p in data.get("phases", ()))
-        kwargs = {}
-        if "schemes" in data:
-            kwargs["schemes"] = tuple(str(s) for s in data["schemes"])
-        return cls(name=str(data.get("name", "")), trace=trace,
-                   phases=phases, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -216,20 +183,10 @@ class RiscvProgramRef:
         except TraceError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        data: dict = {"path": self.path}
-        if self.max_instructions != _RISCV_DEFAULT_MAX_INSTRUCTIONS:
-            data["max_instructions"] = self.max_instructions
-        return data
-
     @classmethod
     def from_dict(cls, name: str, data: dict) -> "RiscvProgramRef":
-        data = _checked_keys(dict(data), {"path", "max_instructions"},
-                             f"riscv program {name!r}")
-        kwargs: dict = {"name": str(name), "path": str(data.get("path", ""))}
-        if "max_instructions" in data:
-            kwargs["max_instructions"] = int(data["max_instructions"])
-        return cls(**kwargs)
+        return cls(**read_fields(cls, data, f"population.riscv.{name}",
+                                 name=name))
 
 
 @dataclass(frozen=True)
@@ -248,10 +205,10 @@ class ExperimentSpec:
     profiles: tuple[str, ...] = tuple(p.name for p in STANDARD_PROFILES)
     #: Inline (non-named) trace profiles authored directly in the spec;
     #: reference them from ``profiles`` by their ``name``.
-    custom_profiles: tuple[TraceProfile, ...] = ()
+    custom_profiles: Annotated[tuple[TraceProfile, ...], Keyed()] = ()
     #: Real compiled RV32I binaries mixed into the population, after the
     #: synthetic traces (``[population.riscv.<name>] path = ...``).
-    riscv: tuple[RiscvProgramRef, ...] = ()
+    riscv: Annotated[tuple[RiscvProgramRef, ...], Keyed()] = ()
     seeds_per_profile: int = 1
     trace_length: int = 12_000
     vcc_mv: tuple[float, ...] = ()
@@ -264,17 +221,18 @@ class ExperimentSpec:
     #: reference point is planned regardless of the subset.
     table1_techniques: tuple[str, ...] = TABLE1_TECHNIQUES
     #: Vcc of the Section 5.2 stall decomposition (``stalls`` artifact).
-    stalls_vcc_mv: float = _STALLS_DEFAULT_VCC_MV
+    stalls_vcc_mv: float = 575.0
     warm: bool = True
     dram_latency_ns: float = constants.DRAM_LATENCY_NS
-    params: tuple = ()
-    memory: tuple = ()
+    params: Annotated[tuple, Overrides(PipelineParams)] = ()
+    memory: Annotated[tuple, Overrides(MemoryConfig)] = ()
     ablations: tuple[AblationSpec, ...] = ()
     dvfs: tuple[DvfsScheduleSpec, ...] = ()
     #: Monte-Carlo die-sampling campaign over the same (grid x schemes).
     montecarlo: MonteCarloSpec | None = None
     artifacts: tuple[str, ...] = ("table1", "fig11b")
-    metadata: tuple = field(default=(), compare=False)
+    metadata: Annotated[tuple, FreeForm()] = field(default=(),
+                                                    compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles",
@@ -329,8 +287,11 @@ class ExperimentSpec:
                     f"profile {profile.name!r}")
             custom[profile.name] = profile
         for profile in self.profiles:
-            if profile not in custom:
-                _profile(profile, f"experiment {self.name!r}")
+            if profile not in custom and profile not in PROFILES_BY_NAME:
+                raise ConfigError(
+                    f"experiment {self.name!r}: unknown profile "
+                    f"{profile!r} (known: "
+                    f"{', '.join(sorted(PROFILES_BY_NAME))})")
         unused = sorted(set(custom) - set(self.profiles))
         if unused:
             # An authored-but-unreferenced inline profile is almost
@@ -453,121 +414,11 @@ class ExperimentSpec:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        data: dict = {
-            "name": self.name,
-            "artifacts": list(self.artifacts),
-            "population": {
-                "profiles": list(self.profiles),
-                "seeds_per_profile": self.seeds_per_profile,
-                "trace_length": self.trace_length,
-            },
-            "grid": {"schemes": list(self.schemes)},
-            "sweep": {"warm": self.warm,
-                      "dram_latency_ns": self.dram_latency_ns},
-            "table1": {"vcc_mv": self.table1_vcc_mv},
-        }
-        if self.table1_techniques != TABLE1_TECHNIQUES:
-            data["table1"]["techniques"] = list(self.table1_techniques)
-        if self.custom_profiles:
-            data["population"]["custom"] = {
-                profile.name: _profile_overrides(profile)
-                for profile in self.custom_profiles}
-        if self.riscv:
-            data["population"]["riscv"] = {
-                ref.name: ref.to_dict() for ref in self.riscv}
-        if self.vcc_mv:
-            data["grid"]["vcc_mv"] = list(self.vcc_mv)
-        if self.step_mv is not None:
-            data["grid"]["step_mv"] = self.step_mv
-        if self.stalls_vcc_mv != _STALLS_DEFAULT_VCC_MV:
-            data["stalls"] = {"vcc_mv": self.stalls_vcc_mv}
-        if self.montecarlo is not None:
-            data["montecarlo"] = self.montecarlo.to_dict()
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.memory:
-            data["memory"] = dict(self.memory)
-        if self.ablations:
-            data["ablations"] = [a.to_dict() for a in self.ablations]
-        if self.dvfs:
-            data["dvfs"] = [d.to_dict() for d in self.dvfs]
-        if self.metadata:
-            data["metadata"] = dict(self.metadata)
-        return data
+        return write_fields(self, _LAYOUT)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        data = _checked_keys(
-            dict(data),
-            {"name", "artifacts", "population", "grid", "sweep", "table1",
-             "stalls", "montecarlo", "params", "memory", "ablations",
-             "dvfs", "metadata"},
-            "experiment")
-        population = _checked_keys(
-            dict(data.get("population", {})),
-            {"profiles", "custom", "riscv", "seeds_per_profile",
-             "trace_length"},
-            "population")
-        grid = _checked_keys(dict(data.get("grid", {})),
-                             {"vcc_mv", "step_mv", "schemes"}, "grid")
-        sweep = _checked_keys(dict(data.get("sweep", {})),
-                              {"warm", "dram_latency_ns"}, "sweep")
-        table1 = _checked_keys(dict(data.get("table1", {})),
-                               {"vcc_mv", "techniques"}, "table1")
-        stalls = _checked_keys(dict(data.get("stalls", {})), {"vcc_mv"},
-                               "stalls")
-        kwargs: dict = {"name": str(data.get("name", "experiment"))}
-        if "artifacts" in data:
-            kwargs["artifacts"] = tuple(data["artifacts"])
-        if "profiles" in population:
-            kwargs["profiles"] = tuple(population["profiles"])
-        if "custom" in population:
-            kwargs["custom_profiles"] = tuple(
-                _custom_profile(name, overrides)
-                for name, overrides
-                in dict(population["custom"]).items())
-        if "riscv" in population:
-            kwargs["riscv"] = tuple(
-                RiscvProgramRef.from_dict(name, entry)
-                for name, entry in dict(population["riscv"]).items())
-        if "seeds_per_profile" in population:
-            kwargs["seeds_per_profile"] = int(
-                population["seeds_per_profile"])
-        if "trace_length" in population:
-            kwargs["trace_length"] = int(population["trace_length"])
-        if "vcc_mv" in grid:
-            kwargs["vcc_mv"] = tuple(float(v) for v in grid["vcc_mv"])
-        if "step_mv" in grid:
-            kwargs["step_mv"] = float(grid["step_mv"])
-        if "schemes" in grid:
-            kwargs["schemes"] = tuple(grid["schemes"])
-        if "warm" in sweep:
-            kwargs["warm"] = bool(sweep["warm"])
-        if "dram_latency_ns" in sweep:
-            kwargs["dram_latency_ns"] = float(sweep["dram_latency_ns"])
-        if "vcc_mv" in table1:
-            kwargs["table1_vcc_mv"] = float(table1["vcc_mv"])
-        if "techniques" in table1:
-            kwargs["table1_techniques"] = tuple(
-                str(t) for t in table1["techniques"])
-        if "vcc_mv" in stalls:
-            kwargs["stalls_vcc_mv"] = float(stalls["vcc_mv"])
-        if "montecarlo" in data:
-            kwargs["montecarlo"] = MonteCarloSpec.from_dict(
-                data["montecarlo"])
-        if "params" in data:
-            kwargs["params"] = tuple(dict(data["params"]).items())
-        if "memory" in data:
-            kwargs["memory"] = tuple(dict(data["memory"]).items())
-        if "ablations" in data:
-            kwargs["ablations"] = tuple(AblationSpec.from_dict(a)
-                                        for a in data["ablations"])
-        if "dvfs" in data:
-            kwargs["dvfs"] = tuple(DvfsScheduleSpec.from_dict(d)
-                                   for d in data["dvfs"])
-        if "metadata" in data:
-            kwargs["metadata"] = tuple(dict(data["metadata"]).items())
-        return cls(**kwargs)
+        return cls(**read_fields(cls, data, "", _LAYOUT))
 
     # -- file I/O -------------------------------------------------------
 
@@ -583,7 +434,7 @@ class ExperimentSpec:
         return cls.from_dict(loads_toml(text))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -674,69 +525,6 @@ def _check_scheme(scheme: str, owner: str) -> None:
                           f"(known: {', '.join(_SCHEME_NAMES)})")
 
 
-def _profile(name, owner: str):
-    if name is None:
-        raise ConfigError(f"{owner}: missing trace profile")
-    try:
-        return PROFILES_BY_NAME[str(name)]
-    except KeyError:
-        raise ConfigError(
-            f"{owner}: unknown profile {name!r} (known: "
-            f"{', '.join(sorted(PROFILES_BY_NAME))})") from None
-
-
-def _profile_overrides(profile: TraceProfile) -> dict:
-    """The non-default fields of an inline profile (spec-file form)."""
-    overrides = {}
-    for field_ in dataclasses.fields(TraceProfile):
-        if field_.name == "name":
-            continue
-        value = getattr(profile, field_.name)
-        if value != field_.default:
-            overrides[field_.name] = value
-    return overrides
-
-
-def _custom_profile(name, overrides) -> TraceProfile:
-    """Build an inline :class:`TraceProfile` from a spec-file table.
-
-    Values are coerced to the field's declared scalar type so that
-    ``5`` and ``5.0`` in a spec file mean the same profile — and the
-    same canonical job keys — for float-typed knobs.
-    """
-    overrides = dict(overrides)
-    fields_by_name = {field_.name: field_
-                      for field_ in dataclasses.fields(TraceProfile)
-                      if field_.name != "name"}
-    unknown = sorted(set(overrides) - set(fields_by_name))
-    if unknown:
-        raise ConfigError(
-            f"custom profile {name!r}: unknown fields {unknown} "
-            f"(known: {sorted(fields_by_name)})")
-    kwargs = {}
-    for key, value in overrides.items():
-        default = fields_by_name[key].default
-        try:
-            if isinstance(default, bool):  # pragma: no cover - future
-                kwargs[key] = bool(value)
-            elif isinstance(default, float):
-                kwargs[key] = float(value)
-            elif isinstance(default, int):
-                as_float = float(value)
-                if as_float != int(as_float):
-                    raise ConfigError(
-                        f"custom profile {name!r}: field {key!r} must "
-                        f"be an integer, got {value!r}")
-                kwargs[key] = int(as_float)
-            else:
-                kwargs[key] = str(value)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"custom profile {name!r}: bad value {value!r} for "
-                f"field {key!r}") from None
-    return TraceProfile(name=str(name), **kwargs)
-
-
 def _sorted_overrides(overrides, config_type, owner: str) -> tuple:
     items = sorted((str(k), v) for k, v in dict(overrides).items())
     known = {field.name for field in dataclasses.fields(config_type)}
@@ -745,11 +533,3 @@ def _sorted_overrides(overrides, config_type, owner: str) -> tuple:
             raise ConfigError(
                 f"{owner}: unknown {config_type.__name__} field {key!r}")
     return tuple(items)
-
-
-def _checked_keys(data: dict, allowed: set, owner: str) -> dict:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {owner} spec keys: {unknown} "
-                          f"(allowed: {sorted(allowed)})")
-    return data

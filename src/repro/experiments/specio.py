@@ -38,45 +38,31 @@ def dumps_toml(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_table(table: dict, path: tuple, lines: list[str]) -> None:
+def _emit_table(table: dict, path: tuple, lines: list[str],
+                element: bool = False) -> None:
+    """Emit one table: its header, its scalars, then its subtables and
+    arrays of tables.
+
+    An ``element`` of an array of tables always gets its ``[[...]]``
+    header; any other table gets its ``[...]`` header when it holds a
+    scalar or is empty (TOML defines the rest by their subtables).
+    """
     scalars = {k: v for k, v in table.items()
                if not isinstance(v, dict) and not _is_table_array(v)}
     subtables = {k: v for k, v in table.items() if isinstance(v, dict)}
     arrays = {k: v for k, v in table.items() if _is_table_array(v)}
-    if path and (scalars or not (subtables or arrays)):
+    if element or (path and (scalars or not (subtables or arrays))):
         if lines:
             lines.append("")
-        lines.append(f"[{_emit_path(path)}]")
+        header = _emit_path(path)
+        lines.append(f"[[{header}]]" if element else f"[{header}]")
     for key, value in scalars.items():
         lines.append(f"{_emit_key(key)} = {_emit_value(value)}")
     for key, value in subtables.items():
         _emit_table(value, path + (key,), lines)
     for key, elements in arrays.items():
-        for element in elements:
-            if lines:
-                lines.append("")
-            lines.append(f"[[{_emit_path(path + (key,))}]]")
-            _emit_array_element(element, path + (key,), lines)
-
-
-def _emit_array_element(element: dict, path: tuple,
-                        lines: list[str]) -> None:
-    """Emit one ``[[...]]`` element: scalars inline, then nested tables."""
-    scalars = {k: v for k, v in element.items()
-               if not isinstance(v, dict) and not _is_table_array(v)}
-    subtables = {k: v for k, v in element.items() if isinstance(v, dict)}
-    arrays = {k: v for k, v in element.items() if _is_table_array(v)}
-    for key, value in scalars.items():
-        lines.append(f"{_emit_key(key)} = {_emit_value(value)}")
-    for key, value in subtables.items():
-        lines.append("")
-        lines.append(f"[{_emit_path(path + (key,))}]")
-        _emit_array_element(value, path + (key,), lines)
-    for key, elements in arrays.items():
-        for nested in elements:
-            lines.append("")
-            lines.append(f"[[{_emit_path(path + (key,))}]]")
-            _emit_array_element(nested, path + (key,), lines)
+        for item in elements:
+            _emit_table(item, path + (key,), lines, element=True)
 
 
 def _is_table_array(value) -> bool:

@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.montecarlo.stats import WeightedIndicator
+from repro.specfields import read_fields, write_fields
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -102,18 +103,18 @@ class ImportanceSpec:
         if isinstance(shift, str):
             if shift != "auto":
                 raise ConfigError(
-                    f"montecarlo.importance shift_sigma must be a "
+                    f"montecarlo.importance.shift_sigma must be a "
                     f"sigma count or 'auto' (got {shift!r})")
         else:
             shift = float(shift)
             object.__setattr__(self, "shift_sigma", shift)
             if not (math.isfinite(shift) and shift >= 0.0):
                 raise ConfigError(
-                    f"montecarlo.importance shift_sigma must be a "
+                    f"montecarlo.importance.shift_sigma must be a "
                     f"finite sigma count >= 0 (got {shift})")
         if not 0.0 <= float(self.ess_warn) < 1.0:
             raise ConfigError(
-                f"montecarlo.importance ess_warn must be in [0, 1) "
+                f"montecarlo.importance.ess_warn must be in [0, 1) "
                 f"(got {self.ess_warn})")
         object.__setattr__(self, "ess_warn", float(self.ess_warn))
 
@@ -146,26 +147,11 @@ class ImportanceSpec:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        data: dict = {"shift_sigma": self.shift_sigma}
-        if self.ess_warn != DEFAULT_ESS_WARN:
-            data["ess_warn"] = self.ess_warn
-        return data
+        return write_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ImportanceSpec":
-        data = dict(data)
-        unknown = sorted(set(data) - {"shift_sigma", "ess_warn"})
-        if unknown:
-            raise ConfigError(
-                f"unknown montecarlo.importance keys: {unknown}")
-        kwargs: dict = {}
-        if "shift_sigma" in data:
-            value = data["shift_sigma"]
-            kwargs["shift_sigma"] = value if isinstance(value, str) \
-                else float(value)
-        if "ess_warn" in data:
-            kwargs["ess_warn"] = float(data["ess_warn"])
-        return cls(**kwargs)
+        return cls(**read_fields(cls, data, "montecarlo.importance"))
 
 
 def warn_low_ess(ess: float, dies: int, threshold: float,

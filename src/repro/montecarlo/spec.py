@@ -24,6 +24,7 @@ from repro.montecarlo.sampling import (
     MAX_SLOWDOWN,
     MonteCarloConfig,
 )
+from repro.specfields import read_fields, write_fields
 
 
 @dataclass(frozen=True)
@@ -96,52 +97,8 @@ class MonteCarloSpec:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        data: dict = {
-            "dies": self.dies,
-            "seed": self.seed,
-            "confidence": self.confidence,
-            "sigma_mv": self.sigma_mv,
-            "design_sigma": self.design_sigma,
-            "die_sigma_mv": self.die_sigma_mv,
-            "max_slowdown": self.max_slowdown,
-        }
-        if self.block is not None:
-            data["block"] = self.block
-        if self.arrays:
-            data["arrays"] = list(self.arrays)
-        if self.importance is not None:
-            data["importance"] = self.importance.to_dict()
-        return data
+        return write_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonteCarloSpec":
-        data = dict(data)
-        unknown = sorted(set(data) - {
-            "dies", "seed", "confidence", "block", "sigma_mv",
-            "design_sigma", "die_sigma_mv", "max_slowdown", "arrays",
-            "importance"})
-        if unknown:
-            raise ConfigError(f"unknown montecarlo spec keys: {unknown}")
-        kwargs: dict = {}
-        if "dies" in data:
-            kwargs["dies"] = int(data["dies"])
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        if "block" in data and data["block"] is not None:
-            kwargs["block"] = int(data["block"])
-        if "confidence" in data:
-            kwargs["confidence"] = float(data["confidence"])
-        if "sigma_mv" in data:
-            kwargs["sigma_mv"] = float(data["sigma_mv"])
-        if "design_sigma" in data:
-            kwargs["design_sigma"] = float(data["design_sigma"])
-        if "die_sigma_mv" in data:
-            kwargs["die_sigma_mv"] = float(data["die_sigma_mv"])
-        if "max_slowdown" in data:
-            kwargs["max_slowdown"] = float(data["max_slowdown"])
-        if "arrays" in data:
-            kwargs["arrays"] = tuple(data["arrays"])
-        if "importance" in data and data["importance"] is not None:
-            kwargs["importance"] = ImportanceSpec.from_dict(
-                dict(data["importance"]))
-        return cls(**kwargs)
+        return cls(**read_fields(cls, data, "montecarlo"))

@@ -36,8 +36,9 @@ from repro.branch.iraw_effects import PredictionHazardTracker
 from repro.branch.predictor import BimodalPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.core.config import IrawConfig
+from repro.core.iq_gate import IqOccupancyGate
 from repro.core.policy import IrawPolicy
-from repro.errors import PipelineError
+from repro.errors import ConfigError, PipelineError
 from repro.isa.instructions import MicroOp
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import NUM_REGISTERS
@@ -77,6 +78,14 @@ class CoreSetup:
     check_values: bool = True
 
 
+def iraw_policy(iraw: IrawConfig, params: PipelineParams) -> IrawPolicy:
+    """The IRAW mechanisms of a core built with ``params``: its Eq. 1
+    gate counts the core's ICI (``issue_window``) and AI
+    (``alloc_width``)."""
+    return IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
+        issue_window=params.issue_window, alloc_width=params.alloc_width))
+
+
 class InOrderCore:
     """Single-use simulator instance: build, ``run(trace)``, read stats."""
 
@@ -84,7 +93,16 @@ class InOrderCore:
         self.setup = setup or CoreSetup()
         params = self.setup.params
         iraw = self.setup.iraw
-        self.policy = IrawPolicy(config=iraw)
+        self.policy = iraw_policy(iraw, params)
+        threshold = self.policy.iq_gate.issue_threshold
+        if threshold > params.iq_size:
+            # The gate would wait forever for an occupancy the IQ
+            # cannot reach.
+            raise ConfigError(
+                f"a {params.iq_size}-entry IQ is smaller than its Eq. 1 "
+                f"issue threshold {threshold} (issue_window "
+                f"{params.issue_window} + alloc_width "
+                f"{params.alloc_width} x N {iraw.stabilization_cycles})")
         self.memory = MemorySystem(self.setup.memory)
         self.predictor = BimodalPredictor()
         self.tracker = PredictionHazardTracker(

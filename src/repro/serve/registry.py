@@ -176,11 +176,14 @@ class CampaignRegistry:
         return self.campaigns_dir / f"{campaign_id}.json"
 
     def save(self, record: CampaignRecord) -> None:
-        """Atomic whole-file rewrite — readers never see a torn state."""
+        """Atomic whole-file rewrite — readers never see a torn state.
+
+        Keys stay in their order: a spec's name-keyed tables (its RV32I
+        programs) are its population order.
+        """
         record.updated_s = time.time()
         atomic_write(self._path(record.id),
-                     json.dumps(record.as_dict(), sort_keys=True)
-                     .encode("utf-8"))
+                     json.dumps(record.as_dict()).encode("utf-8"))
 
     def load(self, campaign_id: str) -> CampaignRecord | None:
         path = self._path(campaign_id)

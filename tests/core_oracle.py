@@ -27,6 +27,7 @@ from collections import deque
 from repro.branch.iraw_effects import PredictionHazardTracker
 from repro.branch.predictor import BimodalPredictor
 from repro.branch.rsb import ReturnStackBuffer
+from repro.core.iq_gate import IqOccupancyGate
 from repro.core.policy import IrawPolicy
 from repro.errors import ConfigError, PipelineError
 from repro.isa.instructions import MicroOp
@@ -240,7 +241,9 @@ class OracleCore:
         self.setup = setup or CoreSetup()
         params = self.setup.params
         iraw = self.setup.iraw
-        self.policy = IrawPolicy(config=iraw)
+        self.policy = IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
+            issue_window=params.issue_window,
+            alloc_width=params.alloc_width))
         self.memory = MemorySystem(self.setup.memory)
         self.predictor = BimodalPredictor()
         self.tracker = PredictionHazardTracker(

@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.16.0"
+        assert repro.__version__ == "1.17.0"
 
 
 class TestRunSpec:
@@ -107,6 +107,23 @@ class TestRunSpec:
         path.write_text('artifacts = ["table2"]\n')
         assert main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '[population]\nprofiles = ["kernel-like"]\n[sweep]\nwarm = "false"\n',
+        '[population]\nprofiles = ["kernel-like"]\n[params]\nfetch_width = "3"\n',
+        '[population]\nprofiles = ["kernel-like"]\n[[ablations]]\n'
+        'name = "a"\n[ablations.overrides]\nrf_enable = false\n',
+    ])
+    def test_malformed_value_exits_2_before_anything_runs(self, tmp_path,
+                                                          capsys, text):
+        path = tmp_path / "malformed.toml"
+        path.write_text(text)
+        for extra in ([], ["--dry-run"]):
+            assert main(["run", str(path), "--no-cache", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
 
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.toml")]) == 2

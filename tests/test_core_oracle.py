@@ -39,14 +39,17 @@ _SWITCHES = ("rf_enabled", "iq_enabled", "stable_enabled",
 
 @st.composite
 def setups(draw, check_values=False):
-    """A CoreSetup over the IRAW, mechanism and Extra-Bypass knobs."""
+    """A CoreSetup over the IRAW, mechanism, Extra-Bypass and width
+    knobs."""
     disabled = draw(st.sampled_from((None,) + _SWITCHES))
     iraw = IrawConfig(
         stabilization_cycles=draw(st.integers(0, 2)),
         bypass_levels=draw(st.integers(0, 2)),
         determinism_mode=draw(st.sampled_from(list(DeterminismMode))),
         **({disabled: False} if disabled else {}))
-    params = PipelineParams(rf_write_cycles=draw(st.integers(1, 3)))
+    params = PipelineParams(rf_write_cycles=draw(st.integers(1, 3)),
+                            alloc_width=draw(st.integers(1, 3)),
+                            issue_window=draw(st.integers(1, 3)))
     return CoreSetup(iraw=iraw, params=params, name="oracle-check",
                      check_values=check_values)
 

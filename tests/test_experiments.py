@@ -1,10 +1,16 @@
 """Tests for the declarative experiment API (specs, driver, results)."""
 
+import importlib.util
 import json
+import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.dvfs import DvfsPhase
+from repro.branch.iraw_effects import DeterminismMode
+from repro.circuits.sram import silverthorne_arrays
 from repro.engine import ParallelRunner, ResultCache
 from repro.engine.jobs import TraceSpec, job_key
 from repro.errors import ConfigError
@@ -18,7 +24,11 @@ from repro.experiments import (
     ResultSet,
     run_spec,
 )
+from repro.experiments.artifacts import TABLE1_TECHNIQUES
+from repro.experiments.spec import RiscvProgramRef
 from repro.experiments.specio import dumps_toml, loads_toml
+from repro.montecarlo import ImportanceSpec, MonteCarloSpec
+from repro.workloads.profiles import PROFILES_BY_NAME, TraceProfile
 
 pytestmark = pytest.mark.engine
 
@@ -95,7 +105,7 @@ class TestSpecValidation:
             AblationSpec(name="bad", scheme="warp")
 
     def test_unknown_spec_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown experiment"):
+        with pytest.raises(ConfigError, match="unknown top-level"):
             ExperimentSpec.from_dict({"name": "x", "tables": {}})
         with pytest.raises(ConfigError, match="unknown grid"):
             ExperimentSpec.from_dict({"grid": {"vcc": [500]}})
@@ -556,7 +566,8 @@ vcc_mv = [500.0]
                 "population": {"profiles": ["kernel-like"],
                                "custom": {"kernel-like": {}}},
                 "grid": {"vcc_mv": [500.0]}})
-        with pytest.raises(ConfigError, match="unknown fields"):
+        with pytest.raises(ConfigError,
+                           match="unknown population.custom.p spec keys"):
             ExperimentSpec.from_dict({
                 "name": "x", "artifacts": [],
                 "population": {"profiles": ["p"],
@@ -566,7 +577,6 @@ vcc_mv = [500.0]
             # Referencing a profile that is neither built-in nor custom.
             ExperimentSpec.from_toml(self.TOML.replace(
                 '"hot-loops", ', '"hot-loops", "missing", '))
-        from repro.workloads.profiles import TraceProfile
 
         with pytest.raises(ConfigError, match="duplicate custom"):
             ExperimentSpec(name="x", profiles=("a",), artifacts=(),
@@ -615,8 +625,6 @@ class TestStallsArtifact:
         assert "stalls" in spec.to_dict()
 
     def test_stalls_artifact_needs_population(self):
-        from repro.montecarlo import MonteCarloSpec
-
         with pytest.raises(ConfigError, match="'stalls'.*no trace"):
             ExperimentSpec(name="x", profiles=(), vcc_mv=(500.0,),
                            artifacts=("stalls",),
@@ -625,8 +633,6 @@ class TestStallsArtifact:
     def test_subset_parser_handles_new_sections(self):
         """Specs using [population.custom.*], [montecarlo] and [stalls]
         round-trip through the TOML emitter and ``loads_toml``."""
-        from repro.montecarlo import MonteCarloSpec
-        from repro.workloads.profiles import TraceProfile
 
         spec = ExperimentSpec(
             name="subset", vcc_mv=(500.0,),
@@ -643,7 +649,6 @@ class TestStallsArtifact:
     def test_unsafe_custom_profile_names_rejected(self):
         """Names become TOML table headers; a space or dot must fail
         the spec eagerly, never corrupt a saved file."""
-        from repro.workloads.profiles import TraceProfile
 
         for bad in ("my prof", "a.b", "", "quo\"te"):
             with pytest.raises(ConfigError,
@@ -663,8 +668,6 @@ class TestStallsArtifact:
             dumps_toml({"population": {"custom": {"my prof": {"x": 1}}}})
 
     def test_unreferenced_custom_profile_rejected(self):
-        from repro.workloads.profiles import TraceProfile
-
         with pytest.raises(ConfigError, match="never referenced"):
             ExperimentSpec(name="x", profiles=("kernel-like",),
                            vcc_mv=(500.0,), artifacts=(),
@@ -723,8 +726,6 @@ class TestPerDieRecordLimit:
 
     @staticmethod
     def mc_spec(dies: int) -> ExperimentSpec:
-        from repro.montecarlo import MonteCarloSpec
-
         return ExperimentSpec(name="limit", profiles=(),
                               vcc_mv=(500.0,),
                               montecarlo=MonteCarloSpec(dies=dies),
@@ -746,3 +747,297 @@ class TestPerDieRecordLimit:
         over_limit = Experiment(self.mc_spec(7)).run()
         assert len(over_limit.filter(kind="mc-die")) == 0
         assert len(over_limit.filter(kind="mc-yield")) == 2
+
+
+# ----------------------------------------------------------------------
+# The spec-file codec: every table is read and written from its class
+# ----------------------------------------------------------------------
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+EXAMPLE_SPECS = sorted((REPO / "examples").glob("*.toml"))
+RV32I_FILES = (("loop", "rv32i/loop.bin"), ("memcpy", "rv32i/memcpy.elf"),
+               ("sort", "rv32i/sort.bin"), ("mix", "rv32i/mix.bin"))
+_VCCS = (400.0, 450.0, 500.0, 550.0, 575.0, 600.0, 650.0, 700.0)
+_SCHEMES = ("baseline", "iraw", "logic")
+
+
+def _perfbench_campaigns():
+    """``perfbench/campaigns.py``, which builds the benchmark's specs."""
+    module_spec = importlib.util.spec_from_file_location(
+        "perfbench_campaigns", REPO / "perfbench" / "campaigns.py")
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def assert_round_trips(spec: ExperimentSpec) -> None:
+    """``spec`` survives to_dict, TOML and JSON with its plan keys."""
+    keys = Experiment(spec).plan_keys()
+    for again in (ExperimentSpec.from_dict(spec.to_dict()),
+                  ExperimentSpec.from_toml(spec.to_toml()),
+                  ExperimentSpec.from_json(spec.to_json())):
+        assert again == spec
+        assert again.metadata == spec.metadata
+        assert Experiment(again).plan_keys() == keys
+
+
+@st.composite
+def custom_profiles(draw, name: str) -> TraceProfile:
+    return TraceProfile(
+        name=name,
+        description=draw(st.text("abc xyz-", max_size=8)),
+        load_weight=draw(st.floats(0.5, 8.0)),
+        mean_block_size=draw(st.floats(2.0, 12.0)),
+        dep_distance_geom_p=draw(st.floats(0.05, 1.0)),
+        working_set_kb=draw(st.integers(8, 4096)),
+        stream_count=draw(st.integers(1, 16)))
+
+
+@st.composite
+def dvfs_schedules(draw, name: str) -> DvfsScheduleSpec:
+    phases = tuple(DvfsPhase(draw(st.sampled_from(_VCCS)),
+                             draw(st.integers(50, 400)))
+                   for _ in range(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        trace = TraceSpec.synthetic(
+            draw(st.sampled_from(sorted(PROFILES_BY_NAME))),
+            seed=draw(st.integers(0, 9)),
+            length=sum(phase.instructions for phase in phases))
+    else:
+        trace = TraceSpec.for_kernel(draw(st.sampled_from(("fib", "dot"))),
+                                     size=draw(st.integers(4, 40)))
+    schemes = draw(st.lists(st.sampled_from(("baseline", "iraw")),
+                            min_size=1, unique=True))
+    return DvfsScheduleSpec(name=name, trace=trace, phases=phases,
+                            schemes=tuple(schemes))
+
+
+@st.composite
+def ablations(draw, name: str) -> AblationSpec:
+    switches = draw(st.dictionaries(
+        st.sampled_from(("rf_enabled", "iq_enabled", "stable_enabled",
+                         "cache_guards_enabled")), st.booleans()))
+    if draw(st.booleans()):
+        switches["determinism_mode"] = draw(st.sampled_from(
+            list(DeterminismMode)))
+    return AblationSpec(name=name, overrides=switches,
+                        scheme=draw(st.sampled_from(_SCHEMES)))
+
+
+@st.composite
+def montecarlo_specs(draw) -> MonteCarloSpec:
+    importance = None
+    if draw(st.booleans()):
+        importance = ImportanceSpec(
+            shift_sigma=draw(st.one_of(st.just("auto"),
+                                       st.floats(0.0, 3.0))),
+            ess_warn=draw(st.floats(0.0, 0.5)))
+    return MonteCarloSpec(
+        dies=draw(st.integers(1, 24)), seed=draw(st.integers(0, 5)),
+        confidence=draw(st.floats(0.5, 0.99)),
+        block=draw(st.one_of(st.none(), st.integers(1, 16))),
+        design_sigma=draw(st.floats(4.0, 7.0)),
+        arrays=tuple(draw(st.lists(st.sampled_from(
+            sorted(array.name for array in silverthorne_arrays())),
+            unique=True, max_size=2))),
+        importance=importance)
+
+
+@st.composite
+def valid_specs(draw) -> ExperimentSpec:
+    """Specs over every table a spec file has, from valid values."""
+    custom = [draw(custom_profiles(f"c-{index}"))
+              for index in range(draw(st.integers(0, 2)))]
+    builtin = draw(st.lists(st.sampled_from(sorted(PROFILES_BY_NAME)),
+                            min_size=1, max_size=2, unique=True))
+    riscv = [RiscvProgramRef(name, str(REPO / "examples" / path),
+                             max_instructions=draw(st.sampled_from(
+                                 (50_000, 2_000_000))))
+             for name, path in draw(st.lists(st.sampled_from(RV32I_FILES),
+                                             max_size=2, unique=True))]
+    grid = draw(st.one_of(
+        st.lists(st.sampled_from(_VCCS), min_size=1, max_size=3,
+                 unique=True).map(lambda vccs: {"vcc_mv": tuple(vccs)}),
+        st.sampled_from((100.0, 150.0)).map(lambda s: {"step_mv": s})))
+    schedules = tuple(draw(dvfs_schedules(f"dv-{index}"))
+                      for index in range(draw(st.integers(0, 1))))
+    montecarlo = draw(st.one_of(st.none(), montecarlo_specs()))
+    artifacts = ["table1", "fig11b", "fig12", "energy450", "overheads",
+                 "stalls"]
+    if schedules:
+        artifacts.append("dvfs")
+    if montecarlo is not None:
+        artifacts += ["yield_curve", "vccmin_dist"]
+        if montecarlo.importance is not None:
+            artifacts.append("deep_tail")
+    return ExperimentSpec(
+        name=draw(st.sampled_from(("experiment", "drawn", "spec-1"))),
+        profiles=tuple(draw(st.permutations(
+            builtin + [profile.name for profile in custom]))),
+        custom_profiles=tuple(custom),
+        riscv=tuple(riscv),
+        seeds_per_profile=draw(st.integers(1, 2)),
+        trace_length=draw(st.integers(100, 5000)),
+        schemes=tuple(draw(st.lists(st.sampled_from(_SCHEMES), min_size=1,
+                                    unique=True))),
+        table1_vcc_mv=draw(st.sampled_from(_VCCS)),
+        table1_techniques=tuple(draw(st.lists(
+            st.sampled_from(TABLE1_TECHNIQUES), min_size=1, unique=True))),
+        stalls_vcc_mv=draw(st.sampled_from(_VCCS)),
+        warm=draw(st.booleans()),
+        dram_latency_ns=draw(st.floats(40.0, 120.0)),
+        params=draw(st.dictionaries(
+            st.sampled_from(("fetch_width", "alloc_width", "issue_window",
+                             "mispredict_penalty")),
+            st.integers(1, 4))),
+        memory=draw(st.dictionaries(
+            st.sampled_from(("dram_latency_cycles", "tlb_miss_penalty",
+                             "wcb_entries")), st.integers(4, 200))),
+        ablations=tuple(draw(ablations(f"ab-{index}"))
+                        for index in range(draw(st.integers(0, 2)))),
+        dvfs=schedules,
+        montecarlo=montecarlo,
+        artifacts=tuple(draw(st.lists(st.sampled_from(artifacts),
+                                      unique=True))),
+        metadata=draw(st.dictionaries(st.sampled_from(("note", "owner")),
+                                      st.text("abc", max_size=4))),
+        **grid)
+
+
+def _scalar_locations(data, where=""):
+    """(location, path) of every scalar a spec file's tables hold,
+    outside the free-form ``[metadata]``."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        if key == "metadata" and not where:
+            continue
+        if isinstance(key, int):
+            location = f"{where}[{key}]"
+        else:
+            location = f"{where}.{key}" if where else key
+        if isinstance(value, (dict, list)):
+            for found, path in _scalar_locations(value, location):
+                yield found, (key,) + path
+        else:
+            yield location, (key,)
+
+
+#: A value of each kind a spec file can hold, to put where another
+#: kind belongs.
+_WRONG_KINDS = {"string": "bad", "fraction": 0.5, "boolean": True,
+                "list": [1], "table": {"x": 1}}
+
+
+def _kind_of(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, str):
+        return "string"
+    return "fraction" if isinstance(value, float) else "integer"
+
+
+class TestSpecCodec:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=valid_specs())
+    def test_drawn_specs_round_trip(self, spec):
+        assert_round_trips(spec)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=valid_specs(), data=st.data())
+    def test_a_scalar_of_the_wrong_kind_fails_at_load(self, spec, data):
+        tables = spec.to_dict()
+        location, path = data.draw(st.sampled_from(
+            list(_scalar_locations(tables))))
+        node = tables
+        for key in path[:-1]:
+            node = node[key]
+        kind = data.draw(st.sampled_from(
+            [kind for kind in _WRONG_KINDS
+             if kind != _kind_of(node[path[-1]])]))
+        node[path[-1]] = _WRONG_KINDS[kind]
+        with pytest.raises(ConfigError) as rejected:
+            ExperimentSpec.from_json(json.dumps(tables))
+        assert location in str(rejected.value)
+
+    @pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda p: p.name)
+    def test_example_specs_round_trip(self, path):
+        assert_round_trips(ExperimentSpec.load(path))
+
+    @pytest.mark.parametrize("workload", ("sim-cold", "pool-cold",
+                                          "warm-regen", "mc-tail"))
+    def test_benchmark_workload_specs_round_trip(self, workload):
+        campaigns = _perfbench_campaigns()
+        for seed in range(11):
+            assert_round_trips(campaigns.workload_spec(workload, REPO, seed))
+
+    def test_json_keeps_the_riscv_population_order(self):
+        spec = ExperimentSpec.load(REPO / "examples/rv32i_campaign.toml")
+        again = ExperimentSpec.from_json(spec.to_json())
+        assert [ref.name for ref in again.riscv] \
+            == ["loop", "memcpy", "sort", "mix"]
+        assert Experiment(again).plan_keys() == Experiment(spec).plan_keys()
+
+    def test_a_saved_spec_names_only_what_differs_from_the_defaults(self):
+        assert ExperimentSpec().to_dict() == {}
+        spec = ExperimentSpec(name="short", trace_length=500, warm=False)
+        assert spec.to_dict() == {"name": "short",
+                                  "population": {"trace_length": 500},
+                                  "sweep": {"warm": False}}
+
+    @pytest.mark.parametrize("tables, location", [
+        ({"sweep": {"warm": "false"}}, "sweep.warm"),
+        ({"population": {"seeds_per_profile": 1.9}},
+         "population.seeds_per_profile"),
+        ({"population": {"trace_length": 1500.9}},
+         "population.trace_length"),
+        ({"montecarlo": {"dies": 64.9}}, "montecarlo.dies"),
+        ({"montecarlo": {"block": 3.5}}, "montecarlo.block"),
+        ({"population": {"profiles": ["p"],
+                         "custom": {"p": {"working_set_kb": 32.5}}}},
+         "population.custom.p.working_set_kb"),
+        ({"artifacts": ["dvfs"], "dvfs": [{
+            "name": "d", "trace": {"profile": "office-like", "length": 100},
+            "phases": [{"vcc_mv": 500.0, "instructions": 100.7}]}]},
+         "dvfs[0].phases[0].instructions"),
+        ({"params": {"fetch_width": "3"}}, "params.fetch_width"),
+        ({"grid": {"vcc_mv": 500.0}}, "grid.vcc_mv"),
+        ({"params": {"latencies": {"load": 5}}}, "params.latencies"),
+        ({"ablations": [{"name": "a", "overrides": {"rf_enable": False}}]},
+         "ablations[0].overrides"),
+        ({"artifacts": "table1"}, "artifacts"),
+    ])
+    def test_malformed_values_fail_at_load(self, tables, location):
+        with pytest.raises(ConfigError) as rejected:
+            ExperimentSpec.from_json(json.dumps(tables))
+        assert location in str(rejected.value)
+
+    def test_whole_numbers_read_as_integers_and_any_number_as_float(self):
+        spec = ExperimentSpec.from_dict({
+            "population": {"trace_length": 1500.0},
+            "grid": {"vcc_mv": [500]}})
+        assert spec.trace_length == 1500
+        assert isinstance(spec.trace_length, int)
+        assert spec.vcc_mv == (500.0,)
+        with pytest.raises(ConfigError, match="population.trace_length"):
+            ExperimentSpec.from_dict({"population": {"trace_length": True}})
+
+    def test_a_dvfs_phase_list_needs_its_phases(self):
+        with pytest.raises(ConfigError, match=r"missing spec key dvfs\[0\]"
+                                              r"\.phases"):
+            ExperimentSpec.from_dict({"dvfs": [{
+                "name": "d", "trace": {"profile": "office-like"}}]})
+
+
+class TestOffGridRecords:
+    def test_energy_points_off_the_grid_are_recorded_once(self):
+        spec = ExperimentSpec(name="energy", profiles=("kernel-like",),
+                              trace_length=300, vcc_mv=(500.0,),
+                              artifacts=("fig12", "energy450"))
+        experiment = Experiment(spec)
+        records = experiment.run()
+        assert experiment.stats.simulated == 6
+        assert [(r.scheme, r.vcc_mv) for r in records] == [
+            ("baseline", 500.0), ("iraw", 500.0), ("baseline", 600.0),
+            ("logic", 450.0), ("baseline", 450.0), ("iraw", 450.0)]

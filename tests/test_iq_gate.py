@@ -1,10 +1,17 @@
 """Tests for the IQ occupancy gate (paper Figure 9, Eq. 1)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.dvfs import DvfsPhase, DvfsScenario
+from repro.circuits.frequency import ClockScheme
+from repro.core.config import IrawConfig
 from repro.core.iq_gate import IqOccupancyGate
 from repro.errors import ConfigError
+from repro.pipeline.core import CoreSetup, InOrderCore
+from repro.pipeline.resources import PipelineParams
+from repro.workloads.profiles import KERNEL_LIKE
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
 class TestThreshold:
@@ -88,3 +95,52 @@ class TestValidation:
         gate = IqOccupancyGate()
         with pytest.raises(ConfigError):
             gate.configure(-1, enabled=True)
+
+
+class TestCoreGateSizing:
+    """The core's Eq. 1 gate counts its own ICI and AI."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(issue_window=st.integers(1, 4), alloc_width=st.integers(1, 4),
+           n=st.integers(0, 2), iq_enabled=st.booleans())
+    def test_threshold_follows_the_pipeline_params(self, issue_window,
+                                                   alloc_width, n,
+                                                   iq_enabled):
+        params = PipelineParams(issue_window=issue_window,
+                                alloc_width=alloc_width)
+        iraw = IrawConfig(stabilization_cycles=n, iq_enabled=iq_enabled)
+        core = InOrderCore(CoreSetup(iraw=iraw, params=params))
+        gate = core.policy.iq_gate
+        on = iq_enabled and n > 0
+        assert gate.issue_threshold == \
+            (issue_window + alloc_width * n if on else 0)
+        assert gate.drain_noops == (alloc_width * n if on else 0)
+
+    def test_an_iq_smaller_than_the_threshold_is_refused(self):
+        params = PipelineParams(iq_size=4)
+        with pytest.raises(ConfigError, match="4-entry IQ .* threshold 6"):
+            InOrderCore(CoreSetup(iraw=IrawConfig(stabilization_cycles=2),
+                                  params=params))
+        # The same IQ is large enough at N = 1 (2 + 2), and with the
+        # gate off no threshold applies.
+        InOrderCore(CoreSetup(iraw=IrawConfig(stabilization_cycles=1),
+                              params=params))
+        InOrderCore(CoreSetup(iraw=IrawConfig(stabilization_cycles=2,
+                                              iq_enabled=False),
+                              params=params))
+
+    def test_an_iq_size_that_is_no_power_of_two_still_runs(self):
+        trace = SyntheticTraceGenerator(KERNEL_LIKE, seed=3).generate(200)
+        core = InOrderCore(CoreSetup(iraw=IrawConfig(stabilization_cycles=2),
+                                     params=PipelineParams(iq_size=24),
+                                     check_values=False))
+        assert core.run(trace).instructions == 200
+
+    def test_dvfs_sizes_its_live_gate_from_its_params(self):
+        trace = SyntheticTraceGenerator(KERNEL_LIKE, seed=3).generate(300)
+        scenario = DvfsScenario(scheme=ClockScheme.IRAW,
+                                params=PipelineParams(alloc_width=3))
+        outcome = scenario.run(trace, [DvfsPhase(450.0, 300)])
+        phase = outcome.phases[0]
+        assert phase.stabilization_cycles > 0
+        assert phase.drain_noops == 3 * phase.stabilization_cycles

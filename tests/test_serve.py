@@ -295,6 +295,19 @@ class TestErrorContract:
         assert rejected.value.status == 400
         assert message in str(rejected.value)
 
+    @pytest.mark.parametrize("body, location", [
+        (b'{"params": {"fetch_width": "3"}}', "params.fetch_width"),
+        (b'{"sweep": {"warm": "false"}}', "sweep.warm"),
+    ])
+    def test_malformed_value_returns_400(self, harness, body, location):
+        service = harness()
+        for dry_run in (True, False):
+            with pytest.raises(ServeError) as rejected:
+                service.client.submit(body, dry_run=dry_run)
+            assert rejected.value.status == 400
+            assert location in str(rejected.value)
+        assert service.client.campaigns() == []
+
     def test_unknown_campaign_returns_404(self, harness):
         service = harness()
         with pytest.raises(ServeError) as missing:
@@ -376,6 +389,23 @@ class TestRestartResume:
         served = second.client.result_set(campaign_id, wait=False)
         assert served.to_csv() == rows_before.to_csv()
         assert "table1" in status["artifacts"]
+
+
+class TestRegistryFiles:
+    def test_a_saved_spec_keeps_its_table_order(self, tmp_path):
+        """A spec's RV32I programs are its population order."""
+        spec = ExperimentSpec.load(
+            pathlib.Path(__file__).resolve().parents[1]
+            / "examples" / "rv32i_campaign.toml")
+        registry = CampaignRegistry(tmp_path / "order-state")
+        record = registry.new_record(name=spec.name, tenant="default",
+                                     spec=spec.to_dict(), total_jobs=0)
+        registry.save(record)
+        loaded = ExperimentSpec.from_dict(registry.load(record.id).spec)
+        assert [ref.name for ref in loaded.riscv] \
+            == ["loop", "memcpy", "sort", "mix"]
+        assert Experiment(loaded).plan_keys() \
+            == Experiment(spec).plan_keys()
 
 
 class TestCollectorValidation:

@@ -74,10 +74,6 @@ class TestCompare:
         assert row["frequency_gain"] == pytest.approx(0.0, abs=1e-9)
         assert row["performance_gain"] == pytest.approx(0.0, abs=1e-6)
 
-    def test_execution_times_ordered(self, sweep):
-        base_t, iraw_t = sweep.execution_times(500.0)
-        assert iraw_t < base_t
-
 
 class TestStallDecomposition:
     def test_rf_dominates(self, sweep):
