@@ -3,9 +3,10 @@
 
 A phone-like schedule: a burst phase at 650 mV (IRAW idle — writes fit the
 cycle), then a long battery-saver phase at 450 mV (IRAW active, N=1), then
-a medium phase at 550 mV.  At every transition the pipeline drains, the
-Vcc controller rewrites the scoreboard patterns / IQ threshold / guard
-counters / STable sizing, and execution resumes.
+a medium phase at 550 mV.  Each phase runs on a core built for its own
+operating point: the phase's frequency, and its N in the scoreboard
+patterns / IQ threshold / guard counters / STable sizing, which the
+hardware rewrites after draining the pipeline at every transition.
 
 Run:  python examples/dvfs_scenario.py
 """

@@ -10,7 +10,8 @@ limit at low Vcc — together with every substrate the evaluation needs:
 * :mod:`repro.memory` / :mod:`repro.branch` — the Silverthorne-class
   memory hierarchy and predictors;
 * :mod:`repro.core` — the IRAW mechanisms (scoreboard, IQ gate, STable,
-  fill guards, Vcc controller);
+  fill guards), each programmed per Vcc level by its ``configure(N)``;
+  every simulated core is built for one operating point;
 * :mod:`repro.pipeline` — the cycle-level 2-wide in-order core;
 * :mod:`repro.baselines` — Table 1's Faulty Bits / Extra Bypass;
 * :mod:`repro.analysis` — the evaluation harness regenerating every
@@ -31,18 +32,17 @@ Quickstart::
 """
 
 from repro.circuits import ClockScheme, FrequencySolver
-from repro.core import IrawConfig, VccController
+from repro.core import IrawConfig
 from repro.pipeline import simulate
 from repro.workloads import SyntheticTraceGenerator, kernel_trace
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "ClockScheme",
     "FrequencySolver",
     "IrawConfig",
     "SyntheticTraceGenerator",
-    "VccController",
     "kernel_trace",
     "quick_comparison",
     "simulate",

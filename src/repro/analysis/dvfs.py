@@ -3,42 +3,39 @@
 The paper motivates IRAW with mobile DVFS (Section 1) and stresses that
 every mechanism is reconfigurable per Vcc level by rewriting a handful of
 bits (Sections 4.1.3-4.4).  This module exercises that claim end to end: a
-workload runs through a *schedule* of Vcc phases; at each transition the
-pipeline drains (injecting the ``AI*N`` NOOPs of Section 4.2), the
-:class:`~repro.core.controller.VccController` reprograms the mechanisms,
-and execution resumes at the new frequency.
+workload runs through a *schedule* of Vcc phases, and each phase runs on
+a core built for its own operating point
+(:func:`~repro.engine.executors.run_core`): the frequency, the
+mechanisms' N and the memory latency in cycles all follow the phase's
+Vcc.  A transition drains the pipeline (the ``AI*N`` NOOPs of Section
+4.2 are reported per phase) and leaves no in-flight state behind, so a
+fresh core per phase is the drained, reprogrammed machine.  Phase
+wall-clock times, energies and the transition overheads are accumulated.
 
-Each phase is simulated at its own operating point (memory latency in
-cycles changes with frequency); phase wall-clock times, energies and the
-transition overheads are accumulated.
-
-One scenario is inherently serial — the reprogrammed policy state carries
-across phases — but *grids* of scenarios (schemes x schedules x traces)
-are independent, so :func:`schedule_job` folds each one into a
-declarative ``dvfs-schedule`` job; a spec's ``[[dvfs]]`` schedules reach
-the engine that way through :class:`~repro.experiments.Experiment`,
-where they parallelize and persist in the result cache.  A
-``dvfs-schedule`` job already targets a single trace, so it is the
-engine's atomic unit: the runner's per-trace sharding applies to
-population kinds and leaves these jobs whole.
+One scenario's phases run in order, but *grids* of scenarios (schemes x
+schedules x traces) are independent, so :func:`schedule_job` folds each
+one into a declarative ``dvfs-schedule`` job; a spec's ``[[dvfs]]``
+schedules reach the engine that way through
+:class:`~repro.experiments.Experiment`, where they parallelize and
+persist in the result cache.  A ``dvfs-schedule`` job already targets
+a single trace, so it is the engine's atomic unit: the runner's
+per-trace sharding applies to population kinds and leaves these jobs
+whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.circuits.constants import DRAM_LATENCY_NS
 from repro.circuits.ekv import check_voltage
 from repro.circuits.energy import IRAW_DYNAMIC_OVERHEAD, EnergyModel
 from repro.circuits.frequency import ClockScheme, FrequencySolver
-from repro.core.config import IrawConfig
-from repro.core.controller import VccController
+from repro.engine.executors import run_core
 from repro.engine.jobs import Job, TraceSpec
 from repro.errors import ConfigError
 from repro.isa.instructions import MicroOp
 from repro.memory.hierarchy import MemoryConfig
-from repro.analysis.sweep import warm_caches
-from repro.pipeline.core import CoreSetup, InOrderCore, iraw_policy
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.trace import Trace
 
@@ -99,7 +96,6 @@ class DvfsScenario:
                  warm: bool = True):
         self.scheme = scheme
         self.solver = solver or FrequencySolver()
-        self.controller = VccController(self.solver, scheme)
         self.params = params or PipelineParams()
         self.memory = memory or MemoryConfig()
         self.dram_latency_ns = dram_latency_ns
@@ -117,15 +113,10 @@ class DvfsScenario:
                 f"schedule covers {covered} instructions, trace has "
                 f"{len(trace.ops)}"
             )
-        # A live policy instance survives across phases: the controller
-        # reprograms it at every transition, as the hardware would.
-        policy = iraw_policy(IrawConfig.disabled(), self.params)
         outcomes: list[PhaseOutcome] = []
         cursor = 0
         for phase in schedule:
-            config = self.controller.switch(policy, phase.vcc_mv)
-            point = config.point
-            dram_cycles = point.memory_latency_cycles(self.dram_latency_ns)
+            point = self.solver.operating_point(phase.vcc_mv, self.scheme)
             segment_ops = trace.ops[cursor:cursor + phase.instructions]
             cursor += phase.instructions
             segment = Trace(
@@ -134,26 +125,18 @@ class DvfsScenario:
                 source=trace.source,
                 metadata=dict(trace.metadata),
             )
-            setup = CoreSetup(
-                iraw=config.iraw,
-                params=self.params,
-                memory=replace(self.memory,
-                               dram_latency_cycles=dram_cycles),
-                name=f"dvfs-{self.scheme.value}",
-                check_values=False,
-            )
-            core = InOrderCore(setup)
-            core.policy = policy  # reuse the reprogrammed mechanisms
-            if self.warm:
-                warm_caches(core.memory, segment)
-            result = core.run(segment)
+            run = run_core(segment, point, params=self.params,
+                           memory=self.memory,
+                           dram_latency_ns=self.dram_latency_ns,
+                           warm=self.warm, check_values=False)
+            cycles = run.result.cycles
             outcomes.append(PhaseOutcome(
                 phase=phase,
                 frequency_mhz=point.frequency_mhz,
                 stabilization_cycles=point.stabilization_cycles,
-                cycles=result.cycles,
-                time_s=result.cycles / (point.frequency_mhz * 1e6),
-                drain_noops=policy.iq_gate.drain_noops,
+                cycles=cycles,
+                time_s=cycles / (point.frequency_mhz * 1e6),
+                drain_noops=run.drain_noops,
             ))
         transitions = len(schedule)
         return DvfsOutcome(

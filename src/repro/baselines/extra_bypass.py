@@ -27,9 +27,6 @@ from dataclasses import dataclass
 
 from repro.circuits.area import TRANSISTORS_PER_LATCH_BIT
 from repro.circuits.frequency import ClockScheme, FrequencySolver, OperatingPoint
-from repro.core.config import IrawConfig
-from repro.pipeline.core import CoreSetup
-from repro.pipeline.resources import PipelineParams
 
 
 @dataclass
@@ -59,14 +56,6 @@ class ExtraBypassBaseline:
         scheme = (ClockScheme.LOGIC if hypothetical_rf_only
                   else ClockScheme.BASELINE)
         return self.solver.operating_point(vcc_mv, scheme)
-
-    def core_setup(self, vcc_mv: float,
-                   hypothetical_rf_only: bool = True) -> CoreSetup:
-        cycles = self.write_cycles(vcc_mv) if hypothetical_rf_only else 1
-        params = PipelineParams(rf_write_cycles=cycles,
-                                rf_write_ports=self.write_ports)
-        return CoreSetup(iraw=IrawConfig.disabled(), params=params,
-                         name=self.name)
 
     # ------------------------------------------------------------------
     # Costs

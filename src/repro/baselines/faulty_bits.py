@@ -25,10 +25,8 @@ from dataclasses import dataclass
 
 from repro.circuits.frequency import ClockScheme, FrequencySolver, OperatingPoint
 from repro.circuits.variation import VariationModel
-from repro.core.config import IrawConfig
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemorySystem
-from repro.pipeline.core import CoreSetup
 
 
 @dataclass
@@ -117,9 +115,6 @@ class FaultyBitsBaseline:
     # ------------------------------------------------------------------
     # Costs
     # ------------------------------------------------------------------
-
-    def core_setup(self, vcc_mv: float) -> CoreSetup:
-        return CoreSetup(iraw=IrawConfig.disabled(), name=self.name)
 
     def fault_map_bits(self) -> int:
         """Fault-map storage: one bit per line per supported Vcc level."""

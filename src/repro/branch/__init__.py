@@ -5,13 +5,12 @@ from repro.branch.iraw_effects import (
     HazardCounts,
     PredictionHazardTracker,
 )
-from repro.branch.predictor import BimodalPredictor, GsharePredictor
+from repro.branch.predictor import BimodalPredictor
 from repro.branch.rsb import ReturnStackBuffer
 
 __all__ = [
     "BimodalPredictor",
     "DeterminismMode",
-    "GsharePredictor",
     "HazardCounts",
     "PredictionHazardTracker",
     "ReturnStackBuffer",

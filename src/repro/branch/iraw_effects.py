@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.branch.predictor import BimodalPredictor, GsharePredictor
+from repro.branch.predictor import BimodalPredictor
 
 
 class DeterminismMode(str, Enum):
@@ -59,7 +59,7 @@ class HazardCounts:
 class PredictionHazardTracker:
     """Counts IRAW hazards on BP reads; optionally enforces determinism."""
 
-    predictor: BimodalPredictor | GsharePredictor
+    predictor: BimodalPredictor
     stabilization_cycles: int = 1
     mode: DeterminismMode = DeterminismMode.IGNORE
     counts: HazardCounts = field(default_factory=HazardCounts)

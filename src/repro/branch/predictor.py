@@ -1,7 +1,7 @@
-"""Branch direction predictors (the BP block of Figure 3).
+"""Branch direction predictor (the BP block of Figure 3).
 
-Silverthorne uses a two-level scheme; we provide both a bimodal table and a
-gshare variant.  Each entry is a 2-bit saturating counter.
+Silverthorne uses a two-level scheme; the core models it as a bimodal
+table of 2-bit saturating counters.
 
 For the IRAW study (paper Section 4.5) the predictor also records *when*
 each entry was last written and whether that write flipped the counter's
@@ -21,10 +21,10 @@ _COUNTER_MAX = 3
 _TAKEN_THRESHOLD = 2
 
 
-class _CounterTable:
-    """Shared guts of the direction predictors."""
+class BimodalPredictor:
+    """PC-indexed 2-bit counter table."""
 
-    def __init__(self, entries: int):
+    def __init__(self, entries: int = 4096):
         if entries <= 0 or entries & (entries - 1):
             raise ConfigError(f"predictor entries must be a power of two, got {entries}")
         self.entries = entries
@@ -34,61 +34,25 @@ class _CounterTable:
         self.predictions = 0
         self.mispredictions = 0
 
-    def _predict_index(self, index: int) -> bool:
-        self.predictions += 1
-        return self._counters[index] >= _TAKEN_THRESHOLD
-
-    def _update_index(self, index: int, taken: bool, cycle: int) -> None:
-        old = self._counters[index]
-        new = min(_COUNTER_MAX, old + 1) if taken else max(0, old - 1)
-        self._counters[index] = new
-        self._written_at[index] = cycle
-        self._write_flipped_msb[index] = (
-            (old >= _TAKEN_THRESHOLD) != (new >= _TAKEN_THRESHOLD))
+    def index_of(self, pc: int) -> int:
+        return (pc >> 2) & (self.entries - 1)
 
     def entry_state(self, index: int) -> tuple[int, int, bool]:
         """(counter, last write cycle, did last write flip the MSB)."""
         return (self._counters[index], self._written_at[index],
                 self._write_flipped_msb[index])
 
-
-class BimodalPredictor(_CounterTable):
-    """PC-indexed 2-bit counter table."""
-
-    def __init__(self, entries: int = 4096):
-        super().__init__(entries)
-
-    def index_of(self, pc: int) -> int:
-        return (pc >> 2) & (self.entries - 1)
-
     def predict(self, pc: int) -> bool:
-        return self._predict_index(self.index_of(pc))
-
-    def update(self, pc: int, taken: bool, cycle: int) -> None:
-        if taken != (self._counters[self.index_of(pc)] >= _TAKEN_THRESHOLD):
-            self.mispredictions += 1
-        self._update_index(self.index_of(pc), taken, cycle)
-
-
-class GsharePredictor(_CounterTable):
-    """Global-history-xor-PC indexed 2-bit counter table."""
-
-    def __init__(self, entries: int = 4096, history_bits: int = 8):
-        super().__init__(entries)
-        if history_bits <= 0:
-            raise ConfigError("history_bits must be positive")
-        self._history = 0
-        self._history_mask = (1 << history_bits) - 1
-
-    def index_of(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) & (self.entries - 1)
-
-    def predict(self, pc: int) -> bool:
-        return self._predict_index(self.index_of(pc))
+        self.predictions += 1
+        return self._counters[self.index_of(pc)] >= _TAKEN_THRESHOLD
 
     def update(self, pc: int, taken: bool, cycle: int) -> None:
         index = self.index_of(pc)
-        if taken != (self._counters[index] >= _TAKEN_THRESHOLD):
+        old = self._counters[index]
+        if taken != (old >= _TAKEN_THRESHOLD):
             self.mispredictions += 1
-        self._update_index(index, taken, cycle)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+        new = min(_COUNTER_MAX, old + 1) if taken else max(0, old - 1)
+        self._counters[index] = new
+        self._written_at[index] = cycle
+        self._write_flipped_msb[index] = (
+            (old >= _TAKEN_THRESHOLD) != (new >= _TAKEN_THRESHOLD))

@@ -187,15 +187,3 @@ class FrequencySolver:
                 "iraw_cycle_time": iraw.cycle_time_normalized,
             })
         return rows
-
-    def frequency_gain_series(self, step_mv: float = 25.0) -> list[dict[str, float]]:
-        """The frequency-increase curve of Figure 11(b)."""
-        rows = []
-        for vcc in voltage_grid(step_mv):
-            iraw = self.operating_point(vcc, ClockScheme.IRAW)
-            rows.append({
-                "vcc_mv": vcc,
-                "frequency_gain": self.frequency_gain(vcc),
-                "stabilization_cycles": iraw.stabilization_cycles,
-            })
-        return rows

@@ -75,10 +75,7 @@ import sys
 import repro
 from repro.analysis.figures import figure1_series
 from repro.analysis.reporting import format_table
-from repro.analysis.sweep import warm_caches
-from repro.circuits.constants import DRAM_LATENCY_NS
 from repro.circuits.frequency import ClockScheme, FrequencySolver
-from repro.core.config import IrawConfig
 from repro.engine import (
     ParallelRunner,
     ResultCache,
@@ -94,14 +91,14 @@ from repro.engine.broker import (
     spool_status,
     worker_main,
 )
+from repro.engine.executors import run_core
+from repro.engine.jobs import TraceSpec
 from repro.errors import ConfigError
 from repro.experiments import KNOWN_ARTIFACTS, Experiment, ExperimentSpec
 from repro.experiments.artifacts import ARTIFACTS
-from repro.memory.hierarchy import MemoryConfig
 from repro.montecarlo.importance import ImportanceSpec
-from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.serve.cli import add_serve_subcommands, dispatch_serve
-from repro.workloads.kernels import KERNEL_BUILDERS, kernel_trace
+from repro.workloads.kernels import KERNEL_BUILDERS
 from repro.workloads.profiles import PROFILES_BY_NAME
 from repro.workloads.synthetic import SyntheticTraceGenerator
 from repro.workloads.traceio import load_trace, save_trace
@@ -525,27 +522,18 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.kernel:
-        trace, _ = kernel_trace(args.kernel, args.size)
-    elif args.profile:
-        generator = SyntheticTraceGenerator(PROFILES_BY_NAME[args.profile],
-                                            seed=args.seed)
-        trace = generator.generate(args.length)
-    else:
+    if args.trace_file:
         trace = load_trace(args.trace_file)
+    elif args.kernel:
+        trace = TraceSpec.for_kernel(args.kernel, args.size).build()
+    else:
+        trace = TraceSpec.synthetic(args.profile, seed=args.seed,
+                                    length=args.length).build()
 
-    solver = FrequencySolver()
     scheme = ClockScheme(args.scheme)
-    point = solver.operating_point(args.vcc, scheme)
-    iraw = (IrawConfig.for_operating_point(point)
-            if scheme is ClockScheme.IRAW else IrawConfig.disabled())
-    memory = MemoryConfig(
-        dram_latency_cycles=point.memory_latency_cycles(DRAM_LATENCY_NS))
-    core = InOrderCore(CoreSetup(iraw=iraw, memory=memory,
-                                 name=f"{scheme.value}@{args.vcc:g}mV"))
-    if not args.cold:
-        warm_caches(core.memory, trace)
-    result = core.run(trace)
+    point = FrequencySolver().operating_point(args.vcc, scheme)
+    result = run_core(trace, point, warm=not args.cold,
+                      check_values=True).result
 
     print(f"trace:        {trace.name} ({len(trace)} instructions)")
     print(f"operating at: {point.frequency_mhz:.1f} MHz "

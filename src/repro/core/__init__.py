@@ -5,12 +5,16 @@
 * :mod:`~repro.core.stall_guard` — infrequently written cache-like blocks;
 * :mod:`~repro.core.stable` — the Store Table for DL0 (Figure 10);
 * :mod:`~repro.core.policy` — the per-structure bundle;
-* :mod:`~repro.core.controller` — multi-Vcc reconfiguration;
 * :mod:`~repro.core.config` — mechanism configuration.
+
+Each mechanism is programmed for a Vcc level by its ``configure(N)``,
+the few bits the hardware rewrites at a level change (Sections
+4.1.3-4.4).  A simulated core is built for one operating point
+(:func:`repro.engine.executors.run_core`), so a DVFS schedule runs
+each phase on a core built for that phase's point.
 """
 
 from repro.core.config import IrawConfig
-from repro.core.controller import CoreOperatingConfig, VccController
 from repro.core.iq_gate import IqOccupancyGate
 from repro.core.policy import GUARDED_BLOCKS, IrawPolicy
 from repro.core.scoreboard import Scoreboard
@@ -18,7 +22,6 @@ from repro.core.stable import MatchKind, StableLookup, StoreTable
 from repro.core.stall_guard import FillStallGuard
 
 __all__ = [
-    "CoreOperatingConfig",
     "FillStallGuard",
     "GUARDED_BLOCKS",
     "IqOccupancyGate",
@@ -28,5 +31,4 @@ __all__ = [
     "Scoreboard",
     "StableLookup",
     "StoreTable",
-    "VccController",
 ]

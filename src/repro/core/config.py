@@ -90,6 +90,12 @@ class IrawConfig:
     @classmethod
     def for_operating_point(cls, point: OperatingPoint,
                             **overrides) -> "IrawConfig":
-        """Derive the configuration the Vcc controller would program."""
+        """The configuration of a core built for ``point``.
+
+        N is the point's unless ``overrides`` (the ablation switches)
+        replace it or any other field.  Each phase of a DVFS schedule,
+        like each sweep point, runs on a core built this way for its own
+        point.
+        """
         base = cls(stabilization_cycles=point.stabilization_cycles)
         return replace(base, **overrides) if overrides else base

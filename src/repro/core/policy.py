@@ -2,9 +2,8 @@
 
 One :class:`IrawPolicy` owns every avoidance mechanism instance of the core
 (scoreboard, IQ gate, STable, six fill guards, prediction hazard tracking)
-and reconfigures them together when the Vcc level — and therefore N —
-changes.  The pipeline talks to the mechanisms through this object; the
-baselines substitute their own policy variants.
+and programs them together for one Vcc level's N.  The pipeline talks to
+the mechanisms through this object.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class IrawPolicy:
         self.apply(cfg)
 
     # ------------------------------------------------------------------
-    # Reconfiguration (the Vcc controller's write path)
+    # Reconfiguration (the per-Vcc write path)
     # ------------------------------------------------------------------
 
     def apply(self, config: IrawConfig) -> None:
@@ -92,10 +91,3 @@ class IrawPolicy:
             guard = self.guards.get(block)
             if guard is not None:
                 guard.arm(fill_cycle)
-
-    def flush(self) -> None:
-        """Pipeline drain: clear mechanism state that tracks in-flight ops."""
-        self.scoreboard.flush()
-        self.stable.flush()
-        for guard in self.guards.values():
-            guard.clear()

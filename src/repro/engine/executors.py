@@ -12,7 +12,8 @@ The serial and pool backends hand :func:`execute_chunk` one *trace
 unit* at a time: every pending job of one trace spec.  Its members share
 one :class:`UnitTables`, so the unit simulates each distinct machine
 once and builds each DVFS trace once; every job still gets its own
-result.
+result.  Every simulated core is built and run by :func:`run_core`,
+whether for a shard here, for a DVFS phase or for ``repro simulate``.
 
 This module deliberately imports only the simulator layers (circuits,
 pipeline, workloads, baselines) at module scope — :mod:`repro.analysis`
@@ -28,17 +29,18 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.baselines.extra_bypass import ExtraBypassBaseline
 from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.circuits import constants
-from repro.circuits.frequency import ClockScheme, FrequencySolver
+from repro.circuits.frequency import ClockScheme, FrequencySolver, OperatingPoint
 from repro.core.config import IrawConfig
 from repro.errors import ConfigError
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
+from repro.pipeline.stats import SimulationResult
 from repro.workloads.trace import Trace
 from repro.engine.broker import WireResult
 from repro.engine.jobs import Job, TraceSpec
@@ -124,6 +126,65 @@ def warm_caches(memory: MemorySystem, trace: Trace) -> None:
     memory.reset_after_warmup()
 
 
+def iraw_for(point: OperatingPoint, switches=()) -> IrawConfig:
+    """The IRAW mechanisms of the core that runs at ``point``.
+
+    Under the IRAW scheme the point's N programs them, with the ablation
+    ``switches`` (``(name, value)`` overrides of :class:`IrawConfig`)
+    applied; under any other scheme writes fit the cycle, the mechanisms
+    are off and ``switches`` do nothing.
+    """
+    if point.scheme is ClockScheme.IRAW:
+        return IrawConfig.for_operating_point(point, **dict(switches))
+    return IrawConfig.disabled()
+
+
+class CoreRun(NamedTuple):
+    """What :func:`run_core` reports of one run."""
+
+    result: SimulationResult
+    #: The memory mutator's report, as sorted ``(name, value)`` pairs.
+    extras: tuple
+    #: Whether any access reached DRAM (see :meth:`UnitTables.run`).
+    reached_dram: bool
+    #: NOOPs the core's Eq. 1 gate injects to drain its IQ (Section 4.2).
+    drain_noops: int
+
+
+def run_core(trace: Trace, point: OperatingPoint, switches=(), *,
+             params: PipelineParams | None = None,
+             memory: MemoryConfig | None = None,
+             dram_latency_ns: float = constants.DRAM_LATENCY_NS,
+             warm: bool, check_values: bool,
+             memory_mutator=None) -> CoreRun:
+    """Build the core that runs at ``point`` and run ``trace`` on it.
+
+    The one recipe of every simulated core (sweep shards, DVFS phases,
+    ``repro simulate``): IRAW mechanisms by :func:`iraw_for`, the
+    pipeline ``params``, and ``memory``'s geometry with its DRAM latency
+    replaced by ``dram_latency_ns`` at the point's clock.
+    ``memory_mutator`` (Faulty Bits' disabled lines) edits the fresh
+    hierarchy and reports a ``{name: value}`` dict; then the caches are
+    warmed with ``trace`` if ``warm`` is set, and the trace runs,
+    checking golden values if ``check_values`` is set.
+    """
+    memory = replace(memory or MemoryConfig(),
+                     dram_latency_cycles=point.memory_latency_cycles(
+                         dram_latency_ns))
+    core = InOrderCore(CoreSetup(iraw=iraw_for(point, switches),
+                                 params=params or PipelineParams(),
+                                 memory=memory, check_values=check_values))
+    extras = {}
+    if memory_mutator is not None:
+        extras = memory_mutator(core.memory) or {}
+    if warm:
+        warm_caches(core.memory, trace)
+    result = core.run(trace)
+    return CoreRun(result, tuple(sorted(extras.items())),
+                   core.memory.dram.requests > 0,
+                   core.policy.iq_gate.drain_noops)
+
+
 # ----------------------------------------------------------------------
 # Shared pieces
 # ----------------------------------------------------------------------
@@ -195,17 +256,18 @@ class UnitTables:
         return run
 
 
-def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
-               tables: UnitTables, memory_mutator=None, mutation=None):
-    """Run the shard's one trace on a fresh core under ``setup``.
+def _run_shard(job: Job, point: OperatingPoint, params: PipelineParams,
+               scheme_name: str, name: str, tables: UnitTables,
+               memory_mutator=None, mutation=None):
+    """Run the shard's one trace on the core of ``point`` (:func:`run_core`).
 
     The core runs once per *machine* in ``tables``: the trace, the
     effective IRAW configuration (:meth:`IrawConfig.effective`), the
-    pipeline params, value checking, warm-up, the memory config and
-    ``mutation``, the recipe of ``memory_mutator``.  The point's DRAM
-    latency is not part of the machine (see :meth:`UnitTables.run`),
-    and neither is ``setup.name``: each job gets its own copy of the
-    run's result under its own name.
+    pipeline ``params``, warm-up, the memory config and ``mutation``,
+    the recipe of ``memory_mutator``.  The
+    point's DRAM latency is not part of the machine (see
+    :meth:`UnitTables.run`), and neither is ``name``: each job gets its
+    own copy of the run's result under its own name.
 
     The result is a one-trace population result; the runner concatenates
     shard results back into the population result (see
@@ -216,31 +278,27 @@ def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
     if job.trace is None:
         raise ConfigError(f"{job.kind} job needs a trace spec (population "
                           f"jobs execute as per-trace shards)")
-    dram_latency = point.memory_latency_cycles(
-        job.option("dram_latency_ns", constants.DRAM_LATENCY_NS))
+    switches = job.iraw_overrides
+    dram_latency_ns = job.option("dram_latency_ns", constants.DRAM_LATENCY_NS)
     # The spec's memory config: its own DRAM latency is always replaced
     # by the point's, so it only carries the geometry into the machine.
-    base_memory = job.option("memory") or MemoryConfig()
+    memory = job.option("memory") or MemoryConfig()
     warm = job.option("warm", True)
-    machine = (job.trace, setup.iraw.effective(), setup.params,
-               setup.check_values, warm, base_memory, mutation)
+    machine = (job.trace, iraw_for(point, switches).effective(), params,
+               warm, memory, mutation)
 
     def simulate():
-        trace = trace_for(job.trace)
-        memory = replace(base_memory, dram_latency_cycles=dram_latency)
-        core = InOrderCore(replace(setup, memory=memory))
-        extras: dict[str, float] = {}
-        if memory_mutator is not None:
-            extras = dict(memory_mutator(core.memory) or {})
-        if warm:
-            warm_caches(core.memory, trace)
-        run = (core.run(trace), tuple(sorted(extras.items())))
-        return run, core.memory.dram.requests > 0
+        run = run_core(trace_for(job.trace), point, switches, params=params,
+                       memory=memory, dram_latency_ns=dram_latency_ns,
+                       warm=warm, check_values=False,
+                       memory_mutator=memory_mutator)
+        return (run.result, run.extras), run.reached_dram
 
-    result, extras = tables.run(machine, dram_latency, simulate)
+    result, extras = tables.run(
+        machine, point.memory_latency_cycles(dram_latency_ns), simulate)
     # A deep copy per job: no two results share stats an API user may
     # edit, and the unit's own run is never handed out.
-    result = replace(copy.deepcopy(result), config_name=setup.name)
+    result = replace(copy.deepcopy(result), config_name=name)
     return PointResult(vcc_mv=job.vcc_mv, scheme=scheme_name, point=point,
                        results=(result,), extras=extras)
 
@@ -251,29 +309,21 @@ def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
 
 def _run_sweep_point(job: Job, tables: UnitTables) -> PointResult:
     """The classic (Vcc, scheme) evaluation point of ``VccSweep``."""
-    solver = _solver_for(job)
     scheme = ClockScheme(job.scheme)
-    point = solver.operating_point(job.vcc_mv, scheme)
-    if scheme is ClockScheme.IRAW:
-        iraw = IrawConfig.for_operating_point(point, **job.overrides_dict())
-    else:
-        iraw = IrawConfig.disabled()
-    setup = CoreSetup(iraw=iraw, params=_params(job),
-                      name=f"{scheme.value}@{job.vcc_mv:g}mV",
-                      check_values=False)
-    return _run_shard(job, point, setup, scheme.value, tables)
+    point = _solver_for(job).operating_point(job.vcc_mv, scheme)
+    return _run_shard(job, point, _params(job), scheme.value,
+                      f"{scheme.value}@{job.vcc_mv:g}mV", tables)
 
 
 def _run_faulty_bits(job: Job, tables: UnitTables) -> PointResult:
     """Table 1's Faulty Bits alternative: honest clock, degraded caches."""
     baseline = FaultyBitsBaseline(_solver_for(job))
-    point = baseline.operating_point(job.vcc_mv)
-    setup = replace(baseline.core_setup(job.vcc_mv), params=_params(job))
     # The disabled lines depend on the margin, the seed and the
     # variation model only, never on the Vcc.
     recipe = ("faulty-bits", baseline.design_sigma, baseline.seed,
               baseline.variation)
-    return _run_shard(job, point, setup, "faulty-bits", tables,
+    return _run_shard(job, baseline.operating_point(job.vcc_mv),
+                      _params(job), baseline.name, baseline.name, tables,
                       memory_mutator=baseline.apply_to_memory,
                       mutation=recipe)
 
@@ -284,14 +334,14 @@ def _run_extra_bypass(job: Job, tables: UnitTables) -> PointResult:
     hypothetical = bool(job.option("hypothetical_rf_only", False))
     point = baseline.operating_point(job.vcc_mv,
                                      hypothetical_rf_only=hypothetical)
-    setup = baseline.core_setup(job.vcc_mv,
-                                hypothetical_rf_only=hypothetical)
-    # The spec's pipeline, with only the multi-cycle write path swapped in.
+    # The spec's pipeline with the multi-cycle write path swapped in:
+    # only the hypothetical RF-only variant clocks past a full write.
     params = replace(_params(job),
-                     rf_write_cycles=setup.params.rf_write_cycles,
-                     rf_write_ports=setup.params.rf_write_ports)
-    return _run_shard(job, point, replace(setup, params=params),
-                      "extra-bypass", tables)
+                     rf_write_cycles=baseline.write_cycles(job.vcc_mv)
+                     if hypothetical else 1,
+                     rf_write_ports=baseline.write_ports)
+    return _run_shard(job, point, params, baseline.name, baseline.name,
+                      tables)
 
 
 def _run_dvfs_schedule(job: Job, tables: UnitTables):

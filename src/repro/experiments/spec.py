@@ -14,7 +14,9 @@ a hand-written harness.  Every table is read and written by
 
 The spec layer deliberately knows nothing about execution: compiling a
 spec into engine job batches and running them is
-:class:`repro.experiments.experiment.Experiment`'s job.
+:class:`repro.experiments.experiment.Experiment`'s job.  It only builds,
+at load, the pieces of the machine a value can make impossible (see
+:meth:`ExperimentSpec._check_machine`).
 """
 
 from __future__ import annotations
@@ -30,16 +32,17 @@ from repro.analysis.dvfs import DvfsPhase
 from repro.analysis.sweep import SweepSettings
 from repro.circuits import constants
 from repro.circuits.ekv import check_voltage, voltage_grid
-from repro.circuits.frequency import ClockScheme
+from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
+from repro.engine.executors import iraw_for
 from repro.engine.jobs import TraceSpec
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError, MemoryModelError, TraceError
 from repro.experiments.artifacts import (
     ARTIFACTS,
     TABLE1_TECHNIQUES,
     table1_selection,
 )
-from repro.memory.hierarchy import MemoryConfig
+from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.montecarlo.spec import MonteCarloSpec
 from repro.pipeline.resources import PipelineParams
 from repro.specfields import (
@@ -365,6 +368,37 @@ class ExperimentSpec:
         if len(names) != len(set(names)):
             raise ConfigError(f"experiment {self.name!r}: ablation/dvfs "
                               f"names must be unique")
+        self._check_machine()
+
+    def _check_machine(self) -> None:
+        """Build what a well-typed value can still make impossible.
+
+        The memory hierarchy (a cache geometry that does not divide) and,
+        at every grid Vcc, each ablation's IRAW configuration (an N
+        beyond the hardware sizing) are built as the executors will
+        build them, so such a spec fails here with one
+        :class:`ConfigError` naming the keys it sets, not later in its
+        shards.  Neither depends on the trace.
+        """
+        if self.memory:
+            try:
+                # Only the geometry: a point's DRAM latency always
+                # replaces the spec's.
+                MemorySystem(dataclasses.replace(self.memory_config(),
+                                                 dram_latency_cycles=1))
+            except MemoryModelError as exc:
+                raise _impossible("memory", self.memory, exc) from None
+        solver = FrequencySolver() if self.ablations else None
+        for index, ablation in enumerate(self.ablations):
+            scheme = ClockScheme(ablation.scheme)
+            for vcc_mv in self.grid():
+                try:
+                    iraw_for(solver.operating_point(vcc_mv, scheme),
+                             ablation.overrides)
+                except ConfigError as exc:
+                    raise _impossible(f"ablations[{index}].overrides",
+                                      ablation.overrides, exc,
+                                      f" at {vcc_mv:g} mV") from None
 
     # -- derived views --------------------------------------------------
 
@@ -523,6 +557,14 @@ def _check_scheme(scheme: str, owner: str) -> None:
     if scheme not in _SCHEME_NAMES:
         raise ConfigError(f"{owner}: unknown clock scheme {scheme!r} "
                           f"(known: {', '.join(_SCHEME_NAMES)})")
+
+
+def _impossible(table: str, overrides: tuple, exc: Exception,
+                where: str = "") -> ConfigError:
+    """The error for the ``(key, value)`` overrides of ``table`` that
+    describe no machine: it names each key they set."""
+    named = ", ".join(f"{table}.{key} = {value!r}" for key, value in overrides)
+    return ConfigError(f"bad value {named}{where}: {exc}")
 
 
 def _sorted_overrides(overrides, config_type, owner: str) -> tuple:

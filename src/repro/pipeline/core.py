@@ -78,14 +78,6 @@ class CoreSetup:
     check_values: bool = True
 
 
-def iraw_policy(iraw: IrawConfig, params: PipelineParams) -> IrawPolicy:
-    """The IRAW mechanisms of a core built with ``params``: its Eq. 1
-    gate counts the core's ICI (``issue_window``) and AI
-    (``alloc_width``)."""
-    return IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
-        issue_window=params.issue_window, alloc_width=params.alloc_width))
-
-
 class InOrderCore:
     """Single-use simulator instance: build, ``run(trace)``, read stats."""
 
@@ -93,7 +85,10 @@ class InOrderCore:
         self.setup = setup or CoreSetup()
         params = self.setup.params
         iraw = self.setup.iraw
-        self.policy = iraw_policy(iraw, params)
+        # The Eq. 1 gate counts this core's ICI and AI.
+        self.policy = IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
+            issue_window=params.issue_window,
+            alloc_width=params.alloc_width))
         threshold = self.policy.iq_gate.issue_threshold
         if threshold > params.iq_size:
             # The gate would wait forever for an occupancy the IQ
@@ -157,8 +152,6 @@ class InOrderCore:
         sb_bubble_hi = scoreboard.bubble_hi
         classes = units.classes
         gate_threshold = gate.issue_threshold
-        #: IQ entries are read unguarded only when the gate is disabled.
-        unguarded_n = 0 if gate.enabled else n_active
         issue_window = params.issue_window
         alloc_width = params.alloc_width
         iq_size = params.iq_size
@@ -227,9 +220,9 @@ class InOrderCore:
                     iq.popleft()
                     issued += 1
                     continue
-                if unguarded_n and cycle - alloc_cycle <= unguarded_n:
-                    # Reading a still-stabilizing IQ entry (only possible
-                    # when the gate is disabled in an ablation).
+                if n_active and cycle - alloc_cycle <= n_active:
+                    # Reading a still-stabilizing IQ entry: what the Eq. 1
+                    # gate prevents, checked whether or not it is on.
                     self.iq_violations += 1
                 # Source readiness: the scoreboard MSB (Figures 6-8).  A
                 # value not yet produced would stall the baseline too; a

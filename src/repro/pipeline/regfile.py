@@ -54,9 +54,6 @@ class RegisterFileModel:
             return self.values[reg] ^ CORRUPTION_MASK
         return self.values[reg]
 
-    def written_at(self, reg: int) -> int:
-        return self._written_at[reg]
-
 
 class BypassNetwork:
     """Forwarding of just-completed results to issuing consumers."""
@@ -80,6 +77,3 @@ class BypassNetwork:
         if completed <= issue_cycle <= completed + self.levels - 1:
             return value
         return None
-
-    def flush(self) -> None:
-        self._latest.clear()

@@ -6,7 +6,7 @@ from repro.branch.iraw_effects import (
     DeterminismMode,
     PredictionHazardTracker,
 )
-from repro.branch.predictor import BimodalPredictor, GsharePredictor
+from repro.branch.predictor import BimodalPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.errors import ConfigError
 
@@ -53,28 +53,6 @@ class TestBimodal:
     def test_entries_must_be_power_of_two(self):
         with pytest.raises(ConfigError):
             BimodalPredictor(entries=1000)
-
-
-class TestGshare:
-    def test_history_distinguishes_paths(self):
-        bp = GsharePredictor(entries=256, history_bits=4)
-        pc = 0x80
-        index_before = bp.index_of(pc)
-        bp.update(pc, True, 0)
-        index_after = bp.index_of(pc)
-        assert index_before != index_after  # history shifted
-
-    def test_learns_alternating_pattern(self):
-        """gshare separates T/N contexts that defeat a bimodal table."""
-        bp = GsharePredictor(entries=256, history_bits=4)
-        pc = 0x80
-        pattern = [True, False] * 40
-        mispredicts = 0
-        for cycle, taken in enumerate(pattern):
-            if bp.predict(pc) != taken:
-                mispredicts += 1
-            bp.update(pc, taken, cycle)
-        assert mispredicts < len(pattern) * 0.3
 
 
 class TestRsb:

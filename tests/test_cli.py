@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.17.0"
+        assert repro.__version__ == "1.18.0"
 
 
 class TestRunSpec:
@@ -113,6 +113,11 @@ class TestRunSpec:
         '[population]\nprofiles = ["kernel-like"]\n[params]\nfetch_width = "3"\n',
         '[population]\nprofiles = ["kernel-like"]\n[[ablations]]\n'
         'name = "a"\n[ablations.overrides]\nrf_enable = false\n',
+        # Well-typed values that describe no machine.
+        '[population]\nprofiles = ["kernel-like"]\n[memory]\n'
+        'dl0_size = 1000\n',
+        '[population]\nprofiles = ["kernel-like"]\n[[ablations]]\n'
+        'name = "a"\n[ablations.overrides]\nstabilization_cycles = 3\n',
     ])
     def test_malformed_value_exits_2_before_anything_runs(self, tmp_path,
                                                           capsys, text):
@@ -427,6 +432,21 @@ class TestSimulate:
         assert code == 0
         out = capsys.readouterr().out
         assert "N=0" in out
+
+    @pytest.mark.parametrize("vcc", ["450", "650"])
+    @pytest.mark.parametrize("scheme", ["logic", "baseline", "iraw"])
+    def test_runs_the_sweep_shards_machine(self, capsys, vcc, scheme):
+        from repro.engine.executors import execute_job
+        from repro.engine.jobs import Job, TraceSpec
+
+        shard = execute_job(Job(
+            kind="sweep-point", vcc_mv=float(vcc), scheme=scheme,
+            trace=TraceSpec.synthetic("specint-like", seed=3, length=2000)))
+        assert main(["simulate", "--profile", "specint-like", "--length",
+                     "2000", "--seed", "3", "--vcc", vcc,
+                     "--scheme", scheme]) == 0
+        cycles = shard.results[0].cycles
+        assert f"cycles:       {cycles}\n" in capsys.readouterr().out
 
 
 class TestTraceCommand:

@@ -11,7 +11,7 @@ import pytest
 from core_oracle import OracleCore
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.analysis.dvfs as dvfs
+import repro.engine.executors as executors
 from repro.analysis.dvfs import DvfsPhase, DvfsScenario, _reindex
 from repro.branch.iraw_effects import DeterminismMode
 from repro.circuits.frequency import ClockScheme
@@ -108,13 +108,14 @@ def test_cycle_budget_error_matches_oracle(profile, max_cycles, setup):
 
 @pytest.mark.parametrize("scheme", [ClockScheme.BASELINE, ClockScheme.IRAW])
 def test_dvfs_outcome_matches_oracle(monkeypatch, scheme):
-    """A scheduled run reuses one reprogrammed policy across phases."""
+    """Each phase of a scheduled run builds its core for the phase's
+    point; the oracle core stands in for every one of them."""
     trace = SyntheticTraceGenerator(STANDARD_PROFILES[0],
                                     seed=5).generate(1500)
     schedule = [DvfsPhase(700.0, 500), DvfsPhase(450.0, 500),
                 DvfsPhase(550.0, 500)]
     fast = DvfsScenario(scheme=scheme).run(trace, schedule)
-    monkeypatch.setattr(dvfs, "InOrderCore", OracleCore)
+    monkeypatch.setattr(executors, "InOrderCore", OracleCore)
     oracle = DvfsScenario(scheme=scheme).run(trace, schedule)
     assert fast == oracle
     if scheme is ClockScheme.IRAW:  # the schedule reprograms N > 0

@@ -8,6 +8,8 @@ from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.branch.iraw_effects import DeterminismMode
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
+from repro.engine.executors import execute_job
+from repro.engine.jobs import Job, TraceSpec
 from repro.errors import ConfigError
 from repro.pipeline.core import simulate
 from repro.workloads.kernels import kernel_trace
@@ -43,6 +45,19 @@ class TestDvfsScenario:
         iraw = DvfsScenario(scheme=ClockScheme.IRAW).run(trace, schedule)
         base = DvfsScenario(scheme=ClockScheme.BASELINE).run(trace, schedule)
         assert iraw.total_time_s < base.total_time_s
+
+    @pytest.mark.parametrize("vcc", [450.0, 650.0])
+    @pytest.mark.parametrize("scheme", list(ClockScheme))
+    def test_one_phase_runs_the_sweep_shards_machine(self, trace, scheme,
+                                                     vcc):
+        """A phase runs on the core a sweep point builds for its Vcc."""
+        shard = execute_job(Job(
+            kind="sweep-point", vcc_mv=vcc, scheme=scheme.value,
+            trace=TraceSpec.synthetic(SPECINT_LIKE, seed=2, length=3000)))
+        phase, = DvfsScenario(scheme=scheme).run(
+            trace, [DvfsPhase(vcc, 3000)]).phases
+        assert phase.cycles == shard.results[0].cycles
+        assert phase.frequency_mhz == shard.point.frequency_mhz
 
     def test_transition_overhead_counted(self, trace):
         scenario = DvfsScenario(transition_ns=1e6)

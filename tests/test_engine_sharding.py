@@ -85,33 +85,33 @@ def unsharded_result(job: Job) -> PointResult:
         nominal_frequency_mhz=job.option("nominal_frequency_mhz"))
     params = job.option("params")
     mutate = None
+    iraw = IrawConfig.disabled()
     if job.kind == "faulty-bits":
         baseline = FaultyBitsBaseline(solver)
         point = baseline.operating_point(job.vcc_mv)
-        setup = replace(baseline.core_setup(job.vcc_mv), params=params)
+        name = "faulty-bits"
         mutate = baseline.apply_to_memory
     elif job.kind == "extra-bypass":
         baseline = ExtraBypassBaseline(solver)
         hypothetical = job.option("hypothetical_rf_only", False)
         point = baseline.operating_point(job.vcc_mv,
                                          hypothetical_rf_only=hypothetical)
-        setup = baseline.core_setup(job.vcc_mv,
-                                    hypothetical_rf_only=hypothetical)
-        setup = replace(setup, params=replace(
-            params, rf_write_cycles=setup.params.rf_write_cycles,
-            rf_write_ports=setup.params.rf_write_ports))
+        name = "extra-bypass"
+        params = replace(params, rf_write_ports=baseline.write_ports,
+                         rf_write_cycles=baseline.write_cycles(job.vcc_mv)
+                         if hypothetical else 1)
     else:
         scheme = ClockScheme(job.scheme)
         point = solver.operating_point(job.vcc_mv, scheme)
-        iraw = (IrawConfig.for_operating_point(point, **job.overrides_dict())
-                if scheme is ClockScheme.IRAW else IrawConfig.disabled())
-        setup = CoreSetup(iraw=iraw, params=params,
-                          name=f"{scheme.value}@{job.vcc_mv:g}mV",
-                          check_values=False)
-    setup = replace(setup, memory=replace(
-        job.option("memory"),
-        dram_latency_cycles=point.memory_latency_cycles(
-            job.option("dram_latency_ns"))))
+        if scheme is ClockScheme.IRAW:
+            iraw = IrawConfig.for_operating_point(point,
+                                                  **job.overrides_dict())
+        name = f"{scheme.value}@{job.vcc_mv:g}mV"
+    memory = replace(job.option("memory"),
+                     dram_latency_cycles=point.memory_latency_cycles(
+                         job.option("dram_latency_ns")))
+    setup = CoreSetup(iraw=iraw, params=params, memory=memory, name=name,
+                      check_values=False)
     results, extras = [], {}
     for spec in job.population.trace_specs():
         trace = spec.build()

@@ -1007,6 +1007,15 @@ class TestSpecCodec:
         ({"ablations": [{"name": "a", "overrides": {"rf_enable": False}}]},
          "ablations[0].overrides"),
         ({"artifacts": "table1"}, "artifacts"),
+        # Well-typed values that describe no machine.
+        ({"memory": {"dl0_size": 1000}}, "memory.dl0_size"),
+        ({"memory": {"ul1_assoc": 0}}, "memory.ul1_assoc"),
+        ({"ablations": [{"name": "a",
+                         "overrides": {"stabilization_cycles": 3}}]},
+         "ablations[0].overrides.stabilization_cycles"),
+        ({"grid": {"vcc_mv": [650.0, 500.0]}, "ablations": [{
+            "name": "a", "overrides": {"max_stabilization_cycles": 0}}]},
+         "ablations[0].overrides.max_stabilization_cycles = 0 at 500 mV"),
     ])
     def test_malformed_values_fail_at_load(self, tables, location):
         with pytest.raises(ConfigError) as rejected:

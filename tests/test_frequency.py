@@ -104,9 +104,3 @@ class TestFigureSeries:
         rows = {r["vcc_mv"]: r for r in solver.figure11a_series(25.0)}
         assert (rows[400.0]["baseline_write_limited"]
                 > 5 * rows[400.0]["logic_24fo4"])
-
-    def test_frequency_gain_series(self, solver):
-        rows = solver.frequency_gain_series(25.0)
-        by_vcc = {r["vcc_mv"]: r for r in rows}
-        assert by_vcc[500.0]["frequency_gain"] == pytest.approx(0.57, abs=0.03)
-        assert by_vcc[700.0]["frequency_gain"] == pytest.approx(0.0)

@@ -1,10 +1,10 @@
-"""Tests for fill-stall guards, the policy bundle and the Vcc controller."""
+"""Tests for fill-stall guards, the policy bundle and the per-Vcc IRAW
+configuration."""
 
 import pytest
 
-from repro.circuits.frequency import ClockScheme
+from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
-from repro.core.controller import VccController
 from repro.core.policy import GUARDED_BLOCKS, IrawPolicy
 from repro.core.stall_guard import FillStallGuard
 from repro.errors import ConfigError
@@ -93,7 +93,11 @@ class TestIrawPolicy:
         policy.stable.store_committed(0x40, 1, 0)
         scoreboard = policy.scoreboard
         assert scoreboard.ready[1] == 3
-        policy.flush()
+        # A pipeline drain: each mechanism drops its in-flight state.
+        scoreboard.flush()
+        policy.stable.flush()
+        for guard in policy.guards.values():
+            guard.clear()
         # Every window back at cycle 0: ready, with an empty bubble.
         for window in (scoreboard.ready, scoreboard.bubble_lo,
                        scoreboard.bubble_hi):
@@ -108,36 +112,34 @@ class TestIrawPolicy:
 
 
 class TestVccController:
+    """What the paper's Vcc controller programs at a level change: the
+    configuration of a core built for the new operating point."""
+
+    @staticmethod
+    def config(vcc_mv, scheme=ClockScheme.IRAW, **overrides):
+        point = FrequencySolver().operating_point(vcc_mv, scheme)
+        return IrawConfig.for_operating_point(point, **overrides)
+
     def test_resolve_iraw_point(self):
-        controller = VccController()
-        config = controller.resolve(500.0)
-        assert config.iraw.stabilization_cycles == 1
-        assert config.frequency_mhz > 0
+        assert self.config(500.0).stabilization_cycles == 1
 
     def test_resolve_high_vcc_disables(self):
-        controller = VccController()
-        config = controller.resolve(650.0)
-        assert not config.iraw.active
+        assert not self.config(650.0).active
 
     def test_switch_reprograms_policy(self):
-        controller = VccController()
         policy = IrawPolicy(config=IrawConfig.disabled())
-        config = controller.switch(policy, 500.0)
-        assert policy.stabilization_cycles == config.iraw.stabilization_cycles
+        config = self.config(500.0)
+        policy.apply(config)
+        assert policy.stabilization_cycles == config.stabilization_cycles
         assert policy.iq_gate.enabled
-        controller.switch(policy, 700.0)
+        policy.apply(self.config(700.0))
         assert not policy.active
-        assert controller.switches == 2
+        assert not policy.iq_gate.enabled
 
     def test_baseline_scheme_controller(self):
-        controller = VccController(scheme=ClockScheme.BASELINE)
-        config = controller.resolve(500.0)
-        assert not config.iraw.active
-        iraw_controller = VccController(scheme=ClockScheme.IRAW)
-        assert (config.frequency_mhz
-                < iraw_controller.resolve(500.0).frequency_mhz)
+        assert not self.config(500.0, ClockScheme.BASELINE).active
 
     def test_overrides_forwarded(self):
-        controller = VccController()
-        config = controller.resolve(500.0, rf_enabled=False)
-        assert not config.iraw.rf_enabled
+        config = self.config(500.0, rf_enabled=False)
+        assert not config.rf_enabled
+        assert config.stabilization_cycles == 1

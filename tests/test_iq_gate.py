@@ -7,10 +7,11 @@ from repro.analysis.dvfs import DvfsPhase, DvfsScenario
 from repro.circuits.frequency import ClockScheme
 from repro.core.config import IrawConfig
 from repro.core.iq_gate import IqOccupancyGate
+from repro.core.policy import IrawPolicy
 from repro.errors import ConfigError
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
-from repro.workloads.profiles import KERNEL_LIKE
+from repro.workloads.profiles import KERNEL_LIKE, SPECINT_LIKE
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
@@ -115,6 +116,24 @@ class TestCoreGateSizing:
         assert gate.issue_threshold == \
             (issue_window + alloc_width * n if on else 0)
         assert gate.drain_noops == (alloc_width * n if on else 0)
+
+    def test_an_undersized_gate_reports_the_reads_it_lets_through(self):
+        """The IQ check runs on every issue, not only with the gate off:
+        a gate sized for AI = 1 on an AI = 3 core lets still-stabilizing
+        entries issue, and each such read is an IRAW violation."""
+        trace = SyntheticTraceGenerator(SPECINT_LIKE, seed=1).generate(2000)
+        params = PipelineParams(alloc_width=3)
+        for n, expected in ((1, 1), (2, 31)):
+            iraw = IrawConfig(stabilization_cycles=n)
+            core = InOrderCore(CoreSetup(iraw=iraw, params=params,
+                                         check_values=False))
+            assert core.run(trace).iraw_violations == 0
+            core = InOrderCore(CoreSetup(iraw=iraw, params=params,
+                                         check_values=False))
+            core.policy = IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
+                alloc_width=1))
+            result = core.run(trace)
+            assert core.iq_violations == result.iraw_violations == expected
 
     def test_an_iq_smaller_than_the_threshold_is_refused(self):
         params = PipelineParams(iq_size=4)

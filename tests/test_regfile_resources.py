@@ -73,12 +73,6 @@ class TestBypassNetwork:
         net.publish(3, 42, 10)
         assert net.lookup(3, 10) is None
 
-    def test_flush(self):
-        net = BypassNetwork(levels=1)
-        net.publish(3, 42, 10)
-        net.flush()
-        assert net.lookup(3, 10) is None
-
 
 class TestFunctionalUnits:
     def make(self):

@@ -298,6 +298,10 @@ class TestErrorContract:
     @pytest.mark.parametrize("body, location", [
         (b'{"params": {"fetch_width": "3"}}', "params.fetch_width"),
         (b'{"sweep": {"warm": "false"}}', "sweep.warm"),
+        (b'{"memory": {"dl0_size": 1000}}', "memory.dl0_size"),
+        (b'{"ablations": [{"name": "a", "overrides": '
+         b'{"stabilization_cycles": 3}}]}',
+         "ablations[0].overrides.stabilization_cycles"),
     ])
     def test_malformed_value_returns_400(self, harness, body, location):
         service = harness()
