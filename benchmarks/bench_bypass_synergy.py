@@ -24,7 +24,7 @@ def _run(trace, bypass_levels, n):
         if n else IrawConfig.disabled()
     core = InOrderCore(CoreSetup(
         iraw=iraw, memory=MemoryConfig(dram_latency_cycles=40),
-        name=f"bypass{bypass_levels}-n{n}", check_values=False))
+        name=f"bypass{bypass_levels}-n{n}"))
     warm_caches(core.memory, trace)
     return core.run(trace)
 

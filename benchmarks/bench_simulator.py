@@ -21,14 +21,14 @@ def synthetic_trace():
 def test_pipeline_throughput_baseline(benchmark, synthetic_trace):
     result = benchmark.pedantic(
         simulate, args=(synthetic_trace, IrawConfig.disabled()),
-        kwargs={"check_values": False}, rounds=3, iterations=1)
+        rounds=3, iterations=1)
     assert result.instructions == 4000
 
 
 def test_pipeline_throughput_iraw(benchmark, synthetic_trace):
     result = benchmark.pedantic(
         simulate, args=(synthetic_trace, IrawConfig(stabilization_cycles=1)),
-        kwargs={"check_values": False}, rounds=3, iterations=1)
+        rounds=3, iterations=1)
     assert result.iraw_violations == 0
 
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""DVFS scenario: Vcc changes mid-workload, IRAW reconfigures on the fly.
+"""DVFS scenario: Vcc changes mid-workload, IRAW follows each phase's N.
 
 A phone-like schedule: a burst phase at 650 mV (IRAW idle — writes fit the
 cycle), then a long battery-saver phase at 450 mV (IRAW active, N=1), then
-a medium phase at 550 mV.  Each phase runs on a core built for its own
-operating point: the phase's frequency, and its N in the scoreboard
-patterns / IQ threshold / guard counters / STable sizing, which the
-hardware rewrites after draining the pipeline at every transition.
+a medium phase at 550 mV.  Each phase runs on a fresh core built for its
+own operating point: the phase's frequency, and its N in the scoreboard
+patterns / IQ threshold / guard counters / STable sizing.  That fresh
+core models the hardware, which drains the pipeline at every transition
+and rewrites those few bits.
 
 Run:  python examples/dvfs_scenario.py
 """

@@ -43,8 +43,7 @@ def main() -> None:
              IrawConfig.for_operating_point(iraw_point))):
         memory = MemoryConfig(
             dram_latency_cycles=point.memory_latency_cycles(DRAM_NS))
-        core = InOrderCore(CoreSetup(iraw=iraw, memory=memory, name=name,
-                                     check_values=False))
+        core = InOrderCore(CoreSetup(iraw=iraw, memory=memory, name=name))
         warm_caches(core.memory, trace)  # amortize cold misses
         results[name] = core.run(trace)
 

@@ -10,8 +10,8 @@ limit at low Vcc — together with every substrate the evaluation needs:
 * :mod:`repro.memory` / :mod:`repro.branch` — the Silverthorne-class
   memory hierarchy and predictors;
 * :mod:`repro.core` — the IRAW mechanisms (scoreboard, IQ gate, STable,
-  fill guards), each programmed per Vcc level by its ``configure(N)``;
-  every simulated core is built for one operating point;
+  fill guards); every simulated core is built for one operating point,
+  and each of its mechanisms for that point's N;
 * :mod:`repro.pipeline` — the cycle-level 2-wide in-order core;
 * :mod:`repro.baselines` — Table 1's Faulty Bits / Extra Bypass;
 * :mod:`repro.analysis` — the evaluation harness regenerating every
@@ -36,7 +36,7 @@ from repro.core import IrawConfig
 from repro.pipeline import simulate
 from repro.workloads import SyntheticTraceGenerator, kernel_trace
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "ClockScheme",

@@ -1,15 +1,16 @@
-"""DVFS scenario: dynamic Vcc switching with IRAW reconfiguration.
+"""DVFS scenario: dynamic Vcc switching with per-phase IRAW mechanisms.
 
 The paper motivates IRAW with mobile DVFS (Section 1) and stresses that
-every mechanism is reconfigurable per Vcc level by rewriting a handful of
-bits (Sections 4.1.3-4.4).  This module exercises that claim end to end: a
-workload runs through a *schedule* of Vcc phases, and each phase runs on
-a core built for its own operating point
-(:func:`~repro.engine.executors.run_core`): the frequency, the
-mechanisms' N and the memory latency in cycles all follow the phase's
-Vcc.  A transition drains the pipeline (the ``AI*N`` NOOPs of Section
-4.2 are reported per phase) and leaves no in-flight state behind, so a
-fresh core per phase is the drained, reprogrammed machine.  Phase
+the hardware reprograms every mechanism per Vcc level by rewriting a
+handful of bits (Sections 4.1.3-4.4).  This module exercises that claim
+end to end: a workload runs through a *schedule* of Vcc phases, and each
+phase runs on a core built for its own operating point
+(:func:`~repro.engine.executors.run_core`): the frequency, the N each
+mechanism is built for and the memory latency in cycles all follow the
+phase's Vcc.  A transition drains the pipeline (the ``AI*N`` NOOPs of
+Section 4.2 are reported per phase) and leaves no in-flight state
+behind, so a fresh core per phase models the drained machine with its
+rewritten bits.  Phase
 wall-clock times, energies and the transition overheads are accumulated.
 
 One scenario's phases run in order, but *grids* of scenarios (schemes x
@@ -128,7 +129,7 @@ class DvfsScenario:
             run = run_core(segment, point, params=self.params,
                            memory=self.memory,
                            dram_latency_ns=self.dram_latency_ns,
-                           warm=self.warm, check_values=False)
+                           warm=self.warm)
             cycles = run.result.cycles
             outcomes.append(PhaseOutcome(
                 phase=phase,

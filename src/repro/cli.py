@@ -532,8 +532,7 @@ def _cmd_simulate(args) -> int:
 
     scheme = ClockScheme(args.scheme)
     point = FrequencySolver().operating_point(args.vcc, scheme)
-    result = run_core(trace, point, warm=not args.cold,
-                      check_values=True).result
+    result = run_core(trace, point, warm=not args.cold).result
 
     print(f"trace:        {trace.name} ({len(trace)} instructions)")
     print(f"operating at: {point.frequency_mhz:.1f} MHz "

@@ -7,11 +7,12 @@
 * :mod:`~repro.core.policy` — the per-structure bundle;
 * :mod:`~repro.core.config` — mechanism configuration.
 
-Each mechanism is programmed for a Vcc level by its ``configure(N)``,
-the few bits the hardware rewrites at a level change (Sections
-4.1.3-4.4).  A simulated core is built for one operating point
-(:func:`repro.engine.executors.run_core`), so a DVFS schedule runs
-each phase on a core built for that phase's point.
+The hardware reprograms each mechanism for a Vcc level by rewriting a
+few bits (Sections 4.1.3-4.4).  A simulated core is built for one
+operating point (:func:`repro.engine.executors.run_core`), so each
+mechanism takes its N in its constructor, from :class:`IrawPolicy`,
+and a DVFS schedule runs each phase on a core built for that phase's
+point.
 """
 
 from repro.core.config import IrawConfig

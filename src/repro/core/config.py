@@ -35,9 +35,10 @@ class IrawConfig:
     determinism_mode:
         Strategy for the prediction-only blocks (paper Section 4.5).
     max_stabilization_cycles:
-        Physical sizing of the shift registers/STable; N may be
-        reconfigured at runtime up to this bound (multi-Vcc operation,
-        paper Section 4.1.3).
+        Physical sizing of the shift registers/STable: the deepest N
+        the hardware supports at any of its Vcc levels (multi-Vcc
+        operation, paper Section 4.1.3).  ``stabilization_cycles`` may
+        not exceed it.
     """
 
     stabilization_cycles: int = 0
@@ -69,11 +70,11 @@ class IrawConfig:
         """The configuration as the core it builds sees it.
 
         At N = 0 the four mechanism switches do nothing:
-        :meth:`IrawPolicy.apply <repro.core.policy.IrawPolicy.apply>`
-        gates each of them by N, and the IQ gate and the prediction
-        hazard tracker need N > 0 as well.  So at N = 0 every switch
-        counts as on, and an ablation at an N = 0 point builds the
-        baseline machine.  The engine simulates a trace once per
+        :class:`~repro.core.policy.IrawPolicy` builds each mechanism for
+        N when its switch is on and for 0 when it is off, and the
+        prediction hazard tracker needs N > 0 as well.  So at N = 0
+        every switch counts as on, and an ablation at an N = 0 point
+        builds the baseline machine.  The engine simulates a trace once per
         distinct effective configuration, so a change to what a switch
         does at N = 0 must change this rule too.
         """

@@ -1,22 +1,26 @@
 """Per-structure IRAW policy bundle.
 
-One :class:`IrawPolicy` owns every avoidance mechanism instance of the core
-(scoreboard, IQ gate, STable, six fill guards, prediction hazard tracking)
-and programs them together for one Vcc level's N.  The pipeline talks to
-the mechanisms through this object.
+One :class:`IrawPolicy` builds every avoidance mechanism instance of the
+core (scoreboard, IQ gate, STable, eight fill guards) for its
+configuration's N.  The pipeline talks to the mechanisms through this
+object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.branch.iraw_effects import DeterminismMode
 from repro.core.config import IrawConfig
 from repro.core.iq_gate import IqOccupancyGate
 from repro.core.scoreboard import Scoreboard
 from repro.core.stable import StoreTable
 from repro.core.stall_guard import FillStallGuard
+from repro.errors import ConfigError
 from repro.isa.registers import NUM_REGISTERS
+
+if TYPE_CHECKING:  # layering: the pipeline and memory build on the core
+    from repro.memory.hierarchy import MemoryConfig
+    from repro.pipeline.resources import PipelineParams
 
 #: Blocks protected by post-fill stall guards.  Section 4.3 covers IL0,
 #: UL1, ITLB, DTLB, WCB/EB and the fill buffers; Section 4.4 applies the
@@ -24,66 +28,49 @@ from repro.isa.registers import NUM_REGISTERS
 GUARDED_BLOCKS = ("IL0", "UL1", "ITLB", "DTLB", "WCB_EB", "FB", "IFB", "DL0")
 
 
-@dataclass
 class IrawPolicy:
-    """All IRAW avoidance mechanisms of one core instance."""
+    """All IRAW avoidance mechanisms of one core, built for its N.
 
-    config: IrawConfig = field(default_factory=IrawConfig.disabled)
-    scoreboard: Scoreboard = None  # type: ignore[assignment]
-    iq_gate: IqOccupancyGate = None  # type: ignore[assignment]
-    stable: StoreTable = None  # type: ignore[assignment]
-    guards: dict[str, FillStallGuard] = field(default_factory=dict)
+    Each mechanism gets N when its switch is on and 0 when it is off,
+    the rule :meth:`IrawConfig.effective` relies on: at N = 0 every
+    mechanism is off whatever its switch.  The Eq. 1 gate counts the
+    core's ICI and AI (``params``), and the STable indexes sets like
+    the core's DL0 (``memory``).
+    """
 
-    def __post_init__(self) -> None:
-        cfg = self.config
-        if self.scoreboard is None:
-            self.scoreboard = Scoreboard(
-                num_registers=NUM_REGISTERS,
-                bypass_levels=cfg.bypass_levels,
-                max_stabilization_cycles=cfg.max_stabilization_cycles,
-            )
-        if self.iq_gate is None:
-            self.iq_gate = IqOccupancyGate()
-        if self.stable is None:
-            self.stable = StoreTable(
-                max_entries=max(1, cfg.max_stabilization_cycles),
-                commit_width=1,
-            )
-        if not self.guards:
-            self.guards = {name: FillStallGuard(name)
-                           for name in GUARDED_BLOCKS}
-        self.apply(cfg)
-
-    # ------------------------------------------------------------------
-    # Reconfiguration (the per-Vcc write path)
-    # ------------------------------------------------------------------
-
-    def apply(self, config: IrawConfig) -> None:
-        """Program every mechanism for ``config`` (Vcc level change)."""
+    def __init__(self, config: IrawConfig, params: PipelineParams,
+                 memory: MemoryConfig):
         self.config = config
         n = config.stabilization_cycles
-        self.scoreboard.configure(n if config.rf_enabled else 0)
-        self.iq_gate.configure(n, config.iq_enabled)
-        self.stable.configure(n if config.stable_enabled else 0)
+        self.scoreboard = Scoreboard(
+            num_registers=NUM_REGISTERS,
+            bypass_levels=config.bypass_levels,
+            stabilization_cycles=n if config.rf_enabled else 0)
+        self.iq_gate = IqOccupancyGate(
+            n if config.iq_enabled else 0,
+            issue_window=params.issue_window,
+            alloc_width=params.alloc_width)
+        threshold = self.iq_gate.issue_threshold
+        if threshold > params.iq_size:
+            # The gate would wait forever for an occupancy the IQ
+            # cannot reach.
+            raise ConfigError(
+                f"a {params.iq_size}-entry IQ is smaller than its Eq. 1 "
+                f"issue threshold {threshold} (issue_window "
+                f"{params.issue_window} + alloc_width "
+                f"{params.alloc_width} x N {n})")
+        self.stable = StoreTable(
+            n if config.stable_enabled else 0,
+            num_sets=memory.dl0_size // (memory.dl0_assoc
+                                         * memory.line_size),
+            line_size=memory.line_size)
         guard_n = n if config.cache_guards_enabled else 0
-        for guard in self.guards.values():
-            guard.configure(guard_n)
-
-    @property
-    def active(self) -> bool:
-        return self.config.active
+        self.guards = {name: FillStallGuard(name, guard_n)
+                       for name in GUARDED_BLOCKS}
 
     @property
     def stabilization_cycles(self) -> int:
         return self.config.stabilization_cycles
-
-    @property
-    def determinism_mode(self) -> DeterminismMode:
-        return self.config.determinism_mode
-
-    # ------------------------------------------------------------------
-    # Convenience hooks used by the pipeline
-    # ------------------------------------------------------------------
 
     def arm_fill_guards(self, fills) -> None:
         """Register (block, fill-cycle) events from the memory system."""

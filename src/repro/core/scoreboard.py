@@ -57,52 +57,26 @@ class Scoreboard:
     """
 
     def __init__(self, num_registers: int = 32, baseline_bits: int = 6,
-                 bypass_levels: int = 1, max_stabilization_cycles: int = 2):
+                 bypass_levels: int = 1, stabilization_cycles: int = 0):
         if num_registers <= 0:
             raise ConfigError("need at least one register")
         if baseline_bits < 2:
             raise ConfigError("baseline shift registers need >= 2 bits")
-        if bypass_levels < 0 or max_stabilization_cycles < 0:
-            raise ConfigError("bypass/stabilization sizing cannot be negative")
+        if bypass_levels < 0 or stabilization_cycles < 0:
+            raise ConfigError("bypass/stabilization depth cannot be negative")
         self.num_registers = num_registers
         self.baseline_bits = baseline_bits
         self.bypass_levels = bypass_levels
-        self.max_stabilization_cycles = max_stabilization_cycles
-        #: Current stabilization depth (reconfigured per Vcc level).
-        self._stabilization_cycles = 0
+        #: N: the depth of the bubble every producer installs.
+        self.stabilization_cycles = stabilization_cycles
         self.ready = [0] * num_registers
         self.bubble_lo = [0] * num_registers
         self.bubble_hi = [0] * num_registers
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-
-    @property
-    def stabilization_cycles(self) -> int:
-        return self._stabilization_cycles
-
-    def configure(self, stabilization_cycles: int) -> None:
-        """Set N for subsequent producers (multi-Vcc, Section 4.1.3).
-
-        The pipeline drains before a Vcc switch, so in-flight windows
-        built with the old N are not a concern.
-        """
-        if not 0 <= stabilization_cycles <= self.max_stabilization_cycles:
-            raise ConfigError(
-                f"N={stabilization_cycles} outside [0, "
-                f"{self.max_stabilization_cycles}]"
-            )
-        self._stabilization_cycles = stabilization_cycles
 
     @property
     def max_encodable_latency(self) -> int:
         """Largest execute latency the pattern can encode (B-1 rule)."""
         return self.baseline_bits - 1
-
-    # ------------------------------------------------------------------
-    # Pipeline interface
-    # ------------------------------------------------------------------
 
     def producer_issued(self, reg: int, cycle: int, latency: int) -> None:
         """A producer writing ``reg`` issued at ``cycle``.
@@ -118,7 +92,7 @@ class Scoreboard:
             return
         ready = self.ready[reg] = cycle + latency
         bubble = self.bubble_lo[reg] = ready + self.bypass_levels
-        self.bubble_hi[reg] = bubble + self._stabilization_cycles
+        self.bubble_hi[reg] = bubble + self.stabilization_cycles
 
     def long_latency_completed(self, reg: int, cycle: int) -> None:
         """The value of a long-latency producer is being written at ``cycle``.
@@ -130,9 +104,4 @@ class Scoreboard:
         """
         self.ready[reg] = cycle
         bubble = self.bubble_lo[reg] = cycle + max(1, self.bypass_levels)
-        self.bubble_hi[reg] = bubble + self._stabilization_cycles
-
-    def flush(self) -> None:
-        """Drop all in-flight state (pipeline flush/drain)."""
-        for reg in range(self.num_registers):
-            self.ready[reg] = self.bubble_lo[reg] = self.bubble_hi[reg] = 0
+        self.bubble_hi[reg] = bubble + self.stabilization_cycles

@@ -75,52 +75,34 @@ class _StableEntry:
 
 
 class StoreTable:
-    """Tracks not-yet-stabilized stores to DL0."""
+    """Tracks not-yet-stabilized stores to DL0.
 
-    def __init__(self, max_entries: int = 2, commit_width: int = 1,
-                 set_index_bits: int = 6, line_size: int = 64):
-        if max_entries <= 0 or commit_width <= 0:
+    Built for one N: it holds the ``max(1, commit_width x N)`` entries
+    the Vcc controller enables for that N, and indexes sets like DL0
+    (``num_sets`` sets of ``line_size`` bytes).  At N = 0 it is off.
+    """
+
+    def __init__(self, stabilization_cycles: int = 0, commit_width: int = 1,
+                 num_sets: int = 64, line_size: int = 64):
+        if stabilization_cycles < 0:
+            raise ConfigError("stabilization_cycles cannot be negative")
+        if commit_width <= 0 or num_sets <= 0 or line_size <= 0:
             raise ConfigError("STable sizing must be positive")
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ConfigError("line size must be a power of two")
-        self.max_entries = max_entries
-        self.commit_width = commit_width
         self.line_size = line_size
-        self.num_sets = 1 << set_index_bits
-        self._entries = [_StableEntry() for _ in range(max_entries)]
+        self.num_sets = num_sets
+        self.stabilization_cycles = stabilization_cycles
+        self._entries = [_StableEntry() for _ in
+                         range(max(1, commit_width * stabilization_cycles))]
         self._cursor = 0
-        self._active_entries = max_entries
-        self._stabilization_cycles = 0
         # Statistics.
         self.stores_tracked = 0
-        self.lookups = 0
         self.full_matches = 0
         self.set_matches = 0
         self.replays = 0
 
-    # ------------------------------------------------------------------
-    # Configuration (paper: "The Vcc controller sets the number of
-    # entries that must be checked ... The remaining entries are disabled.")
-    # ------------------------------------------------------------------
-
-    def configure(self, stabilization_cycles: int) -> None:
-        if stabilization_cycles < 0:
-            raise ConfigError("stabilization_cycles cannot be negative")
-        needed = stabilization_cycles * self.commit_width
-        if needed > self.max_entries:
-            raise ConfigError(
-                f"N={stabilization_cycles} needs {needed} STable entries; "
-                f"only {self.max_entries} built"
-            )
-        self._stabilization_cycles = stabilization_cycles
-        self._active_entries = max(1, needed)
-        if stabilization_cycles == 0:
-            for entry in self._entries:
-                entry.valid = False
-
     @property
     def enabled(self) -> bool:
-        return self._stabilization_cycles > 0
+        return self.stabilization_cycles > 0
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -141,7 +123,7 @@ class StoreTable:
         if not self.enabled:
             return
         self.stores_tracked += 1
-        entry = self._entries[self._cursor % self._active_entries]
+        entry = self._entries[self._cursor % len(self._entries)]
         self._cursor += 1
         entry.valid = True
         entry.address = self._word_address(address)
@@ -152,19 +134,18 @@ class StoreTable:
     def _entry_live(self, entry: _StableEntry, cycle: int) -> bool:
         """Valid and still inside its stabilization window."""
         return (entry.valid
-                and cycle - entry.written_cycle <= self._stabilization_cycles)
+                and cycle - entry.written_cycle <= self.stabilization_cycles)
 
     def lookup(self, address: int, cycle: int) -> StableLookup:
         """Probe on behalf of a load issued at ``cycle`` (Figure 10)."""
-        if not self._stabilization_cycles:
+        if not self.stabilization_cycles:
             return _NO_MATCH
-        self.lookups += 1
         word = self._word_address(address)
         set_index = self.set_index_of(address)
         full_match: _StableEntry | None = None
         oldest_match_cycle: int | None = None
         matches = 0
-        for entry in self._entries[:self._active_entries]:
+        for entry in self._entries:
             if not self._entry_live(entry, cycle):
                 continue
             if entry.address == word:
@@ -185,12 +166,12 @@ class StoreTable:
         # Repair: replay every tracked store from the oldest matching one
         # onwards (they rewrite DL0 and refresh the STable, Figure 10).
         replayed = sum(
-            1 for entry in self._entries[:self._active_entries]
+            1 for entry in self._entries
             if self._entry_live(entry, cycle)
             and entry.written_cycle >= oldest_match_cycle
         )
         self.replays += replayed
-        for entry in self._entries[:self._active_entries]:
+        for entry in self._entries:
             if (self._entry_live(entry, cycle)
                     and entry.written_cycle >= oldest_match_cycle):
                 entry.written_cycle = cycle  # replayed = rewritten now
@@ -200,8 +181,3 @@ class StoreTable:
                                 replayed_stores=replayed)
         self.set_matches += 1
         return StableLookup(MatchKind.SET_ONLY, replayed_stores=replayed)
-
-    def flush(self) -> None:
-        """Invalidate everything (pipeline drain / Vcc switch)."""
-        for entry in self._entries:
-            entry.valid = False

@@ -155,8 +155,7 @@ def run_core(trace: Trace, point: OperatingPoint, switches=(), *,
              params: PipelineParams | None = None,
              memory: MemoryConfig | None = None,
              dram_latency_ns: float = constants.DRAM_LATENCY_NS,
-             warm: bool, check_values: bool,
-             memory_mutator=None) -> CoreRun:
+             warm: bool, memory_mutator=None) -> CoreRun:
     """Build the core that runs at ``point`` and run ``trace`` on it.
 
     The one recipe of every simulated core (sweep shards, DVFS phases,
@@ -166,14 +165,14 @@ def run_core(trace: Trace, point: OperatingPoint, switches=(), *,
     ``memory_mutator`` (Faulty Bits' disabled lines) edits the fresh
     hierarchy and reports a ``{name: value}`` dict; then the caches are
     warmed with ``trace`` if ``warm`` is set, and the trace runs,
-    checking golden values if ``check_values`` is set.
+    checking golden values if it carries them.
     """
     memory = replace(memory or MemoryConfig(),
                      dram_latency_cycles=point.memory_latency_cycles(
                          dram_latency_ns))
     core = InOrderCore(CoreSetup(iraw=iraw_for(point, switches),
                                  params=params or PipelineParams(),
-                                 memory=memory, check_values=check_values))
+                                 memory=memory))
     extras = {}
     if memory_mutator is not None:
         extras = memory_mutator(core.memory) or {}
@@ -290,8 +289,7 @@ def _run_shard(job: Job, point: OperatingPoint, params: PipelineParams,
     def simulate():
         run = run_core(trace_for(job.trace), point, switches, params=params,
                        memory=memory, dram_latency_ns=dram_latency_ns,
-                       warm=warm, check_values=False,
-                       memory_mutator=memory_mutator)
+                       warm=warm, memory_mutator=memory_mutator)
         return (run.result, run.extras), run.reached_dram
 
     result, extras = tables.run(

@@ -31,9 +31,11 @@ from typing import Annotated
 from repro.analysis.dvfs import DvfsPhase
 from repro.analysis.sweep import SweepSettings
 from repro.circuits import constants
+from repro.circuits.energy import ENERGY_EXAMPLE_MV
 from repro.circuits.ekv import check_voltage, voltage_grid
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
+from repro.core.policy import IrawPolicy
 from repro.engine.executors import iraw_for
 from repro.engine.jobs import TraceSpec
 from repro.errors import ConfigError, MemoryModelError, TraceError
@@ -373,32 +375,62 @@ class ExperimentSpec:
     def _check_machine(self) -> None:
         """Build what a well-typed value can still make impossible.
 
-        The memory hierarchy (a cache geometry that does not divide) and,
-        at every grid Vcc, each ablation's IRAW configuration (an N
-        beyond the hardware sizing) are built as the executors will
-        build them, so such a spec fails here with one
-        :class:`ConfigError` naming the keys it sets, not later in its
-        shards.  Neither depends on the trace.
+        The memory hierarchy (a cache geometry that does not divide) and
+        the IRAW mechanisms of each core that ``[params]`` or an
+        ablation touch (an N beyond the hardware sizing, an Eq. 1 gate
+        larger than the IQ) are built as the executors will build them,
+        so such a spec fails here with one :class:`ConfigError` naming
+        the keys it sets, not later in its shards.  None depends on the
+        trace.
         """
+        latency = dict(self.memory).get("dram_latency_cycles")
+        if latency is not None:
+            raise ConfigError(
+                f"memory.dram_latency_cycles = {latency!r} would be "
+                f"ignored: each point's DRAM latency is [sweep] "
+                f"dram_latency_ns at the point's clock; set that instead")
+        memory = self.memory_config()
         if self.memory:
             try:
-                # Only the geometry: a point's DRAM latency always
-                # replaces the spec's.
-                MemorySystem(dataclasses.replace(self.memory_config(),
-                                                 dram_latency_cycles=1))
+                MemorySystem(memory)
             except MemoryModelError as exc:
                 raise _impossible("memory", self.memory, exc) from None
-        solver = FrequencySolver() if self.ablations else None
-        for index, ablation in enumerate(self.ablations):
-            scheme = ClockScheme(ablation.scheme)
-            for vcc_mv in self.grid():
-                try:
-                    iraw_for(solver.operating_point(vcc_mv, scheme),
-                             ablation.overrides)
-                except ConfigError as exc:
-                    raise _impossible(f"ablations[{index}].overrides",
-                                      ablation.overrides, exc,
-                                      f" at {vcc_mv:g} mV") from None
+        if not self.params and not self.ablations:
+            return
+        solver = FrequencySolver()
+        params = self.pipeline_params()
+        cores = [("params", self.params, ClockScheme.IRAW.value, vcc_mv, ())
+                 for vcc_mv in (self._iraw_vccs() if self.params else ())]
+        cores += [(f"ablations[{index}].overrides", ablation.overrides,
+                   ablation.scheme, vcc_mv, ablation.overrides)
+                  for index, ablation in enumerate(self.ablations)
+                  for vcc_mv in self.grid()]
+        for table, overrides, scheme, vcc_mv, switches in cores:
+            point = solver.operating_point(vcc_mv, ClockScheme(scheme))
+            try:
+                IrawPolicy(iraw_for(point, switches), params, memory)
+            except ConfigError as exc:
+                raise _impossible(table, overrides, exc,
+                                  f" at {vcc_mv:g} mV") from None
+
+    def _iraw_vccs(self) -> tuple[float, ...]:
+        """Each Vcc at which the plan builds an IRAW-clocked core with
+        every mechanism on: the grid, Table 1, the energy example, the
+        stall decomposition and each DVFS phase.  Any other clock, or a
+        switched-off mechanism, only lowers the Eq. 1 threshold."""
+        iraw, planned = ClockScheme.IRAW.value, set(self.artifacts)
+        vccs = [phase.vcc_mv for schedule in self.dvfs
+                if iraw in schedule.schemes for phase in schedule.phases]
+        if self.has_population():
+            if iraw in self.schemes or planned & {"fig11b", "fig12"}:
+                vccs.extend(self.grid())
+            if "table1" in planned and iraw in self.table1_techniques:
+                vccs.append(self.table1_vcc_mv)
+            if "energy450" in planned:
+                vccs.append(ENERGY_EXAMPLE_MV)
+            if "stalls" in planned:
+                vccs.append(self.stalls_vcc_mv)
+        return tuple(dict.fromkeys(vccs))
 
     # -- derived views --------------------------------------------------
 

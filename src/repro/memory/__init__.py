@@ -4,7 +4,6 @@ from repro.memory.buffers import FillBufferFile, WriteCombiningBuffer
 from repro.memory.cache import AccessResult, Cache, CacheLine
 from repro.memory.dram import Dram
 from repro.memory.hierarchy import MemoryConfig, MemoryResponse, MemorySystem
-from repro.memory.replacement import LruPolicy, RandomPolicy
 from repro.memory.tlb import Tlb
 
 __all__ = [
@@ -13,11 +12,9 @@ __all__ = [
     "CacheLine",
     "Dram",
     "FillBufferFile",
-    "LruPolicy",
     "MemoryConfig",
     "MemoryResponse",
     "MemorySystem",
-    "RandomPolicy",
     "Tlb",
     "WriteCombiningBuffer",
 ]

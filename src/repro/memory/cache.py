@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.errors import MemoryModelError
-from repro.memory.replacement import LruPolicy, ReplacementPolicy
 
 
 @dataclass
@@ -70,7 +69,6 @@ class Cache:
 
     def __init__(self, name: str, size_bytes: int, associativity: int,
                  line_size: int = 64, hit_latency: int = 1,
-                 policy: ReplacementPolicy | None = None,
                  disabled_ways: list[int] | None = None):
         if size_bytes <= 0 or associativity <= 0 or line_size <= 0:
             raise MemoryModelError(f"{name}: non-positive geometry")
@@ -85,7 +83,6 @@ class Cache:
         self.line_size = line_size
         self.hit_latency = hit_latency
         self.num_sets = size_bytes // (associativity * line_size)
-        self._policy = policy or LruPolicy()
         #: Per-set mapping tag -> CacheLine.
         self._sets: list[dict[int, CacheLine]] = [dict() for _ in
                                                   range(self.num_sets)]
@@ -174,9 +171,8 @@ class Cache:
             self.evictions += 1
             return _MISS
         if len(lines) >= capacity:
-            tags = list(lines.keys())
-            stamps = [lines[t].stamp for t in tags]
-            victim_tag = tags[self._policy.victim(stamps)]
+            # LRU: the first way with the smallest use stamp.
+            victim_tag = min(lines, key=lambda t: lines[t].stamp)
             victim = lines.pop(victim_tag)
             self.evictions += 1
             if victim.dirty:

@@ -36,9 +36,8 @@ from repro.branch.iraw_effects import PredictionHazardTracker
 from repro.branch.predictor import BimodalPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.core.config import IrawConfig
-from repro.core.iq_gate import IqOccupancyGate
 from repro.core.policy import IrawPolicy
-from repro.errors import ConfigError, PipelineError
+from repro.errors import PipelineError
 from repro.isa.instructions import MicroOp
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import NUM_REGISTERS
@@ -74,8 +73,6 @@ class CoreSetup:
     params: PipelineParams = field(default_factory=PipelineParams)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     name: str = "core"
-    #: Verify golden values when the trace carries them.
-    check_values: bool = True
 
 
 class InOrderCore:
@@ -85,19 +82,7 @@ class InOrderCore:
         self.setup = setup or CoreSetup()
         params = self.setup.params
         iraw = self.setup.iraw
-        # The Eq. 1 gate counts this core's ICI and AI.
-        self.policy = IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
-            issue_window=params.issue_window,
-            alloc_width=params.alloc_width))
-        threshold = self.policy.iq_gate.issue_threshold
-        if threshold > params.iq_size:
-            # The gate would wait forever for an occupancy the IQ
-            # cannot reach.
-            raise ConfigError(
-                f"a {params.iq_size}-entry IQ is smaller than its Eq. 1 "
-                f"issue threshold {threshold} (issue_window "
-                f"{params.issue_window} + alloc_width "
-                f"{params.alloc_width} x N {iraw.stabilization_cycles})")
+        self.policy = IrawPolicy(iraw, params, self.setup.memory)
         self.memory = MemorySystem(self.setup.memory)
         self.predictor = BimodalPredictor()
         self.tracker = PredictionHazardTracker(
@@ -124,15 +109,16 @@ class InOrderCore:
         gate = policy.iq_gate
         units = self.units
         stalls = self.stalls
-        check_values = self.setup.check_values and trace.has_golden_values()
+        # Golden values are checked if and only if the trace carries them.
+        golden = trace.has_golden_values()
 
         regfile = RegisterFileModel(
-            trace.metadata.get("initial_registers") if check_values else None)
+            trace.metadata.get("initial_registers") if golden else None)
         bypass = BypassNetwork(levels=self.setup.iraw.bypass_levels)
         lsu = LoadStoreUnit(
             self.memory, policy,
             initial_memory=trace.metadata.get("initial_memory"),
-            track_values=check_values,
+            track_values=golden,
         )
         frontend = FrontEnd(trace.ops, params, self.memory, policy,
                             self.tracker, self.rsb)
@@ -184,7 +170,7 @@ class InOrderCore:
                 for op, dest, value, long_latency in records:
                     if dest is not None and latest_writer[dest] == op.index:
                         # Only value-checked runs read the datapath models.
-                        if check_values:
+                        if golden:
                             written = value if value is not None else 0
                             bypass.publish(dest, written, cycle)
                             regfile.write(dest, written, cycle + 1)
@@ -284,9 +270,9 @@ class InOrderCore:
                         break
                 # ---- commit the issue ----
                 operands: list[int] | None = None
-                if check_values and (op.srcs and
-                                     (op.golden_result is not None
-                                      or is_store or op.is_control)):
+                if golden and (op.srcs and
+                               (op.golden_result is not None
+                                or is_store or op.is_control)):
                     operands = []
                     for src in op.srcs:
                         forwarded = bypass.lookup(src, cycle)
@@ -297,7 +283,7 @@ class InOrderCore:
                     ready, value = lsu.execute_load(op, cycle)
                     bypass_cycle = ready
                     long_latency = (ready - cycle) > max_encodable
-                    if check_values and op.golden_result is not None \
+                    if golden and op.golden_result is not None \
                             and value != op.golden_result:
                         self.value_mismatches += 1
                 elif is_store:
@@ -305,7 +291,7 @@ class InOrderCore:
                         store_words = set()
                     store_words.add(op.mem_addr & ~7)
                     value = operands[0] if operands else op.store_value
-                elif op.golden_result is not None and check_values:
+                elif op.golden_result is not None and golden:
                     value = self._compute(op, operands)
                     if value != op.golden_result:
                         self.value_mismatches += 1
@@ -392,7 +378,6 @@ class InOrderCore:
                 "rsb_hazard_pops": self.tracker.counts.rsb_hazard_pops,
                 "rsb_pops": self.tracker.counts.rsb_pops,
                 "rsb_stall_cycles": self.tracker.counts.rsb_stall_cycles,
-                "stable_forwards": lsu.stable_forwards,
                 "stable_full_matches": self.policy.stable.full_matches,
                 "stable_set_matches": self.policy.stable.set_matches,
             },
@@ -402,7 +387,7 @@ class InOrderCore:
 def simulate(trace: Trace, iraw: IrawConfig | None = None,
              params: PipelineParams | None = None,
              memory: MemoryConfig | None = None,
-             name: str = "core", check_values: bool = True,
+             name: str = "core",
              max_cycles: int | None = None) -> SimulationResult:
     """One-call convenience wrapper: build a core and run a trace."""
     setup = CoreSetup(
@@ -410,6 +395,5 @@ def simulate(trace: Trace, iraw: IrawConfig | None = None,
         params=params or PipelineParams(),
         memory=memory or MemoryConfig(),
         name=name,
-        check_values=check_values,
     )
     return InOrderCore(setup).run(trace, max_cycles=max_cycles)

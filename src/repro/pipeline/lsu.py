@@ -54,7 +54,6 @@ class LoadStoreUnit:
         #: DL0 unusable until this cycle due to an STable repair replay.
         self._repair_until = -1
         self.iraw_violations = 0
-        self.stable_forwards = 0
 
     # ------------------------------------------------------------------
     # Guard checks (issue stage calls these before letting a memory op go)
@@ -103,7 +102,6 @@ class LoadStoreUnit:
         value: int | None = None
         if self._track_values:
             if lookup.kind is MatchKind.FULL and lookup.data is not None:
-                self.stable_forwards += 1
                 value = lookup.data
             else:
                 value = self._golden.get(word, 0)

@@ -16,8 +16,8 @@ keeps the literal model that fast loop is tested against:
 
 The oracle shares the front end, the LSU, the memory hierarchy and the
 IRAW policy with the program; only the scoreboard, the issue resources
-and the Eq. 1 issue check are its own.  Its scoreboard starts empty on every run, as a
-fresh or flushed policy's does.
+and the Eq. 1 issue check are its own.  Its scoreboard starts empty on
+every run, as a fresh policy's does.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from collections import deque
 from repro.branch.iraw_effects import PredictionHazardTracker
 from repro.branch.predictor import BimodalPredictor
 from repro.branch.rsb import ReturnStackBuffer
-from repro.core.iq_gate import IqOccupancyGate
 from repro.core.policy import IrawPolicy
 from repro.errors import ConfigError, PipelineError
 from repro.isa.instructions import MicroOp
@@ -55,43 +54,37 @@ class Scoreboard:
     ``bypass_levels`` ones, N zeros (the IRAW bubble) and ones.  Long
     latency producers zero the register; their completion event
     installs the ones/zeros/ones tail.  Registers are Python ints
-    (bit ``width-1`` = MSB); only busy registers are ticked.
+    (bit ``width-1`` = MSB); only busy registers are ticked.  The
+    register is as wide as the hardware builds it, for the deepest N
+    (``max_stabilization_cycles``); this one is built for ``N``.
     """
 
     def __init__(self, num_registers: int = 32, baseline_bits: int = 6,
-                 bypass_levels: int = 1, max_stabilization_cycles: int = 2):
+                 bypass_levels: int = 1, stabilization_cycles: int = 0,
+                 max_stabilization_cycles: int = 2):
         if num_registers <= 0:
             raise ConfigError("need at least one register")
         if baseline_bits < 2:
             raise ConfigError("baseline shift registers need >= 2 bits")
-        if bypass_levels < 0 or max_stabilization_cycles < 0:
-            raise ConfigError("bypass/stabilization sizing cannot be negative")
+        if bypass_levels < 0:
+            raise ConfigError("bypass depth cannot be negative")
+        if not 0 <= stabilization_cycles <= max_stabilization_cycles:
+            raise ConfigError(
+                f"N={stabilization_cycles} outside [0, "
+                f"{max_stabilization_cycles}]"
+            )
         self.num_registers = num_registers
         self.baseline_bits = baseline_bits
         self.bypass_levels = bypass_levels
-        self.max_stabilization_cycles = max_stabilization_cycles
+        self.stabilization_cycles = stabilization_cycles
         #: Physical width: sized at design time for the deepest N.
         self.width = baseline_bits + bypass_levels + max_stabilization_cycles
         self._msb_mask = 1 << (self.width - 1)
         self._full_mask = (1 << self.width) - 1
-        #: Current stabilization depth (reconfigured per Vcc level).
-        self._stabilization_cycles = 0
         #: Shift registers; all-ones means "idle, value stable".
         self._regs = [self._full_mask] * num_registers
         #: Registers currently not all-ones (the only ones ticked).
         self._busy: set[int] = set()
-
-    @property
-    def stabilization_cycles(self) -> int:
-        return self._stabilization_cycles
-
-    def configure(self, stabilization_cycles: int) -> None:
-        if not 0 <= stabilization_cycles <= self.max_stabilization_cycles:
-            raise ConfigError(
-                f"N={stabilization_cycles} outside [0, "
-                f"{self.max_stabilization_cycles}]"
-            )
-        self._stabilization_cycles = stabilization_cycles
 
     @property
     def max_encodable_latency(self) -> int:
@@ -100,7 +93,7 @@ class Scoreboard:
 
     def _build_pattern(self, latency: int) -> int:
         """Bit pattern for a producer of ``latency`` cycles, MSB first."""
-        n = self._stabilization_cycles
+        n = self.stabilization_cycles
         ones_tail = self.width - latency - self.bypass_levels - n
         if ones_tail < 1:
             raise PipelineError(
@@ -135,7 +128,7 @@ class Scoreboard:
         self._busy.add(reg)
 
     def long_latency_completed(self, reg: int) -> None:
-        n = self._stabilization_cycles
+        n = self.stabilization_cycles
         bits = 0
         position = self.width
         levels = max(1, self.bypass_levels)
@@ -161,11 +154,6 @@ class Scoreboard:
             if value == full:
                 done.append(reg)
         self._busy.difference_update(done)
-
-    def flush(self) -> None:
-        for reg in self._busy:
-            self._regs[reg] = self._full_mask
-        self._busy.clear()
 
 
 #: Functional unit assignment per class.
@@ -222,16 +210,16 @@ class FunctionalUnits:
             self._busy_until[unit] = self._cycle + latency
 
 
-def bit_scoreboard(timestamps) -> Scoreboard:
-    """An empty bit-level scoreboard sized and configured like ``timestamps``."""
-    scoreboard = Scoreboard(
+def bit_scoreboard(timestamps, max_stabilization_cycles: int) -> Scoreboard:
+    """An empty bit-level scoreboard built like ``timestamps``, in a
+    register sized for ``max_stabilization_cycles``."""
+    return Scoreboard(
         num_registers=timestamps.num_registers,
         baseline_bits=timestamps.baseline_bits,
         bypass_levels=timestamps.bypass_levels,
-        max_stabilization_cycles=timestamps.max_stabilization_cycles,
+        stabilization_cycles=timestamps.stabilization_cycles,
+        max_stabilization_cycles=max_stabilization_cycles,
     )
-    scoreboard.configure(timestamps.stabilization_cycles)
-    return scoreboard
 
 
 class OracleCore:
@@ -241,9 +229,7 @@ class OracleCore:
         self.setup = setup or CoreSetup()
         params = self.setup.params
         iraw = self.setup.iraw
-        self.policy = IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
-            issue_window=params.issue_window,
-            alloc_width=params.alloc_width))
+        self.policy = IrawPolicy(iraw, params, self.setup.memory)
         self.memory = MemorySystem(self.setup.memory)
         self.predictor = BimodalPredictor()
         self.tracker = PredictionHazardTracker(
@@ -263,7 +249,6 @@ class OracleCore:
                 bypass_levels=iraw.bypass_levels,
                 max_stabilization_cycles=iraw.max_stabilization_cycles,
             )
-            self._shadow.configure(0)
         self.iq_violations = 0
         self.value_mismatches = 0
 
@@ -272,20 +257,21 @@ class OracleCore:
         """Simulate ``trace`` to completion and return the results."""
         params = self.setup.params
         policy = self.policy
-        scoreboard = bit_scoreboard(policy.scoreboard)
+        scoreboard = bit_scoreboard(policy.scoreboard,
+                                    self.setup.iraw.max_stabilization_cycles)
         shadow = self._shadow
         gate = policy.iq_gate
         units = self.units
         stalls = self.stalls
-        check_values = self.setup.check_values and trace.has_golden_values()
+        golden = trace.has_golden_values()
 
         regfile = RegisterFileModel(
-            trace.metadata.get("initial_registers") if check_values else None)
+            trace.metadata.get("initial_registers") if golden else None)
         bypass = BypassNetwork(levels=self.setup.iraw.bypass_levels)
         lsu = LoadStoreUnit(
             self.memory, policy,
             initial_memory=trace.metadata.get("initial_memory"),
-            track_values=check_values,
+            track_values=golden,
         )
         frontend = FrontEnd(trace.ops, params, self.memory, policy,
                             self.tracker, self.rsb)
@@ -298,6 +284,11 @@ class OracleCore:
 
         n_active = policy.stabilization_cycles
         max_encodable = scoreboard.max_encodable_latency
+        # Eq. 1 from the gate's own ICI, AI and N; Figure 9's
+        # stall_issue? is on iff that N is.
+        gate_on = gate.stabilization_cycles > 0
+        threshold = gate.issue_window \
+            + gate.alloc_width * gate.stabilization_cycles
         iq: deque[tuple[MicroOp, int]] = deque()
         completions: dict[int, list] = {}
         pending_write = [-1] * NUM_REGISTERS
@@ -357,16 +348,15 @@ class OracleCore:
                     if issued == 0 and completed < total_ops:
                         reason = StallReason.FRONTEND_EMPTY
                     break
-                if gate.enabled and len(iq) < gate.threshold:  # Eq. 1
+                if gate_on and len(iq) < threshold:  # Eq. 1
                     reason = StallReason.IQ_GATE
                     break
                 op, alloc_cycle = iq[0]
                 injected = op is _INJECTED_NOOP
                 if n_active and not injected \
-                        and cycle - alloc_cycle <= n_active \
-                        and not gate.enabled:
-                    # Reading a still-stabilizing IQ entry (only possible
-                    # when the gate is disabled in an ablation).
+                        and cycle - alloc_cycle <= n_active:
+                    # Reading a still-stabilizing IQ entry: what the Eq. 1
+                    # gate prevents, checked whether or not it is on.
                     self.iq_violations += 1
                 if injected:
                     iq.popleft()
@@ -429,9 +419,9 @@ class OracleCore:
                         break
                 # ---- commit the issue ----
                 operands: list[int] | None = None
-                if check_values and (op.srcs and
-                                     (op.golden_result is not None
-                                      or is_store or op.is_control)):
+                if golden and (op.srcs and
+                               (op.golden_result is not None
+                                or is_store or op.is_control)):
                     operands = []
                     for src in op.srcs:
                         forwarded = bypass.lookup(src, cycle)
@@ -442,7 +432,7 @@ class OracleCore:
                     ready, value = lsu.execute_load(op, cycle)
                     bypass_cycle = ready
                     long_latency = (ready - cycle) > max_encodable
-                    if check_values and op.golden_result is not None \
+                    if golden and op.golden_result is not None \
                             and value != op.golden_result:
                         self.value_mismatches += 1
                 elif is_store:
@@ -450,7 +440,7 @@ class OracleCore:
                         store_words = set()
                     store_words.add(op.mem_addr & ~7)
                     value = operands[0] if operands else op.store_value
-                elif op.golden_result is not None and check_values:
+                elif op.golden_result is not None and golden:
                     value = self._compute(op, operands)
                     if value != op.golden_result:
                         self.value_mismatches += 1
@@ -480,14 +470,14 @@ class OracleCore:
                                               min(params.alloc_width, free))
                 for op in incoming:
                     iq.append((op, cycle))
-                if gate.enabled and iq and len(iq) < gate.threshold:
+                if gate_on and iq and len(iq) < threshold:
                     # Section 4.2 generalized: whenever allocation cannot
                     # keep occupancy at the Eq. 1 threshold (drains,
                     # redirects, fetch gaps), the allocator pads the queue
                     # with NOOP/invalid entries so older, already
                     # stabilized instructions are not gate-blocked.
                     needed = min(params.alloc_width - len(incoming), free,
-                                 gate.threshold - len(iq))
+                                 threshold - len(iq))
                     for _ in range(max(0, needed)):
                         iq.append((_INJECTED_NOOP, cycle))
                         stalls.injected_noops += 1
@@ -538,7 +528,6 @@ class OracleCore:
                 "rsb_hazard_pops": self.tracker.counts.rsb_hazard_pops,
                 "rsb_pops": self.tracker.counts.rsb_pops,
                 "rsb_stall_cycles": self.tracker.counts.rsb_stall_cycles,
-                "stable_forwards": lsu.stable_forwards,
                 "stable_full_matches": self.policy.stable.full_matches,
                 "stable_set_matches": self.policy.stable.set_matches,
             },

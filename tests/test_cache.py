@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryModelError
 from repro.memory.cache import AccessResult, Cache
-from repro.memory.replacement import LruPolicy, RandomPolicy
 
 
 def make_cache(**kwargs):
@@ -143,12 +142,15 @@ class TestDisabledWays:
 
 class TestReplacementPolicies:
     def test_lru_picks_smallest_stamp(self):
-        assert LruPolicy().victim([5, 3, 9]) == 1
-
-    def test_random_policy_in_range(self):
-        policy = RandomPolicy(seed=0)
-        for _ in range(50):
-            assert 0 <= policy.victim([1, 2, 3, 4]) < 4
+        """A full set evicts its least recently used way."""
+        cache = make_cache(size_bytes=3 * 64, associativity=3)
+        for line in (0, 1, 2):
+            cache.fill(line * 64)
+        cache.access(0)
+        cache.access(2 * 64)
+        cache.fill(3 * 64)
+        assert [cache.lookup(line * 64) for line in range(4)] \
+            == [True, False, True, True]
 
 
 class _ReferenceLru:

@@ -7,15 +7,18 @@ the same: ``SimulationResult`` is compared field for field, stall cycles
 per reason, IRAW-delayed instructions and memory statistics included.
 """
 
+from dataclasses import replace
+
 import pytest
 from core_oracle import OracleCore
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.engine.executors as executors
 from repro.analysis.dvfs import DvfsPhase, DvfsScenario, _reindex
 from repro.branch.iraw_effects import DeterminismMode
 from repro.circuits.frequency import ClockScheme
 from repro.core.config import IrawConfig
+from repro.core.policy import IrawPolicy
 from repro.engine.executors import warm_caches
 from repro.errors import PipelineError
 from repro.isa.instructions import MicroOp
@@ -23,7 +26,7 @@ from repro.isa.opcodes import Opcode
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.kernels import KERNEL_BUILDERS, kernel_trace
-from repro.workloads.profiles import STANDARD_PROFILES
+from repro.workloads.profiles import SPECINT_LIKE, STANDARD_PROFILES
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
 #: Kernel sizes that keep one example to a few hundred ops.
@@ -38,7 +41,7 @@ _SWITCHES = ("rf_enabled", "iq_enabled", "stable_enabled",
 
 
 @st.composite
-def setups(draw, check_values=False):
+def setups(draw):
     """A CoreSetup over the IRAW, mechanism, Extra-Bypass and width
     knobs."""
     disabled = draw(st.sampled_from((None,) + _SWITCHES))
@@ -50,15 +53,20 @@ def setups(draw, check_values=False):
     params = PipelineParams(rf_write_cycles=draw(st.integers(1, 3)),
                             alloc_width=draw(st.integers(1, 3)),
                             issue_window=draw(st.integers(1, 3)))
-    return CoreSetup(iraw=iraw, params=params, name="oracle-check",
-                     check_values=check_values)
+    return CoreSetup(iraw=iraw, params=params, name="oracle-check")
 
 
-def run_both(setup, trace, warm, max_cycles=None):
-    """(program result, oracle result) on fresh cores."""
+def run_both(setup, trace, warm, max_cycles=None, gate_params=None):
+    """(program result, oracle result) on fresh cores.
+
+    ``gate_params`` swap in, on both cores, a policy whose Eq. 1 gate
+    counts those pipeline widths instead of the core's own.
+    """
     results = []
     for core_class in (InOrderCore, OracleCore):
         core = core_class(setup)
+        if gate_params is not None:
+            core.policy = IrawPolicy(setup.iraw, gate_params, setup.memory)
         if warm:
             warm_caches(core.memory, trace)
         results.append(core.run(trace, max_cycles=max_cycles))
@@ -71,10 +79,21 @@ def run_both(setup, trace, warm, max_cycles=None):
        seed=st.integers(0, 10_000),
        length=st.integers(50, 800),
        setup=setups(),
+       gate_alloc_width=st.integers(1, 3),
        warm=st.booleans())
-def test_synthetic_traces_match_oracle(profile, seed, length, setup, warm):
+@example(profile=SPECINT_LIKE, seed=1, length=2000,
+         setup=CoreSetup(iraw=IrawConfig(stabilization_cycles=2),
+                         params=PipelineParams(alloc_width=3)),
+         gate_alloc_width=1, warm=False)
+def test_synthetic_traces_match_oracle(profile, seed, length, setup,
+                                       gate_alloc_width, warm):
+    """``gate_alloc_width`` below the core's AI undersizes the Eq. 1
+    gate: it lets still-stabilizing IQ entries issue, and both cores
+    count each such read as a violation (31 in the explicit example)."""
     trace = SyntheticTraceGenerator(profile, seed=seed).generate(length)
-    fast, oracle = run_both(setup, trace, warm)
+    gate_params = replace(setup.params, alloc_width=min(
+        gate_alloc_width, setup.params.alloc_width))
+    fast, oracle = run_both(setup, trace, warm, gate_params=gate_params)
     assert fast == oracle
     assert fast.instructions == length
 
@@ -82,7 +101,7 @@ def test_synthetic_traces_match_oracle(profile, seed, length, setup, warm):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kernel=st.sampled_from(sorted(KERNEL_BUILDERS)),
-       setup=setups(check_values=True),
+       setup=setups(),
        warm=st.booleans())
 def test_golden_kernels_match_oracle(kernel, setup, warm):
     """Value-checked runs: the datapath models, mismatch and violation

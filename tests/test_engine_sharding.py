@@ -110,8 +110,7 @@ def unsharded_result(job: Job) -> PointResult:
     memory = replace(job.option("memory"),
                      dram_latency_cycles=point.memory_latency_cycles(
                          job.option("dram_latency_ns")))
-    setup = CoreSetup(iraw=iraw, params=params, memory=memory, name=name,
-                      check_values=False)
+    setup = CoreSetup(iraw=iraw, params=params, memory=memory, name=name)
     results, extras = [], {}
     for spec in job.population.trace_specs():
         trace = spec.build()
@@ -502,8 +501,7 @@ class TestTraceUnits:
         trace = TraceSpec.synthetic(profile, length=400).build()
 
         def run(**switches):
-            setup = CoreSetup(iraw=IrawConfig(**switches),
-                              check_values=False)
+            setup = CoreSetup(iraw=IrawConfig(**switches))
             return InOrderCore(setup).run(trace)
 
         all_on = run()

@@ -142,9 +142,9 @@ class TestSpecValidation:
 
     def test_params_overrides_apply(self):
         spec = ExperimentSpec(params={"fetch_width": 1},
-                              memory={"dram_latency_cycles": 9})
+                              memory={"tlb_miss_penalty": 9})
         assert spec.pipeline_params().fetch_width == 1
-        assert spec.memory_config().dram_latency_cycles == 9
+        assert spec.memory_config().tlb_miss_penalty == 9
 
 
 class TestSpecSerialization:
@@ -891,8 +891,8 @@ def valid_specs(draw) -> ExperimentSpec:
                              "mispredict_penalty")),
             st.integers(1, 4))),
         memory=draw(st.dictionaries(
-            st.sampled_from(("dram_latency_cycles", "tlb_miss_penalty",
-                             "wcb_entries")), st.integers(4, 200))),
+            st.sampled_from(("tlb_miss_penalty", "wcb_entries")),
+            st.integers(4, 200))),
         ablations=tuple(draw(ablations(f"ab-{index}"))
                         for index in range(draw(st.integers(0, 2)))),
         dvfs=schedules,
@@ -1016,6 +1016,10 @@ class TestSpecCodec:
         ({"grid": {"vcc_mv": [650.0, 500.0]}, "ablations": [{
             "name": "a", "overrides": {"max_stabilization_cycles": 0}}]},
          "ablations[0].overrides.max_stabilization_cycles = 0 at 500 mV"),
+        ({"grid": {"vcc_mv": [650.0, 500.0]}, "params": {"iq_size": 2}},
+         "params.iq_size = 2 at 500 mV"),
+        ({"memory": {"dram_latency_cycles": 5000}},
+         "[sweep] dram_latency_ns"),
     ])
     def test_malformed_values_fail_at_load(self, tables, location):
         with pytest.raises(ConfigError) as rejected:

@@ -14,8 +14,7 @@ def alu(index, dest, pc):
 
 def run_ops(ops, **kwargs):
     trace = Trace("frontend-test", ops)
-    return simulate(trace, IrawConfig.disabled(), check_values=False,
-                    **kwargs)
+    return simulate(trace, IrawConfig.disabled(), **kwargs)
 
 
 def loop_trace(iterations, taken_pattern=None):
@@ -35,7 +34,7 @@ def loop_trace(iterations, taken_pattern=None):
 class TestBranchPrediction:
     def test_predictable_loop_has_few_mispredicts(self):
         trace = loop_trace(40)
-        result = simulate(trace, IrawConfig.disabled(), check_values=False)
+        result = simulate(trace, IrawConfig.disabled())
         # Bimodal warms up in a couple of iterations; only the exit (and
         # the cold start) mispredict.
         assert result.branch_mispredicts <= 4
@@ -44,24 +43,23 @@ class TestBranchPrediction:
     def test_alternating_branch_mispredicts_often(self):
         pattern = [i % 2 == 0 for i in range(40)]
         trace = loop_trace(40, taken_pattern=pattern)
-        result = simulate(trace, IrawConfig.disabled(), check_values=False)
+        result = simulate(trace, IrawConfig.disabled())
         assert result.branch_mispredicts > 10
 
     def test_mispredicts_cost_cycles(self):
         predictable = loop_trace(40)
         noisy = loop_trace(40, taken_pattern=[i % 2 == 0
                                               for i in range(40)])
-        fast = simulate(predictable, IrawConfig.disabled(),
-                        check_values=False)
-        slow = simulate(noisy, IrawConfig.disabled(), check_values=False)
+        fast = simulate(predictable, IrawConfig.disabled())
+        slow = simulate(noisy, IrawConfig.disabled())
         assert slow.cycles > fast.cycles
 
     def test_mispredict_penalty_parameter(self):
         pattern = [i % 2 == 0 for i in range(30)]
         trace = loop_trace(30, taken_pattern=pattern)
-        cheap = simulate(trace, IrawConfig.disabled(), check_values=False,
+        cheap = simulate(trace, IrawConfig.disabled(),
                          params=PipelineParams(mispredict_penalty=1))
-        dear = simulate(trace, IrawConfig.disabled(), check_values=False,
+        dear = simulate(trace, IrawConfig.disabled(),
                         params=PipelineParams(mispredict_penalty=20))
         assert dear.cycles > cheap.cycles
 

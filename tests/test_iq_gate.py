@@ -18,84 +18,45 @@ from repro.workloads.synthetic import SyntheticTraceGenerator
 class TestThreshold:
     def test_equation_one(self):
         """threshold = ICI + AI*N."""
-        gate = IqOccupancyGate(iq_size=32, issue_window=2, alloc_width=2)
-        gate.configure(stabilization_cycles=1, enabled=True)
-        assert gate.threshold == 2 + 2 * 1
-        gate.configure(stabilization_cycles=2, enabled=True)
-        assert gate.threshold == 2 + 2 * 2
+        assert IqOccupancyGate(1, issue_window=2,
+                               alloc_width=2).issue_threshold == 2 + 2 * 1
+        assert IqOccupancyGate(2, issue_window=2,
+                               alloc_width=2).issue_threshold == 2 + 2 * 2
 
     def test_shift_trick_matches_multiply(self):
         """Figure 9: appending '0' to the right of N == N * AI for AI=2."""
-        gate = IqOccupancyGate(alloc_width=2)
-        for n in range(4):
-            gate.configure(n, enabled=True)
-            assert gate.threshold == 2 + (n << 1)
+        for n in range(1, 4):
+            gate = IqOccupancyGate(n, alloc_width=2)
+            assert gate.issue_threshold == 2 + (n << 1)
 
     def test_non_power_alloc_width(self):
-        gate = IqOccupancyGate(iq_size=32, issue_window=2, alloc_width=3)
-        gate.configure(2, enabled=True)
-        assert gate.threshold == 2 + 6
+        gate = IqOccupancyGate(2, issue_window=2, alloc_width=3)
+        assert gate.issue_threshold == 2 + 6
 
 
 class TestGating:
     def test_blocks_below_threshold(self):
-        gate = IqOccupancyGate()
-        gate.configure(1, enabled=True)
-        assert gate.issue_threshold == gate.threshold == 4  # 3 blocks
+        assert IqOccupancyGate(1).issue_threshold == 4  # 3 blocks
 
     def test_disabled_gate_always_allows(self):
-        """The stall_issue? signal of Figure 9 set to 0."""
-        gate = IqOccupancyGate()
-        gate.configure(1, enabled=False)
-        assert gate.issue_threshold == 0  # an empty queue passes
-        gate.configure(0, enabled=True)  # N=0: writes fit the cycle
-        assert gate.issue_threshold == 0
+        """N = 0, as a switched-off or baseline gate is built: Figure 9's
+        stall_issue? signal is 0."""
+        assert IqOccupancyGate(0).issue_threshold == 0  # an empty IQ passes
 
     def test_drain_noops(self):
         """Section 4.2: AI*N NOOPs injected when the pipeline drains."""
-        gate = IqOccupancyGate(alloc_width=2)
-        gate.configure(1, enabled=True)
-        assert gate.drain_noops == 2
-        gate.configure(0, enabled=True)
-        assert gate.drain_noops == 0
-
-
-class TestPointerArithmetic:
-    def test_simple_cases(self):
-        gate = IqOccupancyGate(iq_size=32)
-        assert gate.occupancy_from_pointers(head=0, tail=5) == 5
-        assert gate.occupancy_from_pointers(head=30, tail=2) == 4
-        assert gate.occupancy_from_pointers(head=7, tail=7) == 0
-
-    @given(head=st.integers(min_value=0, max_value=31),
-           tail=st.integers(min_value=0, max_value=31))
-    def test_matches_modular_arithmetic(self, head, tail):
-        """The Figure 9 bit trick equals (tail - head) mod IQsize."""
-        gate = IqOccupancyGate(iq_size=32)
-        assert (gate.occupancy_from_pointers(head, tail)
-                == (tail - head) % 32)
-
-    @given(head=st.integers(min_value=0, max_value=63),
-           tail=st.integers(min_value=0, max_value=63))
-    def test_other_queue_size(self, head, tail):
-        gate = IqOccupancyGate(iq_size=64)
-        assert (gate.occupancy_from_pointers(head, tail)
-                == (tail - head) % 64)
+        assert IqOccupancyGate(1, alloc_width=2).drain_noops == 2
+        assert IqOccupancyGate(0, alloc_width=2).drain_noops == 0
 
 
 class TestValidation:
-    def test_power_of_two_queue(self):
-        with pytest.raises(ConfigError):
-            IqOccupancyGate(iq_size=33)
-
     def test_positive_widths(self):
         with pytest.raises(ConfigError):
             IqOccupancyGate(issue_window=0)
 
     def test_negative_n(self):
-        gate = IqOccupancyGate()
         with pytest.raises(ConfigError):
-            gate.configure(-1, enabled=True)
+            IqOccupancyGate(-1)
 
 
 class TestCoreGateSizing:
@@ -125,13 +86,11 @@ class TestCoreGateSizing:
         params = PipelineParams(alloc_width=3)
         for n, expected in ((1, 1), (2, 31)):
             iraw = IrawConfig(stabilization_cycles=n)
-            core = InOrderCore(CoreSetup(iraw=iraw, params=params,
-                                         check_values=False))
-            assert core.run(trace).iraw_violations == 0
-            core = InOrderCore(CoreSetup(iraw=iraw, params=params,
-                                         check_values=False))
-            core.policy = IrawPolicy(config=iraw, iq_gate=IqOccupancyGate(
-                alloc_width=1))
+            setup = CoreSetup(iraw=iraw, params=params)
+            assert InOrderCore(setup).run(trace).iraw_violations == 0
+            core = InOrderCore(setup)
+            core.policy = IrawPolicy(iraw, PipelineParams(alloc_width=1),
+                                     setup.memory)
             result = core.run(trace)
             assert core.iq_violations == result.iraw_violations == expected
 
@@ -151,8 +110,7 @@ class TestCoreGateSizing:
     def test_an_iq_size_that_is_no_power_of_two_still_runs(self):
         trace = SyntheticTraceGenerator(KERNEL_LIKE, seed=3).generate(200)
         core = InOrderCore(CoreSetup(iraw=IrawConfig(stabilization_cycles=2),
-                                     params=PipelineParams(iq_size=24),
-                                     check_values=False))
+                                     params=PipelineParams(iq_size=24)))
         assert core.run(trace).instructions == 200
 
     def test_dvfs_sizes_its_live_gate_from_its_params(self):

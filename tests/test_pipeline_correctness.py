@@ -13,7 +13,11 @@ while keeping N=1 clocking, and assert that corruption is in fact observed
 
 import pytest
 
+from repro.circuits.constants import DRAM_LATENCY_NS
+from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
+from repro.engine.executors import iraw_for, run_core
+from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.core import simulate
 from repro.workloads.kernels import KERNEL_BUILDERS, kernel_trace
 
@@ -85,6 +89,25 @@ class TestBrokenConfigurations:
         result = simulate(trace, IrawConfig(stabilization_cycles=1,
                                             iq_enabled=False))
         assert result.iraw_violations > 0
+
+
+class TestEveryRecipeChecksGoldenValues:
+    """A kernel trace carries golden values, so every run of it checks
+    them: the engine's recipe (``run_core``) reports what ``simulate``
+    reports on the same machine."""
+
+    @pytest.mark.parametrize("kernel", ["binsearch", "dot", "fib"])
+    def test_run_core_reports_kernel_violations(self, kernel):
+        trace, _ = kernel_trace(kernel, KERNEL_SIZES[kernel])
+        point = FrequencySolver().operating_point(500.0, ClockScheme.IRAW)
+        switches = (("rf_enabled", False),)
+        engine = run_core(trace, point, switches, warm=False).result
+        memory = MemoryConfig(dram_latency_cycles=point.memory_latency_cycles(
+            DRAM_LATENCY_NS))
+        direct = simulate(trace, iraw_for(point, switches), memory=memory)
+        assert engine.iraw_violations == direct.iraw_violations > 0
+        assert engine.value_mismatches == direct.value_mismatches > 0
+        assert engine == direct
 
 
 class TestStableForwarding:

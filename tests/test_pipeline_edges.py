@@ -18,16 +18,14 @@ def alu(index, dest=1, srcs=(), pc=None):
 
 class TestDegenerateTraces:
     def test_single_instruction(self):
-        result = simulate(Trace("one", [alu(0)]), IrawConfig.disabled(),
-                          check_values=False)
+        result = simulate(Trace("one", [alu(0)]), IrawConfig.disabled())
         assert result.instructions == 1
         assert result.cycles > 0
 
     def test_all_nops(self):
         ops = [MicroOp(i, Opcode.NOP, pc=0x1000 + 4 * i) for i in range(50)]
         result = simulate(Trace("nops", ops),
-                          IrawConfig(stabilization_cycles=1),
-                          check_values=False)
+                          IrawConfig(stabilization_cycles=1))
         assert result.instructions == 50
         assert result.iraw_violations == 0
 
@@ -36,16 +34,14 @@ class TestDegenerateTraces:
         ops = [alu(0, dest=1)]
         for i in range(1, 60):
             ops.append(alu(i, dest=1, srcs=(1,)))
-        result = simulate(Trace("chain", ops), IrawConfig.disabled(),
-                          check_values=False)
+        result = simulate(Trace("chain", ops), IrawConfig.disabled())
         assert result.ipc <= 1.0
 
     def test_store_only_stream(self):
         ops = [MicroOp(i, Opcode.ST, srcs=(1, 2), mem_addr=0x4000 + 8 * i,
                        pc=0x1000 + 4 * i) for i in range(40)]
         result = simulate(Trace("stores", ops),
-                          IrawConfig(stabilization_cycles=1),
-                          check_values=False)
+                          IrawConfig(stabilization_cycles=1))
         assert result.instructions == 40
         assert result.iraw_violations == 0
 
@@ -54,8 +50,7 @@ class TestDegenerateTraces:
                        mem_addr=0x4000, pc=0x1000 + 4 * i)
                for i in range(40)]
         result = simulate(Trace("loads", ops),
-                          IrawConfig(stabilization_cycles=1),
-                          check_values=False)
+                          IrawConfig(stabilization_cycles=1))
         assert result.instructions == 40
 
 
@@ -66,7 +61,7 @@ class TestConfigurationVariants:
                                 fetch_buffer_size=2)
         ops = [alu(i, dest=1 + (i % 8)) for i in range(60)]
         result = simulate(Trace("narrow", ops), IrawConfig.disabled(),
-                          params=params, check_values=False)
+                          params=params)
         assert result.ipc <= 1.0
 
     def test_tiny_caches_still_correct(self):
@@ -88,8 +83,7 @@ class TestConfigurationVariants:
 
     def test_core_is_single_use_but_reconstructable(self):
         trace = Trace("t", [alu(i, dest=1 + (i % 4)) for i in range(30)])
-        setup = CoreSetup(iraw=IrawConfig(stabilization_cycles=1),
-                          check_values=False)
+        setup = CoreSetup(iraw=IrawConfig(stabilization_cycles=1))
         first = InOrderCore(setup).run(trace)
         second = InOrderCore(setup).run(trace)
         assert first.cycles == second.cycles
@@ -101,8 +95,7 @@ class TestStallAccountingInvariants:
         from repro.workloads.profiles import OFFICE_LIKE
         from repro.workloads.synthetic import SyntheticTraceGenerator
         trace = SyntheticTraceGenerator(OFFICE_LIKE, seed=3).generate(3000)
-        result = simulate(trace, IrawConfig(stabilization_cycles=1),
-                          check_values=False)
+        result = simulate(trace, IrawConfig(stabilization_cycles=1))
         assert result.stalls.total_stall_cycles <= result.cycles
 
     def test_violation_free_across_all_n(self):
@@ -112,5 +105,5 @@ class TestStallAccountingInvariants:
         for n in (0, 1, 2):
             iraw = (IrawConfig(stabilization_cycles=n) if n
                     else IrawConfig.disabled())
-            result = simulate(trace, iraw, check_values=False)
+            result = simulate(trace, iraw)
             assert result.iraw_violations == 0, n

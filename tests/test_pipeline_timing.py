@@ -32,7 +32,7 @@ def run(ops, n=1, rf_only=True, **kwargs):
                           stable_enabled=not rf_only)
     else:
         iraw = IrawConfig.disabled()
-    return simulate(build_trace(ops), iraw, check_values=False, **kwargs)
+    return simulate(build_trace(ops), iraw, **kwargs)
 
 
 def cycles_delta(ops):
@@ -153,8 +153,7 @@ class TestExtraBypassPortContention:
         ops = [alu(i, dest=1 + (i % 8)) for i in range(64)]
         fast = run(ops, n=0)
         slow = simulate(build_trace(ops), IrawConfig.disabled(),
-                        params=PipelineParams(rf_write_cycles=4),
-                        check_values=False)
+                        params=PipelineParams(rf_write_cycles=4))
         assert slow.cycles > fast.cycles
         assert slow.stalls.cycles[StallReason.WRITE_PORT] > 0
 

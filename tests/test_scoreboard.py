@@ -4,8 +4,8 @@ The key test reproduces the paper's running example bit-for-bit on the
 shift-register oracle: a 3-cycle producer with one bypass level and N=1
 initializes its destination's shift register to ``0001011`` and blocks
 consumers exactly at cycle i+4.  The program's timestamp scoreboard must
-answer the same on every cycle, for any sequence of producers,
-completions, reconfigurations and flushes.
+answer the same on every cycle, for any N and any sequence of producers
+and completions.
 """
 
 import pytest
@@ -16,11 +16,9 @@ from repro.core.scoreboard import Scoreboard
 from repro.errors import ConfigError, PipelineError
 
 
-def make_scoreboard(n=1, baseline_bits=5, bypass=1, max_n=2, cls=Scoreboard):
-    sb = cls(num_registers=8, baseline_bits=baseline_bits,
-             bypass_levels=bypass, max_stabilization_cycles=max_n)
-    sb.configure(n)
-    return sb
+def make_scoreboard(n=1, baseline_bits=5, bypass=1, cls=Scoreboard):
+    return cls(num_registers=8, baseline_bits=baseline_bits,
+               bypass_levels=bypass, stabilization_cycles=n)
 
 
 def is_ready(sb: Scoreboard, reg: int, cycle: int) -> bool:
@@ -62,7 +60,7 @@ def both_timelines(latency, horizon, **sizing):
 class TestPaperFigure8:
     def test_pattern_0001011(self):
         """The literal example of Section 4.1.2 / Figure 8."""
-        sb = make_scoreboard(n=1, baseline_bits=5, bypass=1, max_n=2,
+        sb = make_scoreboard(n=1, baseline_bits=5, bypass=1,
                              cls=BitScoreboard)
         sb.producer_issued(reg=3, latency=3)
         # Physical width is 5+1+2=8; the paper's 7-bit example maps to the
@@ -117,18 +115,13 @@ class TestBookkeeping:
         sb = make_scoreboard()
         assert all(ready_timeline(sb, 0, 0, 10))
 
-    def test_flush_clears_inflight(self):
-        sb = make_scoreboard()
-        sb.producer_issued(reg=1, cycle=4, latency=3)
-        sb.flush()
-        assert all(ready_timeline(sb, 1, 4, 10))
-
-    def test_reconfigure_bounds(self):
-        sb = make_scoreboard(max_n=2)
+    def test_stabilization_bounds(self):
+        """N is never negative, and the oracle's register holds at most
+        the N it is sized for."""
         with pytest.raises(ConfigError):
-            sb.configure(3)
+            make_scoreboard(n=-1)
         with pytest.raises(ConfigError):
-            sb.configure(-1)
+            make_scoreboard(n=3, cls=BitScoreboard)
 
     def test_latency_must_be_positive(self):
         sb = make_scoreboard()
@@ -156,8 +149,7 @@ def test_readiness_window_property(latency, n, bypass, issue):
     c is in the bypass window [i+L, i+L+bypass-1] or past the bubble
     (c >= i+L+bypass+N)."""
     sb = Scoreboard(num_registers=4, baseline_bits=6, bypass_levels=bypass,
-                    max_stabilization_cycles=3)
-    sb.configure(n)
+                    stabilization_cycles=n)
     sb.producer_issued(reg=1, cycle=issue, latency=latency)
     horizon = latency + bypass + n + 3
     timeline = ready_timeline(sb, 1, issue, horizon)
@@ -172,22 +164,22 @@ _EVENTS = st.one_of(
     st.tuples(st.just("idle"), st.just(0), st.just(0)),
     st.tuples(st.just("issue"), st.integers(0, 3), st.integers(1, 9)),
     st.tuples(st.just("complete"), st.integers(0, 3), st.just(0)),
-    st.tuples(st.just("configure"), st.just(0), st.integers(0, 2)),
-    st.tuples(st.just("flush"), st.just(0), st.just(0)),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(baseline_bits=st.integers(2, 6),
        bypass=st.integers(0, 2),
+       n=st.integers(0, 2),
        events=st.lists(_EVENTS, min_size=1, max_size=60))
-def test_timestamps_match_shift_registers(baseline_bits, bypass, events):
-    """Random producer (short and long latency), long-latency completion,
-    reconfigure and flush sequences: readiness of the timestamp
-    scoreboard equals the shift registers' MSB on every register and
-    every cycle, including the quiet cycles after the last event."""
+def test_timestamps_match_shift_registers(baseline_bits, bypass, n, events):
+    """Random producer (short and long latency) and long-latency
+    completion sequences on scoreboards built for N: readiness of the
+    timestamp scoreboard equals the shift registers' MSB on every
+    register and every cycle, including the quiet cycles after the last
+    event."""
     sizing = dict(num_registers=4, baseline_bits=baseline_bits,
-                  bypass_levels=bypass, max_stabilization_cycles=2)
+                  bypass_levels=bypass, stabilization_cycles=n)
     bits, stamps = BitScoreboard(**sizing), Scoreboard(**sizing)
     tail = [("idle", 0, 0)] * (baseline_bits + bypass + 4)
     for cycle, (kind, reg, arg) in enumerate(events + tail):
@@ -197,12 +189,6 @@ def test_timestamps_match_shift_registers(baseline_bits, bypass, events):
         elif kind == "complete":
             bits.long_latency_completed(reg)
             stamps.long_latency_completed(reg, cycle)
-        elif kind == "configure":
-            bits.configure(arg)
-            stamps.configure(arg)
-        elif kind == "flush":
-            bits.flush()
-            stamps.flush()
         for probe in range(4):
             assert is_ready(stamps, probe, cycle) == bits.is_ready(probe), \
                 (cycle, probe, kind)

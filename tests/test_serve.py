@@ -302,6 +302,9 @@ class TestErrorContract:
         (b'{"ablations": [{"name": "a", "overrides": '
          b'{"stabilization_cycles": 3}}]}',
          "ablations[0].overrides.stabilization_cycles"),
+        (b'{"params": {"iq_size": 2}}', "params.iq_size = 2 at"),
+        (b'{"memory": {"dram_latency_cycles": 5000}}',
+         "[sweep] dram_latency_ns"),
     ])
     def test_malformed_value_returns_400(self, harness, body, location):
         service = harness()

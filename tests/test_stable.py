@@ -3,18 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import IrawConfig
+from repro.core.policy import IrawPolicy
 from repro.core.stable import MatchKind, StableLookup, StoreTable
 from repro.errors import ConfigError
+from repro.memory.hierarchy import MemoryConfig
+from repro.pipeline.core import CoreSetup, InOrderCore
+from repro.workloads.profiles import SPECINT_LIKE
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
-#: DL0 geometry used by the table: 64 sets x 64-byte lines.
+#: The default DL0 geometry: 64 sets x 64-byte lines.
 SET_STRIDE = 64 * 64
 
 
-def make_table(n=1, entries=2):
-    table = StoreTable(max_entries=entries, commit_width=1,
-                       set_index_bits=6, line_size=64)
-    table.configure(n)
-    return table
+def make_table(n=1, num_sets=64):
+    return StoreTable(n, commit_width=1, num_sets=num_sets, line_size=64)
 
 
 class TestLookupOutcomes:
@@ -65,7 +68,7 @@ class TestLookupOutcomes:
         assert table.lookup(0x1000, cycle=12).kind is MatchKind.NONE
 
     def test_youngest_full_match_wins(self):
-        table = make_table(n=2, entries=2)
+        table = make_table(n=2)
         table.store_committed(0x1000, data=1, cycle=10)
         table.store_committed(0x1000, data=2, cycle=11)
         result = table.lookup(0x1000, cycle=12)
@@ -74,7 +77,7 @@ class TestLookupOutcomes:
 
 class TestReplay:
     def test_replay_counts_from_oldest_match(self):
-        table = make_table(n=2, entries=2)
+        table = make_table(n=2)
         table.store_committed(0x1000, data=1, cycle=10)
         table.store_committed(0x2000, data=2, cycle=11)
         result = table.lookup(0x1000, cycle=11)
@@ -94,14 +97,9 @@ class TestReplay:
 class TestConfiguration:
     def test_entry_budget_follows_n(self):
         """Paper: 1 store/cycle x 2 stabilization cycles -> 2 entries."""
-        table = StoreTable(max_entries=2, commit_width=1)
-        table.configure(2)
-        assert table._active_entries == 2
-
-    def test_n_beyond_sizing_rejected(self):
-        table = StoreTable(max_entries=2, commit_width=1)
-        with pytest.raises(ConfigError):
-            table.configure(3)
+        assert len(StoreTable(2, commit_width=1)._entries) == 2
+        assert len(StoreTable(1, commit_width=2)._entries) == 2
+        assert len(StoreTable(0)._entries) == 1
 
     def test_disabled_table_ignores_everything(self):
         table = make_table(n=0)
@@ -109,22 +107,20 @@ class TestConfiguration:
         assert table.lookup(0x1000, cycle=0).kind is MatchKind.NONE
         assert table.stores_tracked == 0
 
-    def test_flush_invalidates(self):
-        table = make_table()
-        table.store_committed(0x1000, data=5, cycle=10)
-        table.flush()
-        assert table.lookup(0x1000, cycle=10).kind is MatchKind.NONE
-
     def test_sizing_validation(self):
         with pytest.raises(ConfigError):
-            StoreTable(max_entries=0)
+            StoreTable(-1)
         with pytest.raises(ConfigError):
-            StoreTable(line_size=48)
+            StoreTable(1, commit_width=0)
+        with pytest.raises(ConfigError):
+            StoreTable(1, num_sets=0)
+        with pytest.raises(ConfigError):
+            StoreTable(1, line_size=0)
 
 
 class TestRoundRobin:
     def test_oldest_entry_replaced(self):
-        table = make_table(n=2, entries=2)
+        table = make_table(n=2)
         # Distinct DL0 sets: 0x1000 -> set 0, 0x2040 -> set 1, 0x3080 -> set 2.
         table.store_committed(0x1000, data=1, cycle=10)
         table.store_committed(0x2040, data=2, cycle=11)
@@ -149,3 +145,32 @@ def test_full_match_always_returns_last_store_value(operations):
         assert result.kind is MatchKind.FULL
         assert result.data == value
         cycle += 2
+
+
+class TestDl0Geometry:
+    """Set-only matches follow the DL0 the table is built for."""
+
+    def test_32_set_dl0_matches_at_half_the_stride(self):
+        half = SET_STRIDE // 2
+        small = make_table(num_sets=32)
+        small.store_committed(0x1000, data=1, cycle=10)
+        assert small.lookup(0x1000 + half, cycle=11).kind \
+            is MatchKind.SET_ONLY
+        default = make_table()
+        default.store_committed(0x1000, data=1, cycle=10)
+        assert default.lookup(0x1000 + half, cycle=11).kind is MatchKind.NONE
+
+    def test_core_builds_the_table_from_its_dl0(self):
+        """A 12 KiB, 6-way DL0 has 32 sets: at N = 1 a 6000-op trace
+        has a set-only match that a table with the default 64 sets
+        misses on the same core."""
+        trace = SyntheticTraceGenerator(SPECINT_LIKE, seed=0).generate(6000)
+        iraw = IrawConfig(stabilization_cycles=1)
+        setup = CoreSetup(iraw=iraw, memory=MemoryConfig(dl0_size=12 * 1024))
+        core = InOrderCore(setup)
+        assert core.policy.stable.num_sets == 32
+        fixed = InOrderCore(setup)
+        fixed.policy = IrawPolicy(iraw, setup.params, MemoryConfig())
+        matches = [c.run(trace).prediction_hazards["stable_set_matches"]
+                   for c in (core, fixed)]
+        assert matches == [1, 0]
