@@ -7,7 +7,7 @@
 * Mechanism-off ablations: each IRAW mechanism's timing cost in isolation.
 """
 
-from conftest import record_table
+from conftest import record_table, run_point
 
 from repro.analysis.metrics import speedup
 from repro.analysis.reporting import format_table
@@ -15,11 +15,11 @@ from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.circuits.frequency import ClockScheme
 
 
-def test_stabilization_depth_ablation(benchmark, session_sweep):
+def test_stabilization_depth_ablation(benchmark, session_experiment):
     def run():
-        n1 = session_sweep.run_point(500.0, ClockScheme.IRAW)
-        n2 = session_sweep.run_point(500.0, ClockScheme.IRAW,
-                                     stabilization_cycles=2)
+        n1 = run_point(session_experiment, 500.0, ClockScheme.IRAW)
+        n2 = run_point(session_experiment, 500.0, ClockScheme.IRAW,
+                       stabilization_cycles=2)
         return n1, n2
 
     n1, n2 = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -34,10 +34,10 @@ def test_stabilization_depth_ablation(benchmark, session_sweep):
         title="Ablation: stabilization depth N at 500 mV"))
 
 
-def test_mechanism_cost_ablation(benchmark, session_sweep):
+def test_mechanism_cost_ablation(benchmark, session_experiment):
     """Timing cost of each mechanism in isolation (stalls disabled)."""
     full = benchmark.pedantic(
-        session_sweep.run_point, args=(550.0, ClockScheme.IRAW),
+        run_point, args=(session_experiment, 550.0, ClockScheme.IRAW),
         rounds=1, iterations=1)
     rows = []
     for label, overrides in (
@@ -46,7 +46,8 @@ def test_mechanism_cost_ablation(benchmark, session_sweep):
             ("without IQ gate", {"iq_enabled": False}),
             ("without fill guards", {"cache_guards_enabled": False}),
             ("without STable", {"stable_enabled": False})):
-        point = session_sweep.run_point(550.0, ClockScheme.IRAW, **overrides)
+        point = run_point(session_experiment, 550.0, ClockScheme.IRAW,
+                          **overrides)
         rows.append({"configuration": label, "ipc": point.ipc,
                      "speedup_vs_full": speedup(full, point)})
     record_table("ablation_mechanism_costs", format_table(
@@ -57,16 +58,16 @@ def test_mechanism_cost_ablation(benchmark, session_sweep):
             >= by_label["full IRAW"]["ipc"])
 
 
-def test_iraw_plus_faulty_bits(benchmark, session_sweep):
+def test_iraw_plus_faulty_bits(benchmark, session_experiment):
     """Section 4.4 extension: combine IRAW with reduced-sigma clocking."""
-    faulty = FaultyBitsBaseline(session_sweep.solver, design_sigma=4.0)
+    faulty = FaultyBitsBaseline(session_experiment.solver, design_sigma=4.0)
 
     def gains():
         rows = []
         for vcc in (500.0, 450.0, 400.0):
-            base = session_sweep.solver.operating_point(
+            base = session_experiment.solver.operating_point(
                 vcc, ClockScheme.BASELINE)
-            iraw = session_sweep.solver.operating_point(
+            iraw = session_experiment.solver.operating_point(
                 vcc, ClockScheme.IRAW)
             combined = faulty.combined_with_iraw_point(vcc)
             rows.append({

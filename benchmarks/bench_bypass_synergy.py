@@ -11,8 +11,8 @@ wait out the bubble; deeper bypassing hides it.
 from conftest import BENCH_TRACE_LENGTH, record_table
 
 from repro.analysis.reporting import format_table
-from repro.analysis.sweep import warm_caches
 from repro.core.config import IrawConfig
+from repro.engine.executors import warm_caches
 from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.workloads.profiles import SPECINT_LIKE

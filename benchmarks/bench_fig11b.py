@@ -7,19 +7,16 @@ The paper's headline: +57% frequency / +48% performance at 500 mV and
 because of IRAW stalls and fixed-nanosecond memory latency.
 """
 
-from conftest import record_table
+from conftest import record_table, run_point
 
 from repro.analysis.reporting import format_table
-from repro.circuits.ekv import voltage_grid
+from repro.circuits.frequency import ClockScheme
+from repro.experiments.artifacts import fig11b_rows
 
 
-def _generate(sweep, step):
-    return [sweep.compare(vcc) for vcc in voltage_grid(step)]
-
-
-def test_figure11b(benchmark, session_sweep):
+def test_figure11b(benchmark, session_experiment):
     rows = benchmark.pedantic(
-        _generate, args=(session_sweep, 50.0), rounds=1, iterations=1)
+        fig11b_rows, args=(session_experiment,), rounds=1, iterations=1)
     by_vcc = {row["vcc_mv"]: row for row in rows}
 
     assert by_vcc[700.0]["frequency_gain"] == 0.0
@@ -43,13 +40,11 @@ def test_figure11b(benchmark, session_sweep):
     ))
 
 
-def test_figure11b_per_profile(benchmark, session_sweep):
+def test_figure11b_per_profile(benchmark, session_experiment):
     """Per-workload-family speedups at 500 mV (cached points, cheap)."""
-    from repro.circuits.frequency import ClockScheme
-
     def per_profile():
-        base = session_sweep.run_point(500.0, ClockScheme.BASELINE)
-        iraw = session_sweep.run_point(500.0, ClockScheme.IRAW)
+        base = run_point(session_experiment, 500.0, ClockScheme.BASELINE)
+        iraw = run_point(session_experiment, 500.0, ClockScheme.IRAW)
         ratio = iraw.point.frequency_mhz / base.point.frequency_mhz
         rows = []
         for rb, ri in zip(base.results, iraw.results):

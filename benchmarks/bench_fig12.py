@@ -9,14 +9,12 @@ the Section 5.3 joule-accounting example at 450 mV (5 J unconstrained /
 from conftest import record_table
 
 from repro.analysis.reporting import format_table
-from repro.circuits.ekv import voltage_grid
-from repro.experiments.artifacts import energy450_cases, fig12_rows
+from repro.experiments.artifacts import energy450_rows, fig12_rows
 
 
-def test_figure12(benchmark, session_sweep):
+def test_figure12(benchmark, session_experiment):
     rows = benchmark.pedantic(
-        fig12_rows, args=(session_sweep, voltage_grid(50.0)),
-        rounds=1, iterations=1)
+        fig12_rows, args=(session_experiment,), rounds=1, iterations=1)
     by_vcc = {row["vcc_mv"]: row for row in rows}
 
     # High Vcc: IRAW slightly worse (hardware overhead, no gain).
@@ -35,9 +33,10 @@ def test_figure12(benchmark, session_sweep):
                     "(paper EDP: 0.61 @500mV, 0.41 @450mV, 0.33 @400mV)"))
 
 
-def test_energy450_cases(benchmark, session_sweep):
-    cases = benchmark.pedantic(
-        energy450_cases, args=(session_sweep,), rounds=1, iterations=1)
+def test_energy450_cases(benchmark, session_experiment):
+    rows = benchmark.pedantic(
+        energy450_rows, args=(session_experiment,), rounds=1, iterations=1)
+    cases = {row["case"]: row for row in rows}
 
     assert abs(cases["unconstrained"]["total_j"] - 5.0) < 1e-6
     assert (cases["baseline"]["total_j"] > cases["iraw"]["total_j"]
@@ -45,7 +44,6 @@ def test_energy450_cases(benchmark, session_sweep):
     assert (cases["baseline"]["leakage_j"] > cases["iraw"]["leakage_j"]
             > cases["unconstrained"]["leakage_j"])
 
-    rows = [{"case": name, **values} for name, values in cases.items()]
     record_table("fig12_energy450_cases", format_table(
         rows, title="Section 5.3 example at 450 mV "
                     "(paper: 5 J / 8.50 J / 6.40 J, leakage "

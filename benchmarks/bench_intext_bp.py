@@ -7,7 +7,7 @@ pairs hit the RSB window at all.  The determinism-mode extension removes
 even those at a measured (small) cost.
 """
 
-from conftest import record_table
+from conftest import record_table, run_point
 
 from repro.analysis.figures import prediction_hazard_report
 from repro.analysis.reporting import format_table
@@ -16,10 +16,10 @@ from repro.circuits.frequency import ClockScheme
 from repro.analysis.metrics import speedup
 
 
-def test_bp_rsb_hazards(benchmark, session_sweep):
+def test_bp_rsb_hazards(benchmark, session_experiment):
+    point = run_point(session_experiment, 500.0, ClockScheme.IRAW)
     report = benchmark.pedantic(
-        prediction_hazard_report, args=(session_sweep,),
-        kwargs={"vcc_mv": 500.0}, rounds=1, iterations=1)
+        prediction_hazard_report, args=(point,), rounds=1, iterations=1)
 
     # Potential BP corruption must be rare (paper: 0.0017%).
     assert report["bp_potential_extra_misprediction_rate"] < 0.005
@@ -33,11 +33,11 @@ def test_bp_rsb_hazards(benchmark, session_sweep):
                         "mispredictions, no short call/return pairs)"))
 
 
-def test_determinism_mode_cost(benchmark, session_sweep):
+def test_determinism_mode_cost(benchmark, session_experiment):
     """Extension: deterministic predictions cost nearly nothing."""
-    ignore = session_sweep.run_point(500.0, ClockScheme.IRAW)
+    ignore = run_point(session_experiment, 500.0, ClockScheme.IRAW)
     deterministic = benchmark.pedantic(
-        session_sweep.run_point, args=(500.0, ClockScheme.IRAW),
+        run_point, args=(session_experiment, 500.0, ClockScheme.IRAW),
         kwargs={"determinism_mode": DeterminismMode.DETERMINISTIC},
         rounds=1, iterations=1)
     cost = 1.0 - speedup(ignore, deterministic)

@@ -8,16 +8,16 @@ The decomposition is measured the same way: the IRAW point is re-run with
 each mechanism's stalls disabled in turn (timing-only what-if).
 """
 
-from conftest import record_table
+from conftest import record_table, run_point
 
 from repro.analysis.reporting import format_table
 from repro.circuits.frequency import ClockScheme
+from repro.experiments.artifacts import stalls_rows
 
 
-def test_stall_decomposition_575mv(benchmark, session_sweep):
-    decomp = benchmark.pedantic(
-        session_sweep.stall_decomposition, args=(575.0,),
-        rounds=1, iterations=1)
+def test_stall_decomposition_575mv(benchmark, session_experiment):
+    (decomp,) = benchmark.pedantic(
+        stalls_rows, args=(session_experiment,), rounds=1, iterations=1)
 
     # Shape: RF dominates by an order of magnitude; DL0 is small; the
     # total sits in the high single digits.
@@ -45,12 +45,12 @@ def test_stall_decomposition_575mv(benchmark, session_sweep):
                     "(performance drop per mechanism)"))
 
 
-def test_delayed_fraction_stable_across_vcc(benchmark, session_sweep):
+def test_delayed_fraction_stable_across_vcc(benchmark, session_experiment):
     """The delayed fraction is a property of the workload + N, not of the
     frequency, so it should barely move across the active Vcc range."""
     def collect():
         return [
-            session_sweep.run_point(vcc, ClockScheme.IRAW)
+            run_point(session_experiment, vcc, ClockScheme.IRAW)
             .mean_iraw_delay_fraction
             for vcc in (550.0, 500.0, 450.0)
         ]

@@ -12,10 +12,9 @@ from repro.analysis.reporting import format_table
 from repro.experiments.artifacts import table1_rows
 
 
-def test_table1(benchmark, session_sweep):
+def test_table1(benchmark, session_experiment):
     rows = benchmark.pedantic(
-        table1_rows, args=(session_sweep,), kwargs={"vcc_mv": 500.0},
-        rounds=1, iterations=1)
+        table1_rows, args=(session_experiment,), rounds=1, iterations=1)
 
     iraw = next(r for r in rows if "IRAW" in r["technique"])
     faulty = next(r for r in rows if "Faulty" in r["technique"])

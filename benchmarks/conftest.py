@@ -7,12 +7,14 @@ also written to ``benchmarks/results/`` for later inspection.  On
 read-only checkouts (sandboxed CI runners) the write is skipped with a
 warning instead of failing the bench.
 
-The expensive Vcc-sweep points are shared through a session-scoped
-:func:`session_sweep` fixture backed by the experiment engine: each
-point shards into one job per trace, ``--workers N`` fans those shards
-across processes (or ``--backend queue --queue DIR`` spools them for
-detached ``repro worker`` processes), and completed shards persist in
-the on-disk result cache (bounded by ``$REPRO_CACHE_MAX_BYTES``) so
+The expensive population points are shared through a session-scoped
+:func:`session_experiment` fixture backed by the experiment engine:
+benches render paper artifacts from it (``table1_rows(experiment)``,
+...) or resolve single points with :func:`run_point`.  Each point
+shards into one job per trace, ``--workers N`` fans those shards across
+processes (or ``--backend queue --queue DIR`` spools them for detached
+``repro worker`` processes), and completed shards persist in the
+on-disk result cache (bounded by ``$REPRO_CACHE_MAX_BYTES``) so
 repeated bench runs skip finished simulations entirely (``--no-cache``
 opts out, e.g. when the point is to time the simulator itself).
 """
@@ -24,7 +26,6 @@ import warnings
 
 import pytest
 
-from repro.analysis.sweep import VccSweep
 from repro.engine import ParallelRunner, build_runner
 from repro.experiments import Experiment, ExperimentSpec
 
@@ -60,6 +61,12 @@ def pytest_addoption(parser):
                          "this JSONL file (see 'repro trace report')")
 
 
+def run_point(experiment: Experiment, vcc_mv: float, scheme, **switches):
+    """One population point of ``experiment`` (memoized by its runner)."""
+    return experiment.runner.run_one(
+        experiment.population_job(vcc_mv, scheme, switches))
+
+
 def record_table(name: str, text: str) -> None:
     """Register a regenerated table for the terminal summary + results dir."""
     global _RESULTS_WRITABLE
@@ -91,22 +98,16 @@ def engine_runner(pytestconfig) -> ParallelRunner:
 def session_experiment(engine_runner) -> Experiment:
     """The benchmark population as a declarative experiment.
 
-    The spec is the single source of the bench population/grid identity;
-    benches that want raw evaluation points use :func:`session_sweep`
-    (the experiment's own sweep, sharing its memo), benches that want
-    paper artifacts render them via ``session_experiment.artifact(...)``.
+    The spec is the single source of the bench population/grid identity
+    (Table 1 at its default 500 mV, the stall decomposition at its
+    default 575 mV, the grid in 50 mV steps); benches that want raw
+    evaluation points use :func:`run_point` on it.
     """
     spec = ExperimentSpec(name="benchmarks",
                           trace_length=BENCH_TRACE_LENGTH,
                           step_mv=50.0,
                           artifacts=("table1", "fig11b", "fig12"))
     return Experiment(spec, runner=engine_runner)
-
-
-@pytest.fixture(scope="session")
-def session_sweep(session_experiment) -> VccSweep:
-    """One shared evaluation sweep for all benchmarks."""
-    return session_experiment.sweep
 
 
 def pytest_terminal_summary(terminalreporter):

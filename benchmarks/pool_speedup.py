@@ -26,13 +26,15 @@ import os
 import sys
 import time
 
-from repro.analysis.sweep import SweepSettings, VccSweep
-from repro.circuits.frequency import ClockScheme
 from repro.engine import ParallelRunner
+from repro.experiments import Experiment, ExperimentSpec
 from repro.workloads.profiles import STANDARD_PROFILES
 
-POINTS = [(500.0, ClockScheme.BASELINE), (500.0, ClockScheme.IRAW)]
-TRACE_LENGTH = 6000
+#: The grid: four standard profiles, two seeds each, at one Vcc.
+SPEC = ExperimentSpec(name="pool-speedup",
+                      profiles=tuple(p.name for p in STANDARD_PROFILES[:4]),
+                      seeds_per_profile=2, trace_length=6000,
+                      vcc_mv=(500.0,), artifacts=())
 WORKERS = 4
 REPEAT = 3
 #: Largest pool/serial wall-clock ratio accepted on >= 2 CPUs.
@@ -41,12 +43,9 @@ MAX_RATIO = 0.85
 
 def timed_grid(runner: ParallelRunner):
     """(results, wall seconds) of the grid through ``runner``."""
-    sweep = VccSweep(SweepSettings(profiles=STANDARD_PROFILES[:4],
-                                   seeds_per_profile=2,
-                                   trace_length=TRACE_LENGTH),
-                     runner=runner)
+    jobs = Experiment(SPEC, runner=runner).plan()
     start = time.perf_counter()
-    results = sweep.run_points(POINTS)
+    results = runner.run(jobs)
     return results, time.perf_counter() - start
 
 

@@ -51,7 +51,7 @@ def main() -> None:
     # calibration point is part of the grid, so the energy model finds
     # it memoized.
     results = experiment.run()
-    energy_model = calibrated_energy_model(experiment.sweep)
+    energy_model = calibrated_energy_model(experiment)
 
     rows = []
     for record in results:

@@ -11,10 +11,9 @@ Run:  python examples/mechanism_comparison.py [--vcc 500]
 import argparse
 
 from repro.analysis.reporting import format_table, percent
-from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.circuits.frequency import ClockScheme
-from repro.experiments.artifacts import table1_rows
+from repro.experiments import Experiment, ExperimentSpec
 
 
 def main() -> None:
@@ -22,10 +21,12 @@ def main() -> None:
     parser.add_argument("--vcc", type=float, default=500.0)
     args = parser.parse_args()
 
-    sweep = VccSweep(SweepSettings(trace_length=5000))
+    experiment = Experiment(ExperimentSpec(
+        name="mechanism-comparison", trace_length=5000,
+        table1_vcc_mv=args.vcc, artifacts=("table1",)))
     print(f"Evaluating all techniques at {args.vcc:.0f} mV "
           f"(simulating, ~1 minute)...\n")
-    rows = table1_rows(sweep, vcc_mv=args.vcc)
+    rows = experiment.artifact("table1")
     print(format_table(
         rows,
         columns=["technique", "works_all_blocks", "adapts_multiple_vcc",
@@ -39,9 +40,10 @@ def main() -> None:
           f"gain is zero because the register file cannot tolerate "
           f"disabled entries.")
 
-    combo = FaultyBitsBaseline(sweep.solver, design_sigma=4.0)
-    base = sweep.solver.operating_point(args.vcc, ClockScheme.BASELINE)
-    iraw = sweep.solver.operating_point(args.vcc, ClockScheme.IRAW)
+    solver = experiment.solver
+    combo = FaultyBitsBaseline(solver, design_sigma=4.0)
+    base = solver.operating_point(args.vcc, ClockScheme.BASELINE)
+    iraw = solver.operating_point(args.vcc, ClockScheme.IRAW)
     combined = combo.combined_with_iraw_point(args.vcc)
     print(f"\nSection 4.4 combination (IRAW + faulty bits on the caches):")
     print(f"  IRAW alone:      +{percent(iraw.frequency_mhz / base.frequency_mhz - 1)}")

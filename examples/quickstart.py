@@ -9,9 +9,9 @@ miniature of "57% higher frequency, 48% speedup at 500 mV".
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis.sweep import warm_caches
 from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
+from repro.engine.executors import warm_caches
 from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.workloads.profiles import SPECINT_LIKE

@@ -14,8 +14,8 @@ limit at low Vcc — together with every substrate the evaluation needs:
   and each of its mechanisms for that point's N;
 * :mod:`repro.pipeline` — the cycle-level 2-wide in-order core;
 * :mod:`repro.baselines` — Table 1's Faulty Bits / Extra Bypass;
-* :mod:`repro.analysis` — the evaluation harness regenerating every
-  figure and table;
+* :mod:`repro.analysis` — metrics, DVFS scenarios, reporting and the
+  circuit-only figures;
 * :mod:`repro.experiments` — the declarative experiment API: serializable
   ``ExperimentSpec`` files (TOML/JSON), one ``Experiment.run`` driver
   over the engine, structured ``ResultSet`` records and the named
@@ -36,7 +36,7 @@ from repro.core import IrawConfig
 from repro.pipeline import simulate
 from repro.workloads import SyntheticTraceGenerator, kernel_trace
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "ClockScheme",
@@ -58,7 +58,8 @@ def quick_comparison(vcc_mv: float = 500.0,
     performance gain and the IRAW stall statistics — the reproduction of
     the paper's "57% frequency / 48% speedup at 500 mV" claim in miniature.
     """
-    from repro.analysis import SweepSettings, VccSweep
+    from repro.experiments import Experiment, ExperimentSpec
 
-    sweep = VccSweep(SweepSettings(trace_length=trace_length))
-    return sweep.compare(vcc_mv)
+    spec = ExperimentSpec(name="quick-comparison", trace_length=trace_length,
+                          vcc_mv=(vcc_mv,), artifacts=("fig11b",))
+    return Experiment(spec).artifact("fig11b")[0]

@@ -8,19 +8,17 @@ builds.
 
 The simulated artifacts (Table 1, Figures 11b and 12, the 450 mV energy
 example, the overhead report) render through the named-artifact registry
-in :mod:`repro.experiments.artifacts` — its ``*_rows``/``*_cases``
-builders take a :class:`~repro.analysis.sweep.VccSweep` directly, and an
-:class:`~repro.experiments.spec.ExperimentSpec` renders the same rows
-through :class:`~repro.experiments.experiment.Experiment`.
+in :mod:`repro.experiments.artifacts`: its ``*_rows`` builders take the
+:class:`~repro.experiments.experiment.Experiment` that an
+:class:`~repro.experiments.spec.ExperimentSpec` is bound to.
 """
 
 from __future__ import annotations
 
+from repro.analysis.metrics import PointResult
 from repro.circuits.constants import default_delay_model
 from repro.circuits.delay import DelayModel
 from repro.circuits.ekv import voltage_grid
-from repro.circuits.frequency import ClockScheme
-from repro.analysis.sweep import VccSweep
 
 
 def figure1_series(model: DelayModel | None = None,
@@ -30,10 +28,9 @@ def figure1_series(model: DelayModel | None = None,
     return [model.figure1_row(vcc) for vcc in voltage_grid(step_mv)]
 
 
-def prediction_hazard_report(sweep: VccSweep,
-                             vcc_mv: float = 500.0) -> dict[str, float]:
-    """Section 4.5: BP/RSB potential-corruption statistics under IRAW."""
-    point = sweep.run_point(vcc_mv, ClockScheme.IRAW)
+def prediction_hazard_report(point: PointResult) -> dict[str, float]:
+    """Section 4.5: BP/RSB potential-corruption statistics of one IRAW
+    population point."""
     predictions = hazard_reads = flips = pops = hazard_pops = 0
     full = set_only = 0
     for result in point.results:
@@ -46,7 +43,7 @@ def prediction_hazard_report(sweep: VccSweep,
         full += hazards["stable_full_matches"]
         set_only += hazards["stable_set_matches"]
     return {
-        "vcc_mv": vcc_mv,
+        "vcc_mv": point.vcc_mv,
         "bp_predictions": predictions,
         "bp_hazard_reads": hazard_reads,
         "bp_potential_flips": flips,

@@ -114,3 +114,17 @@ def speedup(baseline: PointResult, candidate: PointResult,
         time_cand = rc.cycles / f_cand
         ratios.append(time_base / time_cand)
     return geometric_mean(ratios)
+
+
+def comparison_row(vcc_mv: float, base: PointResult,
+                   iraw: PointResult) -> dict[str, float]:
+    """One Figure 11(b) row from one Vcc's baseline and IRAW results."""
+    return {
+        "vcc_mv": vcc_mv,
+        "frequency_gain": (iraw.point.frequency_mhz
+                           / base.point.frequency_mhz - 1.0),
+        "performance_gain": speedup(base, iraw) - 1.0,
+        "ipc_ratio": iraw.ipc / base.ipc if base.ipc else 0.0,
+        "stabilization_cycles": iraw.point.stabilization_cycles,
+        "iraw_delay_fraction": iraw.mean_iraw_delay_fraction,
+    }

@@ -95,10 +95,8 @@ class StoreTable:
                          range(max(1, commit_width * stabilization_cycles))]
         self._cursor = 0
         # Statistics.
-        self.stores_tracked = 0
         self.full_matches = 0
         self.set_matches = 0
-        self.replays = 0
 
     @property
     def enabled(self) -> bool:
@@ -122,7 +120,6 @@ class StoreTable:
         """A store wrote DL0 this cycle: claim the round-robin entry."""
         if not self.enabled:
             return
-        self.stores_tracked += 1
         entry = self._entries[self._cursor % len(self._entries)]
         self._cursor += 1
         entry.valid = True
@@ -170,7 +167,6 @@ class StoreTable:
             if self._entry_live(entry, cycle)
             and entry.written_cycle >= oldest_match_cycle
         )
-        self.replays += replayed
         for entry in self._entries:
             if (self._entry_live(entry, cycle)
                     and entry.written_cycle >= oldest_match_cycle):

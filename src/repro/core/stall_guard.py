@@ -27,7 +27,6 @@ class FillStallGuard:
         #: Pending/active blocked windows as (start, end) cycles, unsorted
         #: but few (fills are rare on guarded blocks).
         self._windows: list[tuple[int, int]] = []
-        self.fills = 0
 
     @property
     def enabled(self) -> bool:
@@ -37,7 +36,6 @@ class FillStallGuard:
         """A fill writes the block at ``fill_cycle`` (possibly future)."""
         if not self.enabled:
             return
-        self.fills += 1
         self._windows.append((fill_cycle,
                               fill_cycle + self.stabilization_cycles))
 

@@ -306,7 +306,7 @@ def _run_shard(job: Job, point: OperatingPoint, params: PipelineParams,
 # ----------------------------------------------------------------------
 
 def _run_sweep_point(job: Job, tables: UnitTables) -> PointResult:
-    """The classic (Vcc, scheme) evaluation point of ``VccSweep``."""
+    """One (Vcc, scheme) population point (``Experiment.population_job``)."""
     scheme = ClockScheme(job.scheme)
     point = _solver_for(job).operating_point(job.vcc_mv, scheme)
     return _run_shard(job, point, _params(job), scheme.value,

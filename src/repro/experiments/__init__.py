@@ -8,16 +8,18 @@ This package is the consumer-facing seam over :mod:`repro.engine`:
   artifact list).  Specs round-trip through TOML and JSON files, so new
   scenario grids need a spec file, not new harness code.
 * :class:`~repro.experiments.experiment.Experiment` — the single driver
-  compiling a spec into one engine job batch and folding the results
-  into a :class:`~repro.experiments.resultset.ResultSet` of flat,
-  typed records with ``filter``/``group_by``/``pivot`` helpers and
-  CSV/JSON export.
+  compiling a spec into one engine job batch (it builds every
+  population job itself, through ``population_job``) and folding the
+  results into a :class:`~repro.experiments.resultset.ResultSet` of
+  flat, typed records with ``filter``/``group_by``/``pivot`` helpers
+  and CSV/JSON export.
 * :data:`~repro.experiments.artifacts.ARTIFACTS` — the named-artifact
   registry (``table1``, ``fig11b``, ``fig12``, ``energy450``,
   ``overheads``, ``dvfs``, ``stalls`` and the Monte-Carlo artifacts).
-  Its row builders are the single implementation of each artifact;
-  ``repro.analysis`` keeps only the point-level pieces they build on
-  (sweeps, DVFS scenarios, circuit-only figures).
+  Its row builders take the experiment and are the single
+  implementation of each artifact; ``repro.analysis`` keeps only the
+  point-level pieces they build on (metrics, DVFS scenarios,
+  circuit-only figures).
 
 Typical use::
 

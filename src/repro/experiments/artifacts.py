@@ -7,29 +7,25 @@ by name and ``repro run`` renders whatever the spec asks for.  The row
 builders in this module are the *single* implementation of each
 artifact.
 
-Builders come in two layers:
-
-* ``*_rows``/``*_cases`` functions take a :class:`VccSweep` (plus
-  explicit grids) and contain the actual computation — callable
-  without an :class:`Experiment`;
-* the registry's ``build`` hooks adapt those functions to an
-  :class:`~repro.experiments.experiment.Experiment`, pulling grids and
-  knobs from its spec.
-
-Every simulation an artifact needs is declared by the matching
-``*_jobs`` planner, so :meth:`Experiment.run` submits the whole
-campaign as one engine batch.  Each ``*_rows``/``*_cases`` function
-resolves exactly its planner's jobs in one runner batch and computes
-its rows from the returned list, so rendering afterwards is one memo
-lookup per artifact.
+Every planner and builder takes the
+:class:`~repro.experiments.experiment.Experiment` and reads its points
+from the spec (``table1_vcc_mv``, ``table1_techniques``, ``grid()``,
+``stalls_vcc_mv``); its population jobs come from
+:meth:`Experiment.population_job`.  Every simulation an artifact needs
+is declared by the matching ``*_jobs`` planner, so
+:meth:`Experiment.run` submits the whole campaign as one engine batch.
+Each ``*_rows`` builder resolves exactly its planner's jobs in one
+runner batch and computes its rows from the returned list, so rendering
+afterwards is one memo lookup per artifact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import methodcaller
 
-from repro.analysis.metrics import PointResult
-from repro.analysis.sweep import VccSweep, comparison_row
+from repro.analysis.metrics import PointResult, comparison_row
 from repro.baselines.extra_bypass import ExtraBypassBaseline
 from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.circuits.area import AreaModel
@@ -43,8 +39,8 @@ from repro.circuits.frequency import ClockScheme
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
 
-#: The techniques Table 1 can quantify, in the table's row order;
-#: :func:`table1_jobs` and :func:`table1_rows` select from it through
+#: The techniques Table 1 can quantify, in the table's row order; a
+#: spec's ``table1_techniques`` select from it through
 #: :func:`table1_selection`.
 TABLE1_TECHNIQUES = ("iraw", "faulty-bits", "extra-bypass",
                      "freq-scaling")
@@ -69,12 +65,30 @@ def table1_selection(techniques) -> tuple[str, ...]:
     return tuple(t for t in TABLE1_TECHNIQUES if t in chosen)
 
 
+#: The Section 5.2 stall decomposition (8.86% = 8.52 + 0.30 + 0.04 at
+#: 575 mV): its five IRAW evaluation points, in submission order, as
+#: (record variant, decomposition column, IRAW switches).  The full
+#: point leads; it has no column, and no variant because it may
+#: coincide with a grid record.  Every other point withholds some
+#: mechanisms' stalls, and its column is the IPC the full point loses
+#: to them.
+STALL_ABLATIONS = (
+    ("", None, ()),
+    ("stalls:all-off", "total_drop",
+     (("cache_guards_enabled", False), ("iq_enabled", False),
+      ("rf_enabled", False), ("stable_enabled", False))),
+    ("stalls:no-rf", "rf_drop", (("rf_enabled", False),)),
+    ("stalls:no-stable", "dl0_drop", (("stable_enabled", False),)),
+    ("stalls:no-iq-guards", "other_drop",
+     (("cache_guards_enabled", False), ("iq_enabled", False))),
+)
+
+
 # ----------------------------------------------------------------------
 # Row builders
 # ----------------------------------------------------------------------
 
-def table1_jobs(sweep: VccSweep, vcc_mv: float,
-                techniques=None) -> list[Job]:
+def table1_jobs(experiment) -> list[Job]:
     """The population evaluations behind Table 1, as engine jobs.
 
     The baseline point leads regardless of the technique subset (every
@@ -82,36 +96,35 @@ def table1_jobs(sweep: VccSweep, vcc_mv: float,
     its own evaluation, in canonical order.  ``freq-scaling`` needs no
     job beyond the baseline itself.
     """
-    techniques = table1_selection(techniques)
-    options = sweep.point_options()
-    jobs = [sweep.job_for(vcc_mv, ClockScheme.BASELINE)]
+    vcc_mv = experiment.spec.table1_vcc_mv
+    techniques = experiment.spec.table1_techniques
+    jobs = [experiment.population_job(vcc_mv, ClockScheme.BASELINE)]
     if "iraw" in techniques:
-        jobs.append(sweep.job_for(vcc_mv, ClockScheme.IRAW))
+        jobs.append(experiment.population_job(vcc_mv, ClockScheme.IRAW))
     if "faulty-bits" in techniques:
-        jobs.append(Job(kind="faulty-bits", vcc_mv=vcc_mv,
-                        scheme="faulty-bits",
-                        population=sweep.population, options=options))
+        jobs.append(experiment.population_job(vcc_mv, "faulty-bits",
+                                              kind="faulty-bits"))
     if "extra-bypass" in techniques:
-        jobs.append(Job(
-            kind="extra-bypass", vcc_mv=vcc_mv, scheme="extra-bypass",
-            population=sweep.population,
-            options=options + (("hypothetical_rf_only", True),)))
+        jobs.append(experiment.population_job(
+            vcc_mv, "extra-bypass", kind="extra-bypass",
+            options=(("hypothetical_rf_only", True),)))
     return jobs
 
 
-def table1_rows(sweep: VccSweep, vcc_mv: float = 500.0,
-                techniques=None) -> list[dict]:
-    """Evaluate IRAW and the state-of-the-art alternatives at ``vcc_mv``.
+def table1_rows(experiment) -> list[dict]:
+    """Evaluate IRAW and the state-of-the-art alternatives at the spec's
+    ``table1_vcc_mv``.
 
-    ``techniques`` selects a subset of :data:`TABLE1_TECHNIQUES`; rows
-    come back in the canonical order whatever the author order, and the
-    full default set is bit-identical to the historical four-row table.
+    The spec's ``table1_techniques`` select a subset of
+    :data:`TABLE1_TECHNIQUES`; rows come back in the canonical order
+    whatever the author order, and the full default set is
+    bit-identical to the historical four-row table.
     """
-    techniques = table1_selection(techniques)
-    solver = sweep.solver
-    results = iter(sweep.runner.run(
-        table1_jobs(sweep, vcc_mv, techniques),
-        label=f"table1@{vcc_mv:g}mV"))
+    vcc_mv = experiment.spec.table1_vcc_mv
+    techniques = experiment.spec.table1_techniques
+    solver = experiment.solver
+    results = iter(experiment.runner.run(table1_jobs(experiment),
+                                         label=f"table1@{vcc_mv:g}mV"))
     baseline = next(results)
     iraw = next(results) if "iraw" in techniques else None
     faulty_result = next(results) if "faulty-bits" in techniques else None
@@ -185,20 +198,21 @@ def table1_rows(sweep: VccSweep, vcc_mv: float = 500.0,
     return rows
 
 
-def fig11b_jobs(sweep: VccSweep, grid) -> list[Job]:
+def fig11b_jobs(experiment) -> list[Job]:
     """The (Vcc x {baseline, iraw}) grid behind Figure 11(b)."""
-    return [sweep.job_for(vcc, scheme) for vcc in grid
+    return [experiment.population_job(vcc, scheme)
+            for vcc in experiment.spec.grid()
             for scheme in (ClockScheme.BASELINE, ClockScheme.IRAW)]
 
 
-def fig11b_rows(sweep: VccSweep, grid) -> list[dict]:
+def fig11b_rows(experiment) -> list[dict]:
     """Figure 11(b): frequency increase and performance gain per Vcc."""
-    grid = list(grid)
-    results = iter(sweep.runner.run(fig11b_jobs(sweep, grid),
-                                    label="figure11b"))
+    results = iter(experiment.runner.run(fig11b_jobs(experiment),
+                                         label="figure11b"))
     # Each Vcc's (baseline, IRAW) pair, in fig11b_jobs order.
     return [comparison_row(vcc, base, iraw)
-            for vcc, base, iraw in zip(grid, results, results)]
+            for vcc, base, iraw in zip(experiment.spec.grid(), results,
+                                       results)]
 
 
 def _energy_model(calibration: PointResult) -> EnergyModel:
@@ -206,46 +220,48 @@ def _energy_model(calibration: PointResult) -> EnergyModel:
     return EnergyModel(reference_time_s=calibration.execution_time_s)
 
 
-def calibrated_energy_model(sweep: VccSweep) -> EnergyModel:
-    """An :class:`EnergyModel` whose reference task is the sweep's own
-    population: the baseline run at 600 mV defines the execution time at
-    which leakage is 10% of total energy (paper Section 5.1)."""
-    return _energy_model(sweep.run_point(LEAKAGE_CALIBRATION_MV,
-                                         ClockScheme.BASELINE))
+def calibrated_energy_model(experiment) -> EnergyModel:
+    """An :class:`EnergyModel` whose reference task is the experiment's
+    own population: the baseline run at 600 mV defines the execution
+    time at which leakage is 10% of total energy (paper Section 5.1)."""
+    return _energy_model(experiment.runner.run_one(experiment.population_job(
+        LEAKAGE_CALIBRATION_MV, ClockScheme.BASELINE)))
 
 
-def fig12_jobs(sweep: VccSweep, grid) -> list[Job]:
+def fig12_jobs(experiment) -> list[Job]:
     """Figure 12's grid plus the 600 mV energy-calibration point."""
-    return fig11b_jobs(sweep, grid) + [
-        sweep.job_for(LEAKAGE_CALIBRATION_MV, ClockScheme.BASELINE)]
+    return fig11b_jobs(experiment) + [experiment.population_job(
+        LEAKAGE_CALIBRATION_MV, ClockScheme.BASELINE)]
 
 
-def fig12_rows(sweep: VccSweep, grid) -> list[dict]:
+def fig12_rows(experiment) -> list[dict]:
     """Figure 12: IRAW energy/delay/EDP relative to the baseline per Vcc."""
-    grid = list(grid)
-    *results, calibration = sweep.runner.run(fig12_jobs(sweep, grid),
-                                             label="figure12")
+    *results, calibration = experiment.runner.run(fig12_jobs(experiment),
+                                                  label="figure12")
     energy = _energy_model(calibration)
     results = iter(results)
     return [energy.relative_metrics(vcc, base.execution_time_s,
                                     iraw.execution_time_s)
-            for vcc, base, iraw in zip(grid, results, results)]
+            for vcc, base, iraw in zip(experiment.spec.grid(), results,
+                                       results)]
 
 
-def energy450_jobs(sweep: VccSweep) -> list[Job]:
+def energy450_jobs(experiment) -> list[Job]:
     """The three 450 mV points plus the calibration point."""
     return [
-        sweep.job_for(ENERGY_EXAMPLE_MV, ClockScheme.LOGIC),
-        sweep.job_for(ENERGY_EXAMPLE_MV, ClockScheme.BASELINE),
-        sweep.job_for(ENERGY_EXAMPLE_MV, ClockScheme.IRAW),
-        sweep.job_for(LEAKAGE_CALIBRATION_MV, ClockScheme.BASELINE),
+        experiment.population_job(ENERGY_EXAMPLE_MV, ClockScheme.LOGIC),
+        experiment.population_job(ENERGY_EXAMPLE_MV, ClockScheme.BASELINE),
+        experiment.population_job(ENERGY_EXAMPLE_MV, ClockScheme.IRAW),
+        experiment.population_job(LEAKAGE_CALIBRATION_MV,
+                                  ClockScheme.BASELINE),
     ]
 
 
-def energy450_cases(sweep: VccSweep) -> dict[str, dict]:
-    """The paper's Section 5.3 joule-accounting example at 450 mV."""
-    unconstrained, baseline, iraw, calibration = sweep.runner.run(
-        energy450_jobs(sweep),
+def energy450_rows(experiment) -> list[dict]:
+    """The paper's Section 5.3 joule-accounting example at 450 mV: one
+    row per case (unconstrained, baseline, IRAW)."""
+    unconstrained, baseline, iraw, calibration = experiment.runner.run(
+        energy450_jobs(experiment),
         label=f"energy-example@{ENERGY_EXAMPLE_MV:g}mV")
     breakdowns = paper_450mv_example(
         _energy_model(calibration),
@@ -253,19 +269,35 @@ def energy450_cases(sweep: VccSweep) -> dict[str, dict]:
         baseline_time_s=baseline.execution_time_s,
         iraw_time_s=iraw.execution_time_s,
     )
-    return {
-        name: {
-            "total_j": b.total_j,
-            "leakage_j": b.leakage_j,
-            "dynamic_j": b.dynamic_j,
-        }
-        for name, b in breakdowns.items()
-    }
+    return [{"case": name, "total_j": b.total_j, "leakage_j": b.leakage_j,
+             "dynamic_j": b.dynamic_j}
+            for name, b in breakdowns.items()]
 
 
-def stalls_rows(sweep: VccSweep, vcc_mv: float = 575.0) -> list[dict]:
-    """Section 5.2: marginal IPC cost of each IRAW avoidance mechanism."""
-    return [sweep.stall_decomposition(vcc_mv)]
+def stalls_jobs(experiment) -> list[Job]:
+    """The five IRAW points of the stall decomposition at the spec's
+    ``stalls_vcc_mv``, in :data:`STALL_ABLATIONS` order."""
+    return [experiment.population_job(experiment.spec.stalls_vcc_mv,
+                                      ClockScheme.IRAW, switches)
+            for _, _, switches in STALL_ABLATIONS]
+
+
+def stalls_rows(experiment) -> list[dict]:
+    """Section 5.2: marginal IPC cost of each IRAW avoidance mechanism.
+
+    The full IRAW point against the same point with each mechanism's
+    *stalls* withheld (a timing-only what-if; correctness violations
+    are counted but ignored), mirroring how the paper attributes its
+    8.86% drop at 575 mV.
+    """
+    vcc_mv = experiment.spec.stalls_vcc_mv
+    full, *withheld = experiment.runner.run(
+        stalls_jobs(experiment), label=f"stall-decomposition@{vcc_mv:g}mV")
+    row: dict[str, float] = {"vcc_mv": vcc_mv}
+    for (_, column, _), result in zip(STALL_ABLATIONS[1:], withheld):
+        row[column] = 1.0 - full.ipc / result.ipc
+    row["iraw_delay_fraction"] = full.mean_iraw_delay_fraction
+    return [row]
 
 
 def _montecarlo_rows(experiment, reducer):
@@ -295,8 +327,14 @@ def _montecarlo_rows(experiment, reducer):
     return vccmin_rows(results, grid, schemes, mc.dies)
 
 
-def overhead_rows() -> list[dict]:
-    """Section 5.3: area and power overhead of the IRAW hardware."""
+def overhead_jobs(experiment) -> list[Job]:
+    """The overhead report simulates nothing."""
+    return []
+
+
+def overhead_rows(experiment=None) -> list[dict]:
+    """Section 5.3: area and power overhead of the IRAW hardware (a
+    property of the hardware alone, so the experiment is optional)."""
     report = AreaModel().report()
     return [{
         "extra_bits": report.extra_bits,
@@ -357,45 +395,42 @@ ARTIFACTS: dict[str, Artifact] = {
         title="Table 1",
         description="IRAW vs Faulty Bits vs Extra Bypass vs frequency "
                     "scaling, quantified at one Vcc",
-        jobs=lambda e: table1_jobs(e.sweep, e.spec.table1_vcc_mv,
-                                   e.spec.table1_techniques),
-        build=lambda e: table1_rows(e.sweep, e.spec.table1_vcc_mv,
-                                    e.spec.table1_techniques),
+        jobs=table1_jobs,
+        build=table1_rows,
     ),
     "fig11b": Artifact(
         name="fig11b",
         title="Figure 11(b)",
         description="frequency increase and performance gain vs Vcc",
-        jobs=lambda e: fig11b_jobs(e.sweep, e.spec.grid()),
-        build=lambda e: fig11b_rows(e.sweep, e.spec.grid()),
+        jobs=fig11b_jobs,
+        build=fig11b_rows,
     ),
     "fig12": Artifact(
         name="fig12",
         title="Figure 12",
         description="relative energy / delay / EDP vs Vcc",
-        jobs=lambda e: fig12_jobs(e.sweep, e.spec.grid()),
-        build=lambda e: fig12_rows(e.sweep, e.spec.grid()),
+        jobs=fig12_jobs,
+        build=fig12_rows,
     ),
     "energy450": Artifact(
         name="energy450",
         title="Energy example @450mV",
         description="Section 5.3 joule accounting at 450 mV",
-        jobs=lambda e: energy450_jobs(e.sweep),
-        build=lambda e: [{"case": name, **values} for name, values
-                         in energy450_cases(e.sweep).items()],
+        jobs=energy450_jobs,
+        build=energy450_rows,
     ),
     "overheads": Artifact(
         name="overheads",
         title="IRAW hardware overheads",
         description="Section 5.3 area / power overhead report",
-        jobs=lambda e: [],
-        build=lambda e: overhead_rows(),
+        jobs=overhead_jobs,
+        build=overhead_rows,
     ),
     "dvfs": Artifact(
         name="dvfs",
         title="DVFS scenarios",
         description="scheduled Vcc switching with per-scheme totals",
-        jobs=lambda e: e.dvfs_jobs(),
+        jobs=methodcaller("dvfs_jobs"),
         build=_dvfs_rows,
     ),
     "stalls": Artifact(
@@ -403,24 +438,24 @@ ARTIFACTS: dict[str, Artifact] = {
         title="Stall decomposition",
         description="Section 5.2 marginal IPC cost of each IRAW "
                     "avoidance mechanism at one Vcc",
-        jobs=lambda e: e.sweep.stall_jobs(e.spec.stalls_vcc_mv),
-        build=lambda e: stalls_rows(e.sweep, e.spec.stalls_vcc_mv),
+        jobs=stalls_jobs,
+        build=stalls_rows,
     ),
     "yield_curve": Artifact(
         name="yield_curve",
         title="Yield vs Vcc",
         description="Monte-Carlo functional and frequency-bin yield "
                     "per (Vcc, scheme), with Wilson intervals",
-        jobs=lambda e: e.mc_jobs(),
-        build=lambda e: _montecarlo_rows(e, "yield_curve"),
+        jobs=methodcaller("mc_jobs"),
+        build=partial(_montecarlo_rows, reducer="yield_curve"),
     ),
     "vccmin_dist": Artifact(
         name="vccmin_dist",
         title="Vccmin distribution",
         description="per-die minimum functional Vcc per scheme "
                     "(statistical generalisation of Table 1)",
-        jobs=lambda e: e.mc_jobs(),
-        build=lambda e: _montecarlo_rows(e, "vccmin_dist"),
+        jobs=methodcaller("mc_jobs"),
+        build=partial(_montecarlo_rows, reducer="vccmin_dist"),
     ),
     "deep_tail": Artifact(
         name="deep_tail",
@@ -428,8 +463,8 @@ ARTIFACTS: dict[str, Artifact] = {
         description="importance-sampled log10 failure probability per "
                     "(Vcc, scheme), with delta-method intervals and "
                     "ESS diagnostics",
-        jobs=lambda e: e.mc_jobs(),
-        build=lambda e: _montecarlo_rows(e, "deep_tail"),
+        jobs=methodcaller("mc_jobs"),
+        build=partial(_montecarlo_rows, reducer="deep_tail"),
     ),
 }
 

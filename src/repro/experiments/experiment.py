@@ -15,12 +15,11 @@ exactly once no matter how many artifacts share points.
 from __future__ import annotations
 
 from repro.analysis.dvfs import schedule_job
-from repro.analysis.sweep import STALL_ABLATIONS, VccSweep
 from repro.circuits.frequency import ClockScheme, FrequencySolver
-from repro.engine.jobs import Job, job_key
+from repro.engine.jobs import Job, TracePopulationSpec, job_key
 from repro.engine.runner import ParallelRunner
 from repro.errors import ConfigError
-from repro.experiments.artifacts import ARTIFACTS, artifact
+from repro.experiments.artifacts import ARTIFACTS, STALL_ABLATIONS, artifact
 from repro.experiments.resultset import Record, ResultSet
 from repro.experiments.spec import MONTECARLO_ARTIFACTS, ExperimentSpec
 from repro.montecarlo.campaign import (
@@ -51,22 +50,53 @@ class Experiment:
                  runner: ParallelRunner | None = None):
         self.spec = spec
         self.runner = runner or ParallelRunner()
-        self._sweep: VccSweep | None = None
+        #: The one frequency solver that keys population points, DVFS
+        #: schedules and die blocks.
+        self.solver = FrequencySolver()
+        self._params = spec.pipeline_params()
+        self._memory = spec.memory_config()
+        #: The options every population point shares, built once so
+        #: that every job holds the same objects (the job-key memo
+        #: writes each of them once).
+        self._point_options = (
+            ("warm", spec.warm),
+            ("dram_latency_ns", spec.dram_latency_ns),
+            ("params", self._params),
+            ("memory", self._memory),
+            ("delay_model", self.solver.delay_model),
+            ("nominal_frequency_mhz", self.solver.nominal_frequency_mhz),
+        )
+        self._population: TracePopulationSpec | None = None
         self._mc_resolved: list | None = None
         self.results: ResultSet | None = None
 
-    @property
-    def sweep(self) -> VccSweep:
-        """The population sweep the spec implies (lazily built)."""
-        if self._sweep is None:
-            if not self.spec.has_population():
+    def population_job(self, vcc_mv: float, scheme, switches=(),
+                       kind: str = "sweep-point", options=()) -> Job:
+        """The engine job of one population point: the spec's trace
+        population at ``vcc_mv`` under ``scheme`` (a :class:`ClockScheme`
+        or, for Table 1's alternatives, the technique's name).
+
+        ``switches`` are IRAW override ``(name, value)`` pairs (or a
+        dict), ``options`` the kind-specific options added to the shared
+        ones.  The population is built once, on first use; a spec
+        without one raises :class:`ConfigError`.
+        """
+        if self._population is None:
+            spec = self.spec
+            if not spec.has_population():
                 raise ConfigError(
-                    f"experiment {self.spec.name!r} has no trace "
-                    f"population; only dvfs and montecarlo artifacts "
-                    f"can run without one")
-            self._sweep = VccSweep(self.spec.sweep_settings(),
-                                   runner=self.runner)
-        return self._sweep
+                    f"experiment {spec.name!r} has no trace population; "
+                    f"only dvfs and montecarlo artifacts can run "
+                    f"without one")
+            self._population = TracePopulationSpec(
+                profiles=spec.profile_objects(),
+                seeds_per_profile=spec.seeds_per_profile,
+                trace_length=spec.trace_length,
+                riscv=spec.riscv_programs())
+        return Job(kind=kind, vcc_mv=vcc_mv,
+                   scheme=getattr(scheme, "value", scheme),
+                   population=self._population, iraw_overrides=switches,
+                   options=self._point_options + tuple(options))
 
     @property
     def stats(self):
@@ -78,8 +108,8 @@ class Experiment:
     def grid_points(self) -> list[tuple[float, str, str]]:
         """Every (vcc_mv, scheme, variant) point of the campaign grid.
 
-        Empty for a population-less (dvfs-only) spec: there is no sweep
-        to evaluate grid points on.
+        Empty for a population-less (dvfs-only) spec: there is no
+        population to evaluate grid points on.
         """
         if not self.spec.has_population():
             return []
@@ -93,11 +123,11 @@ class Experiment:
         return points
 
     def _grid_job(self, vcc_mv: float, scheme: str, variant: str) -> Job:
-        overrides = {}
+        switches = ()
         for ablation in self.spec.ablations:
             if ablation.name == variant:
-                overrides = dict(ablation.overrides)
-        return self.sweep.job_for(vcc_mv, ClockScheme(scheme), **overrides)
+                switches = ablation.overrides
+        return self.population_job(vcc_mv, scheme, switches)
 
     def dvfs_jobs(self) -> list[Job]:
         """One engine job per (schedule, scheme), in spec order."""
@@ -106,10 +136,8 @@ class Experiment:
             for scheme in schedule.schemes:
                 jobs.append(schedule_job(
                     schedule.trace, schedule.phases, ClockScheme(scheme),
-                    solver=self.sweep.solver
-                    if self.spec.has_population() else None,
-                    params=self.spec.pipeline_params(),
-                    memory=self.spec.memory_config(),
+                    solver=self.solver, params=self._params,
+                    memory=self._memory,
                     dram_latency_ns=self.spec.dram_latency_ns,
                     warm=self.spec.warm,
                 ))
@@ -121,14 +149,13 @@ class Experiment:
         die per job when the spec sets no block size.
 
         Empty when the spec has no ``[montecarlo]`` section.  The jobs
-        key against the default calibrated solver, matching how sweep
-        points key theirs, so a recalibration invalidates both alike.
+        key against :attr:`solver`, as population points do, so a
+        recalibration invalidates both alike.
         """
         if self.spec.montecarlo is None:
             return []
         return montecarlo_jobs(self.spec.montecarlo, self.spec.grid(),
-                               self.spec.schemes,
-                               solver=FrequencySolver())
+                               self.spec.schemes, solver=self.solver)
 
     def plan(self) -> list[Job]:
         """The full engine batch of the campaign (duplicates and all —
@@ -197,7 +224,6 @@ class Experiment:
         """
         if runner is not None:
             self.runner = runner
-            self._sweep = None
             self._mc_resolved = None
         jobs = self.plan()
         self.runner.run(jobs, label=self.spec.name)

@@ -8,9 +8,9 @@ results.  Specs are frozen plain data — every field round-trips through
 ``to_dict``/``from_dict`` and therefore through TOML and JSON files
 (:meth:`ExperimentSpec.load` / :meth:`ExperimentSpec.save`), and two
 specs that describe the same campaign compile to engine jobs with
-identical canonical keys, so a spec file is as cacheable an identity as
-a hand-written harness.  Every table is read and written by
-:mod:`repro.specfields` from the fields of the class it builds.
+identical canonical keys, so a spec file is a cacheable identity.
+Every table is read and written by :mod:`repro.specfields` from the
+fields of the class it builds.
 
 The spec layer deliberately knows nothing about execution: compiling a
 spec into engine job batches and running them is
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 from repro.analysis.dvfs import DvfsPhase
-from repro.analysis.sweep import SweepSettings
 from repro.circuits import constants
 from repro.circuits.energy import ENERGY_EXAMPLE_MV
 from repro.circuits.ekv import check_voltage, voltage_grid
@@ -463,19 +462,6 @@ class ExperimentSpec:
         unreadable).  Paths are as stored; :meth:`load` resolves
         relative paths against the spec file's directory."""
         return tuple(ref.load() for ref in self.riscv)
-
-    def sweep_settings(self) -> SweepSettings:
-        """The :class:`VccSweep` settings this spec's population implies."""
-        return SweepSettings(
-            profiles=self.profile_objects(),
-            seeds_per_profile=self.seeds_per_profile,
-            trace_length=self.trace_length,
-            warm=self.warm,
-            dram_latency_ns=self.dram_latency_ns,
-            params=self.pipeline_params(),
-            memory=self.memory_config(),
-            riscv=self.riscv_programs(),
-        )
 
     # -- serialization --------------------------------------------------
 

@@ -15,7 +15,7 @@ from repro.isa.opcodes import Opcode
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.19.0"
+        assert repro.__version__ == "1.20.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:

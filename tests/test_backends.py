@@ -242,15 +242,18 @@ class TestBrokerPrimitives:
 
 class TestQueueBackendEquivalence:
     def test_queue_matches_serial_and_shards_populations(self, tmp_path):
-        from repro.analysis.sweep import SweepSettings, VccSweep
         from repro.circuits.frequency import ClockScheme
+        from repro.experiments import Experiment, ExperimentSpec
 
-        settings_ = SweepSettings(profiles=(KERNEL_LIKE,), trace_length=300)
+        experiment = Experiment(ExperimentSpec(
+            name="queue", profiles=(KERNEL_LIKE.name,), trace_length=300))
         points = [(650.0, ClockScheme.BASELINE), (500.0, ClockScheme.IRAW)]
-        serial = VccSweep(settings_).run_points(points)
+        jobs = [experiment.population_job(vcc, scheme)
+                for vcc, scheme in points]
+        serial = ParallelRunner().run(jobs)
         runner = ParallelRunner(
             backend=queue_backend(tmp_path, local_workers=2))
-        queued = VccSweep(settings_, runner=runner).run_points(points)
+        queued = runner.run(jobs)
         for a, b in zip(serial, queued):
             assert a.cycles == b.cycles
             assert a.instructions == b.instructions

@@ -11,7 +11,7 @@ register/cache word — under any N, bypass depth or mechanism combination
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.sweep import warm_caches
+from repro.engine.executors import warm_caches
 from repro.core.config import IrawConfig
 from repro.pipeline.core import CoreSetup, InOrderCore, simulate
 from repro.workloads.assembler import assemble

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import repro.engine.cache as cache_module
 from repro.analysis.dvfs import DvfsPhase, schedule_job
-from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.circuits.frequency import ClockScheme
 from repro.engine import (
     EngineError,
@@ -25,6 +24,7 @@ from repro.engine import (
 from repro.engine.cache import MISS
 from repro.engine.jobs import shard_jobs
 from repro.errors import ConfigError
+from repro.experiments import Experiment, ExperimentSpec
 from repro.experiments.artifacts import table1_jobs
 from repro.montecarlo.campaign import montecarlo_jobs
 from repro.montecarlo.spec import MonteCarloSpec
@@ -34,40 +34,55 @@ from repro.workloads.riscv import RiscvProgram
 pytestmark = pytest.mark.engine
 
 #: Tiny population: every engine test simulates in milliseconds.
-TINY = SweepSettings(profiles=(KERNEL_LIKE,), trace_length=400)
+TINY = ExperimentSpec(name="tiny", profiles=(KERNEL_LIKE.name,),
+                      trace_length=400)
 
 
-def tiny_sweep(runner=None) -> VccSweep:
-    return VccSweep(TINY, runner=runner)
+def tiny_experiment(runner=None) -> Experiment:
+    return Experiment(TINY, runner=runner)
+
+
+def tiny_jobs(*points) -> list[Job]:
+    """The tiny population's jobs at ``(vcc_mv, scheme)`` points."""
+    experiment = tiny_experiment()
+    return [experiment.population_job(vcc_mv, scheme)
+            for vcc_mv, scheme in points]
 
 
 class TestJobKeys:
     def test_equal_jobs_share_a_key(self):
-        a = tiny_sweep().job_for(500.0, ClockScheme.IRAW)
-        b = tiny_sweep().job_for(500.0, ClockScheme.IRAW)
+        a = tiny_experiment().population_job(500.0, ClockScheme.IRAW)
+        b = tiny_experiment().population_job(500.0, ClockScheme.IRAW)
         assert a == b
         assert job_key(a) == job_key(b)
 
     def test_override_order_is_canonicalized(self):
-        sweep = tiny_sweep()
-        a = sweep.job_for(500.0, ClockScheme.IRAW,
-                          rf_enabled=False, iq_enabled=False)
-        b = sweep.job_for(500.0, ClockScheme.IRAW,
-                          iq_enabled=False, rf_enabled=False)
+        experiment = tiny_experiment()
+        a = experiment.population_job(
+            500.0, ClockScheme.IRAW,
+            (("rf_enabled", False), ("iq_enabled", False)))
+        b = experiment.population_job(
+            500.0, ClockScheme.IRAW,
+            (("iq_enabled", False), ("rf_enabled", False)))
         assert job_key(a) == job_key(b)
 
+    def test_scheme_members_and_values_key_alike(self):
+        experiment = tiny_experiment()
+        assert job_key(experiment.population_job(500.0, ClockScheme.IRAW)) \
+            == job_key(experiment.population_job(500.0, "iraw"))
+
     def test_every_knob_lands_in_the_key(self):
-        sweep = tiny_sweep()
-        base = sweep.job_for(500.0, ClockScheme.IRAW)
-        assert job_key(base) != job_key(sweep.job_for(525.0, ClockScheme.IRAW))
+        experiment = tiny_experiment()
+        job = experiment.population_job
+        base = job(500.0, ClockScheme.IRAW)
+        assert job_key(base) != job_key(job(525.0, ClockScheme.IRAW))
+        assert job_key(base) != job_key(job(500.0, ClockScheme.BASELINE))
         assert job_key(base) != job_key(
-            sweep.job_for(500.0, ClockScheme.BASELINE))
+            job(500.0, ClockScheme.IRAW, {"rf_enabled": False}))
+        other_population = Experiment(ExperimentSpec(
+            name="other", profiles=(SPECINT_LIKE.name,), trace_length=400))
         assert job_key(base) != job_key(
-            sweep.job_for(500.0, ClockScheme.IRAW, rf_enabled=False))
-        other_population = VccSweep(
-            SweepSettings(profiles=(SPECINT_LIKE,), trace_length=400))
-        assert job_key(base) != job_key(
-            other_population.job_for(500.0, ClockScheme.IRAW))
+            other_population.population_job(500.0, ClockScheme.IRAW))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -101,10 +116,11 @@ class TestJobKeys:
 
 def one_job_per_kind() -> dict:
     """A small job of every kind, planned the way the program plans it."""
-    sweep = tiny_sweep()
-    population = sweep.job_for(500.0, ClockScheme.IRAW, rf_enabled=False)
+    experiment = tiny_experiment()
+    population = experiment.population_job(500.0, ClockScheme.IRAW,
+                                           {"rf_enabled": False})
     shard = shard_jobs(population)[0]
-    _, _, faulty, bypass = table1_jobs(sweep, 500.0)
+    _, _, faulty, bypass = table1_jobs(experiment)
     return {
         "population": population,
         "synthetic-shard": shard,
@@ -342,13 +358,13 @@ class TestLruBound:
         assert ResultCache(root=tmp_path).flush() is None  # clean no-op
 
     def test_runner_flushes_hit_recency_per_batch(self, tmp_path):
-        sweep = tiny_sweep(ParallelRunner(cache=ResultCache(root=tmp_path)))
-        sweep.run_point(650.0, ClockScheme.BASELINE)
+        jobs = tiny_jobs((650.0, ClockScheme.BASELINE))
+        ParallelRunner(cache=ResultCache(root=tmp_path)).run(jobs)
         reader = ResultCache(root=tmp_path)
         before = {path.name: path.stat().st_mtime_ns
                   for path in reader.version_dir.glob("*.pkl")}
         runner = ParallelRunner(cache=reader)
-        tiny_sweep(runner).run_point(650.0, ClockScheme.BASELINE)
+        runner.run(jobs)
         assert runner.stats.simulated == 0   # pure disk-hit batch
         assert runner.stats.disk_hits == len(before) > 0
         after = {path.name: path.stat().st_mtime_ns
@@ -487,25 +503,25 @@ class TestCachePruneCli:
 
 class TestRunnerSerial:
     def test_memoizes_identical_jobs(self):
-        sweep = tiny_sweep()
-        a = sweep.run_point(500.0, ClockScheme.IRAW)
-        b = sweep.run_point(500.0, ClockScheme.IRAW)
+        runner = ParallelRunner()
+        first, second = tiny_jobs(*[(500.0, ClockScheme.IRAW)] * 2)
+        a = runner.run_one(first)
+        b = runner.run_one(second)
         assert a is b
-        assert sweep.stats.simulated == 1
-        assert sweep.stats.memory_hits == 1
+        assert runner.stats.simulated == 1
+        assert runner.stats.memory_hits == 1
 
     def test_batch_deduplicates(self):
-        sweep = tiny_sweep()
-        results = sweep.run_points([(500.0, ClockScheme.IRAW)] * 3)
+        runner = ParallelRunner()
+        results = runner.run(tiny_jobs(*[(500.0, ClockScheme.IRAW)] * 3))
         assert results[0] is results[1] is results[2]
-        assert sweep.stats.simulated == 1
-        assert sweep.stats.deduplicated == 2
+        assert runner.stats.simulated == 1
+        assert runner.stats.deduplicated == 2
 
     def test_batch_preserves_submission_order(self):
-        sweep = tiny_sweep()
         points = [(650.0, ClockScheme.BASELINE), (500.0, ClockScheme.IRAW),
                   (500.0, ClockScheme.BASELINE)]
-        results = sweep.run_points(points)
+        results = ParallelRunner().run(tiny_jobs(*points))
         assert [(r.vcc_mv, r.scheme) for r in results] \
             == [(v, s.value) for v, s in points]
 
@@ -529,7 +545,7 @@ class TestRunnerSerial:
             runner.run([Job(kind="engine-selftest-crash")])
 
     def test_results_are_picklable(self):
-        point = tiny_sweep().run_point(500.0, ClockScheme.IRAW)
+        point = ParallelRunner().run(tiny_jobs((500.0, ClockScheme.IRAW)))[0]
         clone = pickle.loads(pickle.dumps(point))
         assert clone.cycles == point.cycles
         assert clone.point == point.point
@@ -538,12 +554,12 @@ class TestRunnerSerial:
 class TestOnDiskCache:
     def test_warm_cache_rerun_performs_zero_simulations(self, tmp_path):
         points = [(650.0, ClockScheme.BASELINE), (500.0, ClockScheme.IRAW)]
-        cold = tiny_sweep(ParallelRunner(cache=ResultCache(root=tmp_path)))
-        first = cold.run_points(points)
+        cold = ParallelRunner(cache=ResultCache(root=tmp_path))
+        first = cold.run(tiny_jobs(*points))
         assert cold.stats.simulated == len(points)
 
-        warm = tiny_sweep(ParallelRunner(cache=ResultCache(root=tmp_path)))
-        second = warm.run_points(points)
+        warm = ParallelRunner(cache=ResultCache(root=tmp_path))
+        second = warm.run(tiny_jobs(*points))
         assert warm.stats.simulated == 0
         assert warm.stats.disk_hits == len(points)
         for a, b in zip(first, second):
@@ -551,8 +567,8 @@ class TestOnDiskCache:
 
     def test_no_cache_runner_touches_no_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        sweep = tiny_sweep()  # default runner: memory-only
-        sweep.run_point(650.0, ClockScheme.BASELINE)
+        experiment = tiny_experiment()  # default runner: memory-only
+        experiment.runner.run(tiny_jobs((650.0, ClockScheme.BASELINE)))
         assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):
@@ -567,10 +583,10 @@ class TestParallelExecution:
         points = [(vcc, scheme)
                   for vcc in (650.0, 575.0, 500.0)
                   for scheme in (ClockScheme.BASELINE, ClockScheme.IRAW)]
-        serial = tiny_sweep().run_points(points)
+        serial = ParallelRunner().run(tiny_jobs(*points))
         parallel_runner = ParallelRunner(workers=2,
                                          cache=ResultCache(root=tmp_path))
-        parallel = tiny_sweep(parallel_runner).run_points(points)
+        parallel = parallel_runner.run(tiny_jobs(*points))
         for a, b in zip(serial, parallel):
             assert a.cycles == b.cycles
             assert a.instructions == b.instructions

@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import PointResult
-from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.baselines.extra_bypass import ExtraBypassBaseline
 from repro.baselines.faulty_bits import FaultyBitsBaseline
 from repro.circuits.frequency import ClockScheme, FrequencySolver
@@ -62,13 +61,27 @@ POPULATION = TracePopulationSpec(profiles=(KERNEL_LIKE, SPECINT_LIKE),
                                  seeds_per_profile=2, trace_length=300)
 
 
+def experiment_of(profiles, trace_length: int = 300, seeds: int = 1,
+                  warm: bool = True, runner=None) -> Experiment:
+    """An experiment over ``profiles`` (TraceProfile values)."""
+    return Experiment(ExperimentSpec(
+        name="shards", profiles=tuple(profile.name for profile in profiles),
+        seeds_per_profile=seeds, trace_length=trace_length, warm=warm),
+        runner=runner)
+
+
 def population_job(vcc_mv: float = 500.0,
                    scheme: ClockScheme = ClockScheme.IRAW,
                    population: TracePopulationSpec = POPULATION) -> Job:
-    sweep = VccSweep(SweepSettings(profiles=population.profiles,
-                                   seeds_per_profile=population.seeds_per_profile,
-                                   trace_length=population.trace_length))
-    return sweep.job_for(vcc_mv, scheme)
+    experiment = experiment_of(population.profiles, population.trace_length,
+                               population.seeds_per_profile)
+    return experiment.population_job(vcc_mv, scheme)
+
+
+def run_points(experiment: Experiment, points) -> list[PointResult]:
+    """Resolve ``(vcc_mv, scheme)`` points through the experiment's runner."""
+    return experiment.runner.run([experiment.population_job(vcc, scheme)
+                                  for vcc, scheme in points])
 
 
 def unsharded_result(job: Job) -> PointResult:
@@ -235,40 +248,34 @@ class TestAggregation:
             aggregate_shard_results(population_job(), [])
 
 
-#: Many-trace/one-point shape (six profiles) for cache-reuse checks.
-TINY_MANY = SweepSettings(profiles=STANDARD_PROFILES, trace_length=300)
-
-
 class TestIncrementalCaching:
     def test_adding_one_trace_simulates_only_its_shards(self, tmp_path):
         points = [(500.0, ClockScheme.BASELINE), (500.0, ClockScheme.IRAW)]
-        small = SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
-                              trace_length=300)
-        grown = SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE,
-                                        OFFICE_LIKE), trace_length=300)
+        small = experiment_of((KERNEL_LIKE, SPECINT_LIKE),
+                              runner=ParallelRunner(
+                                  cache=ResultCache(root=tmp_path)))
+        run_points(small, points)
+        assert small.stats.simulated == 2 * 2  # traces x points
 
-        cold = VccSweep(small, runner=ParallelRunner(
-            cache=ResultCache(root=tmp_path)))
-        cold.run_points(points)
-        assert cold.stats.simulated == 2 * 2  # traces x points
-
-        warm = VccSweep(grown, runner=ParallelRunner(
-            cache=ResultCache(root=tmp_path)))
-        warm.run_points(points)
+        grown = experiment_of((KERNEL_LIKE, SPECINT_LIKE, OFFICE_LIKE),
+                              runner=ParallelRunner(
+                                  cache=ResultCache(root=tmp_path)))
+        run_points(grown, points)
         # Only the new trace's shards simulate; the old population's
         # shards are all served from the on-disk cache.
-        assert warm.stats.simulated == 1 * 2
-        assert warm.stats.disk_hits == 2 * 2
+        assert grown.stats.simulated == 1 * 2
+        assert grown.stats.disk_hits == 2 * 2
 
     def test_identical_regeneration_is_simulation_free(self, tmp_path):
+        # Many traces (all six profiles), one point.
         points = [(575.0, ClockScheme.IRAW)]
-        first = VccSweep(TINY_MANY, runner=ParallelRunner(
+        first = experiment_of(STANDARD_PROFILES, runner=ParallelRunner(
             cache=ResultCache(root=tmp_path)))
-        first.run_points(points)
-        assert first.stats.simulated == len(TINY_MANY.profiles)
-        again = VccSweep(TINY_MANY, runner=ParallelRunner(
+        run_points(first, points)
+        assert first.stats.simulated == len(STANDARD_PROFILES)
+        again = experiment_of(STANDARD_PROFILES, runner=ParallelRunner(
             cache=ResultCache(root=tmp_path)))
-        again.run_points(points)
+        run_points(again, points)
         assert again.stats.simulated == 0
 
 
@@ -276,11 +283,9 @@ class TestWorkerSaturation:
     def test_many_trace_grid_exposes_enough_parallel_units(self):
         # 8 traces x 2 points: pre-sharding this batch held 2 executable
         # units and starved a 4-worker pool; sharded it holds 16.
-        sweep = VccSweep(SweepSettings(profiles=STANDARD_PROFILES[:4],
-                                       seeds_per_profile=2,
-                                       trace_length=300))
-        jobs = [sweep.job_for(500.0, ClockScheme.BASELINE),
-                sweep.job_for(500.0, ClockScheme.IRAW)]
+        experiment = experiment_of(STANDARD_PROFILES[:4], seeds=2)
+        jobs = [experiment.population_job(500.0, ClockScheme.BASELINE),
+                experiment.population_job(500.0, ClockScheme.IRAW)]
         units = [shard for job in jobs for shard in shard_jobs(job)]
         assert len(units) == 16
         assert len({job_key(unit) for unit in units}) == 16
@@ -290,19 +295,18 @@ class TestWorkerSaturation:
         # 8 traces x 2 points.  Wall-clock speedup is measured by
         # benchmarks/pool_speedup.py; tier-1 checks what is deterministic
         # and that the shards really ran in several worker processes.
-        settings_ = SweepSettings(profiles=STANDARD_PROFILES[:4],
-                                  seeds_per_profile=2, trace_length=6000)
         points = [(500.0, ClockScheme.BASELINE), (500.0, ClockScheme.IRAW)]
-        serial_results = VccSweep(settings_).run_points(points)
+        serial_results = run_points(
+            experiment_of(STANDARD_PROFILES[:4], 6000, seeds=2), points)
 
         spans_path = tmp_path / "spans.jsonl"
-        parallel_sweep = VccSweep(
-            settings_, runner=ParallelRunner(
+        parallel = experiment_of(
+            STANDARD_PROFILES[:4], 6000, seeds=2, runner=ParallelRunner(
                 workers=4, trace_sink=JsonlTraceSink(spans_path)))
-        parallel_results = parallel_sweep.run_points(points)
+        parallel_results = run_points(parallel, points)
 
         assert serial_results == parallel_results
-        assert parallel_sweep.stats.simulated == 16
+        assert parallel.stats.simulated == 16
         shards = [span for span in read_spans(spans_path)
                   if span.kind != "engine-batch"]
         assert len(shards) == 16
@@ -375,17 +379,14 @@ def core_runs(monkeypatch):
     return calls
 
 
-def baseline_jobs(sweep: VccSweep, vcc_mv: float,
+def baseline_jobs(experiment: Experiment, vcc_mv: float,
                   hypothetical_rf_only: bool) -> list[Job]:
     """Table 1's Faulty Bits and Extra Bypass jobs at one point."""
-    options = sweep.point_options()
     return [
-        Job(kind="faulty-bits", vcc_mv=vcc_mv, scheme="faulty-bits",
-            population=sweep.population, options=options),
-        Job(kind="extra-bypass", vcc_mv=vcc_mv, scheme="extra-bypass",
-            population=sweep.population,
-            options=options + (("hypothetical_rf_only",
-                                hypothetical_rf_only),)),
+        experiment.population_job(vcc_mv, "faulty-bits", kind="faulty-bits"),
+        experiment.population_job(
+            vcc_mv, "extra-bypass", kind="extra-bypass",
+            options=(("hypothetical_rf_only", hypothetical_rf_only),)),
     ]
 
 
@@ -414,9 +415,8 @@ def unit_batches(draw):
                                    min_size=2, max_size=3,
                                    unique_by=lambda profile: profile.name)))
     length = draw(st.integers(min_value=200, max_value=400))
-    sweeps = {warm: VccSweep(SweepSettings(profiles=profiles,
-                                           trace_length=length, warm=warm))
-              for warm in (True, False)}
+    experiments = {warm: experiment_of(profiles, length, warm=warm)
+                   for warm in (True, False)}
     grid = draw(st.lists(st.sampled_from(GRID_MV), min_size=1, max_size=4,
                          unique=True))
     jobs = []
@@ -428,9 +428,9 @@ def unit_batches(draw):
         for scheme in schemes:
             overrides = draw(st.dictionaries(st.sampled_from(SWITCHES),
                                              st.booleans()))
-            sweep = sweeps[draw(st.booleans())]
-            jobs.append(sweep.job_for(vcc_mv, scheme, **overrides))
-        jobs += baseline_jobs(sweeps[draw(st.booleans())], vcc_mv,
+            experiment = experiments[draw(st.booleans())]
+            jobs.append(experiment.population_job(vcc_mv, scheme, overrides))
+        jobs += baseline_jobs(experiments[draw(st.booleans())], vcc_mv,
                               draw(st.booleans()))
     return jobs
 
@@ -445,16 +445,15 @@ class TestTraceUnits:
     def test_fixed_batch_matches_fresh_cores(self, tmp_path, workers):
         # N = 0 ablations, an N > 0 ablation, cold runs at two DRAM
         # latencies and both baselines, over two traces.
-        warm = VccSweep(SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
-                                      trace_length=300))
-        cold = VccSweep(SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
-                                      trace_length=300, warm=False))
-        jobs = [warm.job_for(650.0, ClockScheme.BASELINE),
-                warm.job_for(650.0, ClockScheme.IRAW, rf_enabled=False),
-                warm.job_for(500.0, ClockScheme.IRAW),
-                warm.job_for(500.0, ClockScheme.IRAW, rf_enabled=False),
-                cold.job_for(700.0, ClockScheme.BASELINE),
-                cold.job_for(450.0, ClockScheme.LOGIC),
+        warm = experiment_of((KERNEL_LIKE, SPECINT_LIKE))
+        cold = experiment_of((KERNEL_LIKE, SPECINT_LIKE), warm=False)
+        rf_off = {"rf_enabled": False}
+        jobs = [warm.population_job(650.0, ClockScheme.BASELINE),
+                warm.population_job(650.0, ClockScheme.IRAW, rf_off),
+                warm.population_job(500.0, ClockScheme.IRAW),
+                warm.population_job(500.0, ClockScheme.IRAW, rf_off),
+                cold.population_job(700.0, ClockScheme.BASELINE),
+                cold.population_job(450.0, ClockScheme.LOGIC),
                 *baseline_jobs(warm, 500.0, True),
                 *baseline_jobs(cold, 600.0, False)]
         spans_path = tmp_path / "spans.jsonl"
@@ -474,24 +473,21 @@ class TestTraceUnits:
 
     def test_dram_latency_is_shared_only_by_runs_that_never_read_it(
             self, core_runs):
-        def settings_(warm):
-            return SweepSettings(profiles=(SPECINT_LIKE,), trace_length=400,
-                                 warm=warm)
-
         # Cold, the trace misses to DRAM, so 700 and 650 mV (different
         # DRAM latencies in cycles) run the same machine twice.
-        cold = VccSweep(settings_(False))
-        jobs = [cold.job_for(700.0, ClockScheme.BASELINE),
-                cold.job_for(650.0, ClockScheme.BASELINE)]
+        cold = experiment_of((SPECINT_LIKE,), 400, warm=False)
+        jobs = [cold.population_job(700.0, ClockScheme.BASELINE),
+                cold.population_job(650.0, ClockScheme.BASELINE)]
         high, low = ParallelRunner().run(jobs)
         assert len(core_runs) == 2
         assert high.results[0].cycles != low.results[0].cycles
         assert_fresh([high, low], jobs)
         # Warmed, it never reaches DRAM: one run serves both latencies.
-        warm = VccSweep(settings_(True))
+        warm = experiment_of((SPECINT_LIKE,), 400)
         del core_runs[:]
-        ParallelRunner().run([warm.job_for(700.0, ClockScheme.BASELINE),
-                              warm.job_for(650.0, ClockScheme.BASELINE)])
+        ParallelRunner().run(
+            [warm.population_job(vcc, ClockScheme.BASELINE)
+             for vcc in (700.0, 650.0)])
         assert len(core_runs) == 1
 
     @pytest.mark.parametrize("profile", [SPECINT_LIKE, KERNEL_LIKE,
@@ -532,13 +528,13 @@ class TestTraceUnits:
         assert len(core_runs) == runner.stats.simulated == 16
 
     def test_jobs_never_share_result_objects(self, core_runs):
-        sweep = VccSweep(SweepSettings(profiles=(KERNEL_LIKE,),
-                                       trace_length=300))
+        experiment = experiment_of((KERNEL_LIKE,))
         # All three are the baseline machine (N = 0 at 650 and 700 mV).
         results = ParallelRunner().run([
-            sweep.job_for(650.0, ClockScheme.BASELINE),
-            sweep.job_for(650.0, ClockScheme.IRAW),
-            sweep.job_for(700.0, ClockScheme.IRAW, rf_enabled=False)])
+            experiment.population_job(650.0, ClockScheme.BASELINE),
+            experiment.population_job(650.0, ClockScheme.IRAW),
+            experiment.population_job(700.0, ClockScheme.IRAW,
+                                      {"rf_enabled": False})])
         assert len(core_runs) == 1
         before = copy.deepcopy(results)
         edited = results[0].results[0]

@@ -24,7 +24,12 @@ from repro.experiments import (
     ResultSet,
     run_spec,
 )
-from repro.experiments.artifacts import TABLE1_TECHNIQUES
+from repro.experiments.artifacts import (
+    TABLE1_TECHNIQUES,
+    fig11b_jobs,
+    stalls_jobs,
+    table1_jobs,
+)
 from repro.experiments.spec import RiscvProgramRef
 from repro.experiments.specio import dumps_toml, loads_toml
 from repro.montecarlo import ImportanceSpec, MonteCarloSpec
@@ -344,6 +349,41 @@ class TestArtifactRegistry:
             artifact("table2")
 
 
+class TestPopulationJobs:
+    """Every population job of one experiment comes from
+    ``Experiment.population_job`` and holds the same shared objects, so
+    the job-key memo writes each of them once."""
+
+    def test_planners_share_one_population_and_option_objects(self):
+        experiment = Experiment(small_dvfs_spec(
+            params=(("iq_size", 12),), memory=(("tlb_miss_penalty", 40),),
+            montecarlo=MonteCarloSpec(dies=2),
+            artifacts=("table1", "fig11b", "stalls", "dvfs")))
+        jobs = (table1_jobs(experiment) + fig11b_jobs(experiment)
+                + stalls_jobs(experiment))
+        assert {job.kind for job in jobs} \
+            == {"sweep-point", "faulty-bits", "extra-bypass"}
+        first = jobs[0]
+        assert all(job.population is first.population for job in jobs)
+        shared = dict(first.options)
+        for job in jobs:
+            for name, value in job.options:
+                if name in shared:
+                    assert value is shared[name], (job.label, name)
+        assert shared["params"] == experiment.spec.pipeline_params()
+        assert shared["memory"] == experiment.spec.memory_config()
+        assert shared["delay_model"] is experiment.solver.delay_model
+        schedules = experiment.dvfs_jobs()
+        assert len(schedules) == 2
+        for job in schedules:
+            options = dict(job.options)
+            assert options["params"] is shared["params"]
+            assert options["memory"] is shared["memory"]
+            assert options["delay_model"] is shared["delay_model"]
+        for job in experiment.mc_jobs():
+            assert dict(job.options)["delay_model"] is shared["delay_model"]
+
+
 class TestExperimentDriver:
     def test_run_returns_resultset(self):
         experiment = Experiment(SMALL_SPEC)
@@ -411,7 +451,7 @@ class TestExperimentDriver:
         results = experiment.run()
         assert len(results.filter(kind="dvfs-schedule")) == 2
         with pytest.raises(ConfigError, match="no trace population"):
-            experiment.sweep
+            experiment.population_job(500.0, "iraw")
 
     def test_shared_points_deduplicated(self):
         """table1 + fig11b at one Vcc share the baseline/iraw points."""
@@ -595,18 +635,33 @@ class TestStallsArtifact:
                           trace_length=400, vcc_mv=(575.0,),
                           stalls_vcc_mv=575.0, artifacts=("stalls",))
 
-    def test_rows_match_the_legacy_decomposition(self):
-        from repro.analysis.sweep import VccSweep
-
+    def test_rows_match_the_decomposition_of_their_points(self):
+        """The row, recomputed here from the five resolved points: each
+        column is the IPC the full point loses to the withheld stalls."""
         experiment = Experiment(self.SPEC)
         experiment.run()
         rows = experiment.artifact("stalls")
-        sweep = VccSweep(self.SPEC.sweep_settings(),
-                         runner=experiment.runner)
-        assert rows == [sweep.stall_decomposition(575.0)]
-        assert rows[0]["vcc_mv"] == 575.0
-        assert set(rows[0]) >= {"total_drop", "rf_drop", "dl0_drop",
-                                "other_drop"}
+
+        def point(**switches):
+            return experiment.runner.cached_result(
+                experiment.population_job(575.0, "iraw", switches))
+
+        full = point()
+        withheld = {
+            "total_drop": point(rf_enabled=False, iq_enabled=False,
+                                cache_guards_enabled=False,
+                                stable_enabled=False),
+            "rf_drop": point(rf_enabled=False),
+            "dl0_drop": point(stable_enabled=False),
+            "other_drop": point(iq_enabled=False,
+                                cache_guards_enabled=False),
+        }
+        expected = {"vcc_mv": 575.0}
+        for column, result in withheld.items():
+            expected[column] = 1.0 - full.ipc / result.ipc
+        expected["iraw_delay_fraction"] = full.mean_iraw_delay_fraction
+        assert rows == [expected]
+        assert list(rows[0]) == list(expected)
 
     def test_planned_jobs_cover_the_render(self):
         """run() batches the five ablation points; rendering afterwards

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.analysis.figures import figure1_series, prediction_hazard_report
-from repro.analysis.sweep import SweepSettings, VccSweep
-from repro.circuits.ekv import voltage_grid
-from repro.circuits.frequency import FrequencySolver
+from repro.circuits.frequency import ClockScheme, FrequencySolver
+from repro.experiments import Experiment, ExperimentSpec
 from repro.experiments.artifacts import (
-    energy450_cases,
+    energy450_rows,
     fig11b_rows,
     fig12_rows,
     overhead_rows,
@@ -20,9 +19,12 @@ pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return VccSweep(SweepSettings(profiles=(SPECINT_LIKE, KERNEL_LIKE),
-                                  trace_length=2500))
+def experiment():
+    # Table 1 at 500 mV; the grid is the 700 -> 400 mV sweep in 100 mV
+    # steps (700, 600, 500, 400).
+    return Experiment(ExperimentSpec(
+        name="figures", profiles=(SPECINT_LIKE.name, KERNEL_LIKE.name),
+        trace_length=2500, step_mv=100.0, table1_vcc_mv=500.0))
 
 
 class TestFigure1:
@@ -51,8 +53,8 @@ class TestFigure11a:
 
 
 class TestFigure11b:
-    def test_gains_shape(self, sweep):
-        rows = fig11b_rows(sweep, voltage_grid(100.0))  # 700,600,500,400
+    def test_gains_shape(self, experiment):
+        rows = fig11b_rows(experiment)
         by_vcc = {r["vcc_mv"]: r for r in rows}
         assert by_vcc[700.0]["frequency_gain"] == pytest.approx(0.0)
         assert by_vcc[500.0]["frequency_gain"] == pytest.approx(0.57, abs=0.03)
@@ -64,15 +66,15 @@ class TestFigure11b:
 
 
 class TestFigure12:
-    def test_edp_improves_at_low_vcc(self, sweep):
-        rows = fig12_rows(sweep, voltage_grid(100.0))
+    def test_edp_improves_at_low_vcc(self, experiment):
+        rows = fig12_rows(experiment)
         by_vcc = {r["vcc_mv"]: r for r in rows}
         assert by_vcc[700.0]["edp_ratio"] == pytest.approx(1.01, abs=0.02)
         assert by_vcc[500.0]["edp_ratio"] < 0.8
         assert by_vcc[400.0]["edp_ratio"] < by_vcc[500.0]["edp_ratio"]
 
-    def test_energy_example(self, sweep):
-        cases = energy450_cases(sweep)
+    def test_energy_example(self, experiment):
+        cases = {row["case"]: row for row in energy450_rows(experiment)}
         assert cases["unconstrained"]["total_j"] == pytest.approx(5.0)
         assert (cases["baseline"]["total_j"] > cases["iraw"]["total_j"]
                 > cases["unconstrained"]["total_j"])
@@ -84,8 +86,10 @@ class TestInTextReports:
         assert report["area_overhead"] < 0.001
         assert report["power_overhead"] < 0.01
 
-    def test_prediction_hazards(self, sweep):
-        report = prediction_hazard_report(sweep, vcc_mv=500.0)
+    def test_prediction_hazards(self, experiment):
+        report = prediction_hazard_report(experiment.runner.run_one(
+            experiment.population_job(500.0, ClockScheme.IRAW)))
+        assert report["vcc_mv"] == 500.0
         assert report["bp_predictions"] > 0
         # Paper: 0.0017% potential extra mispredictions — tiny either way.
         assert report["bp_potential_extra_misprediction_rate"] < 0.01
@@ -94,8 +98,8 @@ class TestInTextReports:
 
 class TestTable1:
     @pytest.fixture(scope="class")
-    def rows(self, sweep):
-        return table1_rows(sweep, vcc_mv=500.0)
+    def rows(self, experiment):
+        return table1_rows(experiment)
 
     def test_four_techniques(self, rows):
         assert len(rows) == 4

@@ -27,10 +27,8 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import rv32i_programs  # noqa: E402  (sibling fixture-builder module)
 
-from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.engine import ParallelRunner, QueueBackend, ResultCache
 from repro.experiments import Experiment, ExperimentSpec, RiscvProgramRef
-from repro.experiments.artifacts import table1_rows
 from repro.montecarlo import ImportanceSpec, MonteCarloSpec, \
     deep_tail_rows, montecarlo_jobs, yield_curve_rows
 from repro.workloads.profiles import KERNEL_LIKE, SPECINT_LIKE
@@ -42,15 +40,11 @@ pytestmark = pytest.mark.engine
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 RV32I_GOLDEN_DIR = GOLDEN_DIR / "rv32i"
 
-#: The golden population: two profiles, one seed each, short traces —
-#: big enough to exercise aggregation across traces, small enough that
-#: every CI matrix leg can afford the regeneration.
-GOLDEN_SETTINGS = SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
-                                trace_length=600)
 GOLDEN_VCC = 500.0
 
-#: The same campaign as a declarative spec: the experiment driver must
-#: reproduce the goldens bit-identically through this description.
+#: The golden campaign: two profiles, one seed each, short traces — big
+#: enough to exercise aggregation across traces, small enough that every
+#: CI matrix leg can afford the regeneration.
 GOLDEN_SPEC = ExperimentSpec(
     name="golden",
     profiles=(KERNEL_LIKE.name, SPECINT_LIKE.name),
@@ -98,11 +92,12 @@ GOLDEN_DEEP_MC = MonteCarloSpec(dies=64, seed=0, block=32,
 
 
 def compute_artifacts(runner: ParallelRunner | None = None) -> dict:
-    """Regenerate both golden artifacts through one sweep/runner."""
-    sweep = VccSweep(GOLDEN_SETTINGS, runner=runner)
+    """Render both golden artifacts of :data:`GOLDEN_SPEC` through one
+    runner, each artifact resolving its own jobs (no ``run()`` first)."""
+    experiment = Experiment(GOLDEN_SPEC, runner=runner)
     return {
-        "table1": table1_rows(sweep, GOLDEN_VCC),
-        "fig11b_500mv": sweep.compare(GOLDEN_VCC),
+        "table1": experiment.artifact("table1"),
+        "fig11b_500mv": experiment.artifact("fig11b")[0],
     }
 
 
@@ -249,13 +244,12 @@ class TestGoldenQueue:
 
 
 class TestGoldenExperiment:
-    """The declarative driver must reproduce the goldens bit-identically.
+    """The whole-campaign path must reproduce the goldens too.
 
-    ``ExperimentSpec``/``Experiment.run`` is a *description* of the same
-    campaign the legacy harness runs by hand; these tests pin the
-    equivalence three ways — same rows (serial and pool), same on-disk
-    cache keys (a spec run after a legacy run simulates nothing), and
-    spec round-trips through TOML/JSON that preserve the job plan.
+    ``Experiment.run`` submits the spec's plan as one batch before the
+    artifacts render; these tests pin the same rows through it (serial
+    and pool) and spec round-trips through TOML/JSON that preserve the
+    job plan.
     """
 
     @staticmethod
@@ -282,19 +276,6 @@ class TestGoldenExperiment:
                               "table1")
         assert_matches_golden(artifacts["fig11b_500mv"],
                               load_golden("fig11b_500mv"), "fig11b_500mv")
-
-    def test_spec_run_hits_legacy_cache_keys(self, tmp_path):
-        """Spec-planned jobs carry the exact canonical keys the legacy
-        harness produces: after a legacy warm-up, the experiment run is
-        answered entirely from disk."""
-        legacy = ParallelRunner(workers=1, cache=ResultCache(root=tmp_path))
-        compute_artifacts(legacy)
-        runner = ParallelRunner(workers=1, cache=ResultCache(root=tmp_path))
-        experiment = Experiment(GOLDEN_SPEC, runner=runner)
-        artifacts = self.experiment_artifacts(experiment)
-        assert runner.stats.simulated == 0
-        assert_matches_golden(artifacts["table1"], load_golden("table1"),
-                              "table1")
 
     def test_spec_round_trips_preserve_job_keys(self):
         via_toml = ExperimentSpec.from_toml(GOLDEN_SPEC.to_toml())

@@ -46,7 +46,6 @@ class TestFillStallGuard:
         guard = FillStallGuard("IL0", 0)
         guard.arm(10)
         assert guard.blocked_until(10) is None
-        assert guard.fills == 0
 
     def test_negative_n_rejected(self):
         with pytest.raises(ConfigError):

@@ -19,11 +19,11 @@ from key_oracle import oracle_key, oracle_text
 
 import repro.engine.jobs as jobs_module
 from repro.analysis.dvfs import DvfsPhase, schedule_job
-from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.branch.iraw_effects import DeterminismMode
 from repro.circuits.frequency import ClockScheme, FrequencySolver
-from repro.engine import Job, ParallelRunner, TraceSpec, job_key
+from repro.engine import Job, TraceSpec, job_key
 from repro.engine.jobs import shard_jobs
+from repro.experiments import Experiment, ExperimentSpec
 from repro.experiments.artifacts import table1_jobs
 from repro.isa.opcodes import OpClass
 from repro.montecarlo.campaign import montecarlo_jobs
@@ -32,6 +32,7 @@ from repro.pipeline.resources import PipelineParams
 from repro.workloads.kernels import KERNEL_BUILDERS
 from repro.workloads.profiles import (
     KERNEL_LIKE,
+    PROFILES_BY_NAME,
     SPECINT_LIKE,
     STANDARD_PROFILES,
 )
@@ -40,8 +41,6 @@ from repro.workloads.riscv import RiscvProgram
 pytestmark = pytest.mark.engine
 
 SOLVER = FrequencySolver()
-#: Never runs a job: the planners only need a runner to hang off.
-RUNNER = ParallelRunner()
 VCC = st.sampled_from([400.0, 450.0, 500.0, 562.5, 700.0])
 SCHEMES = st.sampled_from([ClockScheme.BASELINE, ClockScheme.IRAW])
 
@@ -104,25 +103,39 @@ def trace_specs(draw):
 
 
 @st.composite
-def pipeline_params(draw):
-    """Default params, or latencies keyed by the str-mixin ``OpClass``."""
+def params_overrides(draw) -> dict:
+    """No overrides, or latencies keyed by the str-mixin ``OpClass``."""
     if draw(st.booleans()):
-        return PipelineParams()
+        return {}
     latencies = draw(st.dictionaries(
         st.sampled_from(list(OpClass)),
         st.integers(1, 40) | st.just(True), min_size=1))
-    return PipelineParams(latencies=latencies,
-                          rf_write_cycles=draw(st.integers(1, 3)))
+    return {"latencies": latencies,
+            "rf_write_cycles": draw(st.integers(1, 3))}
 
 
-def _sweep(draw) -> VccSweep:
-    settings = SweepSettings(
-        profiles=(draw(profiles()),),
-        trace_length=draw(st.integers(1, 5000)),
-        warm=draw(st.booleans()),
-        dram_latency_ns=draw(FLOATS),
-        params=draw(pipeline_params()))
-    return VccSweep(settings, solver=SOLVER, runner=RUNNER)
+#: Names a spec can give a custom profile: no built-in one's.
+CUSTOM_NAMES = st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True).filter(
+    lambda name: name not in PROFILES_BY_NAME)
+
+
+def _experiment(draw, table1_vcc_mv: float) -> Experiment:
+    """An experiment over one standard profile, or one with int-valued
+    weights under a new name, as a spec file can describe it."""
+    profile = draw(st.sampled_from(STANDARD_PROFILES))
+    custom = ()
+    if draw(st.booleans()):
+        profile = dataclasses.replace(
+            profile, name=draw(CUSTOM_NAMES),
+            alu_weight=draw(st.sampled_from(
+                [int(profile.alu_weight), float(profile.alu_weight),
+                 11, 11.0])))
+        custom = (profile,)
+    return Experiment(ExperimentSpec(
+        name="drawn", profiles=(profile.name,), custom_profiles=custom,
+        trace_length=draw(st.integers(1, 5000)), warm=draw(st.booleans()),
+        dram_latency_ns=draw(FLOATS), params=draw(params_overrides()),
+        table1_vcc_mv=table1_vcc_mv))
 
 
 @st.composite
@@ -136,19 +149,21 @@ def any_jobs(draw):
         overrides = draw(st.dictionaries(
             st.sampled_from(["rf_enabled", "iq_enabled", "stable_enabled"]),
             st.booleans()))
-        job = _sweep(draw).job_for(vcc, draw(SCHEMES), **overrides)
+        job = _experiment(draw, vcc).population_job(vcc, draw(SCHEMES),
+                                                    overrides)
         if kind == "sweep-point":
             job = dataclasses.replace(job, population=None,
                                       trace=draw(trace_specs()))
     elif kind in ("faulty-bits", "extra-bypass"):
-        technique = table1_jobs(_sweep(draw), vcc)[
+        technique = table1_jobs(_experiment(draw, vcc))[
             2 if kind == "faulty-bits" else 3]
         job = shard_jobs(technique)[0]
     elif kind == "dvfs-schedule":
         phases = tuple(DvfsPhase(draw(VCC), draw(st.integers(1, 5000)))
                        for _ in range(draw(st.integers(1, 3))))
         job = schedule_job(draw(trace_specs()), phases, draw(SCHEMES),
-                           solver=SOLVER, params=draw(pipeline_params()),
+                           solver=SOLVER,
+                           params=PipelineParams(**draw(params_overrides())),
                            dram_latency_ns=draw(FLOATS),
                            transition_ns=draw(FLOATS))
     else:
@@ -181,12 +196,12 @@ class TestAgainstTheOracle:
         assert job_key(job) == oracle_key(job)
 
     def test_planned_campaigns_key_as_the_oracle(self):
-        sweep = VccSweep(SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
-                                       seeds_per_profile=2, trace_length=400),
-                         solver=SOLVER, runner=RUNNER)
         planned = []
         for vcc in (700.0, 550.0, 400.0):
-            for job in table1_jobs(sweep, vcc):
+            experiment = Experiment(ExperimentSpec(
+                name="planned", profiles=(KERNEL_LIKE.name, SPECINT_LIKE.name),
+                seeds_per_profile=2, trace_length=400, table1_vcc_mv=vcc))
+            for job in table1_jobs(experiment):
                 planned += [job, *shard_jobs(job)]
         for job in planned:
             # Texts, not hashes, so a failure shows where they part.

@@ -554,7 +554,13 @@ class TestQueueTelemetry:
         # instrument must exist (the scrape surface is stable).
         for outcome in ("lost", "expired", "corrupt", "failed"):
             assert snapshot[f"queue_faults{{outcome={outcome}}}"] == 0
-        assert snapshot["queue_heartbeat_lag_s"]["count"] == 0
+        # Heartbeat lag is a health sample, not a fault: a busy host may
+        # poll a live claim twice before its beat moves, so a clean run
+        # may record some.  Every one lies within the 60 s lease timeout.
+        assert "queue_heartbeat_lag_s" in snapshot
+        lag = snapshot["queue_heartbeat_lag_s"]
+        within_lease = lag["buckets"].index(60.0) + 1
+        assert sum(lag["counts"][:within_lease]) == lag["count"]
         # Re-dispatches are engine_requeued and expiries are
         # queue_faults{outcome=expired}: neither is counted twice.
         assert snapshot["engine_requeued"] == 0

@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import rv32i_programs  # noqa: E402  (sibling fixture-builder module)
 
-from repro.analysis.sweep import SweepSettings, VccSweep
 from repro.circuits.frequency import ClockScheme
 from repro.engine import job_key, shard_jobs
 from repro.errors import ConfigError, TraceError
@@ -497,10 +496,11 @@ class TestCacheKeys:
 
     @staticmethod
     def shard_key_by_label(paths) -> dict[str, str]:
-        programs = tuple(RiscvProgram.from_file(path) for path in paths)
-        sweep = VccSweep(SweepSettings(profiles=(KERNEL_LIKE,),
-                                       trace_length=300, riscv=programs))
-        job = sweep.job_for(500.0, ClockScheme.IRAW)
+        experiment = Experiment(ExperimentSpec(
+            name="keys", profiles=(KERNEL_LIKE.name,), trace_length=300,
+            riscv=tuple(RiscvProgramRef(path.stem, str(path))
+                        for path in paths)))
+        job = experiment.population_job(500.0, ClockScheme.IRAW)
         return {shard.trace.label: job_key(shard)
                 for shard in shard_jobs(job)}
 

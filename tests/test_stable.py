@@ -83,7 +83,6 @@ class TestReplay:
         result = table.lookup(0x1000, cycle=11)
         # Oldest match is cycle 10; both live entries replay.
         assert result.replayed_stores == 2
-        assert table.replays == 2
 
     def test_replay_refreshes_entries(self):
         """Replayed stores rewrite DL0 and hence re-enter stabilization."""
@@ -105,7 +104,6 @@ class TestConfiguration:
         table = make_table(n=0)
         table.store_committed(0x1000, data=5, cycle=0)
         assert table.lookup(0x1000, cycle=0).kind is MatchKind.NONE
-        assert table.stores_tracked == 0
 
     def test_sizing_validation(self):
         with pytest.raises(ConfigError):

@@ -1,9 +1,10 @@
-"""Integration tests for the Vcc-sweep harness (small populations)."""
+"""Integration tests for population points (small populations)."""
 
 import pytest
 
-from repro.analysis.sweep import SweepSettings, VccSweep, warm_caches
 from repro.circuits.frequency import ClockScheme
+from repro.engine.executors import warm_caches
+from repro.experiments import Experiment, ExperimentSpec
 from repro.memory.hierarchy import MemorySystem
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.profiles import KERNEL_LIKE, SPECINT_LIKE
@@ -13,10 +14,16 @@ pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    settings = SweepSettings(profiles=(SPECINT_LIKE, KERNEL_LIKE),
-                             trace_length=3000)
-    return VccSweep(settings)
+def experiment():
+    return Experiment(ExperimentSpec(
+        name="integration", profiles=(SPECINT_LIKE.name, KERNEL_LIKE.name),
+        trace_length=3000, vcc_mv=(500.0, 650.0), stalls_vcc_mv=575.0,
+        artifacts=("fig11b", "stalls")))
+
+
+def run_point(experiment, vcc_mv, scheme, **switches):
+    return experiment.runner.run_one(
+        experiment.population_job(vcc_mv, scheme, switches))
 
 
 class TestWarmCaches:
@@ -39,51 +46,55 @@ class TestWarmCaches:
 
 
 class TestSweepPoints:
-    def test_point_caching(self, sweep):
-        a = sweep.run_point(500.0, ClockScheme.IRAW)
-        b = sweep.run_point(500.0, ClockScheme.IRAW)
+    def test_point_caching(self, experiment):
+        a = run_point(experiment, 500.0, ClockScheme.IRAW)
+        b = run_point(experiment, 500.0, ClockScheme.IRAW)
         assert a is b
 
-    def test_overrides_create_new_points(self, sweep):
-        a = sweep.run_point(500.0, ClockScheme.IRAW)
-        b = sweep.run_point(500.0, ClockScheme.IRAW, rf_enabled=False)
+    def test_overrides_create_new_points(self, experiment):
+        a = run_point(experiment, 500.0, ClockScheme.IRAW)
+        b = run_point(experiment, 500.0, ClockScheme.IRAW, rf_enabled=False)
         assert a is not b
 
-    def test_no_violations_at_any_point(self, sweep):
+    def test_no_violations_at_any_point(self, experiment):
         for scheme in (ClockScheme.BASELINE, ClockScheme.IRAW):
-            point = sweep.run_point(500.0, scheme)
+            point = run_point(experiment, 500.0, scheme)
             assert point.iraw_violations == 0
 
-    def test_iraw_runs_at_higher_frequency(self, sweep):
-        base = sweep.run_point(500.0, ClockScheme.BASELINE)
-        iraw = sweep.run_point(500.0, ClockScheme.IRAW)
+    def test_iraw_runs_at_higher_frequency(self, experiment):
+        base = run_point(experiment, 500.0, ClockScheme.BASELINE)
+        iraw = run_point(experiment, 500.0, ClockScheme.IRAW)
         assert iraw.point.frequency_mhz > base.point.frequency_mhz
         assert iraw.ipc < base.ipc  # stalls + memory cycles
 
 
 class TestCompare:
-    def test_headline_shape_at_500(self, sweep):
-        row = sweep.compare(500.0)
+    @pytest.fixture(scope="class")
+    def rows(self, experiment):
+        return {row["vcc_mv"]: row for row in experiment.artifact("fig11b")}
+
+    def test_headline_shape_at_500(self, rows):
+        row = rows[500.0]
         assert row["frequency_gain"] == pytest.approx(0.57, abs=0.03)
         assert 0.0 < row["performance_gain"] < row["frequency_gain"]
         assert 0 < row["iraw_delay_fraction"] < 0.35
         assert row["stabilization_cycles"] == 1
 
-    def test_no_gain_at_650(self, sweep):
-        row = sweep.compare(650.0)
+    def test_no_gain_at_650(self, rows):
+        row = rows[650.0]
         assert row["frequency_gain"] == pytest.approx(0.0, abs=1e-9)
         assert row["performance_gain"] == pytest.approx(0.0, abs=1e-6)
 
 
 class TestStallDecomposition:
-    def test_rf_dominates(self, sweep):
-        decomp = sweep.stall_decomposition(575.0)
+    def test_rf_dominates(self, experiment):
+        (decomp,) = experiment.artifact("stalls")
         assert decomp["rf_drop"] > decomp["dl0_drop"]
         assert decomp["rf_drop"] > 0.01
         assert 0 <= decomp["dl0_drop"] < 0.05
         assert 0 < decomp["total_drop"] < 0.25
 
-    def test_delay_fraction_in_paper_ballpark(self, sweep):
+    def test_delay_fraction_in_paper_ballpark(self, experiment):
         """Paper: 13.2% of instructions delayed; ours within ~2x."""
-        decomp = sweep.stall_decomposition(575.0)
+        (decomp,) = experiment.artifact("stalls")
         assert 0.05 < decomp["iraw_delay_fraction"] < 0.30
