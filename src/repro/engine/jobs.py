@@ -213,6 +213,10 @@ class Job:
     def __post_init__(self) -> None:
         if self.kind not in KNOWN_KINDS:
             raise ConfigError(f"unknown job kind {self.kind!r}")
+        # A ClockScheme member equals its value string, so it must key
+        # as that string too.
+        object.__setattr__(self, "scheme",
+                           getattr(self.scheme, "value", self.scheme))
         object.__setattr__(self, "iraw_overrides",
                            _sorted_pairs(self.iraw_overrides))
         object.__setattr__(self, "options", _sorted_pairs(self.options))

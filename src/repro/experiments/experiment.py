@@ -22,11 +22,6 @@ from repro.errors import ConfigError
 from repro.experiments.artifacts import ARTIFACTS, STALL_ABLATIONS, artifact
 from repro.experiments.resultset import Record, ResultSet
 from repro.experiments.spec import MONTECARLO_ARTIFACTS, ExperimentSpec
-from repro.montecarlo.campaign import (
-    montecarlo_jobs,
-    per_die_rows,
-    yield_curve_rows,
-)
 
 #: Artifacts that simulate population points off the grid, in the order
 #: their records follow the grid's.
@@ -93,8 +88,7 @@ class Experiment:
                 seeds_per_profile=spec.seeds_per_profile,
                 trace_length=spec.trace_length,
                 riscv=spec.riscv_programs())
-        return Job(kind=kind, vcc_mv=vcc_mv,
-                   scheme=getattr(scheme, "value", scheme),
+        return Job(kind=kind, vcc_mv=vcc_mv, scheme=scheme,
                    population=self._population, iraw_overrides=switches,
                    options=self._point_options + tuple(options))
 
@@ -154,6 +148,10 @@ class Experiment:
         """
         if self.spec.montecarlo is None:
             return []
+        # Imported here: the campaign layer loads NumPy, which no other
+        # campaign needs.
+        from repro.montecarlo.campaign import montecarlo_jobs
+
         return montecarlo_jobs(self.spec.montecarlo, self.spec.grid(),
                                self.spec.schemes, solver=self.solver)
 
@@ -278,6 +276,8 @@ class Experiment:
         mc = self.spec.montecarlo
         if mc is None:
             return []
+        from repro.montecarlo.campaign import per_die_rows, yield_curve_rows
+
         grid, schemes = self.spec.grid(), self.spec.schemes
         results = self.mc_results()
         records = [

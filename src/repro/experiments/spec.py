@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import re
 from dataclasses import dataclass, field
@@ -325,6 +326,12 @@ class ExperimentSpec:
         if self.seeds_per_profile < 1 or self.trace_length < 1:
             raise ConfigError(f"experiment {self.name!r}: population "
                               f"sizing must be positive")
+        if not (math.isfinite(self.dram_latency_ns)
+                and self.dram_latency_ns > 0):
+            raise ConfigError(f"experiment {self.name!r}: "
+                              f"sweep.dram_latency_ns must be a finite "
+                              f"latency > 0 ns (got "
+                              f"{self.dram_latency_ns!r})")
         if self.vcc_mv and self.step_mv is not None:
             raise ConfigError(f"experiment {self.name!r}: give either "
                               f"vcc_mv or step_mv, not both")

@@ -25,15 +25,15 @@ never materialising per-die populations beyond O(dies) arrays.
 Layering: :mod:`repro.montecarlo.sampling` sits beside ``circuits``
 (imported lazily by the engine executor); :mod:`repro.montecarlo.spec`
 and :mod:`repro.montecarlo.campaign` serve the declarative experiment
-layer on top.
+layer on top.  NumPy loads only for a Monte-Carlo campaign: ``spec``
+never imports it, and ``sampling`` and ``importance`` import it inside
+the functions that build arrays, so ``import repro.api`` and every
+campaign without a ``[montecarlo]`` section run without it.  This
+package re-exports only those three modules' names.  ``campaign`` (the
+planner and reducers) and ``stats`` (the streaming statistics) import
+NumPy at load; import their names from those modules.
 """
 
-from repro.montecarlo.campaign import (
-    montecarlo_jobs,
-    per_die_rows,
-    vccmin_rows,
-    yield_curve_rows,
-)
 from repro.montecarlo.importance import (
     EffectiveSampleSizeWarning,
     ImportanceSpec,
@@ -47,33 +47,15 @@ from repro.montecarlo.sampling import (
     shifted_offset,
 )
 from repro.montecarlo.spec import MonteCarloSpec
-from repro.montecarlo.stats import (
-    DiscreteDistribution,
-    StreamingStats,
-    WeightedIndicator,
-    WeightedStats,
-    weighted_wilson_interval,
-    wilson_interval,
-)
 
 __all__ = [
     "DieBlock",
     "DieBlockResult",
-    "DiscreteDistribution",
     "EffectiveSampleSizeWarning",
     "ImportanceSpec",
     "MonteCarloConfig",
     "MonteCarloSpec",
-    "StreamingStats",
-    "WeightedIndicator",
-    "WeightedStats",
     "deep_tail_rows",
     "evaluate_block",
-    "montecarlo_jobs",
-    "per_die_rows",
     "shifted_offset",
-    "vccmin_rows",
-    "weighted_wilson_interval",
-    "wilson_interval",
-    "yield_curve_rows",
 ]

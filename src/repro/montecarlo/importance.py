@@ -40,8 +40,10 @@ below the spec's threshold — a shifted campaign whose weights
 collapsed is noise, not data.
 
 Layering: this module sits beside ``campaign`` (which imports it for
-the ESS warning); :func:`deep_tail_rows` borrows campaign's plan-order
-grouping and chunking lazily to avoid an import cycle through ``spec``.
+the ESS warning) and loads without NumPy, because ``spec`` builds an
+:class:`ImportanceSpec`; :func:`deep_tail_rows` imports NumPy, the
+weighted reducer and campaign's plan-order grouping and chunking where
+it runs, which also avoids an import cycle through ``spec``.
 """
 
 from __future__ import annotations
@@ -51,10 +53,7 @@ import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.montecarlo.stats import WeightedIndicator
 from repro.specfields import read_fields, write_fields
 
 _STANDARD_NORMAL = NormalDist()
@@ -192,8 +191,12 @@ def deep_tail_rows(results, grid, schemes, dies: int, importance,
     identically (weights are ``exp`` of the per-die log weights, folded
     in die-aligned chunks).
     """
-    # Lazy import: campaign imports this module for the ESS warning.
+    # Lazy imports: campaign imports this module for the ESS warning,
+    # and the spec types must load without NumPy.
+    import numpy as np
+
     from repro.montecarlo.campaign import _chunks, _grouped
+    from repro.montecarlo.stats import WeightedIndicator
 
     if importance is None:
         raise ConfigError("deep_tail needs a [montecarlo.importance] "

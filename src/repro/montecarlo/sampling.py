@@ -40,8 +40,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.circuits import constants
 from repro.circuits.ekv import THERMAL_VOLTAGE_MV, Device, check_voltage
@@ -49,6 +48,9 @@ from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.circuits.sram import silverthorne_arrays
 from repro.circuits.variation import VTH_MV_PER_SIGMA, VariationModel
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # imported where arrays are built, so specs load without it
+    import numpy as np
 
 #: Die-to-die mean Vth shift sigma, in millivolts.  Die-level systematic
 #: variation is a sizable fraction of the cell-to-cell sigma at 45 nm;
@@ -204,12 +206,16 @@ def _unit_interval(words: np.ndarray) -> np.ndarray:
     The top 52 bits plus one half, scaled by 2**-52: every step is
     exact, so a word maps to the same double everywhere.
     """
+    import numpy as np
+
     return ((words >> np.uint64(12)).astype(np.float64) + 0.5) \
         * 2.0 ** -52
 
 
 def _inv_cdf(p: np.ndarray) -> np.ndarray:
     """Standard normal quantile per element."""
+    import numpy as np
+
     return np.fromiter(map(_STANDARD_NORMAL.inv_cdf, p.tolist()),
                        dtype=np.float64, count=p.size)
 
@@ -237,8 +243,7 @@ class DieBlock:
 
     def build(self) -> "BlockSample":
         """The block's sampled identity, in die order (read-only)."""
-        # Imported here, not at module scope: numpy.random costs every
-        # process that never samples a die ~2.4 MiB of RSS.
+        import numpy as np
         from numpy.random import Philox
 
         config = self.config
@@ -331,6 +336,8 @@ def _device_delay_array(device: Device, shift: np.ndarray,
     """Vectorized :meth:`Device.delay` for per-die Vth-shifted devices,
     with :func:`~repro.circuits.ekv.softplus` and its +/-35 guards as a
     NumPy expression."""
+    import numpy as np
+
     vth = device.vth_mv + shift
     x = (vcc_mv - vth) / (2.0 * device.n * THERMAL_VOLTAGE_MV)
     e = np.exp(np.minimum(x, 35.0))
@@ -345,6 +352,8 @@ def _stabilization_cycles_array(write, wordline, slowdown_factor, phase):
     ``write`` is the per-die write-delay array; ``phase`` may be a
     scalar (the design phase) or a per-die array (the IRAW phase).
     """
+    import numpy as np
+
     assisted = phase - wordline
     remaining = write - assisted
     stab_time = np.where(remaining <= 0.0, 0.0,
@@ -368,6 +377,8 @@ def evaluate_block(config: MonteCarloConfig, die_start: int, dies: int,
     :meth:`DieBlock.build` value so executors can share one sampled
     block across the whole (Vcc, scheme) grid.
     """
+    import numpy as np
+
     solver = solver or FrequencySolver()
     if sample is None:
         sample = DieBlock(config, die_start, dies).build()

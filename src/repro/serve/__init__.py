@@ -23,27 +23,7 @@ The tier is four small parts:
 * :mod:`repro.serve.client` — :class:`ServeClient`, the typed
   in-process client the ``repro submit`` / ``repro status`` /
   ``repro results`` CLI front ends are built on.
+
+The package re-exports nothing: import each name from its module, so
+loading the CLI parser (:mod:`repro.serve.cli`) loads nothing else.
 """
-
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.collector import (
-    BacklogFull,
-    Collector,
-    SpecTooLarge,
-    UnknownCampaign,
-)
-from repro.serve.registry import CampaignRecord, CampaignRegistry
-from repro.serve.server import CampaignServer, create_server
-
-__all__ = [
-    "BacklogFull",
-    "CampaignRecord",
-    "CampaignRegistry",
-    "CampaignServer",
-    "Collector",
-    "ServeClient",
-    "ServeError",
-    "SpecTooLarge",
-    "UnknownCampaign",
-    "create_server",
-]

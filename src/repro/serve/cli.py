@@ -17,6 +17,11 @@ default result cache.
 server: the fleet grows with queue depth up to N worker processes and
 drains itself when idle, so one command is a complete single-host
 deployment.
+
+This module builds the four subparsers without importing the client or
+the server (``urllib.request`` and ``http.server`` pull in ``ssl``); each
+handler imports the part of the tier it runs, so the other subcommands
+never load it.
 """
 
 from __future__ import annotations
@@ -32,11 +37,15 @@ from repro.engine import add_engine_arguments, runner_from_args
 from repro.engine.broker import QUEUE_DIR_ENV, WorkerSupervisor
 from repro.engine.cache import user_cache_dir
 from repro.errors import ConfigError
-from repro.serve.client import DEFAULT_URL, ServeClient, ServeError
-from repro.serve.server import DEFAULT_PORT, create_server
 
 #: Environment variable naming the serve state directory.
 STATE_DIR_ENV = "REPRO_SERVE_STATE"
+
+#: Default TCP port of ``repro serve``.
+DEFAULT_PORT = 8472
+
+#: Default service URL of ``repro submit``, ``status`` and ``results``.
+DEFAULT_URL = f"http://127.0.0.1:{DEFAULT_PORT}"
 
 
 def add_serve_subcommands(sub) -> None:
@@ -142,6 +151,8 @@ def dispatch_serve(args) -> int | None:
                }.get(args.command)
     if handler is None:
         return None
+    from repro.serve.client import ServeError
+
     try:
         return handler(args)
     except ServeError as exc:
@@ -164,6 +175,8 @@ def resolve_state_dir(args) -> pathlib.Path:
 
 
 def _cmd_serve(args) -> int:
+    from repro.serve.server import create_server
+
     runner = runner_from_args(args)
     supervisor = None
     if args.supervise_workers:
@@ -226,6 +239,8 @@ def _supervise_until(supervisor: WorkerSupervisor,
 
 
 def _cmd_submit(args) -> int:
+    from repro.serve.client import ServeClient
+
     client = ServeClient(args.url, tenant=args.tenant)
     response = client.submit(args.spec, dry_run=args.dry_run)
     if args.dry_run:
@@ -273,6 +288,8 @@ def _print_terminal(status: dict) -> None:
 
 
 def _cmd_status(args) -> int:
+    from repro.serve.client import ServeClient
+
     status = ServeClient(args.url).status(args.id)
     if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
@@ -292,6 +309,8 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_results(args) -> int:
+    from repro.serve.client import ServeClient
+
     client = ServeClient(args.url)
     if args.export_csv or args.export_json:
         results = client.result_set(args.id, timeout_s=args.timeout)

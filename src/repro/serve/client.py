@@ -26,10 +26,7 @@ import urllib.request
 from repro.errors import ConfigError
 from repro.experiments.resultset import Record, ResultSet
 from repro.experiments.spec import ExperimentSpec
-from repro.serve.server import DEFAULT_PORT
-
-#: The CLI front ends' default service URL.
-DEFAULT_URL = f"http://127.0.0.1:{DEFAULT_PORT}"
+from repro.serve.cli import DEFAULT_URL
 
 #: Campaign states after which nothing more will happen.
 TERMINAL_STATES = ("done", "failed", "cancelled")

@@ -41,6 +41,7 @@ from repro.engine.runner import ParallelRunner
 from repro.errors import ConfigError
 from repro.experiments.experiment import Experiment
 from repro.experiments.spec import ExperimentSpec
+from repro.serve.cli import DEFAULT_PORT
 from repro.serve.collector import (
     BacklogFull,
     Collector,
@@ -48,10 +49,6 @@ from repro.serve.collector import (
     UnknownCampaign,
 )
 from repro.serve.registry import CampaignRegistry
-
-#: Default TCP port of ``repro serve`` (chosen once, shared by the CLI
-#: front ends' default ``--url``).
-DEFAULT_PORT = 8472
 
 
 class CampaignServer(ThreadingHTTPServer):

@@ -15,7 +15,7 @@ from repro.isa.opcodes import Opcode
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.20.0"
+        assert repro.__version__ == "1.21.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:
@@ -87,19 +87,70 @@ class TestStableApiFacade:
         assert api.load_spec(path) == spec
 
 
+def _loaded_after(code: str, modules, cache_dir) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after
+    running ``code`` from the repo root, with ``src/`` on its path."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["REPRO_CACHE_DIR"] = str(cache_dir)
+    probe = (f"{code}\n"
+             f"import sys\n"
+             f"print('loaded:', *[m for m in {list(modules)!r}\n"
+             f"                   if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            cwd=pathlib.Path(src).parent,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.splitlines()[-1].split()[1:]
+
+
 class TestImportWeight:
-    def test_api_import_leaves_numpy_random_unloaded(self):
-        """Only die sampling imports numpy.random: it costs ~2.4 MiB of
-        RSS in every process that never samples a die."""
-        env = dict(os.environ)
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        probe = ("import sys, repro.api; "
-                 "print('numpy.random' in sys.modules)")
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+    """Start-up pays only for what the run uses: NumPy loads only for
+    Monte-Carlo campaigns, the serve tier only for its subcommands."""
+
+    def test_api_import_leaves_numpy_unloaded(self, tmp_path):
+        assert _loaded_after("import repro.api", ["numpy"], tmp_path) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_montecarlo_run_leaves_numpy_unloaded(self, workers,
+                                                      tmp_path):
+        code = (
+            "from repro.api import Experiment, ExperimentSpec, "
+            "ParallelRunner\n"
+            "spec = ExperimentSpec(name='tiny', profiles=('specint-like',), "
+            "seeds_per_profile=2, trace_length=300, "
+            "vcc_mv=(500.0, 600.0), artifacts=('fig11b',))\n"
+            f"experiment = Experiment(spec, ParallelRunner(workers={workers}))\n"
+            "experiment.run()\n"
+            "assert len(experiment.artifact('fig11b')) == 2")
+        assert _loaded_after(code, ["numpy"], tmp_path) == []
+
+    def test_montecarlo_plan_loads_numpy(self, tmp_path):
+        """A Monte-Carlo campaign pays for NumPy while planning, before
+        its first batch runs."""
+        code = ("from repro.api import Experiment, ExperimentSpec, "
+                "MonteCarloSpec\n"
+                "spec = ExperimentSpec(name='mc', profiles=(), "
+                "vcc_mv=(500.0,), artifacts=('yield_curve',), "
+                "montecarlo=MonteCarloSpec(dies=4))\n"
+                "Experiment(spec).plan()")
+        assert _loaded_after(code, ["numpy"], tmp_path) == ["numpy"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["run", "--dry-run", "examples/table1.toml"],
+    ])
+    def test_cli_leaves_numpy_and_serve_tier_unloaded(self, argv, tmp_path):
+        code = ("from repro.cli import main\n"
+                "try:\n"
+                f"    status = main({argv!r})\n"
+                "except SystemExit as exit:\n"
+                "    status = exit.code\n"
+                "assert status == 0, status")
+        loaded = _loaded_after(code, ["numpy", "http.server", "ssl"],
+                               tmp_path)
+        assert loaded == []
 
 
 class TestDvfsReindex:

@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.20.0"
+        assert repro.__version__ == "1.21.0"
 
 
 class TestRunSpec:
@@ -118,6 +118,10 @@ class TestRunSpec:
         'dl0_size = 1000\n',
         '[population]\nprofiles = ["kernel-like"]\n[[ablations]]\n'
         'name = "a"\n[ablations.overrides]\nstabilization_cycles = 3\n',
+        '[population]\nprofiles = ["kernel-like"]\n[sweep]\n'
+        'dram_latency_ns = nan\n',
+        '[population]\nprofiles = ["kernel-like"]\n[sweep]\n'
+        'dram_latency_ns = -80.0\n',
     ])
     def test_malformed_value_exits_2_before_anything_runs(self, tmp_path,
                                                           capsys, text):

@@ -71,6 +71,11 @@ class TestJobKeys:
         assert job_key(experiment.population_job(500.0, ClockScheme.IRAW)) \
             == job_key(experiment.population_job(500.0, "iraw"))
 
+    def test_equal_jobs_built_from_a_member_and_its_value_share_a_key(self):
+        member = Job(kind="sweep-point", vcc_mv=500.0, scheme=ClockScheme.IRAW)
+        value = Job(kind="sweep-point", vcc_mv=500.0, scheme="iraw")
+        assert member == value and job_key(member) == job_key(value)
+
     def test_every_knob_lands_in_the_key(self):
         experiment = tiny_experiment()
         job = experiment.population_job

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -1075,6 +1076,8 @@ class TestSpecCodec:
          "params.iq_size = 2 at 500 mV"),
         ({"memory": {"dram_latency_cycles": 5000}},
          "[sweep] dram_latency_ns"),
+        ({"sweep": {"dram_latency_ns": math.nan}}, "sweep.dram_latency_ns"),
+        ({"sweep": {"dram_latency_ns": -80.0}}, "sweep.dram_latency_ns"),
     ])
     def test_malformed_values_fail_at_load(self, tables, location):
         with pytest.raises(ConfigError) as rejected:

@@ -30,7 +30,8 @@ import rv32i_programs  # noqa: E402  (sibling fixture-builder module)
 from repro.engine import ParallelRunner, QueueBackend, ResultCache
 from repro.experiments import Experiment, ExperimentSpec, RiscvProgramRef
 from repro.montecarlo import ImportanceSpec, MonteCarloSpec, \
-    deep_tail_rows, montecarlo_jobs, yield_curve_rows
+    deep_tail_rows
+from repro.montecarlo.campaign import montecarlo_jobs, yield_curve_rows
 from repro.workloads.profiles import KERNEL_LIKE, SPECINT_LIKE
 from repro.workloads.riscv import RiscvProgram, StepState, \
     diff_state_traces, run_riscv_program, state_trace

@@ -36,10 +36,9 @@ from repro.montecarlo import (
     ImportanceSpec,
     MonteCarloSpec,
     deep_tail_rows,
-    montecarlo_jobs,
     shifted_offset,
-    yield_curve_rows,
 )
+from repro.montecarlo.campaign import montecarlo_jobs, yield_curve_rows
 from repro.montecarlo.importance import AUTO_MAX_LAMBDA
 from repro.montecarlo.sampling import (
     DieBlock,

@@ -47,6 +47,9 @@ SCHEMES = st.sampled_from([ClockScheme.BASELINE, ClockScheme.IRAW])
 SPECIAL_FLOATS = st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 1e300])
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | SPECIAL_FLOATS
+#: The DRAM latencies a spec accepts: finite and > 0.
+LATENCIES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) \
+    | st.sampled_from([1e-300, 5e-324, 1e300])
 ENUMS = st.sampled_from(list(OpClass) + list(ClockScheme)
                         + list(DeterminismMode))
 SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(0, 1)
@@ -134,7 +137,7 @@ def _experiment(draw, table1_vcc_mv: float) -> Experiment:
     return Experiment(ExperimentSpec(
         name="drawn", profiles=(profile.name,), custom_profiles=custom,
         trace_length=draw(st.integers(1, 5000)), warm=draw(st.booleans()),
-        dram_latency_ns=draw(FLOATS), params=draw(params_overrides()),
+        dram_latency_ns=draw(LATENCIES), params=draw(params_overrides()),
         table1_vcc_mv=table1_vcc_mv))
 
 

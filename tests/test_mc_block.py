@@ -35,14 +35,13 @@ from repro.engine.broker import SpoolBroker, WireResult, \
 from repro.engine.executors import execute_chunk, execute_job
 from repro.errors import ConfigError
 from repro.circuits.sram import silverthorne_arrays
-from repro.montecarlo import (
-    MonteCarloConfig,
-    MonteCarloSpec,
-    StreamingStats,
+from repro.montecarlo import MonteCarloConfig, MonteCarloSpec
+from repro.montecarlo.campaign import (
     montecarlo_jobs,
     vccmin_rows,
     yield_curve_rows,
 )
+from repro.montecarlo.stats import StreamingStats
 from repro.montecarlo.sampling import DieBlock, evaluate_block
 
 pytestmark = pytest.mark.engine

@@ -30,17 +30,21 @@ from repro.errors import ConfigError
 from repro.experiments import Experiment, ExperimentSpec
 from repro.montecarlo import (
     DieBlock,
-    DiscreteDistribution,
     MonteCarloConfig,
     MonteCarloSpec,
-    StreamingStats,
     evaluate_block,
+)
+from repro.montecarlo.campaign import (
     montecarlo_jobs,
     per_die_rows,
     vccmin_rows,
+    yield_curve_rows,
+)
+from repro.montecarlo.stats import (
+    DiscreteDistribution,
+    StreamingStats,
     weighted_wilson_interval,
     wilson_interval,
-    yield_curve_rows,
 )
 
 pytestmark = pytest.mark.engine

@@ -27,15 +27,10 @@ from test_golden import GOLDEN_SPEC, assert_matches_golden, \
 from repro.engine import ParallelRunner, ResultCache
 from repro.errors import ConfigError
 from repro.experiments import Experiment, ExperimentSpec
-from repro.serve import (
-    CampaignRegistry,
-    CampaignServer,
-    Collector,
-    ServeClient,
-    ServeError,
-    create_server,
-)
-from repro.serve.client import record_from_row
+from repro.serve.client import ServeClient, ServeError, record_from_row
+from repro.serve.collector import Collector
+from repro.serve.registry import CampaignRegistry
+from repro.serve.server import CampaignServer, create_server
 from repro.workloads.profiles import KERNEL_LIKE
 
 pytestmark = pytest.mark.engine
@@ -305,6 +300,7 @@ class TestErrorContract:
         (b'{"params": {"iq_size": 2}}', "params.iq_size = 2 at"),
         (b'{"memory": {"dram_latency_cycles": 5000}}',
          "[sweep] dram_latency_ns"),
+        (b'{"sweep": {"dram_latency_ns": -80.0}}', "sweep.dram_latency_ns"),
     ])
     def test_malformed_value_returns_400(self, harness, body, location):
         service = harness()
