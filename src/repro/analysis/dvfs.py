@@ -21,7 +21,10 @@ schedules reach the engine that way through
 persist in the result cache.  A ``dvfs-schedule`` job already targets
 a single trace, so it is the engine's atomic unit: the runner's
 per-trace sharding applies to population kinds and leaves these jobs
-whole.
+whole.  The schedules of one trace still share their phase runs inside
+a trace unit (:meth:`~repro.engine.executors.UnitTables.run_phase`):
+at N = 0 an IRAW phase runs the baseline's machine, so the two
+schedules run it once.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from repro.circuits.constants import DRAM_LATENCY_NS
 from repro.circuits.ekv import check_voltage
 from repro.circuits.energy import IRAW_DYNAMIC_OVERHEAD, EnergyModel
 from repro.circuits.frequency import ClockScheme, FrequencySolver
-from repro.engine.executors import run_core
+from repro.engine.executors import UnitTables
 from repro.engine.jobs import Job, TraceSpec
 from repro.errors import ConfigError
-from repro.isa.instructions import MicroOp
 from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.trace import Trace
@@ -103,10 +105,16 @@ class DvfsScenario:
         self.transition_ns = transition_ns
         self.warm = warm
 
-    def run(self, trace: Trace, schedule: list[DvfsPhase]) -> DvfsOutcome:
+    def run(self, trace: Trace, schedule: list[DvfsPhase],
+            tables: UnitTables | None = None) -> DvfsOutcome:
         """Execute ``trace`` phase by phase per ``schedule``.
 
-        The schedule must cover exactly the trace length.
+        The schedule must cover exactly the trace length.  Each phase
+        runs on a :meth:`~repro.workloads.trace.Trace.segment` view of
+        the trace, through ``tables``, the engine's trace-unit tables
+        (:meth:`~repro.engine.executors.UnitTables.run_phase`): a phase
+        whose machine an earlier schedule of the unit already ran is
+        not run again.  Without them every phase runs.
         """
         covered = sum(phase.instructions for phase in schedule)
         if covered != len(trace.ops):
@@ -114,22 +122,16 @@ class DvfsScenario:
                 f"schedule covers {covered} instructions, trace has "
                 f"{len(trace.ops)}"
             )
+        tables = tables if tables is not None else UnitTables()
         outcomes: list[PhaseOutcome] = []
         cursor = 0
         for phase in schedule:
             point = self.solver.operating_point(phase.vcc_mv, self.scheme)
-            segment_ops = trace.ops[cursor:cursor + phase.instructions]
+            run = tables.run_phase(trace, cursor, phase.instructions, point,
+                                   params=self.params, memory=self.memory,
+                                   dram_latency_ns=self.dram_latency_ns,
+                                   warm=self.warm)
             cursor += phase.instructions
-            segment = Trace(
-                name=f"{trace.name}@{phase.vcc_mv:g}mV",
-                ops=[_reindex(op, i) for i, op in enumerate(segment_ops)],
-                source=trace.source,
-                metadata=dict(trace.metadata),
-            )
-            run = run_core(segment, point, params=self.params,
-                           memory=self.memory,
-                           dram_latency_ns=self.dram_latency_ns,
-                           warm=self.warm)
             cycles = run.result.cycles
             outcomes.append(PhaseOutcome(
                 phase=phase,
@@ -163,33 +165,6 @@ class DvfsScenario:
             )
             total += breakdown.total_j
         return total
-
-
-def _reindex(op: MicroOp, new_index: int) -> MicroOp:
-    """Copy a micro-op with a new dynamic index (trace slicing).
-
-    Every slot is copied by name: a loop over ``__slots__`` through
-    ``getattr``/``setattr`` costs several times more per op.
-    """
-    clone = MicroOp.__new__(MicroOp)
-    clone.index = new_index
-    clone.opcode = op.opcode
-    clone.opclass = op.opclass
-    clone.dest = op.dest
-    clone.srcs = op.srcs
-    clone.imm = op.imm
-    clone.pc = op.pc
-    clone.mem_addr = op.mem_addr
-    clone.taken = op.taken
-    clone.target = op.target
-    clone.golden_result = op.golden_result
-    clone.store_value = op.store_value
-    clone.is_load = op.is_load
-    clone.is_store = op.is_store
-    clone.is_control = op.is_control
-    clone.is_call = op.is_call
-    clone.is_return = op.is_return
-    return clone
 
 
 # ----------------------------------------------------------------------

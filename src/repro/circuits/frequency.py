@@ -79,6 +79,21 @@ class OperatingPoint:
         """Fixed-time off-chip latency expressed in (frequency-dependent) cycles."""
         return max(1, math.ceil(latency_ns / self.cycle_time_ns))
 
+    def __reduce__(self):
+        # The scheme travels by name: a pickled member is rebuilt by a
+        # lookup by value, through the enum's constructor.
+        return (_operating_point, (self.vcc_mv, self.scheme.name,
+                                   self.phase_delay, self.frequency_mhz,
+                                   self.stabilization_cycles))
+
+
+def _operating_point(vcc_mv: float, scheme: str, phase_delay: float,
+                     frequency_mhz: float,
+                     stabilization_cycles: int) -> OperatingPoint:
+    """A pickled :class:`OperatingPoint` (see its ``__reduce__``)."""
+    return OperatingPoint(vcc_mv, ClockScheme[scheme], phase_delay,
+                          frequency_mhz, stabilization_cycles)
+
 
 class FrequencySolver:
     """Resolve operating points for each clocking scheme and Vcc."""

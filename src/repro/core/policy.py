@@ -72,9 +72,9 @@ class IrawPolicy:
     def stabilization_cycles(self) -> int:
         return self.config.stabilization_cycles
 
-    def arm_fill_guards(self, fills) -> None:
-        """Register (block, fill-cycle) events from the memory system."""
-        for block, fill_cycle in fills:
-            guard = self.guards.get(block)
-            if guard is not None:
-                guard.arm(fill_cycle)
+    def arm_fill_guards(self, block: str, fill_cycle: int) -> None:
+        """A fill writes ``block`` at ``fill_cycle``: the memory system's
+        fill listener (the core wires it)."""
+        guard = self.guards.get(block)
+        if guard is not None:
+            guard.arm(fill_cycle)

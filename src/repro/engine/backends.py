@@ -46,7 +46,6 @@ against the checked-in goldens.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import threading
 import time
@@ -158,6 +157,11 @@ class PoolBackend:
             raise ConfigError(f"pool backend needs workers >= 1 "
                               f"(got {workers})")
         self.workers = int(workers)
+        # Imported where a pool is chosen, not with this module:
+        # concurrent.futures loads logging, which serial runs never use.
+        import concurrent.futures
+
+        self._futures = concurrent.futures
 
     def _chunk_size(self, pending_count: int) -> int:
         """Trace-less jobs per worker round trip, for ``pending_count``
@@ -186,13 +190,13 @@ class PoolBackend:
         size = self._chunk_size(len(loose))
         chunks += [loose[index:index + size]
                    for index in range(0, len(loose), size)]
-        pool = concurrent.futures.ProcessPoolExecutor(
+        pool = self._futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(chunks)))
         try:
             futures = {
                 pool.submit(execute_chunk, [job for _, job in part]): part
                 for part in chunks}
-            for future in concurrent.futures.as_completed(futures):
+            for future in self._futures.as_completed(futures):
                 part = futures[future]
                 try:
                     outcomes = future.result()

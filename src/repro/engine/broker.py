@@ -61,7 +61,6 @@ import contextlib
 import os
 import pathlib
 import pickle
-import socket
 import threading
 import time
 import traceback
@@ -676,6 +675,10 @@ def prune_stale_versions(root) -> list[tuple[str, int]]:
 
 def worker_identity() -> str:
     """Best-effort unique id for heartbeat files (debugging aid only)."""
+    # Imported here: only queue workers name their host, and every
+    # backend imports this module.
+    import socket
+
     return f"{socket.gethostname()}:{os.getpid()}:{threading.get_ident()}"
 
 

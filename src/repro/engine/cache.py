@@ -48,7 +48,7 @@ import warnings
 from dataclasses import KW_ONLY, dataclass, field
 
 #: Bump to invalidate every existing cache entry (layout/pickle changes).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Name of the root-level persistent hit/miss tally (survives version
 #: rotation; reset by ``repro cache --prune``).

@@ -11,9 +11,10 @@ process, so parallel workers never ship trace objects across the pipe.
 The serial and pool backends hand :func:`execute_chunk` one *trace
 unit* at a time: every pending job of one trace spec.  Its members share
 one :class:`UnitTables`, so the unit simulates each distinct machine
-once and builds each DVFS trace once; every job still gets its own
-result.  Every simulated core is built and run by :func:`run_core`,
-whether for a shard here, for a DVFS phase or for ``repro simulate``.
+once, a shard's or a DVFS phase's, and builds each DVFS trace once;
+every job still gets its own result.  Every simulated core is built and
+run by :func:`run_core`, whether for a shard here, for a DVFS phase or
+for ``repro simulate``.
 
 This module deliberately imports only the simulator layers (circuits,
 pipeline, workloads, baselines) at module scope — :mod:`repro.analysis`
@@ -111,17 +112,17 @@ def warm_caches(memory: MemorySystem, trace: Trace) -> None:
             last_line = line
             if not itlb.access(op.pc):
                 itlb.fill(op.pc)
-            if not il0.access(op.pc).hit:
+            if il0.access(op.pc) is None:
                 il0.fill(op.pc)
-                if not ul1.access(op.pc).hit:
+                if ul1.access(op.pc) is None:
                     ul1.fill(op.pc)
         address = op.mem_addr
         if address is not None:
             if not dtlb.access(address):
                 dtlb.fill(address)
-            if not dl0.access(address, is_write=op.is_store).hit:
+            if dl0.access(address, is_write=op.is_store) is None:
                 dl0.fill(address, dirty=op.is_store)
-                if not ul1.access(address).hit:
+                if ul1.access(address) is None:
                     ul1.fill(address)
     memory.reset_after_warmup()
 
@@ -211,7 +212,7 @@ class UnitTables:
     :func:`execute_chunk` makes one per call, and it is dropped when the
     call returns: nothing here outlives its unit.  It holds each DVFS
     trace the unit builds and each machine run of its shards (see
-    :func:`_run_shard`).
+    :func:`_run_shard`) and DVFS phases (see :meth:`run_phase`).
     """
 
     def __init__(self):
@@ -253,6 +254,35 @@ class UnitTables:
             run, reached_dram = simulate()
             runs[dram_latency if reached_dram else None] = run
         return run
+
+    def run_phase(self, trace: Trace, start: int, count: int,
+                  point: OperatingPoint, *, params: PipelineParams,
+                  memory: MemoryConfig, dram_latency_ns: float,
+                  warm: bool) -> CoreRun:
+        """The run of ``count`` ops of ``trace`` from ``start`` on the
+        core of ``point`` (one DVFS phase, see :func:`run_core`).
+
+        A phase's machine is its trace and segment plus what a shard's
+        machine holds (:func:`_run_shard`): the effective IRAW
+        configuration, ``params``, ``warm`` and the memory geometry.
+        The unit builds each trace spec once (:meth:`trace`), so the
+        trace object stands for its spec.  At N = 0 an IRAW phase is
+        the baseline's machine, so the two schedules of one trace run
+        it once.  The phase runs on a view of the trace
+        (:meth:`Trace.segment`), built only when it is simulated.
+        """
+        machine = (trace, start, count, iraw_for(point).effective(),
+                   params, warm, memory)
+
+        def simulate():
+            segment = trace.segment(start, count,
+                                    f"{trace.name}@{point.vcc_mv:g}mV")
+            run = run_core(segment, point, params=params, memory=memory,
+                           dram_latency_ns=dram_latency_ns, warm=warm)
+            return run, run.reached_dram
+
+        return self.run(machine, point.memory_latency_cycles(dram_latency_ns),
+                        simulate)
 
 
 def _run_shard(job: Job, point: OperatingPoint, params: PipelineParams,
@@ -362,7 +392,7 @@ def _run_dvfs_schedule(job: Job, tables: UnitTables):
         transition_ns=job.option("transition_ns", DEFAULT_TRANSITION_NS),
         warm=bool(job.option("warm", True)),
     )
-    return scenario.run(tables.trace(job.trace), list(phases))
+    return scenario.run(tables.trace(job.trace), list(phases), tables)
 
 
 def _run_mc_block(job: Job, tables: UnitTables):

@@ -5,18 +5,19 @@ LRU stamps; data correctness is handled at the system level (flat golden
 memory plus the STable forwarding checks), which is the standard split for
 timing simulators.
 
-The cache reports *events* (hit, miss, eviction of a dirty line) and leaves
-latency composition to the caller (the load/store unit), because miss
-latencies depend on the next level and on the fill-buffer state.  Fills are
-explicit: the LSU calls :meth:`Cache.fill` when the refill arrives, which
-is also the hook where IRAW fill guards are armed (paper Section 4.3: "in
-case of a fill we stall any access to cache").
+The cache reports *events* (the hit line, a miss, the eviction of a dirty
+line) and leaves latency composition to the caller (the memory system),
+because miss latencies depend on the next level and on the fill-buffer
+state.  Fills are explicit: the memory system calls :meth:`Cache.fill`
+when it schedules the refill, and reports the fill to its listener, which
+arms the IRAW fill guards (paper Section 4.3: "in case of a fill we stall
+any access to cache").  Nothing is allocated per access: a lookup returns
+the line itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.errors import MemoryModelError
 
@@ -33,25 +34,6 @@ class CacheLine:
     #: installed in the tag store at request time; the refill data
     #: arrives later, and hits on an in-flight line must wait for it).
     ready_at: int = 0
-
-
-class AccessResult(NamedTuple):
-    """Outcome of a tag lookup.
-
-    A named tuple: the hierarchy builds one per access, and a frozen
-    dataclass costs several times more to construct.  Immutable, so
-    every miss without a dirty victim can share one.
-    """
-
-    hit: bool
-    #: On a miss with a dirty victim, its full line address.
-    writeback_address: int | None = None
-    #: On a hit, the cycle the line's data is available (0 = long ago).
-    data_ready: int = 0
-
-
-#: The result of every miss without a dirty victim.
-_MISS = AccessResult(hit=False)
 
 
 class Cache:
@@ -126,8 +108,11 @@ class Cache:
         """Tag probe without any state change (used by checks/tests)."""
         return self.tag_of(address) in self._sets[self.set_index(address)]
 
-    def access(self, address: int, is_write: bool = False) -> AccessResult:
-        """Probe for ``address``; update LRU and dirty bits on a hit.
+    def access(self, address: int,
+               is_write: bool = False) -> CacheLine | None:
+        """Probe for ``address``: the hit line (its LRU stamp and dirty
+        bit updated; ``ready_at`` says when its data is in), or ``None``
+        on a miss.
 
         On a miss, **no** fill happens here — the caller decides when the
         refill arrives and calls :meth:`fill`.
@@ -140,18 +125,18 @@ class Cache:
             if is_write:
                 line.dirty = True
             self.hits += 1
-            return AccessResult(True, None, line.ready_at)
+            return line
         self.misses += 1
-        return _MISS
+        return None
 
     def fill(self, address: int, dirty: bool = False,
-             ready_at: int = 0) -> AccessResult:
+             ready_at: int = 0) -> int | None:
         """Install the line containing ``address``; evict if needed.
 
         ``ready_at`` records when the refill data actually arrives, so a
         later hit on this still-in-flight line can wait for it.  Returns
-        an :class:`AccessResult` whose ``writeback_address`` is set if a
-        dirty victim must be written back to the next level.
+        the full line address of a dirty victim, which must be written
+        back to the next level, or ``None``.
         """
         self._use_counter += 1
         index = self.set_index(address)
@@ -162,14 +147,14 @@ class Cache:
             lines[tag].stamp = self._use_counter
             if dirty:
                 lines[tag].dirty = True
-            return AccessResult(hit=True, data_ready=lines[tag].ready_at)
-        writeback = None
+            return None
         capacity = (self._usable_ways[index] if self._usable_ways is not None
                     else self.associativity)
         if capacity <= 0:
             # Every way of this set is disabled: the line cannot be kept.
             self.evictions += 1
-            return _MISS
+            return None
+        writeback = None
         if len(lines) >= capacity:
             # LRU: the first way with the smallest use stamp.
             victim_tag = min(lines, key=lambda t: lines[t].stamp)
@@ -180,7 +165,7 @@ class Cache:
                 writeback = (victim_tag * self.num_sets + index) * self.line_size
         lines[tag] = CacheLine(tag=tag, dirty=dirty,
                                stamp=self._use_counter, ready_at=ready_at)
-        return _MISS if writeback is None else AccessResult(False, writeback)
+        return writeback
 
     def invalidate(self, address: int) -> bool:
         """Drop the line containing ``address``; True if it was present."""

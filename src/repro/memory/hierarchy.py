@@ -2,21 +2,22 @@
 
 Composes IL0, DL0, UL1, both TLBs, the fill buffers and the WCB/EB into
 three operations the pipeline uses: instruction fetch, data load and data
-store.  Every response reports the *fill events* it caused — (block name,
-completion cycle) pairs — because under IRAW clocking each fill is an SRAM
+store.  Each returns the cycle its data is ready and reports every *fill
+event* it causes — a block name and its completion cycle — to the
+system's fill listener, because under IRAW clocking each fill is an SRAM
 write whose target block must be guarded for N cycles afterwards (paper
-Section 4.3).  The pipeline arms those guards; the hierarchy itself is
-clocking-agnostic.
+Section 4.3).  The core wires the listener to its IRAW policy, which arms
+those guards; the hierarchy itself is clocking-agnostic.
 
 Timing composition is deterministic (latencies resolved at request time),
 with structural hazards (full fill buffers / WCB) folded in as start
-delays.  This keeps the hot path free of event queues.
+delays.  This keeps the hot path free of event queues, and no access
+builds a record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.memory.buffers import FillBufferFile, WriteCombiningBuffer
 from repro.memory.cache import Cache
@@ -46,22 +47,8 @@ class MemoryConfig:
     dram_latency_cycles: int = 100
 
 
-class MemoryResponse(NamedTuple):
-    """Outcome of one memory operation (a named tuple).
-
-    Attributes
-    ----------
-    ready_cycle:
-        Cycle at which the data (or translation+data) is available.
-    fills:
-        Fill events caused by this operation: (block name, fill cycle).
-    hit:
-        First-level hit (IL0 for fetch, DL0 for load/store).
-    """
-
-    ready_cycle: int
-    fills: tuple[tuple[str, int], ...] = ()
-    hit: bool = True
+def _ignore_fill(block: str, cycle: int) -> None:
+    """The fill listener of a hierarchy nobody listens to."""
 
 
 class MemorySystem:
@@ -82,26 +69,26 @@ class MemorySystem:
         self.fetch_fill_buffers = FillBufferFile("IFB", c.fetch_fill_buffers)
         self.wcb = WriteCombiningBuffer("WCB_EB", c.wcb_entries)
         self.dram = Dram(c.dram_latency_cycles)
+        #: Called as ``on_fill(block, cycle)`` for every fill an access
+        #: causes, in the order it causes them.
+        self.on_fill = _ignore_fill
 
     # ------------------------------------------------------------------
     # Internal composition helpers
     # ------------------------------------------------------------------
 
-    def _ul1_read(self, line_address: int, cycle: int,
-                  fills: list[tuple[str, int]]) -> int:
+    def _ul1_read(self, line_address: int, cycle: int) -> int:
         """Read a line from UL1 (filling it from DRAM on a miss)."""
-        result = self.ul1.access(line_address)
-        if result.hit:
-            return max(cycle + self.config.ul1_hit_latency,
-                       result.data_ready)
+        line = self.ul1.access(line_address)
+        if line is not None:
+            return max(cycle + self.config.ul1_hit_latency, line.ready_at)
         data_cycle = (cycle + self.config.ul1_hit_latency
                       + self.dram.access())
         self.ul1.fill(line_address, ready_at=data_cycle)
-        fills.append(("UL1", data_cycle))
+        self.on_fill("UL1", data_cycle)
         return data_cycle
 
-    def _dl0_refill(self, address: int, cycle: int, dirty: bool,
-                    fills: list[tuple[str, int]]) -> int:
+    def _dl0_refill(self, address: int, cycle: int, dirty: bool) -> int:
         """Miss path for DL0: fill buffer, UL1/DRAM, refill, eviction."""
         line = self.dl0.line_address(address)
         merged = self.data_fill_buffers.outstanding(line, cycle)
@@ -110,85 +97,67 @@ class MemorySystem:
             if dirty:
                 self.dl0.access(address, is_write=True)
             return merged
-        data_cycle = self._ul1_read(line, cycle, fills)
+        data_cycle = self._ul1_read(line, cycle)
         data_cycle = self.data_fill_buffers.allocate(
             line, cycle, data_cycle - cycle)
-        fills.append(("FB", cycle))
-        fill_result = self.dl0.fill(address, dirty=dirty,
-                                    ready_at=data_cycle)
-        fills.append(("DL0", data_cycle))
-        if fill_result.writeback_address is not None:
-            drain_done = self.wcb.push(fill_result.writeback_address,
-                                       data_cycle,
+        self.on_fill("FB", cycle)
+        writeback = self.dl0.fill(address, dirty=dirty, ready_at=data_cycle)
+        self.on_fill("DL0", data_cycle)
+        if writeback is not None:
+            drain_done = self.wcb.push(writeback, data_cycle,
                                        self.config.ul1_hit_latency)
-            fills.append(("WCB_EB", data_cycle))
-            self.ul1.fill(fill_result.writeback_address, dirty=True)
-            fills.append(("UL1", drain_done))
+            self.on_fill("WCB_EB", data_cycle)
+            self.ul1.fill(writeback, dirty=True)
+            self.on_fill("UL1", drain_done)
         return data_cycle
+
+    def _translate(self, tlb: Tlb, address: int, cycle: int) -> int:
+        """The cycle ``address`` is translated from, walking on a miss."""
+        if tlb.access(address):
+            return cycle
+        walk_done = cycle + tlb.miss_penalty
+        tlb.fill(address)
+        self.on_fill(tlb.name, walk_done)
+        return walk_done
 
     # ------------------------------------------------------------------
     # Pipeline-facing operations
     # ------------------------------------------------------------------
 
-    def fetch(self, pc: int, cycle: int) -> MemoryResponse:
-        """Instruction fetch of the line containing ``pc``."""
-        fills: list[tuple[str, int]] = []
-        start = cycle
-        if not self.itlb.access(pc):
-            walk_done = start + self.itlb.miss_penalty
-            self.itlb.fill(pc)
-            fills.append(("ITLB", walk_done))
-            start = walk_done
-        il0_result = self.il0.access(pc)
-        if il0_result.hit:
-            ready = max(start + self.config.il0_hit_latency,
-                        il0_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), not fills)
-        line = self.il0.line_address(pc)
-        merged = self.fetch_fill_buffers.outstanding(line, start)
+    def fetch(self, pc: int, cycle: int) -> int:
+        """Instruction fetch of the line containing ``pc``: the cycle
+        its instructions are ready."""
+        start = self._translate(self.itlb, pc, cycle)
+        line = self.il0.access(pc)
+        if line is not None:
+            return max(start + self.config.il0_hit_latency, line.ready_at)
+        line_address = self.il0.line_address(pc)
+        merged = self.fetch_fill_buffers.outstanding(line_address, start)
         if merged is not None:
-            return MemoryResponse(merged, tuple(fills), False)
-        data_cycle = self._ul1_read(line, start, fills)
+            return merged
+        data_cycle = self._ul1_read(line_address, start)
         data_cycle = self.fetch_fill_buffers.allocate(
-            line, start, data_cycle - start)
+            line_address, start, data_cycle - start)
         self.il0.fill(pc, ready_at=data_cycle)
-        fills.append(("IL0", data_cycle))
-        return MemoryResponse(data_cycle, tuple(fills), False)
+        self.on_fill("IL0", data_cycle)
+        return data_cycle
 
-    def load(self, address: int, cycle: int) -> MemoryResponse:
-        """Data load; ``ready_cycle`` is when the value can be consumed."""
-        fills: list[tuple[str, int]] = []
-        start = cycle
-        if not self.dtlb.access(address):
-            walk_done = start + self.dtlb.miss_penalty
-            self.dtlb.fill(address)
-            fills.append(("DTLB", walk_done))
-            start = walk_done
-        dl0_result = self.dl0.access(address)
-        if dl0_result.hit:
-            ready = max(start + self.config.dl0_hit_latency,
-                        dl0_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), not fills)
-        data_cycle = self._dl0_refill(address, start, dirty=False,
-                                      fills=fills)
-        return MemoryResponse(data_cycle, tuple(fills), False)
+    def load(self, address: int, cycle: int) -> int:
+        """Data load: the cycle its value can be consumed."""
+        start = self._translate(self.dtlb, address, cycle)
+        line = self.dl0.access(address)
+        if line is not None:
+            return max(start + self.config.dl0_hit_latency, line.ready_at)
+        return self._dl0_refill(address, start, dirty=False)
 
-    def store(self, address: int, cycle: int) -> MemoryResponse:
-        """Data store at commit time (write-allocate, write-back DL0)."""
-        fills: list[tuple[str, int]] = []
-        start = cycle
-        if not self.dtlb.access(address):
-            walk_done = start + self.dtlb.miss_penalty
-            self.dtlb.fill(address)
-            fills.append(("DTLB", walk_done))
-            start = walk_done
-        store_result = self.dl0.access(address, is_write=True)
-        if store_result.hit:
-            ready = max(start + 1, store_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), not fills)
-        data_cycle = self._dl0_refill(address, start, dirty=True,
-                                      fills=fills)
-        return MemoryResponse(data_cycle, tuple(fills), False)
+    def store(self, address: int, cycle: int) -> int:
+        """Data store at commit time (write-allocate, write-back DL0):
+        the cycle the line holds it."""
+        start = self._translate(self.dtlb, address, cycle)
+        line = self.dl0.access(address, is_write=True)
+        if line is not None:
+            return max(start + 1, line.ready_at)
+        return self._dl0_refill(address, start, dirty=True)
 
     # ------------------------------------------------------------------
     # Warmup support

@@ -122,6 +122,9 @@ class InOrderCore:
         )
         frontend = FrontEnd(trace.ops, params, self.memory, policy,
                             self.tracker, self.rsb)
+        # Every fill a fetch, load or store causes arms its block's
+        # post-fill guard (Section 4.3).
+        self.memory.on_fill = policy.arm_fill_guards
 
         total_ops = len(trace.ops)
         if total_ops == 0:
@@ -131,12 +134,17 @@ class InOrderCore:
 
         n_active = policy.stabilization_cycles
         max_encodable = scoreboard.max_encodable_latency
-        # Read once per run: the scoreboard's windows (updated in place),
-        # the per-class issue table and the Eq. 1 gate.
+        # Read once per run: the scoreboard's windows and the functional
+        # units' state (both updated in place), the per-class issue
+        # table, the stall counts and the Eq. 1 gate.
         sb_ready = scoreboard.ready
         sb_bubble_lo = scoreboard.bubble_lo
         sb_bubble_hi = scoreboard.bubble_hi
         classes = units.classes
+        unit_last_cycle = units.last_cycle
+        unit_issued = units.issued
+        unit_busy_until = units.busy_until
+        stall_cycles = stalls.cycles
         gate_threshold = gate.issue_threshold
         issue_window = params.issue_window
         alloc_width = params.alloc_width
@@ -228,8 +236,7 @@ class InOrderCore:
                         break
                 if blocked_src:
                     break
-                opclass = op.opclass
-                latency = classes[opclass][0]
+                latency, unit, unit_limit, unpipelined = classes[op.opclass]
                 # WAW write ordering (writes to a register must stay in
                 # program order; rare with mixed latencies).
                 dest = op.dest
@@ -237,7 +244,11 @@ class InOrderCore:
                         pending_write[dest] >= cycle + latency + 1:
                     reason = _WAW_ORDER
                     break
-                if not units.can_accept(opclass, cycle):
+                if unit >= 0 and (
+                        (unit_last_cycle[unit] == cycle
+                         and unit_issued[unit] >= unit_limit)
+                        or (unpipelined and unit_busy_until[unit] >= cycle)):
+                    # FunctionalUnits.can_accept, on the state lists.
                     reason = _FU_BUSY
                     break
                 write_port_index = -1
@@ -295,7 +306,14 @@ class InOrderCore:
                     value = self._compute(op, operands)
                     if value != op.golden_result:
                         self.value_mismatches += 1
-                units.accept(opclass, cycle)
+                if unit >= 0:  # FunctionalUnits.accept
+                    if unit_last_cycle[unit] == cycle:
+                        unit_issued[unit] += 1
+                    else:
+                        unit_last_cycle[unit] = cycle
+                        unit_issued[unit] = 1
+                    if unpipelined:
+                        unit_busy_until[unit] = cycle + latency
                 iq.popleft()
                 if dest is not None:
                     encode = (bypass_cycle - cycle) if not long_latency \
@@ -310,22 +328,26 @@ class InOrderCore:
                     (op, dest, value, long_latency))
                 issued += 1
             if issued == 0 and reason is not None:
-                stalls.charge(reason)
+                stall_cycles[reason] += 1
 
             # ---------------- 3. allocate ----------------
             free = iq_size - len(iq)
             if free > 0:
-                incoming = frontend.pop_ready(cycle, min(alloc_width, free)) \
-                    if fetch_buffer and fetch_buffer[0][1] <= cycle else ()
-                for op in incoming:
-                    iq.append((op, cycle))
+                # Up to AI fetched ops whose front-end latency has elapsed
+                # move from the fetch buffer into the IQ.
+                allocated = 0
+                limit = alloc_width if alloc_width < free else free
+                while allocated < limit and fetch_buffer \
+                        and fetch_buffer[0][1] <= cycle:
+                    iq.append((fetch_buffer.popleft()[0], cycle))
+                    allocated += 1
                 if iq and len(iq) < gate_threshold:
                     # Section 4.2 generalized: whenever allocation cannot
                     # keep occupancy at the Eq. 1 threshold (drains,
                     # redirects, fetch gaps), the allocator pads the queue
                     # with NOOP/invalid entries so older, already
                     # stabilized instructions are not gate-blocked.
-                    needed = min(alloc_width - len(incoming), free,
+                    needed = min(alloc_width - allocated, free,
                                  gate_threshold - len(iq))
                     for _ in range(max(0, needed)):
                         iq.append((_INJECTED_NOOP, cycle))

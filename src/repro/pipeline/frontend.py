@@ -62,14 +62,6 @@ class FrontEnd:
         self.mispredicts = 0
         self.branches = 0
 
-    def pop_ready(self, cycle: int, count: int) -> list[MicroOp]:
-        """Up to ``count`` ops whose front-end latency has elapsed."""
-        ready: list[MicroOp] = []
-        buffer = self.buffer
-        while len(ready) < count and buffer and buffer[0][1] <= cycle:
-            ready.append(buffer.popleft()[0])
-        return ready
-
     # ------------------------------------------------------------------
     # Branch resolution callback (from the execute/writeback stage)
     # ------------------------------------------------------------------
@@ -106,13 +98,11 @@ class FrontEnd:
                     if release is not None:
                         self._stall(release)
                         return
-                response = self._memory.fetch(op.pc, cycle)
-                if response.fills:
-                    self._policy.arm_fill_guards(response.fills)
+                ready = self._memory.fetch(op.pc, cycle)
                 self._current_line = line
-                if response.ready_cycle > cycle + self._il0_hit_latency:
+                if ready > cycle + self._il0_hit_latency:
                     # Miss (or TLB walk): freeze fetch until the line is in.
-                    self._stall(response.ready_cycle)
+                    self._stall(ready)
                     return
             if op.is_control:
                 if self._handle_control(op, cycle, ready_at):

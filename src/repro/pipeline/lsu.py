@@ -8,8 +8,9 @@ The LSU composes four concerns for every memory operation:
    reason; the issue stage retries.
 2. **STable policing** — loads probe the STable in parallel with DL0;
    matches forward data and/or trigger the Figure 10 replay repair.
-3. **Timing** — the memory hierarchy returns the data-ready cycle and the
-   fill events the policy turns into new guard windows.
+3. **Timing** — the memory hierarchy returns the data-ready cycle and
+   reports its fill events to the policy, which turns them into new
+   guard windows.
 4. **Value datapath** — a flat golden memory carries 64-bit words so
    kernel traces can verify end-to-end correctness; reads that would hit a
    stabilizing store's word *without* STable protection return corrupted
@@ -95,9 +96,7 @@ class LoadStoreUnit:
             self._repair_until = max(self._repair_until,
                                      access_cycle + repair_cycles)
 
-        response = self._memory.load(address, access_cycle)
-        if response.fills:
-            self._policy.arm_fill_guards(response.fills)
+        ready = self._memory.load(address, access_cycle)
 
         value: int | None = None
         if self._track_values:
@@ -108,7 +107,7 @@ class LoadStoreUnit:
                 value = self._maybe_corrupt(word, access_cycle, value)
         else:
             self._check_unprotected_window(word, access_cycle)
-        return response.ready_cycle, value
+        return ready, value
 
     def _maybe_corrupt(self, word: int, access_cycle: int, value: int) -> int:
         if self._check_unprotected_window(word, access_cycle):
@@ -137,9 +136,7 @@ class LoadStoreUnit:
         word = address & ~7
         stored = value if value is not None else 0
         self._policy.stable.store_committed(address, stored, write_cycle)
-        response = self._memory.store(address, write_cycle)
-        if response.fills:
-            self._policy.arm_fill_guards(response.fills)
+        self._memory.store(address, write_cycle)
         if self._track_values:
             self._golden[word] = stored
         if self._policy.stabilization_cycles > 0:

@@ -88,10 +88,13 @@ class FunctionalUnits:
 
     Per-class data comes from one table built at construction:
     ``classes[opclass] = (latency, unit, per-cycle limit, unpipelined)``,
-    with ``unit`` an index into the per-unit state (-1: no unit).  Each
-    unit keeps its last issue cycle, the issues counted in that cycle and
-    the cycle an unpipelined operation keeps it busy until, so nothing
-    is reset between cycles.
+    with ``unit`` an index into the per-unit state lists (-1: no unit).
+    Each unit keeps its last issue cycle (``last_cycle``), the issues
+    counted in that cycle (``issued``) and the cycle an unpipelined
+    operation keeps it busy until (``busy_until``), so nothing is reset
+    between cycles.  :meth:`can_accept` and :meth:`accept` state the
+    rule; the issue stage (:meth:`repro.pipeline.core.InOrderCore.run`)
+    applies it to the lists directly.
     """
 
     def __init__(self, params: PipelineParams):
@@ -103,28 +106,28 @@ class FunctionalUnits:
                       opclass in UNPIPELINED_CLASSES)
             for opclass, unit in _UNIT_OF.items()
         }
-        self._last_cycle = [-1] * len(names)
-        self._issued = [0] * len(names)
-        self._busy_until = [-1] * len(names)
+        self.last_cycle = [-1] * len(names)
+        self.issued = [0] * len(names)
+        self.busy_until = [-1] * len(names)
 
     def can_accept(self, opclass: OpClass, cycle: int) -> bool:
         """Is the unit for ``opclass`` free at ``cycle``?"""
         _, unit, limit, unpipelined = self.classes[opclass]
         if unit < 0:
             return True
-        if self._last_cycle[unit] == cycle and self._issued[unit] >= limit:
+        if self.last_cycle[unit] == cycle and self.issued[unit] >= limit:
             return False
-        return not unpipelined or self._busy_until[unit] < cycle
+        return not unpipelined or self.busy_until[unit] < cycle
 
     def accept(self, opclass: OpClass, cycle: int) -> None:
         """Commit an issue at ``cycle`` to the unit for ``opclass``."""
         latency, unit, _, unpipelined = self.classes[opclass]
         if unit < 0:
             return
-        if self._last_cycle[unit] == cycle:
-            self._issued[unit] += 1
+        if self.last_cycle[unit] == cycle:
+            self.issued[unit] += 1
         else:
-            self._last_cycle[unit] = cycle
-            self._issued[unit] = 1
+            self.last_cycle[unit] = cycle
+            self.issued[unit] = 1
         if unpipelined:
-            self._busy_until[unit] = cycle + latency
+            self.busy_until[unit] = cycle + latency

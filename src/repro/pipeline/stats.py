@@ -30,6 +30,10 @@ class StallReason(str, Enum):
     MEMORY_PENDING = "memory_pending"      # same-cycle store->load ordering
     WRITE_PORT = "write_port"              # Extra Bypass: RF port contention
 
+#: Every reason, in declaration order: the order a pickled
+#: :class:`StallStats` lists its counts in.
+_REASONS = tuple(StallReason)
+
 #: Reasons that exist only because of IRAW avoidance.
 IRAW_STALL_REASONS = frozenset({
     StallReason.IQ_GATE,
@@ -56,6 +60,14 @@ class StallStats:
     def charge(self, reason: StallReason, cycles: int = 1) -> None:
         self.cycles[reason] += cycles
 
+    def __reduce__(self):
+        # The counts travel as a tuple in StallReason order and load
+        # back onto the members themselves: a pickled member is rebuilt
+        # by a lookup by value, twelve per result a cache read loads.
+        counts = tuple([self.cycles[reason] for reason in _REASONS])
+        return (_stall_stats, (counts, self.iraw_delayed_instructions,
+                               self.injected_noops))
+
     @property
     def total_stall_cycles(self) -> int:
         return sum(self.cycles.values())
@@ -63,6 +75,13 @@ class StallStats:
     @property
     def iraw_stall_cycles(self) -> int:
         return sum(self.cycles[r] for r in IRAW_STALL_REASONS)
+
+
+def _stall_stats(counts: tuple, iraw_delayed_instructions: int,
+                 injected_noops: int) -> StallStats:
+    """A pickled :class:`StallStats` (see its ``__reduce__``)."""
+    return StallStats(dict(zip(_REASONS, counts)),
+                      iraw_delayed_instructions, injected_noops)
 
 
 @dataclass

@@ -26,25 +26,36 @@ class Trace:
     name:
         Identifier used in reports (e.g. ``"specint-like/seed3"``).
     ops:
-        The dynamic micro-ops, ``ops[i].index == i``.
+        The dynamic micro-ops, ``ops[i].index == start + i``.
     source:
         Provenance: ``"synthetic"``, ``"interpreter"`` or ``"riscv"``.
     metadata:
         Free-form generator parameters (seed, profile name, ...).
+    start:
+        Index of the first op: 0 for a whole trace; for a
+        :meth:`segment`, where it starts in the trace it views.
     """
 
     name: str
     ops: list[MicroOp]
     source: str = "synthetic"
     metadata: dict = field(default_factory=dict)
+    start: int = 0
 
     def __post_init__(self) -> None:
-        for position, op in enumerate(self.ops):
-            if op.index != position:
+        for expected, op in enumerate(self.ops, self.start):
+            if op.index != expected:
                 raise TraceError(
-                    f"trace {self.name!r}: op at position {position} "
-                    f"has index {op.index}"
+                    f"trace {self.name!r}: op at position "
+                    f"{expected - self.start} has index {op.index}"
                 )
+
+    def segment(self, start: int, count: int, name: str) -> "Trace":
+        """A view of ``count`` ops from ``start``: the same
+        :class:`MicroOp` objects, indices unchanged, so nothing is
+        copied but the list."""
+        return Trace(name, self.ops[start:start + count], self.source,
+                     dict(self.metadata), start=self.start + start)
 
     def __len__(self) -> int:
         return len(self.ops)

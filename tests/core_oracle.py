@@ -275,6 +275,7 @@ class OracleCore:
         )
         frontend = FrontEnd(trace.ops, params, self.memory, policy,
                             self.tracker, self.rsb)
+        self.memory.on_fill = policy.arm_fill_guards
 
         total_ops = len(trace.ops)
         if total_ops == 0:
@@ -466,8 +467,11 @@ class OracleCore:
             # ---------------- 3. allocate ----------------
             free = params.iq_size - len(iq)
             if free > 0:
-                incoming = frontend.pop_ready(cycle,
-                                              min(params.alloc_width, free))
+                incoming = []
+                buffer = frontend.buffer
+                while len(incoming) < min(params.alloc_width, free) \
+                        and buffer and buffer[0][1] <= cycle:
+                    incoming.append(buffer.popleft()[0])
                 for op in incoming:
                     iq.append((op, cycle))
                 if gate_on and iq and len(iq) < threshold:

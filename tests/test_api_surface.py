@@ -8,14 +8,11 @@ import sys
 import pytest
 
 import repro
-from repro.analysis.dvfs import _reindex
-from repro.isa.instructions import MicroOp
-from repro.isa.opcodes import Opcode
 
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.21.0"
+        assert repro.__version__ == "1.22.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:
@@ -107,7 +104,9 @@ def _loaded_after(code: str, modules, cache_dir) -> list[str]:
 
 class TestImportWeight:
     """Start-up pays only for what the run uses: NumPy loads only for
-    Monte-Carlo campaigns, the serve tier only for its subcommands."""
+    Monte-Carlo campaigns, the serve tier only for its subcommands, the
+    pool's ``concurrent.futures`` (with ``logging``) only for pool runs
+    and the queue's ``socket`` only for queue workers."""
 
     def test_api_import_leaves_numpy_unloaded(self, tmp_path):
         assert _loaded_after("import repro.api", ["numpy"], tmp_path) == []
@@ -125,6 +124,15 @@ class TestImportWeight:
             "experiment.run()\n"
             "assert len(experiment.artifact('fig11b')) == 2")
         assert _loaded_after(code, ["numpy"], tmp_path) == []
+
+    def test_serial_run_leaves_pool_and_queue_tiers_unloaded(self,
+                                                             tmp_path):
+        code = ("from repro.cli import main\n"
+                "status = main(['run', 'examples/table1.toml', "
+                "'--workers', '1', '--no-cache'])\n"
+                "assert status == 0, status")
+        tiers = ["numpy", "concurrent.futures", "logging", "socket"]
+        assert _loaded_after(code, tiers, tmp_path) == []
 
     def test_montecarlo_plan_loads_numpy(self, tmp_path):
         """A Monte-Carlo campaign pays for NumPy while planning, before
@@ -151,19 +159,6 @@ class TestImportWeight:
         loaded = _loaded_after(code, ["numpy", "http.server", "ssl"],
                                tmp_path)
         assert loaded == []
-
-
-class TestDvfsReindex:
-    def test_reindex_preserves_everything_but_index(self):
-        original = MicroOp(17, Opcode.LD, dest=3, srcs=(4,), imm=8,
-                           pc=0x2000, mem_addr=0x4000, golden_result=99)
-        clone = _reindex(original, 2)
-        assert clone.index == 2
-        assert original.index == 17  # untouched
-        assert clone.opcode is original.opcode
-        assert clone.mem_addr == original.mem_addr
-        assert clone.golden_result == 99
-        assert clone.is_load
 
 
 class TestErrorHierarchy:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryModelError
-from repro.memory.cache import AccessResult, Cache
+from repro.memory.cache import Cache
 
 
 def make_cache(**kwargs):
@@ -39,23 +39,23 @@ class TestGeometry:
 class TestBasicBehaviour:
     def test_miss_then_hit_after_fill(self):
         cache = make_cache()
-        assert not cache.access(0x100).hit
+        assert cache.access(0x100) is None
         cache.fill(0x100)
-        assert cache.access(0x100).hit
+        assert cache.access(0x100) is not None
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_shared_miss_result_is_immutable(self):
+    def test_hit_returns_the_line(self):
         cache = make_cache()
-        miss = cache.access(0x100)
-        assert cache.access(0x200) is miss  # every plain miss shares it
-        with pytest.raises(AttributeError):
-            miss.hit = True
-        assert miss == AccessResult(hit=False)
+        cache.fill(0x100, ready_at=40)
+        line = cache.access(0x108, is_write=True)
+        assert line.tag == cache.tag_of(0x100)
+        assert line.ready_at == 40 and line.dirty
+        assert cache.access(0x100) is line  # no record per access
 
     def test_same_line_different_word_hits(self):
         cache = make_cache()
         cache.fill(0x100)
-        assert cache.access(0x13F).hit  # same 64-byte line
+        assert cache.access(0x13F) is not None  # same 64-byte line
 
     def test_lru_eviction(self):
         cache = make_cache()  # 2-way
@@ -64,8 +64,8 @@ class TestBasicBehaviour:
         cache.fill(stride)
         cache.access(0)  # make address 0 most recent
         cache.fill(2 * stride)  # evicts `stride`
-        assert cache.access(0).hit
-        assert not cache.access(stride).hit
+        assert cache.access(0) is not None
+        assert cache.access(stride) is None
 
     def test_dirty_eviction_reports_writeback(self):
         cache = make_cache()
@@ -73,8 +73,8 @@ class TestBasicBehaviour:
         cache.fill(0)
         cache.access(0, is_write=True)  # dirty
         cache.fill(stride)
-        result = cache.fill(2 * stride)  # LRU victim is line 0 (dirty)
-        assert result.writeback_address == 0
+        writeback = cache.fill(2 * stride)  # LRU victim is line 0 (dirty)
+        assert writeback == 0
         assert cache.writebacks == 1
 
     def test_clean_eviction_no_writeback(self):
@@ -82,30 +82,28 @@ class TestBasicBehaviour:
         stride = cache.num_sets * 64
         cache.fill(0)
         cache.fill(stride)
-        result = cache.fill(2 * stride)
-        assert result.writeback_address is None
+        assert cache.fill(2 * stride) is None
 
     def test_fill_dirty_flag(self):
         cache = make_cache()
         stride = cache.num_sets * 64
         cache.fill(0, dirty=True)
         cache.fill(stride)
-        result = cache.fill(2 * stride)
-        assert result.writeback_address == 0
+        assert cache.fill(2 * stride) == 0
 
     def test_invalidate(self):
         cache = make_cache()
         cache.fill(0x40)
         assert cache.invalidate(0x40)
-        assert not cache.access(0x40).hit
+        assert cache.access(0x40) is None
         assert not cache.invalidate(0x40)
 
     def test_refill_present_line_is_benign(self):
         cache = make_cache()
         cache.fill(0x40)
-        result = cache.fill(0x40, dirty=True)
-        assert result.hit
+        assert cache.fill(0x40, dirty=True) is None  # nothing evicted
         assert cache.evictions == 0
+        assert cache.access(0x40).dirty
 
     def test_stats_reset(self):
         cache = make_cache()
@@ -123,14 +121,14 @@ class TestDisabledWays:
         stride = faulty.num_sets * 64
         faulty.fill(0)
         faulty.fill(stride)  # must evict line 0 (only 1 usable way)
-        assert not faulty.access(0).hit
+        assert faulty.access(0) is None
 
     def test_fully_disabled_set_caches_nothing(self):
         cache = make_cache(disabled_ways=None)
         disabled = [2] * cache.num_sets
         dead = make_cache(disabled_ways=disabled)
         dead.fill(0)
-        assert not dead.access(0).hit
+        assert dead.access(0) is None
 
     def test_disabled_ways_validation(self):
         with pytest.raises(MemoryModelError):
@@ -198,6 +196,6 @@ def test_cache_matches_reference_lru(operations):
             cache.fill(address)
             reference.fill(address)
         else:
-            got = cache.access(address).hit
+            got = cache.access(address) is not None
             expected = reference.access(address)
             assert got == expected, address

@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.21.0"
+        assert repro.__version__ == "1.22.0"
 
 
 class TestRunSpec:

@@ -14,15 +14,13 @@ from core_oracle import OracleCore
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.engine.executors as executors
-from repro.analysis.dvfs import DvfsPhase, DvfsScenario, _reindex
+from repro.analysis.dvfs import DvfsPhase, DvfsScenario
 from repro.branch.iraw_effects import DeterminismMode
 from repro.circuits.frequency import ClockScheme
 from repro.core.config import IrawConfig
 from repro.core.policy import IrawPolicy
 from repro.engine.executors import warm_caches
 from repro.errors import PipelineError
-from repro.isa.instructions import MicroOp
-from repro.isa.opcodes import Opcode
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.kernels import KERNEL_BUILDERS, kernel_trace
@@ -139,13 +137,3 @@ def test_dvfs_outcome_matches_oracle(monkeypatch, scheme):
     assert fast == oracle
     if scheme is ClockScheme.IRAW:  # the schedule reprograms N > 0
         assert any(phase.stabilization_cycles for phase in fast.phases)
-
-
-def test_reindex_copies_every_slot():
-    original = MicroOp(17, Opcode.CALL, dest=None, srcs=(4, 5), imm=8,
-                       pc=0x2000, taken=True, target=0x3000,
-                       golden_result=99, store_value=7)
-    clone = _reindex(original, 2)
-    for slot in MicroOp.__slots__:
-        expected = 2 if slot == "index" else getattr(original, slot)
-        assert getattr(clone, slot) == expected, slot

@@ -217,6 +217,30 @@ class TestResultCache:
         monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 999)
         assert ResultCache(root=tmp_path).get("k") is MISS
 
+    def test_shard_result_loads_without_enum_lookups(self, tmp_path,
+                                                      monkeypatch):
+        """A cache read rebuilds no StallReason or ClockScheme member by
+        value: the stall counts travel as a tuple in reason order and
+        the operating point's scheme by name."""
+        shard = shard_jobs(tiny_jobs((500.0, ClockScheme.IRAW))[0])[0]
+        result = ParallelRunner().run_one(shard)
+        cache = ResultCache(root=tmp_path)
+        cache.put("k", result)
+        lookups = []
+        by_value = type(ClockScheme).__call__
+
+        def counted(cls, *args, **kwargs):
+            lookups.append(cls.__name__)
+            return by_value(cls, *args, **kwargs)
+
+        monkeypatch.setattr(type(ClockScheme), "__call__", counted)
+        loaded = cache.get("k")
+        assert lookups == []
+        assert loaded == result
+        assert loaded.point.scheme is ClockScheme.IRAW
+        assert list(loaded.results[0].stalls.cycles) \
+            == list(result.results[0].stalls.cycles)
+
     def test_arguments_after_root_are_keyword_only(self, tmp_path):
         # An old positional ``enabled`` must not become a byte bound.
         with pytest.raises(TypeError):

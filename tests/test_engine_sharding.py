@@ -26,6 +26,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.dvfs import DvfsPhase, DvfsScenario, schedule_job
 from repro.analysis.metrics import PointResult
 from repro.baselines.extra_bypass import ExtraBypassBaseline
 from repro.baselines.faulty_bits import FaultyBitsBaseline
@@ -512,11 +513,31 @@ class TestTraceUnits:
         spec = ExperimentSpec.load(REPO / "examples" / "lowvcc_campaign.toml")
         runner = ParallelRunner()
         Experiment(spec, runner=runner).run()
-        # 9 population runs (3 traces x 3 machines) plus 12 DVFS phases
-        # (two schedules of three phases, under two schemes); 78 before
-        # trace units.
-        assert len(core_runs) == 21
+        # 9 population runs (3 traces x 3 machines) plus 10 DVFS phase
+        # machines: two schedules of three phases under two schemes, less
+        # the 650 and 700 mV phases, where IRAW (N = 0) runs the
+        # baseline's machine.  21 before DVFS phases shared machines, 78
+        # before trace units.
+        assert len(core_runs) == 19
         assert runner.stats.simulated == 70
+
+    def test_dvfs_schedules_share_n0_phases(self, core_runs):
+        trace = TraceSpec.synthetic(OFFICE_LIKE, seed=5, length=900)
+        phases = (DvfsPhase(650.0, 300), DvfsPhase(450.0, 300),
+                  DvfsPhase(700.0, 300))
+        schemes = (ClockScheme.BASELINE, ClockScheme.IRAW)
+        outcomes = ParallelRunner().run(
+            [schedule_job(trace, phases, scheme) for scheme in schemes])
+        # Three baseline phases and IRAW's 450 mV one: at 650 and 700 mV
+        # N = 0, so IRAW runs the baseline's machine.
+        assert len(core_runs) == 4
+        built = trace.build()
+        for outcome, scheme in zip(outcomes, schemes, strict=True):
+            alone = DvfsScenario(scheme=scheme).run(built, list(phases))
+            assert outcome == alone
+        shared = {id(phase) for phase in outcomes[0].phases}
+        assert not shared & {id(phase) for phase in outcomes[1].phases}
+        assert outcomes[0].phases[0].cycles == outcomes[1].phases[0].cycles
 
     def test_pool_speedup_grid_repeats_no_machine(self, core_runs):
         path = REPO / "benchmarks" / "pool_speedup.py"

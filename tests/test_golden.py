@@ -4,7 +4,8 @@ Small JSON goldens for Table 1 and one Figure 11(b) slice, generated at
 ``workers=1`` (the bit-identical serial path) on a fixed two-trace
 population, lock down the per-trace sharding refactor: any change to the
 shard split, the aggregation order, or the executors that shifts a single
-cycle count shows up as a golden diff.
+cycle count shows up as a golden diff.  The shipped low-Vcc campaign's
+DVFS rows (``dvfs_lowvcc``) lock the phase runs the same way.
 
 Serial, pool-parallel and queue-distributed runs must all reproduce the
 goldens (backend equivalence).  Integer fields (cycle and instruction
@@ -40,6 +41,11 @@ pytestmark = pytest.mark.engine
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 RV32I_GOLDEN_DIR = GOLDEN_DIR / "rv32i"
+
+#: The shipped low-Vcc campaign, whose two DVFS schedules (each under
+#: both clock schemes) are the ``dvfs_lowvcc`` golden.
+SHIPPED_CAMPAIGN = (pathlib.Path(__file__).resolve().parents[1]
+                    / "examples" / "lowvcc_campaign.toml")
 
 GOLDEN_VCC = 500.0
 
@@ -120,6 +126,19 @@ def compute_deep_tail(runner: ParallelRunner | None = None) -> list:
     return deep_tail_rows(results, (GOLDEN_VCC,), GOLDEN_MC_SCHEMES,
                           GOLDEN_DEEP_MC.dies, GOLDEN_DEEP_MC.importance,
                           GOLDEN_DEEP_MC.confidence)
+
+
+def compute_dvfs(runner: ParallelRunner | None = None) -> list:
+    """The shipped campaign's ``dvfs`` rows, its schedules resolved as
+    one batch (so a trace unit holds both schemes of a schedule).
+
+    Kept out of :func:`compute_artifacts`: it is the costliest golden
+    and guards the DVFS path only.
+    """
+    experiment = Experiment(ExperimentSpec.load(SHIPPED_CAMPAIGN),
+                            runner=runner)
+    experiment.runner.run(experiment.dvfs_jobs(), label="golden-dvfs")
+    return experiment.artifact("dvfs")
 
 
 def compute_riscv_artifacts(runner: ParallelRunner | None = None) -> dict:
@@ -288,6 +307,29 @@ class TestGoldenExperiment:
         assert Experiment(via_json).plan_keys() == reference
 
 
+class TestGoldenDvfs:
+    """The DVFS schedules must reproduce through every backend: serial
+    and pool share one core run per distinct phase machine of a trace,
+    queue workers run every schedule alone."""
+
+    def test_serial_matches_golden(self):
+        assert_matches_golden(compute_dvfs(), load_golden("dvfs_lowvcc"),
+                              "dvfs_lowvcc")
+
+    def test_pool_matches_golden(self, tmp_path):
+        runner = ParallelRunner(workers=2,
+                                cache=ResultCache(root=tmp_path))
+        assert_matches_golden(compute_dvfs(runner),
+                              load_golden("dvfs_lowvcc"), "dvfs_lowvcc")
+        assert runner.stats.simulated == 4  # two schedules x two schemes
+
+    def test_queue_matches_golden(self, tmp_path):
+        runner = TestGoldenQueue.queue_runner(tmp_path)
+        assert_matches_golden(compute_dvfs(runner),
+                              load_golden("dvfs_lowvcc"), "dvfs_lowvcc")
+        assert runner.stats.requeued == 0
+
+
 class TestGoldenRv32iStateTraces:
     """Every committed binary's architectural state, locked step by step.
 
@@ -450,6 +492,7 @@ def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     artifacts["yield_curve_500mv"] = compute_yield_curve()
     artifacts["deep_tail_500mv"] = compute_deep_tail()
     artifacts["riscv_table1"] = compute_riscv_artifacts()["table1"]
+    artifacts["dvfs_lowvcc"] = compute_dvfs()
     for name, data in artifacts.items():
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",

@@ -94,7 +94,8 @@ class TestIrawPolicy:
 
     def test_arm_fill_guards_routes_by_block(self):
         policy = make_policy(IrawConfig(stabilization_cycles=1))
-        policy.arm_fill_guards([("DL0", 50), ("UL1", 60), ("???", 70)])
+        for block, cycle in (("DL0", 50), ("UL1", 60), ("???", 70)):
+            policy.arm_fill_guards(block, cycle)
         assert policy.guards["DL0"].blocked_until(50) == 52
         assert policy.guards["UL1"].blocked_until(60) == 62
 

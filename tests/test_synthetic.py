@@ -131,3 +131,14 @@ class TestPopulation:
         from repro.isa.opcodes import Opcode
         with pytest.raises(TraceError):
             Trace("bad", [MicroOp(5, Opcode.NOP)])
+        trace = SyntheticTraceGenerator(SPECINT_LIKE, seed=1).generate(50)
+        segment = trace.segment(10, 20, "middle")
+        # A view holds the trace's own MicroOps, indices unchanged.
+        assert len(segment) == 20 and segment.start == 10
+        assert all(view is op for view, op in zip(segment.ops,
+                                                  trace.ops[10:30]))
+        assert trace.segment(10, 0, "empty").ops == []
+        with pytest.raises(TraceError):
+            Trace("gap", trace.ops[10:12] + trace.ops[13:20], start=10)
+        with pytest.raises(TraceError):
+            Trace("shifted", trace.ops[10:20], start=9)
