@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.circuits.frequency import ClockScheme, FrequencySolver, OperatingPoint
 from repro.circuits.variation import VariationModel
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemorySystem
+
+#: The caches Faulty Bits degrades, in the order their maps are drawn.
+_CACHES = ("il0", "dl0", "ul1")
 
 
 @dataclass
@@ -79,31 +83,17 @@ class FaultyBitsBaseline:
     # Cache degradation
     # ------------------------------------------------------------------
 
-    def line_failure_probability(self, bits_per_line: int) -> float:
-        return self.variation.line_failure_probability(
-            self.design_sigma, bits_per_line)
-
-    def _disabled_ways(self, num_sets: int, assoc: int,
-                       bits_per_line: int, rng: random.Random) -> list[int]:
-        p_line = self.line_failure_probability(bits_per_line)
-        disabled = []
-        for _ in range(num_sets):
-            failed = sum(1 for _ in range(assoc) if rng.random() < p_line)
-            disabled.append(failed)
-        return disabled
-
     def apply_to_memory(self, memory: MemorySystem) -> dict[str, float]:
         """Replace the caches with disabled-way versions.
 
         Returns the fraction of lines disabled per cache (for reports).
         """
-        rng = random.Random(self.seed)
+        caches = [getattr(memory, attr) for attr in _CACHES]
+        maps = _fault_maps(self.variation, self.design_sigma, self.seed,
+                           tuple((cache.num_sets, cache.associativity,
+                                  cache.line_size) for cache in caches))
         report: dict[str, float] = {}
-        for attr in ("il0", "dl0", "ul1"):
-            old: Cache = getattr(memory, attr)
-            bits_per_line = old.line_size * 8 + 30  # data + tag/state
-            disabled = self._disabled_ways(old.num_sets, old.associativity,
-                                           bits_per_line, rng)
+        for attr, old, disabled in zip(_CACHES, caches, maps):
             replacement = Cache(old.name, old.size_bytes, old.associativity,
                                 old.line_size, old.hit_latency,
                                 disabled_ways=disabled)
@@ -124,3 +114,27 @@ class FaultyBitsBaseline:
     def area_overhead(self, core_transistors: int = 47_000_000) -> float:
         """Fault maps as SRAM bits over the core (paper-style accounting)."""
         return self.fault_map_bits() * 8 / core_transistors
+
+
+@lru_cache(maxsize=8)
+def _fault_maps(variation: VariationModel, design_sigma: float, seed: int,
+                geometries: tuple[tuple[int, int, int], ...]
+                ) -> tuple[tuple[int, ...], ...]:
+    """Disabled ways per set of each cache in ``geometries`` (sets, ways,
+    line size), drawn in order from one ``random.Random(seed)`` stream.
+
+    The maps depend on nothing else, so every Faulty Bits core of a
+    process with the same recipe shares one draw (about 9,100 draws over
+    the default hierarchy's 1,152 sets).  The maps are tuples: no caller
+    can edit another's.
+    """
+    rng = random.Random(seed)
+    maps = []
+    for num_sets, assoc, line_size in geometries:
+        bits_per_line = line_size * 8 + 30  # data + tag/state
+        p_line = variation.line_failure_probability(design_sigma,
+                                                    bits_per_line)
+        maps.append(tuple(
+            sum(1 for _ in range(assoc) if rng.random() < p_line)
+            for _ in range(num_sets)))
+    return tuple(maps)

@@ -24,7 +24,6 @@ which keeps ``import repro.engine`` acyclic.
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
 import time
@@ -324,9 +323,9 @@ def _run_shard(job: Job, point: OperatingPoint, params: PipelineParams,
 
     result, extras = tables.run(
         machine, point.memory_latency_cycles(dram_latency_ns), simulate)
-    # A deep copy per job: no two results share stats an API user may
-    # edit, and the unit's own run is never handed out.
-    result = replace(copy.deepcopy(result), config_name=name)
+    # A copy per job: no two results share stats an API user may edit,
+    # and the unit's own run is never handed out.
+    result = result.copy_as(name)
     return PointResult(vcc_mv=job.vcc_mv, scheme=scheme_name, point=point,
                        results=(result,), extras=extras)
 

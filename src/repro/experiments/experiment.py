@@ -334,21 +334,30 @@ class Experiment:
 
     def dvfs_outcomes(self):
         """Every (schedule, scheme, DvfsOutcome) of the spec, in order."""
-        jobs = iter(self.dvfs_jobs())
-        outcomes = []
-        for schedule in self.spec.dvfs:
-            for scheme in schedule.schemes:
-                outcomes.append(
-                    (schedule, scheme, self._result_of(next(jobs))))
-        return outcomes
+        results = iter(self._results_of(self.dvfs_jobs()))
+        return [(schedule, scheme, next(results))
+                for schedule in self.spec.dvfs
+                for scheme in schedule.schemes]
 
     def _result_of(self, job: Job):
-        result = self.runner.cached_result(job)
-        if result is None:
-            # Lazy convenience: artifacts rendered without an explicit
-            # run() resolve their own jobs through the same memo.
-            result = self.runner.run_one(job)
-        return result
+        return self._results_of([job])[0]
+
+    def _results_of(self, jobs: list[Job]) -> list:
+        """The results of ``jobs``, read from the runner's memo.
+
+        Lazy convenience: artifacts rendered without an explicit
+        :meth:`run` resolve the jobs the memo misses in one runner
+        batch, so jobs of one trace share its unit (the DVFS schedules
+        of one trace run each common phase machine once).
+        """
+        results = [self.runner.cached_result(job) for job in jobs]
+        missing = [index for index, result in enumerate(results)
+                   if result is None]
+        if missing:
+            resolved = self.runner.run([jobs[index] for index in missing])
+            for index, result in zip(missing, resolved):
+                results[index] = result
+        return results
 
     # -- rendering -----------------------------------------------------
 

@@ -28,6 +28,15 @@ from repro.isa.opcodes import (
 )
 from repro.isa.registers import NUM_REGISTERS
 
+#: Per opcode: its class and the class tests the issue loop checks every
+#: cycle (is_load, is_store, is_control, is_call, is_return).
+_TRAITS = {
+    opcode: (opclass, opclass is OpClass.LOAD, opclass is OpClass.STORE,
+             opclass in CONTROL_CLASSES, opclass is OpClass.CALL,
+             opclass is OpClass.RET)
+    for opcode, opclass in OPCODE_CLASS.items()
+}
+
 
 class MicroOp:
     """One dynamic instruction.
@@ -69,15 +78,17 @@ class MicroOp:
                  mem_addr: int | None = None, taken: bool = False,
                  target: int | None = None, golden_result: int | None = None,
                  store_value: int | None = None):
-        opclass = OPCODE_CLASS[opcode]
+        (opclass, self.is_load, self.is_store, self.is_control,
+         self.is_call, self.is_return) = _TRAITS[opcode]
         if dest is not None and not 0 <= dest < NUM_REGISTERS:
             raise TraceError(f"op {index}: dest register {dest} out of range")
         for src in srcs:
             if not 0 <= src < NUM_REGISTERS:
                 raise TraceError(f"op {index}: src register {src} out of range")
-        if opclass in (OpClass.LOAD, OpClass.STORE) and mem_addr is None:
-            raise TraceError(f"op {index}: memory op without an address")
-        if mem_addr is not None and mem_addr < 0:
+        if mem_addr is None:
+            if self.is_load or self.is_store:
+                raise TraceError(f"op {index}: memory op without an address")
+        elif mem_addr < 0:
             raise TraceError(f"op {index}: negative address {mem_addr}")
 
         self.index = index
@@ -92,12 +103,6 @@ class MicroOp:
         self.target = target
         self.golden_result = golden_result
         self.store_value = store_value
-        # Pre-computed class tests: the issue loop checks these every cycle.
-        self.is_load = opclass is OpClass.LOAD
-        self.is_store = opclass is OpClass.STORE
-        self.is_control = opclass in CONTROL_CLASSES
-        self.is_call = opclass is OpClass.CALL
-        self.is_return = opclass is OpClass.RET
 
     def __repr__(self) -> str:
         parts = [f"#{self.index}", self.opcode.value]

@@ -17,12 +17,14 @@ the line itself.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import MemoryModelError
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """Tag-store state of one line."""
 
@@ -34,6 +36,10 @@ class CacheLine:
     #: installed in the tag store at request time; the refill data
     #: arrives later, and hits on an in-flight line must wait for it).
     ready_at: int = 0
+
+
+#: A line's LRU stamp: the key :meth:`Cache.fill` picks its victim by.
+_STAMP = attrgetter("stamp")
 
 
 class Cache:
@@ -51,7 +57,7 @@ class Cache:
 
     def __init__(self, name: str, size_bytes: int, associativity: int,
                  line_size: int = 64, hit_latency: int = 1,
-                 disabled_ways: list[int] | None = None):
+                 disabled_ways: Sequence[int] | None = None):
         if size_bytes <= 0 or associativity <= 0 or line_size <= 0:
             raise MemoryModelError(f"{name}: non-positive geometry")
         if size_bytes % (associativity * line_size):
@@ -139,14 +145,16 @@ class Cache:
         back to the next level, or ``None``.
         """
         self._use_counter += 1
-        index = self.set_index(address)
-        tag = self.tag_of(address)
+        block = address // self.line_size
+        index = block % self.num_sets
+        tag = block // self.num_sets
         lines = self._sets[index]
-        if tag in lines:
+        line = lines.get(tag)
+        if line is not None:
             # Refill of a present line (e.g. racing fills): refresh stamp.
-            lines[tag].stamp = self._use_counter
+            line.stamp = self._use_counter
             if dirty:
-                lines[tag].dirty = True
+                line.dirty = True
             return None
         capacity = (self._usable_ways[index] if self._usable_ways is not None
                     else self.associativity)
@@ -156,13 +164,15 @@ class Cache:
             return None
         writeback = None
         if len(lines) >= capacity:
-            # LRU: the first way with the smallest use stamp.
-            victim_tag = min(lines, key=lambda t: lines[t].stamp)
-            victim = lines.pop(victim_tag)
+            # LRU: the line with the smallest use stamp (every access and
+            # fill takes a fresh one, so no two lines share a stamp).
+            victim = min(lines.values(), key=_STAMP)
+            del lines[victim.tag]
             self.evictions += 1
             if victim.dirty:
                 self.writebacks += 1
-                writeback = (victim_tag * self.num_sets + index) * self.line_size
+                writeback = ((victim.tag * self.num_sets + index)
+                             * self.line_size)
         lines[tag] = CacheLine(tag=tag, dirty=dirty,
                                stamp=self._use_counter, ready_at=ready_at)
         return writeback

@@ -53,8 +53,9 @@ from repro.workloads.trace import Trace
 #: Shared sentinel op for IQ-drain NOOP injection (Section 4.2).
 _INJECTED_NOOP = MicroOp(0, Opcode.NOP)
 
-# Stall reasons as module constants: an Enum member lookup costs more
-# than the rest of a stalled cycle's issue stage.
+# Stall reasons and the op kinds writeback tests as module constants: an
+# Enum member lookup costs more than the rest of a stalled cycle's issue
+# stage.
 _FRONTEND_EMPTY = StallReason.FRONTEND_EMPTY
 _IQ_GATE = StallReason.IQ_GATE
 _RF_DEPENDENCY = StallReason.RF_DEPENDENCY
@@ -63,6 +64,8 @@ _WAW_ORDER = StallReason.WAW_ORDER
 _FU_BUSY = StallReason.FU_BUSY
 _WRITE_PORT = StallReason.WRITE_PORT
 _MEMORY_PENDING = StallReason.MEMORY_PENDING
+_BRANCH = OpClass.BRANCH
+_JMP = Opcode.JMP
 
 
 @dataclass
@@ -136,7 +139,8 @@ class InOrderCore:
         max_encodable = scoreboard.max_encodable_latency
         # Read once per run: the scoreboard's windows and the functional
         # units' state (both updated in place), the per-class issue
-        # table, the stall counts and the Eq. 1 gate.
+        # table, the stall counts, the Eq. 1 gate and the calls every
+        # op makes.
         sb_ready = scoreboard.ready
         sb_bubble_lo = scoreboard.bubble_lo
         sb_bubble_hi = scoreboard.bubble_hi
@@ -145,6 +149,11 @@ class InOrderCore:
         unit_issued = units.issued
         unit_busy_until = units.busy_until
         stall_cycles = stalls.cycles
+        producer_issued = scoreboard.producer_issued
+        access_blocked = lsu.access_blocked
+        execute_load = lsu.execute_load
+        commit_store = lsu.commit_store
+        tick = frontend.tick
         gate_threshold = gate.issue_threshold
         issue_window = params.issue_window
         alloc_width = params.alloc_width
@@ -188,10 +197,9 @@ class InOrderCore:
                     # architectural value is dead and the younger
                     # producer owns the scoreboard entry.
                     if op.is_store:
-                        lsu.commit_store(op, value, cycle)
+                        commit_store(op, value, cycle)
                     if op.is_control:
-                        if op.opclass is OpClass.BRANCH \
-                                and op.opcode is not Opcode.JMP:
+                        if op.opclass is _BRANCH and op.opcode is not _JMP:
                             self.tracker.update(op.pc, op.taken, cycle)
                         frontend.branch_resolved(op.index, cycle)
                     completed += 1
@@ -248,7 +256,8 @@ class InOrderCore:
                         (unit_last_cycle[unit] == cycle
                          and unit_issued[unit] >= unit_limit)
                         or (unpipelined and unit_busy_until[unit] >= cycle)):
-                    # FunctionalUnits.can_accept, on the state lists.
+                    # The unit took its limit this cycle, or an unpipelined
+                    # one is still busy.
                     reason = _FU_BUSY
                     break
                 write_port_index = -1
@@ -269,7 +278,7 @@ class InOrderCore:
                 bypass_cycle = cycle + latency
                 long_latency = latency > max_encodable
                 if is_load or is_store:
-                    blocked = lsu.access_blocked(cycle + 1)
+                    blocked = access_blocked(cycle + 1)
                     if blocked is not None:
                         reason = blocked[1]
                         break
@@ -291,7 +300,7 @@ class InOrderCore:
                             forwarded = regfile.read(src, cycle + 1, n_active)
                         operands.append(forwarded)
                 if is_load:
-                    ready, value = lsu.execute_load(op, cycle)
+                    ready, value = execute_load(op, cycle)
                     bypass_cycle = ready
                     long_latency = (ready - cycle) > max_encodable
                     if golden and op.golden_result is not None \
@@ -306,7 +315,7 @@ class InOrderCore:
                     value = self._compute(op, operands)
                     if value != op.golden_result:
                         self.value_mismatches += 1
-                if unit >= 0:  # FunctionalUnits.accept
+                if unit >= 0:  # count the issue on its unit
                     if unit_last_cycle[unit] == cycle:
                         unit_issued[unit] += 1
                     else:
@@ -318,7 +327,7 @@ class InOrderCore:
                 if dest is not None:
                     encode = (bypass_cycle - cycle) if not long_latency \
                         else max_encodable + 1
-                    scoreboard.producer_issued(dest, cycle, encode)
+                    producer_issued(dest, cycle, encode)
                     pending_write[dest] = bypass_cycle + 1
                     latest_writer[dest] = op.index
                     if write_port_index >= 0:
@@ -356,7 +365,7 @@ class InOrderCore:
             # ---------------- 4. fetch ----------------
             if cycle >= frontend.fetch_from \
                     and len(fetch_buffer) < fetch_buffer_size:
-                frontend.tick(cycle)
+                tick(cycle)
             cycle += 1
 
         return self._result(trace, completed, cycle, frontend, lsu, regfile)

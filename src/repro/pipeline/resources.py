@@ -92,9 +92,10 @@ class FunctionalUnits:
     Each unit keeps its last issue cycle (``last_cycle``), the issues
     counted in that cycle (``issued``) and the cycle an unpipelined
     operation keeps it busy until (``busy_until``), so nothing is reset
-    between cycles.  :meth:`can_accept` and :meth:`accept` state the
-    rule; the issue stage (:meth:`repro.pipeline.core.InOrderCore.run`)
-    applies it to the lists directly.
+    between cycles.  The issue stage
+    (:meth:`repro.pipeline.core.InOrderCore.run`) states the rule and
+    applies it to the lists directly: a unit takes up to its per-cycle
+    limit of issues, and an unpipelined one nothing while busy.
     """
 
     def __init__(self, params: PipelineParams):
@@ -109,25 +110,3 @@ class FunctionalUnits:
         self.last_cycle = [-1] * len(names)
         self.issued = [0] * len(names)
         self.busy_until = [-1] * len(names)
-
-    def can_accept(self, opclass: OpClass, cycle: int) -> bool:
-        """Is the unit for ``opclass`` free at ``cycle``?"""
-        _, unit, limit, unpipelined = self.classes[opclass]
-        if unit < 0:
-            return True
-        if self.last_cycle[unit] == cycle and self.issued[unit] >= limit:
-            return False
-        return not unpipelined or self.busy_until[unit] < cycle
-
-    def accept(self, opclass: OpClass, cycle: int) -> None:
-        """Commit an issue at ``cycle`` to the unit for ``opclass``."""
-        latency, unit, _, unpipelined = self.classes[opclass]
-        if unit < 0:
-            return
-        if self.last_cycle[unit] == cycle:
-            self.issued[unit] += 1
-        else:
-            self.last_cycle[unit] = cycle
-            self.issued[unit] = 1
-        if unpipelined:
-            self.busy_until[unit] = cycle + latency

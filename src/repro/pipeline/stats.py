@@ -10,7 +10,7 @@ true RAW dependence would have stalled the baseline too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 
@@ -57,9 +57,6 @@ class StallStats:
     #: NOOPs injected to drain the gated IQ (Section 4.2).
     injected_noops: int = 0
 
-    def charge(self, reason: StallReason, cycles: int = 1) -> None:
-        self.cycles[reason] += cycles
-
     def __reduce__(self):
         # The counts travel as a tuple in StallReason order and load
         # back onto the members themselves: a pickled member is rebuilt
@@ -101,6 +98,23 @@ class SimulationResult:
     branches: int
     memory_stats: dict = field(default_factory=dict)
     prediction_hazards: dict = field(default_factory=dict)
+
+    def copy_as(self, config_name: str) -> SimulationResult:
+        """This result under ``config_name``, sharing no mutable part.
+
+        The stall counts, both levels of ``memory_stats`` and
+        ``prediction_hazards`` are copied; every other field is
+        immutable.
+        """
+        stalls = self.stalls
+        return replace(
+            self, config_name=config_name,
+            stalls=StallStats(dict(stalls.cycles),
+                              stalls.iraw_delayed_instructions,
+                              stalls.injected_noops),
+            memory_stats={block: dict(counts) for block, counts
+                          in self.memory_stats.items()},
+            prediction_hazards=dict(self.prediction_hazards))
 
     @property
     def ipc(self) -> float:

@@ -38,6 +38,10 @@ _RECENT_WINDOW = 48
 _DL0_SET_STRIDE = 64 * 64  # sets x line size
 _LINE = 64
 
+#: Arithmetic opcodes that read one register even without an immediate.
+_ONE_SOURCE_OPCODES = frozenset({Opcode.MOV, Opcode.LI, Opcode.SHL,
+                                 Opcode.SHR})
+
 _CLASS_OPCODES = {
     OpClass.INT_ALU: (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR,
                       Opcode.XOR, Opcode.SHL, Opcode.CMPLT),
@@ -91,10 +95,12 @@ class _Slot:
     """A static instruction slot inside a basic block."""
 
     opcode: Opcode
-    opclass: OpClass
     pc: int
+    #: What the walk emits: ``"load"``, ``"store"`` or ``"arith"``.
+    kind: str = "arith"
+    #: Register sources the walk draws for it.
+    sources: int = 1
     stream: int | None = None
-    uses_imm: bool = False
     #: For paired store->load aliasing: offset the load by this many bytes
     #: from the previous store's address (0 = same line full match,
     #: _DL0_SET_STRIDE multiple = same set, different line).
@@ -182,21 +188,31 @@ class SyntheticTraceGenerator:
         for i in range(size):
             opclass = self._sample_class()
             opcode = rng.choice(_CLASS_OPCODES[opclass])
-            slot = _Slot(opcode=opcode, opclass=opclass, pc=pc + i * 4)
+            slot = _Slot(opcode=opcode, pc=pc + i * 4)
             if opclass in (OpClass.LOAD, OpClass.STORE):
                 slot.stream = rng.randrange(len(self._streams))
                 if opclass is OpClass.STORE:
+                    slot.kind, slot.sources = "store", 2
                     last_store_slot = i
-                elif (last_store_slot is not None
-                      and i - last_store_slot <= 2
-                      and rng.random() < profile.store_load_alias_fraction):
-                    # Pair this load with the recent store: half the pairs
-                    # hit the same line (full match), half the same set
-                    # (set-only match -> STable replay).
-                    same_line = rng.random() < 0.5
-                    slot.alias_with_store = 0 if same_line else _DL0_SET_STRIDE
-            elif opclass is OpClass.INT_ALU:
-                slot.uses_imm = rng.random() < profile.imm_operand_fraction
+                else:
+                    slot.kind = "load"
+                    if (last_store_slot is not None
+                            and i - last_store_slot <= 2
+                            and rng.random()
+                            < profile.store_load_alias_fraction):
+                        # Pair this load with the recent store: half the
+                        # pairs hit the same line (full match), half the
+                        # same set (set-only match -> STable replay).
+                        same_line = rng.random() < 0.5
+                        slot.alias_with_store = (0 if same_line
+                                                 else _DL0_SET_STRIDE)
+            else:
+                # Arithmetic reads two registers, or one when it takes an
+                # immediate (some ALU ops do) or its opcode reads one.
+                uses_imm = (opclass is OpClass.INT_ALU
+                            and rng.random() < profile.imm_operand_fraction)
+                if not uses_imm and opcode not in _ONE_SOURCE_OPCODES:
+                    slot.sources = 2
             slots.append(slot)
         return _Block(pc=pc, slots=slots, branch_pc=pc + size * 4)
 
@@ -239,61 +255,61 @@ class SyntheticTraceGenerator:
             raise ConfigError(f"trace length must be positive, got {length}")
         profile = self._profile
         rng = self._rng
+        random = rng.random
+        randrange = rng.randrange
+        stay_near = profile.dep_distance_geom_p
+        streams = self._streams
         ops: list[MicroOp] = []
-        recent_dests: list[int] = []
+        #: Destinations written so far.  They walk ``_DEST_POOL`` round
+        #: robin, so the ``_RECENT_WINDOW`` most recent ones are the pool
+        #: entries just before the cursor.
         dest_cursor = 0
         last_store_addr: int | None = None
 
+        def dep() -> int:
+            """A source register at a geometric dependency distance."""
+            window = dest_cursor if dest_cursor < _RECENT_WINDOW \
+                else _RECENT_WINDOW
+            if not window:
+                return randrange(25, 29)
+            distance = 1
+            while distance < window and random() > stay_near:
+                distance += 1
+            return _DEST_POOL[(dest_cursor - distance) % len(_DEST_POOL)]
+
         def emit_slot(slot: _Slot) -> None:
+            # Draw order: the sources, then a memory op's address, then
+            # an arithmetic op's immediate.  Ops are built positionally,
+            # MicroOp(index, opcode, dest, srcs, imm, pc, mem_addr):
+            # keywords would cost a tenth of the build.
             nonlocal dest_cursor, last_store_addr
-            index = len(ops)
-            srcs: list[int] = []
-            if slot.opclass in (OpClass.LOAD, OpClass.STORE):
-                srcs.append(_sample_dep(rng, recent_dests, profile))
-                if slot.opclass is OpClass.STORE:
-                    srcs.append(_sample_dep(rng, recent_dests, profile))
-                stream = self._streams[slot.stream]
-                if (slot.alias_with_store is not None
-                        and last_store_addr is not None):
-                    addr = last_store_addr + slot.alias_with_store
-                else:
-                    addr = stream.next_address(rng)
-                addr &= ~7
-                if slot.opclass is OpClass.STORE:
-                    last_store_addr = addr
-                    ops.append(MicroOp(index, slot.opcode, srcs=tuple(srcs),
-                                       pc=slot.pc, mem_addr=addr))
-                    return
+            srcs = (dep(),) if slot.sources == 1 else (dep(), dep())
+            kind = slot.kind
+            if kind == "arith":
                 dest = _DEST_POOL[dest_cursor % len(_DEST_POOL)]
                 dest_cursor += 1
-                recent_dests.append(dest)
-                if len(recent_dests) > _RECENT_WINDOW:
-                    recent_dests.pop(0)
-                ops.append(MicroOp(index, slot.opcode, dest=dest,
-                                   srcs=tuple(srcs), pc=slot.pc,
-                                   mem_addr=addr))
+                ops.append(MicroOp(len(ops), slot.opcode, dest, srcs,
+                                   randrange(256), slot.pc))
                 return
-            # Arithmetic: one or two register sources.
-            srcs.append(_sample_dep(rng, recent_dests, profile))
-            if not slot.uses_imm and slot.opcode not in (Opcode.MOV, Opcode.LI,
-                                                         Opcode.SHL, Opcode.SHR):
-                srcs.append(_sample_dep(rng, recent_dests, profile))
+            if (slot.alias_with_store is not None
+                    and last_store_addr is not None):
+                addr = last_store_addr + slot.alias_with_store
+            else:
+                addr = streams[slot.stream].next_address(rng)
+            addr &= ~7
+            if kind == "store":
+                last_store_addr = addr
+                ops.append(MicroOp(len(ops), slot.opcode, None, srcs, 0,
+                                   slot.pc, addr))
+                return
             dest = _DEST_POOL[dest_cursor % len(_DEST_POOL)]
             dest_cursor += 1
-            recent_dests.append(dest)
-            if len(recent_dests) > _RECENT_WINDOW:
-                recent_dests.pop(0)
-            ops.append(MicroOp(index, slot.opcode, dest=dest,
-                               srcs=tuple(srcs), pc=slot.pc,
-                               imm=rng.randrange(256)))
+            ops.append(MicroOp(len(ops), slot.opcode, dest, srcs, 0, slot.pc,
+                               addr))
 
-        def emit_branch(opcode: Opcode, pc: int, taken: bool,
-                        target: int) -> None:
-            index = len(ops)
-            srcs = ()
-            if opcode in (Opcode.BNE, Opcode.BEQ, Opcode.BLT, Opcode.BGE):
-                srcs = (_sample_dep(rng, recent_dests, profile),)
-            ops.append(MicroOp(index, opcode, srcs=srcs, pc=pc,
+        def emit_branch(pc: int, taken: bool, target: int) -> None:
+            """A conditional branch on one register source."""
+            ops.append(MicroOp(len(ops), Opcode.BNE, srcs=(dep(),), pc=pc,
                                taken=taken, target=target))
 
         def walk_function(fn: _Function) -> None:
@@ -330,8 +346,7 @@ class SyntheticTraceGenerator:
                         taken = rng.random() < profile.noisy_taken_bias
                         skip_to = segment[min(block_idx + 2,
                                               len(segment) - 1)].pc
-                        emit_branch(Opcode.BNE, block.branch_pc, taken,
-                                    skip_to)
+                        emit_branch(block.branch_pc, taken, skip_to)
                         block_idx += 2 if taken else 1
                         continue
                     if block.kind == "call":
@@ -351,8 +366,7 @@ class SyntheticTraceGenerator:
                                                    block.callee].blocks[0].pc))
                             walk_function(self._functions[block.callee])
                         taken = trip < trips - 1
-                        emit_branch(Opcode.BNE, block.branch_pc, taken,
-                                    block.target_pc)
+                        emit_branch(block.branch_pc, taken, block.target_pc)
                     block_idx += 1
 
         ops = ops[:length]
@@ -361,14 +375,3 @@ class SyntheticTraceGenerator:
                      metadata={"profile": profile.name, "seed": self._seed,
                                "length": length})
 
-
-def _sample_dep(rng: random.Random, recent_dests: list[int],
-                profile: TraceProfile) -> int:
-    """Pick a source register at a geometric dependency distance."""
-    if not recent_dests:
-        return rng.randrange(25, 29)
-    distance = 1
-    while (distance < len(recent_dests)
-           and rng.random() > profile.dep_distance_geom_p):
-        distance += 1
-    return recent_dests[-distance]

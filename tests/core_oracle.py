@@ -462,7 +462,7 @@ class OracleCore:
                     (op, dest, value, long_latency))
                 issued += 1
             if issued == 0 and reason is not None:
-                stalls.charge(reason)
+                stalls.cycles[reason] += 1
 
             # ---------------- 3. allocate ----------------
             free = params.iq_size - len(iq)

@@ -21,11 +21,15 @@ from repro.core.config import IrawConfig
 from repro.core.policy import IrawPolicy
 from repro.engine.executors import warm_caches
 from repro.errors import PipelineError
+from repro.isa.instructions import MicroOp
+from repro.isa.opcodes import OpClass, Opcode
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
+from repro.pipeline.stats import StallReason
 from repro.workloads.kernels import KERNEL_BUILDERS, kernel_trace
 from repro.workloads.profiles import SPECINT_LIKE, STANDARD_PROFILES
 from repro.workloads.synthetic import SyntheticTraceGenerator
+from repro.workloads.trace import Trace
 
 #: Kernel sizes that keep one example to a few hundred ops.
 KERNEL_SIZES = {
@@ -137,3 +141,96 @@ def test_dvfs_outcome_matches_oracle(monkeypatch, scheme):
     assert fast == oracle
     if scheme is ClockScheme.IRAW:  # the schedule reprograms N > 0
         assert any(phase.stabilization_cycles for phase in fast.phases)
+
+
+# ----------------------------------------------------------------------
+# Long stretches in which no stage can act
+# ----------------------------------------------------------------------
+
+def divide_chain(length: int) -> Trace:
+    """Each divide reads the one before it: every divide after the
+    first waits its producer's whole latency on the scoreboard."""
+    ops = [MicroOp(index, Opcode.DIV, dest=1 + index % 20,
+                   srcs=(1 + (index - 1) % 20,) if index else (25,),
+                   pc=0x1000 + 4 * index)
+           for index in range(length)]
+    return Trace("divide-chain", ops)
+
+
+def miss_chain(length: int) -> Trace:
+    """Loads, each to its own line 4 KiB from the last, each feeding an
+    add the next load's address depends on: DL0 and DTLB misses with
+    their fill guards, and long waits on each load."""
+    ops = []
+    for index in range(length):
+        ops.append(MicroOp(2 * index, Opcode.LD, dest=1, srcs=(2,),
+                           pc=0x1000 + 8 * index,
+                           mem_addr=0x10_0000 + 4160 * index))
+        ops.append(MicroOp(2 * index + 1, Opcode.ADD, dest=2, srcs=(1,),
+                           pc=0x1004 + 8 * index))
+    return Trace("miss-chain", ops)
+
+
+DEAD_STRETCH_SETUPS = [
+    CoreSetup(iraw=IrawConfig.disabled()),
+    CoreSetup(iraw=IrawConfig(stabilization_cycles=1)),
+    CoreSetup(iraw=IrawConfig(stabilization_cycles=2)),
+    CoreSetup(iraw=IrawConfig(stabilization_cycles=2, bypass_levels=0)),
+    CoreSetup(iraw=IrawConfig(stabilization_cycles=2, iq_enabled=False)),
+]
+
+
+@pytest.mark.parametrize("setup", DEAD_STRETCH_SETUPS)
+@pytest.mark.parametrize("warm", [False, True])
+def test_divide_chain_matches_oracle(setup, warm):
+    trace = divide_chain(40)
+    fast, oracle = run_both(setup, trace, warm)
+    assert fast == oracle
+    # Each divide after the first waits out its producer: dozens of
+    # cycles in a row in which no stage acts.
+    latency = setup.params.latencies[OpClass.INT_DIV]
+    assert fast.stalls.cycles[StallReason.RF_DEPENDENCY] >= 39 * (latency - 1)
+
+
+@pytest.mark.parametrize("setup", DEAD_STRETCH_SETUPS)
+def test_dl0_miss_chain_matches_oracle(setup):
+    trace = miss_chain(60)
+    fast, oracle = run_both(setup, trace, warm=False)
+    assert fast == oracle
+    assert fast.memory_stats["DL0"]["misses"] == 60
+    assert fast.stalls.cycles[StallReason.RF_DEPENDENCY] > 60 * 100
+
+
+@pytest.mark.parametrize("setup", DEAD_STRETCH_SETUPS[::2])
+@pytest.mark.parametrize("max_cycles", [0, 3, 150, 170, 171, 190, 500, 900])
+def test_budget_overrun_inside_a_dead_stretch(setup, max_cycles):
+    """The budget check fires at the same cycle as the oracle's: the
+    same message, and every stall cycle charged up to it, not past."""
+    trace = divide_chain(40)
+    cores, messages = [], []
+    for core_class in (InOrderCore, OracleCore):
+        core = core_class(setup)
+        with pytest.raises(PipelineError) as excinfo:
+            core.run(trace, max_cycles=max_cycles)
+        cores.append(core)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    fast, oracle = cores
+    assert fast.stalls == oracle.stalls
+    assert fast.iq_violations == oracle.iq_violations
+    assert sum(fast.stalls.cycles.values()) <= max_cycles + 1
+
+
+def test_iq_window_violations_inside_a_dead_stretch():
+    """With the Eq. 1 gate off, a one-wide core lets the IQ head issue
+    while its entry stabilizes.  Here the head waits on a multiply
+    inside that window; every waiting cycle counts a violation."""
+    ops = [MicroOp(0, Opcode.MUL, dest=3, pc=0x1000),
+           MicroOp(1, Opcode.FMUL, dest=2, pc=0x1004),
+           MicroOp(2, Opcode.FMUL, dest=1, srcs=(3,), pc=0x1008)]
+    setup = CoreSetup(
+        iraw=IrawConfig(stabilization_cycles=2, iq_enabled=False),
+        params=PipelineParams(fetch_width=1, alloc_width=1, issue_window=1))
+    fast, oracle = run_both(setup, Trace("window", ops), warm=False)
+    assert fast == oracle
+    assert fast.iraw_violations == 4

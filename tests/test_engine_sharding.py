@@ -21,6 +21,7 @@ import dataclasses
 import importlib.util
 import itertools
 import pathlib
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -43,7 +44,7 @@ from repro.engine import (
     job_key,
     shard_jobs,
 )
-from repro.engine.executors import execute_job, warm_caches
+from repro.engine.executors import execute_job, run_core, warm_caches
 from repro.experiments import Experiment, ExperimentSpec
 from repro.obs.trace import JsonlTraceSink, read_spans
 from repro.pipeline.core import CoreSetup, InOrderCore
@@ -366,6 +367,28 @@ SWITCHES = ("rf_enabled", "iq_enabled", "cache_guards_enabled",
             "stable_enabled")
 
 
+def mutable_parts(value, found=None) -> set[int]:
+    """The ids of every mutable object reachable from ``value``."""
+    found = set() if found is None else found
+    if isinstance(value, dict):
+        found.add(id(value))
+        for item in value.values():
+            mutable_parts(item, found)
+    elif isinstance(value, (list, set)):
+        found.add(id(value))
+        for item in value:
+            mutable_parts(item, found)
+    elif isinstance(value, tuple):
+        for item in value:
+            mutable_parts(item, found)
+    elif dataclasses.is_dataclass(value):
+        if not value.__dataclass_params__.frozen:
+            found.add(id(value))
+        for f in dataclasses.fields(value):
+            mutable_parts(getattr(value, f.name), found)
+    return found
+
+
 @pytest.fixture
 def core_runs(monkeypatch):
     """The trace names of every ``InOrderCore.run`` call in this process."""
@@ -521,6 +544,16 @@ class TestTraceUnits:
         assert len(core_runs) == 19
         assert runner.stats.simulated == 70
 
+    def test_lazy_dvfs_rendering_resolves_one_batch(self, core_runs):
+        spec = ExperimentSpec.load(REPO / "examples" / "lowvcc_campaign.toml")
+        runner = ParallelRunner()
+        rows = Experiment(spec, runner=runner).artifact("dvfs")
+        # Without a run, rendering resolves the four schedules in one
+        # batch: the same 10 phase machines as a full run (12 when each
+        # schedule ran in a batch of its own).
+        assert len(core_runs) == 10
+        assert runner.stats.simulated == len(rows) == 4
+
     def test_dvfs_schedules_share_n0_phases(self, core_runs):
         trace = TraceSpec.synthetic(OFFICE_LIKE, seed=5, length=900)
         phases = (DvfsPhase(650.0, 300), DvfsPhase(450.0, 300),
@@ -564,6 +597,24 @@ class TestTraceUnits:
         edited.prediction_hazards["bp_predictions"] += 1
         assert results[0] != before[0]
         assert results[1:] == before[1:]
+
+    def test_job_copies_share_nothing_and_pickle_like_deep_copies(self):
+        experiment = experiment_of((KERNEL_LIKE,))
+        # Both are the baseline machine (N = 0 at 650 mV): one run.
+        points = ParallelRunner().run([
+            experiment.population_job(650.0, ClockScheme.BASELINE),
+            experiment.population_job(650.0, ClockScheme.IRAW)])
+        first, second = (point.results[0] for point in points)
+        assert first.config_name != second.config_name
+        assert not mutable_parts(first) & mutable_parts(second)
+        # The explicit copy pickles to the bytes a deep copy did.
+        run = run_core(TraceSpec.synthetic(KERNEL_LIKE, length=300).build(),
+                       FrequencySolver().operating_point(
+                           650.0, ClockScheme.BASELINE), warm=True).result
+        copied = run.copy_as("renamed")
+        assert not mutable_parts(copied) & mutable_parts(run)
+        assert pickle.dumps(copied) == pickle.dumps(
+            replace(copy.deepcopy(run), config_name="renamed"))
 
     def test_units_group_pending_jobs_by_trace(self):
         from repro.engine.backends import trace_units

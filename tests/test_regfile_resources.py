@@ -1,15 +1,20 @@
 """Tests for the RF datapath model, bypass network and functional units."""
 
 import pytest
+from core_oracle import OracleCore
 
 from repro.errors import ConfigError
-from repro.isa.opcodes import OpClass
+from repro.isa.instructions import MicroOp
+from repro.isa.opcodes import DEFAULT_LATENCY, OpClass, Opcode
+from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.regfile import (
     BypassNetwork,
     CORRUPTION_MASK,
     RegisterFileModel,
 )
 from repro.pipeline.resources import FunctionalUnits, PipelineParams
+from repro.pipeline.stats import StallReason
+from repro.workloads.trace import Trace
 
 
 class TestRegisterFileModel:
@@ -74,55 +79,72 @@ class TestBypassNetwork:
         assert net.lookup(3, 10) is None
 
 
+def run_units(opcodes, width=2, latencies=None):
+    """Run one op per opcode, all independent, through the core and the
+    oracle (whose per-cycle unit model is the reference); return the
+    core's result after checking the two agree field for field."""
+    ops = [MicroOp(index, opcode,
+                   dest=None if opcode in (Opcode.NOP, Opcode.BNE)
+                   else index + 1, pc=4 * index)
+           for index, opcode in enumerate(opcodes)]
+    params = PipelineParams(fetch_width=width, alloc_width=width,
+                            issue_window=width,
+                            latencies=latencies or dict(DEFAULT_LATENCY))
+    setup = CoreSetup(params=params)
+    trace = Trace("units", ops)
+    fast = InOrderCore(setup).run(trace)
+    assert fast == OracleCore(setup).run(trace)
+    return fast
+
+
 class TestFunctionalUnits:
-    def make(self):
-        return FunctionalUnits(PipelineParams()), PipelineParams()
+    """The issue stage's unit rule, seen through the cycles a trace
+    takes: each case compares a trace with one that differs only in
+    the unit the last op needs."""
 
     def test_two_alu_ops_per_cycle(self):
-        units, _ = self.make()
-        assert units.can_accept(OpClass.INT_ALU, 0)
-        units.accept(OpClass.INT_ALU, 0)
-        assert units.can_accept(OpClass.INT_ALU, 0)
-        units.accept(OpClass.INT_ALU, 0)
-        assert not units.can_accept(OpClass.INT_ALU, 0)
-        assert units.can_accept(OpClass.INT_ALU, 1)  # new cycle, no reset
+        # Three issue slots: a third ALU op waits for the next cycle.
+        three = run_units([Opcode.ADD] * 3, width=3)
+        two = run_units([Opcode.ADD, Opcode.ADD, Opcode.NOP], width=3)
+        assert three.cycles == two.cycles + 1
+        assert three.stalls.cycles[StallReason.FU_BUSY] == 0
 
     def test_single_mul_per_cycle_but_pipelined(self):
-        units, _ = self.make()
-        units.accept(OpClass.INT_MUL, 0)
-        assert not units.can_accept(OpClass.INT_MUL, 0)
-        assert units.can_accept(OpClass.INT_MUL, 1)  # pipelined
+        one = run_units([Opcode.MUL])
+        # The second multiply issues one cycle later, not a latency later.
+        assert run_units([Opcode.MUL, Opcode.MUL]).cycles == one.cycles + 1
+        assert run_units([Opcode.MUL, Opcode.ADD]).cycles == one.cycles
 
     def test_divider_unpipelined(self):
-        units, params = self.make()
-        latency = params.latencies[OpClass.INT_DIV]
-        units.accept(OpClass.INT_DIV, 0)
-        assert not units.can_accept(OpClass.INT_DIV, 5)
-        assert not units.can_accept(OpClass.FP_DIV, 5)  # shared unit
-        assert not units.can_accept(OpClass.INT_DIV, latency)
-        assert units.can_accept(OpClass.INT_DIV, latency + 1)
+        latency = DEFAULT_LATENCY[OpClass.INT_DIV]
+        one = run_units([Opcode.DIV])
+        two = run_units([Opcode.DIV, Opcode.DIV])
+        # The second divide waits out the first: every cycle it is busy.
+        assert two.stalls.cycles[StallReason.FU_BUSY] == latency
+        assert two.cycles == one.cycles + latency + 1
+        assert run_units([Opcode.DIV, Opcode.ADD]).cycles == one.cycles
+        # FP divides share the unit.
+        shared = run_units([Opcode.DIV, Opcode.FDIV])
+        assert shared.stalls.cycles[StallReason.FU_BUSY] == latency
 
     def test_branches_share_alus(self):
-        units, _ = self.make()
-        units.accept(OpClass.BRANCH, 0)
-        units.accept(OpClass.INT_ALU, 0)
-        assert not units.can_accept(OpClass.BRANCH, 0)
+        branch = run_units([Opcode.BNE, Opcode.ADD, Opcode.ADD], width=3)
+        free = run_units([Opcode.BNE, Opcode.ADD, Opcode.NOP], width=3)
+        assert branch.cycles == free.cycles + 1
 
     def test_nop_needs_no_unit(self):
-        units, _ = self.make()
-        for _ in range(5):
-            assert units.can_accept(OpClass.NOP, 0)
-            units.accept(OpClass.NOP, 0)
+        # Five NOPs issue together; five ALU ops take three cycles.
+        five = run_units([Opcode.NOP] * 5, width=5)
+        assert five.cycles == run_units([Opcode.NOP], width=5).cycles
+        assert run_units([Opcode.ADD] * 5, width=5).cycles == five.cycles + 2
 
     def test_class_table_follows_params(self):
-        from repro.isa.opcodes import DEFAULT_LATENCY
         latencies = dict(DEFAULT_LATENCY)
         latencies[OpClass.INT_DIV] = 3
-        units = FunctionalUnits(PipelineParams(latencies=latencies))
-        assert units.classes[OpClass.INT_DIV][0] == 3
-        units.accept(OpClass.INT_DIV, 10)
-        assert not units.can_accept(OpClass.FP_DIV, 13)
-        assert units.can_accept(OpClass.FP_DIV, 14)
+        params = PipelineParams(latencies=latencies)
+        assert FunctionalUnits(params).classes[OpClass.INT_DIV][0] == 3
+        shared = run_units([Opcode.DIV, Opcode.FDIV], latencies=latencies)
+        assert shared.stalls.cycles[StallReason.FU_BUSY] == 3
 
 
 class TestPipelineParams:
@@ -133,7 +155,6 @@ class TestPipelineParams:
             PipelineParams(iq_size=0)
 
     def test_latency_override(self):
-        from repro.isa.opcodes import DEFAULT_LATENCY
         latencies = dict(DEFAULT_LATENCY)
         latencies[OpClass.INT_MUL] = 7
         params = PipelineParams(latencies=latencies)
