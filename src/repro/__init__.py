@@ -36,7 +36,7 @@ from repro.core import IrawConfig
 from repro.pipeline import simulate
 from repro.workloads import SyntheticTraceGenerator, kernel_trace
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "ClockScheme",

@@ -95,8 +95,7 @@ class FaultyBitsBaseline:
         report: dict[str, float] = {}
         for attr, old, disabled in zip(_CACHES, caches, maps):
             replacement = Cache(old.name, old.size_bytes, old.associativity,
-                                old.line_size, old.hit_latency,
-                                disabled_ways=disabled)
+                                old.line_size, disabled_ways=disabled)
             setattr(memory, attr, replacement)
             total_lines = old.num_sets * old.associativity
             report[old.name] = sum(disabled) / total_lines

@@ -104,12 +104,13 @@ def warm_caches(memory: MemorySystem, trace: Trace) -> None:
     """
     il0, dl0, ul1 = memory.il0, memory.dl0, memory.ul1
     itlb, dtlb = memory.itlb, memory.dtlb
+    line_size = memory.config.line_size
     last_line = -1
     for op in trace.ops:
-        line = op.pc >> 6
+        line = op.pc // line_size
         if line != last_line:
             last_line = line
-            if not itlb.access(op.pc):
+            if itlb.access(op.pc) is None:
                 itlb.fill(op.pc)
             if il0.access(op.pc) is None:
                 il0.fill(op.pc)
@@ -117,7 +118,7 @@ def warm_caches(memory: MemorySystem, trace: Trace) -> None:
                     ul1.fill(op.pc)
         address = op.mem_addr
         if address is not None:
-            if not dtlb.access(address):
+            if dtlb.access(address) is None:
                 dtlb.fill(address)
             if dl0.access(address, is_write=op.is_store) is None:
                 dl0.fill(address, dirty=op.is_store)
@@ -180,7 +181,7 @@ def run_core(trace: Trace, point: OperatingPoint, switches=(), *,
         warm_caches(core.memory, trace)
     result = core.run(trace)
     return CoreRun(result, tuple(sorted(extras.items())),
-                   core.memory.dram.requests > 0,
+                   core.memory.dram_requests > 0,
                    core.policy.iq_gate.drain_noops)
 
 
@@ -238,9 +239,10 @@ class UnitTables:
 
         ``simulate()`` runs the core and returns ``(run,
         reached_dram)``; it is called only when no earlier run of the
-        unit can serve.  ``Dram.access`` is the one read of the latency
-        and warm-up never calls it, so a run that never reached DRAM
-        serves every latency, and one that did serves only its own.
+        unit can serve.  A UL1 miss is the one read of the latency and
+        counts in ``MemorySystem.dram_requests``; warm-up makes none, so
+        a run that never reached DRAM serves every latency, and one that
+        did serves only its own.
         """
         for known, runs in self._machines:
             if known == machine:

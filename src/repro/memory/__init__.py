@@ -1,18 +1,18 @@
-"""Memory-hierarchy substrate: caches, TLBs, buffers, DRAM."""
+"""Memory-hierarchy substrate: one tag-store model and one buffer model.
 
-from repro.memory.buffers import FillBufferFile, WriteCombiningBuffer
+:class:`Cache` serves IL0, DL0 and UL1 and, as one-set caches of pages,
+both TLBs; :class:`LineBuffer` serves the fill buffers and the WCB/EB;
+:class:`MemorySystem` composes them with a fixed DRAM latency.
+"""
+
+from repro.memory.buffers import LineBuffer
 from repro.memory.cache import Cache, CacheLine
-from repro.memory.dram import Dram
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
-from repro.memory.tlb import Tlb
 
 __all__ = [
     "Cache",
     "CacheLine",
-    "Dram",
-    "FillBufferFile",
+    "LineBuffer",
     "MemoryConfig",
     "MemorySystem",
-    "Tlb",
-    "WriteCombiningBuffer",
 ]

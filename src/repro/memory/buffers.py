@@ -1,123 +1,68 @@
-"""Fill buffers and the joint write-combining/eviction buffer (WCB/EB).
+"""Line buffers: the fill buffers (FB, IFB) and the joint write-combining/
+eviction buffer (WCB/EB).
 
-Both are small SRAM structures in the paper's Figure 3 that "deal with data
-communicated between DL0/IL0 and UL1".  Under IRAW clocking their writes
-need the same post-write stall guard as cache fills (Section 4.3).
+All three are small SRAM structures in the paper's Figure 3 that "deal
+with data communicated between DL0/IL0 and UL1".  Under IRAW clocking
+their writes need the same post-write stall guard as cache fills
+(Section 4.3).
 
-The models are occupancy-limited with lazy timestamp-based freeing: an
-entry is considered free once the current cycle passes its ``busy_until``.
-When the structure is full the caller's request is delayed until the
-earliest entry frees (a structural-hazard approximation).
+One model serves all three: each entry holds one line in flight until
+its completion cycle, and an entry is free once the current cycle
+reaches it (lazy freeing, no events).  A request for a line already in
+flight merges with its entry (a fill-buffer hit, a write combine);
+otherwise it takes a free entry, and when the buffer is full it waits
+for the earliest entry to free (a structural-hazard approximation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import MemoryModelError
 
 
-@dataclass
-class _Entry:
-    line_address: int
-    busy_until: int
+class LineBuffer:
+    """Entries holding lines in flight between two levels.
 
-
-class FillBufferFile:
-    """Outstanding-miss registers (MSHR-like) in front of a cache.
-
-    ``allocate`` merges requests to the same line: a second miss to an
-    in-flight line piggybacks on the existing entry and completes at the
-    same time, modelling the usual miss-status holding behaviour.
+    Callers try :meth:`merge` first and :meth:`allocate` when it
+    returns ``None``, both at the request cycle.
     """
 
     def __init__(self, name: str, entries: int):
         if entries <= 0:
-            raise MemoryModelError(f"{name}: need at least one fill buffer")
-        self.name = name
+            raise MemoryModelError(f"{name}: need at least one entry")
         self.capacity = entries
-        self._entries: list[_Entry] = []
+        #: Line address -> the cycle its entry completes and frees.
+        self._busy: dict[int, int] = {}
         self.allocations = 0
         self.merges = 0
         self.full_delays = 0
 
-    def _prune(self, cycle: int) -> None:
-        self._entries = [e for e in self._entries if e.busy_until > cycle]
+    def _free(self, cycle: int) -> None:
+        """Drop the entries that have completed by ``cycle``."""
+        self._busy = {line: done for line, done in self._busy.items()
+                      if done > cycle}
 
-    def outstanding(self, line_address: int, cycle: int) -> int | None:
-        """If ``line_address`` is already in flight, its completion cycle."""
-        self._prune(cycle)
-        for entry in self._entries:
-            if entry.line_address == line_address:
-                return entry.busy_until
-        return None
+    def merge(self, line_address: int, cycle: int) -> int | None:
+        """The completion cycle of ``line_address`` if it is still in
+        flight at ``cycle`` (counted as a merge), else ``None``."""
+        self._free(cycle)
+        done = self._busy.get(line_address)
+        if done is not None:
+            self.merges += 1
+        return done
 
     def allocate(self, line_address: int, cycle: int, latency: int) -> int:
-        """Reserve an entry for a miss issued at ``cycle``.
+        """Reserve an entry for a request issued at ``cycle`` that takes
+        ``latency`` cycles; returns the cycle it completes.
 
-        Returns the cycle at which the fill completes.  If the buffer is
-        full, the request is delayed until the earliest entry frees (the
-        delay is folded into the returned completion time).
+        If the buffer is full, the request starts when the earliest
+        entry frees (the delay is folded into the returned cycle).
         """
-        existing = self.outstanding(line_address, cycle)
-        if existing is not None:
-            self.merges += 1
-            return existing
+        self._free(cycle)
         start = cycle
-        if len(self._entries) >= self.capacity:
-            earliest = min(e.busy_until for e in self._entries)
-            start = max(start, earliest)
+        if len(self._busy) >= self.capacity:
+            start = min(self._busy.values())
             self.full_delays += 1
-            self._prune(start)
-        done = start + latency
-        self._entries.append(_Entry(line_address, done))
+            self._free(start)
+        self._busy[line_address] = done = start + latency
         self.allocations += 1
         return done
-
-    def occupancy(self, cycle: int) -> int:
-        self._prune(cycle)
-        return len(self._entries)
-
-
-class WriteCombiningBuffer:
-    """Joint write-combining and eviction buffer (WCB/EB).
-
-    Holds dirty evicted lines (and combined store misses) on their way to
-    UL1.  Entries stay busy for the UL1 write latency; pushing into a full
-    buffer is delayed until the earliest drain completes.
-    """
-
-    def __init__(self, name: str = "WCB_EB", entries: int = 8):
-        if entries <= 0:
-            raise MemoryModelError(f"{name}: need at least one entry")
-        self.name = name
-        self.capacity = entries
-        self._entries: list[_Entry] = []
-        self.pushes = 0
-        self.combines = 0
-        self.full_delays = 0
-
-    def _prune(self, cycle: int) -> None:
-        self._entries = [e for e in self._entries if e.busy_until > cycle]
-
-    def push(self, line_address: int, cycle: int, drain_latency: int) -> int:
-        """Enqueue a line at ``cycle``; returns the drain-complete cycle."""
-        self._prune(cycle)
-        for entry in self._entries:
-            if entry.line_address == line_address:
-                self.combines += 1
-                return entry.busy_until
-        start = cycle
-        if len(self._entries) >= self.capacity:
-            earliest = min(e.busy_until for e in self._entries)
-            start = max(start, earliest)
-            self.full_delays += 1
-            self._prune(start)
-        done = start + drain_latency
-        self._entries.append(_Entry(line_address, done))
-        self.pushes += 1
-        return done
-
-    def occupancy(self, cycle: int) -> int:
-        self._prune(cycle)
-        return len(self._entries)

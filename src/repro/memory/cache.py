@@ -1,7 +1,8 @@
 """Set-associative write-back cache model.
 
-Used for IL0, DL0 and UL1.  The model tracks tags, validity, dirtiness and
-LRU stamps; data correctness is handled at the system level (flat golden
+Used for IL0, DL0 and UL1, and, as one-set caches of page-sized lines,
+for the ITLB and DTLB.  The model tracks tags, dirtiness and LRU stamps;
+data correctness is handled at the system level (flat golden
 memory plus the STable forwarding checks), which is the standard split for
 timing simulators.
 
@@ -29,7 +30,6 @@ class CacheLine:
     """Tag-store state of one line."""
 
     tag: int
-    valid: bool = True
     dirty: bool = False
     stamp: int = 0
     #: Cycle at which the line's data is actually present (fills are
@@ -48,15 +48,14 @@ class Cache:
     Parameters
     ----------
     name:
-        For stats and error messages ("DL0", "IL0", "UL1").
+        The block ("DL0", "IL0", "UL1", "ITLB", "DTLB"), for error
+        messages and, for a TLB, the fill events it causes.
     size_bytes / associativity / line_size:
         Geometry; ``size = sets * associativity * line_size``.
-    hit_latency:
-        Cycles from access to data for a hit (composed by the LSU).
     """
 
     def __init__(self, name: str, size_bytes: int, associativity: int,
-                 line_size: int = 64, hit_latency: int = 1,
+                 line_size: int = 64,
                  disabled_ways: Sequence[int] | None = None):
         if size_bytes <= 0 or associativity <= 0 or line_size <= 0:
             raise MemoryModelError(f"{name}: non-positive geometry")
@@ -69,7 +68,6 @@ class Cache:
         self.size_bytes = size_bytes
         self.associativity = associativity
         self.line_size = line_size
-        self.hit_latency = hit_latency
         self.num_sets = size_bytes // (associativity * line_size)
         #: Per-set mapping tag -> CacheLine.
         self._sets: list[dict[int, CacheLine]] = [dict() for _ in
@@ -90,8 +88,6 @@ class Cache:
         # Statistics.
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -160,7 +156,6 @@ class Cache:
                     else self.associativity)
         if capacity <= 0:
             # Every way of this set is disabled: the line cannot be kept.
-            self.evictions += 1
             return None
         writeback = None
         if len(lines) >= capacity:
@@ -168,9 +163,7 @@ class Cache:
             # fill takes a fresh one, so no two lines share a stamp).
             victim = min(lines.values(), key=_STAMP)
             del lines[victim.tag]
-            self.evictions += 1
             if victim.dirty:
-                self.writebacks += 1
                 writeback = ((victim.tag * self.num_sets + index)
                              * self.line_size)
         lines[tag] = CacheLine(tag=tag, dirty=dirty,
@@ -183,7 +176,7 @@ class Cache:
         return self._sets[index].pop(self.tag_of(address), None) is not None
 
     def reset_stats(self) -> None:
-        self.hits = self.misses = self.evictions = self.writebacks = 0
+        self.hits = self.misses = 0
 
     @property
     def accesses(self) -> int:

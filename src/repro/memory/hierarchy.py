@@ -1,6 +1,7 @@
 """The assembled memory system of the Silverthorne-class core.
 
-Composes IL0, DL0, UL1, both TLBs, the fill buffers and the WCB/EB into
+Composes IL0, DL0, UL1, both TLBs (one-set caches of pages), the fill
+buffers and the WCB/EB (line buffers) and a fixed DRAM latency into
 three operations the pipeline uses: instruction fetch, data load and data
 store.  Each returns the cycle its data is ready and reports every *fill
 event* it causes — a block name and its completion cycle — to the
@@ -13,16 +14,22 @@ Timing composition is deterministic (latencies resolved at request time),
 with structural hazards (full fill buffers / WCB) folded in as start
 delays.  This keeps the hot path free of event queues, and no access
 builds a record.
+
+DRAM is a latency in cycles: the paper's Section 5.2 notes that
+"off-chip memory latency remains constant" in wall-clock time, so each
+operating point converts the same nanoseconds into its own cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.buffers import FillBufferFile, WriteCombiningBuffer
+from repro.errors import MemoryModelError
+from repro.memory.buffers import LineBuffer
 from repro.memory.cache import Cache
-from repro.memory.dram import Dram
-from repro.memory.tlb import Tlb
+
+#: Bytes a TLB entry translates: the TLBs' line size.
+PAGE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -57,18 +64,21 @@ class MemorySystem:
     def __init__(self, config: MemoryConfig | None = None):
         self.config = config or MemoryConfig()
         c = self.config
-        self.il0 = Cache("IL0", c.il0_size, c.il0_assoc, c.line_size,
-                         c.il0_hit_latency)
-        self.dl0 = Cache("DL0", c.dl0_size, c.dl0_assoc, c.line_size,
-                         c.dl0_hit_latency)
-        self.ul1 = Cache("UL1", c.ul1_size, c.ul1_assoc, c.line_size,
-                         c.ul1_hit_latency)
-        self.itlb = Tlb("ITLB", c.tlb_entries, miss_penalty=c.tlb_miss_penalty)
-        self.dtlb = Tlb("DTLB", c.tlb_entries, miss_penalty=c.tlb_miss_penalty)
-        self.data_fill_buffers = FillBufferFile("FB", c.data_fill_buffers)
-        self.fetch_fill_buffers = FillBufferFile("IFB", c.fetch_fill_buffers)
-        self.wcb = WriteCombiningBuffer("WCB_EB", c.wcb_entries)
-        self.dram = Dram(c.dram_latency_cycles)
+        self.il0 = Cache("IL0", c.il0_size, c.il0_assoc, c.line_size)
+        self.dl0 = Cache("DL0", c.dl0_size, c.dl0_assoc, c.line_size)
+        self.ul1 = Cache("UL1", c.ul1_size, c.ul1_assoc, c.line_size)
+        # Fully associative: one set of tlb_entries pages.
+        self.itlb = Cache("ITLB", c.tlb_entries * PAGE_SIZE, c.tlb_entries,
+                          PAGE_SIZE)
+        self.dtlb = Cache("DTLB", c.tlb_entries * PAGE_SIZE, c.tlb_entries,
+                          PAGE_SIZE)
+        self.data_fill_buffers = LineBuffer("FB", c.data_fill_buffers)
+        self.fetch_fill_buffers = LineBuffer("IFB", c.fetch_fill_buffers)
+        self.wcb = LineBuffer("WCB_EB", c.wcb_entries)
+        if c.dram_latency_cycles <= 0:
+            raise MemoryModelError("DRAM latency must be positive")
+        #: Reads that reached DRAM (warm-up makes none).
+        self.dram_requests = 0
         #: Called as ``on_fill(block, cycle)`` for every fill an access
         #: causes, in the order it causes them.
         self.on_fill = _ignore_fill
@@ -82,8 +92,9 @@ class MemorySystem:
         line = self.ul1.access(line_address)
         if line is not None:
             return max(cycle + self.config.ul1_hit_latency, line.ready_at)
+        self.dram_requests += 1
         data_cycle = (cycle + self.config.ul1_hit_latency
-                      + self.dram.access())
+                      + self.config.dram_latency_cycles)
         self.ul1.fill(line_address, ready_at=data_cycle)
         self.on_fill("UL1", data_cycle)
         return data_cycle
@@ -91,9 +102,8 @@ class MemorySystem:
     def _dl0_refill(self, address: int, cycle: int, dirty: bool) -> int:
         """Miss path for DL0: fill buffer, UL1/DRAM, refill, eviction."""
         line = self.dl0.line_address(address)
-        merged = self.data_fill_buffers.outstanding(line, cycle)
+        merged = self.data_fill_buffers.merge(line, cycle)
         if merged is not None:
-            self.data_fill_buffers.merges += 1
             if dirty:
                 self.dl0.access(address, is_write=True)
             return merged
@@ -104,18 +114,20 @@ class MemorySystem:
         writeback = self.dl0.fill(address, dirty=dirty, ready_at=data_cycle)
         self.on_fill("DL0", data_cycle)
         if writeback is not None:
-            drain_done = self.wcb.push(writeback, data_cycle,
-                                       self.config.ul1_hit_latency)
+            drain_done = self.wcb.merge(writeback, data_cycle)
+            if drain_done is None:
+                drain_done = self.wcb.allocate(writeback, data_cycle,
+                                               self.config.ul1_hit_latency)
             self.on_fill("WCB_EB", data_cycle)
             self.ul1.fill(writeback, dirty=True)
             self.on_fill("UL1", drain_done)
         return data_cycle
 
-    def _translate(self, tlb: Tlb, address: int, cycle: int) -> int:
+    def _translate(self, tlb: Cache, address: int, cycle: int) -> int:
         """The cycle ``address`` is translated from, walking on a miss."""
-        if tlb.access(address):
+        if tlb.access(address) is not None:
             return cycle
-        walk_done = cycle + tlb.miss_penalty
+        walk_done = cycle + self.config.tlb_miss_penalty
         tlb.fill(address)
         self.on_fill(tlb.name, walk_done)
         return walk_done
@@ -132,7 +144,7 @@ class MemorySystem:
         if line is not None:
             return max(start + self.config.il0_hit_latency, line.ready_at)
         line_address = self.il0.line_address(pc)
-        merged = self.fetch_fill_buffers.outstanding(line_address, start)
+        merged = self.fetch_fill_buffers.merge(line_address, start)
         if merged is not None:
             return merged
         data_cycle = self._ul1_read(line_address, start)
@@ -171,16 +183,13 @@ class MemorySystem:
         short traces; afterwards this drops the side effects that must
         not leak into the measurement (stats, fill-buffer occupancy).
         """
-        for cache in (self.il0, self.dl0, self.ul1):
+        for cache in (self.il0, self.dl0, self.ul1, self.itlb, self.dtlb):
             cache.reset_stats()
-        for tlb in (self.itlb, self.dtlb):
-            tlb.reset_stats()
-        self.data_fill_buffers = FillBufferFile(
-            "FB", self.config.data_fill_buffers)
-        self.fetch_fill_buffers = FillBufferFile(
-            "IFB", self.config.fetch_fill_buffers)
-        self.wcb = WriteCombiningBuffer("WCB_EB", self.config.wcb_entries)
-        self.dram.requests = 0
+        c = self.config
+        self.data_fill_buffers = LineBuffer("FB", c.data_fill_buffers)
+        self.fetch_fill_buffers = LineBuffer("IFB", c.fetch_fill_buffers)
+        self.wcb = LineBuffer("WCB_EB", c.wcb_entries)
+        self.dram_requests = 0
 
     # ------------------------------------------------------------------
     # Statistics
@@ -199,10 +208,10 @@ class MemorySystem:
                 "misses": block.misses,
                 "miss_rate": block.miss_rate,
             }
-        report["FB"] = {"allocations": self.data_fill_buffers.allocations,
-                        "merges": self.data_fill_buffers.merges,
-                        "full_delays": self.data_fill_buffers.full_delays}
-        report["WCB_EB"] = {"pushes": self.wcb.pushes,
-                            "combines": self.wcb.combines,
-                            "full_delays": self.wcb.full_delays}
+        fb, wcb = self.data_fill_buffers, self.wcb
+        report["FB"] = {"allocations": fb.allocations, "merges": fb.merges,
+                        "full_delays": fb.full_delays}
+        report["WCB_EB"] = {"pushes": wcb.allocations,
+                            "combines": wcb.merges,
+                            "full_delays": wcb.full_delays}
         return report

@@ -42,6 +42,7 @@ class FrontEnd:
         self._tracker = tracker
         self._rsb = rsb
         self._il0_hit_latency = memory.config.il0_hit_latency
+        self._line_size = memory.config.line_size
         #: Fetch-side post-fill guards, in check order; a disabled guard
         #: never blocks, so it is left out.
         self._guards = tuple(policy.guards[name]
@@ -89,9 +90,10 @@ class FrontEnd:
         # Every op fetched without stopping advances ``_next`` by one.
         stop = min(self._next + min(params.fetch_width, room), len(ops))
         ready_at = cycle + params.front_latency
+        line_size = self._line_size
         while self._next < stop:
             op = ops[self._next]
-            line = op.pc >> 6
+            line = op.pc // line_size
             if line != self._current_line:
                 for guard in self._guards:
                     release = guard.blocked_until(cycle)

@@ -10,7 +10,7 @@ from repro.memory.cache import Cache
 
 def make_cache(**kwargs):
     defaults = dict(name="T", size_bytes=1024, associativity=2,
-                    line_size=64, hit_latency=1)
+                    line_size=64)
     defaults.update(kwargs)
     return Cache(**defaults)
 
@@ -75,7 +75,6 @@ class TestBasicBehaviour:
         cache.fill(stride)
         writeback = cache.fill(2 * stride)  # LRU victim is line 0 (dirty)
         assert writeback == 0
-        assert cache.writebacks == 1
 
     def test_clean_eviction_no_writeback(self):
         cache = make_cache()
@@ -100,9 +99,11 @@ class TestBasicBehaviour:
 
     def test_refill_present_line_is_benign(self):
         cache = make_cache()
+        stride = cache.num_sets * 64
         cache.fill(0x40)
+        cache.fill(0x40 + stride)  # the set is full
         assert cache.fill(0x40, dirty=True) is None  # nothing evicted
-        assert cache.evictions == 0
+        assert cache.lookup(0x40 + stride)
         assert cache.access(0x40).dirty
 
     def test_stats_reset(self):
@@ -199,3 +200,54 @@ def test_cache_matches_reference_lru(operations):
             got = cache.access(address) is not None
             expected = reference.access(address)
             assert got == expected, address
+
+
+#: The TLBs' page (``repro.memory.hierarchy.PAGE_SIZE``).
+PAGE = 4096
+
+
+class _ReferenceTlb:
+    """Dict-based golden model of a fully-associative LRU TLB: every
+    access and fill takes a fresh stamp, a fill evicts the oldest."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.pages = {}  # page -> stamp of its last use
+        self.clock = 0
+
+    def access(self, address):
+        self.clock += 1
+        page = address // PAGE
+        if page in self.pages:
+            self.pages[page] = self.clock
+            return True
+        return False
+
+    def fill(self, address):
+        self.clock += 1
+        page = address // PAGE
+        if page not in self.pages and len(self.pages) >= self.entries:
+            del self.pages[min(self.pages, key=self.pages.get)]
+        self.pages[page] = self.clock
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=16),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=24 * PAGE - 1),
+                          st.booleans()),
+                min_size=1, max_size=400))
+def test_one_set_cache_matches_reference_tlb(entries, operations):
+    """Property: a TLB built as a one-set cache of pages (as the memory
+    system builds both) hits, misses and keeps the same pages as the
+    dict-based TLB."""
+    tlb = Cache("TLB", entries * PAGE, entries, PAGE)
+    reference = _ReferenceTlb(entries)
+    for address, is_fill in operations:
+        if is_fill:
+            tlb.fill(address)
+            reference.fill(address)
+        else:
+            got = tlb.access(address) is not None
+            assert got == reference.access(address), address
+    assert {page for page in range(24) if tlb.lookup(page * PAGE)} \
+        == set(reference.pages)

@@ -13,7 +13,7 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {repro.__version__}" in capsys.readouterr().out
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
 
 class TestRunSpec:
@@ -122,6 +122,15 @@ class TestRunSpec:
         'dram_latency_ns = nan\n',
         '[population]\nprofiles = ["kernel-like"]\n[sweep]\n'
         'dram_latency_ns = -80.0\n',
+        # Buffers and TLBs without an entry.
+        '[population]\nprofiles = ["kernel-like"]\n[memory]\n'
+        'tlb_entries = 0\n',
+        '[population]\nprofiles = ["kernel-like"]\n[memory]\n'
+        'data_fill_buffers = 0\n',
+        '[population]\nprofiles = ["kernel-like"]\n[memory]\n'
+        'fetch_fill_buffers = 0\n',
+        '[population]\nprofiles = ["kernel-like"]\n[memory]\n'
+        'wcb_entries = 0\n',
     ])
     def test_malformed_value_exits_2_before_anything_runs(self, tmp_path,
                                                           capsys, text):
@@ -133,6 +142,9 @@ class TestRunSpec:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
+            if "[memory]" in text:
+                key = text.split("[memory]\n")[1].split(" =")[0]
+                assert f"memory.{key}" in captured.err
 
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.toml")]) == 2

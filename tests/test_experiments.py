@@ -1078,6 +1078,11 @@ class TestSpecCodec:
          "[sweep] dram_latency_ns"),
         ({"sweep": {"dram_latency_ns": math.nan}}, "sweep.dram_latency_ns"),
         ({"sweep": {"dram_latency_ns": -80.0}}, "sweep.dram_latency_ns"),
+        # Buffers and TLBs without an entry.
+        ({"memory": {"tlb_entries": 0}}, "memory.tlb_entries"),
+        ({"memory": {"data_fill_buffers": 0}}, "memory.data_fill_buffers"),
+        ({"memory": {"fetch_fill_buffers": 0}}, "memory.fetch_fill_buffers"),
+        ({"memory": {"wcb_entries": 0}}, "memory.wcb_entries"),
     ])
     def test_malformed_values_fail_at_load(self, tables, location):
         with pytest.raises(ConfigError) as rejected:

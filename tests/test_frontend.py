@@ -1,8 +1,14 @@
 """Behavioural tests for the fetch stage (mispredicts, icache, RSB)."""
 
+import pytest
+
+from repro.circuits.frequency import ClockScheme, FrequencySolver
 from repro.core.config import IrawConfig
+from repro.engine.executors import run_core, warm_caches
+from repro.engine.jobs import TraceSpec
 from repro.isa.instructions import MicroOp
 from repro.isa.opcodes import Opcode
+from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.pipeline.core import simulate
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.trace import Trace
@@ -76,6 +82,25 @@ class TestInstructionCache:
         assert sparse_result.cycles > dense_result.cycles
         assert sparse_result.memory_stats["IL0"]["misses"] > \
             dense_result.memory_stats["IL0"]["misses"]
+
+    @pytest.mark.parametrize("line_size", [32, 64, 128])
+    def test_fetch_and_warm_up_probe_each_configured_line_once(
+            self, line_size):
+        """A new fetch line is one of ``[memory] line_size`` bytes: fetch
+        and warm-up each probe IL0 once per line crossing (no taken
+        branch of this trace lands in its own line)."""
+        trace = TraceSpec.synthetic("specint-like", seed=0,
+                                    length=6000).build()
+        lines = [op.pc // line_size for op in trace.ops]
+        crossings = 1 + sum(a != b for a, b in zip(lines, lines[1:]))
+        config = MemoryConfig(line_size=line_size)
+        point = FrequencySolver().operating_point(500, ClockScheme.IRAW)
+        run = run_core(trace, point, memory=config, warm=False)
+        assert run.result.memory_stats["IL0"]["accesses"] == crossings
+        memory = MemorySystem(config)
+        memory.reset_after_warmup = lambda: None  # keep warm-up's counts
+        warm_caches(memory, trace)
+        assert memory.il0.accesses == crossings
 
 
 class TestCallsAndReturns:

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.engine.executors import warm_caches
+from repro.engine.jobs import TraceSpec
+from repro.errors import MemoryModelError
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
 
 
@@ -52,6 +55,14 @@ class TestLoadPath:
         blocks = dict(fills)
         assert "DTLB" in blocks and "DL0" in blocks and "UL1" in blocks
         assert ready >= 100
+        assert memory.dram_requests == 1
+        memory.load(0x4008, cycle=500)  # a DL0 hit reads no DRAM
+        assert memory.dram_requests == 1
+
+    @pytest.mark.parametrize("latency", [0, -5])
+    def test_dram_latency_must_be_positive(self, latency):
+        with pytest.raises(MemoryModelError, match="DRAM latency"):
+            MemorySystem(MemoryConfig(dram_latency_cycles=latency))
 
     def test_fills_reach_the_listener_in_order(self, memory, fills):
         config = memory.config
@@ -86,7 +97,7 @@ class TestLoadPath:
         memory.store(base, cycle=0)
         for way in range(1, config.dl0_assoc + 1):
             memory.load(base + way * set_stride, cycle=1000 + way * 300)
-        assert memory.wcb.pushes >= 1
+        assert memory.stats()["WCB_EB"]["pushes"] >= 1
 
 
 class TestStorePath:
@@ -109,11 +120,21 @@ class TestWarmupReset:
         memory.reset_after_warmup()
         assert memory.dl0.accesses == 0
         assert memory.il0.accesses == 0
-        assert memory.dram.requests == 0
+        assert memory.dram_requests == 0
         # Contents survive: immediate hits.
         memory.load(0x4000, cycle=10)
         memory.fetch(0x1000, cycle=10)
         assert memory.dl0.hits == 1 and memory.il0.hits == 1
+
+    def test_warm_up_reads_no_dram(self):
+        """Warm-up fills UL1 without reading DRAM, so a warmed run that
+        never misses in UL1 can serve every DRAM latency."""
+        trace = TraceSpec.synthetic("server-like", length=2000).build()
+        memory = MemorySystem()
+        memory.reset_after_warmup = lambda: None  # keep warm-up's counts
+        warm_caches(memory, trace)
+        assert memory.ul1.misses > 0
+        assert memory.dram_requests == 0
 
     def test_stats_shape(self, memory):
         memory.load(0x4000, cycle=0)

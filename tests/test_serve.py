@@ -301,6 +301,8 @@ class TestErrorContract:
         (b'{"memory": {"dram_latency_cycles": 5000}}',
          "[sweep] dram_latency_ns"),
         (b'{"sweep": {"dram_latency_ns": -80.0}}', "sweep.dram_latency_ns"),
+        (b'{"memory": {"tlb_entries": 0}}', "memory.tlb_entries"),
+        (b'{"memory": {"wcb_entries": 0}}', "memory.wcb_entries"),
     ])
     def test_malformed_value_returns_400(self, harness, body, location):
         service = harness()
