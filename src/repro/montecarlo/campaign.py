@@ -39,6 +39,7 @@ from repro.montecarlo.stats import (
     StreamingStats,
     WeightedIndicator,
     WeightedStats,
+    checked_weights,
     weighted_wilson_interval,
     wilson_interval,
 )
@@ -127,11 +128,17 @@ def _chunks(group, fields):
 
     Yields ``{field: array}`` for every :data:`FOLD_CHUNK` dies (the
     last chunk may be shorter), whatever block sizes delivered them.
+    A chunk inside one block is that block's own (read-only) slice; a
+    chunk spanning blocks is a joined copy.
     """
     parts = []
     filled = 0
 
     def joined():
+        if len(parts) == 1:
+            [(result, start, stop)] = parts
+            return {name: getattr(result, name)[start:stop]
+                    for name in fields}
         return {name: np.concatenate([getattr(result, name)[start:stop]
                                       for result, start, stop in parts])
                 for name in fields}
@@ -184,11 +191,11 @@ def yield_curve_rows(results, grid, schemes, dies: int,
             frequency.extend(chunk["die_frequency_mhz"])
             slowdown.extend(chunk["slowdown"])
             if weighted:
-                weight = np.exp(chunk["log_weight"])
-                w_functional.extend(chunk["functional"], weight)
-                w_meets.extend(chunk["meets_design"], weight)
-                w_frequency.extend(chunk["die_frequency_mhz"], weight)
-                w_slowdown.extend(chunk["slowdown"], weight)
+                weight = checked_weights(np.exp(chunk["log_weight"]))
+                w_functional.fold(chunk["functional"], weight)
+                w_meets.fold(chunk["meets_design"], weight)
+                w_frequency.fold(chunk["die_frequency_mhz"], weight)
+                w_slowdown.fold(chunk["slowdown"], weight)
         f_low, f_high = wilson_interval(functional, dies, confidence)
         d_low, d_high = wilson_interval(meets, dies, confidence)
         row = {

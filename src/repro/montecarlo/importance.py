@@ -196,7 +196,7 @@ def deep_tail_rows(results, grid, schemes, dies: int, importance,
     import numpy as np
 
     from repro.montecarlo.campaign import _chunks, _grouped
-    from repro.montecarlo.stats import WeightedIndicator
+    from repro.montecarlo.stats import WeightedIndicator, checked_weights
 
     if importance is None:
         raise ConfigError("deep_tail needs a [montecarlo.importance] "
@@ -207,9 +207,9 @@ def deep_tail_rows(results, grid, schemes, dies: int, importance,
         meets = WeightedIndicator()
         for chunk in _chunks(group, ("functional", "meets_design",
                                      "log_weight")):
-            weight = np.exp(chunk["log_weight"])
-            functional.extend(~chunk["functional"], weight)
-            meets.extend(~chunk["meets_design"], weight)
+            weight = checked_weights(np.exp(chunk["log_weight"]))
+            functional.fold(~chunk["functional"], weight)
+            meets.fold(~chunk["meets_design"], weight)
         ess = functional.ess
         warn_low_ess(ess, dies, importance.ess_warn, vcc, scheme)
         f_low, f_high = functional.interval(confidence)

@@ -39,7 +39,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
+from itertools import repeat
+from statistics import _normal_dist_inv_cdf
 from typing import TYPE_CHECKING
 
 from repro.circuits import constants
@@ -65,8 +66,6 @@ DIE_SIGMA_MV = 10.0
 #: delay model this floor starts to bind below ~500 mV, which is what
 #: produces the Vccmin spread.
 MAX_SLOWDOWN = 1.25
-
-_STANDARD_NORMAL = NormalDist()
 
 #: Tolerance absorbing float rounding in phase-delay comparisons: a die
 #: whose worst cell is *stronger* than the design margin must never be
@@ -213,10 +212,20 @@ def _unit_interval(words: np.ndarray) -> np.ndarray:
 
 
 def _inv_cdf(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile per element."""
+    """Standard normal quantile per element, bit for bit
+    ``NormalDist().inv_cdf``.
+
+    That method checks its argument in Python and then calls
+    ``statistics._normal_dist_inv_cdf``, CPython's AS241 routine (a C
+    builtin).  Mapping the routine itself runs no Python frame per
+    draw, and it still raises ``ValueError`` outside (0, 1).  A NumPy
+    port of AS241 would not be exact: NumPy's vectorized ``log`` is not
+    libm's and moves some draws by a few ulps.
+    """
     import numpy as np
 
-    return np.fromiter(map(_STANDARD_NORMAL.inv_cdf, p.tolist()),
+    return np.fromiter(map(_normal_dist_inv_cdf, p.tolist(), repeat(0.0),
+                           repeat(1.0)),
                        dtype=np.float64, count=p.size)
 
 

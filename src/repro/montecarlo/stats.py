@@ -35,8 +35,12 @@ from repro.errors import ConfigError
 _STANDARD_NORMAL = NormalDist()
 
 
-def _checked_weights(weights) -> np.ndarray:
-    """``weights`` as a float array, every element finite and >= 0."""
+def checked_weights(weights) -> np.ndarray:
+    """``weights`` as a float array, every element finite and >= 0.
+
+    The reducers check each chunk's weights once with this and hand the
+    array to every accumulator's ``fold``.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     invalid = ~(np.isfinite(weights) & (weights >= 0.0))
     if invalid.any():
@@ -66,8 +70,12 @@ class WeightedStats:
 
     def extend(self, values, weights) -> None:
         """Fold one array of values with their weights."""
-        values = np.asarray(values, dtype=np.float64)
-        weights = _checked_weights(weights)
+        self.fold(np.asarray(values, dtype=np.float64),
+                  checked_weights(weights))
+
+    def fold(self, values: np.ndarray, weights: np.ndarray) -> None:
+        """:meth:`extend` of a float array, with weights that passed
+        :func:`checked_weights`."""
         if not weights.all():
             kept = weights > 0.0
             values, weights = values[kept], weights[kept]
@@ -114,7 +122,7 @@ class StreamingStats(WeightedStats):
 
     def extend(self, values) -> None:
         values = np.asarray(values, dtype=np.float64)
-        super().extend(values, np.ones(values.size))
+        self.fold(values, np.ones(values.size))
 
 
 class DiscreteDistribution:
@@ -203,7 +211,11 @@ class WeightedIndicator:
 
     def extend(self, hits, weights) -> None:
         """Fold one array of ``(hit, weight)`` observations."""
-        weights = _checked_weights(weights)
+        self.fold(hits, checked_weights(weights))
+
+    def fold(self, hits, weights: np.ndarray) -> None:
+        """:meth:`extend` with weights that passed
+        :func:`checked_weights`."""
         hit_weights = np.where(hits, weights, 0.0)
         self.count += weights.size
         self.wsum += float(weights.sum())

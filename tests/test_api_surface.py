@@ -12,7 +12,7 @@ import repro
 
 class TestTopLevelApi:
     def test_version(self):
-        assert repro.__version__ == "1.24.0"
+        assert repro.__version__ == "1.25.0"
 
     def test_exports_resolve(self):
         for name in repro.__all__:

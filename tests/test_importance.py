@@ -19,6 +19,7 @@ locked independently:
   force would need ~1e9 dies to see.
 """
 
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -73,6 +74,12 @@ def block_results(config, dies, vcc, scheme, block=None):
         count = min(block, dies - start)
         results.append(evaluate_block(config, start, count, vcc, scheme))
     return results
+
+
+def bits(row: dict) -> dict:
+    """A reduced row with every float as its exact hex spelling."""
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in row.items()}
 
 
 def failure_indicator(results) -> WeightedIndicator:
@@ -258,20 +265,26 @@ class TestCrossValidation:
 class TestEssDiagnostics:
     def test_ess_is_invariant_under_block_partitioning(self):
         """The reducers fold weights in die-aligned chunks, so how the
-        campaign was cut into jobs must not change the ESS, the
-        estimate or its interval at all — across chunk boundaries
-        too (9000 dies span three chunks)."""
+        campaign was cut into jobs must not change a single bit of any
+        weighted ``yield_curve`` or ``deep_tail`` column — across chunk
+        boundaries too (9000 dies span three chunks).  Blocks of 9000
+        and 4096 dies hand each chunk over as one block's slice; blocks
+        of 1000 and 7 join several blocks per chunk."""
         config = MonteCarloConfig(seed=0, shift_sigma=1.0)
         importance = ImportanceSpec(shift_sigma=1.0, ess_warn=0.0)
         references = None
         for block in (9000, 4096, 1000, 7):
             results = block_results(config, 9000, XVAL_VCC,
                                     ClockScheme.IRAW, block=block)
-            [row] = deep_tail_rows(results, (XVAL_VCC,), ("iraw",), 9000,
-                                   importance)
+            [curve] = yield_curve_rows(results, (XVAL_VCC,), ("iraw",),
+                                       9000, importance=importance)
+            [tail] = deep_tail_rows(results, (XVAL_VCC,), ("iraw",), 9000,
+                                    importance)
+            rows = (bits(curve), bits(tail))
             if references is None:
-                references = row
-            assert row == references
+                references = rows
+                assert "weighted_slowdown_mean" in curve
+            assert rows == references
 
     def test_collapsed_weights_warn(self):
         """An over-aggressive shift spreads the weights so far that a
@@ -389,6 +402,22 @@ class TestWeightedAccumulatorUnits:
                 WeightedStats().extend([1.0], [bad])
             with pytest.raises(ConfigError):
                 WeightedIndicator().extend([True], [bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_reducers_reject_invalid_log_weights(self, bad):
+        """A block result whose log weight is NaN or +inf (a weight of
+        NaN or +inf) fails both weighted reducers loudly."""
+        config = MonteCarloConfig(seed=0, shift_sigma=1.0)
+        importance = ImportanceSpec(shift_sigma=1.0, ess_warn=0.0)
+        result = evaluate_block(config, 0, 16, XVAL_VCC, ClockScheme.IRAW)
+        log_weight = result.log_weight.copy()
+        log_weight[5] = bad
+        results = [dataclasses.replace(result, log_weight=log_weight)]
+        with pytest.raises(ConfigError, match="weights must be finite"):
+            yield_curve_rows(results, (XVAL_VCC,), ("iraw",), 16,
+                             importance=importance)
+        with pytest.raises(ConfigError, match="weights must be finite"):
+            deep_tail_rows(results, (XVAL_VCC,), ("iraw",), 16, importance)
 
     @given(data=st.lists(st.tuples(st.floats(-1e3, 1e3),
                                    st.just(0.0) | st.floats(1e-3, 10.0),

@@ -11,11 +11,14 @@ dispatch tier underneath (auto-sized pool chunks, one-shard spool
 claims, the worker supervisor) preserves results.
 """
 
+import math
 import os
 import shlex
 import threading
+from statistics import NormalDist
 
 import mc_oracle
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +45,12 @@ from repro.montecarlo.campaign import (
     yield_curve_rows,
 )
 from repro.montecarlo.stats import StreamingStats
-from repro.montecarlo.sampling import DieBlock, evaluate_block
+from repro.montecarlo.sampling import (
+    DieBlock,
+    _inv_cdf,
+    _unit_interval,
+    evaluate_block,
+)
 
 pytestmark = pytest.mark.engine
 
@@ -131,6 +139,50 @@ class TestBlockKernel:
         with pytest.raises(ConfigError, match="shape"):
             evaluate_block(config, 0, 8, 500.0, ClockScheme.BASELINE,
                            sample=bad_shape)
+
+
+class TestQuantile:
+    """The sampler's quantile is ``NormalDist().inv_cdf``, bit for bit."""
+
+    #: The largest p whose ``sqrt(-log(p))`` rounds above 5, where
+    #: AS241 switches tail polynomials: 46 doubles below ``exp(-25)``.
+    FAR_TAIL = 1.3887943864963947e-11
+    #: AS241's branch edges and the sampler's extremes: subnormal and
+    #: tiny tails, both sides of the tail switch and ``exp(-25)``, both
+    #: sides of ``|p - 0.5| <= 0.425`` (central versus tail; it holds at
+    #: 0.075 but not at 0.925), the centre, and the ends of
+    #: ``_unit_interval``.
+    EDGES = (5e-324, 1e-300,
+             FAR_TAIL, math.nextafter(FAR_TAIL, 1.0),
+             math.exp(-25.0), math.nextafter(math.exp(-25.0), 1.0),
+             math.nextafter(0.075, 0.0), 0.075,
+             math.nextafter(0.925, 0.0), 0.925, math.nextafter(0.925, 1.0),
+             0.5,
+             2.0 ** -53, 1.0 - 2.0 ** -53)
+    #: Sampled uniforms whose quantile a NumPy port of AS241 gets wrong
+    #: by 1-3 ulps, because NumPy 2.4's AVX-512 ``log`` is not libm's.
+    VECTOR_LOG_STRAYS = (0.006046768827579485, 0.060220787741263604,
+                         0.9287672562915171, 0.9406360248406546)
+
+    def test_far_tail_is_the_tail_polynomial_switch(self):
+        assert math.sqrt(-math.log(self.FAR_TAIL)) > 5.0
+        above = math.nextafter(self.FAR_TAIL, 1.0)
+        assert math.sqrt(-math.log(above)) == 5.0
+
+    def test_matches_normal_dist_bit_for_bit(self):
+        """On the edges, the strays and a block's worth of sampled
+        uniforms."""
+        sampled = _unit_interval(np.random.Philox(key=7).random_raw(4096))
+        probabilities = np.concatenate([self.EDGES, self.VECTOR_LOG_STRAYS,
+                                        sampled])
+        assert [q.hex() for q in _inv_cdf(probabilities).tolist()] \
+            == [NormalDist().inv_cdf(p).hex()
+                for p in probabilities.tolist()]
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_closed_ends_raise(self, p):
+        with pytest.raises(ValueError):
+            _inv_cdf(np.array([0.25, p]))
 
 
 class TestScalarOracle:
